@@ -23,7 +23,7 @@ from .errors import (
     SequenceOrderError,
     UnknownOperationKind,
 )
-from .graph import PersistenceGraph, StaticKey, build_graph, export_dot, induced_edges
+from .graph import PersistenceGraph, StaticKey, build_graph, export_dot
 from .grouping import (
     BehaviorGroup,
     edge_equiv,

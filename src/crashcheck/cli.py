@@ -198,6 +198,15 @@ def derive_behaviors(trace: Trace, cfg: RunConfig):
     return graph, behaviors
 
 
+def _require_checker(checker: str) -> None:
+    try:
+        checker_bin = shlex.split(checker)[0]
+    except (ValueError, IndexError):
+        raise ConfigError(f"checker {checker!r} is not a command") from None
+    if shutil.which(checker_bin) is None and not Path(checker_bin).exists():
+        raise ConfigError(f"checker {checker_bin!r} not found")
+
+
 def _safe_name(name: str) -> str:
     return "".join(c if c.isalnum() or c in "._-" else "_" for c in name)
 
@@ -274,9 +283,7 @@ def cmd_test(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
     if not cfg.checker:
         raise ConfigError("test needs --checker")
-    checker_bin = shlex.split(cfg.checker)[0]
-    if shutil.which(checker_bin) is None and not Path(checker_bin).exists():
-        raise ConfigError(f"checker {checker_bin!r} not found")
+    _require_checker(cfg.checker)
     trace = load_input_trace(args, cfg)
     _, behaviors = derive_behaviors(trace, cfg)
     groups = group_behaviors(behaviors)
@@ -323,9 +330,7 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
         schedules = exhaustive_schedules(whole, trace, budget=cfg.budget)
         checker = cfg.checker
         if checker:
-            checker_bin = shlex.split(checker)[0]
-            if shutil.which(checker_bin) is None and not Path(checker_bin).exists():
-                raise ConfigError(f"checker {checker_bin!r} not found")
+            _require_checker(checker)
         with tempfile.TemporaryDirectory(prefix="crashcheck-") as scratch:
             while True:
                 try:

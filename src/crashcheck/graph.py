@@ -1,6 +1,11 @@
 """Persistence graph: operations as nodes, happens-before edges, and the
 static keys used for node equivalence.
 
+Happens-before is stored once: :func:`build_graph` indexes the model's
+edges by destination seq, and every subgraph taken with
+:meth:`PersistenceGraph.induced` (behaviors, MMIO types, instances and
+epochs) is a view that shares that index and keeps only its own nodes.
+
 Node identity is the trace seq; equivalence between nodes is a separate
 relation built on :class:`StaticKey` (see :mod:`crashcheck.grouping`), which
 keeps the dynamic/static split explicit.  Graphs are immutable after
@@ -10,6 +15,7 @@ construction and safe to share across readers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import GraphBuildError, NodeNotFound
 from .models import HbEdge
@@ -49,20 +55,28 @@ class StaticKey:
 
 @dataclass(frozen=True)
 class PersistenceGraph:
+    """Nodes ``ops_by_seq`` over one happens-before index shared by every
+    graph induced from the same :func:`build_graph` result.
+
+    ``in_edges`` maps each destination seq to its incoming edges in the full
+    graph; a graph's own edges are those whose source is also one of its
+    nodes, so inducing a subgraph copies nothing but the node map.
+    """
+
     ops_by_seq: dict[int, Operation]
-    edges: frozenset[HbEdge]
+    in_edges: dict[int, tuple[HbEdge, ...]] = field(repr=False)
     key_mode: str = FULL_KEY
-    _preds: dict[int, set[int]] = field(default_factory=dict, repr=False)
-    _succs: dict[int, set[int]] = field(default_factory=dict, repr=False)
-    _static_index: dict[StaticKey, frozenset[int]] = field(default_factory=dict, repr=False)
 
     @property
     def node_seqs(self) -> tuple[int, ...]:
         return tuple(sorted(self.ops_by_seq))
 
-    @property
-    def static_index(self) -> dict[StaticKey, frozenset[int]]:
-        return self._static_index
+    @cached_property
+    def edges(self) -> frozenset[HbEdge]:
+        nodes = self.ops_by_seq
+        return frozenset(
+            e for seq in nodes for e in self.in_edges.get(seq, ()) if e.src_seq in nodes
+        )
 
     def __len__(self) -> int:
         return len(self.ops_by_seq)
@@ -78,58 +92,16 @@ class PersistenceGraph:
 
     def predecessors(self, seq: int) -> set[int]:
         self.op(seq)
-        return self._preds.get(seq, set())
-
-    def successors(self, seq: int) -> set[int]:
-        self.op(seq)
-        return self._succs.get(seq, set())
-
-    def ancestors(self, seq: int) -> set[int]:
-        out: set[int] = set()
-        stack = list(self.predecessors(seq))
-        while stack:
-            cur = stack.pop()
-            if cur not in out:
-                out.add(cur)
-                stack.extend(self._preds.get(cur, ()))
-        return out
-
-    def topo_order(self) -> list[int]:
-        # Edges always point from lower to higher seq, so seq order is
-        # already topological.
-        return sorted(self.ops_by_seq)
+        return {e.src_seq for e in self.in_edges.get(seq, ()) if e.src_seq in self.ops_by_seq}
 
     def induced(self, node_set) -> "PersistenceGraph":
         nodes = set(node_set)
         unknown = nodes - self.ops_by_seq.keys()
         if unknown:
             raise NodeNotFound(f"nodes {sorted(unknown)} are not in the graph")
-        return _make_graph(
-            {seq: self.ops_by_seq[seq] for seq in nodes},
-            {e for e in self.edges if e.src_seq in nodes and e.dst_seq in nodes},
-            self.key_mode,
+        return PersistenceGraph(
+            {seq: self.ops_by_seq[seq] for seq in nodes}, self.in_edges, self.key_mode
         )
-
-
-def _make_graph(
-    ops_by_seq: dict[int, Operation], edges: set[HbEdge], key_mode: str
-) -> PersistenceGraph:
-    preds: dict[int, set[int]] = {}
-    succs: dict[int, set[int]] = {}
-    for e in edges:
-        preds.setdefault(e.dst_seq, set()).add(e.src_seq)
-        succs.setdefault(e.src_seq, set()).add(e.dst_seq)
-    index: dict[StaticKey, set[int]] = {}
-    for seq, op in ops_by_seq.items():
-        index.setdefault(StaticKey.of(op, key_mode), set()).add(seq)
-    return PersistenceGraph(
-        ops_by_seq=dict(ops_by_seq),
-        edges=frozenset(edges),
-        key_mode=key_mode,
-        _preds=preds,
-        _succs=succs,
-        _static_index={k: frozenset(v) for k, v in index.items()},
-    )
 
 
 def build_graph(trace: Trace, edges: set[HbEdge], key_mode: str = FULL_KEY) -> PersistenceGraph:
@@ -140,21 +112,16 @@ def build_graph(trace: Trace, edges: set[HbEdge], key_mode: str = FULL_KEY) -> P
     forward in trace order, otherwise :class:`GraphBuildError` is raised.
     """
     ops_by_seq = {op.seq: op for op in trace.ops if op.kind not in METADATA_ONLY_KINDS}
-    for e in edges:
+    in_edges: dict[int, list[HbEdge]] = {}
+    for e in set(edges):
         if e.src_seq not in ops_by_seq or e.dst_seq not in ops_by_seq:
             raise GraphBuildError(f"edge {e.pair} references a seq outside the graph")
         if e.src_seq >= e.dst_seq:
             raise GraphBuildError(f"edge {e.pair} does not run forward in trace order")
-    return _make_graph(ops_by_seq, set(edges), key_mode)
-
-
-def induced_edges(graph: PersistenceGraph, node_set) -> set[HbEdge]:
-    """Edges of the graph whose two endpoints both lie in ``node_set``."""
-    nodes = set(node_set)
-    unknown = nodes - graph.ops_by_seq.keys()
-    if unknown:
-        raise NodeNotFound(f"nodes {sorted(unknown)} are not in the graph")
-    return {e for e in graph.edges if e.src_seq in nodes and e.dst_seq in nodes}
+        in_edges.setdefault(e.dst_seq, []).append(e)
+    return PersistenceGraph(
+        ops_by_seq, {seq: tuple(incoming) for seq, incoming in in_edges.items()}, key_mode
+    )
 
 
 def export_dot(graph: PersistenceGraph, name: str = "pg") -> str:

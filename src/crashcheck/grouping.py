@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .behavior import UpdateBehavior
-from .graph import FULL_KEY, StaticKey, induced_edges
+from .graph import FULL_KEY, PersistenceGraph, StaticKey
 from .trace import Operation
 
 KeyPair = tuple[StaticKey, StaticKey]
@@ -65,12 +65,8 @@ def subset_equiv_edges(e1, e2, mode: str = FULL_KEY) -> bool:
     return keypairs(e1) <= keypairs(e2)
 
 
-def _resolved_edges(behavior: UpdateBehavior, node_seqs) -> list[tuple[Operation, Operation]]:
-    graph = behavior.subgraph
-    return [
-        (graph.ops_by_seq[e.src_seq], graph.ops_by_seq[e.dst_seq])
-        for e in induced_edges(graph, node_seqs)
-    ]
+def _resolved_edges(graph: PersistenceGraph) -> list[tuple[Operation, Operation]]:
+    return [(graph.ops_by_seq[e.src_seq], graph.ops_by_seq[e.dst_seq]) for e in graph.edges]
 
 
 def represents(u1: UpdateBehavior, u2: UpdateBehavior) -> bool:
@@ -86,8 +82,8 @@ def represents(u1: UpdateBehavior, u2: UpdateBehavior) -> bool:
     if not subset_equiv_nodes(n2, n1, mode):
         return False
     image = equivalence_image(n1, n2, mode)
-    image_edges = _resolved_edges(u1, [op.seq for op in image])
-    member_edges = _resolved_edges(u2, u2.node_seqs)
+    image_edges = _resolved_edges(u1.subgraph.induced(op.seq for op in image))
+    member_edges = _resolved_edges(u2.subgraph)
     return subset_equiv_edges(image_edges, member_edges, mode)
 
 

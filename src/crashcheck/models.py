@@ -51,7 +51,6 @@ class EdgeReason(str, Enum):
     SAME_CACHE_LINE = "SameCacheLine"
     FLUSH_FENCE = "FlushFence"
     MSYNC = "Msync"
-    CROSS_THREAD_ORDER = "CrossThreadOrder"
 
 
 @dataclass(frozen=True, order=True)

@@ -321,16 +321,9 @@ class FsImage:
 @dataclass
 class MemImage:
     cells: dict[int, int] = field(default_factory=dict)
-    line_size: int = 64
 
     def copy(self) -> "MemImage":
-        return MemImage(cells=dict(self.cells), line_size=self.line_size)
-
-    def line_contents(self) -> dict[int, dict[int, int]]:
-        lines: dict[int, dict[int, int]] = {}
-        for addr, value in self.cells.items():
-            lines.setdefault(addr // self.line_size, {})[addr] = value
-        return lines
+        return MemImage(cells=dict(self.cells))
 
     def read(self, addr: int, length: int) -> bytes:
         return bytes(self.cells.get(addr + i, 0) for i in range(length))

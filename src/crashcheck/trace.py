@@ -31,7 +31,6 @@ MMIO_KINDS = {"store", "flush", "fence", "msync"}
 # Kinds that mutate durable state when replayed.  Barrier and bookkeeping
 # kinds constrain ordering but are no-ops in a crash image.
 PERSISTING_KINDS = {"write", "pwrite", "rename", "unlink", "create", "mkdir", "store"}
-BARRIER_KINDS = {"fsync", "fdatasync", "sync", "flush", "fence", "msync"}
 # open/close are recorded for completeness but contribute neither nodes
 # nor edges to the persistence graph.
 METADATA_ONLY_KINDS = {"open", "close"}
@@ -146,10 +145,6 @@ class Operation:
     def is_persisting(self) -> bool:
         return self.kind in PERSISTING_KINDS
 
-    @property
-    def is_barrier(self) -> bool:
-        return self.kind in BARRIER_KINDS
-
     def payload(self) -> bytes:
         """Concrete bytes this operation writes, for replay."""
         data = self.args.get("data")
@@ -206,6 +201,9 @@ def _validate_args(kind: str, args: dict, line_no: int) -> dict:
     extra = args.keys() - allowed
     if extra:
         raise ParseError(line_no, f"{kind} args have unknown keys {sorted(extra)}")
+    for key in ("path", "dst"):
+        if key in args and not isinstance(args[key], str):
+            raise ParseError(line_no, f"{kind} arg {key!r} must be a string")
     for key in ("offset", "length", "addr", "line"):
         if key in args and (not isinstance(args[key], int) or args[key] < 0):
             raise ParseError(line_no, f"{kind} arg {key!r} must be a non-negative integer")
@@ -271,6 +269,8 @@ def parse_trace(stream: bytes | str) -> Trace:
             raise ParseError(line_no, f"record missing keys {sorted(missing)}")
 
         kind = rec["kind"]
+        if not isinstance(kind, str):
+            raise ParseError(line_no, "kind must be a string")
         kind_mode = _kind_mode(kind)
         if kind_mode != meta.mode:
             raise ParseError(line_no, f"{kind} is a {kind_mode} kind in a {meta.mode} trace")

@@ -61,6 +61,18 @@ def mmio_trace(ops: list[Operation], app: str = "test") -> Trace:
     return Trace(meta=TraceMeta(app_name=app, mode=MMIO_MODE), ops=ops)
 
 
+def ancestors(graph, seq: int) -> set[int]:
+    """Every node with a happens-before path to ``seq`` in ``graph``."""
+    out: set[int] = set()
+    stack = list(graph.predecessors(seq))
+    while stack:
+        cur = stack.pop()
+        if cur not in out:
+            out.add(cur)
+            stack.extend(graph.predecessors(cur))
+    return out
+
+
 def fig5_behaviors():
     """The pointer-switch trio: a run of Fn3 with the rename (S3-1), a run
     without it (S3-2, different payloads, aligned static locations), and a

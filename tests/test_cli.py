@@ -60,6 +60,17 @@ def test_analyze_empty_trace_is_ok(tmp_path):
     }
 
 
+def test_non_string_kind_exits_2(tmp_path, capsys):
+    trace_file = tmp_path / "t.jsonl"
+    record = {"seq": 1, "tid": 0, "kind": [], "args": {"path": "f"},
+              "backtrace": [{"function": "main", "file": "a.c", "line": 1}]}
+    trace_file.write_text(
+        '{"app": "x", "mode": "POSIX", "version": 1}\n' + json.dumps(record) + "\n"
+    )
+    assert run("analyze", "--trace", trace_file, "--out", tmp_path / "o") == 2
+    assert "kind must be a string" in capsys.readouterr().err
+
+
 def test_mode_mismatch_exits_2(tmp_path):
     trace_file = tmp_path / "t.jsonl"
     run("synth", "--mode", "MMIO", "--dsl", WORKLOADS / "entry_insert.dsl", "-o", trace_file)
@@ -125,6 +136,16 @@ def test_test_with_missing_checker_exits_2(tmp_path):
         "--out", tmp_path / "out",
     )
     assert code == 2
+
+
+def test_blank_or_unquoted_checker_exits_2(tmp_path):
+    for command in ("test", "exhaustive"):
+        for checker in (" ", "'unclosed"):
+            code = run(
+                command, "--mode", "POSIX", "--dsl", WORKLOADS / "two_writes.dsl",
+                "--checker", checker, "--out", tmp_path / "out",
+            )
+            assert code == 2
 
 
 def test_exhaustive_two_writes_four_states(tmp_path):

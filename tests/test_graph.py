@@ -9,14 +9,14 @@ from crashcheck import (
     StaticKey,
     build_graph,
     export_dot,
-    induced_edges,
+    model_edges,
     posix_edges,
     synth_workload,
 )
 from crashcheck.models import EdgeReason
 from crashcheck.trace import Trace, TraceMeta
 
-from helpers import op, posix_trace, write_args
+from helpers import op, posix_trace, random_mmio_trace, random_posix_trace, write_args
 
 MO = EdgeReason.METADATA_ORDER
 
@@ -91,18 +91,18 @@ def test_open_close_are_not_nodes():
 
 def test_induced_edges_full_set_is_identity():
     graph = chain_graph()
-    assert induced_edges(graph, {1, 2, 3}) == set(graph.edges)
+    assert graph.induced({1, 2, 3}).edges == graph.edges
 
 
 def test_induced_edges_skip_nonadjacent_pairs():
     graph = chain_graph()
-    assert induced_edges(graph, {1, 3}) == set()
+    assert graph.induced({1, 3}).edges == frozenset()
 
 
 def test_induced_edges_reject_foreign_nodes():
     graph = chain_graph()
     with pytest.raises(NodeNotFound):
-        induced_edges(graph, {1, 9})
+        graph.induced({1, 9})
 
 
 def test_induced_edges_monotone_under_union():
@@ -111,7 +111,7 @@ def test_induced_edges_monotone_under_union():
     for _ in range(10):
         a = {s for s in graph.node_seqs if rng.random() < 0.5}
         b = a | {s for s in graph.node_seqs if rng.random() < 0.5}
-        assert induced_edges(graph, a) <= induced_edges(graph, b)
+        assert graph.induced(a).edges <= graph.induced(b).edges
 
 
 def test_pointer_switch_subset_keeps_only_write_dependency():
@@ -126,16 +126,28 @@ def test_pointer_switch_subset_keeps_only_write_dependency():
     )
     edges = {HbEdge(1, 2, MO), HbEdge(2, 3, MO)}
     graph = build_graph(trace, edges)
-    assert induced_edges(graph, {1, 2}) == {HbEdge(1, 2, MO)}
+    assert graph.induced({1, 2}).edges == {HbEdge(1, 2, MO)}
 
 
-def test_topo_order_respects_every_edge():
-    graph = chain_graph()
-    order = graph.topo_order()
-    position = {seq: i for i, seq in enumerate(order)}
-    assert sorted(order) == list(graph.node_seqs)
-    for e in graph.edges:
-        assert position[e.src_seq] < position[e.dst_seq]
+@pytest.mark.parametrize("make", [random_posix_trace, random_mmio_trace])
+def test_induced_views_match_filtering_the_full_edge_set(make):
+    rng = random.Random(23)
+    for _ in range(30):
+        trace = make(rng, max_ops=12)
+        edges = model_edges(trace)
+        graph = build_graph(trace, edges)
+        assert graph.edges == edges
+        for _ in range(5):
+            s = {n for n in graph.node_seqs if rng.random() < 0.6}
+            t = {n for n in s if rng.random() < 0.6}
+            view = graph.induced(s)
+            want = {e for e in graph.edges if e.src_seq in s and e.dst_seq in s}
+            assert view.edges == want
+            for n in s:
+                assert view.predecessors(n) == {e.src_seq for e in want if e.dst_seq == n}
+            # Re-inducing a view (as temporal clustering does) equals
+            # inducing the full graph directly.
+            assert view.induced(t).edges == graph.induced(t).edges
 
 
 def test_export_dot_empty_graph():
@@ -174,14 +186,3 @@ def test_static_key_modes():
     assert len(inner.static_stack) == 1
     assert full.loc == inner.loc == ("<dsl>", 3)
 
-
-def test_static_index_groups_equivalent_nodes():
-    ops = [
-        op(1, "write", write_args("a", b"x"), (("main", 5),)),
-        op(2, "write", write_args("b", b"y"), (("main", 5),)),
-        op(3, "write", write_args("c", b"z"), (("main", 6),)),
-    ]
-    graph = build_graph(posix_trace(ops), set())
-    index = graph.static_index
-    sizes = sorted(len(v) for v in index.values())
-    assert sizes == [1, 2]

@@ -34,6 +34,7 @@ from crashcheck.simulate import (
 from crashcheck.simulate import test_groups as run_group_tests
 from conftest import checker_cmd, load_workload
 from helpers import (
+    ancestors,
     mmio_trace,
     op,
     posix_trace,
@@ -99,7 +100,7 @@ def test_downward_closure_no_orphan_ops():
         for schedule in enumerate_schedules(behavior, trace):
             applied = set(schedule.applied_seqs)
             for seq in applied:
-                assert graph.ancestors(seq) <= applied
+                assert ancestors(graph, seq) <= applied
 
 
 def test_context_is_everything_before_the_behavior(fig3_trace):
@@ -341,19 +342,6 @@ def test_budget_exhaustion_sets_partial_coverage(tmp_path, entry_checker):
     assert stats.partial_coverage is True
     assert stats.schedules_tested == 3  # the run keeps what it managed
 
-
-def test_mem_image_line_contents():
-    trace = mmio_trace(
-        [
-            op(1, "store", store_args(0, b"ab"), (("m", 1),)),
-            op(2, "store", store_args(70, b"c"), (("m", 2),)),
-        ]
-    )
-    image = replay_mmio(CrashSchedule("b", "MMIO", (), tuple(trace.ops)))
-    lines = image.line_contents()
-    assert set(lines) == {0, 1}
-    assert lines[0] == {0: ord("a"), 1: ord("b")}
-    assert lines[1] == {70: ord("c")}
 
 
 def test_oracle_errors_do_not_abort_the_run(tmp_path):

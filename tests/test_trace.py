@@ -62,6 +62,27 @@ def test_unknown_kind_is_rejected():
         parse_trace(stream)
 
 
+@pytest.mark.parametrize("kind", [[], {}, 7, None])
+def test_non_string_kind_is_a_parse_error(kind):
+    with pytest.raises(ParseError) as err:
+        parse_trace("\n".join([HEADER, record(1, kind, {"path": "f"})]))
+    assert err.value.line_no == 2
+
+
+@pytest.mark.parametrize("path", [[], {}, -1, None])
+def test_non_string_path_is_a_parse_error(path):
+    for kind in ("create", "unlink", "fsync"):
+        with pytest.raises(ParseError):
+            parse_trace("\n".join([HEADER, record(1, kind, {"path": path})]))
+
+
+@pytest.mark.parametrize("dst", [[], {}, -1])
+def test_non_string_rename_destination_is_a_parse_error(dst):
+    stream = "\n".join([HEADER, record(1, "rename", {"path": "f", "dst": dst})])
+    with pytest.raises(ParseError):
+        parse_trace(stream)
+
+
 def test_non_monotone_seq_is_rejected():
     stream = "\n".join(
         [
