@@ -21,19 +21,22 @@ import shutil
 import sys
 import tempfile
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from .behavior import make_behavior
 from .dsl import synth_workload
-from .errors import CrashCheckError, ExplosionLimit, ModeMismatch
+from .errors import CrashCheckError, ModeMismatch
 from .graph import FULL_KEY, build_graph, export_dot
 from .grouping import group_behaviors
 from .mmio_behaviors import derive_mmio_behaviors
 from .models import ModelConfig, model_edges
 from .posix_behaviors import derive_posix_behaviors
 from .simulate import (
+    RunStats,
     Verdict,
     exhaustive_schedules,
+    explore,
     materialize,
     replay,
     run_oracle,
@@ -47,6 +50,8 @@ _CONFIG_KEYS = {
     "dbscan_eps", "dbscan_min_pts", "static_key", "checker", "budget",
     "timeout", "out",
 }
+
+_CHECKER_COMMANDS = {"test", "exhaustive", "replay"}
 
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
@@ -63,7 +68,6 @@ class RunConfig:
     budget: int = 100_000
     timeout: float = 30.0
     out: Path = Path("out")
-    stage: str = ""
 
 
 class ConfigError(CrashCheckError):
@@ -98,7 +102,6 @@ def load_config_file(path: Path) -> dict:
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
-    cfg.stage = getattr(args, "command", "")
     values = {}
     if getattr(args, "config", None):
         values = load_config_file(Path(args.config))
@@ -156,6 +159,8 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     checker = pick("checker", "checker")
     if checker is not None:
         cfg.checker = str(checker)
+        if getattr(args, "command", None) in _CHECKER_COMMANDS:
+            _require_checker(cfg.checker)
 
     out = pick("out", "out")
     if out is not None:
@@ -283,7 +288,6 @@ def cmd_test(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
     if not cfg.checker:
         raise ConfigError("test needs --checker")
-    _require_checker(cfg.checker)
     trace = load_input_trace(args, cfg)
     _, behaviors = derive_behaviors(trace, cfg)
     groups = group_behaviors(behaviors)
@@ -321,59 +325,44 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
     out = cfg.out
     out.mkdir(parents=True, exist_ok=True)
 
+    stats = RunStats()
     states: dict[str, dict] = {}
-    schedules_tested = 0
     bugs = []
-    partial = False
     if len(graph):
         whole = make_behavior("whole-trace", "*", trace.ops[0].tid, graph.node_seqs, graph)
-        schedules = exhaustive_schedules(whole, trace, budget=cfg.budget)
-        checker = cfg.checker
-        if checker:
-            _require_checker(checker)
         with tempfile.TemporaryDirectory(prefix="crashcheck-") as scratch:
-            while True:
-                try:
-                    schedule = next(schedules)
-                except StopIteration:
-                    break
-                except ExplosionLimit:
-                    partial = True
-                    break
-                schedules_tested += 1
-                image = replay(schedule)
-                digest = image.digest()
-                if digest in states:
-                    continue
+            schedules_of = partial(exhaustive_schedules, trace=trace, budget=cfg.budget)
+            check = None
+            if cfg.checker:
+                check = partial(run_oracle, checker=cfg.checker, scratch=Path(scratch), timeout=cfg.timeout)
+            for _, schedule, digest, result in explore([whole], schedules_of, stats, check):
                 entry = {"applied_seqs": list(schedule.applied_seqs)}
-                if checker:
-                    result = run_oracle(image, checker, Path(scratch), timeout=cfg.timeout)
+                if result is not None:
                     entry["verdict"] = result.verdict.value
                     if result.verdict is Verdict.INCONSISTENT:
                         applied = set(schedule.applied_seqs)
-                        omitted = [s for s in graph.node_seqs if s not in applied]
                         bugs.append(
                             {
                                 "applied_seqs": sorted(applied),
-                                "omitted_seqs": omitted,
+                                "omitted_seqs": [s for s in graph.node_seqs if s not in applied],
                                 "oracle_output": result.oracle_output,
                             }
                         )
                 states[digest] = entry
     else:
         states["empty"] = {"applied_seqs": []}
-        schedules_tested = 1
+        stats.schedules_tested = 1
 
     report = {
-        "schedules_tested": schedules_tested,
+        "schedules_tested": stats.schedules_tested,
         "distinct_states": len(states),
-        "partial_coverage": partial,
+        "partial_coverage": stats.partial_coverage,
         "states": states,
         "bugs": bugs,
     }
     (out / "states.json").write_text(json.dumps(report, indent=2))
     print(
-        f"exhaustive: {schedules_tested} schedules, {len(states)} distinct states, "
+        f"exhaustive: {stats.schedules_tested} schedules, {len(states)} distinct states, "
         f"{len(bugs)} inconsistent -> {out}"
     )
     return 1 if bugs else 0
@@ -382,9 +371,10 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
 def cmd_replay(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
     trace = load_input_trace(args, cfg)
-    data = json.loads(Path(args.schedule).read_text())
-    if "schedule" in data:
-        data = data["schedule"]
+    try:
+        data = json.loads(Path(args.schedule).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read schedule file {args.schedule}: {exc}") from None
     schedule = schedule_from_json(data, trace)
     image = replay(schedule)
     out = cfg.out

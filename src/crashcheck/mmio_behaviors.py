@@ -189,14 +189,11 @@ def derive_mmio_behaviors(
     graph: PersistenceGraph,
     trace: Trace,
     cfg: ModelConfig | None = None,
-    include_composites: bool = True,
 ) -> list[UpdateBehavior]:
     """Full MMIO derivation: every epoch of every instance of every type
     becomes one update behavior."""
     behaviors = []
     for tsg in build_type_subgraphs(graph, trace):
-        if tsg.composite and not include_composites:
-            continue
         for isg in build_instance_subgraphs(tsg):
             for epoch in split_epochs(isg, graph, trace, cfg):
                 label = f"{epoch.type_name}.{epoch.instance_id}"

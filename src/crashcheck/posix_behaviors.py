@@ -58,8 +58,7 @@ class _OpenBehavior:
 
 
 class _Derivation:
-    def __init__(self, graph: PersistenceGraph):
-        self.graph = graph
+    def __init__(self):
         self.result: dict[FnPath, list[list[Operation]]] = {}
 
     def close(self, ops: list[Operation], path: FnPath):
@@ -110,7 +109,7 @@ def derive_function_subgraphs(
     Within one thread the leaf behaviors' node sets are disjoint and cover
     every graph node of the thread.
     """
-    deriv = _Derivation(graph)
+    deriv = _Derivation()
     node_seqs = set(graph.ops_by_seq)
     per_tid = split_by_thread(trace)
     for tid in sorted(per_tid):

@@ -9,13 +9,15 @@ Enumeration prunes linearizations that provably replay to the same image:
 two ops commute when they touch disjoint (file, block) pairs or disjoint
 cache lines and share no directory-entry or inode conflict, and only
 sequences with no adjacent commuting inversion are emitted (the
-lexicographically-least order within each commuting class survives).  A
-replayed-image digest memo downstream catches any equivalent images that
-still slip through, so the distinct-image set always equals the unpruned
-set.  Two unpruned enumerators exist: ``exhaustive_schedules`` backtracks
-over valid orders and backs the whole-trace baseline, while
-``brute_force_schedules`` filters raw permutations and shares no
-enumeration logic with the pruned path, serving as its independent oracle.
+lexicographically-least order within each commuting class survives).  The
+digest memo of :func:`explore`, the one enumerate → replay → digest → dedup
+→ check loop, catches any equivalent images that still slip through, so the
+distinct-image set always equals the unpruned set.  Two unpruned
+enumerators exist: ``exhaustive_schedules`` backtracks over valid orders and
+backs the whole-trace baseline, which ``exhaustive`` runs through the same
+:func:`explore`, while ``brute_force_schedules`` filters raw permutations and
+shares no enumeration logic with the pruned path, serving as its
+independent oracle.
 """
 
 from __future__ import annotations
@@ -27,10 +29,12 @@ import posixpath
 import shlex
 import shutil
 import subprocess
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from .behavior import UpdateBehavior
 from .errors import CheckerError, ExplosionLimit, ModeMismatch, ReplayError
@@ -68,14 +72,24 @@ class CrashSchedule:
         }
 
 
-def schedule_from_json(data: dict, trace: Trace) -> CrashSchedule:
+def schedule_from_json(data, trace: Trace) -> CrashSchedule:
+    """Rebuild a schedule written by :meth:`CrashSchedule.to_json`, or the
+    one inside a bug report, over ``trace``.  Raises :class:`ReplayError`
+    when it is not a schedule of this trace."""
+    if isinstance(data, dict) and "schedule" in data:
+        data = data["schedule"]
+    keys = {"behavior_id", "mode", "context_seqs", "applied_seqs"}
+    if not isinstance(data, dict) or not data.keys() >= keys:
+        raise ReplayError(f"a schedule is a JSON object with keys {sorted(keys)}")
+    if data["mode"] != trace.meta.mode:
+        raise ReplayError(f"schedule mode {data['mode']!r} does not match the {trace.meta.mode} trace")
     ops = trace.ops_by_seq()
-    return CrashSchedule(
-        behavior_id=data["behavior_id"],
-        mode=data["mode"],
-        context=tuple(ops[s] for s in data["context_seqs"]),
-        applied=tuple(ops[s] for s in data["applied_seqs"]),
-    )
+    try:
+        context = tuple(ops[s] for s in data["context_seqs"])
+        applied = tuple(ops[s] for s in data["applied_seqs"])
+    except (TypeError, KeyError):
+        raise ReplayError("schedule seqs must be lists of seqs of this trace") from None
+    return CrashSchedule(data["behavior_id"], data["mode"], context, applied)
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +318,6 @@ class FsImage:
     files: dict[str, bytearray] = field(default_factory=dict)
     dirents: dict[str, set[str]] = field(default_factory=dict)
 
-    def copy(self) -> "FsImage":
-        return FsImage(
-            files={p: bytearray(b) for p, b in self.files.items()},
-            dirents={d: set(names) for d, names in self.dirents.items()},
-        )
-
     def digest(self) -> str:
         payload = {
             "files": {p: bytes(b).hex() for p, b in sorted(self.files.items())},
@@ -321,9 +329,6 @@ class FsImage:
 @dataclass
 class MemImage:
     cells: dict[int, int] = field(default_factory=dict)
-
-    def copy(self) -> "MemImage":
-        return MemImage(cells=dict(self.cells))
 
     def read(self, addr: int, length: int) -> bytes:
         return bytes(self.cells.get(addr + i, 0) for i in range(length))
@@ -375,21 +380,21 @@ def _apply_posix_op(image: FsImage, op: Operation):
     # fsync/fdatasync/sync/open/close leave the image untouched.
 
 
-def replay_posix(schedule: CrashSchedule, initial: FsImage | None = None) -> FsImage:
+def replay_posix(schedule: CrashSchedule) -> FsImage:
     """Apply context then the applied list, in order, to a file-system image."""
     if schedule.mode != POSIX_MODE:
         raise ModeMismatch("replay_posix needs a POSIX schedule")
-    image = initial.copy() if initial is not None else FsImage()
+    image = FsImage()
     for op in schedule.context + schedule.applied:
         _apply_posix_op(image, op)
     return image
 
 
-def replay_mmio(schedule: CrashSchedule, initial: MemImage | None = None) -> MemImage:
+def replay_mmio(schedule: CrashSchedule) -> MemImage:
     """Apply context then the applied list to a sparse memory image."""
     if schedule.mode != MMIO_MODE:
         raise ModeMismatch("replay_mmio needs an MMIO schedule")
-    image = initial.copy() if initial is not None else MemImage()
+    image = MemImage()
     for op in schedule.context + schedule.applied:
         if op.kind != "store":
             continue
@@ -399,10 +404,10 @@ def replay_mmio(schedule: CrashSchedule, initial: MemImage | None = None) -> Mem
     return image
 
 
-def replay(schedule: CrashSchedule, initial=None):
+def replay(schedule: CrashSchedule) -> FsImage | MemImage:
     if schedule.mode == POSIX_MODE:
-        return replay_posix(schedule, initial)
-    return replay_mmio(schedule, initial)
+        return replay_posix(schedule)
+    return replay_mmio(schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +425,6 @@ class Verdict(str, Enum):
 class CheckResult:
     verdict: Verdict
     oracle_output: str
-    schedule: CrashSchedule | None = None
 
     @property
     def output_digest(self) -> str:
@@ -463,7 +467,6 @@ def run_oracle(
     checker: str | list[str],
     scratch: Path,
     timeout: float = 30.0,
-    schedule: CrashSchedule | None = None,
 ) -> CheckResult:
     """Materialize the image, invoke ``<checker> <scratch>``, map the exit
     status: 0 is consistent, anything else inconsistent, a timeout is an
@@ -474,16 +477,16 @@ def run_oracle(
     try:
         proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout)
     except subprocess.TimeoutExpired:
-        return CheckResult(Verdict.ORACLE_ERROR, f"timeout after {timeout}s", schedule)
+        return CheckResult(Verdict.ORACLE_ERROR, f"timeout after {timeout}s")
     except OSError as exc:
         raise CheckerError(f"cannot spawn checker {argv[0]!r}: {exc}") from exc
     output = proc.stdout + proc.stderr
     verdict = Verdict.CONSISTENT if proc.returncode == 0 else Verdict.INCONSISTENT
-    return CheckResult(verdict, output, schedule)
+    return CheckResult(verdict, output)
 
 
 # ---------------------------------------------------------------------------
-# Group testing
+# Exploration and group testing
 # ---------------------------------------------------------------------------
 
 
@@ -546,6 +549,36 @@ class RunStats:
         }
 
 
+def explore(
+    behaviors: Iterable[UpdateBehavior],
+    schedules_of: Callable[[UpdateBehavior], Iterator[CrashSchedule]],
+    stats: RunStats,
+    check: Callable[[FsImage | MemImage], CheckResult] | None = None,
+) -> Iterator[tuple[UpdateBehavior, CrashSchedule, str, CheckResult | None]]:
+    """Replay every schedule of each behavior and yield each crash state not
+    seen before as ``(behavior, schedule, digest, check(image) or None)``.
+
+    One digest memo spans all behaviors; a repeated state only counts in
+    ``stats.states_deduped``.  A behavior whose enumerator runs out of budget
+    sets ``stats.partial_coverage`` and the next behavior is explored.
+    """
+    seen: set[str] = set()
+    for behavior in behaviors:
+        try:
+            for schedule in schedules_of(behavior):
+                stats.schedules_tested += 1
+                image = replay(schedule)
+                digest = image.digest()
+                if digest in seen:
+                    stats.states_deduped += 1
+                    continue
+                seen.add(digest)
+                stats.distinct_states += 1
+                yield behavior, schedule, digest, check(image) if check else None
+        except ExplosionLimit:
+            stats.partial_coverage = True
+
+
 def _behavior_locs(behavior: UpdateBehavior) -> set[tuple[str, int]]:
     return {
         (op.backtrace.innermost.file, op.backtrace.innermost.line)
@@ -563,10 +596,10 @@ def test_groups(
     budget: int = 100_000,
     timeout: float = 30.0,
 ) -> tuple[list[BugReport], RunStats]:
-    """Enumerate, replay and check every distinct representative.
+    """Explore every distinct representative and check each new state.
 
-    A state digest memo shared across representatives keeps any crash state
-    from being oracle-tested twice, including states that sit on the
+    Because :func:`explore` shares its digest memo across representatives,
+    no crash state is oracle-tested twice, including states that sit on the
     boundary between one behavior's context and another's subsets.
     Inconsistent states become bug reports, deduplicated by the static-key
     multiset of omitted persisting ops plus the oracle output digest.  The
@@ -574,77 +607,41 @@ def test_groups(
     states whose generating behavior covers the bug's root-cause source
     location.
     """
-    cfg = cfg or ModelConfig()
-    scratch_root = Path(scratch_root)
-    stats = RunStats()
-    reps: list[UpdateBehavior] = []
-    seen_rep_ids = set()
-    for group in groups:
-        if group.representative not in seen_rep_ids:
-            seen_rep_ids.add(group.representative)
-            reps.append(behaviors_by_id[group.representative])
-
-    bugs: list[BugReport] = []
-    bug_keys: dict[tuple, str] = {}
+    scratch = Path(scratch_root) / "state"
+    reps = [behaviors_by_id[rep_id] for rep_id in dict.fromkeys(g.representative for g in groups)]
+    stats = RunStats(representatives_tested=len(reps))
     key_mode = reps[0].subgraph.key_mode if reps else FULL_KEY
-    states_by_rep: dict[str, set[str]] = {}
-    seen_digests: set[str] = set()
+    bugs: list[BugReport] = []
+    bug_keys: set[tuple] = set()
+    states_by_rep: Counter[str] = Counter()
+    schedules_of = partial(enumerate_schedules, trace=trace, cfg=cfg, budget=budget)
+    check = partial(run_oracle, checker=checker, scratch=scratch, timeout=timeout)
+    for rep, schedule, _, result in explore(reps, schedules_of, stats, check):
+        states_by_rep[rep.id] += 1
+        if result.verdict is Verdict.ORACLE_ERROR:
+            stats.oracle_errors += 1
+        elif result.verdict is Verdict.INCONSISTENT:
+            applied = set(schedule.applied_seqs)
+            report = BugReport(
+                id=f"bug{len(bugs)}",
+                behavior_id=rep.id,
+                schedule=schedule,
+                applied=list(schedule.applied),
+                omitted=[rep.subgraph.ops_by_seq[s] for s in rep.node_seqs if s not in applied],
+                oracle_output=result.oracle_output,
+                subgraph_dot=export_dot(rep.subgraph),
+            )
+            key = report.dedup_key(key_mode)
+            if key not in bug_keys:
+                bug_keys.add(key)
+                bugs.append(report)
 
-    for rep_index, rep in enumerate(reps):
-        stats.representatives_tested += 1
-        rep_digests: set[str] = set()
-        states_by_rep[rep.id] = rep_digests
-        schedules = enumerate_schedules(rep, trace, cfg, budget)
-        scratch = scratch_root / f"rep{rep_index}"
-        while True:
-            try:
-                schedule = next(schedules)
-            except StopIteration:
-                break
-            except ExplosionLimit:
-                stats.partial_coverage = True
-                break
-            stats.schedules_tested += 1
-            image = replay(schedule)
-            digest = image.digest()
-            if digest in seen_digests:
-                stats.states_deduped += 1
-                continue
-            seen_digests.add(digest)
-            rep_digests.add(digest)
-            result = run_oracle(image, checker, scratch, timeout=timeout, schedule=schedule)
-            if result.verdict is Verdict.ORACLE_ERROR:
-                stats.oracle_errors += 1
-                continue
-            if result.verdict is Verdict.INCONSISTENT:
-                applied = set(schedule.applied_seqs)
-                omitted = [
-                    rep.subgraph.ops_by_seq[s] for s in rep.node_seqs if s not in applied
-                ]
-                report = BugReport(
-                    id=f"bug{len(bugs)}",
-                    behavior_id=rep.id,
-                    schedule=schedule,
-                    applied=list(schedule.applied),
-                    omitted=omitted,
-                    oracle_output=result.oracle_output,
-                    subgraph_dot=export_dot(rep.subgraph),
-                )
-                key = report.dedup_key(key_mode)
-                if key not in bug_keys:
-                    bug_keys[key] = report.id
-                    bugs.append(report)
-
-    stats.distinct_states = len(seen_digests)
     for bug in bugs:
-        root_persisting = [op for op in bug.omitted if op.is_persisting]
-        anchor = root_persisting[0] if root_persisting else None
+        anchor = next((op for op in bug.omitted if op.is_persisting), None)
         if anchor is None:
             continue
         loc = (anchor.backtrace.innermost.file, anchor.backtrace.innermost.line)
-        covered = 0
-        for rep in reps:
-            if loc in _behavior_locs(rep):
-                covered += len(states_by_rep[rep.id])
-        stats.correlated_states[bug.id] = covered
+        stats.correlated_states[bug.id] = sum(
+            states_by_rep[rep.id] for rep in reps if loc in _behavior_locs(rep)
+        )
     return bugs, stats

@@ -201,9 +201,11 @@ def _validate_args(kind: str, args: dict, line_no: int) -> dict:
     extra = args.keys() - allowed
     if extra:
         raise ParseError(line_no, f"{kind} args have unknown keys {sorted(extra)}")
-    for key in ("path", "dst"):
+    for key in ("path", "dst", "digest"):
         if key in args and not isinstance(args[key], str):
             raise ParseError(line_no, f"{kind} arg {key!r} must be a string")
+    if "digest" in args and not args["digest"].isascii():
+        raise ParseError(line_no, f"{kind} arg 'digest' must be ASCII")
     for key in ("offset", "length", "addr", "line"):
         if key in args and (not isinstance(args[key], int) or args[key] < 0):
             raise ParseError(line_no, f"{kind} arg {key!r} must be a non-negative integer")
@@ -224,9 +226,12 @@ def _parse_backtrace(raw, line_no: int) -> Backtrace:
     frames = []
     for item in raw:
         try:
-            frames.append(Frame(item["function"], item["file"], int(item["line"])))
+            frame = Frame(item["function"], item["file"], int(item["line"]))
         except (TypeError, KeyError, ValueError):
             raise ParseError(line_no, f"malformed frame {item!r}") from None
+        if not (isinstance(frame.function, str) and isinstance(frame.file, str)):
+            raise ParseError(line_no, f"frame function and file must be strings in {item!r}")
+        frames.append(frame)
     return Backtrace(tuple(frames))
 
 
@@ -304,6 +309,8 @@ def parse_trace(stream: bytes | str) -> Trace:
                 )
             except (TypeError, KeyError):
                 raise ParseError(line_no, f"malformed annotation {raw_ann!r}") from None
+            if not all(isinstance(v, str) for v in annotation.to_json().values()):
+                raise ParseError(line_no, f"annotation fields must be strings in {raw_ann!r}")
 
         ops.append(
             Operation(

@@ -1,6 +1,8 @@
 import json
 import sys
 
+import pytest
+
 from crashcheck.cli import main
 from crashcheck.trace import parse_trace
 
@@ -71,6 +73,18 @@ def test_non_string_kind_exits_2(tmp_path, capsys):
     assert "kind must be a string" in capsys.readouterr().err
 
 
+def test_non_string_digest_exits_2(tmp_path, capsys):
+    trace_file = tmp_path / "t.jsonl"
+    record = {"seq": 1, "tid": 0, "kind": "write",
+              "args": {"path": "f", "offset": 0, "length": 2, "digest": 5},
+              "backtrace": [{"function": "main", "file": "a.c", "line": 1}]}
+    trace_file.write_text(
+        '{"app": "x", "mode": "POSIX", "version": 1}\n' + json.dumps(record) + "\n"
+    )
+    assert run("exhaustive", "--trace", trace_file, "--out", tmp_path / "o") == 2
+    assert "'digest' must be a string" in capsys.readouterr().err
+
+
 def test_mode_mismatch_exits_2(tmp_path):
     trace_file = tmp_path / "t.jsonl"
     run("synth", "--mode", "MMIO", "--dsl", WORKLOADS / "entry_insert.dsl", "-o", trace_file)
@@ -139,13 +153,20 @@ def test_test_with_missing_checker_exits_2(tmp_path):
 
 
 def test_blank_or_unquoted_checker_exits_2(tmp_path):
-    for command in ("test", "exhaustive"):
-        for checker in (" ", "'unclosed"):
-            code = run(
-                command, "--mode", "POSIX", "--dsl", WORKLOADS / "two_writes.dsl",
-                "--checker", checker, "--out", tmp_path / "out",
-            )
-            assert code == 2
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text('{"app": "x", "mode": "POSIX", "version": 1}\n')
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text(
+        '{"behavior_id": "b", "mode": "POSIX", "context_seqs": [], "applied_seqs": []}'
+    )
+    for source in (["--dsl", WORKLOADS / "two_writes.dsl"], ["--trace", empty]):
+        for command, extra in (("test", []), ("exhaustive", []), ("replay", ["--schedule", schedule])):
+            for checker in (" ", "'unclosed", "/no/such/checker"):
+                code = run(
+                    command, "--mode", "POSIX", *source, *extra,
+                    "--checker", checker, "--out", tmp_path / "out",
+                )
+                assert code == 2, (command, source, checker)
 
 
 def test_exhaustive_two_writes_four_states(tmp_path):
@@ -240,6 +261,39 @@ def test_replay_without_checker_materializes(tmp_path):
     )
     assert code == 0
     assert (tmp_path / "ro" / "replayed" / "CURRENT").exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"behavior_id": "b", "mode": "POSIX", "context_seqs": [], "applied_seqs": [99]}',
+        '{"behavior_id": "b", "mode": "POSIX", "context_seqs": [[1]], "applied_seqs": []}',
+        '{"behavior_id": "b", "mode": "POSIX", "context_seqs": [], "applied_seqs": 7}',
+        '{"behavior_id": "b", "mode": "POSIX", "context_seqs": []}',
+        '{"behavior_id": "b", "mode": "MMIO", "context_seqs": [], "applied_seqs": [1, 2]}',
+        '{"behavior_id": ',
+        "5",
+        '{"schedule": []}',
+        b"\xff\xfe",
+        None,
+    ],
+    ids=[
+        "unknown-seq", "unhashable-seq", "seqs-not-a-list", "missing-key",
+        "wrong-mode", "invalid-json", "not-an-object", "bug-without-schedule",
+        "not-utf8", "missing-file",
+    ],
+)
+def test_malformed_replay_schedule_exits_2(tmp_path, capsys, text):
+    schedule_file = tmp_path / "schedule.json"
+    if text is not None:
+        schedule_file.write_bytes(text if isinstance(text, bytes) else text.encode())
+    code = run(
+        "replay", "--mode", "POSIX", "--dsl", WORKLOADS / "two_writes.dsl",
+        "--schedule", schedule_file, "--out", tmp_path / "ro",
+    )
+    assert code == 2
+    assert "error (replay)" in capsys.readouterr().err
+    assert not (tmp_path / "ro" / "replayed").exists()
 
 
 def test_config_file_with_flag_override(tmp_path):

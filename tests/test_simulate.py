@@ -19,10 +19,13 @@ from crashcheck.behavior import make_behavior
 from crashcheck.graph import StaticKey
 from crashcheck.models import ModelConfig, model_edges
 from crashcheck.simulate import (
+    CheckResult,
     CrashSchedule,
     FsImage,
+    RunStats,
     brute_force_schedules,
     enumerate_schedules,
+    explore,
     materialize,
     ops_commute,
     replay,
@@ -264,6 +267,62 @@ def test_materialize_clears_stale_files(tmp_path):
     assert (scratch / "a").exists()
     materialize(FsImage(), scratch)
     assert not (scratch / "a").exists()
+
+
+# --- the exploration loop ---
+
+
+def two_file_behaviors():
+    """Writes to two files, one behavior each.  The second behavior's
+    context is the first write, so its empty schedule replays to the same
+    state as the first behavior's full one."""
+    trace = posix_trace([op(1, "write", write_args("a", b"x")), op(2, "write", write_args("b", b"y"))])
+    graph = build_graph(trace, model_edges(trace))
+    return trace, make_behavior("first", "f", 0, [1], graph), make_behavior("second", "g", 0, [2], graph)
+
+
+def test_explore_yields_a_state_reached_by_two_behaviors_once():
+    trace, first, second = two_file_behaviors()
+    stats = RunStats()
+    found = list(explore([first, second], lambda b: enumerate_schedules(b, trace), stats))
+    assert [(b.id, s.context_seqs + s.applied_seqs) for b, s, _, _ in found] == [
+        ("first", ()), ("first", (1,)), ("second", (1, 2)),
+    ]
+    assert len({digest for _, _, digest, _ in found}) == 3
+    assert (stats.schedules_tested, stats.distinct_states, stats.states_deduped) == (4, 3, 1)
+    assert not stats.partial_coverage
+
+
+def test_explore_budget_hit_moves_on_to_the_next_behavior():
+    trace, first, second = two_file_behaviors()
+    budgets = {"first": 1, "second": 100}
+    stats = RunStats()
+    found = list(
+        explore([first, second], lambda b: enumerate_schedules(b, trace, budget=budgets[b.id]), stats)
+    )
+    assert stats.partial_coverage is True
+    assert [b.id for b, _, _, _ in found] == ["first", "second", "second"]
+    assert stats.schedules_tested == 3
+
+
+def test_explore_checks_each_new_state_once():
+    trace, first, second = two_file_behaviors()
+
+    def schedules_of(behavior):
+        return enumerate_schedules(behavior, trace)
+
+    unchecked = list(explore([first, second], schedules_of, RunStats()))
+    assert [result for _, _, _, result in unchecked] == [None, None, None]
+
+    checked = []
+
+    def check(image):
+        checked.append(image.digest())
+        return CheckResult(Verdict.CONSISTENT, "")
+
+    found = list(explore([first, second], schedules_of, RunStats(), check))
+    assert checked == [digest for _, _, digest, _ in found]
+    assert all(result.verdict is Verdict.CONSISTENT for _, _, _, result in found)
 
 
 # --- end-to-end group testing ---

@@ -83,6 +83,34 @@ def test_non_string_rename_destination_is_a_parse_error(dst):
         parse_trace(stream)
 
 
+@pytest.mark.parametrize("digest", [[], {}, 5, None, pytest.param("é" * 64, id="non-ascii")])
+def test_non_string_digest_is_a_parse_error(digest):
+    args = {"path": "f", "offset": 0, "length": 2, "digest": digest}
+    with pytest.raises(ParseError):
+        parse_trace("\n".join([HEADER, record(1, "write", args)]))
+
+
+@pytest.mark.parametrize("value", [[], {}, 5, None])
+@pytest.mark.parametrize("key", ["type_name", "instance_id", "field_name"])
+def test_non_string_annotation_field_is_a_parse_error(key, value):
+    ann = {"type_name": "entry", "instance_id": "0", "field_name": "key"}
+    ann[key] = value
+    args = {"addr": 0, "length": 8, "digest": "0" * 64}
+    mmio_header = '{"app": "t", "mode": "MMIO", "version": 1}'
+    with pytest.raises(ParseError):
+        parse_trace("\n".join([mmio_header, record(1, "store", args, annotation=ann)]))
+
+
+@pytest.mark.parametrize("value", [[], {}, 5, None])
+@pytest.mark.parametrize("key", ["function", "file"])
+def test_non_string_frame_field_is_a_parse_error(key, value):
+    rec = json.loads(record(1, "create", {"path": "f"}))
+    rec["backtrace"][0][key] = value
+    with pytest.raises(ParseError) as err:
+        parse_trace("\n".join([HEADER, json.dumps(rec)]))
+    assert err.value.line_no == 2
+
+
 def test_non_monotone_seq_is_rejected():
     stream = "\n".join(
         [
