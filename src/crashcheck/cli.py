@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import shlex
 import shutil
 import sys
@@ -83,10 +84,33 @@ def _parse_bool(raw: str, key: str) -> bool:
     raise ConfigError(f"config key {key} must be a boolean, got {raw!r}")
 
 
+def _read_text(path: str | Path, what: str) -> str:
+    """The UTF-8 text of an input file, or a :class:`ConfigError` saying
+    why it cannot be read."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not UTF-8 text (byte {exc.start})") from None
+
+
+def _positive(convert, raw, key: str):
+    """``convert(raw)`` when it is a finite positive number, else a
+    :class:`ConfigError`."""
+    try:
+        value = convert(raw)
+    except ValueError:
+        value = None
+    if value is None or not 0 < value < math.inf:
+        raise ConfigError(f"{key} must be a positive {convert.__name__}, got {raw!r}")
+    return value
+
+
 def load_config_file(path: Path) -> dict:
     """Flat ``key = value`` text file; '#' starts a comment."""
     values = {}
-    for line_no, line in enumerate(path.read_text().splitlines(), start=1):
+    for line_no, line in enumerate(_read_text(path, "config file").splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -141,14 +165,11 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
     ):
         raw = pick(flag, key)
         if raw is not None:
-            value = int(raw)
-            if value <= 0:
-                raise ConfigError(f"{key} must be positive")
-            setattr(cfg, attr, value)
+            setattr(cfg, attr, _positive(int, raw, key))
 
     timeout = pick("timeout", "timeout")
     if timeout is not None:
-        cfg.timeout = float(timeout)
+        cfg.timeout = _positive(float, timeout, "timeout")
 
     static_key = pick("static_key", "static_key")
     if static_key is not None:
@@ -172,12 +193,12 @@ def load_input_trace(args: argparse.Namespace, cfg: RunConfig) -> Trace:
     if getattr(args, "trace", None) and getattr(args, "dsl", None):
         raise ConfigError("pass either --trace or --dsl, not both")
     if getattr(args, "trace", None):
-        trace = parse_trace(Path(args.trace).read_bytes())
+        trace = parse_trace(_read_text(args.trace, "trace file"))
     elif getattr(args, "dsl", None):
         if cfg.mode is None:
             raise ConfigError("--dsl input needs --mode")
         trace = synth_workload(
-            Path(args.dsl).read_text(),
+            _read_text(args.dsl, "workload program"),
             cfg.mode,
             cache_line_size=cfg.model.cache_line_size,
         )
@@ -221,7 +242,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if cfg.mode is None:
         raise ConfigError("synth needs --mode")
     trace = synth_workload(
-        Path(args.dsl).read_text(), cfg.mode, cache_line_size=cfg.model.cache_line_size
+        _read_text(args.dsl, "workload program"), cfg.mode, cache_line_size=cfg.model.cache_line_size
     )
     data = serialize_trace(trace)
     if args.output:
@@ -372,9 +393,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
     trace = load_input_trace(args, cfg)
     try:
-        data = json.loads(Path(args.schedule).read_text())
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read schedule file {args.schedule}: {exc}") from None
+        data = json.loads(_read_text(args.schedule, "schedule file"))
+    except ValueError as exc:
+        raise ConfigError(f"schedule file {args.schedule} is not JSON: {exc}") from None
     schedule = schedule_from_json(data, trace)
     image = replay(schedule)
     out = cfg.out

@@ -31,6 +31,8 @@ import re
 from .errors import DslError
 from .trace import (
     MAX_INLINE_PAYLOAD,
+    MAX_RANGE_LENGTH,
+    MAX_WRITE_END,
     MMIO_MODE,
     POSIX_MODE,
     Annotation,
@@ -39,6 +41,7 @@ from .trace import (
     Operation,
     Trace,
     TraceMeta,
+    escapes_root,
     payload_digest,
 )
 
@@ -99,6 +102,9 @@ class _Synth:
     def emit(self, line_no: int, kind: str, args: dict, annotation: Annotation | None = None):
         if not self.fn_stack:
             raise DslError(line_no, f"{kind} statement outside any fn block")
+        for key in ("path", "dst"):
+            if key in args and escapes_root(args[key]):
+                raise DslError(line_no, f"{kind} path {args[key]!r} must stay inside the image")
         self.ops.append(
             Operation(
                 seq=len(self.ops) + 1,
@@ -145,6 +151,8 @@ class _Synth:
             self._expect(line_no, words, 3)
             addr = _to_int(words[1], line_no, "address")
             length = _to_int(words[2], line_no, "length")
+            if length > MAX_RANGE_LENGTH:
+                raise DslError(line_no, f"{head} length exceeds {MAX_RANGE_LENGTH} bytes")
             self.emit(line_no, head, {"addr": addr, "length": length})
         elif head == "fence":
             self._expect(line_no, words, 1)
@@ -165,6 +173,8 @@ class _Synth:
             raise DslError(line_no, "write offset must be @-prefixed")
         raw = _unquote(literal, line_no)
         offset = _to_int(at_offset[1:], line_no, "offset")
+        if offset + len(raw) > MAX_WRITE_END:
+            raise DslError(line_no, f"write ends past byte {MAX_WRITE_END}")
         args = {"path": path, "offset": offset, "length": len(raw)}
         args.update(self.payload_args(raw, line_no))
         self.emit(line_no, "write", args)

@@ -18,6 +18,14 @@ backs the whole-trace baseline, which ``exhaustive`` runs through the same
 :func:`explore`, while ``brute_force_schedules`` filters raw permutations and
 shares no enumeration logic with the pruned path, serving as its
 independent oracle.
+
+Replay builds a crash image by applying the context and then the applied
+ops to an empty image.  Consecutive schedules from the backtracking
+enumerators differ only in their last few ops, so :func:`explore` keeps a
+:class:`PrefixCache`: the image after the context, and one image per applied
+op of the last schedule.  Each schedule then replays only the ops past the
+longest prefix it shares with the previous one.  A bare ``replay(schedule)``
+runs the same code with a fresh cache.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
+from operator import is_not
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -40,7 +49,7 @@ from .behavior import UpdateBehavior
 from .errors import CheckerError, ExplosionLimit, ModeMismatch, ReplayError
 from .graph import FULL_KEY, StaticKey, export_dot
 from .models import ModelConfig, blocks_of, lines_of, parent_dir, entry_name
-from .trace import MMIO_MODE, POSIX_MODE, Operation, Trace
+from .trace import MMIO_MODE, POSIX_MODE, Operation, Trace, escapes_root
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +334,12 @@ class FsImage:
         }
         return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
+    def copy(self) -> FsImage:
+        return FsImage(
+            {path: bytearray(data) for path, data in self.files.items()},
+            {path: set(names) for path, names in self.dirents.items()},
+        )
+
 
 @dataclass
 class MemImage:
@@ -336,6 +351,9 @@ class MemImage:
     def digest(self) -> str:
         payload = json.dumps(sorted(self.cells.items())).encode()
         return hashlib.sha256(payload).hexdigest()
+
+    def copy(self) -> MemImage:
+        return MemImage(dict(self.cells))
 
 
 def _apply_posix_op(image: FsImage, op: Operation):
@@ -380,34 +398,82 @@ def _apply_posix_op(image: FsImage, op: Operation):
     # fsync/fdatasync/sync/open/close leave the image untouched.
 
 
-def replay_posix(schedule: CrashSchedule) -> FsImage:
-    """Apply context then the applied list, in order, to a file-system image."""
-    if schedule.mode != POSIX_MODE:
-        raise ModeMismatch("replay_posix needs a POSIX schedule")
-    image = FsImage()
-    for op in schedule.context + schedule.applied:
-        _apply_posix_op(image, op)
-    return image
-
-
-def replay_mmio(schedule: CrashSchedule) -> MemImage:
-    """Apply context then the applied list to a sparse memory image."""
-    if schedule.mode != MMIO_MODE:
-        raise ModeMismatch("replay_mmio needs an MMIO schedule")
-    image = MemImage()
-    for op in schedule.context + schedule.applied:
-        if op.kind != "store":
-            continue
+def _apply_mmio_op(image: MemImage, op: Operation):
+    if op.kind == "store":
         addr = op.args["addr"]
         for i, byte in enumerate(op.payload()):
             image.cells[addr + i] = byte
+    # flush/fence/msync leave the image untouched.
+
+
+_REPLAYERS = {POSIX_MODE: (FsImage, _apply_posix_op), MMIO_MODE: (MemImage, _apply_mmio_op)}
+
+
+@dataclass
+class PrefixCache:
+    """The images :func:`replay` built for the last schedule it replayed.
+
+    ``base`` is the image after ``context``; ``images[i]`` is the image after
+    ``ops[i]``, the i-th applied op of that schedule.  So the cache holds at
+    most ``len(applied) + 1`` images.  Cached images are never changed once
+    built.  ``mode`` is kept beside ``context`` because every empty context
+    is the same tuple, whatever the storage kind.
+    """
+
+    mode: str | None = None
+    context: tuple[Operation, ...] | None = None
+    base: FsImage | MemImage | None = None
+    ops: list[Operation] = field(default_factory=list)
+    images: list[FsImage | MemImage] = field(default_factory=list)
+
+
+def replay(schedule: CrashSchedule, cache: PrefixCache | None = None) -> FsImage | MemImage:
+    """Apply the context and then the applied list, in order, to an empty
+    image of the schedule's storage kind.
+
+    With a ``cache`` the work resumes from the longest prefix of applied ops
+    (compared by identity) that the previous schedule shares, and the context
+    is replayed only when it is not the cached tuple.  The returned image
+    belongs to the cache: read it (``digest``, ``materialize``), never
+    change it.
+    """
+    new_image, apply = _REPLAYERS[schedule.mode]
+    if cache is None:
+        cache = PrefixCache()
+    if cache.context is not schedule.context or cache.mode != schedule.mode:
+        base = new_image()
+        for op in schedule.context:
+            apply(base, op)
+        cache.mode, cache.context, cache.base = schedule.mode, schedule.context, base
+        cache.ops, cache.images = [], []
+    ops, images, applied = cache.ops, cache.images, schedule.applied
+    # Index of the first op that differs, found without a Python-level loop.
+    first_difference = itertools.compress(itertools.count(), map(is_not, ops, applied))
+    keep = next(first_difference, min(len(ops), len(applied)))
+    del ops[keep:], images[keep:]
+    image = images[-1] if images else cache.base
+    for op in applied[keep:]:
+        # Ordering ops are replay no-ops, so they share the image below them.
+        if op.is_persisting:
+            image = image.copy()
+            apply(image, op)
+        ops.append(op)
+        images.append(image)
     return image
 
 
-def replay(schedule: CrashSchedule) -> FsImage | MemImage:
-    if schedule.mode == POSIX_MODE:
-        return replay_posix(schedule)
-    return replay_mmio(schedule)
+def replay_posix(schedule: CrashSchedule) -> FsImage:
+    """:func:`replay` of a POSIX schedule into a file-system image."""
+    if schedule.mode != POSIX_MODE:
+        raise ModeMismatch("replay_posix needs a POSIX schedule")
+    return replay(schedule)
+
+
+def replay_mmio(schedule: CrashSchedule) -> MemImage:
+    """:func:`replay` of an MMIO schedule into a sparse memory image."""
+    if schedule.mode != MMIO_MODE:
+        raise ModeMismatch("replay_mmio needs an MMIO schedule")
+    return replay(schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -449,15 +515,13 @@ def materialize(image: FsImage | MemImage, scratch: Path):
         (scratch / MEM_IMAGE_FILE).write_text(json.dumps(payload, indent=0))
         return
     for dirpath in image.dirents:
-        rel = posixpath.normpath(dirpath)
-        if rel.startswith("..") or posixpath.isabs(rel):
+        if escapes_root(dirpath):
             raise ReplayError(f"refusing to materialize path {dirpath!r}")
-        (scratch / rel).mkdir(parents=True, exist_ok=True)
+        (scratch / posixpath.normpath(dirpath)).mkdir(parents=True, exist_ok=True)
     for path, data in image.files.items():
-        rel = posixpath.normpath(path)
-        if rel.startswith("..") or posixpath.isabs(rel):
+        if escapes_root(path):
             raise ReplayError(f"refusing to materialize path {path!r}")
-        target = scratch / rel
+        target = scratch / posixpath.normpath(path)
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_bytes(bytes(data))
 
@@ -558,16 +622,19 @@ def explore(
     """Replay every schedule of each behavior and yield each crash state not
     seen before as ``(behavior, schedule, digest, check(image) or None)``.
 
-    One digest memo spans all behaviors; a repeated state only counts in
-    ``stats.states_deduped``.  A behavior whose enumerator runs out of budget
-    sets ``stats.partial_coverage`` and the next behavior is explored.
+    One digest memo and one :class:`PrefixCache` span all behaviors: a
+    repeated state only counts in ``stats.states_deduped``, and each schedule
+    is replayed from the longest prefix it shares with the one before.  A
+    behavior whose enumerator runs out of budget sets
+    ``stats.partial_coverage`` and the next behavior is explored.
     """
     seen: set[str] = set()
+    cache = PrefixCache()
     for behavior in behaviors:
         try:
             for schedule in schedules_of(behavior):
                 stats.schedules_tested += 1
-                image = replay(schedule)
+                image = replay(schedule, cache)
                 digest = image.digest()
                 if digest in seen:
                     stats.states_deduped += 1

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import posixpath
 from dataclasses import dataclass, field
 
 from .errors import ParseError, SequenceOrderError, UnknownOperationKind
@@ -36,6 +37,11 @@ PERSISTING_KINDS = {"write", "pwrite", "rename", "unlink", "create", "mkdir", "s
 METADATA_ONLY_KINDS = {"open", "close"}
 
 MAX_INLINE_PAYLOAD = 256
+# Replay grows a file up to its highest written byte and the models build
+# one block or cache-line number per unit covered, so parsing bounds the
+# extents an operation may name.
+MAX_WRITE_END = 1 << 26  # offset + length of a write or pwrite
+MAX_RANGE_LENGTH = 1 << 20  # length of a store, flush or msync
 
 _ARG_KEYS = {
     "write": {"path", "offset", "length", "digest", "data"},
@@ -184,6 +190,12 @@ class Trace:
         return {op.seq: op for op in self.ops}
 
 
+def escapes_root(path: str) -> bool:
+    """True when ``path`` is absolute or climbs out of the image root."""
+    rel = posixpath.normpath(path)
+    return rel.startswith("..") or posixpath.isabs(rel)
+
+
 def _kind_mode(kind: str) -> str:
     if kind in POSIX_KINDS:
         return POSIX_MODE
@@ -204,11 +216,18 @@ def _validate_args(kind: str, args: dict, line_no: int) -> dict:
     for key in ("path", "dst", "digest"):
         if key in args and not isinstance(args[key], str):
             raise ParseError(line_no, f"{kind} arg {key!r} must be a string")
+    for key in ("path", "dst"):
+        if key in args and escapes_root(args[key]):
+            raise ParseError(line_no, f"{kind} arg {key!r} must stay inside the image, got {args[key]!r}")
     if "digest" in args and not args["digest"].isascii():
         raise ParseError(line_no, f"{kind} arg 'digest' must be ASCII")
     for key in ("offset", "length", "addr", "line"):
         if key in args and (not isinstance(args[key], int) or args[key] < 0):
             raise ParseError(line_no, f"{kind} arg {key!r} must be a non-negative integer")
+    if kind in ("write", "pwrite") and args["offset"] + args["length"] > MAX_WRITE_END:
+        raise ParseError(line_no, f"{kind} ends past byte {MAX_WRITE_END}")
+    if kind in ("store", "flush", "msync") and args["length"] > MAX_RANGE_LENGTH:
+        raise ParseError(line_no, f"{kind} length exceeds {MAX_RANGE_LENGTH} bytes")
     data = args.get("data")
     if data is not None:
         try:

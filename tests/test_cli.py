@@ -327,10 +327,57 @@ def test_config_whole_file_conflicts_change_the_graph(tmp_path):
     assert edges_b == 1
 
 
-def test_bad_config_key_exits_2(tmp_path):
+def test_bad_config_key_exits_2(tmp_path, capsys):
     config = tmp_path / "cfg"
     config.write_text("nonsense = 1\n")
     assert run("analyze", "--config", config, "--dsl", WORKLOADS / "two_writes.dsl") == 2
+    for text in ("budget = abc", "dbscan_eps = x", "dbscan_min_pts = 1.5", "timeout = abc",
+                 "timeout = 0", "timeout = nan", "budget = 0"):
+        config.write_text(f"mode = POSIX\n{text}\n")
+        code = run("analyze", "--config", config, "--dsl", WORKLOADS / "two_writes.dsl",
+                   "--out", tmp_path / "out")
+        assert code == 2, text
+        assert "must be a positive" in capsys.readouterr().err, text
+    missing = tmp_path / "no-such.cfg"
+    assert run("analyze", "--config", missing, "--dsl", WORKLOADS / "two_writes.dsl") == 2
+    assert "cannot read config file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "source, content",
+    [
+        ("--trace", None),
+        ("--trace", b"\xff\xfe{}"),
+        ("--dsl", None),
+        ("--dsl", b"fn main { sync }\n\xff\xfe"),
+    ],
+    ids=["missing-trace", "non-utf8-trace", "missing-dsl", "non-utf8-dsl"],
+)
+def test_unreadable_input_exits_2(tmp_path, capsys, source, content):
+    path = tmp_path / "input"
+    if content is not None:
+        path.write_bytes(content)
+    for argv in (("analyze",), ("exhaustive",), ("synth",)):
+        if argv[0] == "synth" and source == "--trace":
+            continue
+        code = run(*argv, "--mode", "POSIX", source, path, "--out", tmp_path / "out")
+        assert code == 2, argv
+        err = capsys.readouterr().err
+        assert ("cannot read" if content is None else "is not UTF-8") in err, err
+
+
+def test_path_outside_the_image_exits_2(tmp_path, capsys):
+    trace_file = tmp_path / "t.jsonl"
+    record = {"seq": 1, "tid": 0, "kind": "write",
+              "args": {"path": "../x", "offset": 0, "length": 1, "digest": "0" * 64},
+              "backtrace": [{"function": "main", "file": "a.c", "line": 1}]}
+    trace_file.write_text(
+        '{"app": "x", "mode": "POSIX", "version": 1}\n' + json.dumps(record) + "\n"
+    )
+    for checker in ([], ["--checker", checker_arg("always_ok.py")]):
+        assert run("exhaustive", "--trace", trace_file, *checker, "--out", tmp_path / "o") == 2
+        assert "must stay inside the image" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_mmio_pipeline_via_cli(tmp_path):

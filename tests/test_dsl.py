@@ -1,6 +1,7 @@
 import pytest
 
 from crashcheck import DslError, parse_trace, serialize_trace, synth_workload
+from crashcheck.trace import MAX_RANGE_LENGTH, MAX_WRITE_END
 
 
 def test_single_line_program():
@@ -86,6 +87,27 @@ def test_unbalanced_braces_are_rejected():
 def test_store_payload_length_must_match():
     with pytest.raises(DslError):
         synth_workload('fn main { store T.i.f @0 4 "ab" }', "MMIO")
+
+
+def test_extents_past_their_bound_are_rejected():
+    for program, mode in (
+        (f'fn main {{\n  write f "ab" @{MAX_WRITE_END - 1}\n}}', "POSIX"),
+        (f"fn main {{\n  flush 0 {MAX_RANGE_LENGTH + 1}\n}}", "MMIO"),
+        (f"fn main {{\n  msync 0 {MAX_RANGE_LENGTH + 1}\n}}", "MMIO"),
+    ):
+        with pytest.raises(DslError) as err:
+            synth_workload(program, mode)
+        assert err.value.line_no == 2, program
+    synth_workload(f'fn main {{ write f "ab" @{MAX_WRITE_END - 2} }}', "POSIX")
+    synth_workload(f"fn main {{ flush 0 {MAX_RANGE_LENGTH} ; msync 0 {MAX_RANGE_LENGTH} }}", "MMIO")
+
+
+def test_paths_outside_the_image_are_rejected():
+    for statement in ('write /etc/passwd "a" @0', "create ../x", "rename f ../x", "rename /f x",
+                      "unlink a/../../x", "fsyncdir ..", "fdatasync /f"):
+        with pytest.raises(DslError) as err:
+            synth_workload("fn main {\n  " + statement + "\n}", "POSIX")
+        assert err.value.line_no == 2, statement
 
 
 def test_bad_syntax_reports_location():

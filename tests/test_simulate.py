@@ -22,6 +22,7 @@ from crashcheck.simulate import (
     CheckResult,
     CrashSchedule,
     FsImage,
+    PrefixCache,
     RunStats,
     brute_force_schedules,
     enumerate_schedules,
@@ -227,6 +228,57 @@ def test_mmio_replay_full_trace_equals_in_order_application():
             for i, byte in enumerate(o.payload()):
                 expected[o.args["addr"] + i] = byte
     assert image.cells == expected
+
+
+def behaviors_with_several_contexts(trace):
+    """The whole trace plus behaviors over its first third, its last two
+    thirds and its last third, so their schedules start from three contexts."""
+    graph = build_graph(trace, model_edges(trace))
+    seqs = sorted(graph.node_seqs)
+    third = max(1, len(seqs) // 3)
+    chunks = [seqs, seqs[:third], seqs[third:], seqs[2 * third:]]
+    return [make_behavior(f"b{i}", "f", 0, chunk, graph) for i, chunk in enumerate(chunks) if chunk]
+
+
+def test_prefix_cache_replays_like_a_fresh_replay():
+    rng = random.Random(97)
+    cache = PrefixCache()
+    for make_trace in (random_posix_trace, random_mmio_trace) * 8:
+        trace = make_trace(rng, max_ops=7)
+        behaviors = behaviors_with_several_contexts(trace)
+        # Depth-first order first, then an order that shrinks and regrows
+        # the cached prefix arbitrarily.
+        schedules = [s for b in behaviors for s in enumerate_schedules(b, trace)]
+        schedules += [s for b in behaviors for s in brute_force_schedules(b, trace)]
+        for schedule in schedules:
+            assert replay(schedule, cache).digest() == replay(schedule).digest()
+        for _ in range(10):
+            a, b = rng.choice(schedules), rng.choice(schedules)
+            first = replay(a, cache).digest()
+            replay(b, cache)
+            assert replay(a, cache).digest() == first == replay(a).digest()
+
+
+def test_prefix_cache_keeps_the_missing_source_replay_error():
+    trace = posix_trace(
+        [
+            op(1, "write", write_args("tmp", b"data"), (("m", 1),)),
+            op(2, "rename", {"path": "tmp", "dst": "CURRENT"}, (("m", 2),)),
+        ]
+    )
+    write, rename = trace.ops
+    good = CrashSchedule("b", "POSIX", (), (write, rename))
+    bad = CrashSchedule("b", "POSIX", (), (rename,))
+    with pytest.raises(ReplayError):
+        replay(bad)
+    cache = PrefixCache()
+    expected = replay(good).digest()
+    assert replay(good, cache).digest() == expected
+    with pytest.raises(ReplayError):
+        replay(bad, cache)
+    assert replay(good, cache).digest() == expected
+    with pytest.raises(ReplayError):
+        replay(bad, cache)
 
 
 # --- oracle ---

@@ -11,11 +11,12 @@ from crashcheck import (
     serialize_trace,
     split_by_thread,
 )
-from crashcheck.trace import POSIX_MODE
+from crashcheck.trace import MAX_RANGE_LENGTH, MAX_WRITE_END, POSIX_MODE
 
 from helpers import op, posix_trace, random_posix_trace, write_args
 
 HEADER = '{"app": "t", "mode": "POSIX", "version": 1}'
+MMIO_HEADER = '{"app": "t", "mode": "MMIO", "version": 1}'
 
 
 def record(seq, kind, args, tid=0, line=1, annotation=None):
@@ -109,6 +110,47 @@ def test_non_string_frame_field_is_a_parse_error(key, value):
     with pytest.raises(ParseError) as err:
         parse_trace("\n".join([HEADER, json.dumps(rec)]))
     assert err.value.line_no == 2
+
+
+@pytest.mark.parametrize(
+    "kind, args, key",
+    [
+        ("write", {"path": "f", "offset": MAX_WRITE_END, "length": 1, "digest": "0" * 64}, "offset"),
+        ("pwrite", {"path": "f", "offset": 1, "length": MAX_WRITE_END, "digest": "0" * 64}, "length"),
+        ("store", {"addr": 0, "length": MAX_RANGE_LENGTH + 1, "digest": "0" * 64}, "length"),
+        ("flush", {"addr": 64, "length": MAX_RANGE_LENGTH + 1}, "length"),
+        ("msync", {"addr": 0, "length": MAX_RANGE_LENGTH + 1}, "length"),
+    ],
+)
+def test_extent_past_its_bound_is_a_parse_error(kind, args, key):
+    header = HEADER if kind in ("write", "pwrite") else MMIO_HEADER
+    with pytest.raises(ParseError) as err:
+        parse_trace("\n".join([header, record(1, kind, args)]))
+    assert err.value.line_no == 2
+    at_bound = dict(args, **{key: args[key] - 1})
+    assert parse_trace("\n".join([header, record(1, kind, at_bound)])).ops[0].args == at_bound
+
+
+@pytest.mark.parametrize("path", ["/etc/passwd", "../x", "a/../../x", "..", "./../x"])
+def test_path_outside_the_image_is_a_parse_error(path):
+    write = {"path": path, "offset": 0, "length": 1, "digest": "0" * 64}
+    for kind, args in (
+        ("write", write),
+        ("create", {"path": path}),
+        ("mkdir", {"path": path}),
+        ("fsync", {"path": path, "dir": True}),
+        ("rename", {"path": "f", "dst": path}),
+        ("rename", {"path": path, "dst": "f"}),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_trace("\n".join([HEADER, record(1, kind, args)]))
+        assert err.value.line_no == 2, (kind, args)
+
+
+def test_paths_inside_the_image_parse():
+    for path in ("f", "dir/f", "a/../f", ".", "./f"):
+        trace = parse_trace("\n".join([HEADER, record(1, "create", {"path": path})]))
+        assert trace.ops[0].args["path"] == path
 
 
 def test_non_monotone_seq_is_rejected():
