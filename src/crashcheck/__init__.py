@@ -62,8 +62,6 @@ from .simulate import (
     Verdict,
     brute_force_schedules,
     enumerate_schedules,
-    replay_mmio,
-    replay_posix,
     run_oracle,
     test_groups,
 )

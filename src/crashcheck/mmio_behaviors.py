@@ -10,7 +10,8 @@ instance's run of stores is cut into epochs before a store I when either
    all of that instance's stores issued before I are persisted before I.
 
 "Persisted" means each cache line of the store was flushed after the store
-and a fence (or covering msync) followed, all before I.  Field-repetition
+and a fence (or covering msync) followed, all before I, as read from the
+one table :func:`crashcheck.models.line_persist_points`.  Field-repetition
 tracking resets at each cut.  Unannotated stores fall into a per-address
 pseudo type; a type name containing ``/`` (``Outer/Inner``) additionally
 contributes to a combined subgraph for the outer type, keyed by the declared
@@ -25,7 +26,7 @@ from enum import Enum
 from .behavior import UpdateBehavior, make_behavior
 from .errors import ModeMismatch
 from .graph import PersistenceGraph
-from .models import ModelConfig, store_persisted_before
+from .models import ModelConfig, line_persist_points
 from .trace import MMIO_MODE, Annotation, Operation, Trace
 
 
@@ -113,6 +114,14 @@ def build_instance_subgraphs(tsg: TypeSubgraph) -> list[InstanceSubgraph]:
     ]
 
 
+def persisted_at(trace: Trace, cfg: ModelConfig | None = None) -> dict[int, float]:
+    """Store seq -> the seq by which every cache line of the store is
+    persisted (``inf`` when some line never is).  A store counts as
+    persisted before I when this is below I's seq."""
+    points = line_persist_points(trace, cfg or ModelConfig())
+    return {seq: max(min(point) for point in lines) for seq, lines in points.items()}
+
+
 def split_epochs(
     isg: InstanceSubgraph,
     full_graph: PersistenceGraph,
@@ -122,16 +131,23 @@ def split_epochs(
     """Cut one instance's stores into epochs using the full trace's
     flush/fence history.  Epochs are contiguous seq intervals restricted to
     the instance and partition its subgraph."""
-    cfg = cfg or ModelConfig()
+    return _split_epochs(isg, full_graph, trace, persisted_at(trace, cfg))
+
+
+def _split_epochs(
+    isg: InstanceSubgraph,
+    full_graph: PersistenceGraph,
+    trace: Trace,
+    persisted: dict[int, float],
+) -> list[EpochSubgraph]:
     own_ops = [isg.subgraph.ops_by_seq[seq] for seq in isg.subgraph.node_seqs]
     if not own_ops:
         return []
-    own_seqs = {op.seq for op in own_ops}
-    other_stores = [
-        op
-        for op in trace.ops
-        if op.kind == "store" and op.seq not in own_seqs
-    ]
+    others_by_instance: dict[tuple[str, str], list[int]] = {}
+    for other in trace.ops:
+        if other.kind == "store" and other.seq not in isg.subgraph.ops_by_seq:
+            ann = effective_annotation(other)
+            others_by_instance.setdefault((ann.type_name, ann.instance_id), []).append(other.seq)
 
     epochs: list[tuple[list[Operation], EpochBoundary]] = []
     current: list[Operation] = [own_ops[0]]
@@ -140,29 +156,12 @@ def split_epochs(
     for op in own_ops[1:]:
         field = effective_annotation(op).field_name
         prev_seq = current[-1].seq
-
-        crit1 = field in fields_written and all(
-            store_persisted_before(earlier, op.seq, trace, cfg) for earlier in current
+        crit1 = field in fields_written and all(persisted[s.seq] < op.seq for s in current)
+        crit2 = not crit1 and any(
+            any(prev_seq < seq < op.seq for seq in seqs)
+            and all(persisted[seq] < op.seq for seq in seqs if seq < op.seq)
+            for seqs in others_by_instance.values()
         )
-
-        crit2 = False
-        if not crit1:
-            others_by_instance: dict[tuple[str, str], list[Operation]] = {}
-            for other in other_stores:
-                if other.seq >= op.seq:
-                    break
-                ann = effective_annotation(other)
-                others_by_instance.setdefault((ann.type_name, ann.instance_id), []).append(other)
-            for ops_of_other in others_by_instance.values():
-                if not any(prev_seq < other.seq < op.seq for other in ops_of_other):
-                    continue
-                if all(
-                    store_persisted_before(other, op.seq, trace, cfg)
-                    for other in ops_of_other
-                ):
-                    crit2 = True
-                    break
-
         if crit1 or crit2:
             reason = EpochBoundary.CRITERION_1 if crit1 else EpochBoundary.CRITERION_2
             epochs.append((current, reason))
@@ -193,9 +192,10 @@ def derive_mmio_behaviors(
     """Full MMIO derivation: every epoch of every instance of every type
     becomes one update behavior."""
     behaviors = []
+    persisted = persisted_at(trace, cfg)
     for tsg in build_type_subgraphs(graph, trace):
         for isg in build_instance_subgraphs(tsg):
-            for epoch in split_epochs(isg, graph, trace, cfg):
+            for epoch in _split_epochs(isg, graph, trace, persisted):
                 label = f"{epoch.type_name}.{epoch.instance_id}"
                 tid = epoch.subgraph.ops_by_seq[epoch.subgraph.node_seqs[0]].tid
                 behaviors.append(

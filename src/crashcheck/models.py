@@ -15,10 +15,10 @@ POSIX rules (ext4-style):
   persisting op, ``fsync(f)`` additionally orders earlier metadata ops
   naming ``f``, and ``fsync`` on a directory orders earlier directory-entry
   ops in it; ``sync`` orders everything earlier before everything later.
-  Besides those direct edges, each barrier node is anchored into the graph
-  (source ops point at the barrier, the barrier points at later persisting
-  ops) so barriers are visible in exported graphs; the anchors add no
-  ordering beyond the direct edges;
+  Each barrier with sources is also anchored: its sources point at it and
+  it points at later persisting ops.  Anchors order the barrier op itself,
+  so schedules never move a barrier past its sources or sinks; they add no
+  ordering between persisting ops beyond the direct edges;
 * metadata ops naming the same path are ordered in trace order, and a
   rename or unlink is ordered after the earlier ops that materialize its
   source (otherwise legal schedules could rename a file that never existed);
@@ -28,7 +28,10 @@ MMIO rules (persistent-x86 style): stores overlapping a cache line are
 ordered in trace order; a flush followed by a later fence orders stores to
 the flushed lines (issued before the flush) before all stores after the
 fence; ``msync`` acts as flush+fence for its range; a fence alone orders
-nothing.
+nothing.  :func:`line_persist_points` finds, in one pass, when each line of
+each store is persisted.  A store spanning several lines is ordered once
+*any* of its lines is persisted, but counts as persisted for epoch
+splitting (:mod:`crashcheck.mmio_behaviors`) only when *all* of them are.
 
 Scope note: ``fdatasync(f)`` is read here as a barrier over *f*'s own prior
 data only; prior unsynced ops on other files are not ordered by it.
@@ -36,7 +39,9 @@ data only; prior unsynced ops on other files are not ordered by it.
 
 from __future__ import annotations
 
+import math
 import posixpath
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
@@ -139,7 +144,6 @@ def posix_edges(trace: Trace, cfg: ModelConfig | None = None) -> set[HbEdge]:
 
     edges = _EdgeSet()
     ops = trace.ops
-    persisting = [op for op in ops if op.kind in _POSIX_PERSISTING]
 
     # Per-file data write conflicts, at block granularity when splitting is
     # enabled and whole-file granularity otherwise.
@@ -197,40 +201,80 @@ def posix_edges(trace: Trace, cfg: ModelConfig | None = None) -> set[HbEdge]:
                 edges.add(seq, op.seq, EdgeReason.METADATA_ORDER)
             creators_by_path.setdefault(dst, []).append(op.seq)
 
-    # Durability barriers.
-    for idx, op in enumerate(ops):
-        if op.kind not in ("fsync", "fdatasync", "sync"):
-            continue
+    # Durability barriers, in one forward pass that indexes the persisting ops
+    # issued so far.  A source points at every barrier covering it; the sinks
+    # of its first covering barrier include those of every later one.
+    data_at: dict[str, list[int]] = {}
+    meta_at: dict[str, list[int]] = {}
+    meta_in_dir: dict[str, list[int]] = {}
+    issued: list[int] = []
+    first_barrier: dict[int, int] = {}
+    anchored: list[int] = []
+    for op in ops:
         if op.kind == "sync":
-            sources = [p for p in persisting if p.seq < op.seq]
+            sources = issued
         elif op.kind == "fsync" and op.args.get("dir"):
-            dirpath = op.args["path"].rstrip("/") or "."
-            sources = [
-                p
-                for p in ops[:idx]
-                if p.kind in _METADATA_KINDS
-                and any(parent_dir(named) == dirpath for named in _paths_named(p))
-            ]
-        else:
-            path = op.args["path"]
-            sources = [
-                p for p in ops[:idx] if p.kind in _DATA_KINDS and p.args["path"] == path
-            ]
+            sources = meta_in_dir.get(op.args["path"].rstrip("/") or ".", [])
+        elif op.kind in ("fsync", "fdatasync"):
+            sources = data_at.get(op.args["path"], [])
             if op.kind == "fsync":
-                sources += [
-                    p for p in ops[:idx] if p.kind in _METADATA_KINDS and path in _paths_named(p)
-                ]
-        if not sources:
-            # Nothing pending for this barrier: it constrains nothing.
+                sources = sources + meta_at.get(op.args["path"], [])
+        else:
+            if op.kind in _POSIX_PERSISTING:
+                issued.append(op.seq)
+            if op.kind in _DATA_KINDS:
+                data_at.setdefault(op.args["path"], []).append(op.seq)
+            named = _paths_named(op)
+            for path in dict.fromkeys(named):
+                meta_at.setdefault(path, []).append(op.seq)
+            for dirpath in dict.fromkeys(map(parent_dir, named)):
+                meta_in_dir.setdefault(dirpath, []).append(op.seq)
             continue
-        sinks = [p for p in persisting if p.seq > op.seq]
-        for src in sources:
-            edges.add(src.seq, op.seq, EdgeReason.SYNC_BARRIER)
-            for dst in sinks:
-                edges.add(src.seq, dst.seq, EdgeReason.SYNC_BARRIER)
-        for dst in sinks:
-            edges.add(op.seq, dst.seq, EdgeReason.SYNC_BARRIER)
+        if sources:
+            # A barrier with nothing pending constrains nothing.
+            anchored.append(op.seq)
+        for seq in sources:
+            edges.add(seq, op.seq, EdgeReason.SYNC_BARRIER)
+            first_barrier.setdefault(seq, op.seq)
+    for src, barrier in [*first_barrier.items(), *zip(anchored, anchored)]:
+        for dst in issued[bisect_right(issued, barrier):]:
+            edges.add(src, dst, EdgeReason.SYNC_BARRIER)
     return edges.result()
+
+
+def line_persist_points(trace: Trace, cfg: ModelConfig) -> dict[int, list[list[float]]]:
+    """When each cache line of each store is persisted, in one forward pass.
+
+    Maps a store's seq to one ``[fence, msync]`` pair per line it touches:
+    the seq of the first fence after the first flush of the line issued
+    after the store, and the seq of the first later msync covering the line
+    (``inf`` when none follows).  The edge model and epoch splitting both
+    read this table.
+    """
+    points: dict[int, list[list[float]]] = {}
+    unflushed: dict[int, list[list[float]]] = {}
+    unsynced: dict[int, list[list[float]]] = {}
+    flushed: list[list[float]] = []
+    for op in trace.ops:
+        if op.kind == "fence":
+            for point in flushed:
+                point[0] = op.seq
+            flushed = []
+            continue
+        if op.kind not in ("store", "flush", "msync"):
+            continue
+        for line in sorted(lines_of(op.args["addr"], op.args["length"], cfg.cache_line_size)):
+            if op.kind == "store":
+                point = [math.inf, math.inf]
+                points.setdefault(op.seq, []).append(point)
+                unflushed.setdefault(line, []).append(point)
+                unsynced.setdefault(line, []).append(point)
+            elif op.kind == "flush":
+                flushed += unflushed.pop(line, ())
+            else:
+                for point in unsynced.pop(line, ()):
+                    point[1] = op.seq
+    return points
 
 
 def mmio_edges(trace: Trace, cfg: ModelConfig | None = None) -> set[HbEdge]:
@@ -243,8 +287,7 @@ def mmio_edges(trace: Trace, cfg: ModelConfig | None = None) -> set[HbEdge]:
             raise ModeMismatch(f"op {op.seq} has POSIX kind {op.kind!r} in an MMIO trace")
 
     edges = _EdgeSet()
-    ops = trace.ops
-    stores = [op for op in ops if op.kind == "store"]
+    stores = [op for op in trace.ops if op.kind == "store"]
     store_lines = {
         op.seq: lines_of(op.args["addr"], op.args["length"], cfg.cache_line_size)
         for op in stores
@@ -256,32 +299,16 @@ def mmio_edges(trace: Trace, cfg: ModelConfig | None = None) -> set[HbEdge]:
             if store_lines[a.seq] & store_lines[b.seq]:
                 edges.add(a.seq, b.seq, EdgeReason.SAME_CACHE_LINE)
 
-    # flush(lines) ... fence: stores to those lines issued before the flush
-    # happen before every store after the fence.
-    fence_seqs = [op.seq for op in ops if op.kind == "fence"]
-    for op in ops:
-        if op.kind != "flush":
-            continue
-        flushed = lines_of(op.args["addr"], op.args["length"], cfg.cache_line_size)
-        fence_after = next((f for f in fence_seqs if f > op.seq), None)
-        if fence_after is None:
-            continue
-        for src in stores:
-            if src.seq < op.seq and store_lines[src.seq] & flushed:
-                for dst in stores:
-                    if dst.seq > fence_after:
-                        edges.add(src.seq, dst.seq, EdgeReason.FLUSH_FENCE)
-
-    # msync(range) is a flush+fence over the range.
-    for op in ops:
-        if op.kind != "msync":
-            continue
-        synced = lines_of(op.args["addr"], op.args["length"], cfg.cache_line_size)
-        for src in stores:
-            if src.seq < op.seq and store_lines[src.seq] & synced:
-                for dst in stores:
-                    if dst.seq > op.seq:
-                        edges.add(src.seq, dst.seq, EdgeReason.MSYNC)
+    # A store happens before every store after the first point at which any
+    # of its lines is persisted; flush+fence wins the reason over msync.
+    seqs = [op.seq for op in stores]
+    for src, lines in line_persist_points(trace, cfg).items():
+        after_fence = bisect_right(seqs, min(fence for fence, _ in lines))
+        after_msync = bisect_right(seqs, min(msync for _, msync in lines))
+        for dst in seqs[after_fence:]:
+            edges.add(src, dst, EdgeReason.FLUSH_FENCE)
+        for dst in seqs[after_msync:after_fence]:
+            edges.add(src, dst, EdgeReason.MSYNC)
     return edges.result()
 
 
@@ -290,31 +317,3 @@ def model_edges(trace: Trace, cfg: ModelConfig | None = None) -> set[HbEdge]:
     if trace.meta.mode == POSIX_MODE:
         return posix_edges(trace, cfg)
     return mmio_edges(trace, cfg)
-
-
-def store_persisted_before(
-    store: Operation, before_seq: int, trace: Trace, cfg: ModelConfig
-) -> bool:
-    """True when every cache line of ``store`` was flushed after the store
-    and fenced (or msynced) before ``before_seq``."""
-    lines = lines_of(store.args["addr"], store.args["length"], cfg.cache_line_size)
-    fence_seqs = [op.seq for op in trace.ops if op.kind == "fence"]
-    for line in lines:
-        covered = False
-        for op in trace.ops:
-            if op.seq <= store.seq or op.seq >= before_seq:
-                continue
-            if op.kind == "msync" and line in lines_of(
-                op.args["addr"], op.args["length"], cfg.cache_line_size
-            ):
-                covered = True
-                break
-            if op.kind == "flush" and line in lines_of(
-                op.args["addr"], op.args["length"], cfg.cache_line_size
-            ):
-                if any(op.seq < f < before_seq for f in fence_seqs):
-                    covered = True
-                    break
-        if not covered:
-            return False
-    return True

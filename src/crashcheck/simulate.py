@@ -46,7 +46,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from .behavior import UpdateBehavior
-from .errors import CheckerError, ExplosionLimit, ModeMismatch, ReplayError
+from .errors import CheckerError, ExplosionLimit, ReplayError
 from .graph import FULL_KEY, StaticKey, export_dot
 from .models import ModelConfig, blocks_of, lines_of, parent_dir, entry_name
 from .trace import MMIO_MODE, POSIX_MODE, Operation, Trace, escapes_root
@@ -462,20 +462,6 @@ def replay(schedule: CrashSchedule, cache: PrefixCache | None = None) -> FsImage
     return image
 
 
-def replay_posix(schedule: CrashSchedule) -> FsImage:
-    """:func:`replay` of a POSIX schedule into a file-system image."""
-    if schedule.mode != POSIX_MODE:
-        raise ModeMismatch("replay_posix needs a POSIX schedule")
-    return replay(schedule)
-
-
-def replay_mmio(schedule: CrashSchedule) -> MemImage:
-    """:func:`replay` of an MMIO schedule into a sparse memory image."""
-    if schedule.mode != MMIO_MODE:
-        raise ModeMismatch("replay_mmio needs an MMIO schedule")
-    return replay(schedule)
-
-
 # ---------------------------------------------------------------------------
 # Oracle
 # ---------------------------------------------------------------------------
@@ -514,16 +500,24 @@ def materialize(image: FsImage | MemImage, scratch: Path):
         payload = {"cells": {str(a): v for a, v in sorted(image.cells.items())}}
         (scratch / MEM_IMAGE_FILE).write_text(json.dumps(payload, indent=0))
         return
-    for dirpath in image.dirents:
-        if escapes_root(dirpath):
-            raise ReplayError(f"refusing to materialize path {dirpath!r}")
-        (scratch / posixpath.normpath(dirpath)).mkdir(parents=True, exist_ok=True)
-    for path, data in image.files.items():
+    for path in (*image.dirents, *image.files):
         if escapes_root(path):
             raise ReplayError(f"refusing to materialize path {path!r}")
-        target = scratch / posixpath.normpath(path)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_bytes(bytes(data))
+    # Every directory on disk: the dirent keys, each file's parent, and all
+    # their ancestors.  A file may not name one of them.
+    dirs: set[str] = set()
+    for path in (*image.dirents, *(posixpath.dirname(posixpath.normpath(f)) for f in image.files)):
+        path = posixpath.normpath(path)
+        while path not in dirs:
+            dirs.add(path)
+            path = posixpath.normpath(posixpath.dirname(path))
+    for path in image.files:
+        if posixpath.normpath(path) in dirs:
+            raise ReplayError(f"cannot materialize file {path!r}: the image also has it as a directory")
+    for dirpath in dirs:
+        (scratch / dirpath).mkdir(parents=True, exist_ok=True)
+    for path, data in image.files.items():
+        (scratch / posixpath.normpath(path)).write_bytes(bytes(data))
 
 
 def run_oracle(

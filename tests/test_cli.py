@@ -380,6 +380,34 @@ def test_path_outside_the_image_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize(
+    "paths, conflict",
+    [(["."], "'.'"), (["d", "d/f"], "'d'")],
+    ids=["image-root", "file-and-parent"],
+)
+def test_file_that_is_also_a_directory_exits_2(tmp_path, capsys, paths, conflict):
+    trace_file = tmp_path / "t.jsonl"
+    records = [
+        {"seq": seq, "tid": 0, "kind": "create", "args": {"path": path},
+         "backtrace": [{"function": "main", "file": "a.c", "line": seq}]}
+        for seq, path in enumerate(paths, 1)
+    ]
+    trace_file.write_text(
+        '{"app": "x", "mode": "POSIX", "version": 1}\n'
+        + "".join(json.dumps(r) + "\n" for r in records)
+    )
+    schedule_file = tmp_path / "schedule.json"
+    schedule_file.write_text(json.dumps({
+        "behavior_id": "b", "mode": "POSIX",
+        "context_seqs": [], "applied_seqs": list(range(1, len(paths) + 1)),
+    }))
+    checker = ["--checker", checker_arg("always_ok.py")]
+    for command in (["test"], ["exhaustive"], ["replay", "--schedule", schedule_file]):
+        out = tmp_path / command[0]
+        assert run(*command, "--trace", trace_file, *checker, "--out", out) == 2
+        assert f"cannot materialize file {conflict}" in capsys.readouterr().err
+
+
 def test_mmio_pipeline_via_cli(tmp_path):
     out = tmp_path / "out"
     code = run(

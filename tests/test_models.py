@@ -3,7 +3,8 @@ import random
 import pytest
 
 from crashcheck import ModeMismatch, ModelConfig, mmio_edges, posix_edges
-from crashcheck.models import EdgeReason, blocks_of, lines_of, store_persisted_before
+from crashcheck.mmio_behaviors import persisted_at
+from crashcheck.models import EdgeReason, blocks_of, lines_of
 
 from helpers import (
     mmio_trace,
@@ -98,6 +99,29 @@ def test_fdatasync_orders_write_before_rename():
     assert (1, 3) in pairs(edges)
     # barrier anchors keep the fdatasync node connected
     assert pairs(edges) == {(1, 2), (1, 3), (2, 3)}
+
+
+def test_source_covered_by_several_barriers():
+    trace = posix_trace(
+        [
+            op(1, "write", write_args("f", b"a"), (("main", 1),)),
+            op(2, "fdatasync", {"path": "f"}, (("main", 2),)),
+            op(3, "fsync", {"path": "f", "dir": False}, (("main", 3),)),
+            op(4, "write", write_args("g", b"b"), (("main", 4),)),
+            op(5, "sync", {}, (("main", 5),)),
+            op(6, "write", write_args("h", b"c"), (("main", 6),)),
+        ]
+    )
+    sb = EdgeReason.SYNC_BARRIER
+    assert {(e.src_seq, e.dst_seq, e.reason) for e in posix_edges(trace)} == {
+        # the write points at each barrier covering it ...
+        (1, 2, sb), (1, 3, sb), (1, 5, sb),
+        # ... and precedes the persisting ops after the first of them
+        (1, 4, sb), (1, 6, sb),
+        (4, 5, sb), (4, 6, sb),
+        # each barrier with sources precedes the persisting ops after it
+        (2, 4, sb), (2, 6, sb), (3, 4, sb), (3, 6, sb), (5, 6, sb),
+    }
 
 
 def test_two_writes_to_different_files_have_no_edges():
@@ -308,10 +332,99 @@ def test_store_persisted_before_helper():
             op(4, "store", store_args(0, b"b"), (("main", 4),)),
         ]
     )
-    cfg = ModelConfig()
-    assert store_persisted_before(trace.ops[0], 4, trace, cfg)
-    assert not store_persisted_before(trace.ops[0], 2, trace, cfg)
-    assert not store_persisted_before(trace.ops[3], 5, trace, cfg)
+    persisted = persisted_at(trace)
+    assert persisted[1] < 4
+    assert not persisted[1] < 2
+    assert not persisted[4] < 5
+
+
+def straddling_mmio_trace(rng):
+    """Random MMIO trace whose stores may cross a cache-line boundary."""
+    ops = []
+    for seq in range(1, rng.randint(3, 14) + 1):
+        roll = rng.random()
+        if roll < 0.5:
+            addr = rng.choice([0, 8, 56, 60, 64, 120, 124, 128])
+            data = bytes([rng.randint(1, 255)]) * rng.randint(1, 12)
+            ops.append(op(seq, "store", store_args(addr, data), (("main", seq),)))
+        elif roll < 0.7:
+            flush = {"addr": rng.choice([0, 60, 64, 128]), "length": rng.choice([1, 8, 64, 128])}
+            ops.append(op(seq, "flush", flush, (("main", seq),)))
+        elif roll < 0.88:
+            ops.append(op(seq, "fence", {}, (("main", seq),)))
+        else:
+            msync = {"addr": rng.choice([0, 64, 120]), "length": rng.choice([8, 64])}
+            ops.append(op(seq, "msync", msync, (("main", seq),)))
+    return mmio_trace(ops)
+
+
+def test_mmio_durability_matches_its_definition_with_straddling_stores():
+    """Brute force, per flush and per line: a store is ordered before a
+    later store once *any* of its lines was flushed after it and a fence
+    followed (or an msync covered it) before the later store; it counts
+    as persisted before I only when *every* line was, before I."""
+    rng = random.Random(29)
+    straddled = 0
+    for _ in range(300):
+        trace = straddling_mmio_trace(rng)
+        stores = [o for o in trace.ops if o.kind == "store"]
+        lines = {o.seq: lines_of(o.args["addr"], o.args["length"], 64) for o in trace.ops if o.kind != "fence"}
+        straddled += any(len(lines[s.seq]) > 1 for s in stores)
+
+        def persisted_by(kind, store, line, before):
+            """Some flush (with a later fence) or msync, issued between the
+            store and ``before``, persists ``line`` of the store."""
+            return any(
+                f.kind == kind and store.seq < f.seq < before and line in lines[f.seq]
+                and (kind == "msync" or any(f.seq < g.seq < before and g.kind == "fence" for g in trace.ops))
+                for f in trace.ops
+            )
+
+        def ordered_by(kind, a, b):
+            return any(persisted_by(kind, a, line, b.seq) for line in lines[a.seq])
+
+        expected = set()
+        for a in stores:
+            for b in stores:
+                if a.seq >= b.seq:
+                    continue
+                if lines[a.seq] & lines[b.seq]:
+                    expected.add((a.seq, b.seq, EdgeReason.SAME_CACHE_LINE))
+                elif ordered_by("flush", a, b):
+                    expected.add((a.seq, b.seq, EdgeReason.FLUSH_FENCE))
+                elif ordered_by("msync", a, b):
+                    expected.add((a.seq, b.seq, EdgeReason.MSYNC))
+        assert {(e.src_seq, e.dst_seq, e.reason) for e in mmio_edges(trace)} == expected
+
+        persisted = persisted_at(trace)
+        assert persisted.keys() == {s.seq for s in stores}
+        for store in stores:
+            for before in range(1, len(trace.ops) + 2):
+                assert (persisted[store.seq] < before) == all(
+                    persisted_by("flush", store, line, before) or persisted_by("msync", store, line, before)
+                    for line in lines[store.seq]
+                )
+    assert straddled > 100
+
+
+def test_straddling_store_is_ordered_by_one_line_but_persisted_by_all():
+    trace = mmio_trace(
+        [
+            op(1, "store", store_args(60, b"ab" * 4), (("main", 1),)),
+            op(2, "flush", {"addr": 0, "length": 64}, (("main", 2),)),
+            op(3, "fence", {}, (("main", 3),)),
+            op(4, "store", store_args(256, b"c"), (("main", 4),)),
+            op(5, "flush", {"addr": 64, "length": 64}, (("main", 5),)),
+            op(6, "fence", {}, (("main", 6),)),
+            op(7, "store", store_args(320, b"d"), (("main", 7),)),
+        ]
+    )
+    edges = mmio_edges(trace)
+    assert {(e.src_seq, e.dst_seq) for e in edges} == {(1, 4), (1, 7)}
+    assert {e.reason for e in edges} == {EdgeReason.FLUSH_FENCE}
+    persisted = persisted_at(trace)
+    assert not persisted[1] < 4
+    assert persisted[1] < 7
 
 
 # --- shared invariants ---

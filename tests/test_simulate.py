@@ -30,8 +30,6 @@ from crashcheck.simulate import (
     materialize,
     ops_commute,
     replay,
-    replay_mmio,
-    replay_posix,
     run_oracle,
     schedule_from_json,
 )
@@ -150,9 +148,9 @@ def test_same_line_stores_never_invert():
         data = image.read(0, 3)
         assert data in (b"\x00\x00\x00", b"old", b"new")
     assert {i.digest() for i in images} == {
-        replay_mmio(CrashSchedule("x", "MMIO", (), ())).digest(),
-        replay_mmio(CrashSchedule("x", "MMIO", (trace.ops[0],), ())).digest(),
-        replay_mmio(CrashSchedule("x", "MMIO", tuple(trace.ops), ())).digest(),
+        replay(CrashSchedule("x", "MMIO", (), ())).digest(),
+        replay(CrashSchedule("x", "MMIO", (trace.ops[0],), ())).digest(),
+        replay(CrashSchedule("x", "MMIO", tuple(trace.ops), ())).digest(),
     }
 
 
@@ -182,7 +180,7 @@ def test_write_then_rename_moves_payload():
         ]
     )
     schedule = CrashSchedule("b", "POSIX", (), tuple(trace.ops))
-    image = replay_posix(schedule)
+    image = replay(schedule)
     assert bytes(image.files["CURRENT"]) == b"data"
     assert "tmp" not in image.files
     assert "CURRENT" in image.dirents["."]
@@ -193,7 +191,7 @@ def test_rename_of_missing_source_is_a_replay_error():
     rn = op(1, "rename", {"path": "ghost", "dst": "x"}, (("m", 1),))
     schedule = CrashSchedule("b", "POSIX", (), (rn,))
     with pytest.raises(ReplayError):
-        replay_posix(schedule)
+        replay(schedule)
 
 
 def test_replay_is_deterministic():
@@ -211,8 +209,8 @@ def test_digest_pattern_used_when_payload_not_inline():
     del data["data"]
     trace = posix_trace([op(1, "write", dict(data), (("m", 1),))])
     schedule = CrashSchedule("b", "POSIX", (), tuple(trace.ops))
-    one = replay_posix(schedule)
-    two = replay_posix(schedule)
+    one = replay(schedule)
+    two = replay(schedule)
     assert bytes(one.files["f"]) == bytes(two.files["f"])
     assert len(one.files["f"]) == 4
 
@@ -221,7 +219,7 @@ def test_mmio_replay_full_trace_equals_in_order_application():
     rng = random.Random(5)
     trace = random_mmio_trace(rng)
     schedule = CrashSchedule("b", "MMIO", (), tuple(trace.ops))
-    image = replay_mmio(schedule)
+    image = replay(schedule)
     expected = {}
     for o in trace.ops:
         if o.kind == "store":
