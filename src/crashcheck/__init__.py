@@ -60,7 +60,6 @@ from .simulate import (
     MemImage,
     RunStats,
     Verdict,
-    brute_force_schedules,
     enumerate_schedules,
     run_oracle,
     test_groups,

@@ -34,6 +34,7 @@ from .mmio_behaviors import derive_mmio_behaviors
 from .models import ModelConfig, model_edges
 from .posix_behaviors import derive_posix_behaviors
 from .simulate import (
+    CrashSchedule,
     RunStats,
     Verdict,
     exhaustive_schedules,
@@ -357,7 +358,7 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
             if cfg.checker:
                 check = partial(run_oracle, checker=cfg.checker, scratch=Path(scratch), timeout=cfg.timeout)
             for _, schedule, digest, result in explore([whole], schedules_of, stats, check):
-                entry = {"applied_seqs": list(schedule.applied_seqs)}
+                entry = schedule.to_json()
                 if result is not None:
                     entry["verdict"] = result.verdict.value
                     if result.verdict is Verdict.INCONSISTENT:
@@ -367,11 +368,12 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
                                 "applied_seqs": sorted(applied),
                                 "omitted_seqs": [s for s in graph.node_seqs if s not in applied],
                                 "oracle_output": result.oracle_output,
+                                "schedule": schedule.to_json(),
                             }
                         )
                 states[digest] = entry
     else:
-        states["empty"] = {"applied_seqs": []}
+        states["empty"] = CrashSchedule("whole-trace", trace.meta.mode, (), ()).to_json()
         stats.schedules_tested = 1
 
     report = {

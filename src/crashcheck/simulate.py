@@ -12,12 +12,10 @@ sequences with no adjacent commuting inversion are emitted (the
 lexicographically-least order within each commuting class survives).  The
 digest memo of :func:`explore`, the one enumerate → replay → digest → dedup
 → check loop, catches any equivalent images that still slip through, so the
-distinct-image set always equals the unpruned set.  Two unpruned
-enumerators exist: ``exhaustive_schedules`` backtracks over valid orders and
-backs the whole-trace baseline, which ``exhaustive`` runs through the same
-:func:`explore`, while ``brute_force_schedules`` filters raw permutations and
-shares no enumeration logic with the pruned path, serving as its
-independent oracle.
+distinct-image set always equals the unpruned set.  The unpruned
+enumerator ``exhaustive_schedules`` backtracks over valid orders and backs
+the whole-trace baseline, which ``exhaustive`` runs through the same
+:func:`explore`.
 
 Replay builds a crash image by applying the context and then the applied
 ops to an empty image.  Consecutive schedules from the backtracking
@@ -26,24 +24,38 @@ enumerators differ only in their last few ops, so :func:`explore` keeps a
 op of the last schedule.  Each schedule then replays only the ops past the
 longest prefix it shares with the previous one.  A bare ``replay(schedule)``
 runs the same code with a fresh cache.
+
+The oracle materializes each new state and runs ``<checker> <scratch>``.
+A checker of the form ``<this interpreter> <script>`` runs in a fork of
+this process, which skips interpreter start-up; any other command runs as
+a new process.  Both give the same verdict and output.
 """
 
 from __future__ import annotations
 
+import builtins
 import hashlib
+import io
 import itertools
 import json
+import locale
+import os
 import posixpath
+import select
 import shlex
 import shutil
+import signal
 import subprocess
+import sys
+import threading
+import types
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from operator import is_not
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NoReturn
 
 from .behavior import UpdateBehavior
 from .errors import CheckerError, ExplosionLimit, ReplayError
@@ -276,47 +288,6 @@ def exhaustive_schedules(
     yield from _schedules(behavior, trace, None, budget)
 
 
-def brute_force_schedules(
-    behavior: UpdateBehavior,
-    trace: Trace,
-    budget: int = 1_000_000,
-) -> Iterator[CrashSchedule]:
-    """Every downward-closed subset and every linearization, enumerated the
-    dumbest possible way: plain combinations and permutations with filters.
-
-    Deliberately shares no enumeration logic with ``enumerate_schedules``
-    so it can serve as an independent oracle in the pruning-soundness
-    suite.  Quadratic waste makes it unsuitable beyond ~8 nodes; the CLI
-    baseline uses :func:`exhaustive_schedules` instead.
-    """
-    context = tuple(op for op in trace.ops if op.seq < behavior.span[0])
-    graph = behavior.subgraph
-    nodes = sorted(graph.ops_by_seq)
-    edge_pairs = {(e.src_seq, e.dst_seq) for e in graph.edges}
-    count = 0
-    for size in range(len(nodes) + 1):
-        for combo in itertools.combinations(nodes, size):
-            chosen = set(combo)
-            if any(dst in chosen and src not in chosen for src, dst in edge_pairs):
-                continue
-            for perm in itertools.permutations(combo):
-                pos = {seq: i for i, seq in enumerate(perm)}
-                if any(
-                    src in chosen and dst in chosen and pos[src] > pos[dst]
-                    for src, dst in edge_pairs
-                ):
-                    continue
-                count += 1
-                if count > budget:
-                    raise ExplosionLimit(budget)
-                yield CrashSchedule(
-                    behavior_id=behavior.id,
-                    mode=trace.meta.mode,
-                    context=context,
-                    applied=tuple(graph.ops_by_seq[s] for s in perm),
-                )
-
-
 # ---------------------------------------------------------------------------
 # Storage images and replay
 # ---------------------------------------------------------------------------
@@ -478,10 +449,6 @@ class CheckResult:
     verdict: Verdict
     oracle_output: str
 
-    @property
-    def output_digest(self) -> str:
-        return hashlib.sha256(self.oracle_output.encode()).hexdigest()
-
 
 MEM_IMAGE_FILE = "mem_image.json"
 
@@ -520,6 +487,166 @@ def materialize(image: FsImage | MemImage, scratch: Path):
         (scratch / posixpath.normpath(path)).write_bytes(bytes(data))
 
 
+def _decode(data: bytes) -> str:
+    """Checker output as ``subprocess.run(text=True)`` decodes it (locale
+    encoding, universal newlines), except that undecodable bytes become
+    ``\\xNN`` escapes instead of an exception."""
+    text = data.decode(locale.getpreferredencoding(False), "backslashreplace")
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _check_result(returncode: int, stdout: bytes, stderr: bytes) -> CheckResult:
+    verdict = Verdict.CONSISTENT if returncode == 0 else Verdict.INCONSISTENT
+    return CheckResult(verdict, _decode(stdout) + _decode(stderr))
+
+
+def _forkable(argv: list[str]) -> bool:
+    """True for ``<this interpreter> <script file> ...``, which
+    :func:`_fork_check` can run in a fork of this process.  The interpreter
+    path is compared unresolved, so a venv interpreter never matches its
+    base one."""
+    exe = shutil.which(argv[0])
+    return (
+        exe is not None
+        and bool(sys.executable)
+        and os.path.abspath(exe) == os.path.abspath(sys.executable)
+        and len(argv) > 1
+        and not argv[1].startswith("-")
+        and os.path.isfile(argv[1])
+        and hasattr(os, "fork")
+        and hasattr(os, "pidfd_open")
+        and threading.active_count() == 1
+    )
+
+
+def _subprocess_check(argv: list[str], timeout: float) -> CheckResult:
+    """Run the checker as a new process."""
+    try:
+        proc = subprocess.run(argv, capture_output=True, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        return CheckResult(Verdict.ORACLE_ERROR, f"timeout after {timeout}s")
+    except OSError as exc:
+        raise CheckerError(f"cannot spawn checker {argv[0]!r}: {exc}") from exc
+    return _check_result(proc.returncode, proc.stdout, proc.stderr)
+
+
+def _fork_check(argv: list[str], timeout: float) -> CheckResult:
+    """Run ``<python> <script> <args...>`` in a fork of this process: the
+    child executes the script as ``__main__`` the way a fresh interpreter
+    would, but skips interpreter start-up.  Output goes through anonymous
+    temporary files, so a checker that writes a lot cannot block on a full
+    pipe."""
+    import tempfile  # only this path needs it; ``import crashcheck`` does not load it
+
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        try:
+            pid = os.fork()
+        except OSError as exc:
+            raise CheckerError(f"cannot fork checker {argv[1]!r}: {exc}") from exc
+        if pid == 0:
+            _run_forked_checker(argv[1:], out.fileno(), err.fileno())
+        try:
+            pidfd = os.pidfd_open(pid)
+            try:
+                exited = select.select([pidfd], [], [], timeout)[0]
+            finally:
+                os.close(pidfd)
+        except BaseException as exc:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            if isinstance(exc, OSError):
+                raise CheckerError(f"cannot wait for checker {argv[1]!r}: {exc}") from exc
+            raise
+        if not exited:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            return CheckResult(Verdict.ORACLE_ERROR, f"timeout after {timeout}s")
+        status = os.waitpid(pid, 0)[1]
+        out.seek(0)
+        err.seek(0)
+        return _check_result(os.waitstatus_to_exitcode(status), out.read(), err.read())
+
+
+def _run_forked_checker(args: list[str], out_fd: int, err_fd: int) -> NoReturn:
+    """The child side of :func:`_fork_check`: run ``args[0]`` as a script
+    with ``sys.argv = args`` and leave through ``os._exit`` with the exit
+    status the interpreter would give."""
+    status = 1
+    try:
+        import gc
+
+        # The checker's collections should not finalize this process's
+        # objects (a finalizer could remove the parent's files).
+        gc.freeze()
+        os.dup2(out_fd, 1)
+        os.dup2(err_fd, 2)
+        os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+        # A fault handler enabled here (pytest enables one) would write a
+        # crashing checker's dump to a descriptor that is now closed or
+        # reused; a fresh interpreter has none.
+        if "faulthandler" in sys.modules:
+            sys.modules["faulthandler"].disable()
+        sys.stdout = sys.__stdout__ = _stdio(1, sys.__stdout__, "strict")
+        sys.stderr = sys.__stderr__ = _stdio(2, sys.__stderr__, "backslashreplace", line_buffering=True)
+        status = _exec_main(args)
+        for stream in (sys.stdout, sys.stderr, sys.__stdout__, sys.__stderr__):
+            if not stream.closed:
+                stream.flush()
+    finally:
+        os._exit(status)
+
+
+def _stdio(fd: int, like, errors: str, line_buffering: bool = False) -> io.TextIOWrapper:
+    """A new text stream on ``fd`` with the encoding, error handler and
+    buffering (``-u``/``PYTHONUNBUFFERED`` make it write through) of the
+    interpreter's own stream ``like``, as a fresh interpreter of this
+    configuration would open it."""
+    raw = io.FileIO(fd, "w", closefd=False)
+    unbuffered = getattr(like, "write_through", False)
+    return io.TextIOWrapper(
+        raw if unbuffered else io.BufferedWriter(raw),
+        encoding=getattr(like, "encoding", None),
+        errors=getattr(like, "errors", errors),
+        line_buffering=line_buffering,
+        write_through=unbuffered,
+    )
+
+
+def _exec_main(args: list[str]) -> int:
+    """Execute the script ``args[0]`` in a fresh ``__main__`` module and
+    return the exit status the interpreter would give for how it ended."""
+    script = os.path.abspath(args[0])
+    sys.argv = list(args)
+    sys.path[:1] = [os.path.dirname(os.path.realpath(script))]
+    main = types.ModuleType("__main__")
+    main.__file__ = script
+    main.__builtins__ = builtins
+    sys.modules["__main__"] = main
+    code = None
+    try:
+        with open(script, "rb") as source:
+            code = compile(source.read(), script, "exec", dont_inherit=True)
+        exec(code, main.__dict__)
+    except SystemExit as exc:
+        if exc.code is None:
+            return 0
+        if isinstance(exc.code, int):
+            return exc.code & 0xFF
+        print(exc.code, file=sys.stderr)
+        return 1
+    except BaseException as exc:
+        import traceback
+
+        # Start the traceback at the script's own frame, as the
+        # interpreter does; a SyntaxError from compile has none.
+        tb = exc.__traceback__
+        while tb is not None and tb.tb_frame.f_code is not code:
+            tb = tb.tb_next
+        traceback.print_exception(type(exc), exc, tb)
+        return 1
+    return 0
+
+
 def run_oracle(
     image: FsImage | MemImage,
     checker: str | list[str],
@@ -528,19 +655,17 @@ def run_oracle(
 ) -> CheckResult:
     """Materialize the image, invoke ``<checker> <scratch>``, map the exit
     status: 0 is consistent, anything else inconsistent, a timeout is an
-    oracle error."""
+    oracle error.
+
+    A checker of the form ``<this interpreter> <script> ...`` runs in a
+    fork of this process (:func:`_fork_check`); any other command runs as
+    a new process."""
     materialize(image, scratch)
     argv = shlex.split(checker) if isinstance(checker, str) else list(checker)
     argv.append(str(scratch))
-    try:
-        proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout)
-    except subprocess.TimeoutExpired:
-        return CheckResult(Verdict.ORACLE_ERROR, f"timeout after {timeout}s")
-    except OSError as exc:
-        raise CheckerError(f"cannot spawn checker {argv[0]!r}: {exc}") from exc
-    output = proc.stdout + proc.stderr
-    verdict = Verdict.CONSISTENT if proc.returncode == 0 else Verdict.INCONSISTENT
-    return CheckResult(verdict, output)
+    if _forkable(argv):
+        return _fork_check(argv, timeout)
+    return _subprocess_check(argv, timeout)
 
 
 # ---------------------------------------------------------------------------

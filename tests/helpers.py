@@ -1,12 +1,18 @@
-"""Shared builders for hand-constructed traces and random workload traces."""
+"""Shared builders for hand-constructed traces and random workload traces,
+and the independent oracles the tests compare the library against."""
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import random
+from typing import Iterator
 
 from crashcheck import Backtrace, Frame, HbEdge, Operation, Trace, build_graph
-from crashcheck.behavior import make_behavior
+from crashcheck.behavior import UpdateBehavior, make_behavior
+from crashcheck.errors import ExplosionLimit
 from crashcheck.models import EdgeReason
+from crashcheck.simulate import CheckResult, CrashSchedule
 from crashcheck.trace import MMIO_MODE, POSIX_MODE, TraceMeta, payload_digest
 
 
@@ -178,3 +184,49 @@ def random_mmio_trace(rng: random.Random, max_ops: int = 8) -> Trace:
             addr = rng.choice([0, 64])
             ops.append(op(seq, "msync", {"addr": addr, "length": 128}, (("main", seq),)))
     return mmio_trace(ops)
+
+
+def output_digest(result: CheckResult) -> str:
+    """The sha256 of a check's oracle output, as bug dedup keys hash it."""
+    return hashlib.sha256(result.oracle_output.encode()).hexdigest()
+
+
+def brute_force_schedules(
+    behavior: UpdateBehavior,
+    trace: Trace,
+    budget: int = 1_000_000,
+) -> Iterator[CrashSchedule]:
+    """Every downward-closed subset and every linearization, enumerated the
+    dumbest possible way: plain combinations and permutations with filters.
+
+    Deliberately shares no enumeration logic with ``enumerate_schedules``
+    so it can serve as an independent oracle in the pruning-soundness
+    suite.  Quadratic waste makes it unsuitable beyond ~8 nodes; the CLI
+    baseline uses ``exhaustive_schedules`` instead.
+    """
+    context = tuple(op for op in trace.ops if op.seq < behavior.span[0])
+    graph = behavior.subgraph
+    nodes = sorted(graph.ops_by_seq)
+    edge_pairs = {(e.src_seq, e.dst_seq) for e in graph.edges}
+    count = 0
+    for size in range(len(nodes) + 1):
+        for combo in itertools.combinations(nodes, size):
+            chosen = set(combo)
+            if any(dst in chosen and src not in chosen for src, dst in edge_pairs):
+                continue
+            for perm in itertools.permutations(combo):
+                pos = {seq: i for i, seq in enumerate(perm)}
+                if any(
+                    src in chosen and dst in chosen and pos[src] > pos[dst]
+                    for src, dst in edge_pairs
+                ):
+                    continue
+                count += 1
+                if count > budget:
+                    raise ExplosionLimit(budget)
+                yield CrashSchedule(
+                    behavior_id=behavior.id,
+                    mode=trace.meta.mode,
+                    context=context,
+                    applied=tuple(graph.ops_by_seq[s] for s in perm),
+                )

@@ -26,7 +26,6 @@ from crashcheck.mmio_behaviors import (
 from crashcheck.models import EdgeReason, model_edges
 from crashcheck.simulate import (
     Verdict,
-    brute_force_schedules,
     enumerate_schedules,
     exhaustive_schedules,
     replay,
@@ -35,7 +34,15 @@ from crashcheck.simulate import (
 from crashcheck.simulate import test_groups as run_group_tests
 
 from conftest import checker_cmd, load_workload
-from helpers import fig5_behaviors, op, random_mmio_trace, random_posix_trace, write_args
+from helpers import (
+    brute_force_schedules,
+    fig5_behaviors,
+    op,
+    output_digest,
+    random_mmio_trace,
+    random_posix_trace,
+    write_args,
+)
 
 
 @contextmanager
@@ -103,7 +110,7 @@ def exhaustive_outcomes(trace, checker, scratch: Path, budget=2_000_000):
             omitted = sorted(
                 str(StaticKey.of(graph.ops_by_seq[s])) for s in persisting - applied
             )
-            bug_keys.add((tuple(omitted), result.output_digest))
+            bug_keys.add((tuple(omitted), output_digest(result)))
     return schedules, digests, bug_keys
 
 

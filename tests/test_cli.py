@@ -1,12 +1,14 @@
 import json
+import shlex
 import sys
 
 import pytest
 
 from crashcheck.cli import main
+from crashcheck.simulate import replay, schedule_from_json
 from crashcheck.trace import parse_trace
 
-from conftest import CHECKERS, WORKLOADS
+from conftest import CHECKERS, WORKLOADS, load_workload
 
 
 def checker_arg(name):
@@ -210,6 +212,38 @@ def test_exhaustive_with_checker_finds_same_bug(tmp_path):
     assert code == 1
     report = json.loads((out / "states.json").read_text())
     assert len(report["bugs"]) >= 1
+
+
+def test_exhaustive_states_and_bugs_are_replayable(tmp_path, capsys):
+    program = ["--mode", "POSIX", "--dsl", WORKLOADS / "current_update_buggy.dsl"]
+    checker = ["--checker", checker_arg("current_pointer.py")]
+    out = tmp_path / "out"
+    assert run("exhaustive", *program, *checker, "--out", out) == 1
+    report = json.loads((out / "states.json").read_text())
+    trace = load_workload("current_update_buggy.dsl", "POSIX")
+    for digest, entry in report["states"].items():
+        assert replay(schedule_from_json(entry, trace)).digest() == digest
+    assert report["bugs"]
+    capsys.readouterr()
+    for i, bug in enumerate(report["bugs"]):
+        assert bug["applied_seqs"] == sorted(bug["schedule"]["applied_seqs"])
+        schedule_file = tmp_path / f"bug{i}.json"
+        schedule_file.write_text(json.dumps(bug))
+        code = run("replay", *program, *checker, "--schedule", schedule_file, "--out", tmp_path / "ro")
+        assert code == 1
+        assert capsys.readouterr().out == f"replay: Inconsistent\n{bug['oracle_output'].strip()}\n"
+
+
+@pytest.mark.parametrize("prefix", [[], ["env"]], ids=["fork", "subprocess"])
+def test_non_utf8_checker_output_is_reported(tmp_path, prefix):
+    badout = tmp_path / "badout.py"
+    badout.write_text("import sys\nsys.stdout.buffer.write(b'\\xff')\nsys.exit(1)\n")
+    checker = shlex.join([*prefix, sys.executable, str(badout)])
+    out = tmp_path / "out"
+    code = run("test", "--mode", "POSIX", "--dsl", WORKLOADS / "two_writes.dsl", "--checker", checker, "--out", out)
+    assert code == 1
+    bugs = json.loads((out / "bugs.json").read_text())["bugs"]
+    assert bugs and {bug["oracle_output"] for bug in bugs} == {"\\xff"}
 
 
 def test_exhaustive_budget_reports_partial(tmp_path):

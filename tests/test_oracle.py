@@ -1,0 +1,180 @@
+"""The checker contract, run on both oracle paths: a checker of the form
+``<this interpreter> <script>`` runs in a fork of the test process, any
+other command as a new process, and both must give the same verdict and
+output for every way a checker can end."""
+
+import sys
+import threading
+import time
+
+import pytest
+
+from crashcheck import simulate
+from crashcheck.simulate import CheckResult, FsImage, Verdict, run_oracle
+
+from conftest import checker_cmd
+
+CONSISTENT, INCONSISTENT = Verdict.CONSISTENT, Verdict.INCONSISTENT
+
+# name, script source, expected verdict
+CASES = [
+    ("exit-0", "import sys\nsys.exit(0)\n", CONSISTENT),
+    ("exit-1-with-stdout", "import sys\nprint('bad state')\nsys.exit(1)\n", INCONSISTENT),
+    ("stderr-only", "import sys\nsys.stderr.write('warning\\n')\n", CONSISTENT),
+    (
+        "stdout-and-stderr",
+        "import sys\nprint('to stderr', file=sys.stderr)\nprint('to stdout')\nsys.exit(2)\n",
+        INCONSISTENT,
+    ),
+    ("sys-exit-message", "import sys\nprint('partial')\nsys.exit('msg')\n", INCONSISTENT),
+    ("sys-exit-256", "import sys\nsys.exit(256)\n", CONSISTENT),
+    ("sys-exit-minus-1", "raise SystemExit(-1)\n", INCONSISTENT),
+    (
+        "uncaught-exception",
+        "def check(root):\n    raise ValueError(f'bad root {len(root) > 0}')\n\n"
+        "import sys\ncheck(sys.argv[1])\n",
+        INCONSISTENT,
+    ),
+    ("syntax-error", "print('never')\ndef (:\n", INCONSISTENT),
+    ("abort", "import os\nprint('before abort')\nos.abort()\n", INCONSISTENT),
+    ("os-exit-3", "import os, sys\nsys.stdout.write('x')\nsys.stdout.flush()\nos._exit(3)\n", INCONSISTENT),
+    ("large-output", "import sys\nsys.stdout.write('x' * (3 << 19))\nsys.exit(1)\n", INCONSISTENT),
+    (
+        "non-utf8-bytes",
+        "import sys\nsys.stdout.buffer.write(b'ok \\xff\\xfe\\r\\nnext\\r')\nsys.stderr.buffer.write(b'\\x80')\n",
+        CONSISTENT,
+    ),
+    (
+        "sibling-import",
+        "import oracle_contract_sibling\nprint(oracle_contract_sibling.VALUE)\n",
+        CONSISTENT,
+    ),
+    ("annotations", "def f(x: int) -> None:\n    pass\n\nprint(f.__annotations__)\n", CONSISTENT),
+    ("import-main", "import __main__\nprint(vars(__main__) is globals())\n", CONSISTENT),
+    ("main-guard", "import sys\nif __name__ == '__main__':\n    print('as main')\n    sys.exit(4)\n", INCONSISTENT),
+    (
+        "argv-and-file",
+        "import os, sys\nprint(os.path.basename(sys.argv[0]), len(sys.argv), os.path.isdir(sys.argv[1]),\n"
+        "      __file__ == os.path.abspath(sys.argv[0]))\n",
+        CONSISTENT,
+    ),
+]
+
+
+def script_argv(tmp_path, source: str) -> list[str]:
+    (tmp_path / "oracle_contract_sibling.py").write_text("VALUE = 42\n")
+    script = tmp_path / "checker.py"
+    script.write_text(source)
+    scratch = tmp_path / "scratch"
+    scratch.mkdir(exist_ok=True)
+    return [sys.executable, str(script), str(scratch)]
+
+
+@pytest.mark.parametrize("source, verdict", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_fork_and_subprocess_paths_agree(tmp_path, source, verdict):
+    argv = script_argv(tmp_path, source)
+    assert simulate._forkable(argv)
+    forked = simulate._fork_check(argv, timeout=30.0)
+    spawned = simulate._subprocess_check(argv, timeout=30.0)
+    assert (forked.verdict, forked.oracle_output) == (spawned.verdict, spawned.oracle_output)
+    assert forked.verdict is verdict
+
+
+def test_contract_outputs_are_the_interpreters(tmp_path):
+    """Spot checks of what both paths agree on."""
+    outputs = {}
+    for name, source, _ in CASES:
+        case_dir = tmp_path / name
+        case_dir.mkdir()
+        outputs[name] = simulate._fork_check(script_argv(case_dir, source), timeout=30.0).oracle_output
+    assert outputs["stdout-and-stderr"] == "to stdout\nto stderr\n"
+    assert outputs["sys-exit-message"] == "partial\nmsg\n"
+    assert outputs["uncaught-exception"].startswith("Traceback (most recent call last):\n  File ")
+    assert outputs["uncaught-exception"].endswith("ValueError: bad root True\n")
+    assert "SyntaxError" in outputs["syntax-error"] and "never" not in outputs["syntax-error"]
+    assert outputs["large-output"] == "x" * (3 << 19)
+    assert outputs["non-utf8-bytes"] == "ok \\xff\\xfe\nnext\n\\x80"
+    assert outputs["sibling-import"] == "42\n"
+    assert outputs["argv-and-file"] == "checker.py 2 True True\n"
+    assert outputs["import-main"] == "True\n"
+    assert outputs["annotations"] == "{'x': <class 'int'>, 'return': None}\n"
+
+
+@pytest.mark.parametrize("check", [simulate._fork_check, simulate._subprocess_check], ids=["fork", "subprocess"])
+def test_hanging_checker_is_an_oracle_error_after_the_timeout(tmp_path, check):
+    argv = script_argv(tmp_path, "import time\nprint('started')\ntime.sleep(60)\n")
+    start = time.monotonic()
+    result = check(argv, timeout=0.5)
+    assert time.monotonic() - start < 10
+    assert (result.verdict, result.oracle_output) == (Verdict.ORACLE_ERROR, "timeout after 0.5s")
+
+
+def test_non_utf8_output_through_run_oracle(tmp_path):
+    """Undecodable checker output used to escape as UnicodeDecodeError."""
+    script = tmp_path / "badout.py"
+    script.write_text("import sys\nsys.stdout.buffer.write(b'\\xff')\nsys.exit(1)\n")
+    for checker in ([sys.executable, str(script)], ["env", sys.executable, str(script)]):
+        result = run_oracle(FsImage(), checker, tmp_path / "s")
+        assert (result.verdict, result.oracle_output) == (Verdict.INCONSISTENT, "\\xff")
+
+
+@pytest.fixture
+def paths_taken(monkeypatch):
+    """Record which oracle path ``run_oracle`` selects, without running it."""
+    taken = []
+
+    def fake(name):
+        def check(argv, timeout):
+            taken.append(name)
+            return CheckResult(Verdict.CONSISTENT, "")
+
+        return check
+
+    monkeypatch.setattr(simulate, "_fork_check", fake("fork"))
+    monkeypatch.setattr(simulate, "_subprocess_check", fake("subprocess"))
+    return taken
+
+
+def test_only_this_interpreter_with_a_script_file_is_forked(tmp_path, paths_taken):
+    script = checker_cmd("always_ok.py")[1]
+    link = tmp_path / "python-link"
+    link.symlink_to(sys.executable)
+    checkers = [
+        ([sys.executable, script], "fork"),
+        (f"{sys.executable} {script}", "fork"),
+        ([str(link), script], "subprocess"),
+        ([sys.executable, "-I", script], "subprocess"),
+        (["env", sys.executable, script], "subprocess"),
+        ([sys.executable, str(tmp_path / "missing.py")], "subprocess"),
+        (["true"], "subprocess"),
+    ]
+    for checker, _ in checkers:
+        run_oracle(FsImage(), checker, tmp_path / "s")
+    assert paths_taken == [path for _, path in checkers]
+
+
+def test_a_live_thread_selects_the_subprocess_path(tmp_path, paths_taken):
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(30,))
+    thread.start()
+    try:
+        run_oracle(FsImage(), checker_cmd("always_ok.py"), tmp_path / "s")
+    finally:
+        release.set()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+    run_oracle(FsImage(), checker_cmd("always_ok.py"), tmp_path / "s")
+    assert paths_taken == ["subprocess", "fork"]
+
+
+def test_forked_checker_leaves_this_process_alone(tmp_path):
+    script = tmp_path / "meddle.py"
+    script.write_text(
+        "import sys\nsys.path.insert(0, 'meddled')\nsys.modules['json'] = None\n"
+        "print('meddled', file=sys.__stderr__)\nsys.exit(3)\n"
+    )
+    path_before, main_before = list(sys.path), sys.modules["__main__"]
+    result = run_oracle(FsImage(), [sys.executable, str(script)], tmp_path / "s")
+    assert (result.verdict, result.oracle_output) == (Verdict.INCONSISTENT, "meddled\n")
+    assert sys.path == path_before and sys.modules["__main__"] is main_before
+    assert sys.modules["json"] is not None

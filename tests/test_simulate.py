@@ -24,7 +24,6 @@ from crashcheck.simulate import (
     FsImage,
     PrefixCache,
     RunStats,
-    brute_force_schedules,
     enumerate_schedules,
     explore,
     materialize,
@@ -37,6 +36,7 @@ from crashcheck.simulate import test_groups as run_group_tests
 from conftest import checker_cmd, load_workload
 from helpers import (
     ancestors,
+    brute_force_schedules,
     mmio_trace,
     op,
     posix_trace,
