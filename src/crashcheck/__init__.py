@@ -42,9 +42,8 @@ from .mmio_behaviors import (
     build_instance_subgraphs,
     build_type_subgraphs,
     derive_mmio_behaviors,
-    split_epochs,
 )
-from .models import EdgeReason, HbEdge, ModelConfig, mmio_edges, model_edges, posix_edges
+from .models import EdgeReason, ModelConfig, mmio_edges, model_edges, posix_edges
 from .posix_behaviors import (
     CallStackTree,
     derive_function_subgraphs,

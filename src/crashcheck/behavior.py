@@ -3,6 +3,8 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass
 
 from .graph import PersistenceGraph
@@ -62,9 +64,7 @@ def dbscan_1d(points: list[int], eps: int, min_pts: int) -> tuple[list[list[int]
     if eps <= 0 or min_pts <= 0:
         raise ValueError("eps and min_pts must be positive")
     pts = sorted(points)
-    neighbors = {
-        p: [q for q in pts if abs(q - p) <= eps] for p in pts
-    }
+    neighbors = {p: pts[bisect_left(pts, p - eps):bisect_right(pts, p + eps)] for p in pts}
     core = {p for p in pts if len(neighbors[p]) >= min_pts}
     assigned: dict[int, int] = {}
     clusters: list[list[int]] = []
@@ -73,10 +73,10 @@ def dbscan_1d(points: list[int], eps: int, min_pts: int) -> tuple[list[list[int]
             continue
         cluster_id = len(clusters)
         clusters.append([])
-        frontier = [p]
+        frontier = deque([p])
         assigned[p] = cluster_id
         while frontier:
-            cur = frontier.pop(0)
+            cur = frontier.popleft()
             clusters[cluster_id].append(cur)
             if cur not in core:
                 continue

@@ -34,6 +34,7 @@ from .mmio_behaviors import derive_mmio_behaviors
 from .models import ModelConfig, model_edges
 from .posix_behaviors import derive_posix_behaviors
 from .simulate import (
+    MAX_ORACLE_TIMEOUT,
     CrashSchedule,
     RunStats,
     Verdict,
@@ -96,15 +97,16 @@ def _read_text(path: str | Path, what: str) -> str:
         raise ConfigError(f"{what} {path} is not UTF-8 text (byte {exc.start})") from None
 
 
-def _positive(convert, raw, key: str):
-    """``convert(raw)`` when it is a finite positive number, else a
-    :class:`ConfigError`."""
+def _positive(convert, raw, key: str, most: float = math.inf):
+    """``convert(raw)`` when it is a finite positive number no larger than
+    ``most``, else a :class:`ConfigError`."""
     try:
         value = convert(raw)
     except ValueError:
         value = None
-    if value is None or not 0 < value < math.inf:
-        raise ConfigError(f"{key} must be a positive {convert.__name__}, got {raw!r}")
+    if value is None or not 0 < value < math.inf or value > most:
+        bound = f" of at most {most}" if most < math.inf else ""
+        raise ConfigError(f"{key} must be a positive {convert.__name__}{bound}, got {raw!r}")
     return value
 
 
@@ -170,7 +172,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
 
     timeout = pick("timeout", "timeout")
     if timeout is not None:
-        cfg.timeout = _positive(float, timeout, "timeout")
+        cfg.timeout = _positive(float, timeout, "timeout", MAX_ORACLE_TIMEOUT)
 
     static_key = pick("static_key", "static_key")
     if static_key is not None:
@@ -214,8 +216,7 @@ def load_input_trace(args: argparse.Namespace, cfg: RunConfig) -> Trace:
 
 
 def derive_behaviors(trace: Trace, cfg: RunConfig):
-    edges = model_edges(trace, cfg.model)
-    graph = build_graph(trace, edges, key_mode=cfg.static_key)
+    graph = build_graph(trace, model_edges(trace, cfg.model), key_mode=cfg.static_key)
     if trace.meta.mode == POSIX_MODE:
         behaviors = derive_posix_behaviors(
             graph, trace, eps=cfg.dbscan_eps, min_pts=cfg.dbscan_min_pts
@@ -274,7 +275,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "counts": {
             "ops": len(trace.ops),
             "graph_nodes": len(graph),
-            "graph_edges": len(graph.edges),
+            "graph_edges": graph.edge_count,
             "behaviors": len(behaviors),
             "groups": len(groups),
         },
@@ -300,7 +301,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     }
     (out / "groups.json").write_text(json.dumps(report, indent=2))
     print(
-        f"analyze: {len(trace.ops)} ops, {len(graph)} nodes, {len(graph.edges)} edges, "
+        f"analyze: {len(trace.ops)} ops, {len(graph)} nodes, {graph.edge_count} edges, "
         f"{len(behaviors)} behaviors, {len(groups)} groups -> {out}"
     )
     return 0
@@ -341,8 +342,7 @@ def cmd_test(args: argparse.Namespace) -> int:
 def cmd_exhaustive(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
     trace = load_input_trace(args, cfg)
-    edges = model_edges(trace, cfg.model)
-    graph = build_graph(trace, edges, key_mode=cfg.static_key)
+    graph = build_graph(trace, model_edges(trace, cfg.model), key_mode=cfg.static_key)
 
     out = cfg.out
     out.mkdir(parents=True, exist_ok=True)

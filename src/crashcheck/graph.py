@@ -1,10 +1,11 @@
 """Persistence graph: operations as nodes, happens-before edges, and the
 static keys used for node equivalence.
 
-Happens-before is stored once: :func:`build_graph` indexes the model's
-edges by destination seq, and every subgraph taken with
+Happens-before is stored once, as a Python-int bitset of direct
+predecessors per node in the vector-clock style of FastTrack (Flanagan &
+Freund, PLDI'09), and every subgraph taken with
 :meth:`PersistenceGraph.induced` (behaviors, MMIO types, instances and
-epochs) is a view that shares that index and keeps only its own nodes.
+epochs) shares it: a view's predecessors of ``n`` are ``preds[n] & mask``.
 
 Node identity is the trace seq; equivalence between nodes is a separate
 relation built on :class:`StaticKey` (see :mod:`crashcheck.grouping`), which
@@ -14,12 +15,18 @@ construction and safe to share across readers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import compress
+from operator import itemgetter
+from typing import Iterator
 
 from .errors import GraphBuildError, NodeNotFound
-from .models import HbEdge
+from .models import EdgeReason, Edges
 from .trace import METADATA_ONLY_KINDS, Operation, Trace
+
+_DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 FULL_KEY = "full"
 INNERMOST_KEY = "innermost"
@@ -55,28 +62,42 @@ class StaticKey:
 
 @dataclass(frozen=True)
 class PersistenceGraph:
-    """Nodes ``ops_by_seq`` over one happens-before index shared by every
-    graph induced from the same :func:`build_graph` result.
+    """Nodes ``ops_by_seq`` over one happens-before shared by every graph
+    induced from the same :func:`build_graph` result.
 
-    ``in_edges`` maps each destination seq to its incoming edges in the full
-    graph; a graph's own edges are those whose source is also one of its
+    ``preds`` maps a node seq to the bitset of its direct predecessors, bit
+    ``i`` standing for ``seqs[i]``; ``reasons`` names each edge; and
+    ``static_keys`` holds one object per distinct key, so comparing keys is
+    mostly an identity check.  ``mask`` is the bitset of this graph's own
     nodes, so inducing a subgraph copies nothing but the node map.
     """
 
     ops_by_seq: dict[int, Operation]
-    in_edges: dict[int, tuple[HbEdge, ...]] = field(repr=False)
+    seqs: tuple[int, ...] = field(repr=False)
+    preds: dict[int, int] = field(repr=False)
+    reasons: Edges = field(repr=False)
+    static_keys: dict[int, StaticKey] = field(repr=False)
+    mask: int = field(repr=False)
     key_mode: str = FULL_KEY
+
+    def _seqs_in(self, bitset: int) -> Iterator[int]:
+        # The binary digits, lowest first, as 0/1 bytes select from seqs.
+        return compress(self.seqs, bin(bitset)[:1:-1].encode().translate(_DIGIT_VALUES))
 
     @property
     def node_seqs(self) -> tuple[int, ...]:
         return tuple(sorted(self.ops_by_seq))
 
     @cached_property
-    def edges(self) -> frozenset[HbEdge]:
-        nodes = self.ops_by_seq
-        return frozenset(
-            e for seq in nodes for e in self.in_edges.get(seq, ()) if e.src_seq in nodes
-        )
+    def edge_count(self) -> int:
+        return sum((self.preds.get(seq, 0) & self.mask).bit_count() for seq in self.ops_by_seq)
+
+    def edges(self) -> Edges:
+        """This graph's ``(src, dst) -> reason`` pairs, in (src, dst) order."""
+        mask, preds = self.mask, self.preds
+        pairs = [(src, dst) for dst in self._seqs_in(mask) for src in self._seqs_in(preds.get(dst, 0) & mask)]
+        pairs.sort(key=itemgetter(0))  # stable, so each source's destinations stay in order
+        return dict(zip(pairs, map(self.reasons.__getitem__, pairs)))
 
     def __len__(self) -> int:
         return len(self.ops_by_seq)
@@ -87,41 +108,50 @@ class PersistenceGraph:
         except KeyError:
             raise NodeNotFound(f"node {seq} is not in the graph") from None
 
-    def static_key(self, seq: int) -> StaticKey:
-        return StaticKey.of(self.op(seq), self.key_mode)
+    @cached_property
+    def key_set(self) -> frozenset[StaticKey]:
+        return frozenset(map(self.static_keys.__getitem__, self.ops_by_seq))
+
+    @cached_property
+    def key_pairs(self) -> frozenset[tuple[StaticKey, StaticKey]]:
+        """The (source key, destination key) pairs of this graph's edges."""
+        return frozenset((self.static_keys[src], self.static_keys[dst]) for src, dst in self.edges())
 
     def predecessors(self, seq: int) -> set[int]:
         self.op(seq)
-        return {e.src_seq for e in self.in_edges.get(seq, ()) if e.src_seq in self.ops_by_seq}
+        return set(self._seqs_in(self.preds.get(seq, 0) & self.mask))
 
     def induced(self, node_set) -> "PersistenceGraph":
         nodes = set(node_set)
         unknown = nodes - self.ops_by_seq.keys()
         if unknown:
             raise NodeNotFound(f"nodes {sorted(unknown)} are not in the graph")
-        return PersistenceGraph(
-            {seq: self.ops_by_seq[seq] for seq in nodes}, self.in_edges, self.key_mode
-        )
+        mask = sum(1 << bisect_left(self.seqs, seq) for seq in nodes)
+        return replace(self, ops_by_seq={seq: self.ops_by_seq[seq] for seq in nodes}, mask=mask)
 
 
-def build_graph(trace: Trace, edges: set[HbEdge], key_mode: str = FULL_KEY) -> PersistenceGraph:
+def build_graph(trace: Trace, edges: Edges, key_mode: str = FULL_KEY) -> PersistenceGraph:
     """Build the persistence graph over a trace's storage operations.
 
     open/close ops are recorded in traces but are pure bookkeeping; they do
     not become nodes.  Every edge endpoint must be a node and must run
     forward in trace order, otherwise :class:`GraphBuildError` is raised.
+    The graph keeps ``edges`` as its reason table.
     """
     ops_by_seq = {op.seq: op for op in trace.ops if op.kind not in METADATA_ONLY_KINDS}
-    in_edges: dict[int, list[HbEdge]] = {}
-    for e in set(edges):
-        if e.src_seq not in ops_by_seq or e.dst_seq not in ops_by_seq:
-            raise GraphBuildError(f"edge {e.pair} references a seq outside the graph")
-        if e.src_seq >= e.dst_seq:
-            raise GraphBuildError(f"edge {e.pair} does not run forward in trace order")
-        in_edges.setdefault(e.dst_seq, []).append(e)
-    return PersistenceGraph(
-        ops_by_seq, {seq: tuple(incoming) for seq, incoming in in_edges.items()}, key_mode
-    )
+    seqs = tuple(sorted(ops_by_seq))
+    bits = {seq: 1 << i for i, seq in enumerate(seqs)}
+    preds: dict[int, int] = {}
+    for src, dst in edges:
+        if src not in bits or dst not in bits:
+            raise GraphBuildError(f"edge {(src, dst)} references a seq outside the graph")
+        if src >= dst:
+            raise GraphBuildError(f"edge {(src, dst)} does not run forward in trace order")
+        preds[dst] = preds.get(dst, 0) | bits[src]
+    keys = {seq: StaticKey.of(op, key_mode) for seq, op in ops_by_seq.items()}
+    interned = {key: key for key in keys.values()}
+    keys = {seq: interned[key] for seq, key in keys.items()}
+    return PersistenceGraph(ops_by_seq, seqs, preds, edges, keys, (1 << len(seqs)) - 1, key_mode)
 
 
 def export_dot(graph: PersistenceGraph, name: str = "pg") -> str:
@@ -132,7 +162,9 @@ def export_dot(graph: PersistenceGraph, name: str = "pg") -> str:
         op = graph.ops_by_seq[seq]
         frame = op.backtrace.innermost
         out.append(f'  n{seq} [label="{op.kind}@{frame.file}:{frame.line}"];')
-    for e in sorted(graph.edges):
-        out.append(f'  n{e.src_seq} -> n{e.dst_seq} [label="{e.reason.value}"];')
+    nodes = {seq: f"n{seq}" for seq in graph.ops_by_seq}
+    labels = {reason: f'[label="{reason.value}"];' for reason in EdgeReason}
+    for (src, dst), reason in graph.edges().items():
+        out.append(f"  {nodes[src]} -> {nodes[dst]} {labels[reason]}")
     out.append("}")
     return "\n".join(out) + "\n"

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .behavior import UpdateBehavior
-from .graph import FULL_KEY, PersistenceGraph, StaticKey
+from .graph import FULL_KEY, StaticKey
 from .trace import Operation
 
 KeyPair = tuple[StaticKey, StaticKey]
@@ -65,26 +65,22 @@ def subset_equiv_edges(e1, e2, mode: str = FULL_KEY) -> bool:
     return keypairs(e1) <= keypairs(e2)
 
 
-def _resolved_edges(graph: PersistenceGraph) -> list[tuple[Operation, Operation]]:
-    return [(graph.ops_by_seq[e.src_seq], graph.ops_by_seq[e.dst_seq]) for e in graph.edges]
-
-
 def represents(u1: UpdateBehavior, u2: UpdateBehavior) -> bool:
     """True when u1 can be tested on behalf of u2.
 
     Requires u2's nodes to embed into u1's up to equivalence, and the
     induced dependencies among the matched u1 nodes to all have equivalents
-    among u2's dependencies.
+    among u2's dependencies.  This is :func:`subset_equiv_nodes`,
+    :func:`equivalence_image` and :func:`subset_equiv_edges` evaluated over
+    the key sets each behavior's subgraph caches.
     """
-    mode = u1.subgraph.key_mode
-    n1 = [u1.subgraph.ops_by_seq[s] for s in u1.node_seqs]
-    n2 = [u2.subgraph.ops_by_seq[s] for s in u2.node_seqs]
-    if not subset_equiv_nodes(n2, n1, mode):
+    g1, g2 = u1.subgraph, u2.subgraph
+    wanted = g2.key_set
+    if not wanted <= g1.key_set:
         return False
-    image = equivalence_image(n1, n2, mode)
-    image_edges = _resolved_edges(u1.subgraph.induced(op.seq for op in image))
-    member_edges = _resolved_edges(u2.subgraph)
-    return subset_equiv_edges(image_edges, member_edges, mode)
+    keys = g1.static_keys
+    image = g1.induced(seq for seq in g1.ops_by_seq if keys[seq] in wanted)
+    return image.key_pairs <= g2.key_pairs
 
 
 @dataclass
@@ -110,7 +106,7 @@ def group_behaviors(behaviors: list[UpdateBehavior]) -> list[BehaviorGroup]:
     if len(by_id) != len(behaviors):
         raise ValueError("behavior ids must be unique")
     ordered = sorted(
-        behaviors, key=lambda b: (-b.size, len(b.subgraph.edges), b.span[0], b.id)
+        behaviors, key=lambda b: (-b.size, b.subgraph.edge_count, b.span[0], b.id)
     )
     groups: list[BehaviorGroup] = []
     for behavior in ordered:

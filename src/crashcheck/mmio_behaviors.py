@@ -122,18 +122,6 @@ def persisted_at(trace: Trace, cfg: ModelConfig | None = None) -> dict[int, floa
     return {seq: max(min(point) for point in lines) for seq, lines in points.items()}
 
 
-def split_epochs(
-    isg: InstanceSubgraph,
-    full_graph: PersistenceGraph,
-    trace: Trace,
-    cfg: ModelConfig | None = None,
-) -> list[EpochSubgraph]:
-    """Cut one instance's stores into epochs using the full trace's
-    flush/fence history.  Epochs are contiguous seq intervals restricted to
-    the instance and partition its subgraph."""
-    return _split_epochs(isg, full_graph, trace, persisted_at(trace, cfg))
-
-
 def _split_epochs(
     isg: InstanceSubgraph,
     full_graph: PersistenceGraph,

@@ -5,6 +5,9 @@ pairs pick up edges exactly where a rule fires across threads; no blanket
 cross-thread ordering is added.  All edges point from a lower seq to a
 higher seq, which keeps every graph acyclic by construction.
 
+Each model returns :data:`Edges`, plain ``(src seq, dst seq) -> reason``
+pairs; when several rules order a pair, the first one listed below names it.
+
 POSIX rules (ext4-style):
 
 * data writes overlapping the same (file, block) pair are ordered in trace
@@ -58,15 +61,8 @@ class EdgeReason(str, Enum):
     MSYNC = "Msync"
 
 
-@dataclass(frozen=True, order=True)
-class HbEdge:
-    src_seq: int
-    dst_seq: int
-    reason: EdgeReason
-
-    @property
-    def pair(self) -> tuple[int, int]:
-        return (self.src_seq, self.dst_seq)
+# Happens-before: (src seq, dst seq) -> the first rule that orders the pair.
+Edges = dict[tuple[int, int], EdgeReason]
 
 
 @dataclass(frozen=True)
@@ -103,23 +99,6 @@ def lines_of(addr: int, length: int, line_size: int) -> frozenset[int]:
     return frozenset(range(addr // line_size, (addr + length - 1) // line_size + 1))
 
 
-class _EdgeSet:
-    """Collects edges, keeping the first reason assigned to a (src, dst) pair."""
-
-    def __init__(self):
-        self._by_pair: dict[tuple[int, int], HbEdge] = {}
-
-    def add(self, src: int, dst: int, reason: EdgeReason):
-        if src >= dst:
-            return
-        key = (src, dst)
-        if key not in self._by_pair:
-            self._by_pair[key] = HbEdge(src, dst, reason)
-
-    def result(self) -> set[HbEdge]:
-        return set(self._by_pair.values())
-
-
 _DATA_KINDS = {"write", "pwrite"}
 _METADATA_KINDS = {"create", "mkdir", "rename", "unlink"}
 _POSIX_PERSISTING = {"write", "pwrite", "create", "mkdir", "rename", "unlink"}
@@ -133,7 +112,7 @@ def _paths_named(op: Operation) -> tuple[str, ...]:
     return ()
 
 
-def posix_edges(trace: Trace, cfg: ModelConfig | None = None) -> set[HbEdge]:
+def posix_edges(trace: Trace, cfg: ModelConfig | None = None) -> Edges:
     """Happens-before edges for a POSIX trace under the file-system model."""
     cfg = cfg or ModelConfig()
     if trace.meta.mode != POSIX_MODE:
@@ -142,7 +121,8 @@ def posix_edges(trace: Trace, cfg: ModelConfig | None = None) -> set[HbEdge]:
         if op.kind not in POSIX_KINDS:
             raise ModeMismatch(f"op {op.seq} has MMIO kind {op.kind!r} in a POSIX trace")
 
-    edges = _EdgeSet()
+    edges: Edges = {}
+    add = edges.setdefault
     ops = trace.ops
 
     # Per-file data write conflicts, at block granularity when splitting is
@@ -160,22 +140,22 @@ def posix_edges(trace: Trace, cfg: ModelConfig | None = None) -> set[HbEdge]:
             blks = frozenset({-1})
         for earlier, earlier_blks in writes_by_path.get(path, []):
             if earlier_blks & blks:
-                edges.add(earlier.seq, op.seq, EdgeReason.SAME_BLOCK)
+                add((earlier.seq, op.seq), EdgeReason.SAME_BLOCK)
         writes_by_path.setdefault(path, []).append((op, blks))
 
         end = op.args["offset"] + op.args["length"]
         if end > sizes.get(path, 0):
             for earlier in extenders_by_path.get(path, []):
-                edges.add(earlier.seq, op.seq, EdgeReason.METADATA_ORDER)
+                add((earlier.seq, op.seq), EdgeReason.METADATA_ORDER)
             extenders_by_path.setdefault(path, []).append(op)
             sizes[path] = end
 
     # Metadata ops naming a shared path, in trace order.
     meta_by_path: dict[str, list[Operation]] = {}
     for op in ops:
-        for path in _paths_named(op):
+        for path in dict.fromkeys(_paths_named(op)):
             for earlier in meta_by_path.get(path, []):
-                edges.add(earlier.seq, op.seq, EdgeReason.METADATA_ORDER)
+                add((earlier.seq, op.seq), EdgeReason.METADATA_ORDER)
             meta_by_path.setdefault(path, []).append(op)
 
     # A rename's source (and an unlink's target) must have been materialized,
@@ -185,21 +165,17 @@ def posix_edges(trace: Trace, cfg: ModelConfig | None = None) -> set[HbEdge]:
     creators_by_path: dict[str, list[int]] = {}
     consumers_by_path: dict[str, list[int]] = {}
     for op in ops:
-        if op.kind in ("rename", "unlink"):
-            src = op.args["path"]
-            for seq in creators_by_path.get(src, []):
-                edges.add(seq, op.seq, EdgeReason.METADATA_ORDER)
-            consumers_by_path.setdefault(src, []).append(op.seq)
+        consumed = op.args["path"] if op.kind in ("rename", "unlink") else None
+        created = op.args["dst"] if op.kind == "rename" else None
         if op.kind in _DATA_KINDS or op.kind in ("create", "mkdir"):
-            path = op.args["path"]
-            for seq in consumers_by_path.get(path, []):
-                edges.add(seq, op.seq, EdgeReason.METADATA_ORDER)
-            creators_by_path.setdefault(path, []).append(op.seq)
-        elif op.kind == "rename":
-            dst = op.args["dst"]
-            for seq in consumers_by_path.get(dst, []):
-                edges.add(seq, op.seq, EdgeReason.METADATA_ORDER)
-            creators_by_path.setdefault(dst, []).append(op.seq)
+            created = op.args["path"]
+        for seq in creators_by_path.get(consumed, []) + consumers_by_path.get(created, []):
+            add((seq, op.seq), EdgeReason.METADATA_ORDER)
+        if created is not None:
+            creators_by_path.setdefault(created, []).append(op.seq)
+        if consumed is not None:
+            # Appended last, so ``rename a a`` is not ordered after itself.
+            consumers_by_path.setdefault(consumed, []).append(op.seq)
 
     # Durability barriers, in one forward pass that indexes the persisting ops
     # issued so far.  A source points at every barrier covering it; the sinks
@@ -234,12 +210,12 @@ def posix_edges(trace: Trace, cfg: ModelConfig | None = None) -> set[HbEdge]:
             # A barrier with nothing pending constrains nothing.
             anchored.append(op.seq)
         for seq in sources:
-            edges.add(seq, op.seq, EdgeReason.SYNC_BARRIER)
+            add((seq, op.seq), EdgeReason.SYNC_BARRIER)
             first_barrier.setdefault(seq, op.seq)
     for src, barrier in [*first_barrier.items(), *zip(anchored, anchored)]:
         for dst in issued[bisect_right(issued, barrier):]:
-            edges.add(src, dst, EdgeReason.SYNC_BARRIER)
-    return edges.result()
+            add((src, dst), EdgeReason.SYNC_BARRIER)
+    return edges
 
 
 def line_persist_points(trace: Trace, cfg: ModelConfig) -> dict[int, list[list[float]]]:
@@ -277,7 +253,7 @@ def line_persist_points(trace: Trace, cfg: ModelConfig) -> dict[int, list[list[f
     return points
 
 
-def mmio_edges(trace: Trace, cfg: ModelConfig | None = None) -> set[HbEdge]:
+def mmio_edges(trace: Trace, cfg: ModelConfig | None = None) -> Edges:
     """Happens-before edges for an MMIO trace under the memory model."""
     cfg = cfg or ModelConfig()
     if trace.meta.mode != MMIO_MODE:
@@ -286,18 +262,19 @@ def mmio_edges(trace: Trace, cfg: ModelConfig | None = None) -> set[HbEdge]:
         if op.kind not in MMIO_KINDS:
             raise ModeMismatch(f"op {op.seq} has POSIX kind {op.kind!r} in an MMIO trace")
 
-    edges = _EdgeSet()
+    edges: Edges = {}
+    add = edges.setdefault
     stores = [op for op in trace.ops if op.kind == "store"]
-    store_lines = {
-        op.seq: lines_of(op.args["addr"], op.args["length"], cfg.cache_line_size)
-        for op in stores
-    }
 
-    # Same-cache-line conflicts in trace order.
-    for i, a in enumerate(stores):
-        for b in stores[i + 1:]:
-            if store_lines[a.seq] & store_lines[b.seq]:
-                edges.add(a.seq, b.seq, EdgeReason.SAME_CACHE_LINE)
+    # Same-cache-line conflicts in trace order, from the stores so far on
+    # each line.
+    stores_on_line: dict[int, list[int]] = {}
+    for op in stores:
+        for line in lines_of(op.args["addr"], op.args["length"], cfg.cache_line_size):
+            earlier = stores_on_line.setdefault(line, [])
+            for seq in earlier:
+                add((seq, op.seq), EdgeReason.SAME_CACHE_LINE)
+            earlier.append(op.seq)
 
     # A store happens before every store after the first point at which any
     # of its lines is persisted; flush+fence wins the reason over msync.
@@ -306,13 +283,13 @@ def mmio_edges(trace: Trace, cfg: ModelConfig | None = None) -> set[HbEdge]:
         after_fence = bisect_right(seqs, min(fence for fence, _ in lines))
         after_msync = bisect_right(seqs, min(msync for _, msync in lines))
         for dst in seqs[after_fence:]:
-            edges.add(src, dst, EdgeReason.FLUSH_FENCE)
+            add((src, dst), EdgeReason.FLUSH_FENCE)
         for dst in seqs[after_msync:after_fence]:
-            edges.add(src, dst, EdgeReason.MSYNC)
-    return edges.result()
+            add((src, dst), EdgeReason.MSYNC)
+    return edges
 
 
-def model_edges(trace: Trace, cfg: ModelConfig | None = None) -> set[HbEdge]:
+def model_edges(trace: Trace, cfg: ModelConfig | None = None) -> Edges:
     """Dispatch to the model matching the trace's mode."""
     if trace.meta.mode == POSIX_MODE:
         return posix_edges(trace, cfg)

@@ -647,6 +647,11 @@ def _exec_main(args: list[str]) -> int:
     return 0
 
 
+# The longest checker timeout in seconds that both oracle paths can wait:
+# ``subprocess`` polls for at most 2^31 - 1 milliseconds.
+MAX_ORACLE_TIMEOUT = (2**31 - 1) // 1000
+
+
 def run_oracle(
     image: FsImage | MemImage,
     checker: str | list[str],
@@ -659,7 +664,7 @@ def run_oracle(
 
     A checker of the form ``<this interpreter> <script> ...`` runs in a
     fork of this process (:func:`_fork_check`); any other command runs as
-    a new process."""
+    a new process.  ``timeout`` may be at most :data:`MAX_ORACLE_TIMEOUT`."""
     materialize(image, scratch)
     argv = shlex.split(checker) if isinstance(checker, str) else list(checker)
     argv.append(str(scratch))

@@ -3,15 +3,17 @@ and the independent oracles the tests compare the library against."""
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import random
 from typing import Iterator
 
-from crashcheck import Backtrace, Frame, HbEdge, Operation, Trace, build_graph
+from crashcheck import Backtrace, Frame, Operation, PersistenceGraph, Trace, build_graph
 from crashcheck.behavior import UpdateBehavior, make_behavior
 from crashcheck.errors import ExplosionLimit
-from crashcheck.models import EdgeReason
+from crashcheck.mmio_behaviors import EpochSubgraph, InstanceSubgraph, _split_epochs, persisted_at
+from crashcheck.models import EdgeReason, ModelConfig
 from crashcheck.simulate import CheckResult, CrashSchedule
 from crashcheck.trace import MMIO_MODE, POSIX_MODE, TraceMeta, payload_digest
 
@@ -67,6 +69,27 @@ def mmio_trace(ops: list[Operation], app: str = "test") -> Trace:
     return Trace(meta=TraceMeta(app_name=app, mode=MMIO_MODE), ops=ops)
 
 
+def edge_triples(edges) -> set[tuple[int, int, EdgeReason]]:
+    """The ``(src, dst, reason)`` triples of a graph, or of a model's
+    ``(src, dst) -> reason`` pairs: the one form tests compare
+    happens-before in."""
+    if isinstance(edges, PersistenceGraph):
+        edges = edges.edges()
+    return {(src, dst, reason) for (src, dst), reason in edges.items()}
+
+
+def split_epochs(
+    isg: InstanceSubgraph,
+    full_graph: PersistenceGraph,
+    trace: Trace,
+    cfg: ModelConfig | None = None,
+) -> list[EpochSubgraph]:
+    """Cut one instance's stores into epochs using the full trace's
+    flush/fence history.  Epochs are contiguous seq intervals restricted to
+    the instance and partition its subgraph."""
+    return _split_epochs(isg, full_graph, trace, persisted_at(trace, cfg))
+
+
 def ancestors(graph, seq: int) -> set[int]:
     """Every node with a happens-before path to ``seq`` in ``graph``."""
     out: set[int] = set()
@@ -98,7 +121,7 @@ def fig5_behaviors():
             op(5, "rename", {"path": "f2", "dst": "CUR"}, (("Fn1", 2), ("Fn3", 22))),
         ]
     )
-    edges_a = {HbEdge(1, 2, mo), HbEdge(3, 4, mo), HbEdge(4, 5, mo)}
+    edges_a = {(1, 2): mo, (3, 4): mo, (4, 5): mo}
     graph_a = build_graph(run_a, edges_a)
 
     run_b = posix_trace(
@@ -107,7 +130,7 @@ def fig5_behaviors():
             w(4, "f2", b"TWO", (("Fn1", 2), ("Fn3", 21))),
         ]
     )
-    graph_b = build_graph(run_b, {HbEdge(3, 4, mo)})
+    graph_b = build_graph(run_b, {(3, 4): mo})
 
     s3_1 = make_behavior("S3-1", "Fn3", 0, (3, 4, 5), graph_a)
     s3_2 = make_behavior("S3-2", "Fn3", 0, (3, 4), graph_b)
@@ -115,13 +138,15 @@ def fig5_behaviors():
     return s3_1, s3_2, s2
 
 
-def random_posix_trace(rng: random.Random, max_ops: int = 8) -> Trace:
+def random_posix_trace(rng: random.Random, max_ops: int = 8, threads: int = 1) -> Trace:
     """Random small POSIX trace mixing data, metadata and ordering ops.
 
     The total op count stays within ``max_ops`` (every op is a graph node,
     so this bounds brute-force enumeration); at most ``max_ops`` persisting
     ops appear.  Renames/unlinks only ever name a currently existing file,
-    mirroring what a real traced execution could produce.
+    mirroring what a real traced execution could produce.  With several
+    ``threads`` each op gets a random tid; one thread draws nothing more
+    from ``rng``, so existing seeds give the same traces.
     """
     paths = ["f1", "f2", "f3"]
     total = rng.randint(3, max_ops)
@@ -160,7 +185,13 @@ def random_posix_trace(rng: random.Random, max_ops: int = 8) -> Trace:
             ops.append(op(seq, "fsync", {"path": ".", "dir": True}, (("main", seq),)))
         else:
             ops.append(op(seq, "sync", {}, (("main", seq),)))
-    return posix_trace(ops)
+    return posix_trace(_spread_over_threads(rng, ops, threads))
+
+
+def _spread_over_threads(rng: random.Random, ops: list[Operation], threads: int) -> list[Operation]:
+    if threads == 1:
+        return ops
+    return [dataclasses.replace(o, tid=rng.randrange(threads)) for o in ops]
 
 
 def random_mmio_trace(rng: random.Random, max_ops: int = 8) -> Trace:
@@ -186,6 +217,55 @@ def random_mmio_trace(rng: random.Random, max_ops: int = 8) -> Trace:
     return mmio_trace(ops)
 
 
+def dbscan_1d_reference(points: list[int], eps: int, min_pts: int) -> tuple[list[list[int]], list[int]]:
+    """``behavior.dbscan_1d`` as first written: every neighbor list found by
+    scanning all points, the frontier a list popped from the front."""
+    pts = sorted(points)
+    neighbors = {p: [q for q in pts if abs(q - p) <= eps] for p in pts}
+    core = {p for p in pts if len(neighbors[p]) >= min_pts}
+    assigned: dict[int, int] = {}
+    clusters: list[list[int]] = []
+    for p in pts:
+        if p in assigned or p not in core:
+            continue
+        cluster_id = len(clusters)
+        clusters.append([])
+        frontier = [p]
+        assigned[p] = cluster_id
+        while frontier:
+            cur = frontier.pop(0)
+            clusters[cluster_id].append(cur)
+            if cur not in core:
+                continue
+            for q in neighbors[cur]:
+                if q not in assigned:
+                    assigned[q] = cluster_id
+                    frontier.append(q)
+    noise = [p for p in pts if p not in assigned]
+    return [sorted(c) for c in clusters], noise
+
+
+def straddling_mmio_trace(rng: random.Random, threads: int = 1) -> Trace:
+    """Random MMIO trace whose stores may cross a cache-line boundary,
+    spread over ``threads`` like :func:`random_posix_trace`."""
+    ops = []
+    for seq in range(1, rng.randint(3, 14) + 1):
+        roll = rng.random()
+        if roll < 0.5:
+            addr = rng.choice([0, 8, 56, 60, 64, 120, 124, 128])
+            data = bytes([rng.randint(1, 255)]) * rng.randint(1, 12)
+            ops.append(op(seq, "store", store_args(addr, data), (("main", seq),)))
+        elif roll < 0.7:
+            flush = {"addr": rng.choice([0, 60, 64, 128]), "length": rng.choice([1, 8, 64, 128])}
+            ops.append(op(seq, "flush", flush, (("main", seq),)))
+        elif roll < 0.88:
+            ops.append(op(seq, "fence", {}, (("main", seq),)))
+        else:
+            msync = {"addr": rng.choice([0, 64, 120]), "length": rng.choice([8, 64])}
+            ops.append(op(seq, "msync", msync, (("main", seq),)))
+    return mmio_trace(_spread_over_threads(rng, ops, threads))
+
+
 def output_digest(result: CheckResult) -> str:
     """The sha256 of a check's oracle output, as bug dedup keys hash it."""
     return hashlib.sha256(result.oracle_output.encode()).hexdigest()
@@ -207,7 +287,7 @@ def brute_force_schedules(
     context = tuple(op for op in trace.ops if op.seq < behavior.span[0])
     graph = behavior.subgraph
     nodes = sorted(graph.ops_by_seq)
-    edge_pairs = {(e.src_seq, e.dst_seq) for e in graph.edges}
+    edge_pairs = {(src, dst) for src, dst, _ in edge_triples(graph)}
     count = 0
     for size in range(len(nodes) + 1):
         for combo in itertools.combinations(nodes, size):

@@ -21,7 +21,6 @@ from crashcheck.mmio_behaviors import (
     EpochBoundary,
     build_instance_subgraphs,
     build_type_subgraphs,
-    split_epochs,
 )
 from crashcheck.models import EdgeReason, model_edges
 from crashcheck.simulate import (
@@ -36,11 +35,13 @@ from crashcheck.simulate import test_groups as run_group_tests
 from conftest import checker_cmd, load_workload
 from helpers import (
     brute_force_schedules,
+    edge_triples,
     fig5_behaviors,
     op,
     output_digest,
     random_mmio_trace,
     random_posix_trace,
+    split_epochs,
     write_args,
 )
 
@@ -150,7 +151,7 @@ FIG3_GOLDEN_EDGES = {
 def test_criterion_2_fig3_golden_trace(fig3_trace):
     with criterion(2, "fig3 edges and grouping", limit_s=1.0):
         edges = posix_edges(fig3_trace)
-        pairs = {(e.src_seq, e.dst_seq) for e in edges}
+        pairs = {(src, dst) for src, dst, _ in edge_triples(edges)}
         # the f1 write chain
         assert {(1, 2), (2, 3)} <= pairs
         # the write(f2) -> rename(f2) edge
@@ -158,7 +159,7 @@ def test_criterion_2_fig3_golden_trace(fig3_trace):
         # sync barriers: anchors into the fdatasync and the trailing sync
         assert {(4, 5), (5, 6), (1, 7), (2, 7), (3, 7), (4, 7), (6, 7)} <= pairs
         # exact structural match against the frozen golden set
-        assert {(e.src_seq, e.dst_seq, e.reason) for e in edges} == FIG3_GOLDEN_EDGES
+        assert edge_triples(edges) == FIG3_GOLDEN_EDGES
 
         behaviors, _ = pipeline(fig3_trace)
         shapes = {(b.owner_function, b.node_seqs) for b in behaviors}

@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
+from crashcheck import simulate
 from crashcheck.cli import main
-from crashcheck.simulate import replay, schedule_from_json
+from crashcheck.simulate import MAX_ORACLE_TIMEOUT, replay, schedule_from_json
 from crashcheck.trace import parse_trace
 
 from conftest import CHECKERS, WORKLOADS, load_workload
@@ -375,6 +376,44 @@ def test_bad_config_key_exits_2(tmp_path, capsys):
     missing = tmp_path / "no-such.cfg"
     assert run("analyze", "--config", missing, "--dsl", WORKLOADS / "two_writes.dsl") == 2
     assert "cannot read config file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["test", "exhaustive", "replay"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_timeout_beyond_what_the_oracle_can_wait_exits_2(tmp_path, capsys, command, source):
+    """``--timeout 1e7`` used to pass validation and then die in
+    ``subprocess``'s poll with ``OverflowError: timeout is too large``."""
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text("{}")
+    for raw in (str(MAX_ORACLE_TIMEOUT + 1), "1e7", "1e12"):
+        argv = [command, "--mode", "POSIX", "--dsl", WORKLOADS / "two_writes.dsl", "--checker", "true",
+                "--out", tmp_path / "out"]
+        if source == "flag":
+            argv += ["--timeout", raw]
+        else:
+            config = tmp_path / "cfg"
+            config.write_text(f"timeout = {raw}\n")
+            argv += ["--config", config]
+        if command == "replay":
+            argv += ["--schedule", schedule]
+        assert run(*argv) == 2, raw
+        err = capsys.readouterr().err
+        assert f"timeout must be a positive float of at most {MAX_ORACLE_TIMEOUT}," in err, err
+
+
+@pytest.mark.parametrize(
+    "checker, path",
+    [(checker_arg("always_ok.py"), "fork"), ("true", "subprocess")],
+    ids=["fork", "subprocess"],
+)
+def test_largest_timeout_still_runs_a_checker(tmp_path, checker, path):
+    assert simulate._forkable([*shlex.split(checker), str(tmp_path)]) == (path == "fork")
+    out = tmp_path / "out"
+    code = run("test", "--mode", "POSIX", "--dsl", WORKLOADS / "two_writes.dsl", "--checker", checker,
+               "--timeout", MAX_ORACLE_TIMEOUT, "--out", out)
+    assert code == 0
+    stats = json.loads((out / "stats.json").read_text())
+    assert stats["distinct_states"] == 4 and stats["oracle_errors"] == 0
 
 
 @pytest.mark.parametrize(

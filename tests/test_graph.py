@@ -4,7 +4,6 @@ import pytest
 
 from crashcheck import (
     GraphBuildError,
-    HbEdge,
     NodeNotFound,
     StaticKey,
     build_graph,
@@ -16,7 +15,15 @@ from crashcheck import (
 from crashcheck.models import EdgeReason
 from crashcheck.trace import Trace, TraceMeta
 
-from helpers import op, posix_trace, random_mmio_trace, random_posix_trace, write_args
+from helpers import (
+    edge_triples,
+    op,
+    posix_trace,
+    random_mmio_trace,
+    random_posix_trace,
+    straddling_mmio_trace,
+    write_args,
+)
 
 MO = EdgeReason.METADATA_ORDER
 
@@ -48,7 +55,7 @@ def chain_graph():
             op(3, "create", {"path": "c"}, (("main", 3),)),
         ]
     )
-    edges = {HbEdge(1, 2, MO), HbEdge(2, 3, MO)}
+    edges = {(1, 2): MO, (2, 3): MO}
     return build_graph(trace, edges)
 
 
@@ -56,25 +63,25 @@ def test_fig3_graph_has_seven_nodes_and_frozen_edges(fig3_trace):
     edges = posix_edges(fig3_trace)
     graph = build_graph(fig3_trace, edges)
     assert len(graph) == 7
-    assert {(e.src_seq, e.dst_seq, e.reason) for e in graph.edges} == FIG3_EDGES
+    assert edge_triples(graph) == FIG3_EDGES
 
 
 def test_empty_trace_builds_empty_graph():
     trace = Trace(meta=TraceMeta(app_name="", mode="POSIX"))
-    graph = build_graph(trace, set())
+    graph = build_graph(trace, {})
     assert len(graph) == 0
-    assert graph.edges == frozenset()
+    assert edge_triples(graph) == set()
 
 
 def test_foreign_edge_is_rejected(fig3_trace):
-    edges = {HbEdge(9, 2, MO)}
+    edges = {(9, 2): MO}
     with pytest.raises(GraphBuildError):
         build_graph(fig3_trace, edges)
 
 
 def test_backward_edge_is_rejected(fig3_trace):
     with pytest.raises(GraphBuildError):
-        build_graph(fig3_trace, {HbEdge(3, 2, MO)})
+        build_graph(fig3_trace, {(3, 2): MO})
 
 
 def test_open_close_are_not_nodes():
@@ -85,18 +92,18 @@ def test_open_close_are_not_nodes():
             op(3, "close", {"path": "f"}, (("main", 3),)),
         ]
     )
-    graph = build_graph(trace, set())
+    graph = build_graph(trace, {})
     assert graph.node_seqs == (2,)
 
 
 def test_induced_edges_full_set_is_identity():
     graph = chain_graph()
-    assert graph.induced({1, 2, 3}).edges == graph.edges
+    assert edge_triples(graph.induced({1, 2, 3})) == edge_triples(graph)
 
 
 def test_induced_edges_skip_nonadjacent_pairs():
     graph = chain_graph()
-    assert graph.induced({1, 3}).edges == frozenset()
+    assert edge_triples(graph.induced({1, 3})) == set()
 
 
 def test_induced_edges_reject_foreign_nodes():
@@ -111,7 +118,7 @@ def test_induced_edges_monotone_under_union():
     for _ in range(10):
         a = {s for s in graph.node_seqs if rng.random() < 0.5}
         b = a | {s for s in graph.node_seqs if rng.random() < 0.5}
-        assert graph.induced(a).edges <= graph.induced(b).edges
+        assert edge_triples(graph.induced(a)) <= edge_triples(graph.induced(b))
 
 
 def test_pointer_switch_subset_keeps_only_write_dependency():
@@ -124,41 +131,74 @@ def test_pointer_switch_subset_keeps_only_write_dependency():
             op(3, "rename", {"path": "f2", "dst": "CUR"}, (("Fn3", 12),)),
         ]
     )
-    edges = {HbEdge(1, 2, MO), HbEdge(2, 3, MO)}
+    edges = {(1, 2): MO, (2, 3): MO}
     graph = build_graph(trace, edges)
-    assert graph.induced({1, 2}).edges == {HbEdge(1, 2, MO)}
+    assert edge_triples(graph.induced({1, 2})) == {(1, 2, MO)}
 
 
-@pytest.mark.parametrize("make", [random_posix_trace, random_mmio_trace])
+def reference_dot(trace, edges, nodes) -> str:
+    """DOT text for the subgraph on ``nodes``, from the trace and the
+    model's full pair dict alone."""
+    ops = {o.seq: o for o in trace.ops}
+    lines = ["digraph pg {"]
+    for seq in sorted(nodes):
+        frame = ops[seq].backtrace.innermost
+        lines.append(f'  n{seq} [label="{ops[seq].kind}@{frame.file}:{frame.line}"];')
+    for (src, dst), reason in sorted(edges.items()):
+        if src in nodes and dst in nodes:
+            lines.append(f'  n{src} -> n{dst} [label="{reason.value}"];')
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        random_posix_trace,
+        random_mmio_trace,
+        pytest.param(
+            lambda rng, max_ops: random_posix_trace(rng, 2 * max_ops, threads=rng.randint(2, 3)),
+            id="posix_threads",
+        ),
+        pytest.param(
+            lambda rng, max_ops: straddling_mmio_trace(rng, threads=rng.randint(2, 3)),
+            id="mmio_straddling",
+        ),
+    ],
+)
 def test_induced_views_match_filtering_the_full_edge_set(make):
+    """Predecessor bitsets against the naive reading of happens-before: a
+    view's edges are the model's pairs with both ends in the view."""
     rng = random.Random(23)
     for _ in range(30):
         trace = make(rng, max_ops=12)
         edges = model_edges(trace)
-        graph = build_graph(trace, edges)
-        assert graph.edges == edges
+        graph = build_graph(trace, dict(edges))
+        assert edge_triples(graph) == edge_triples(edges)
         for _ in range(5):
             s = {n for n in graph.node_seqs if rng.random() < 0.6}
             t = {n for n in s if rng.random() < 0.6}
             view = graph.induced(s)
-            want = {e for e in graph.edges if e.src_seq in s and e.dst_seq in s}
-            assert view.edges == want
+            want = {e for e in edge_triples(edges) if e[0] in s and e[1] in s}
+            assert edge_triples(view) == want
+            assert list(view.edges()) == sorted((src, dst) for src, dst, _ in want)
+            assert view.edge_count == len(want)
             for n in s:
-                assert view.predecessors(n) == {e.src_seq for e in want if e.dst_seq == n}
+                assert view.predecessors(n) == {src for src, dst, _ in want if dst == n}
+            assert export_dot(view) == reference_dot(trace, edges, s)
             # Re-inducing a view (as temporal clustering does) equals
             # inducing the full graph directly.
-            assert view.induced(t).edges == graph.induced(t).edges
+            assert edge_triples(view.induced(t)) == edge_triples(graph.induced(t))
 
 
 def test_export_dot_empty_graph():
     trace = Trace(meta=TraceMeta(app_name="", mode="POSIX"))
-    dot = export_dot(build_graph(trace, set()))
+    dot = export_dot(build_graph(trace, {}))
     assert dot == "digraph pg {\n}\n"
 
 
 def test_export_dot_single_node():
     trace = posix_trace([op(1, "create", {"path": "f"}, (("main", 4),))])
-    dot = export_dot(build_graph(trace, set()))
+    dot = export_dot(build_graph(trace, {}))
     assert dot.count(" -> ") == 0
     assert 'n1 [label="create@app.c:4"];' in dot
 
@@ -167,8 +207,8 @@ def test_export_dot_fig3_counts(fig3_trace):
     edges = posix_edges(fig3_trace)
     graph = build_graph(fig3_trace, edges)
     dot = export_dot(graph)
-    assert dot.count("[label=") == len(graph) + len(graph.edges)
-    assert dot.count(" -> ") == len(graph.edges)
+    assert dot.count("[label=") == len(graph) + len(edge_triples(graph))
+    assert dot.count(" -> ") == len(edge_triples(graph))
     assert export_dot(graph) == dot  # deterministic
 
 

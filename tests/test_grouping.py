@@ -1,9 +1,9 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from crashcheck import (
-    HbEdge,
     build_graph,
     edge_equiv,
     equivalence_image,
@@ -14,9 +14,10 @@ from crashcheck import (
     subset_equiv_nodes,
 )
 from crashcheck.behavior import make_behavior
+from crashcheck.cli import RunConfig, derive_behaviors
 from crashcheck.models import EdgeReason
 
-from helpers import fig5_behaviors, op, posix_trace, write_args
+from helpers import bt, edge_triples, fig5_behaviors, op, posix_trace, random_posix_trace, write_args
 
 MO = EdgeReason.METADATA_ORDER
 
@@ -153,18 +154,18 @@ def test_mutual_represents_at_equal_size_means_same_labeled_structure():
     )
     twin = make_behavior(
         "twin", "Fn3", 0, (3, 4, 5),
-        build_graph(t, {HbEdge(3, 4, MO), HbEdge(4, 5, MO)}),
+        build_graph(t, {(3, 4): MO, (4, 5): MO}),
     )
     assert represents(s3_1, twin) and represents(twin, s3_1)
     assert s3_1.size == twin.size
 
     def keyset(b):
-        return {str(b.subgraph.static_key(s)) for s in b.node_seqs}
+        return {str(b.subgraph.static_keys[s]) for s in b.node_seqs}
 
     def edge_keys(b):
         return {
-            (str(b.subgraph.static_key(e.src_seq)), str(b.subgraph.static_key(e.dst_seq)))
-            for e in b.subgraph.edges
+            (str(b.subgraph.static_keys[src]), str(b.subgraph.static_keys[dst]))
+            for src, dst, _ in edge_triples(b.subgraph)
         }
 
     assert keyset(s3_1) == keyset(twin)
@@ -176,11 +177,11 @@ def test_innermost_key_mode_conflates_call_paths_end_to_end():
     # full keys, equivalent under innermost keys
     t1 = posix_trace([w(1, "a", b"1", (("caller_a", 3), ("leaf", 9)))])
     t2 = posix_trace([w(1, "a", b"2", (("caller_b", 7), ("leaf", 9)))])
-    full_1 = make_behavior("p", "leaf", 0, (1,), build_graph(t1, set(), key_mode="full"))
-    full_2 = make_behavior("q", "leaf", 0, (1,), build_graph(t2, set(), key_mode="full"))
+    full_1 = make_behavior("p", "leaf", 0, (1,), build_graph(t1, {}, key_mode="full"))
+    full_2 = make_behavior("q", "leaf", 0, (1,), build_graph(t2, {}, key_mode="full"))
     assert not represents(full_1, full_2)
-    inner_1 = make_behavior("p", "leaf", 0, (1,), build_graph(t1, set(), key_mode="innermost"))
-    inner_2 = make_behavior("q", "leaf", 0, (1,), build_graph(t2, set(), key_mode="innermost"))
+    inner_1 = make_behavior("p", "leaf", 0, (1,), build_graph(t1, {}, key_mode="innermost"))
+    inner_2 = make_behavior("q", "leaf", 0, (1,), build_graph(t2, {}, key_mode="innermost"))
     assert represents(inner_1, inner_2) and represents(inner_2, inner_1)
 
 
@@ -189,15 +190,39 @@ def test_extra_member_dependencies_are_allowed():
     trace_loose = posix_trace(
         [w(1, "a", b"1", (("m", 1),)), w(2, "b", b"2", (("m", 2),))]
     )
-    loose = make_behavior("loose", "m", 0, (1, 2), build_graph(trace_loose, set()))
+    loose = make_behavior("loose", "m", 0, (1, 2), build_graph(trace_loose, {}))
     trace_tight = posix_trace(
         [w(1, "a", b"3", (("m", 1),)), w(2, "b", b"4", (("m", 2),))]
     )
     tight = make_behavior(
-        "tight", "m", 0, (1, 2), build_graph(trace_tight, {HbEdge(1, 2, MO)})
+        "tight", "m", 0, (1, 2), build_graph(trace_tight, {(1, 2): MO})
     )
     assert represents(loose, tight)
     assert not represents(tight, loose)
+
+
+def test_represents_matches_its_definition_on_random_behaviors():
+    """``represents`` reads cached key sets; the definition recomputes
+    them from the ops.  Call sites repeat, so many pairs share keys."""
+    rng = random.Random(73)
+    outcomes = {True: 0, False: 0}
+    for _ in range(40):
+        ops = random_posix_trace(rng, max_ops=14, threads=rng.randint(1, 3)).ops
+        trace = posix_trace(
+            [replace(o, backtrace=bt(("main", 1), (rng.choice(["put", "sync"]), rng.randint(1, 3)))) for o in ops]
+        )
+        _, behaviors = derive_behaviors(trace, RunConfig())
+        for u1 in behaviors:
+            n1 = [u1.subgraph.op(seq) for seq in u1.node_seqs]
+            for u2 in behaviors:
+                n2 = [u2.subgraph.op(seq) for seq in u2.node_seqs]
+                image = {o.seq for o in equivalence_image(n1, n2)}
+                image_edges = [(u1.subgraph.op(s), u1.subgraph.op(d)) for s, d in u1.subgraph.edges() if {s, d} <= image]
+                member_edges = [(u2.subgraph.op(s), u2.subgraph.op(d)) for s, d in u2.subgraph.edges()]
+                want = subset_equiv_nodes(n2, n1) and subset_equiv_edges(image_edges, member_edges)
+                assert represents(u1, u2) == want
+                outcomes[want] += 1
+    assert min(outcomes.values()) > 100
 
 
 # --- grouping ---
@@ -221,8 +246,8 @@ def test_empty_input_gives_no_groups():
 def test_identical_twins_share_one_group_either_order():
     t1 = posix_trace([w(1, "a", b"1", (("m", 1),)), w(2, "b", b"2", (("m", 2),))])
     t2 = posix_trace([w(1, "a", b"9", (("m", 1),)), w(2, "b", b"8", (("m", 2),))])
-    b1 = make_behavior("B", "m", 0, (1, 2), build_graph(t1, set()))
-    b2 = make_behavior("B'", "m", 0, (1, 2), build_graph(t2, set()))
+    b1 = make_behavior("B", "m", 0, (1, 2), build_graph(t1, {}))
+    b2 = make_behavior("B'", "m", 0, (1, 2), build_graph(t2, {}))
     assert represents(b1, b2) and represents(b2, b1)
     for ordering in ([b1, b2], [b2, b1]):
         groups = group_behaviors(ordering)
@@ -239,7 +264,7 @@ def test_behavior_may_join_multiple_groups():
             w(3, "c", b"3", (("m", 3),)),
         ]
     )
-    g_tall = build_graph(tall, set())
+    g_tall = build_graph(tall, {})
     rep1 = make_behavior("r1", "m", 0, (1, 2, 3), g_tall)
     other = posix_trace(
         [
@@ -248,9 +273,9 @@ def test_behavior_may_join_multiple_groups():
             w(4, "d", b"4", (("m", 4),)),
         ]
     )
-    rep2 = make_behavior("r2", "m", 0, (1, 2, 4), build_graph(other, set()))
+    rep2 = make_behavior("r2", "m", 0, (1, 2, 4), build_graph(other, {}))
     small_trace = posix_trace([w(1, "a", b"9", (("m", 1),)), w(2, "b", b"8", (("m", 2),))])
-    small = make_behavior("small", "m", 0, (1, 2), build_graph(small_trace, set()))
+    small = make_behavior("small", "m", 0, (1, 2), build_graph(small_trace, {}))
     groups = group_behaviors([rep1, rep2, small])
     member_of = [g.representative for g in groups if "small" in g.members]
     assert sorted(member_of) == ["r1", "r2"]
@@ -271,7 +296,7 @@ def test_every_behavior_lands_in_a_group_and_invariants_hold():
 
 def test_duplicate_ids_are_rejected():
     t = posix_trace([w(1, "a", b"1", (("m", 1),))])
-    g = build_graph(t, set())
+    g = build_graph(t, {})
     b1 = make_behavior("x", "m", 0, (1,), g)
     b2 = make_behavior("x", "m", 0, (1,), g)
     with pytest.raises(ValueError):

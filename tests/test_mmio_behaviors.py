@@ -7,9 +7,8 @@ from crashcheck.mmio_behaviors import (
     build_type_subgraphs,
     derive_mmio_behaviors,
     effective_annotation,
-    split_epochs,
 )
-from helpers import mmio_trace, op, posix_trace, store_args, write_args
+from helpers import edge_triples, mmio_trace, op, posix_trace, split_epochs, store_args, write_args
 from crashcheck.trace import Annotation
 
 
@@ -50,7 +49,7 @@ def test_single_type_projects_store_nodes():
     assert len(tsgs) == 1
     assert tsgs[0].subgraph.node_seqs == (1, 4)
     # the flush/fence edge among the stores survives the projection
-    assert {(e.src_seq, e.dst_seq) for e in tsgs[0].subgraph.edges} == {(1, 4)}
+    assert {(src, dst) for src, dst, _ in edge_triples(tsgs[0].subgraph)} == {(1, 4)}
 
 
 def test_unannotated_store_falls_into_address_pseudo_type():
@@ -90,7 +89,7 @@ def test_composite_type_combined_subgraph():
 
 def test_posix_trace_is_rejected():
     trace = posix_trace([op(1, "write", write_args("f", b"x"), (("m", 1),))])
-    graph = build_graph(trace, set())
+    graph = build_graph(trace, {})
     with pytest.raises(ModeMismatch):
         build_type_subgraphs(graph, trace)
 

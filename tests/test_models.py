@@ -7,18 +7,24 @@ from crashcheck.mmio_behaviors import persisted_at
 from crashcheck.models import EdgeReason, blocks_of, lines_of
 
 from helpers import (
+    edge_triples,
     mmio_trace,
     op,
     posix_trace,
     random_mmio_trace,
     random_posix_trace,
     store_args,
+    straddling_mmio_trace,
     write_args,
 )
 
 
 def pairs(edges):
-    return {(e.src_seq, e.dst_seq) for e in edges}
+    return {(src, dst) for src, dst, _ in edge_triples(edges)}
+
+
+def reasons(edges):
+    return {reason for _, _, reason in edge_triples(edges)}
 
 
 def test_same_block_writes_are_ordered():
@@ -41,7 +47,7 @@ def test_different_blocks_same_file_unordered_by_default():
     edges = posix_edges(trace)
     # Both writes extend the file, so only the size-metadata edge remains.
     assert pairs(edges) == {(1, 2)}
-    assert {e.reason for e in edges} == {EdgeReason.METADATA_ORDER}
+    assert reasons(edges) == {EdgeReason.METADATA_ORDER}
     overwrite = posix_trace(
         [
             op(1, "write", write_args("f", b"aa", 8192), (("main", 1),)),
@@ -113,7 +119,7 @@ def test_source_covered_by_several_barriers():
         ]
     )
     sb = EdgeReason.SYNC_BARRIER
-    assert {(e.src_seq, e.dst_seq, e.reason) for e in posix_edges(trace)} == {
+    assert edge_triples(posix_edges(trace)) == {
         # the write points at each barrier covering it ...
         (1, 2, sb), (1, 3, sb), (1, 5, sb),
         # ... and precedes the persisting ops after the first of them
@@ -131,7 +137,7 @@ def test_two_writes_to_different_files_have_no_edges():
             op(2, "write", write_args("f2", b"b"), (("main", 2),)),
         ]
     )
-    assert posix_edges(trace) == set()
+    assert edge_triples(posix_edges(trace)) == set()
 
 
 def test_fdatasync_scopes_to_its_own_file():
@@ -235,7 +241,7 @@ def test_open_close_contribute_no_edges():
             op(3, "close", {"path": "f"}, (("main", 3),)),
         ]
     )
-    assert posix_edges(trace) == set()
+    assert edge_triples(posix_edges(trace)) == set()
 
 
 def test_posix_rejects_mmio_trace_and_vice_versa():
@@ -261,7 +267,7 @@ def test_flush_fence_orders_across():
     )
     edges = mmio_edges(trace)
     assert pairs(edges) == {(1, 4)}
-    assert {e.reason for e in edges} == {EdgeReason.FLUSH_FENCE}
+    assert reasons(edges) == {EdgeReason.FLUSH_FENCE}
 
 
 def test_unflushed_stores_are_unordered():
@@ -272,7 +278,7 @@ def test_unflushed_stores_are_unordered():
             op(3, "store", store_args(128, b"\x01"), (("main", 3),)),
         ]
     )
-    assert mmio_edges(trace) == set()
+    assert edge_triples(mmio_edges(trace)) == set()
 
 
 def test_same_cache_line_stores_are_ordered():
@@ -284,7 +290,7 @@ def test_same_cache_line_stores_are_ordered():
     )
     edges = mmio_edges(trace)
     assert pairs(edges) == {(1, 2)}
-    assert {e.reason for e in edges} == {EdgeReason.SAME_CACHE_LINE}
+    assert reasons(edges) == {EdgeReason.SAME_CACHE_LINE}
     assert lines_of(8, 3, 64) == frozenset({0})
 
 
@@ -296,7 +302,7 @@ def test_fence_alone_orders_nothing():
             op(3, "store", store_args(64, b"b"), (("main", 3),)),
         ]
     )
-    assert mmio_edges(trace) == set()
+    assert edge_triples(mmio_edges(trace)) == set()
 
 
 def test_flush_without_fence_orders_nothing():
@@ -307,7 +313,7 @@ def test_flush_without_fence_orders_nothing():
             op(3, "store", store_args(64, b"b"), (("main", 3),)),
         ]
     )
-    assert mmio_edges(trace) == set()
+    assert edge_triples(mmio_edges(trace)) == set()
 
 
 def test_msync_acts_as_flush_fence():
@@ -320,7 +326,7 @@ def test_msync_acts_as_flush_fence():
     )
     edges = mmio_edges(trace)
     assert pairs(edges) == {(1, 3)}
-    assert {e.reason for e in edges} == {EdgeReason.MSYNC}
+    assert reasons(edges) == {EdgeReason.MSYNC}
 
 
 def test_store_persisted_before_helper():
@@ -336,26 +342,6 @@ def test_store_persisted_before_helper():
     assert persisted[1] < 4
     assert not persisted[1] < 2
     assert not persisted[4] < 5
-
-
-def straddling_mmio_trace(rng):
-    """Random MMIO trace whose stores may cross a cache-line boundary."""
-    ops = []
-    for seq in range(1, rng.randint(3, 14) + 1):
-        roll = rng.random()
-        if roll < 0.5:
-            addr = rng.choice([0, 8, 56, 60, 64, 120, 124, 128])
-            data = bytes([rng.randint(1, 255)]) * rng.randint(1, 12)
-            ops.append(op(seq, "store", store_args(addr, data), (("main", seq),)))
-        elif roll < 0.7:
-            flush = {"addr": rng.choice([0, 60, 64, 128]), "length": rng.choice([1, 8, 64, 128])}
-            ops.append(op(seq, "flush", flush, (("main", seq),)))
-        elif roll < 0.88:
-            ops.append(op(seq, "fence", {}, (("main", seq),)))
-        else:
-            msync = {"addr": rng.choice([0, 64, 120]), "length": rng.choice([8, 64])}
-            ops.append(op(seq, "msync", msync, (("main", seq),)))
-    return mmio_trace(ops)
 
 
 def test_mmio_durability_matches_its_definition_with_straddling_stores():
@@ -394,7 +380,7 @@ def test_mmio_durability_matches_its_definition_with_straddling_stores():
                     expected.add((a.seq, b.seq, EdgeReason.FLUSH_FENCE))
                 elif ordered_by("msync", a, b):
                     expected.add((a.seq, b.seq, EdgeReason.MSYNC))
-        assert {(e.src_seq, e.dst_seq, e.reason) for e in mmio_edges(trace)} == expected
+        assert edge_triples(mmio_edges(trace)) == expected
 
         persisted = persisted_at(trace)
         assert persisted.keys() == {s.seq for s in stores}
@@ -420,8 +406,8 @@ def test_straddling_store_is_ordered_by_one_line_but_persisted_by_all():
         ]
     )
     edges = mmio_edges(trace)
-    assert {(e.src_seq, e.dst_seq) for e in edges} == {(1, 4), (1, 7)}
-    assert {e.reason for e in edges} == {EdgeReason.FLUSH_FENCE}
+    assert pairs(edges) == {(1, 4), (1, 7)}
+    assert reasons(edges) == {EdgeReason.FLUSH_FENCE}
     persisted = persisted_at(trace)
     assert not persisted[1] < 4
     assert persisted[1] < 7
@@ -437,8 +423,8 @@ def test_all_edges_run_forward():
             (random_posix_trace(rng), posix_edges),
             (random_mmio_trace(rng), mmio_edges),
         ):
-            for e in fn(trace):
-                assert e.src_seq < e.dst_seq
+            for src, dst, _ in edge_triples(fn(trace)):
+                assert src < dst
 
 
 def _renumber(trace_ops, insert_at):
@@ -471,8 +457,8 @@ def test_monotonicity_inserting_ordering_op_never_removes_edges():
         new_ops.sort(key=lambda o: o.seq)
         after = posix_edges(posix_trace(new_ops))
         after_pairs = pairs(after)
-        for e in before:
-            assert (mapping[e.src_seq], mapping[e.dst_seq]) in after_pairs
+        for src, dst, _ in edge_triples(before):
+            assert (mapping[src], mapping[dst]) in after_pairs
 
 
 def test_model_rules_fire_across_threads():

@@ -1,0 +1,111 @@
+"""A guard on the analysis outputs: ``analyze`` on every shipped program
+must write ``groups.json`` and DOT files whose sha256 digests equal the
+pinned ones, so a refactor of happens-before, grouping or DOT rendering
+cannot change them silently.  Every pinned file is independent of the input
+and output paths.  Re-pin only in a change that means to alter these
+outputs, and say why in CHANGES.md."""
+
+import hashlib
+
+import pytest
+
+from crashcheck.cli import main
+
+from conftest import WORKLOADS
+
+# program -> (mode, {output file: sha256})
+PINNED = {
+    "current_update_buggy": (
+        "POSIX",
+        {
+            "groups.json": "6bd32701fcba1ad30f95759022c1108fc232b07c04305115b61ea275a8f95541",
+            "dot/b000_t0_Setup_0.dot": "0f72d6aaaa643189d6dccac480ae134887fe1d4448bca03fbed494bdb65a6900",
+            "dot/b001_t0_UpdateManifest_1.dot": "75bc16a1f23fdf2fdeac0e1edead9671d63879307f63c58696a35e744cb63268",
+            "dot/b002_t0_UpdateManifest_m0.dot": "2a79c2cc4129696f0c35c03c31e70a53b4b0964319b9313cb52031477a30713c",
+            "dot/b003_t0_UpdateManifest_SetCurrentFile_3.dot": "4b5993ad90de8064b3a30fa4651af6ae3846e09fa2a9888c15c492ae23fa513f",
+            "dot/b004_t0_UpdateManifest_2.dot": "f9358a409bd8db2ac52ade74edd6a13e19f9be9eb0132721f78d55047df551e3",
+            "dot/full.dot": "a65b934d14a6da6e6194d27be2ac2ffc9f7bcb06f79c8042e943a9da34fcf85e",
+        },
+    ),
+    "current_update_fixed": (
+        "POSIX",
+        {
+            "groups.json": "781ede587f6016efaff199c250e4ea2519c8b344343f7bc9b226f27f67c91014",
+            "dot/b000_t0_Setup_0.dot": "7bbd09a4ff86422064d0f2c5bacff3b272dc45589eeb6f5012dd76691f475209",
+            "dot/b001_t0_UpdateManifest_1.dot": "57816f120c30e3b3c4e6a2131d114b7ee3590f066e964a544667e5c826a1fde0",
+            "dot/b002_t0_UpdateManifest_m0.dot": "c2e02aa9b0cd309a14c7558c8a79c1aa922857fd3084053bb964e0fb51ceb0a5",
+            "dot/b003_t0_UpdateManifest_SetCurrentFile_3.dot": "e36c6fd21d55eb6bfd328f20fba094ed86b936d2e3ee087ae845d2b310805143",
+            "dot/b004_t0_UpdateManifest_2.dot": "bd7b2a652586aeebf31f34f9483518a6c2e89f4d44b152948c5feebd17ba5e0e",
+            "dot/full.dot": "272a42ad734e6042de709f3d63495e166a4d6e59ff8f9c943a21eeba80040940",
+        },
+    ),
+    "entry_insert": (
+        "MMIO",
+        {
+            "groups.json": "90ca19c15f61bc7c4925fec4a5dbcfb8b10a4fd903406b228420ab092153438d",
+            "dot/b000_t0_entry_t.e0_e0.dot": "1566ba450c0395b0443f190c8ca6594146359a8dc781a4935567b55c7e9f7326",
+            "dot/full.dot": "347d79266726bbd9daa494a7ef3ab7c323e51d03381d09771c926f31f39da2c9",
+        },
+    ),
+    "entry_insert_ordered": (
+        "MMIO",
+        {
+            "groups.json": "bbd454a1ac49521e25f63fd789da59c5ed56699f7c2f8196312fafe871e3eb76",
+            "dot/b000_t0_entry_t.e0_e0.dot": "eeb672dfff60e2b115e5f5c6323d8f6eccc8b36d63c6f123875de2125ca044d6",
+            "dot/full.dot": "24bdc61fa3038952a867be8952d678d19cc508fd82a1bf7e8173ec19022cba70",
+        },
+    ),
+    "entry_insert_safe": (
+        "MMIO",
+        {
+            "groups.json": "7289b3f88742bfc68dd2eff21c62f13d97ecefa147a42dfcff5e79d41e392da8",
+            "dot/b000_t0_entry_t.e0_e0.dot": "5e3dfa9b02a6486d774ad6cb2cf9de658bbb9367befa0c94e0c455df551c5337",
+            "dot/full.dot": "ac254d56eae0942a99a7f23252ce36e965f984f1cce332b81d325544f814608c",
+        },
+    ),
+    "epochs": (
+        "MMIO",
+        {
+            "groups.json": "873e22d70340070b2a624e81884877ac3779993e869398ca515a71b9cf498046",
+            "dot/b000_t0_M.m0_e0.dot": "c9f0ded32a4b723c83c71df5a54fbeded7ce45b6f4b16ebcbacda0d0f043ad6a",
+            "dot/b001_t0_M.m0_e1.dot": "46be920eb3d9e55d6e1ddf9000364785a9ef043cf058d7247401037c2b398ce4",
+            "dot/b002_t0_N.n0_e0.dot": "41f3793aefa000f6c0ce637a862f4bc30170bfe769ac4f477e5203d656b0176b",
+            "dot/b003_t0_M.m0_e2.dot": "9e846029fe2bd2a5bfb61374238324fc01afeb758d330f65683ab99b864bee77",
+            "dot/full.dot": "a4ca934e988a3c8d584b4ff81f8b22704a0cca393bf42390aa6bec93555741c8",
+        },
+    ),
+    "fig3": (
+        "POSIX",
+        {
+            "groups.json": "7c36aa5bdba43167e6b06baa7082ac73726cd14769ea68d341ee2829efe00300",
+            "dot/b000_t0_Fn1_Fn2_0.dot": "35fdce4b2a6b3515e787c72378480e6949cd1aa5f5c70e4077678f77e7afbc41",
+            "dot/b001_t0_Fn1_m1.dot": "ad08894a3f94f4de038465f2cc04027d95ef3a82fd54bd32b6cc5ca33655b7f6",
+            "dot/b002_t0_Fn1_Fn3_Fn4_1.dot": "098c05174e88fd6132ae0a224d7d267d0c3b75bb5bc92306ac40e4f580ecaea8",
+            "dot/b003_t0_Fn1_Fn3_m0.dot": "6e6b6bf00f1a72ecb6e6906a25ce7cbc7df46ae733c11c991e95137e8346db30",
+            "dot/b004_t0_Fn1_Fn3_Fn5_2.dot": "d5479a17598de1d075c0990d4471d0146af9d3f2b275eed01712f796c72b2150",
+            "dot/full.dot": "ad08894a3f94f4de038465f2cc04027d95ef3a82fd54bd32b6cc5ca33655b7f6",
+        },
+    ),
+    "two_writes": (
+        "POSIX",
+        {
+            "groups.json": "b016b5fd608888fa39f0ba387effe5e8fbebe0fd15b499f09ea433414d054038",
+            "dot/b000_t0_main_0.dot": "b1c0e4018055b5ff8d39b8bcf8d9b91c6b094f5ecb5f6ced0f83b55c998f2ba5",
+            "dot/full.dot": "b1c0e4018055b5ff8d39b8bcf8d9b91c6b094f5ecb5f6ced0f83b55c998f2ba5",
+        },
+    ),
+}
+
+
+def test_every_shipped_program_is_pinned():
+    assert {path.stem for path in WORKLOADS.glob("*.dsl")} == PINNED.keys()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_analyze_outputs_match_the_pinned_digests(tmp_path, name):
+    mode, pinned = PINNED[name]
+    out = tmp_path / "out"
+    assert main(["analyze", "--mode", mode, "--dsl", str(WORKLOADS / f"{name}.dsl"), "--out", str(out)]) == 0
+    written = [out / "groups.json", *sorted((out / "dot").glob("*.dot"))]
+    got = {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest() for path in written}
+    assert got == pinned

@@ -16,7 +16,7 @@ from crashcheck.posix_behaviors import (
     prefix_path,
 )
 
-from helpers import bt, op, posix_trace, random_posix_trace, write_args
+from helpers import bt, dbscan_1d_reference, edge_triples, op, posix_trace, random_posix_trace, write_args
 
 
 def behavior_sets(behaviors):
@@ -291,6 +291,16 @@ def test_dbscan_single_dense_cluster():
     assert noise == []
 
 
+def test_dbscan_matches_the_scanning_definition_on_random_multisets():
+    rng = random.Random(41)
+    for _ in range(500):
+        points = [rng.randint(-30, 120) for _ in range(rng.randint(0, 40))]
+        points += rng.sample(points, min(len(points), rng.randint(0, 5)))  # repeats
+        rng.shuffle(points)
+        eps, min_pts = rng.randint(1, 15), rng.randint(1, 6)
+        assert dbscan_1d(points, eps, min_pts) == dbscan_1d_reference(points, eps, min_pts)
+
+
 def test_dbscan_min_pts_marks_noise():
     clusters, noise = dbscan_1d([1, 2, 50], eps=5, min_pts=2)
     assert clusters == [[1, 2]]
@@ -335,4 +345,4 @@ def test_cluster_pieces_keep_induced_edges():
     whole = make_behavior("whole", "main", 0, graph.node_seqs, graph)
     pieces = cluster_temporal(whole, eps=10, min_pts=1)
     first = next(p for p in pieces if p.node_seqs == (1, 2))
-    assert {e.pair for e in first.subgraph.edges} == {(1, 2)}
+    assert {(src, dst) for src, dst, _ in edge_triples(first.subgraph)} == {(1, 2)}
