@@ -10,12 +10,13 @@ two ops commute when they touch disjoint (file, block) pairs or disjoint
 cache lines and share no directory-entry or inode conflict, and only
 sequences with no adjacent commuting inversion are emitted (the
 lexicographically-least order within each commuting class survives).  The
-digest memo of :func:`explore`, the one enumerate → replay → digest → dedup
-→ check loop, catches any equivalent images that still slip through, so the
-distinct-image set always equals the unpruned set.  The unpruned
+content memo of :func:`explore`, the one enumerate → replay → dedup →
+digest → check loop, catches any equivalent images that still slip through,
+so the distinct-image set always equals the unpruned set.  The unpruned
 enumerator ``exhaustive_schedules`` backtracks over valid orders and backs
 the whole-trace baseline, which ``exhaustive`` runs through the same
-:func:`explore`.
+:func:`explore`.  Both enumerators are one generator with an explicit stack
+of branch points, so a schedule costs the same however long it is.
 
 Replay builds a crash image by applying the context and then the applied
 ops to an empty image.  Consecutive schedules from the backtracking
@@ -23,7 +24,10 @@ enumerators differ only in their last few ops, so :func:`explore` keeps a
 :class:`PrefixCache`: the image after the context, and one image per applied
 op of the last schedule.  Each schedule then replays only the ops past the
 longest prefix it shares with the previous one.  A bare ``replay(schedule)``
-runs the same code with a fresh cache.
+runs the same code with a fresh cache.  Images are copy-on-write: cached
+images share every file and directory an op did not touch, so a cached
+image must be treated as read-only.  :func:`explore` dedups on each image's
+``content_key`` and computes the sha256 digest once per distinct state.
 
 The oracle materializes each new state and runs ``<checker> <scratch>``.
 A checker of the form ``<this interpreter> <script>`` runs in a fork of
@@ -52,7 +56,7 @@ import types
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial
 from operator import is_not
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NoReturn
@@ -185,79 +189,110 @@ def ops_commute(a: Operation, b: Operation, cfg: ModelConfig) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _downward_closed_subsets(nodes: list[int], preds: dict[int, set[int]]) -> Iterator[set[int]]:
-    """All ancestor-closed subsets; nodes must be in ascending seq order."""
-
-    def rec(idx: int, chosen: set[int]) -> Iterator[set[int]]:
-        if idx == len(nodes):
-            yield set(chosen)
-            return
-        node = nodes[idx]
-        yield from rec(idx + 1, chosen)
-        if preds.get(node, set()) <= chosen:
-            chosen.add(node)
-            yield from rec(idx + 1, chosen)
-            chosen.remove(node)
-
-    yield from rec(0, set())
-
-
-def _linearizations(
-    subset: set[int],
-    preds: dict[int, set[int]],
-    ops_by_seq: dict[int, Operation],
-    cfg: ModelConfig | None,
-) -> Iterator[tuple[int, ...]]:
-    """Orders of ``subset`` respecting edges.  With a config, only orders
-    with no adjacent commuting inversion are produced."""
-
-    def rec(placed: list[int], placed_set: set[int], remaining: set[int]):
-        if not remaining:
-            yield tuple(placed)
-            return
-        for node in sorted(remaining):
-            # Downward closure puts every behavior-graph predecessor of a
-            # subset member inside the subset, so availability is just
-            # "all predecessors already placed".
-            if not preds.get(node, set()) <= placed_set:
-                continue
-            if cfg is not None and placed:
-                last = placed[-1]
-                if node < last and ops_commute(ops_by_seq[last], ops_by_seq[node], cfg):
-                    continue
-            placed.append(node)
-            placed_set.add(node)
-            remaining.remove(node)
-            yield from rec(placed, placed_set, remaining)
-            remaining.add(node)
-            placed_set.remove(node)
-            placed.pop()
-
-    yield from rec([], set(), set(subset))
-
-
 def _schedules(
     behavior: UpdateBehavior,
     trace: Trace,
     cfg: ModelConfig | None,
     budget: int,
 ) -> Iterator[CrashSchedule]:
+    """Every downward-closed subset of the behavior's nodes, and for each
+    every order that respects its edges.  With a config, only orders with
+    no adjacent commuting inversion are produced.
+
+    Subsets come in lexicographic order of their membership vectors over
+    ascending seqs, "absent" before "present", and the orders of a subset
+    in lexicographic order of their seqs.  Bit ``i`` of every bitset is the
+    ``i``-th node in seq order.  An explicit stack holds the branch points
+    of the order search; a node that is the only possible next one is
+    placed without a stack entry.
+    """
     context = tuple(op for op in trace.ops if op.seq < behavior.span[0])
     graph = behavior.subgraph
-    nodes = sorted(graph.ops_by_seq)
-    preds = {seq: graph.predecessors(seq) for seq in nodes}
+    seqs = sorted(graph.ops_by_seq)
+    ops = [graph.ops_by_seq[seq] for seq in seqs]
+    bit = {seq: 1 << i for i, seq in enumerate(seqs)}
+    preds = [sum(map(bit.__getitem__, graph.predecessors(seq))) for seq in seqs]
+    # Edges run forward, so a node's predecessors sit on lower bits.  succs
+    # keeps only the edges of the transitive reduction: the placed nodes are
+    # always downward closed, so a node becomes available when the last of
+    # its reduction predecessors is placed.
+    roots = 0
+    succs = [0] * len(seqs)
+    ancestors = [0] * len(seqs)
+    for i, pred_bits in enumerate(preds):
+        if not pred_bits:
+            roots |= 1 << i
+        rest = pred_bits
+        while rest:
+            # The highest remaining predecessor is no ancestor of another.
+            j = rest.bit_length() - 1
+            succs[j] |= 1 << i
+            ancestors[i] |= ancestors[j]
+            rest &= ~(ancestors[j] | 1 << j)
+        ancestors[i] |= pred_bits
+    # commutes[i] holds the nodes below i found to commute with it so far,
+    # tested[i] every node below i tested so far.
+    commutes = [0] * len(seqs)
+    tested = [0] * len(seqs)
+
+    def candidates(avail: int, last: int) -> int:
+        """The available nodes that may follow node ``last``."""
+        if cfg is None:
+            return avail
+        for j in _bits(avail & ((1 << last) - 1) & ~tested[last]):
+            tested[last] |= 1 << j
+            if ops_commute(ops[last], ops[j], cfg):
+                commutes[last] |= 1 << j
+        return avail & ~commutes[last]
+
     count = 0
-    for subset in _downward_closed_subsets(nodes, preds):
-        for order in _linearizations(subset, preds, graph.ops_by_seq, cfg):
-            count += 1
-            if count > budget:
-                raise ExplosionLimit(budget)
-            yield CrashSchedule(
-                behavior_id=behavior.id,
-                mode=trace.meta.mode,
-                context=context,
-                applied=tuple(graph.ops_by_seq[s] for s in order),
-            )
+    subset = 0
+    while True:
+        # The orders of ``subset``.  A stack entry is (ops placed, placed
+        # bitset, available bitset, untried candidates) at a branch point.
+        applied: list[Operation] = []
+        placed = 0
+        avail = cands = subset & roots
+        stack = []
+        while True:
+            if placed == subset:
+                count += 1
+                if count > budget:
+                    raise ExplosionLimit(budget)
+                yield CrashSchedule(behavior.id, trace.meta.mode, context, tuple(applied))
+            elif cands:
+                low = cands & -cands
+                if cands != low:
+                    stack.append((len(applied), placed, avail, cands ^ low))
+                node = low.bit_length() - 1
+                applied.append(ops[node])
+                placed |= low
+                avail ^= low
+                for j in _bits(succs[node] & subset):
+                    if not preds[j] & ~placed:
+                        avail |= 1 << j
+                cands = candidates(avail, node)
+                continue
+            if not stack:
+                break
+            depth, placed, avail, cands = stack.pop()
+            del applied[depth:]
+        # The next subset: the highest absent node that the nodes below it
+        # admit joins them, and every node above it leaves.
+        for i in range(len(seqs) - 1, -1, -1):
+            if not subset >> i & 1 and not preds[i] & ~subset:
+                subset = subset & ((1 << i) - 1) | 1 << i
+                break
+        else:
+            return
+
+
+def _bits(bitset: int) -> Iterator[int]:
+    """The positions of the set bits of ``bitset``, lowest first."""
+    while bitset:
+        low = bitset & -bitset
+        yield low.bit_length() - 1
+        bitset ^= low
 
 
 def enumerate_schedules(
@@ -295,77 +330,97 @@ def exhaustive_schedules(
 
 @dataclass
 class FsImage:
-    files: dict[str, bytearray] = field(default_factory=dict)
-    dirents: dict[str, set[str]] = field(default_factory=dict)
+    """File contents and directory entries.  Both are immutable values, so
+    :meth:`copy` shares them and an op replaces the ones it changes."""
+
+    files: dict[str, bytes] = field(default_factory=dict)
+    dirents: dict[str, frozenset[str]] = field(default_factory=dict)
 
     def digest(self) -> str:
         payload = {
-            "files": {p: bytes(b).hex() for p, b in sorted(self.files.items())},
+            "files": {p: b.hex() for p, b in sorted(self.files.items())},
             "dirents": {d: sorted(names) for d, names in sorted(self.dirents.items())},
         }
         return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
+    def content_key(self) -> tuple:
+        """Hashable; equal for two images exactly when their digests are."""
+        return frozenset(self.files.items()), frozenset(self.dirents.items())
+
     def copy(self) -> FsImage:
-        return FsImage(
-            {path: bytearray(data) for path, data in self.files.items()},
-            {path: set(names) for path, names in self.dirents.items()},
-        )
+        return FsImage(dict(self.files), dict(self.dirents))
 
 
 @dataclass
 class MemImage:
     cells: dict[int, int] = field(default_factory=dict)
 
-    def read(self, addr: int, length: int) -> bytes:
-        return bytes(self.cells.get(addr + i, 0) for i in range(length))
-
     def digest(self) -> str:
         payload = json.dumps(sorted(self.cells.items())).encode()
         return hashlib.sha256(payload).hexdigest()
+
+    def content_key(self) -> frozenset:
+        """Hashable; equal for two images exactly when their digests are."""
+        return frozenset(self.cells.items())
 
     def copy(self) -> MemImage:
         return MemImage(dict(self.cells))
 
 
+@lru_cache(maxsize=4096)
+def _entry_of(path: str) -> tuple[str, str]:
+    """The directory that lists ``path``, and the name it lists."""
+    return parent_dir(path), entry_name(path)
+
+
+def _add_entry(dirents: dict[str, frozenset[str]], path: str):
+    parent, name = _entry_of(path)
+    names = dirents.get(parent, frozenset())
+    if name not in names:
+        dirents[parent] = names | {name}
+
+
+def _remove_entry(dirents: dict[str, frozenset[str]], path: str):
+    parent, name = _entry_of(path)
+    if name in dirents.get(parent, ()):
+        dirents[parent] = dirents[parent] - {name}
+
+
 def _apply_posix_op(image: FsImage, op: Operation):
     kind = op.kind
+    files = image.files
     if kind in ("write", "pwrite"):
         path = op.args["path"]
-        buf = image.files.get(path)
+        buf = files.get(path)
         if buf is None:
-            buf = bytearray()
-            image.files[path] = buf
-            image.dirents.setdefault(parent_dir(path), set()).add(entry_name(path))
+            buf = b""
+            _add_entry(image.dirents, path)
         offset = op.args["offset"]
         payload = op.payload()
         if len(buf) < offset:
-            buf.extend(b"\x00" * (offset - len(buf)))
-        buf[offset:offset + len(payload)] = payload
+            buf += bytes(offset - len(buf))
+        files[path] = buf[:offset] + payload + buf[offset + len(payload):]
     elif kind == "create":
         path = op.args["path"]
-        image.files.setdefault(path, bytearray())
-        image.dirents.setdefault(parent_dir(path), set()).add(entry_name(path))
+        files.setdefault(path, b"")
+        _add_entry(image.dirents, path)
     elif kind == "mkdir":
         path = op.args["path"].rstrip("/")
-        image.dirents.setdefault(parent_dir(path), set()).add(entry_name(path))
-        image.dirents.setdefault(path, set())
+        _add_entry(image.dirents, path)
+        image.dirents.setdefault(path, frozenset())
     elif kind == "rename":
         src, dst = op.args["path"], op.args["dst"]
-        if src not in image.files:
+        if src not in files:
             raise ReplayError(f"rename of nonexistent source {src!r} (op {op.seq})")
-        image.files[dst] = image.files.pop(src)
-        src_dir = image.dirents.get(parent_dir(src))
-        if src_dir:
-            src_dir.discard(entry_name(src))
-        image.dirents.setdefault(parent_dir(dst), set()).add(entry_name(dst))
+        files[dst] = files.pop(src)
+        _remove_entry(image.dirents, src)
+        _add_entry(image.dirents, dst)
     elif kind == "unlink":
         path = op.args["path"]
-        if path not in image.files:
+        if path not in files:
             raise ReplayError(f"unlink of nonexistent file {path!r} (op {op.seq})")
-        del image.files[path]
-        entries = image.dirents.get(parent_dir(path))
-        if entries:
-            entries.discard(entry_name(path))
+        del files[path]
+        _remove_entry(image.dirents, path)
     # fsync/fdatasync/sync/open/close leave the image untouched.
 
 
@@ -387,8 +442,10 @@ class PrefixCache:
     ``base`` is the image after ``context``; ``images[i]`` is the image after
     ``ops[i]``, the i-th applied op of that schedule.  So the cache holds at
     most ``len(applied) + 1`` images.  Cached images are never changed once
-    built.  ``mode`` is kept beside ``context`` because every empty context
-    is the same tuple, whatever the storage kind.
+    built, and they share unchanged file and directory objects with each
+    other, so they must be treated as read-only.  ``mode`` is kept beside
+    ``context`` because every empty context is the same tuple, whatever the
+    storage kind.
     """
 
     mode: str | None = None
@@ -405,8 +462,9 @@ def replay(schedule: CrashSchedule, cache: PrefixCache | None = None) -> FsImage
     With a ``cache`` the work resumes from the longest prefix of applied ops
     (compared by identity) that the previous schedule shares, and the context
     is replayed only when it is not the cached tuple.  The returned image
-    belongs to the cache: read it (``digest``, ``materialize``), never
-    change it.
+    belongs to the cache and shares file and directory objects with the
+    other cached images: read it (``content_key``, ``digest``,
+    ``materialize``), never change it.
     """
     new_image, apply = _REPLAYERS[schedule.mode]
     if cache is None:
@@ -484,7 +542,7 @@ def materialize(image: FsImage | MemImage, scratch: Path):
     for dirpath in dirs:
         (scratch / dirpath).mkdir(parents=True, exist_ok=True)
     for path, data in image.files.items():
-        (scratch / posixpath.normpath(path)).write_bytes(bytes(data))
+        (scratch / posixpath.normpath(path)).write_bytes(data)
 
 
 def _decode(data: bytes) -> str:
@@ -746,26 +804,27 @@ def explore(
     """Replay every schedule of each behavior and yield each crash state not
     seen before as ``(behavior, schedule, digest, check(image) or None)``.
 
-    One digest memo and one :class:`PrefixCache` span all behaviors: a
-    repeated state only counts in ``stats.states_deduped``, and each schedule
-    is replayed from the longest prefix it shares with the one before.  A
-    behavior whose enumerator runs out of budget sets
-    ``stats.partial_coverage`` and the next behavior is explored.
+    One memo of image contents (``content_key``) and one
+    :class:`PrefixCache` span all behaviors: a repeated state only counts in
+    ``stats.states_deduped``, so the digest is computed once per distinct
+    state, and each schedule is replayed from the longest prefix it shares
+    with the one before.  A behavior whose enumerator runs out of budget
+    sets ``stats.partial_coverage`` and the next behavior is explored.
     """
-    seen: set[str] = set()
+    seen: set = set()
     cache = PrefixCache()
     for behavior in behaviors:
         try:
             for schedule in schedules_of(behavior):
                 stats.schedules_tested += 1
                 image = replay(schedule, cache)
-                digest = image.digest()
-                if digest in seen:
+                key = image.content_key()
+                if key in seen:
                     stats.states_deduped += 1
                     continue
-                seen.add(digest)
+                seen.add(key)
                 stats.distinct_states += 1
-                yield behavior, schedule, digest, check(image) if check else None
+                yield behavior, schedule, image.digest(), check(image) if check else None
         except ExplosionLimit:
             stats.partial_coverage = True
 

@@ -5,9 +5,11 @@
 import random
 import time
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 from crashcheck import (
+    ExplosionLimit,
     build_graph,
     group_behaviors,
     node_equiv,
@@ -24,9 +26,11 @@ from crashcheck.mmio_behaviors import (
 )
 from crashcheck.models import EdgeReason, model_edges
 from crashcheck.simulate import (
+    RunStats,
     Verdict,
     enumerate_schedules,
     exhaustive_schedules,
+    explore,
     replay,
     run_oracle,
 )
@@ -92,27 +96,27 @@ def representative_states(trace):
 
 def exhaustive_outcomes(trace, checker, scratch: Path, budget=2_000_000):
     """Schedule count, distinct states and bug keys of the unpruned
-    whole-trace baseline."""
+    whole-trace baseline, explored the way ``crashcheck exhaustive`` does.
+    Raises :class:`ExplosionLimit` when it does not complete within
+    ``budget`` schedules."""
     behavior, graph = whole_behavior(trace)
-    schedules = 0
+    stats = RunStats()
     digests = set()
     bug_keys = set()
     persisting = {s for s in graph.node_seqs if graph.ops_by_seq[s].is_persisting}
-    for schedule in exhaustive_schedules(behavior, trace, budget=budget):
-        schedules += 1
-        image = replay(schedule)
-        digest = image.digest()
-        if digest in digests:
-            continue
+    schedules_of = partial(exhaustive_schedules, trace=trace, budget=budget)
+    check = partial(run_oracle, checker=checker, scratch=scratch)
+    for _, schedule, digest, result in explore([behavior], schedules_of, stats, check):
         digests.add(digest)
-        result = run_oracle(image, checker, scratch)
         if result.verdict is Verdict.INCONSISTENT:
             applied = set(schedule.applied_seqs)
             omitted = sorted(
                 str(StaticKey.of(graph.ops_by_seq[s])) for s in persisting - applied
             )
             bug_keys.add((tuple(omitted), output_digest(result)))
-    return schedules, digests, bug_keys
+    if stats.partial_coverage:
+        raise ExplosionLimit(budget)
+    return stats.schedules_tested, digests, bug_keys
 
 
 def rep_outcomes(trace, checker, scratch: Path):

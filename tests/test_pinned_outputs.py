@@ -1,9 +1,12 @@
-"""A guard on the analysis outputs: ``analyze`` on every shipped program
-must write ``groups.json`` and DOT files whose sha256 digests equal the
-pinned ones, so a refactor of happens-before, grouping or DOT rendering
-cannot change them silently.  Every pinned file is independent of the input
-and output paths.  Re-pin only in a change that means to alter these
-outputs, and say why in CHANGES.md."""
+"""A guard on the outputs: ``analyze`` on every shipped program must write
+``groups.json`` and DOT files whose sha256 digests equal the pinned ones,
+and ``exhaustive`` without a checker a ``states.json`` whose digest equals
+the pinned one, so a refactor of happens-before, grouping, DOT rendering,
+schedule enumeration, replay or state dedup cannot change them silently.
+``states.json`` names each state by its image digest and records the first
+schedule that reaches it, so it pins the enumeration order too.  Every
+pinned file is independent of the input and output paths.  Re-pin only in
+a change that means to alter these outputs, and say why in CHANGES.md."""
 
 import hashlib
 
@@ -97,8 +100,22 @@ PINNED = {
 }
 
 
+# program -> sha256 of ``exhaustive`` ``states.json`` without a checker.
+# epochs.dsl is left out: it enumerates over a million schedules.
+PINNED_STATES = {
+    "current_update_buggy": "a10e9cc76c80527a87302ed483d574f7dbd16a83bba267f74a907da359e5c2a4",
+    "current_update_fixed": "7ce60cbf469dfa23426bb4d30d5340ef36ffc26b27604545252c81407c11acbe",
+    "entry_insert": "b2273fbd90da06b6bc8bf85a46fde03fa96e5f67cbde62b08070a456e330c622",
+    "entry_insert_ordered": "d506b7f2150a8b3a4706ff007638b542875dac08272a4349b18d86bba4697133",
+    "entry_insert_safe": "7aae3444c2487c5c6f7d361228bfa053ba53c34f0dda647ebecde03c6abd228d",
+    "fig3": "a174174d97069e6ca33c10cc965c4b40d75b4e26e47417cb9445082a5cbbf9e6",
+    "two_writes": "6ee000e1acd25a296497b7c40d54c674abee08b0c4f4c9d8b2ed9b8c6622d8cb",
+}
+
+
 def test_every_shipped_program_is_pinned():
     assert {path.stem for path in WORKLOADS.glob("*.dsl")} == PINNED.keys()
+    assert PINNED.keys() - PINNED_STATES.keys() == {"epochs"}
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
@@ -109,3 +126,11 @@ def test_analyze_outputs_match_the_pinned_digests(tmp_path, name):
     written = [out / "groups.json", *sorted((out / "dot").glob("*.dot"))]
     got = {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest() for path in written}
     assert got == pinned
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_STATES))
+def test_exhaustive_states_match_the_pinned_digest(tmp_path, name):
+    mode, _ = PINNED[name]
+    out = tmp_path / "out"
+    assert main(["exhaustive", "--mode", mode, "--dsl", str(WORKLOADS / f"{name}.dsl"), "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "states.json").read_bytes()).hexdigest() == PINNED_STATES[name]

@@ -25,6 +25,7 @@ from crashcheck.simulate import (
     PrefixCache,
     RunStats,
     enumerate_schedules,
+    exhaustive_schedules,
     explore,
     materialize,
     ops_commute,
@@ -112,6 +113,55 @@ def test_context_is_everything_before_the_behavior(fig3_trace):
     assert all(s.context_seqs == (1, 2, 3, 4) for s in schedules)
 
 
+def chain_diamond_behavior():
+    """Stores on cache lines: 1 -> 2 -> 3 is a chain, 3 -> {4, 5} -> 6 a
+    diamond, and 4 and 5 (lines 1 and 2) a commuting pair."""
+    trace = mmio_trace(
+        [
+            op(1, "store", store_args(0, b"a" * 8), (("m", 1),)),
+            op(2, "store", store_args(8, b"b" * 8), (("m", 2),)),
+            op(3, "store", store_args(56, b"c" * 80), (("m", 3),)),
+            op(4, "store", store_args(72, b"d" * 8), (("m", 4),)),
+            op(5, "store", store_args(136, b"e" * 8), (("m", 5),)),
+            op(6, "store", store_args(120, b"f" * 16), (("m", 6),)),
+        ]
+    )
+    behavior, graph = whole_trace_behavior(trace)
+    assert sorted(graph.edges()) == [(1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (3, 6), (4, 6), (5, 6)]
+    return behavior, trace
+
+
+def test_enumeration_order_is_pinned():
+    # The first schedule to reach a state names it in states.json, so the
+    # order is part of the output: subsets in lexicographic order of their
+    # membership over ascending seqs (absent first), then each subset's
+    # orders in lexicographic order.
+    behavior, trace = chain_diamond_behavior()
+    assert [s.applied_seqs for s in exhaustive_schedules(behavior, trace)] == [
+        (),
+        (1,),
+        (1, 2),
+        (1, 2, 3),
+        (1, 2, 3, 5),
+        (1, 2, 3, 4),
+        (1, 2, 3, 4, 5),
+        (1, 2, 3, 5, 4),
+        (1, 2, 3, 4, 5, 6),
+        (1, 2, 3, 5, 4, 6),
+    ]
+    # Pruning drops the orders that put 5 before the commuting 4.
+    assert [s.applied_seqs for s in enumerate_schedules(behavior, trace)] == [
+        (),
+        (1,),
+        (1, 2),
+        (1, 2, 3),
+        (1, 2, 3, 5),
+        (1, 2, 3, 4),
+        (1, 2, 3, 4, 5),
+        (1, 2, 3, 4, 5, 6),
+    ]
+
+
 # --- pruning soundness (small scale; the acceptance suite runs 200) ---
 
 
@@ -145,7 +195,7 @@ def test_same_line_stores_never_invert():
     behavior, _ = whole_trace_behavior(trace)
     images = [replay(s) for s in brute_force_schedules(behavior, trace)]
     for image in images:
-        data = image.read(0, 3)
+        data = bytes(image.cells.get(addr, 0) for addr in range(3))
         assert data in (b"\x00\x00\x00", b"old", b"new")
     assert {i.digest() for i in images} == {
         replay(CrashSchedule("x", "MMIO", (), ())).digest(),
@@ -181,7 +231,7 @@ def test_write_then_rename_moves_payload():
     )
     schedule = CrashSchedule("b", "POSIX", (), tuple(trace.ops))
     image = replay(schedule)
-    assert bytes(image.files["CURRENT"]) == b"data"
+    assert image.files["CURRENT"] == b"data"
     assert "tmp" not in image.files
     assert "CURRENT" in image.dirents["."]
     assert "tmp" not in image.dirents["."]
@@ -211,7 +261,7 @@ def test_digest_pattern_used_when_payload_not_inline():
     schedule = CrashSchedule("b", "POSIX", (), tuple(trace.ops))
     one = replay(schedule)
     two = replay(schedule)
-    assert bytes(one.files["f"]) == bytes(two.files["f"])
+    assert one.files["f"] == two.files["f"]
     assert len(one.files["f"]) == 4
 
 
@@ -289,8 +339,8 @@ def test_always_ok_checker_is_consistent(tmp_path):
 
 def test_current_checker_flags_dangling_pointer(tmp_path, current_checker):
     image = FsImage()
-    image.files["CURRENT"] = bytearray(b"MANIFEST-1")
-    image.dirents["."] = {"CURRENT"}
+    image.files["CURRENT"] = b"MANIFEST-1"
+    image.dirents["."] = frozenset({"CURRENT"})
     result = run_oracle(image, current_checker, tmp_path / "s")
     assert result.verdict is Verdict.INCONSISTENT
     assert "dangling" in result.oracle_output
@@ -311,8 +361,8 @@ def test_missing_checker_raises(tmp_path):
 def test_materialize_clears_stale_files(tmp_path):
     scratch = tmp_path / "s"
     image = FsImage()
-    image.files["a"] = bytearray(b"1")
-    image.dirents["."] = {"a"}
+    image.files["a"] = b"1"
+    image.dirents["."] = frozenset({"a"})
     materialize(image, scratch)
     assert (scratch / "a").exists()
     materialize(FsImage(), scratch)
@@ -373,6 +423,55 @@ def test_explore_checks_each_new_state_once():
     found = list(explore([first, second], schedules_of, RunStats(), check))
     assert checked == [digest for _, _, digest, _ in found]
     assert all(result.verdict is Verdict.CONSISTENT for _, _, _, result in found)
+
+
+@pytest.mark.parametrize("schedules", [enumerate_schedules, exhaustive_schedules])
+def test_explore_dedups_exactly_as_the_digests_do(schedules):
+    rng = random.Random(2024)
+    for i in range(60):
+        trace = random_posix_trace(rng, max_ops=6) if i % 2 == 0 else random_mmio_trace(rng, max_ops=6)
+        behaviors = behaviors_with_several_contexts(trace)
+
+        def schedules_of(behavior):
+            return schedules(behavior, trace)
+
+        stats = RunStats()
+        found = [digest for _, _, digest, _ in explore(behaviors, schedules_of, stats)]
+        from_scratch = {replay(s).digest() for b in behaviors for s in schedules_of(b)}
+        assert len(found) == len(set(found))
+        assert set(found) == from_scratch
+        assert stats.distinct_states + stats.states_deduped == stats.schedules_tested
+
+
+def test_content_key_agrees_with_the_digest_on_edge_cases():
+    def image(mode, *ops):
+        trace = (posix_trace if mode == "POSIX" else mmio_trace)(
+            [op(seq, kind, args, (("m", seq),)) for seq, (kind, args) in enumerate(ops, 1)]
+        )
+        return replay(CrashSchedule("x", mode, (), tuple(trace.ops)))
+
+    untouched = image("MMIO")
+    stored_zero = image("MMIO", ("store", store_args(0, b"\x00")))
+    absent_dir = image("POSIX")
+    emptied_dir = image("POSIX", ("create", {"path": "d/f"}), ("unlink", {"path": "d/f"}))
+    hole = image("POSIX", ("write", write_args("f", b"x", 4)))
+    zeros = image("POSIX", ("write", write_args("f", b"\x00" * 4)), ("write", write_args("f", b"x", 4)))
+    created = image("POSIX", ("create", {"path": "f"}))
+    recreated = image(
+        "POSIX",
+        ("create", {"path": "f"}),
+        ("write", write_args("f", b"old")),
+        ("unlink", {"path": "f"}),
+        ("create", {"path": "f"}),
+    )
+    assert stored_zero.digest() != untouched.digest()
+    assert emptied_dir.digest() != absent_dir.digest()
+    assert hole.digest() == zeros.digest()
+    assert recreated.digest() == created.digest()
+    for images in ([untouched, stored_zero], [absent_dir, emptied_dir, hole, zeros, created, recreated]):
+        for a in images:
+            for b in images:
+                assert (a.content_key() == b.content_key()) == (a.digest() == b.digest())
 
 
 # --- end-to-end group testing ---
