@@ -356,7 +356,8 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
             schedules_of = partial(exhaustive_schedules, trace=trace, budget=cfg.budget)
             check = None
             if cfg.checker:
-                check = partial(run_oracle, checker=cfg.checker, scratch=Path(scratch), timeout=cfg.timeout)
+                argv = shlex.split(cfg.checker)
+                check = partial(run_oracle, checker=argv, scratch=Path(scratch), timeout=cfg.timeout)
             for _, schedule, digest, result in explore([whole], schedules_of, stats, check):
                 entry = schedule.to_json()
                 if result is not None:

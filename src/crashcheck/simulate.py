@@ -9,25 +9,30 @@ Enumeration prunes linearizations that provably replay to the same image:
 two ops commute when they touch disjoint (file, block) pairs or disjoint
 cache lines and share no directory-entry or inode conflict, and only
 sequences with no adjacent commuting inversion are emitted (the
-lexicographically-least order within each commuting class survives).  The
-content memo of :func:`explore`, the one enumerate → replay → dedup →
-digest → check loop, catches any equivalent images that still slip through,
-so the distinct-image set always equals the unpruned set.  The unpruned
-enumerator ``exhaustive_schedules`` backtracks over valid orders and backs
-the whole-trace baseline, which ``exhaustive`` runs through the same
-:func:`explore`.  Both enumerators are one generator with an explicit stack
-of branch points, so a schedule costs the same however long it is.
+lexicographically-least order within each commuting class survives).
+:func:`explore`, the one enumerate → replay → dedup → digest → check loop,
+dedups on image contents, which catches any equivalent images that still
+slip through, so the distinct-image set always equals the unpruned set.  The
+unpruned enumerator ``exhaustive_schedules`` backtracks over valid orders
+and backs the whole-trace baseline, which ``exhaustive`` runs through the
+same :func:`explore`.  Both enumerators are one generator with an explicit
+stack of branch points, so a schedule costs the same however long it is.
 
 Replay builds a crash image by applying the context and then the applied
 ops to an empty image.  Consecutive schedules from the backtracking
 enumerators differ only in their last few ops, so :func:`explore` keeps a
 :class:`PrefixCache`: the image after the context, and one image per applied
 op of the last schedule.  Each schedule then replays only the ops past the
-longest prefix it shares with the previous one.  A bare ``replay(schedule)``
-runs the same code with a fresh cache.  Images are copy-on-write: cached
-images share every file and directory an op did not touch, so a cached
-image must be treated as read-only.  :func:`explore` dedups on each image's
-``content_key`` and computes the sha256 digest once per distinct state.
+longest prefix it shares with the previous one.  Replay is a deterministic
+function of (image contents, op), so the cache also interns the image after
+the context and every image a step builds by ``content_key`` (equal
+contents share one object) and memoizes each (interned image, op) step:
+each distinct step is applied once per cache, and every repeat is one dict
+lookup.  Images are copy-on-write:
+interned images share every file and directory an op did not touch, so they
+must be treated as read-only.  :func:`explore` dedups on the identity of the
+interned image and computes the sha256 digest once per distinct state.  A
+bare ``replay(schedule)`` owns its image and applies every op in place.
 
 The oracle materializes each new state and runs ``<checker> <scratch>``.
 A checker of the form ``<this interpreter> <script>`` runs in a fork of
@@ -427,8 +432,8 @@ def _apply_posix_op(image: FsImage, op: Operation):
 def _apply_mmio_op(image: MemImage, op: Operation):
     if op.kind == "store":
         addr = op.args["addr"]
-        for i, byte in enumerate(op.payload()):
-            image.cells[addr + i] = byte
+        payload = op.payload()
+        image.cells.update(zip(range(addr, addr + len(payload)), payload))
     # flush/fence/msync leave the image untouched.
 
 
@@ -437,15 +442,25 @@ _REPLAYERS = {POSIX_MODE: (FsImage, _apply_posix_op), MMIO_MODE: (MemImage, _app
 
 @dataclass
 class PrefixCache:
-    """The images :func:`replay` built for the last schedule it replayed.
+    """The images :func:`replay` built past each context, interned by
+    content, the steps between them, and the images of the last schedule it
+    replayed.
+
+    ``interned`` maps each image's ``content_key`` to the one image object
+    with that content (an ``FsImage`` key never equals a ``MemImage`` one),
+    so two images from one cache are equal exactly when they are the same
+    object.  ``steps`` maps ``(id(image), id(op))`` to ``(op, image after
+    op)`` for every op applied to an interned image so far; keeping the op
+    in the value keeps its ``id`` from being reused, and the images stay
+    alive in ``interned``.  Replay is a function of (image content, op), so
+    each distinct step is applied once per cache.
 
     ``base`` is the image after ``context``; ``images[i]`` is the image after
-    ``ops[i]``, the i-th applied op of that schedule.  So the cache holds at
-    most ``len(applied) + 1`` images.  Cached images are never changed once
-    built, and they share unchanged file and directory objects with each
-    other, so they must be treated as read-only.  ``mode`` is kept beside
-    ``context`` because every empty context is the same tuple, whatever the
-    storage kind.
+    ``ops[i]``, the i-th applied op of the last schedule.  Interned images
+    are never changed, and they share unchanged file and directory objects
+    with each other, so they must be treated as read-only.  ``mode`` is kept
+    beside ``context`` because every empty context is the same tuple,
+    whatever the storage kind.
     """
 
     mode: str | None = None
@@ -453,6 +468,12 @@ class PrefixCache:
     base: FsImage | MemImage | None = None
     ops: list[Operation] = field(default_factory=list)
     images: list[FsImage | MemImage] = field(default_factory=list)
+    interned: dict[tuple | frozenset, FsImage | MemImage] = field(default_factory=dict)
+    steps: dict[tuple[int, int], tuple[Operation, FsImage | MemImage]] = field(default_factory=dict)
+
+    def intern(self, image: FsImage | MemImage) -> FsImage | MemImage:
+        """The interned image with ``image``'s content."""
+        return self.interned.setdefault(image.content_key(), image)
 
 
 def replay(schedule: CrashSchedule, cache: PrefixCache | None = None) -> FsImage | MemImage:
@@ -460,20 +481,28 @@ def replay(schedule: CrashSchedule, cache: PrefixCache | None = None) -> FsImage
     image of the schedule's storage kind.
 
     With a ``cache`` the work resumes from the longest prefix of applied ops
-    (compared by identity) that the previous schedule shares, and the context
-    is replayed only when it is not the cached tuple.  The returned image
-    belongs to the cache and shares file and directory objects with the
-    other cached images: read it (``content_key``, ``digest``,
-    ``materialize``), never change it.
+    (compared by identity) that the previous schedule shares, the context is
+    replayed only when it is not the cached tuple, and every other step that
+    the cache has seen before is one lookup.  The returned image is the
+    cache's interned image for that content and shares file and directory
+    objects with the other interned images: read it (``content_key``,
+    ``digest``, ``materialize``), never change it.  Without a cache the
+    returned image is the caller's own.
     """
     new_image, apply = _REPLAYERS[schedule.mode]
     if cache is None:
-        cache = PrefixCache()
+        # A lone replay owns its image, so every op changes it in place.
+        image = new_image()
+        for op in itertools.chain(schedule.context, schedule.applied):
+            apply(image, op)
+        return image
     if cache.context is not schedule.context or cache.mode != schedule.mode:
+        # Only the image after the context is interned: the context is
+        # replayed in place, so a long one costs no image per op.
         base = new_image()
         for op in schedule.context:
             apply(base, op)
-        cache.mode, cache.context, cache.base = schedule.mode, schedule.context, base
+        cache.mode, cache.context, cache.base = schedule.mode, schedule.context, cache.intern(base)
         cache.ops, cache.images = [], []
     ops, images, applied = cache.ops, cache.images, schedule.applied
     # Index of the first op that differs, found without a Python-level loop.
@@ -481,11 +510,20 @@ def replay(schedule: CrashSchedule, cache: PrefixCache | None = None) -> FsImage
     keep = next(first_difference, min(len(ops), len(applied)))
     del ops[keep:], images[keep:]
     image = images[-1] if images else cache.base
+    steps = cache.steps
     for op in applied[keep:]:
-        # Ordering ops are replay no-ops, so they share the image below them.
-        if op.is_persisting:
-            image = image.copy()
-            apply(image, op)
+        key = id(image), id(op)
+        hit = steps.get(key)
+        if hit is not None:
+            image = hit[1]
+        else:
+            # Ordering ops are replay no-ops, so they map an image to itself.
+            # A step that raises records nothing.
+            if op.is_persisting:
+                image = image.copy()
+                apply(image, op)
+                image = cache.intern(image)
+            steps[key] = op, image
         ops.append(op)
         images.append(image)
     return image
@@ -804,25 +842,26 @@ def explore(
     """Replay every schedule of each behavior and yield each crash state not
     seen before as ``(behavior, schedule, digest, check(image) or None)``.
 
-    One memo of image contents (``content_key``) and one
-    :class:`PrefixCache` span all behaviors: a repeated state only counts in
-    ``stats.states_deduped``, so the digest is computed once per distinct
-    state, and each schedule is replayed from the longest prefix it shares
-    with the one before.  A behavior whose enumerator runs out of budget
-    sets ``stats.partial_coverage`` and the next behavior is explored.
+    One :class:`PrefixCache` spans all behaviors.  It returns one interned
+    object per image content, so a state is new when its object has not been
+    seen: a repeated state only counts in ``stats.states_deduped``, and the
+    digest is computed once per distinct state.  Each schedule is replayed
+    from the longest prefix it shares with the one before, and each step the
+    cache has applied before is a lookup.  A behavior whose enumerator runs
+    out of budget sets ``stats.partial_coverage`` and the next behavior is
+    explored.
     """
-    seen: set = set()
+    seen: set[int] = set()
     cache = PrefixCache()
     for behavior in behaviors:
         try:
             for schedule in schedules_of(behavior):
                 stats.schedules_tested += 1
                 image = replay(schedule, cache)
-                key = image.content_key()
-                if key in seen:
+                if id(image) in seen:
                     stats.states_deduped += 1
                     continue
-                seen.add(key)
+                seen.add(id(image))
                 stats.distinct_states += 1
                 yield behavior, schedule, image.digest(), check(image) if check else None
         except ExplosionLimit:
@@ -848,7 +887,7 @@ def test_groups(
 ) -> tuple[list[BugReport], RunStats]:
     """Explore every distinct representative and check each new state.
 
-    Because :func:`explore` shares its digest memo across representatives,
+    Because :func:`explore` shares its interned images across representatives,
     no crash state is oracle-tested twice, including states that sit on the
     boundary between one behavior's context and another's subsets.
     Inconsistent states become bug reports, deduplicated by the static-key
@@ -865,7 +904,8 @@ def test_groups(
     bug_keys: set[tuple] = set()
     states_by_rep: Counter[str] = Counter()
     schedules_of = partial(enumerate_schedules, trace=trace, cfg=cfg, budget=budget)
-    check = partial(run_oracle, checker=checker, scratch=scratch, timeout=timeout)
+    argv = shlex.split(checker) if isinstance(checker, str) else checker
+    check = partial(run_oracle, checker=argv, scratch=scratch, timeout=timeout)
     for rep, schedule, _, result in explore(reps, schedules_of, stats, check):
         states_by_rep[rep.id] += 1
         if result.verdict is Verdict.ORACLE_ERROR:

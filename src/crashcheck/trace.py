@@ -17,6 +17,7 @@ import hashlib
 import json
 import posixpath
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ParseError, SequenceOrderError, UnknownOperationKind
 
@@ -153,6 +154,12 @@ class Operation:
 
     def payload(self) -> bytes:
         """Concrete bytes this operation writes, for replay."""
+        return self._payload
+
+    @cached_property
+    def _payload(self) -> bytes:
+        # Decoded once per op: replay asks at every apply.  The cached value
+        # is no dataclass field, so it is not compared, hashed or printed.
         data = self.args.get("data")
         if data is not None:
             return bytes.fromhex(data)

@@ -194,9 +194,10 @@ def _spread_over_threads(rng: random.Random, ops: list[Operation], threads: int)
     return [dataclasses.replace(o, tid=rng.randrange(threads)) for o in ops]
 
 
-def random_mmio_trace(rng: random.Random, max_ops: int = 8) -> Trace:
+def random_mmio_trace(rng: random.Random, max_ops: int = 8, threads: int = 1) -> Trace:
     """Random small MMIO trace mixing stores, flushes, fences and msyncs,
-    capped at ``max_ops`` total operations."""
+    capped at ``max_ops`` total operations and spread over ``threads`` like
+    :func:`random_posix_trace`."""
     addrs = [0, 8, 64, 128, 192]
     total = rng.randint(3, max_ops)
     ops: list[Operation] = []
@@ -214,7 +215,7 @@ def random_mmio_trace(rng: random.Random, max_ops: int = 8) -> Trace:
         else:
             addr = rng.choice([0, 64])
             ops.append(op(seq, "msync", {"addr": addr, "length": 128}, (("main", seq),)))
-    return mmio_trace(ops)
+    return mmio_trace(_spread_over_threads(rng, ops, threads))
 
 
 def dbscan_1d_reference(points: list[int], eps: int, min_pts: int) -> tuple[list[list[int]], list[int]]:

@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+from functools import partial
 
 import pytest
 
@@ -15,6 +16,7 @@ from crashcheck import (
     posix_edges,
     synth_workload,
 )
+from crashcheck import simulate
 from crashcheck.behavior import make_behavior
 from crashcheck.graph import StaticKey
 from crashcheck.models import ModelConfig, model_edges
@@ -322,11 +324,43 @@ def test_prefix_cache_keeps_the_missing_source_replay_error():
     cache = PrefixCache()
     expected = replay(good).digest()
     assert replay(good, cache).digest() == expected
+    memo = (dict(cache.interned), dict(cache.steps))
     with pytest.raises(ReplayError):
         replay(bad, cache)
+    # The failed step left no interned image and no transition behind.
+    assert (cache.interned, cache.steps) == memo
+    assert (id(cache.base), id(rename)) not in cache.steps
     assert replay(good, cache).digest() == expected
     with pytest.raises(ReplayError):
         replay(bad, cache)
+    assert (cache.interned, cache.steps) == memo
+
+
+def test_prefix_cache_keys_steps_on_the_op_not_its_seq():
+    """Traces whose seqs coincide but whose payloads differ, one after the
+    other through one cache: a step memo keyed on seqs would hand the later
+    trace the earlier one's images."""
+    def writes(*payloads):
+        return posix_trace([op(seq, "write", write_args(*p)) for seq, p in enumerate(payloads, 1)])
+
+    def stores(*payloads):
+        return mmio_trace([op(seq, "store", store_args(*p)) for seq, p in enumerate(payloads, 1)])
+
+    cases = [
+        (writes, [("f", b"old"), ("g", b"g1"), ("f", b"x", 1)]),
+        (writes, [("f", b"new"), ("g", b"g2"), ("f", b"y", 1)]),
+        (stores, [(0, b"\x01\x02"), (64, b"\x03"), (1, b"\x04")]),
+        (stores, [(0, b"\x05\x06"), (64, b"\x07"), (1, b"\x08")]),
+    ]
+    cache = PrefixCache()
+    for make_trace, payloads in cases:
+        trace = make_trace(*payloads)
+        behavior, _ = whole_trace_behavior(trace)
+        for schedule in exhaustive_schedules(behavior, trace):
+            assert replay(schedule, cache).digest() == replay(schedule).digest()
+        # Drop the trace, so that its ops could hand their ids on to the
+        # next trace's if the cache did not keep them alive.
+        del trace, behavior, schedule
 
 
 # --- oracle ---
@@ -441,6 +475,65 @@ def test_explore_dedups_exactly_as_the_digests_do(schedules):
         assert len(found) == len(set(found))
         assert set(found) == from_scratch
         assert stats.distinct_states + stats.states_deduped == stats.schedules_tested
+
+
+def reference_explore(behaviors, schedules_of, stats):
+    """:func:`explore` as a plain loop: every schedule replayed from scratch
+    and deduplicated on its digest."""
+    seen = set()
+    for behavior in behaviors:
+        try:
+            for schedule in schedules_of(behavior):
+                stats.schedules_tested += 1
+                digest = replay(schedule).digest()
+                if digest in seen:
+                    stats.states_deduped += 1
+                    continue
+                seen.add(digest)
+                stats.distinct_states += 1
+                yield behavior.id, schedule, digest
+        except ExplosionLimit:
+            stats.partial_coverage = True
+
+
+def random_explorations(seed, count):
+    """``(behaviors, schedules_of)`` over random 1-3-thread POSIX and MMIO
+    traces with several contexts, pruned or not, some with a budget that
+    runs out."""
+    rng = random.Random(seed)
+    for i in range(count):
+        threads = rng.randint(1, 3)
+        make_trace = random_posix_trace if i % 2 == 0 else random_mmio_trace
+        trace = make_trace(rng, max_ops=6, threads=threads)
+        schedules = rng.choice([enumerate_schedules, exhaustive_schedules])
+        budget = rng.choice([7, 100_000])
+        yield behaviors_with_several_contexts(trace), partial(schedules, trace=trace, budget=budget)
+
+
+def test_explore_matches_replaying_every_schedule_from_scratch():
+    for behaviors, schedules_of in random_explorations(4242, 80):
+        stats, expected_stats = RunStats(), RunStats()
+        found = [(b.id, s, digest) for b, s, digest, _ in explore(behaviors, schedules_of, stats)]
+        assert found == list(reference_explore(behaviors, schedules_of, expected_stats))
+        assert stats == expected_stats
+
+
+def test_explore_leaves_every_interned_image_as_it_was_interned(monkeypatch):
+    caches = []
+
+    def recording_replay(schedule, cache=None):
+        caches.append(cache)
+        return replay(schedule, cache)
+
+    monkeypatch.setattr(simulate, "replay", recording_replay)
+    for behaviors, schedules_of in random_explorations(77, 40):
+        caches.clear()
+        list(explore(behaviors, schedules_of, RunStats()))
+        (cache,) = {id(c): c for c in caches}.values()
+        for key, image in cache.interned.items():
+            assert image.content_key() == key
+        for _, image in cache.steps.values():
+            assert cache.interned[image.content_key()] is image
 
 
 def test_content_key_agrees_with_the_digest_on_edge_cases():
