@@ -18,21 +18,23 @@ and backs the whole-trace baseline, which ``exhaustive`` runs through the
 same :func:`explore`.  Both enumerators are one generator with an explicit
 stack of branch points, so a schedule costs the same however long it is.
 
-Replay builds a crash image by applying the context and then the applied
-ops to an empty image.  Consecutive schedules from the backtracking
-enumerators differ only in their last few ops, so :func:`explore` keeps a
-:class:`PrefixCache`: the image after the context, and one image per applied
-op of the last schedule.  Each schedule then replays only the ops past the
-longest prefix it shares with the previous one.  Replay is a deterministic
-function of (image contents, op), so the cache also interns the image after
-the context and every image a step builds by ``content_key`` (equal
+A bare :func:`replay` builds one schedule's crash image by applying the
+context and then the applied ops to an empty image it owns.  Exploration
+builds images inside the enumerator instead: given a :class:`StateCache`,
+the walk carries the image along its depth-first search and applies each
+placed op once per node.  Replay is a deterministic function of (image
+contents, op), so the cache interns every image by ``content_key`` (equal
 contents share one object) and memoizes each (interned image, op) step:
 each distinct step is applied once per cache, and every repeat is one dict
-lookup.  Images are copy-on-write:
-interned images share every file and directory an op did not touch, so they
-must be treated as read-only.  :func:`explore` dedups on the identity of the
-interned image and computes the sha256 digest once per distinct state.  A
-bare ``replay(schedule)`` owns its image and applies every op in place.
+lookup.  Below a branch point the walk's choices depend only on the placed
+set and the candidates, so a branch point reached again with the same
+interned image can only yield states already seen; the walk counts the
+schedules below it once and reports the count instead of walking them
+again, the state caching of explicit-state model checkers.  Images are
+copy-on-write: interned images share every file and directory an op did
+not touch, so they must be treated as read-only.  :func:`explore` dedups
+on the identity of the interned image and computes the sha256 digest once
+per distinct state.
 
 The oracle materializes each new state and runs ``<checker> <scratch>``.
 A checker of the form ``<this interpreter> <script>`` runs in a fork of
@@ -62,7 +64,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache, partial
-from operator import is_not
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NoReturn
 
@@ -199,7 +200,8 @@ def _schedules(
     trace: Trace,
     cfg: ModelConfig | None,
     budget: int,
-) -> Iterator[CrashSchedule]:
+    cache: StateCache | None = None,
+) -> Iterator:
     """Every downward-closed subset of the behavior's nodes, and for each
     every order that respects its edges.  With a config, only orders with
     no adjacent commuting inversion are produced.
@@ -210,6 +212,20 @@ def _schedules(
     ``i``-th node in seq order.  An explicit stack holds the branch points
     of the order search; a node that is the only possible next one is
     placed without a stack entry.
+
+    Without a cache each order is yielded as a :class:`CrashSchedule`.
+    With one, the walk carries the crash image: it starts from the interned
+    image after the context, each placed op goes through ``cache.step``, and
+    it yields ``(weight, schedule, image)`` items.  An order is
+    ``(1, schedule, image)`` when its image is not in ``cache.seen`` (it is
+    added) and ``(1, None, None)`` when it is.  Within one subset, the
+    orders below a branch point depend only on (placed bitset, candidates,
+    image): the available nodes follow from the placed ones, and each
+    child's candidates from the child.  So once a branch point's orders are
+    all walked, their count is recorded under that key, and a branch point
+    reached again with the same key, whose orders can only end in images
+    already seen, is yielded as one ``(count, None, None)`` item.  Counts
+    stop at ``budget`` as the orders do.
     """
     context = tuple(op for op in trace.ops if op.seq < behavior.span[0])
     graph = behavior.subgraph
@@ -250,38 +266,80 @@ def _schedules(
                 commutes[last] |= 1 << j
         return avail & ~commutes[last]
 
+    mode = trace.meta.mode
+    # The context is replayed in place and only the image after it is
+    # interned, so a long context costs no image per op.
+    base = None if cache is None else cache.intern(replay(CrashSchedule(behavior.id, mode, context, ())))
     count = 0
     subset = 0
     while True:
         # The orders of ``subset``.  A stack entry is (ops placed, placed
-        # bitset, available bitset, untried candidates) at a branch point.
+        # bitset, available bitset, untried candidates, image, memo key,
+        # count on arrival) at a branch point, kept until its last
+        # candidate's orders are walked.  The memo maps a key to its count.
         applied: list[Operation] = []
         placed = 0
         avail = cands = subset & roots
+        image = base
+        memo: dict[tuple[int, int, int], int] = {}
         stack = []
         while True:
+            node = -1
             if placed == subset:
                 count += 1
                 if count > budget:
                     raise ExplosionLimit(budget)
-                yield CrashSchedule(behavior.id, trace.meta.mode, context, tuple(applied))
+                if cache is None:
+                    yield CrashSchedule(behavior.id, mode, context, tuple(applied))
+                elif isinstance(image, ReplayError):
+                    raise image
+                elif id(image) in cache.seen:
+                    yield 1, None, None
+                else:
+                    cache.seen.add(id(image))
+                    yield 1, CrashSchedule(behavior.id, mode, context, tuple(applied)), image
+            elif cands & (cands - 1):
+                key = placed, cands, id(image)
+                weight = memo.get(key)
+                if weight is None:
+                    stack.append((len(applied), placed, avail, cands, image, key, count))
+                else:
+                    if count + weight > budget:
+                        if budget > count:
+                            yield budget - count, None, None
+                        raise ExplosionLimit(budget)
+                    count += weight
+                    yield weight, None, None
             elif cands:
-                low = cands & -cands
-                if cands != low:
-                    stack.append((len(applied), placed, avail, cands ^ low))
-                node = low.bit_length() - 1
-                applied.append(ops[node])
-                placed |= low
-                avail ^= low
-                for j in _bits(succs[node] & subset):
-                    if not preds[j] & ~placed:
-                        avail |= 1 << j
-                cands = candidates(avail, node)
-                continue
-            if not stack:
-                break
-            depth, placed, avail, cands = stack.pop()
-            del applied[depth:]
+                node = cands.bit_length() - 1
+            if node < 0:
+                while stack:
+                    depth, placed, avail, cands, image, key, start = stack.pop()
+                    if cands:
+                        low = cands & -cands
+                        stack.append((depth, placed, avail, cands ^ low, image, key, start))
+                        del applied[depth:]
+                        node = low.bit_length() - 1
+                        break
+                    # Without a cache every order is yielded, so no count is kept.
+                    if cache is not None:
+                        memo[key] = count - start
+                else:
+                    break
+            applied.append(ops[node])
+            placed |= 1 << node
+            avail ^= 1 << node
+            for j in _bits(succs[node] & subset):
+                if not preds[j] & ~placed:
+                    avail |= 1 << j
+            if cache is not None and not isinstance(image, ReplayError):
+                try:
+                    image = cache.step(image, ops[node])
+                except ReplayError as exc:
+                    # Raised at the first order that reaches it, as a replay
+                    # of that order would; a dead end never raises it.
+                    image = exc
+            cands = candidates(avail, node)
         # The next subset: the highest absent node that the nodes below it
         # admit joins them, and every node above it leaves.
         for i in range(len(seqs) - 1, -1, -1):
@@ -305,27 +363,31 @@ def enumerate_schedules(
     trace: Trace,
     cfg: ModelConfig | None = None,
     budget: int = 100_000,
-) -> Iterator[CrashSchedule]:
+    cache: StateCache | None = None,
+) -> Iterator:
     """Pruned crash schedules for one behavior.
 
     Yields one schedule per (downward-closed subset, commuting class);
-    raises :class:`ExplosionLimit` after ``budget`` schedules.
+    raises :class:`ExplosionLimit` after ``budget`` schedules.  With a
+    ``cache`` it yields weighted items instead (see :func:`_schedules`).
     """
-    yield from _schedules(behavior, trace, cfg or ModelConfig(), budget)
+    yield from _schedules(behavior, trace, cfg or ModelConfig(), budget, cache)
 
 
 def exhaustive_schedules(
     behavior: UpdateBehavior,
     trace: Trace,
     budget: int = 1_000_000,
-) -> Iterator[CrashSchedule]:
+    cache: StateCache | None = None,
+) -> Iterator:
     """Every downward-closed subset and every linearization, unpruned.
 
     This is the baseline model checker's enumerator: no commutation
     reasoning at all, but it backtracks over valid orders instead of
-    filtering raw permutations, so dense graphs stay tractable.
+    filtering raw permutations, so dense graphs stay tractable.  With a
+    ``cache`` it yields weighted items (see :func:`_schedules`).
     """
-    yield from _schedules(behavior, trace, None, budget)
+    yield from _schedules(behavior, trace, None, budget, cache)
 
 
 # ---------------------------------------------------------------------------
@@ -437,14 +499,14 @@ def _apply_mmio_op(image: MemImage, op: Operation):
     # flush/fence/msync leave the image untouched.
 
 
-_REPLAYERS = {POSIX_MODE: (FsImage, _apply_posix_op), MMIO_MODE: (MemImage, _apply_mmio_op)}
+_IMAGES = {POSIX_MODE: FsImage, MMIO_MODE: MemImage}
+_APPLY = {FsImage: _apply_posix_op, MemImage: _apply_mmio_op}
 
 
 @dataclass
-class PrefixCache:
-    """The images :func:`replay` built past each context, interned by
-    content, the steps between them, and the images of the last schedule it
-    replayed.
+class StateCache:
+    """Crash images interned by content, the steps between them, and the
+    images that ended a schedule, for every walk given this cache.
 
     ``interned`` maps each image's ``content_key`` to the one image object
     with that content (an ``FsImage`` key never equals a ``MemImage`` one),
@@ -452,80 +514,45 @@ class PrefixCache:
     object.  ``steps`` maps ``(id(image), id(op))`` to ``(op, image after
     op)`` for every op applied to an interned image so far; keeping the op
     in the value keeps its ``id`` from being reused, and the images stay
-    alive in ``interned``.  Replay is a function of (image content, op), so
-    each distinct step is applied once per cache.
-
-    ``base`` is the image after ``context``; ``images[i]`` is the image after
-    ``ops[i]``, the i-th applied op of the last schedule.  Interned images
-    are never changed, and they share unchanged file and directory objects
-    with each other, so they must be treated as read-only.  ``mode`` is kept
-    beside ``context`` because every empty context is the same tuple,
-    whatever the storage kind.
+    alive in ``interned``.  ``seen`` holds the ids of the images that ended
+    a schedule.  Interned images are never changed, and they share
+    unchanged file and directory objects with each other, so they must be
+    treated as read-only.
     """
 
-    mode: str | None = None
-    context: tuple[Operation, ...] | None = None
-    base: FsImage | MemImage | None = None
-    ops: list[Operation] = field(default_factory=list)
-    images: list[FsImage | MemImage] = field(default_factory=list)
     interned: dict[tuple | frozenset, FsImage | MemImage] = field(default_factory=dict)
     steps: dict[tuple[int, int], tuple[Operation, FsImage | MemImage]] = field(default_factory=dict)
+    seen: set[int] = field(default_factory=set)
 
     def intern(self, image: FsImage | MemImage) -> FsImage | MemImage:
         """The interned image with ``image``'s content."""
         return self.interned.setdefault(image.content_key(), image)
 
-
-def replay(schedule: CrashSchedule, cache: PrefixCache | None = None) -> FsImage | MemImage:
-    """Apply the context and then the applied list, in order, to an empty
-    image of the schedule's storage kind.
-
-    With a ``cache`` the work resumes from the longest prefix of applied ops
-    (compared by identity) that the previous schedule shares, the context is
-    replayed only when it is not the cached tuple, and every other step that
-    the cache has seen before is one lookup.  The returned image is the
-    cache's interned image for that content and shares file and directory
-    objects with the other interned images: read it (``content_key``,
-    ``digest``, ``materialize``), never change it.  Without a cache the
-    returned image is the caller's own.
-    """
-    new_image, apply = _REPLAYERS[schedule.mode]
-    if cache is None:
-        # A lone replay owns its image, so every op changes it in place.
-        image = new_image()
-        for op in itertools.chain(schedule.context, schedule.applied):
-            apply(image, op)
-        return image
-    if cache.context is not schedule.context or cache.mode != schedule.mode:
-        # Only the image after the context is interned: the context is
-        # replayed in place, so a long one costs no image per op.
-        base = new_image()
-        for op in schedule.context:
-            apply(base, op)
-        cache.mode, cache.context, cache.base = schedule.mode, schedule.context, cache.intern(base)
-        cache.ops, cache.images = [], []
-    ops, images, applied = cache.ops, cache.images, schedule.applied
-    # Index of the first op that differs, found without a Python-level loop.
-    first_difference = itertools.compress(itertools.count(), map(is_not, ops, applied))
-    keep = next(first_difference, min(len(ops), len(applied)))
-    del ops[keep:], images[keep:]
-    image = images[-1] if images else cache.base
-    steps = cache.steps
-    for op in applied[keep:]:
+    def step(self, image: FsImage | MemImage, op: Operation) -> FsImage | MemImage:
+        """The interned image after ``op`` on the interned ``image``.  Replay
+        is a function of (image content, op), so each distinct step is
+        applied once per cache; a step that raises records nothing."""
         key = id(image), id(op)
-        hit = steps.get(key)
-        if hit is not None:
-            image = hit[1]
-        else:
+        hit = self.steps.get(key)
+        if hit is None:
+            after = image
             # Ordering ops are replay no-ops, so they map an image to itself.
-            # A step that raises records nothing.
             if op.is_persisting:
-                image = image.copy()
-                apply(image, op)
-                image = cache.intern(image)
-            steps[key] = op, image
-        ops.append(op)
-        images.append(image)
+                after = image.copy()
+                _APPLY[type(image)](after, op)
+                after = self.intern(after)
+            hit = self.steps[key] = op, after
+        return hit[1]
+
+
+def replay(schedule: CrashSchedule) -> FsImage | MemImage:
+    """Apply the context and then the applied list, in order, to an empty
+    image of the schedule's storage kind.  The caller owns the image, so
+    every op changes it in place."""
+    image = _IMAGES[schedule.mode]()
+    apply = _APPLY[type(image)]
+    for op in itertools.chain(schedule.context, schedule.applied):
+        apply(image, op)
     return image
 
 
@@ -839,29 +866,27 @@ def explore(
     stats: RunStats,
     check: Callable[[FsImage | MemImage], CheckResult] | None = None,
 ) -> Iterator[tuple[UpdateBehavior, CrashSchedule, str, CheckResult | None]]:
-    """Replay every schedule of each behavior and yield each crash state not
+    """Walk the schedules of each behavior and yield each crash state not
     seen before as ``(behavior, schedule, digest, check(image) or None)``.
 
-    One :class:`PrefixCache` spans all behaviors.  It returns one interned
-    object per image content, so a state is new when its object has not been
-    seen: a repeated state only counts in ``stats.states_deduped``, and the
-    digest is computed once per distinct state.  Each schedule is replayed
-    from the longest prefix it shares with the one before, and each step the
-    cache has applied before is a lookup.  A behavior whose enumerator runs
-    out of budget sets ``stats.partial_coverage`` and the next behavior is
-    explored.
+    ``schedules_of(behavior, cache=...)`` is an enumerator such as
+    :func:`enumerate_schedules` with its other arguments bound.  One
+    :class:`StateCache` spans all behaviors, so each walk builds its images
+    through the same interned steps, a state is new when its interned
+    object has not ended a schedule before, and the digest is computed once
+    per distinct state.  A weighted item from the walk counts its weight in
+    ``stats.schedules_tested``, and in ``stats.states_deduped`` when it
+    carries no new state.  A behavior whose enumerator runs out of budget
+    sets ``stats.partial_coverage`` and the next behavior is explored.
     """
-    seen: set[int] = set()
-    cache = PrefixCache()
+    cache = StateCache()
     for behavior in behaviors:
         try:
-            for schedule in schedules_of(behavior):
-                stats.schedules_tested += 1
-                image = replay(schedule, cache)
-                if id(image) in seen:
-                    stats.states_deduped += 1
+            for weight, schedule, image in schedules_of(behavior, cache=cache):
+                stats.schedules_tested += weight
+                if schedule is None:
+                    stats.states_deduped += weight
                     continue
-                seen.add(id(image))
                 stats.distinct_states += 1
                 yield behavior, schedule, image.digest(), check(image) if check else None
         except ExplosionLimit:

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import sys
 from functools import partial
@@ -24,8 +25,8 @@ from crashcheck.simulate import (
     CheckResult,
     CrashSchedule,
     FsImage,
-    PrefixCache,
     RunStats,
+    StateCache,
     enumerate_schedules,
     exhaustive_schedules,
     explore,
@@ -290,53 +291,86 @@ def behaviors_with_several_contexts(trace):
     return [make_behavior(f"b{i}", "f", 0, chunk, graph) for i, chunk in enumerate(chunks) if chunk]
 
 
-def test_prefix_cache_replays_like_a_fresh_replay():
+def replay_by_steps(schedule, cache):
+    """``schedule``'s image built through ``cache``: the interned image after
+    the context, then one ``cache.step`` per applied op."""
+    image = cache.intern(replay(CrashSchedule(schedule.behavior_id, schedule.mode, schedule.context, ())))
+    for o in schedule.applied:
+        image = cache.step(image, o)
+    return image
+
+
+def test_state_cache_steps_replay_like_a_fresh_replay():
     rng = random.Random(97)
-    cache = PrefixCache()
+    cache = StateCache()
     for make_trace in (random_posix_trace, random_mmio_trace) * 8:
         trace = make_trace(rng, max_ops=7)
         behaviors = behaviors_with_several_contexts(trace)
-        # Depth-first order first, then an order that shrinks and regrows
-        # the cached prefix arbitrarily.
+        # Depth-first order first, then an order that jumps between
+        # schedules and contexts arbitrarily.
         schedules = [s for b in behaviors for s in enumerate_schedules(b, trace)]
         schedules += [s for b in behaviors for s in brute_force_schedules(b, trace)]
         for schedule in schedules:
-            assert replay(schedule, cache).digest() == replay(schedule).digest()
+            assert replay_by_steps(schedule, cache).digest() == replay(schedule).digest()
         for _ in range(10):
             a, b = rng.choice(schedules), rng.choice(schedules)
-            first = replay(a, cache).digest()
-            replay(b, cache)
-            assert replay(a, cache).digest() == first == replay(a).digest()
+            first = replay_by_steps(a, cache).digest()
+            replay_by_steps(b, cache)
+            assert replay_by_steps(a, cache).digest() == first == replay(a).digest()
 
 
-def test_prefix_cache_keeps_the_missing_source_replay_error():
-    trace = posix_trace(
+def missing_source_trace():
+    """A write, then a rename of a file nothing creates."""
+    return posix_trace(
         [
             op(1, "write", write_args("tmp", b"data"), (("m", 1),)),
-            op(2, "rename", {"path": "tmp", "dst": "CURRENT"}, (("m", 2),)),
+            op(2, "rename", {"path": "ghost", "dst": "CURRENT"}, (("m", 2),)),
         ]
     )
+
+
+def test_state_cache_step_that_raises_records_nothing():
+    trace = missing_source_trace()
     write, rename = trace.ops
-    good = CrashSchedule("b", "POSIX", (), (write, rename))
-    bad = CrashSchedule("b", "POSIX", (), (rename,))
-    with pytest.raises(ReplayError):
-        replay(bad)
-    cache = PrefixCache()
-    expected = replay(good).digest()
-    assert replay(good, cache).digest() == expected
+    cache = StateCache()
+    empty = cache.intern(FsImage())
+    written = cache.step(empty, write)
+    assert written.digest() == replay(CrashSchedule("b", "POSIX", (), (write,))).digest()
     memo = (dict(cache.interned), dict(cache.steps))
-    with pytest.raises(ReplayError):
-        replay(bad, cache)
-    # The failed step left no interned image and no transition behind.
-    assert (cache.interned, cache.steps) == memo
-    assert (id(cache.base), id(rename)) not in cache.steps
-    assert replay(good, cache).digest() == expected
-    with pytest.raises(ReplayError):
-        replay(bad, cache)
-    assert (cache.interned, cache.steps) == memo
+    for image in (empty, written, empty):
+        with pytest.raises(ReplayError):
+            cache.step(image, rename)
+        # The failed step left no interned image and no transition behind.
+        assert (cache.interned, cache.steps) == memo
+        assert (id(image), id(rename)) not in cache.steps
+    assert cache.step(empty, write) is written
 
 
-def test_prefix_cache_keys_steps_on_the_op_not_its_seq():
+def test_explore_raises_a_replay_error_where_replaying_every_schedule_does():
+    """The walk applies the failing rename when it places it, but raises
+    only at the first schedule that holds it, so the budget runs out first
+    exactly when it would for a replay of each schedule.  (The stats of a
+    run that raised are not compared: nothing reports them.)"""
+    trace = missing_source_trace()
+    behavior, _ = whole_trace_behavior(trace)
+    for schedules in (enumerate_schedules, exhaustive_schedules):
+        for budget in range(1, 6):
+            schedules_of = partial(schedules, trace=trace, budget=budget)
+            outcomes = []
+            for run in (explore, reference_explore):
+                stats, found = RunStats(), []
+                try:
+                    for b, s, digest, *_ in run([behavior], schedules_of, stats):
+                        found.append((getattr(b, "id", b), s, digest))
+                    found.append(stats)
+                except ReplayError as exc:
+                    found.append(str(exc))
+                outcomes.append(found)
+            assert outcomes[0] == outcomes[1], (schedules, budget)
+            assert isinstance(outcomes[0][-1], str) == (budget > 1)
+
+
+def test_state_cache_keys_steps_on_the_op_not_its_seq():
     """Traces whose seqs coincide but whose payloads differ, one after the
     other through one cache: a step memo keyed on seqs would hand the later
     trace the earlier one's images."""
@@ -352,12 +386,17 @@ def test_prefix_cache_keys_steps_on_the_op_not_its_seq():
         (stores, [(0, b"\x01\x02"), (64, b"\x03"), (1, b"\x04")]),
         (stores, [(0, b"\x05\x06"), (64, b"\x07"), (1, b"\x08")]),
     ]
-    cache = PrefixCache()
+    cache = StateCache()
     for make_trace, payloads in cases:
         trace = make_trace(*payloads)
         behavior, _ = whole_trace_behavior(trace)
         for schedule in exhaustive_schedules(behavior, trace):
-            assert replay(schedule, cache).digest() == replay(schedule).digest()
+            assert replay_by_steps(schedule, cache).digest() == replay(schedule).digest()
+        # The walk through the same steps (with its own record of states
+        # seen) reaches every state of this trace.
+        walk = StateCache(interned=cache.interned, steps=cache.steps)
+        walked = {image.digest() for _, s, image in exhaustive_schedules(behavior, trace, cache=walk) if s}
+        assert walked == distinct_images(exhaustive_schedules(behavior, trace))
         # Drop the trace, so that its ops could hand their ids on to the
         # next trace's if the cache did not keep them alive.
         del trace, behavior, schedule
@@ -418,7 +457,7 @@ def two_file_behaviors():
 def test_explore_yields_a_state_reached_by_two_behaviors_once():
     trace, first, second = two_file_behaviors()
     stats = RunStats()
-    found = list(explore([first, second], lambda b: enumerate_schedules(b, trace), stats))
+    found = list(explore([first, second], partial(enumerate_schedules, trace=trace), stats))
     assert [(b.id, s.context_seqs + s.applied_seqs) for b, s, _, _ in found] == [
         ("first", ()), ("first", (1,)), ("second", (1, 2)),
     ]
@@ -432,7 +471,11 @@ def test_explore_budget_hit_moves_on_to_the_next_behavior():
     budgets = {"first": 1, "second": 100}
     stats = RunStats()
     found = list(
-        explore([first, second], lambda b: enumerate_schedules(b, trace, budget=budgets[b.id]), stats)
+        explore(
+            [first, second],
+            lambda b, cache: enumerate_schedules(b, trace, budget=budgets[b.id], cache=cache),
+            stats,
+        )
     )
     assert stats.partial_coverage is True
     assert [b.id for b, _, _, _ in found] == ["first", "second", "second"]
@@ -442,9 +485,7 @@ def test_explore_budget_hit_moves_on_to_the_next_behavior():
 def test_explore_checks_each_new_state_once():
     trace, first, second = two_file_behaviors()
 
-    def schedules_of(behavior):
-        return enumerate_schedules(behavior, trace)
-
+    schedules_of = partial(enumerate_schedules, trace=trace)
     unchecked = list(explore([first, second], schedules_of, RunStats()))
     assert [result for _, _, _, result in unchecked] == [None, None, None]
 
@@ -466,9 +507,7 @@ def test_explore_dedups_exactly_as_the_digests_do(schedules):
         trace = random_posix_trace(rng, max_ops=6) if i % 2 == 0 else random_mmio_trace(rng, max_ops=6)
         behaviors = behaviors_with_several_contexts(trace)
 
-        def schedules_of(behavior):
-            return schedules(behavior, trace)
-
+        schedules_of = partial(schedules, trace=trace)
         stats = RunStats()
         found = [digest for _, _, digest, _ in explore(behaviors, schedules_of, stats)]
         from_scratch = {replay(s).digest() for b in behaviors for s in schedules_of(b)}
@@ -518,22 +557,101 @@ def test_explore_matches_replaying_every_schedule_from_scratch():
         assert stats == expected_stats
 
 
-def test_explore_leaves_every_interned_image_as_it_was_interned(monkeypatch):
-    caches = []
-
-    def recording_replay(schedule, cache=None):
-        caches.append(cache)
-        return replay(schedule, cache)
-
-    monkeypatch.setattr(simulate, "replay", recording_replay)
+def test_explore_leaves_every_interned_image_as_it_was_interned():
     for behaviors, schedules_of in random_explorations(77, 40):
-        caches.clear()
-        list(explore(behaviors, schedules_of, RunStats()))
+        caches = []
+
+        def recording(behavior, cache):
+            caches.append(cache)
+            return schedules_of(behavior, cache=cache)
+
+        list(explore(behaviors, recording, RunStats()))
         (cache,) = {id(c): c for c in caches}.values()
         for key, image in cache.interned.items():
             assert image.content_key() == key
         for _, image in cache.steps.values():
             assert cache.interned[image.content_key()] is image
+        assert cache.seen <= {id(image) for image in cache.interned.values()}
+
+
+# --- the walk's memo of counts below a branch point ---
+
+
+def explorations_match(behaviors, schedules_of):
+    stats, expected_stats = RunStats(), RunStats()
+    found = [(b.id, s, digest) for b, s, digest, _ in explore(behaviors, schedules_of, stats)]
+    return found == list(reference_explore(behaviors, schedules_of, expected_stats)) and stats == expected_stats
+
+
+@pytest.mark.parametrize(
+    "schedules, traces, budget", [(enumerate_schedules, 200, 20_000), (exhaustive_schedules, 60, 1_000)]
+)
+def test_explore_matches_the_reference_on_nine_op_traces(schedules, traces, budget):
+    """Larger traces than :func:`random_explorations` gives, where one
+    state is reached by several orders that admit different candidates.
+    The unpruned walk has many more schedules, so it gets fewer traces."""
+    rng = random.Random(0)
+    for i in range(traces):
+        make_trace = random_posix_trace if i % 2 == 0 else random_mmio_trace
+        trace = make_trace(rng, max_ops=9, threads=rng.randint(1, 3))
+        schedules_of = partial(schedules, trace=trace, budget=budget)
+        assert explorations_match(behaviors_with_several_contexts(trace), schedules_of), i
+
+
+def test_explore_keys_the_memo_on_the_candidates():
+    """(1, 2, 3) and (2, 1, 3) reach one image with one placed set, but the
+    pruned candidates after them differ (after 3 they hold the write to f1,
+    after the other fsync they do not), so the orders below differ too."""
+    trace = posix_trace(
+        [
+            op(1, "write", write_args("f2", b"\x2d" * 4, 2), (("m", 1),), tid=1),
+            op(2, "write", write_args("f1", b"\x1f" * 3, 2), (("m", 2),)),
+            op(3, "write", write_args("f3", b"\x8d" * 3, 4094), (("m", 3),), tid=1),
+            op(4, "fsync", {"path": ".", "dir": True}, (("m", 4),)),
+            op(5, "rename", {"path": "f3", "dst": "f2"}, (("m", 5),)),
+            op(6, "fsync", {"path": ".", "dir": True}, (("m", 6),), tid=1),
+            op(7, "fsync", {"path": ".", "dir": True}, (("m", 7),)),
+        ]
+    )
+    behavior, _ = whole_trace_behavior(trace)
+    assert explorations_match([behavior], partial(enumerate_schedules, trace=trace))
+
+
+def log_then_tables_trace(appends, tables):
+    """``appends`` appends to one log, its fdatasync, then ``tables``
+    writes to distinct files that nothing orders."""
+    ops = [op(seq, "write", write_args("log", bytes([seq]) * 4, 4 * (seq - 1))) for seq in range(1, appends + 1)]
+    ops.append(op(appends + 1, "fdatasync", {"path": "log"}))
+    ops += [
+        op(appends + 2 + i, "write", write_args(f"table{i}", bytes([100 + i]) * 8))
+        for i in range(tables)
+    ]
+    return posix_trace(ops)
+
+
+def test_explore_matches_the_reference_at_every_budget():
+    # Four tables: the first set whose orders repeat a branch point, so the
+    # budget runs out inside a counted item as well as at a schedule.
+    trace = log_then_tables_trace(2, 4)
+    behavior, _ = whole_trace_behavior(trace)
+    total = sum(1 for _ in exhaustive_schedules(behavior, trace))
+    for schedules in (enumerate_schedules, exhaustive_schedules):
+        for budget in range(1, total + 2):
+            schedules_of = partial(schedules, trace=trace, budget=budget)
+            assert explorations_match([behavior], schedules_of), (schedules, budget)
+
+
+def test_the_walk_reports_fewer_items_than_schedules():
+    """Every order of a set of table writes ends in the same image, so a
+    set of tables placed again by another order is one counted item."""
+    appends, tables = 3, 5
+    trace = log_then_tables_trace(appends, tables)
+    behavior, _ = whole_trace_behavior(trace)
+    schedules = appends + 2 + sum(math.comb(tables, j) * math.factorial(j) for j in range(1, tables + 1))
+    items = list(exhaustive_schedules(behavior, trace, cache=StateCache()))
+    assert sum(weight for weight, _, _ in items) == schedules
+    assert sum(1 for _, s, _ in items if s) == appends + 2**tables
+    assert len(items) < schedules
 
 
 def test_content_key_agrees_with_the_digest_on_edge_cases():
