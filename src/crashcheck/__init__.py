@@ -43,7 +43,7 @@ from .mmio_behaviors import (
     build_type_subgraphs,
     derive_mmio_behaviors,
 )
-from .models import EdgeReason, ModelConfig, mmio_edges, model_edges, posix_edges
+from .models import EdgeReason, HappensBefore, ModelConfig, mmio_edges, model_edges, posix_edges
 from .posix_behaviors import (
     CallStackTree,
     derive_function_subgraphs,

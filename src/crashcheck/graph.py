@@ -1,11 +1,13 @@
 """Persistence graph: operations as nodes, happens-before edges, and the
 static keys used for node equivalence.
 
-Happens-before is stored once, as a Python-int bitset of direct
-predecessors per node in the vector-clock style of FastTrack (Flanagan &
-Freund, PLDI'09), and every subgraph taken with
-:meth:`PersistenceGraph.induced` (behaviors, MMIO types, instances and
-epochs) shares it: a view's predecessors of ``n`` are ``preds[n] & mask``.
+Happens-before is stored once, as the model's per-rule bitsets ORed into
+one Python-int bitset of direct predecessors per node in the vector-clock
+style of FastTrack (Flanagan & Freund, PLDI'09), and every subgraph taken
+with :meth:`PersistenceGraph.induced` (behaviors, MMIO types, instances
+and epochs) shares it: a view's predecessors of ``n`` are ``preds[n] &
+mask``.  Only :meth:`PersistenceGraph.edges`, which DOT labels read, names
+each pair's rule.
 
 Node identity is the trace seq; equivalence between nodes is a separate
 relation built on :class:`StaticKey` (see :mod:`crashcheck.grouping`), which
@@ -18,12 +20,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import compress
+from itertools import compress, repeat
 from operator import itemgetter
 from typing import Iterator
 
 from .errors import GraphBuildError, NodeNotFound
-from .models import EdgeReason, Edges
+from .models import EdgeReason, HappensBefore
 from .trace import METADATA_ONLY_KINDS, Operation, Trace
 
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
@@ -44,6 +46,14 @@ class StaticKey:
 
     kind: str
     static_stack: tuple[tuple[str, str, int], ...]
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.kind, self.static_stack))
+
+    def __hash__(self) -> int:
+        # Grouping hashes keys in every set operation; hash the frames once.
+        return self._hash
 
     @property
     def loc(self) -> tuple[str, int]:
@@ -66,16 +76,17 @@ class PersistenceGraph:
     induced from the same :func:`build_graph` result.
 
     ``preds`` maps a node seq to the bitset of its direct predecessors, bit
-    ``i`` standing for ``seqs[i]``; ``reasons`` names each edge; and
-    ``static_keys`` holds one object per distinct key, so comparing keys is
-    mostly an identity check.  ``mask`` is the bitset of this graph's own
-    nodes, so inducing a subgraph copies nothing but the node map.
+    ``i`` standing for ``seqs[i]``, the seqs of all trace ops as in the
+    model; ``rules`` names each edge; and ``static_keys`` holds one object
+    per distinct key, so comparing keys is mostly an identity check.
+    ``mask`` is the bitset of this graph's own nodes, so inducing a
+    subgraph copies nothing but the node map.
     """
 
     ops_by_seq: dict[int, Operation]
     seqs: tuple[int, ...] = field(repr=False)
     preds: dict[int, int] = field(repr=False)
-    reasons: Edges = field(repr=False)
+    rules: dict[EdgeReason, dict[int, int]] = field(repr=False)
     static_keys: dict[int, StaticKey] = field(repr=False)
     mask: int = field(repr=False)
     key_mode: str = FULL_KEY
@@ -92,12 +103,21 @@ class PersistenceGraph:
     def edge_count(self) -> int:
         return sum((self.preds.get(seq, 0) & self.mask).bit_count() for seq in self.ops_by_seq)
 
-    def edges(self) -> Edges:
-        """This graph's ``(src, dst) -> reason`` pairs, in (src, dst) order."""
-        mask, preds = self.mask, self.preds
-        pairs = [(src, dst) for dst in self._seqs_in(mask) for src in self._seqs_in(preds.get(dst, 0) & mask)]
-        pairs.sort(key=itemgetter(0))  # stable, so each source's destinations stay in order
-        return dict(zip(pairs, map(self.reasons.__getitem__, pairs)))
+    def edges(self) -> list[tuple[int, int, EdgeReason]]:
+        """This graph's ``(src, dst, reason)`` triples in (src, dst) order,
+        each source named by the first of its destination's rules that
+        holds it."""
+        mask, preds, seqs_in = self.mask, self.preds, self._seqs_in
+        triples = []
+        for dst in seqs_in(mask):
+            rest = preds.get(dst, 0) & mask
+            for reason, by_dst in self.rules.items():
+                srcs = by_dst.get(dst, 0) & rest
+                if srcs:
+                    rest ^= srcs
+                    triples.extend(zip(seqs_in(srcs), repeat(dst), repeat(reason)))
+        triples.sort(key=itemgetter(0))  # stable, so each source's destinations stay in order
+        return triples
 
     def __len__(self) -> int:
         return len(self.ops_by_seq)
@@ -115,7 +135,10 @@ class PersistenceGraph:
     @cached_property
     def key_pairs(self) -> frozenset[tuple[StaticKey, StaticKey]]:
         """The (source key, destination key) pairs of this graph's edges."""
-        return frozenset((self.static_keys[src], self.static_keys[dst]) for src, dst in self.edges())
+        keys, mask, seqs_in = self.static_keys, self.mask, self._seqs_in
+        return frozenset(
+            (keys[src], keys[dst]) for dst in seqs_in(mask) for src in seqs_in(self.preds.get(dst, 0) & mask)
+        )
 
     def predecessors(self, seq: int) -> set[int]:
         self.op(seq)
@@ -130,28 +153,30 @@ class PersistenceGraph:
         return replace(self, ops_by_seq={seq: self.ops_by_seq[seq] for seq in nodes}, mask=mask)
 
 
-def build_graph(trace: Trace, edges: Edges, key_mode: str = FULL_KEY) -> PersistenceGraph:
+def build_graph(trace: Trace, hb: HappensBefore, key_mode: str = FULL_KEY) -> PersistenceGraph:
     """Build the persistence graph over a trace's storage operations.
 
     open/close ops are recorded in traces but are pure bookkeeping; they do
-    not become nodes.  Every edge endpoint must be a node and must run
+    not become nodes.  Every edge of ``hb`` must join two nodes and run
     forward in trace order, otherwise :class:`GraphBuildError` is raised.
-    The graph keeps ``edges`` as its reason table.
     """
+    seqs = tuple(op.seq for op in trace.ops)
+    if any(a >= b for a, b in zip(seqs, seqs[1:])):
+        raise GraphBuildError("trace seqs do not increase")
     ops_by_seq = {op.seq: op for op in trace.ops if op.kind not in METADATA_ONLY_KINDS}
-    seqs = tuple(sorted(ops_by_seq))
-    bits = {seq: 1 << i for i, seq in enumerate(seqs)}
-    preds: dict[int, int] = {}
-    for src, dst in edges:
-        if src not in bits or dst not in bits:
-            raise GraphBuildError(f"edge {(src, dst)} references a seq outside the graph")
-        if src >= dst:
-            raise GraphBuildError(f"edge {(src, dst)} does not run forward in trace order")
-        preds[dst] = preds.get(dst, 0) | bits[src]
+    mask = sum(1 << i for i, op in enumerate(trace.ops) if op.kind not in METADATA_ONLY_KINDS)
+    index = {seq: i for i, seq in enumerate(seqs)}
+    preds = hb.preds()
+    for dst, srcs in preds.items():
+        i = index.get(dst, -1)
+        if i < 0 or not mask >> i & 1 or srcs & ~mask:
+            raise GraphBuildError(f"happens-before into {dst} names an op outside the graph")
+        if srcs >> i:
+            raise GraphBuildError(f"happens-before into {dst} does not run forward in trace order")
     keys = {seq: StaticKey.of(op, key_mode) for seq, op in ops_by_seq.items()}
     interned = {key: key for key in keys.values()}
     keys = {seq: interned[key] for seq, key in keys.items()}
-    return PersistenceGraph(ops_by_seq, seqs, preds, edges, keys, (1 << len(seqs)) - 1, key_mode)
+    return PersistenceGraph(ops_by_seq, seqs, preds, hb.rules, keys, mask, key_mode)
 
 
 def export_dot(graph: PersistenceGraph, name: str = "pg") -> str:
@@ -164,7 +189,7 @@ def export_dot(graph: PersistenceGraph, name: str = "pg") -> str:
         out.append(f'  n{seq} [label="{op.kind}@{frame.file}:{frame.line}"];')
     nodes = {seq: f"n{seq}" for seq in graph.ops_by_seq}
     labels = {reason: f'[label="{reason.value}"];' for reason in EdgeReason}
-    for (src, dst), reason in graph.edges().items():
+    for src, dst, reason in graph.edges():
         out.append(f"  {nodes[src]} -> {nodes[dst]} {labels[reason]}")
     out.append("}")
     return "\n".join(out) + "\n"

@@ -5,8 +5,11 @@ pairs pick up edges exactly where a rule fires across threads; no blanket
 cross-thread ordering is added.  All edges point from a lower seq to a
 higher seq, which keeps every graph acyclic by construction.
 
-Each model returns :data:`Edges`, plain ``(src seq, dst seq) -> reason``
-pairs; when several rules order a pair, the first one listed below names it.
+Each model returns a :class:`HappensBefore`, per-rule predecessor bitsets
+filled from one running bitset per path, block, directory or line, so no
+``(src, dst)`` pair is built.  When several rules order a pair, the first
+in naming priority names it: ``SameBlock`` > ``MetadataOrder`` >
+``SyncBarrier``, and ``SameCacheLine`` > ``FlushFence`` > ``Msync``.
 
 POSIX rules (ext4-style):
 
@@ -44,7 +47,7 @@ from __future__ import annotations
 
 import math
 import posixpath
-from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 
@@ -53,16 +56,36 @@ from .trace import MMIO_KINDS, MMIO_MODE, POSIX_KINDS, POSIX_MODE, Operation, Tr
 
 
 class EdgeReason(str, Enum):
+    # Each model's rules, in naming priority.
     SAME_BLOCK = "SameBlock"
-    SYNC_BARRIER = "SyncBarrier"
     METADATA_ORDER = "MetadataOrder"
+    SYNC_BARRIER = "SyncBarrier"
     SAME_CACHE_LINE = "SameCacheLine"
     FLUSH_FENCE = "FlushFence"
     MSYNC = "Msync"
 
 
-# Happens-before: (src seq, dst seq) -> the first rule that orders the pair.
-Edges = dict[tuple[int, int], EdgeReason]
+@dataclass(frozen=True)
+class HappensBefore:
+    """Happens-before of one trace as per-rule predecessor bitsets.
+
+    ``rules`` maps each rule, in naming priority, to a map from a
+    destination seq to the bitset of its sources, bit ``i`` standing for
+    ``trace.ops[i]``.  A pair's reason is the first rule that holds it."""
+
+    rules: dict[EdgeReason, dict[int, int]]
+
+    def preds(self) -> dict[int, int]:
+        """Each destination's sources under any rule."""
+        out: dict[int, int] = {}
+        for by_dst in self.rules.values():
+            for dst, srcs in by_dst.items():
+                out[dst] = out[dst] | srcs if dst in out else srcs
+        return out
+
+    def __len__(self) -> int:
+        """The number of ordered (src, dst) pairs."""
+        return sum(srcs.bit_count() for srcs in self.preds().values())
 
 
 @dataclass(frozen=True)
@@ -112,8 +135,8 @@ def _paths_named(op: Operation) -> tuple[str, ...]:
     return ()
 
 
-def posix_edges(trace: Trace, cfg: ModelConfig | None = None) -> Edges:
-    """Happens-before edges for a POSIX trace under the file-system model."""
+def posix_edges(trace: Trace, cfg: ModelConfig | None = None) -> HappensBefore:
+    """Happens-before for a POSIX trace under the file-system model."""
     cfg = cfg or ModelConfig()
     if trace.meta.mode != POSIX_MODE:
         raise ModeMismatch(f"posix_edges requires a POSIX trace, got {trace.meta.mode}")
@@ -121,101 +144,75 @@ def posix_edges(trace: Trace, cfg: ModelConfig | None = None) -> Edges:
         if op.kind not in POSIX_KINDS:
             raise ModeMismatch(f"op {op.seq} has MMIO kind {op.kind!r} in a POSIX trace")
 
-    edges: Edges = {}
-    add = edges.setdefault
-    ops = trace.ops
-
-    # Per-file data write conflicts, at block granularity when splitting is
-    # enabled and whole-file granularity otherwise.
-    writes_by_path: dict[str, list[tuple[Operation, frozenset[int]]]] = {}
+    same_block: dict[int, int] = {}
+    metadata: dict[int, int] = {}
+    barrier: dict[int, int] = {}
+    # Running bitsets of the ops issued so far: data writes per (path,
+    # block), block -1 when writes are not split; size-extending writes,
+    # data ops, metadata ops, creators and consumers per path; metadata ops
+    # per directory; every persisting op; and every op a barrier released.
+    written, extenders, data_at, meta_at, creators, consumers, meta_in_dir = (
+        defaultdict(int) for _ in range(7)
+    )
     sizes: dict[str, int] = {}
-    extenders_by_path: dict[str, list[Operation]] = {}
-    for op in ops:
-        if op.kind not in _DATA_KINDS:
+    split = cfg.split_writes_at_block_boundary
+    issued = released = 0
+    for i, op in enumerate(trace.ops):
+        bit, kind, args = 1 << i, op.kind, op.args
+        if kind in ("sync", "fsync", "fdatasync"):
+            if kind == "sync":
+                sources = issued
+            elif kind == "fsync" and args.get("dir"):
+                sources = meta_in_dir[args["path"].rstrip("/") or "."]
+            else:
+                sources = data_at[args["path"]] | (meta_at[args["path"]] if kind == "fsync" else 0)
+            # A barrier with nothing pending constrains nothing; one with
+            # sources releases them and itself to every later persisting op.
+            barrier[op.seq] = sources
+            if sources:
+                released |= sources | bit
             continue
-        path = op.args["path"]
-        if cfg.split_writes_at_block_boundary:
-            blks = blocks_of(op.args["offset"], op.args["length"], cfg.block_size)
-        else:
-            blks = frozenset({-1})
-        for earlier, earlier_blks in writes_by_path.get(path, []):
-            if earlier_blks & blks:
-                add((earlier.seq, op.seq), EdgeReason.SAME_BLOCK)
-        writes_by_path.setdefault(path, []).append((op, blks))
+        if kind not in _POSIX_PERSISTING:
+            continue
+        barrier[op.seq] = released
+        issued |= bit
+        same = ordered = 0
+        if kind in _DATA_KINDS:
+            path, end = args["path"], args["offset"] + args["length"]
+            for blk in blocks_of(args["offset"], args["length"], cfg.block_size) if split else (-1,):
+                same |= written[path, blk]
+                written[path, blk] |= bit
+            if end > sizes.get(path, 0):
+                ordered, sizes[path] = extenders[path], end
+                extenders[path] |= bit
+            data_at[path] |= bit
+        same_block[op.seq] = same
 
-        end = op.args["offset"] + op.args["length"]
-        if end > sizes.get(path, 0):
-            for earlier in extenders_by_path.get(path, []):
-                add((earlier.seq, op.seq), EdgeReason.METADATA_ORDER)
-            extenders_by_path.setdefault(path, []).append(op)
-            sizes[path] = end
-
-    # Metadata ops naming a shared path, in trace order.
-    meta_by_path: dict[str, list[Operation]] = {}
-    for op in ops:
-        for path in dict.fromkeys(_paths_named(op)):
-            for earlier in meta_by_path.get(path, []):
-                add((earlier.seq, op.seq), EdgeReason.METADATA_ORDER)
-            meta_by_path.setdefault(path, []).append(op)
-
-    # A rename's source (and an unlink's target) must have been materialized,
-    # and recreating a consumed path is ordered after the consumer; the
-    # per-path life cycle then replays in trace order under any legal
-    # schedule, so path-based replay never sees an impossible state.
-    creators_by_path: dict[str, list[int]] = {}
-    consumers_by_path: dict[str, list[int]] = {}
-    for op in ops:
-        consumed = op.args["path"] if op.kind in ("rename", "unlink") else None
-        created = op.args["dst"] if op.kind == "rename" else None
-        if op.kind in _DATA_KINDS or op.kind in ("create", "mkdir"):
-            created = op.args["path"]
-        for seq in creators_by_path.get(consumed, []) + consumers_by_path.get(created, []):
-            add((seq, op.seq), EdgeReason.METADATA_ORDER)
+        # Metadata ops naming a shared path, in trace order.  A rename's
+        # source (and an unlink's target) must have been materialized, and
+        # recreating a consumed path is ordered after the consumer; the
+        # per-path life cycle then replays in trace order under any legal
+        # schedule, so path-based replay never sees an impossible state.
+        # Every bitset is read before this op joins any, so ``rename a a``
+        # is not ordered after itself.
+        named = _paths_named(op)
+        consumed = args["path"] if kind in ("rename", "unlink") else None
+        created = args["dst"] if kind == "rename" else (None if kind == "unlink" else args["path"])
+        for path in named:
+            ordered |= meta_at[path]
+        metadata[op.seq] = ordered | creators[consumed] | consumers[created]
+        for path in named:
+            meta_at[path] |= bit
+            meta_in_dir[parent_dir(path)] |= bit
         if created is not None:
-            creators_by_path.setdefault(created, []).append(op.seq)
+            creators[created] |= bit
         if consumed is not None:
-            # Appended last, so ``rename a a`` is not ordered after itself.
-            consumers_by_path.setdefault(consumed, []).append(op.seq)
-
-    # Durability barriers, in one forward pass that indexes the persisting ops
-    # issued so far.  A source points at every barrier covering it; the sinks
-    # of its first covering barrier include those of every later one.
-    data_at: dict[str, list[int]] = {}
-    meta_at: dict[str, list[int]] = {}
-    meta_in_dir: dict[str, list[int]] = {}
-    issued: list[int] = []
-    first_barrier: dict[int, int] = {}
-    anchored: list[int] = []
-    for op in ops:
-        if op.kind == "sync":
-            sources = issued
-        elif op.kind == "fsync" and op.args.get("dir"):
-            sources = meta_in_dir.get(op.args["path"].rstrip("/") or ".", [])
-        elif op.kind in ("fsync", "fdatasync"):
-            sources = data_at.get(op.args["path"], [])
-            if op.kind == "fsync":
-                sources = sources + meta_at.get(op.args["path"], [])
-        else:
-            if op.kind in _POSIX_PERSISTING:
-                issued.append(op.seq)
-            if op.kind in _DATA_KINDS:
-                data_at.setdefault(op.args["path"], []).append(op.seq)
-            named = _paths_named(op)
-            for path in dict.fromkeys(named):
-                meta_at.setdefault(path, []).append(op.seq)
-            for dirpath in dict.fromkeys(map(parent_dir, named)):
-                meta_in_dir.setdefault(dirpath, []).append(op.seq)
-            continue
-        if sources:
-            # A barrier with nothing pending constrains nothing.
-            anchored.append(op.seq)
-        for seq in sources:
-            add((seq, op.seq), EdgeReason.SYNC_BARRIER)
-            first_barrier.setdefault(seq, op.seq)
-    for src, barrier in [*first_barrier.items(), *zip(anchored, anchored)]:
-        for dst in issued[bisect_right(issued, barrier):]:
-            add((src, dst), EdgeReason.SYNC_BARRIER)
-    return edges
+            consumers[consumed] |= bit
+    return HappensBefore({
+        EdgeReason.SAME_BLOCK: same_block,
+        EdgeReason.METADATA_ORDER: metadata,
+        EdgeReason.SYNC_BARRIER: barrier,
+    })
 
 
 def line_persist_points(trace: Trace, cfg: ModelConfig) -> dict[int, list[list[float]]]:
@@ -253,8 +250,8 @@ def line_persist_points(trace: Trace, cfg: ModelConfig) -> dict[int, list[list[f
     return points
 
 
-def mmio_edges(trace: Trace, cfg: ModelConfig | None = None) -> Edges:
-    """Happens-before edges for an MMIO trace under the memory model."""
+def mmio_edges(trace: Trace, cfg: ModelConfig | None = None) -> HappensBefore:
+    """Happens-before for an MMIO trace under the memory model."""
     cfg = cfg or ModelConfig()
     if trace.meta.mode != MMIO_MODE:
         raise ModeMismatch(f"mmio_edges requires an MMIO trace, got {trace.meta.mode}")
@@ -262,34 +259,37 @@ def mmio_edges(trace: Trace, cfg: ModelConfig | None = None) -> Edges:
         if op.kind not in MMIO_KINDS:
             raise ModeMismatch(f"op {op.seq} has POSIX kind {op.kind!r} in an MMIO trace")
 
-    edges: Edges = {}
-    add = edges.setdefault
-    stores = [op for op in trace.ops if op.kind == "store"]
-
-    # Same-cache-line conflicts in trace order, from the stores so far on
-    # each line.
-    stores_on_line: dict[int, list[int]] = {}
-    for op in stores:
-        for line in lines_of(op.args["addr"], op.args["length"], cfg.cache_line_size):
-            earlier = stores_on_line.setdefault(line, [])
-            for seq in earlier:
-                add((seq, op.seq), EdgeReason.SAME_CACHE_LINE)
-            earlier.append(op.seq)
-
     # A store happens before every store after the first point at which any
-    # of its lines is persisted; flush+fence wins the reason over msync.
-    seqs = [op.seq for op in stores]
-    for src, lines in line_persist_points(trace, cfg).items():
-        after_fence = bisect_right(seqs, min(fence for fence, _ in lines))
-        after_msync = bisect_right(seqs, min(msync for _, msync in lines))
-        for dst in seqs[after_fence:]:
-            add((src, dst), EdgeReason.FLUSH_FENCE)
-        for dst in seqs[after_msync:after_fence]:
-            add((src, dst), EdgeReason.MSYNC)
-    return edges
+    # of its lines is persisted: it joins the released bitsets there.
+    index = {op.seq: i for i, op in enumerate(trace.ops)}
+    at_fence, at_msync, on_line = defaultdict(int), defaultdict(int), defaultdict(int)
+    for seq, lines in line_persist_points(trace, cfg).items():
+        at_fence[min(fence for fence, _ in lines)] |= 1 << index[seq]
+        at_msync[min(msync for _, msync in lines)] |= 1 << index[seq]
+    same_line: dict[int, int] = {}
+    flush_fence: dict[int, int] = {}
+    msynced: dict[int, int] = {}
+    fenced = synced = 0
+    for i, op in enumerate(trace.ops):
+        if op.kind != "store":
+            fenced |= at_fence[op.seq]
+            synced |= at_msync[op.seq]
+            continue
+        # Same-cache-line conflicts in trace order, from the stores so far
+        # on each line.
+        same = 0
+        for line in lines_of(op.args["addr"], op.args["length"], cfg.cache_line_size):
+            same |= on_line[line]
+            on_line[line] |= 1 << i
+        same_line[op.seq], flush_fence[op.seq], msynced[op.seq] = same, fenced, synced
+    return HappensBefore({
+        EdgeReason.SAME_CACHE_LINE: same_line,
+        EdgeReason.FLUSH_FENCE: flush_fence,
+        EdgeReason.MSYNC: msynced,
+    })
 
 
-def model_edges(trace: Trace, cfg: ModelConfig | None = None) -> Edges:
+def model_edges(trace: Trace, cfg: ModelConfig | None = None) -> HappensBefore:
     """Dispatch to the model matching the trace's mode."""
     if trace.meta.mode == POSIX_MODE:
         return posix_edges(trace, cfg)

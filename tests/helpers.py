@@ -1,5 +1,6 @@
 """Shared builders for hand-constructed traces and random workload traces,
-and the independent oracles the tests compare the library against."""
+and the independent oracles the tests compare the library against,
+among them the rule-by-rule reference of the persistence models."""
 
 from __future__ import annotations
 
@@ -7,13 +8,25 @@ import dataclasses
 import hashlib
 import itertools
 import random
+from bisect import bisect_right
 from typing import Iterator
 
 from crashcheck import Backtrace, Frame, Operation, PersistenceGraph, Trace, build_graph
 from crashcheck.behavior import UpdateBehavior, make_behavior
 from crashcheck.errors import ExplosionLimit
 from crashcheck.mmio_behaviors import EpochSubgraph, InstanceSubgraph, _split_epochs, persisted_at
-from crashcheck.models import EdgeReason, ModelConfig
+from crashcheck.models import (
+    _DATA_KINDS,
+    _POSIX_PERSISTING,
+    EdgeReason,
+    HappensBefore,
+    ModelConfig,
+    _paths_named,
+    blocks_of,
+    line_persist_points,
+    lines_of,
+    parent_dir,
+)
 from crashcheck.simulate import CheckResult, CrashSchedule
 from crashcheck.trace import MMIO_MODE, POSIX_MODE, TraceMeta, payload_digest
 
@@ -69,13 +82,171 @@ def mmio_trace(ops: list[Operation], app: str = "test") -> Trace:
     return Trace(meta=TraceMeta(app_name=app, mode=MMIO_MODE), ops=ops)
 
 
-def edge_triples(edges) -> set[tuple[int, int, EdgeReason]]:
-    """The ``(src, dst, reason)`` triples of a graph, or of a model's
-    ``(src, dst) -> reason`` pairs: the one form tests compare
-    happens-before in."""
+def edge_triples(edges, trace: Trace | None = None) -> set[tuple[int, int, EdgeReason]]:
+    """The ``(src, dst, reason)`` triples of a graph, of a model's
+    :class:`HappensBefore` over ``trace`` (read through the graph), or of
+    the reference model's ``(src, dst) -> reason`` pairs: the one form
+    tests compare happens-before in."""
+    if isinstance(edges, HappensBefore):
+        edges = build_graph(trace, edges)
     if isinstance(edges, PersistenceGraph):
-        edges = edges.edges()
+        return set(edges.edges())
     return {(src, dst, reason) for (src, dst), reason in edges.items()}
+
+
+# The reference model: (src seq, dst seq) -> the first rule that orders the
+# pair, filled rule by rule with ``setdefault``.
+Pairs = dict[tuple[int, int], EdgeReason]
+
+
+def reference_posix_pairs(trace: Trace, cfg: ModelConfig | None = None) -> Pairs:
+    """The POSIX model written rule by rule over lists of earlier ops: the
+    reference ``crashcheck.models.posix_edges`` is compared against."""
+    cfg = cfg or ModelConfig()
+
+    edges: Pairs = {}
+    add = edges.setdefault
+    ops = trace.ops
+
+    # Per-file data write conflicts, at block granularity when splitting is
+    # enabled and whole-file granularity otherwise.
+    writes_by_path: dict[str, list[tuple[Operation, frozenset[int]]]] = {}
+    sizes: dict[str, int] = {}
+    extenders_by_path: dict[str, list[Operation]] = {}
+    for op in ops:
+        if op.kind not in _DATA_KINDS:
+            continue
+        path = op.args["path"]
+        if cfg.split_writes_at_block_boundary:
+            blks = blocks_of(op.args["offset"], op.args["length"], cfg.block_size)
+        else:
+            blks = frozenset({-1})
+        for earlier, earlier_blks in writes_by_path.get(path, []):
+            if earlier_blks & blks:
+                add((earlier.seq, op.seq), EdgeReason.SAME_BLOCK)
+        writes_by_path.setdefault(path, []).append((op, blks))
+
+        end = op.args["offset"] + op.args["length"]
+        if end > sizes.get(path, 0):
+            for earlier in extenders_by_path.get(path, []):
+                add((earlier.seq, op.seq), EdgeReason.METADATA_ORDER)
+            extenders_by_path.setdefault(path, []).append(op)
+            sizes[path] = end
+
+    # Metadata ops naming a shared path, in trace order.
+    meta_by_path: dict[str, list[Operation]] = {}
+    for op in ops:
+        for path in dict.fromkeys(_paths_named(op)):
+            for earlier in meta_by_path.get(path, []):
+                add((earlier.seq, op.seq), EdgeReason.METADATA_ORDER)
+            meta_by_path.setdefault(path, []).append(op)
+
+    # A rename's source (and an unlink's target) must have been materialized,
+    # and recreating a consumed path is ordered after the consumer; the
+    # per-path life cycle then replays in trace order under any legal
+    # schedule, so path-based replay never sees an impossible state.
+    creators_by_path: dict[str, list[int]] = {}
+    consumers_by_path: dict[str, list[int]] = {}
+    for op in ops:
+        consumed = op.args["path"] if op.kind in ("rename", "unlink") else None
+        created = op.args["dst"] if op.kind == "rename" else None
+        if op.kind in _DATA_KINDS or op.kind in ("create", "mkdir"):
+            created = op.args["path"]
+        for seq in creators_by_path.get(consumed, []) + consumers_by_path.get(created, []):
+            add((seq, op.seq), EdgeReason.METADATA_ORDER)
+        if created is not None:
+            creators_by_path.setdefault(created, []).append(op.seq)
+        if consumed is not None:
+            # Appended last, so ``rename a a`` is not ordered after itself.
+            consumers_by_path.setdefault(consumed, []).append(op.seq)
+
+    # Durability barriers, in one forward pass that indexes the persisting ops
+    # issued so far.  A source points at every barrier covering it; the sinks
+    # of its first covering barrier include those of every later one.
+    data_at: dict[str, list[int]] = {}
+    meta_at: dict[str, list[int]] = {}
+    meta_in_dir: dict[str, list[int]] = {}
+    issued: list[int] = []
+    first_barrier: dict[int, int] = {}
+    anchored: list[int] = []
+    for op in ops:
+        if op.kind == "sync":
+            sources = issued
+        elif op.kind == "fsync" and op.args.get("dir"):
+            sources = meta_in_dir.get(op.args["path"].rstrip("/") or ".", [])
+        elif op.kind in ("fsync", "fdatasync"):
+            sources = data_at.get(op.args["path"], [])
+            if op.kind == "fsync":
+                sources = sources + meta_at.get(op.args["path"], [])
+        else:
+            if op.kind in _POSIX_PERSISTING:
+                issued.append(op.seq)
+            if op.kind in _DATA_KINDS:
+                data_at.setdefault(op.args["path"], []).append(op.seq)
+            named = _paths_named(op)
+            for path in dict.fromkeys(named):
+                meta_at.setdefault(path, []).append(op.seq)
+            for dirpath in dict.fromkeys(map(parent_dir, named)):
+                meta_in_dir.setdefault(dirpath, []).append(op.seq)
+            continue
+        if sources:
+            # A barrier with nothing pending constrains nothing.
+            anchored.append(op.seq)
+        for seq in sources:
+            add((seq, op.seq), EdgeReason.SYNC_BARRIER)
+            first_barrier.setdefault(seq, op.seq)
+    for src, barrier in [*first_barrier.items(), *zip(anchored, anchored)]:
+        for dst in issued[bisect_right(issued, barrier):]:
+            add((src, dst), EdgeReason.SYNC_BARRIER)
+    return edges
+
+
+def reference_mmio_pairs(trace: Trace, cfg: ModelConfig | None = None) -> Pairs:
+    """The MMIO model written rule by rule over lists of earlier stores:
+    the reference ``crashcheck.models.mmio_edges`` is compared against."""
+    cfg = cfg or ModelConfig()
+
+    edges: Pairs = {}
+    add = edges.setdefault
+    stores = [op for op in trace.ops if op.kind == "store"]
+
+    # Same-cache-line conflicts in trace order, from the stores so far on
+    # each line.
+    stores_on_line: dict[int, list[int]] = {}
+    for op in stores:
+        for line in lines_of(op.args["addr"], op.args["length"], cfg.cache_line_size):
+            earlier = stores_on_line.setdefault(line, [])
+            for seq in earlier:
+                add((seq, op.seq), EdgeReason.SAME_CACHE_LINE)
+            earlier.append(op.seq)
+
+    # A store happens before every store after the first point at which any
+    # of its lines is persisted; flush+fence wins the reason over msync.
+    seqs = [op.seq for op in stores]
+    for src, lines in line_persist_points(trace, cfg).items():
+        after_fence = bisect_right(seqs, min(fence for fence, _ in lines))
+        after_msync = bisect_right(seqs, min(msync for _, msync in lines))
+        for dst in seqs[after_fence:]:
+            add((src, dst), EdgeReason.FLUSH_FENCE)
+        for dst in seqs[after_msync:after_fence]:
+            add((src, dst), EdgeReason.MSYNC)
+    return edges
+
+
+def reference_model_pairs(trace: Trace, cfg: ModelConfig | None = None) -> Pairs:
+    if trace.meta.mode == POSIX_MODE:
+        return reference_posix_pairs(trace, cfg)
+    return reference_mmio_pairs(trace, cfg)
+
+
+def hb_from_pairs(trace: Trace, pairs: Pairs) -> HappensBefore:
+    """Hand-written ``(src, dst) -> reason`` pairs as the per-rule bitsets
+    ``build_graph`` reads, bit ``i`` standing for ``trace.ops[i]``."""
+    index = {o.seq: i for i, o in enumerate(trace.ops)}
+    rules: dict[EdgeReason, dict[int, int]] = {reason: {} for reason in EdgeReason}
+    for (src, dst), reason in pairs.items():
+        rules[reason][dst] = rules[reason].get(dst, 0) | 1 << index[src]
+    return HappensBefore(rules)
 
 
 def split_epochs(
@@ -121,8 +292,7 @@ def fig5_behaviors():
             op(5, "rename", {"path": "f2", "dst": "CUR"}, (("Fn1", 2), ("Fn3", 22))),
         ]
     )
-    edges_a = {(1, 2): mo, (3, 4): mo, (4, 5): mo}
-    graph_a = build_graph(run_a, edges_a)
+    graph_a = build_graph(run_a, hb_from_pairs(run_a, {(1, 2): mo, (3, 4): mo, (4, 5): mo}))
 
     run_b = posix_trace(
         [
@@ -130,7 +300,7 @@ def fig5_behaviors():
             w(4, "f2", b"TWO", (("Fn1", 2), ("Fn3", 21))),
         ]
     )
-    graph_b = build_graph(run_b, {(3, 4): mo})
+    graph_b = build_graph(run_b, hb_from_pairs(run_b, {(3, 4): mo}))
 
     s3_1 = make_behavior("S3-1", "Fn3", 0, (3, 4, 5), graph_a)
     s3_2 = make_behavior("S3-2", "Fn3", 0, (3, 4), graph_b)

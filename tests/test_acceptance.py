@@ -155,7 +155,7 @@ FIG3_GOLDEN_EDGES = {
 def test_criterion_2_fig3_golden_trace(fig3_trace):
     with criterion(2, "fig3 edges and grouping", limit_s=1.0):
         edges = posix_edges(fig3_trace)
-        pairs = {(src, dst) for src, dst, _ in edge_triples(edges)}
+        pairs = {(src, dst) for src, dst, _ in edge_triples(edges, fig3_trace)}
         # the f1 write chain
         assert {(1, 2), (2, 3)} <= pairs
         # the write(f2) -> rename(f2) edge
@@ -163,7 +163,7 @@ def test_criterion_2_fig3_golden_trace(fig3_trace):
         # sync barriers: anchors into the fdatasync and the trailing sync
         assert {(4, 5), (5, 6), (1, 7), (2, 7), (3, 7), (4, 7), (6, 7)} <= pairs
         # exact structural match against the frozen golden set
-        assert edge_triples(edges) == FIG3_GOLDEN_EDGES
+        assert edge_triples(edges, fig3_trace) == FIG3_GOLDEN_EDGES
 
         behaviors, _ = pipeline(fig3_trace)
         shapes = {(b.owner_function, b.node_seqs) for b in behaviors}

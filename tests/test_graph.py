@@ -4,6 +4,7 @@ import pytest
 
 from crashcheck import (
     GraphBuildError,
+    HappensBefore,
     NodeNotFound,
     StaticKey,
     build_graph,
@@ -17,10 +18,12 @@ from crashcheck.trace import Trace, TraceMeta
 
 from helpers import (
     edge_triples,
+    hb_from_pairs,
     op,
     posix_trace,
     random_mmio_trace,
     random_posix_trace,
+    reference_model_pairs,
     straddling_mmio_trace,
     write_args,
 )
@@ -55,8 +58,7 @@ def chain_graph():
             op(3, "create", {"path": "c"}, (("main", 3),)),
         ]
     )
-    edges = {(1, 2): MO, (2, 3): MO}
-    return build_graph(trace, edges)
+    return build_graph(trace, hb_from_pairs(trace, {(1, 2): MO, (2, 3): MO}))
 
 
 def test_fig3_graph_has_seven_nodes_and_frozen_edges(fig3_trace):
@@ -68,20 +70,42 @@ def test_fig3_graph_has_seven_nodes_and_frozen_edges(fig3_trace):
 
 def test_empty_trace_builds_empty_graph():
     trace = Trace(meta=TraceMeta(app_name="", mode="POSIX"))
-    graph = build_graph(trace, {})
+    graph = build_graph(trace, hb_from_pairs(trace, {}))
     assert len(graph) == 0
     assert edge_triples(graph) == set()
 
 
 def test_foreign_edge_is_rejected(fig3_trace):
-    edges = {(9, 2): MO}
-    with pytest.raises(GraphBuildError):
-        build_graph(fig3_trace, edges)
+    beyond = len(fig3_trace.ops)
+    for rules in ({MO: {2: 1 << beyond}}, {MO: {9: 1}}):
+        with pytest.raises(GraphBuildError):
+            build_graph(fig3_trace, HappensBefore(rules))
 
 
 def test_backward_edge_is_rejected(fig3_trace):
+    for pairs in ({(3, 2): MO}, {(2, 2): MO}):
+        with pytest.raises(GraphBuildError):
+            build_graph(fig3_trace, hb_from_pairs(fig3_trace, pairs))
+
+
+def test_trace_out_of_seq_order_is_rejected(fig3_trace):
+    # Bits follow trace order, so it must be seq order.
+    trace = posix_trace(list(reversed(fig3_trace.ops)))
     with pytest.raises(GraphBuildError):
-        build_graph(fig3_trace, {(3, 2): MO})
+        build_graph(trace, hb_from_pairs(trace, {}))
+
+
+def test_edge_on_open_or_close_is_rejected():
+    trace = posix_trace(
+        [
+            op(1, "open", {"path": "f"}, (("main", 1),)),
+            op(2, "write", write_args("f", b"x"), (("main", 2),)),
+            op(3, "close", {"path": "f"}, (("main", 3),)),
+        ]
+    )
+    for pairs in ({(1, 2): MO}, {(2, 3): MO}):
+        with pytest.raises(GraphBuildError):
+            build_graph(trace, hb_from_pairs(trace, pairs))
 
 
 def test_open_close_are_not_nodes():
@@ -92,7 +116,7 @@ def test_open_close_are_not_nodes():
             op(3, "close", {"path": "f"}, (("main", 3),)),
         ]
     )
-    graph = build_graph(trace, {})
+    graph = build_graph(trace, hb_from_pairs(trace, {}))
     assert graph.node_seqs == (2,)
 
 
@@ -131,14 +155,13 @@ def test_pointer_switch_subset_keeps_only_write_dependency():
             op(3, "rename", {"path": "f2", "dst": "CUR"}, (("Fn3", 12),)),
         ]
     )
-    edges = {(1, 2): MO, (2, 3): MO}
-    graph = build_graph(trace, edges)
+    graph = build_graph(trace, hb_from_pairs(trace, {(1, 2): MO, (2, 3): MO}))
     assert edge_triples(graph.induced({1, 2})) == {(1, 2, MO)}
 
 
 def reference_dot(trace, edges, nodes) -> str:
     """DOT text for the subgraph on ``nodes``, from the trace and the
-    model's full pair dict alone."""
+    reference model's full pair dict alone."""
     ops = {o.seq: o for o in trace.ops}
     lines = ["digraph pg {"]
     for seq in sorted(nodes):
@@ -167,12 +190,13 @@ def reference_dot(trace, edges, nodes) -> str:
 )
 def test_induced_views_match_filtering_the_full_edge_set(make):
     """Predecessor bitsets against the naive reading of happens-before: a
-    view's edges are the model's pairs with both ends in the view."""
+    view's edges are the reference model's pairs with both ends in the
+    view."""
     rng = random.Random(23)
     for _ in range(30):
         trace = make(rng, max_ops=12)
-        edges = model_edges(trace)
-        graph = build_graph(trace, dict(edges))
+        edges = reference_model_pairs(trace)
+        graph = build_graph(trace, model_edges(trace))
         assert edge_triples(graph) == edge_triples(edges)
         for _ in range(5):
             s = {n for n in graph.node_seqs if rng.random() < 0.6}
@@ -180,7 +204,7 @@ def test_induced_views_match_filtering_the_full_edge_set(make):
             view = graph.induced(s)
             want = {e for e in edge_triples(edges) if e[0] in s and e[1] in s}
             assert edge_triples(view) == want
-            assert list(view.edges()) == sorted((src, dst) for src, dst, _ in want)
+            assert view.edges() == sorted(want)
             assert view.edge_count == len(want)
             for n in s:
                 assert view.predecessors(n) == {src for src, dst, _ in want if dst == n}
@@ -192,13 +216,13 @@ def test_induced_views_match_filtering_the_full_edge_set(make):
 
 def test_export_dot_empty_graph():
     trace = Trace(meta=TraceMeta(app_name="", mode="POSIX"))
-    dot = export_dot(build_graph(trace, {}))
+    dot = export_dot(build_graph(trace, hb_from_pairs(trace, {})))
     assert dot == "digraph pg {\n}\n"
 
 
 def test_export_dot_single_node():
     trace = posix_trace([op(1, "create", {"path": "f"}, (("main", 4),))])
-    dot = export_dot(build_graph(trace, {}))
+    dot = export_dot(build_graph(trace, hb_from_pairs(trace, {})))
     assert dot.count(" -> ") == 0
     assert 'n1 [label="create@app.c:4"];' in dot
 
@@ -215,7 +239,12 @@ def test_export_dot_fig3_counts(fig3_trace):
 def test_static_key_ignores_payload():
     a = synth_workload('fn main {\n  write f "aa" @0\n}\n', "POSIX")
     b = synth_workload('fn main {\n  write f "zz" @0\n}\n', "POSIX")
-    assert StaticKey.of(a.ops[0]) == StaticKey.of(b.ops[0])
+    key = StaticKey.of(a.ops[0])
+    assert key == StaticKey.of(b.ops[0])
+    # The hash is computed once per key, from the fields equality compares;
+    # bug dedup keys are ``str(key)``, which must not show it.
+    assert hash(key) == hash((key.kind, key.static_stack))
+    assert "_hash" not in repr(key)
 
 
 def test_static_key_modes():

@@ -17,7 +17,16 @@ from crashcheck.behavior import make_behavior
 from crashcheck.cli import RunConfig, derive_behaviors
 from crashcheck.models import EdgeReason
 
-from helpers import bt, edge_triples, fig5_behaviors, op, posix_trace, random_posix_trace, write_args
+from helpers import (
+    bt,
+    edge_triples,
+    fig5_behaviors,
+    hb_from_pairs,
+    op,
+    posix_trace,
+    random_posix_trace,
+    write_args,
+)
 
 MO = EdgeReason.METADATA_ORDER
 
@@ -154,7 +163,7 @@ def test_mutual_represents_at_equal_size_means_same_labeled_structure():
     )
     twin = make_behavior(
         "twin", "Fn3", 0, (3, 4, 5),
-        build_graph(t, {(3, 4): MO, (4, 5): MO}),
+        build_graph(t, hb_from_pairs(t, {(3, 4): MO, (4, 5): MO})),
     )
     assert represents(s3_1, twin) and represents(twin, s3_1)
     assert s3_1.size == twin.size
@@ -177,11 +186,12 @@ def test_innermost_key_mode_conflates_call_paths_end_to_end():
     # full keys, equivalent under innermost keys
     t1 = posix_trace([w(1, "a", b"1", (("caller_a", 3), ("leaf", 9)))])
     t2 = posix_trace([w(1, "a", b"2", (("caller_b", 7), ("leaf", 9)))])
-    full_1 = make_behavior("p", "leaf", 0, (1,), build_graph(t1, {}, key_mode="full"))
-    full_2 = make_behavior("q", "leaf", 0, (1,), build_graph(t2, {}, key_mode="full"))
+    hb1, hb2 = hb_from_pairs(t1, {}), hb_from_pairs(t2, {})
+    full_1 = make_behavior("p", "leaf", 0, (1,), build_graph(t1, hb1, key_mode="full"))
+    full_2 = make_behavior("q", "leaf", 0, (1,), build_graph(t2, hb2, key_mode="full"))
     assert not represents(full_1, full_2)
-    inner_1 = make_behavior("p", "leaf", 0, (1,), build_graph(t1, {}, key_mode="innermost"))
-    inner_2 = make_behavior("q", "leaf", 0, (1,), build_graph(t2, {}, key_mode="innermost"))
+    inner_1 = make_behavior("p", "leaf", 0, (1,), build_graph(t1, hb1, key_mode="innermost"))
+    inner_2 = make_behavior("q", "leaf", 0, (1,), build_graph(t2, hb2, key_mode="innermost"))
     assert represents(inner_1, inner_2) and represents(inner_2, inner_1)
 
 
@@ -190,12 +200,14 @@ def test_extra_member_dependencies_are_allowed():
     trace_loose = posix_trace(
         [w(1, "a", b"1", (("m", 1),)), w(2, "b", b"2", (("m", 2),))]
     )
-    loose = make_behavior("loose", "m", 0, (1, 2), build_graph(trace_loose, {}))
+    loose = make_behavior(
+        "loose", "m", 0, (1, 2), build_graph(trace_loose, hb_from_pairs(trace_loose, {}))
+    )
     trace_tight = posix_trace(
         [w(1, "a", b"3", (("m", 1),)), w(2, "b", b"4", (("m", 2),))]
     )
     tight = make_behavior(
-        "tight", "m", 0, (1, 2), build_graph(trace_tight, {(1, 2): MO})
+        "tight", "m", 0, (1, 2), build_graph(trace_tight, hb_from_pairs(trace_tight, {(1, 2): MO}))
     )
     assert represents(loose, tight)
     assert not represents(tight, loose)
@@ -217,8 +229,8 @@ def test_represents_matches_its_definition_on_random_behaviors():
             for u2 in behaviors:
                 n2 = [u2.subgraph.op(seq) for seq in u2.node_seqs]
                 image = {o.seq for o in equivalence_image(n1, n2)}
-                image_edges = [(u1.subgraph.op(s), u1.subgraph.op(d)) for s, d in u1.subgraph.edges() if {s, d} <= image]
-                member_edges = [(u2.subgraph.op(s), u2.subgraph.op(d)) for s, d in u2.subgraph.edges()]
+                image_edges = [(u1.subgraph.op(s), u1.subgraph.op(d)) for s, d, _ in u1.subgraph.edges() if {s, d} <= image]
+                member_edges = [(u2.subgraph.op(s), u2.subgraph.op(d)) for s, d, _ in u2.subgraph.edges()]
                 want = subset_equiv_nodes(n2, n1) and subset_equiv_edges(image_edges, member_edges)
                 assert represents(u1, u2) == want
                 outcomes[want] += 1
@@ -246,8 +258,8 @@ def test_empty_input_gives_no_groups():
 def test_identical_twins_share_one_group_either_order():
     t1 = posix_trace([w(1, "a", b"1", (("m", 1),)), w(2, "b", b"2", (("m", 2),))])
     t2 = posix_trace([w(1, "a", b"9", (("m", 1),)), w(2, "b", b"8", (("m", 2),))])
-    b1 = make_behavior("B", "m", 0, (1, 2), build_graph(t1, {}))
-    b2 = make_behavior("B'", "m", 0, (1, 2), build_graph(t2, {}))
+    b1 = make_behavior("B", "m", 0, (1, 2), build_graph(t1, hb_from_pairs(t1, {})))
+    b2 = make_behavior("B'", "m", 0, (1, 2), build_graph(t2, hb_from_pairs(t2, {})))
     assert represents(b1, b2) and represents(b2, b1)
     for ordering in ([b1, b2], [b2, b1]):
         groups = group_behaviors(ordering)
@@ -264,7 +276,7 @@ def test_behavior_may_join_multiple_groups():
             w(3, "c", b"3", (("m", 3),)),
         ]
     )
-    g_tall = build_graph(tall, {})
+    g_tall = build_graph(tall, hb_from_pairs(tall, {}))
     rep1 = make_behavior("r1", "m", 0, (1, 2, 3), g_tall)
     other = posix_trace(
         [
@@ -273,9 +285,11 @@ def test_behavior_may_join_multiple_groups():
             w(4, "d", b"4", (("m", 4),)),
         ]
     )
-    rep2 = make_behavior("r2", "m", 0, (1, 2, 4), build_graph(other, {}))
+    rep2 = make_behavior("r2", "m", 0, (1, 2, 4), build_graph(other, hb_from_pairs(other, {})))
     small_trace = posix_trace([w(1, "a", b"9", (("m", 1),)), w(2, "b", b"8", (("m", 2),))])
-    small = make_behavior("small", "m", 0, (1, 2), build_graph(small_trace, {}))
+    small = make_behavior(
+        "small", "m", 0, (1, 2), build_graph(small_trace, hb_from_pairs(small_trace, {}))
+    )
     groups = group_behaviors([rep1, rep2, small])
     member_of = [g.representative for g in groups if "small" in g.members]
     assert sorted(member_of) == ["r1", "r2"]
@@ -296,7 +310,7 @@ def test_every_behavior_lands_in_a_group_and_invariants_hold():
 
 def test_duplicate_ids_are_rejected():
     t = posix_trace([w(1, "a", b"1", (("m", 1),))])
-    g = build_graph(t, {})
+    g = build_graph(t, hb_from_pairs(t, {}))
     b1 = make_behavior("x", "m", 0, (1,), g)
     b2 = make_behavior("x", "m", 0, (1,), g)
     with pytest.raises(ValueError):

@@ -8,7 +8,16 @@ from crashcheck.mmio_behaviors import (
     derive_mmio_behaviors,
     effective_annotation,
 )
-from helpers import edge_triples, mmio_trace, op, posix_trace, split_epochs, store_args, write_args
+from helpers import (
+    edge_triples,
+    hb_from_pairs,
+    mmio_trace,
+    op,
+    posix_trace,
+    split_epochs,
+    store_args,
+    write_args,
+)
 from crashcheck.trace import Annotation
 
 
@@ -89,7 +98,7 @@ def test_composite_type_combined_subgraph():
 
 def test_posix_trace_is_rejected():
     trace = posix_trace([op(1, "write", write_args("f", b"x"), (("m", 1),))])
-    graph = build_graph(trace, {})
+    graph = build_graph(trace, hb_from_pairs(trace, {}))
     with pytest.raises(ModeMismatch):
         build_type_subgraphs(graph, trace)
 

@@ -1,10 +1,12 @@
+import dataclasses
 import random
 
 import pytest
 
-from crashcheck import ModeMismatch, ModelConfig, mmio_edges, posix_edges
+from crashcheck import ModeMismatch, ModelConfig, build_graph, mmio_edges, model_edges, posix_edges
 from crashcheck.mmio_behaviors import persisted_at
 from crashcheck.models import EdgeReason, blocks_of, lines_of
+from crashcheck.trace import POSIX_MODE
 
 from helpers import (
     edge_triples,
@@ -13,18 +15,19 @@ from helpers import (
     posix_trace,
     random_mmio_trace,
     random_posix_trace,
+    reference_model_pairs,
     store_args,
     straddling_mmio_trace,
     write_args,
 )
 
 
-def pairs(edges):
-    return {(src, dst) for src, dst, _ in edge_triples(edges)}
+def pairs(edges, trace):
+    return {(src, dst) for src, dst, _ in edge_triples(edges, trace)}
 
 
-def reasons(edges):
-    return {reason for _, _, reason in edge_triples(edges)}
+def reasons(edges, trace):
+    return {reason for _, _, reason in edge_triples(edges, trace)}
 
 
 def test_same_block_writes_are_ordered():
@@ -34,7 +37,7 @@ def test_same_block_writes_are_ordered():
             op(2, "write", write_args("f", b"bb", 8), (("main", 2),)),
         ]
     )
-    assert pairs(posix_edges(trace)) == {(1, 2)}
+    assert pairs(posix_edges(trace), trace) == {(1, 2)}
 
 
 def test_different_blocks_same_file_unordered_by_default():
@@ -46,15 +49,15 @@ def test_different_blocks_same_file_unordered_by_default():
     )
     edges = posix_edges(trace)
     # Both writes extend the file, so only the size-metadata edge remains.
-    assert pairs(edges) == {(1, 2)}
-    assert reasons(edges) == {EdgeReason.METADATA_ORDER}
+    assert pairs(edges, trace) == {(1, 2)}
+    assert reasons(edges, trace) == {EdgeReason.METADATA_ORDER}
     overwrite = posix_trace(
         [
             op(1, "write", write_args("f", b"aa", 8192), (("main", 1),)),
             op(2, "write", write_args("f", b"bb", 0), (("main", 2),)),
         ]
     )
-    assert pairs(posix_edges(overwrite)) == set()
+    assert pairs(posix_edges(overwrite), overwrite) == set()
 
 
 def test_pwrite_behaves_like_write_in_the_model():
@@ -66,7 +69,7 @@ def test_pwrite_behaves_like_write_in_the_model():
             op(4, "pwrite", write_args("g", b"cc", 0), (("main", 4),)),
         ]
     )
-    edge_pairs = pairs(posix_edges(trace))
+    edge_pairs = pairs(posix_edges(trace), trace)
     assert (1, 2) in edge_pairs
     assert {(1, 4), (2, 4)} <= edge_pairs
 
@@ -78,7 +81,7 @@ def test_block_spanning_write_conflicts_on_every_block():
             op(2, "write", write_args("f", b"y" * 4, 4096), (("main", 2),)),
         ]
     )
-    assert (1, 2) in pairs(posix_edges(trace))
+    assert (1, 2) in pairs(posix_edges(trace), trace)
     assert blocks_of(4092, 8, 4096) == frozenset({0, 1})
 
 
@@ -90,7 +93,7 @@ def test_no_block_split_orders_whole_file():
         ]
     )
     cfg = ModelConfig(split_writes_at_block_boundary=False)
-    assert (1, 2) in pairs(posix_edges(trace, cfg))
+    assert (1, 2) in pairs(posix_edges(trace, cfg), trace)
 
 
 def test_fdatasync_orders_write_before_rename():
@@ -102,9 +105,9 @@ def test_fdatasync_orders_write_before_rename():
         ]
     )
     edges = posix_edges(trace)
-    assert (1, 3) in pairs(edges)
+    assert (1, 3) in pairs(edges, trace)
     # barrier anchors keep the fdatasync node connected
-    assert pairs(edges) == {(1, 2), (1, 3), (2, 3)}
+    assert pairs(edges, trace) == {(1, 2), (1, 3), (2, 3)}
 
 
 def test_source_covered_by_several_barriers():
@@ -119,7 +122,7 @@ def test_source_covered_by_several_barriers():
         ]
     )
     sb = EdgeReason.SYNC_BARRIER
-    assert edge_triples(posix_edges(trace)) == {
+    assert edge_triples(posix_edges(trace), trace) == {
         # the write points at each barrier covering it ...
         (1, 2, sb), (1, 3, sb), (1, 5, sb),
         # ... and precedes the persisting ops after the first of them
@@ -137,7 +140,7 @@ def test_two_writes_to_different_files_have_no_edges():
             op(2, "write", write_args("f2", b"b"), (("main", 2),)),
         ]
     )
-    assert edge_triples(posix_edges(trace)) == set()
+    assert edge_triples(posix_edges(trace), trace) == set()
 
 
 def test_fdatasync_scopes_to_its_own_file():
@@ -148,7 +151,7 @@ def test_fdatasync_scopes_to_its_own_file():
             op(3, "write", write_args("third", b"bb"), (("main", 3),)),
         ]
     )
-    assert pairs(posix_edges(trace)) == set()
+    assert pairs(posix_edges(trace), trace) == set()
 
 
 def test_fsync_file_includes_metadata_ops():
@@ -159,7 +162,7 @@ def test_fsync_file_includes_metadata_ops():
             op(3, "write", write_args("g", b"x"), (("main", 3),)),
         ]
     )
-    assert pairs(posix_edges(trace)) == {(1, 2), (1, 3), (2, 3)}
+    assert pairs(posix_edges(trace), trace) == {(1, 2), (1, 3), (2, 3)}
 
 
 def test_fsync_directory_orders_entry_ops():
@@ -173,7 +176,7 @@ def test_fsync_directory_orders_entry_ops():
         ]
     )
     # The dirent op (create d/a) is barriered; the plain write is not.
-    edge_pairs = pairs(posix_edges(trace))
+    edge_pairs = pairs(posix_edges(trace), trace)
     assert (1, 3) in edge_pairs
     assert (1, 4) in edge_pairs and (1, 5) in edge_pairs
     assert (3, 4) in edge_pairs and (3, 5) in edge_pairs
@@ -189,7 +192,7 @@ def test_fsync_directory_with_subdirectory_paths():
             op(4, "create", {"path": "db/wal/seg2"}, (("main", 4),)),
         ]
     )
-    edge_pairs = pairs(posix_edges(trace))
+    edge_pairs = pairs(posix_edges(trace), trace)
     assert (1, 3) in edge_pairs and (1, 4) in edge_pairs  # entry of db/wal
     assert (2, 3) not in edge_pairs  # db/other lives in db, not db/wal
 
@@ -203,7 +206,7 @@ def test_sync_orders_everything_before_after():
             op(4, "write", write_args("c", b"y"), (("main", 4),)),
         ]
     )
-    edge_pairs = pairs(posix_edges(trace))
+    edge_pairs = pairs(posix_edges(trace), trace)
     assert {(1, 4), (2, 4), (1, 3), (2, 3), (3, 4)} <= edge_pairs
 
 
@@ -215,7 +218,7 @@ def test_metadata_ops_on_same_path_are_ordered():
             op(3, "unlink", {"path": "b"}, (("main", 3),)),
         ]
     )
-    edge_pairs = pairs(posix_edges(trace))
+    edge_pairs = pairs(posix_edges(trace), trace)
     assert (1, 2) in edge_pairs  # both name 'a'
     assert (2, 3) in edge_pairs  # both name 'b'
 
@@ -229,7 +232,7 @@ def test_recreating_consumed_path_is_ordered_after_consumer():
             op(4, "rename", {"path": "a", "dst": "c"}, (("main", 4),)),
         ]
     )
-    edge_pairs = pairs(posix_edges(trace))
+    edge_pairs = pairs(posix_edges(trace), trace)
     assert {(1, 2), (2, 3), (3, 4)} <= edge_pairs
 
 
@@ -241,7 +244,7 @@ def test_open_close_contribute_no_edges():
             op(3, "close", {"path": "f"}, (("main", 3),)),
         ]
     )
-    assert edge_triples(posix_edges(trace)) == set()
+    assert edge_triples(posix_edges(trace), trace) == set()
 
 
 def test_posix_rejects_mmio_trace_and_vice_versa():
@@ -266,8 +269,8 @@ def test_flush_fence_orders_across():
         ]
     )
     edges = mmio_edges(trace)
-    assert pairs(edges) == {(1, 4)}
-    assert reasons(edges) == {EdgeReason.FLUSH_FENCE}
+    assert pairs(edges, trace) == {(1, 4)}
+    assert reasons(edges, trace) == {EdgeReason.FLUSH_FENCE}
 
 
 def test_unflushed_stores_are_unordered():
@@ -278,7 +281,7 @@ def test_unflushed_stores_are_unordered():
             op(3, "store", store_args(128, b"\x01"), (("main", 3),)),
         ]
     )
-    assert edge_triples(mmio_edges(trace)) == set()
+    assert edge_triples(mmio_edges(trace), trace) == set()
 
 
 def test_same_cache_line_stores_are_ordered():
@@ -289,8 +292,8 @@ def test_same_cache_line_stores_are_ordered():
         ]
     )
     edges = mmio_edges(trace)
-    assert pairs(edges) == {(1, 2)}
-    assert reasons(edges) == {EdgeReason.SAME_CACHE_LINE}
+    assert pairs(edges, trace) == {(1, 2)}
+    assert reasons(edges, trace) == {EdgeReason.SAME_CACHE_LINE}
     assert lines_of(8, 3, 64) == frozenset({0})
 
 
@@ -302,7 +305,7 @@ def test_fence_alone_orders_nothing():
             op(3, "store", store_args(64, b"b"), (("main", 3),)),
         ]
     )
-    assert edge_triples(mmio_edges(trace)) == set()
+    assert edge_triples(mmio_edges(trace), trace) == set()
 
 
 def test_flush_without_fence_orders_nothing():
@@ -313,7 +316,7 @@ def test_flush_without_fence_orders_nothing():
             op(3, "store", store_args(64, b"b"), (("main", 3),)),
         ]
     )
-    assert edge_triples(mmio_edges(trace)) == set()
+    assert edge_triples(mmio_edges(trace), trace) == set()
 
 
 def test_msync_acts_as_flush_fence():
@@ -325,8 +328,8 @@ def test_msync_acts_as_flush_fence():
         ]
     )
     edges = mmio_edges(trace)
-    assert pairs(edges) == {(1, 3)}
-    assert reasons(edges) == {EdgeReason.MSYNC}
+    assert pairs(edges, trace) == {(1, 3)}
+    assert reasons(edges, trace) == {EdgeReason.MSYNC}
 
 
 def test_store_persisted_before_helper():
@@ -380,7 +383,7 @@ def test_mmio_durability_matches_its_definition_with_straddling_stores():
                     expected.add((a.seq, b.seq, EdgeReason.FLUSH_FENCE))
                 elif ordered_by("msync", a, b):
                     expected.add((a.seq, b.seq, EdgeReason.MSYNC))
-        assert edge_triples(mmio_edges(trace)) == expected
+        assert edge_triples(mmio_edges(trace), trace) == expected
 
         persisted = persisted_at(trace)
         assert persisted.keys() == {s.seq for s in stores}
@@ -406,14 +409,56 @@ def test_straddling_store_is_ordered_by_one_line_but_persisted_by_all():
         ]
     )
     edges = mmio_edges(trace)
-    assert pairs(edges) == {(1, 4), (1, 7)}
-    assert reasons(edges) == {EdgeReason.FLUSH_FENCE}
+    assert pairs(edges, trace) == {(1, 4), (1, 7)}
+    assert reasons(edges, trace) == {EdgeReason.FLUSH_FENCE}
     persisted = persisted_at(trace)
     assert not persisted[1] < 4
     assert persisted[1] < 7
 
 
 # --- shared invariants ---
+
+
+def _sparse(trace, rng):
+    """The trace with its seqs spread three apart and, for POSIX, open and
+    close ops between them, so model bits and seqs part ways."""
+    ops = []
+    for o in trace.ops:
+        if trace.meta.mode == POSIX_MODE and rng.random() < 0.3:
+            kind = rng.choice(["open", "close"])
+            ops.append(op(3 * o.seq - 1, kind, {"path": rng.choice(["f1", "f2"])}, tid=o.tid))
+        ops.append(dataclasses.replace(o, seq=3 * o.seq))
+    return dataclasses.replace(trace, ops=ops)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        ModelConfig(),
+        ModelConfig(split_writes_at_block_boundary=False),
+        ModelConfig(block_size=16, cache_line_size=16),
+    ],
+    ids=["default", "unsplit", "16_byte_units"],
+)
+def test_model_matches_the_rule_by_rule_reference(cfg):
+    """The per-rule bitsets, read through the graph, give exactly the
+    reference model's (src, dst, reason) triples and pair count: 684
+    traces per config, 2,052 in all."""
+    rng = random.Random(31)
+    sources = [
+        lambda threads: random_posix_trace(rng, 16, threads),
+        lambda threads: random_mmio_trace(rng, 16, threads),
+        lambda threads: straddling_mmio_trace(rng, threads),
+    ]
+    for threads in (1, 2, 3):
+        for make in sources:
+            for _ in range(76):
+                trace = make(threads)
+                if rng.random() < 0.5:
+                    trace = _sparse(trace, rng)
+                hb, want = model_edges(trace, cfg), reference_model_pairs(trace, cfg)
+                assert edge_triples(build_graph(trace, hb)) == edge_triples(want)
+                assert len(hb) == len(want)
 
 
 def test_all_edges_run_forward():
@@ -423,7 +468,7 @@ def test_all_edges_run_forward():
             (random_posix_trace(rng), posix_edges),
             (random_mmio_trace(rng), mmio_edges),
         ):
-            for src, dst, _ in edge_triples(fn(trace)):
+            for src, dst, _ in edge_triples(fn(trace), trace):
                 assert src < dst
 
 
@@ -455,9 +500,9 @@ def test_monotonicity_inserting_ordering_op_never_removes_edges():
         )
         new_ops.append(barrier)
         new_ops.sort(key=lambda o: o.seq)
-        after = posix_edges(posix_trace(new_ops))
-        after_pairs = pairs(after)
-        for src, dst, _ in edge_triples(before):
+        after_trace = posix_trace(new_ops)
+        after_pairs = pairs(posix_edges(after_trace), after_trace)
+        for src, dst, _ in edge_triples(before, trace):
             assert (mapping[src], mapping[dst]) in after_pairs
 
 
@@ -471,7 +516,7 @@ def test_model_rules_fire_across_threads():
             op(4, "write", write_args("g", b"cc"), (("t2", 2),), tid=2),
         ]
     )
-    edge_pairs = pairs(posix_edges(trace))
+    edge_pairs = pairs(posix_edges(trace), trace)
     assert (1, 2) in edge_pairs  # same block, different threads
     assert {(1, 4), (2, 4)} <= edge_pairs  # sync on t1 barriers t2's write
 
@@ -490,5 +535,5 @@ def test_global_barrier_isolates_suffix_from_prefix():
             op(6, "store", store_args(192, b"d"), (("main", 6),)),
         ]
     )
-    edge_pairs = pairs(mmio_edges(trace))
+    edge_pairs = pairs(mmio_edges(trace), trace)
     assert {(1, 5), (1, 6), (2, 5), (2, 6)} <= edge_pairs

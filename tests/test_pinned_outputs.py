@@ -1,6 +1,7 @@
 """A guard on the outputs: ``analyze`` on every shipped program must write
 ``groups.json`` and DOT files whose sha256 digests equal the pinned ones,
-and ``exhaustive`` without a checker a ``states.json`` whose digest equals
+and so must it on three seeded random traces of over 200 ops, and
+``exhaustive`` without a checker a ``states.json`` whose digest equals
 the pinned one, so a refactor of happens-before, grouping, DOT rendering,
 schedule enumeration, replay or state dedup cannot change them silently.
 ``states.json`` names each state by its image digest and records the first
@@ -9,12 +10,15 @@ pinned file is independent of the input and output paths.  Re-pin only in
 a change that means to alter these outputs, and say why in CHANGES.md."""
 
 import hashlib
+import random
 
 import pytest
 
 from crashcheck.cli import main
+from crashcheck.trace import serialize_trace
 
 from conftest import WORKLOADS
+from helpers import random_mmio_trace, random_posix_trace
 
 # program -> (mode, {output file: sha256})
 PINNED = {
@@ -100,6 +104,38 @@ PINNED = {
 }
 
 
+# name -> (seed, generator, {output file: sha256}) for seeded random traces
+# of over 200 ops.  Each full graph holds every rule of its mode hundreds to
+# thousands of times, so these pin which rule names a pair and the
+# (src, dst) order of the DOT edges at scale.
+PINNED_RANDOM = {
+    "posix": (
+        0,
+        lambda rng: random_posix_trace(rng, 240),
+        {
+            "groups.json": "1885fff0896901cb65e2a45e6a23a9d08a7209a5af5626c25085faebdf705827",
+            "dot/full.dot": "1aa35ac77d2487f4dc449d600785f22dc76db47c8055dc1622261bd36ac80d1f",
+        },
+    ),
+    "mmio": (
+        2,
+        lambda rng: random_mmio_trace(rng, 240),
+        {
+            "groups.json": "1d2098eceaf809a9438ec4012d36c92dfcb67e16d0e5ddf3a27c1226b06d665b",
+            "dot/full.dot": "d240a0433a43f967d5bf5755f0bb35eef126b87555dcca5ce4ec039a5babb12e",
+        },
+    ),
+    "posix_3threads": (
+        2,
+        lambda rng: random_posix_trace(rng, 240, threads=3),
+        {
+            "groups.json": "8bd156a5b38ba26eac604468eae8a14ef962321161404495fd0fea27d17e75ff",
+            "dot/full.dot": "17a8b8ef0bdda97a1f567dbcedcc78414d5f8133fbf48619440b9f56f09bdad7",
+        },
+    ),
+}
+
+
 # program -> sha256 of ``exhaustive`` ``states.json`` without a checker.
 # epochs.dsl is left out: it enumerates over a million schedules.
 PINNED_STATES = {
@@ -125,6 +161,19 @@ def test_analyze_outputs_match_the_pinned_digests(tmp_path, name):
     assert main(["analyze", "--mode", mode, "--dsl", str(WORKLOADS / f"{name}.dsl"), "--out", str(out)]) == 0
     written = [out / "groups.json", *sorted((out / "dot").glob("*.dot"))]
     got = {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest() for path in written}
+    assert got == pinned
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RANDOM))
+def test_analyze_outputs_on_random_traces_match_the_pinned_digests(tmp_path, name):
+    seed, make, pinned = PINNED_RANDOM[name]
+    trace = make(random.Random(seed))
+    assert len(trace.ops) > 200
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(serialize_trace(trace))
+    out = tmp_path / "out"
+    assert main(["analyze", "--trace", str(path), "--out", str(out)]) == 0
+    got = {file: hashlib.sha256((out / file).read_bytes()).hexdigest() for file in pinned}
     assert got == pinned
 
 

@@ -130,7 +130,9 @@ def chain_diamond_behavior():
         ]
     )
     behavior, graph = whole_trace_behavior(trace)
-    assert sorted(graph.edges()) == [(1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (3, 6), (4, 6), (5, 6)]
+    assert [(src, dst) for src, dst, _ in graph.edges()] == [
+        (1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (3, 6), (4, 6), (5, 6)
+    ]
     return behavior, trace
 
 
