@@ -78,6 +78,9 @@ def represents(u1: UpdateBehavior, u2: UpdateBehavior) -> bool:
     wanted = g2.key_set
     if not wanted <= g1.key_set:
         return False
+    if wanted == g1.key_set:
+        # Every node of u1 matches, so the image is u1's whole subgraph.
+        return g1.key_pairs <= g2.key_pairs
     keys = g1.static_keys
     image = g1.induced(seq for seq in g1.ops_by_seq if keys[seq] in wanted)
     return image.key_pairs <= g2.key_pairs

@@ -30,7 +30,12 @@ lookup.  Below a branch point the walk's choices depend only on the placed
 set and the candidates, so a branch point reached again with the same
 interned image can only yield states already seen; the walk counts the
 schedules below it once and reports the count instead of walking them
-again, the state caching of explicit-state model checkers.  Images are
+again, the state caching of explicit-state model checkers.  The next
+subset keeps the previous one's nodes below the node it adds, so the walk
+keeps the *trunk* of the previous subset's search, its forced stretch from
+the root, and resumes there instead of placing that prefix again, the way
+linear extensions are generated by changing only the tail of the previous
+one (Pruesse & Ruskey, 1994).  Images are
 copy-on-write: interned images share every file and directory an op did
 not touch, so they must be treated as read-only.  :func:`explore` dedups
 on the identity of the interned image and computes the sha256 digest once
@@ -225,7 +230,27 @@ def _schedules(
     all walked, their count is recorded under that key, and a branch point
     reached again with the same key, whose orders can only end in images
     already seen, is yielded as one ``(count, None, None)`` item.  Counts
-    stop at ``budget`` as the orders do.
+    stop at ``budget`` as the orders do.  The memo is per subset.
+
+    A subset's *trunk* is the forced stretch of its walk from the root up
+    to its first branch point or order end.  On the trunk every available
+    node is a candidate: the nodes that placing a node makes available lie
+    above it, and commutation only prunes nodes below the last placed one.
+    So at each depth short of the end exactly one node is available, and
+    it is placed.  The next subset adds node ``i`` and keeps only the
+    nodes below it, so its walk repeats the trunk step for step until
+    ``i`` becomes available, and to the trunk's end if it never does.  It
+    cannot reach a trunk node above ``i`` first: such a node is available
+    only once the subset's nodes below ``i``, ``i``'s predecessors among
+    them, are all placed.  The walk resumes at that depth with the trunk's
+    image, and with ``i`` added to the available set and the candidates;
+    every placed node is below ``i``, so commutation cannot prune it.  The
+    trunk keeps one node and one image per depth and the bitsets at its
+    end only; the bitsets at the resume depth are rebuilt by taking the
+    nodes above it back off, and those depths are dropped, so each trunk
+    depth is built by one step and dropped at most once.  Items, budget
+    crossings and replay errors stay as they would be with every subset
+    walked from the root.
     """
     context = tuple(op for op in trace.ops if op.seq < behavior.span[0])
     graph = behavior.subgraph
@@ -237,12 +262,9 @@ def _schedules(
     # keeps only the edges of the transitive reduction: the placed nodes are
     # always downward closed, so a node becomes available when the last of
     # its reduction predecessors is placed.
-    roots = 0
     succs = [0] * len(seqs)
     ancestors = [0] * len(seqs)
     for i, pred_bits in enumerate(preds):
-        if not pred_bits:
-            roots |= 1 << i
         rest = pred_bits
         while rest:
             # The highest remaining predecessor is no ancestor of another.
@@ -270,19 +292,27 @@ def _schedules(
     # The context is replayed in place and only the image after it is
     # interned, so a long context costs no image per op.
     base = None if cache is None else cache.intern(replay(CrashSchedule(behavior.id, mode, context, ())))
+    # The trunk of the last subset's walk: the node placed at each of its
+    # depths, the image after it (``images[0]`` is the base) and, at its
+    # end, the placed and available bitsets.  ``applied`` starts with the
+    # trunk's ops.  The empty subset's walk starts with nothing available.
+    trunk: list[int] = []
+    images = [base]
+    applied: list[Operation] = []
+    placed = avail = 0
     count = 0
     subset = 0
     while True:
-        # The orders of ``subset``.  A stack entry is (ops placed, placed
-        # bitset, available bitset, untried candidates, image, memo key,
-        # count on arrival) at a branch point, kept until its last
-        # candidate's orders are walked.  The memo maps a key to its count.
-        applied: list[Operation] = []
-        placed = 0
-        avail = cands = subset & roots
-        image = base
+        # The orders of ``subset``, from the depth its trunk resumes at.  A
+        # stack entry is (ops placed, placed bitset, available bitset,
+        # untried candidates, image, memo key, count on arrival) at a
+        # branch point, kept until its last candidate's orders are walked.
+        # The memo maps a key to its count.
+        cands = avail
+        image = images[-1]
         memo: dict[tuple[int, int, int], int] = {}
         stack = []
+        on_trunk = True
         while True:
             node = -1
             if placed == subset:
@@ -313,6 +343,9 @@ def _schedules(
             elif cands:
                 node = cands.bit_length() - 1
             if node < 0:
+                if on_trunk:
+                    on_trunk = False
+                    trunk_placed, trunk_avail = placed, avail
                 while stack:
                     depth, placed, avail, cands, image, key, start = stack.pop()
                     if cands:
@@ -340,14 +373,31 @@ def _schedules(
                     # of that order would; a dead end never raises it.
                     image = exc
             cands = candidates(avail, node)
+            if on_trunk:
+                trunk.append(node)
+                images.append(image)
         # The next subset: the highest absent node that the nodes below it
         # admit joins them, and every node above it leaves.
         for i in range(len(seqs) - 1, -1, -1):
             if not subset >> i & 1 and not preds[i] & ~subset:
-                subset = subset & ((1 << i) - 1) | 1 << i
                 break
         else:
             return
+        # Its walk repeats the trunk up to the first depth where i is
+        # available, or to the trunk's end: take the nodes above that depth
+        # back off.  Short of the end, the one node available at a depth is
+        # the one placed there.
+        below = (1 << i) - 1
+        placed, avail = trunk_placed, trunk_avail & below
+        if not preds[i] & ~placed:
+            while trunk and not preds[i] >> trunk[-1] & 1:
+                node = trunk.pop()
+                images.pop()
+                placed ^= 1 << node
+                avail = 1 << node & below
+            avail |= 1 << i
+        del applied[len(trunk):]
+        subset = subset & below | 1 << i
 
 
 def _bits(bitset: int) -> Iterator[int]:

@@ -27,7 +27,7 @@ from crashcheck.models import (
     lines_of,
     parent_dir,
 )
-from crashcheck.simulate import CheckResult, CrashSchedule
+from crashcheck.simulate import CheckResult, CrashSchedule, ops_commute
 from crashcheck.trace import MMIO_MODE, POSIX_MODE, TraceMeta, payload_digest
 
 
@@ -358,6 +358,36 @@ def random_posix_trace(rng: random.Random, max_ops: int = 8, threads: int = 1) -
     return posix_trace(_spread_over_threads(rng, ops, threads))
 
 
+def log_then_tables_trace(appends: int, tables: int) -> Trace:
+    """``appends`` appends to one log, its fdatasync, then ``tables``
+    writes to distinct files that nothing orders."""
+    ops = [op(seq, "write", write_args("log", bytes([seq]) * 4, 4 * (seq - 1))) for seq in range(1, appends + 1)]
+    ops.append(op(appends + 1, "fdatasync", {"path": "log"}))
+    ops += [
+        op(appends + 2 + i, "write", write_args(f"table{i}", bytes([100 + i]) * 8))
+        for i in range(tables)
+    ]
+    return posix_trace(ops)
+
+
+def side_node_chain_trace(appends: int, synced: int) -> Trace:
+    """``appends`` appends to one log with its fdatasync after the first
+    ``synced``, a write to ``early`` right after the fdatasync and a write
+    to ``late`` after the last append.  The fdatasync orders the first
+    appends before both writes and before every later append, so both
+    writes become available in the middle of the append chain: ``early``
+    has a lower seq than the appends after it, ``late`` a higher one."""
+    ops = [op(seq, "write", write_args("log", bytes([seq]) * 4, 4 * (seq - 1))) for seq in range(1, synced + 1)]
+    ops.append(op(synced + 1, "fdatasync", {"path": "log"}))
+    ops.append(op(synced + 2, "write", write_args("early", b"\xee" * 4)))
+    ops += [
+        op(seq + 2, "write", write_args("log", bytes([seq]) * 4, 4 * (seq - 1)))
+        for seq in range(synced + 1, appends + 1)
+    ]
+    ops.append(op(appends + 3, "write", write_args("late", b"\xaa" * 4)))
+    return posix_trace(ops)
+
+
 def _spread_over_threads(rng: random.Random, ops: list[Operation], threads: int) -> list[Operation]:
     if threads == 1:
         return ops
@@ -481,3 +511,30 @@ def brute_force_schedules(
                     context=context,
                     applied=tuple(graph.ops_by_seq[s] for s in perm),
                 )
+
+
+def pinned_order_schedules(
+    behavior: UpdateBehavior,
+    trace: Trace,
+    cfg: ModelConfig | None = None,
+) -> list[CrashSchedule]:
+    """:func:`brute_force_schedules` sorted into the order the enumerators
+    pin: subsets by their membership vector over ascending seqs ("absent"
+    first), then each subset's orders by their seqs.  With a config, only
+    orders with no adjacent commuting inversion (a later op placed right
+    after an earlier one it commutes with) are kept, the orders the pruned
+    enumerator yields.  Shares no code with the enumerators."""
+    seqs = sorted(behavior.subgraph.ops_by_seq)
+
+    def position(schedule: CrashSchedule):
+        members = set(schedule.applied_seqs)
+        return [seq in members for seq in seqs], schedule.applied_seqs
+
+    schedules = sorted(brute_force_schedules(behavior, trace), key=position)
+    if cfg is None:
+        return schedules
+    return [
+        s
+        for s in schedules
+        if not any(a.seq > b.seq and ops_commute(a, b, cfg) for a, b in zip(s.applied, s.applied[1:]))
+    ]

@@ -2,7 +2,8 @@
 ``groups.json`` and DOT files whose sha256 digests equal the pinned ones,
 and so must it on three seeded random traces of over 200 ops, and
 ``exhaustive`` without a checker a ``states.json`` whose digest equals
-the pinned one, so a refactor of happens-before, grouping, DOT rendering,
+the pinned one, on the programs and on generated traces whose subsets
+share a long forced prefix, so a refactor of happens-before, grouping, DOT rendering,
 schedule enumeration, replay or state dedup cannot change them silently.
 ``states.json`` names each state by its image digest and records the first
 schedule that reaches it, so it pins the enumeration order too.  Every
@@ -18,7 +19,7 @@ from crashcheck.cli import main
 from crashcheck.trace import serialize_trace
 
 from conftest import WORKLOADS
-from helpers import random_mmio_trace, random_posix_trace
+from helpers import log_then_tables_trace, random_mmio_trace, random_posix_trace, side_node_chain_trace
 
 # program -> (mode, {output file: sha256})
 PINNED = {
@@ -183,3 +184,35 @@ def test_exhaustive_states_match_the_pinned_digest(tmp_path, name):
     out = tmp_path / "out"
     assert main(["exhaustive", "--mode", mode, "--dsl", str(WORKLOADS / f"{name}.dsl"), "--out", str(out)]) == 0
     assert hashlib.sha256((out / "states.json").read_bytes()).hexdigest() == PINNED_STATES[name]
+
+
+# name -> (trace builder, extra arguments, sha256 of ``exhaustive``
+# ``states.json`` without a checker) for generated traces whose walks share
+# a long forced prefix from one subset to the next.
+PINNED_LONG_PREFIX_STATES = {
+    "log_then_tables": (
+        lambda: log_then_tables_trace(60, 5),
+        [],
+        "3fa448ea1c1d666f88d62599e09234b690b57c3f4197b7ab3195f07697f37ac4",
+    ),
+    "side_node_chain": (
+        lambda: side_node_chain_trace(16, 6),
+        [],
+        "abaccc95223a30c39011bdab7ff744443e49ad1ed3af9ee607e11142813a6c6d",
+    ),
+    "posix_3threads_budget": (
+        lambda: random_posix_trace(random.Random(5), 16, threads=3),
+        ["--budget", "3000"],
+        "6b1951dae88247c78d479e6a2c12fe91401692d960daed90b9ce7d11a63c6a12",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LONG_PREFIX_STATES))
+def test_exhaustive_states_of_long_prefix_traces_match_the_pinned_digest(tmp_path, name):
+    make, extra, pinned = PINNED_LONG_PREFIX_STATES[name]
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(serialize_trace(make()))
+    out = tmp_path / "out"
+    assert main(["exhaustive", "--trace", str(path), "--out", str(out), *extra]) == 0
+    assert hashlib.sha256((out / "states.json").read_bytes()).hexdigest() == pinned

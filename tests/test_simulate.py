@@ -2,6 +2,7 @@ import json
 import math
 import random
 import sys
+from contextlib import nullcontext
 from functools import partial
 
 import pytest
@@ -41,11 +42,14 @@ from conftest import checker_cmd, load_workload
 from helpers import (
     ancestors,
     brute_force_schedules,
+    log_then_tables_trace,
     mmio_trace,
     op,
+    pinned_order_schedules,
     posix_trace,
     random_mmio_trace,
     random_posix_trace,
+    side_node_chain_trace,
     store_args,
     write_args,
 )
@@ -165,6 +169,126 @@ def test_enumeration_order_is_pinned():
         (1, 2, 3, 4, 5),
         (1, 2, 3, 4, 5, 6),
     ]
+
+
+# --- the walk's order against an oracle that shares no code with it ---
+
+
+def root_side_node_trace():
+    """Four appends to one log, its fdatasync, then a write to another file
+    that nothing orders: a root with a higher seq than the whole chain."""
+    ops = [op(seq, "write", write_args("log", bytes([seq]) * 4, 4 * (seq - 1))) for seq in range(1, 5)]
+    ops.append(op(5, "fdatasync", {"path": "log"}))
+    ops.append(op(6, "write", write_args("other", b"\x0f" * 4)))
+    return posix_trace(ops)
+
+
+def missing_source_in_the_prefix_trace():
+    """A forced prefix (a log write, its fdatasync, a rename of a file
+    nothing creates, a directory fsync), then two writes nothing orders."""
+    return posix_trace(
+        [
+            op(1, "write", write_args("log", b"data")),
+            op(2, "fdatasync", {"path": "log"}),
+            op(3, "rename", {"path": "ghost", "dst": "x"}),
+            op(4, "fsync", {"path": ".", "dir": True}),
+            op(5, "write", write_args("a", b"\x0a" * 4)),
+            op(6, "write", write_args("b", b"\x0b" * 4)),
+        ]
+    )
+
+
+def rename_over_the_chain_trace():
+    """A create of ``a``, a directory fsync, two writes to ``b``, then a
+    rename of ``a`` onto ``b``.  The rename becomes available once the
+    fsync is placed, nothing orders it against the writes, and it commutes
+    with neither, so the pruned walk keeps orders that place it before
+    them."""
+    return posix_trace(
+        [
+            op(1, "create", {"path": "a"}),
+            op(2, "fsync", {"path": ".", "dir": True}),
+            op(3, "write", write_args("b", b"\x0b" * 4)),
+            op(4, "write", write_args("b", b"\x0c" * 4, 4)),
+            op(5, "rename", {"path": "a", "dst": "b"}),
+        ]
+    )
+
+
+def cutoff_traces():
+    """Traces whose walks share a forced prefix from one subset to the
+    next and leave it where a side node becomes available mid-chain, at
+    the root, and past a step that cannot be replayed."""
+    return {
+        "side nodes mid-chain": side_node_chain_trace(5, 2),
+        "side node mid-chain, not commuting": rename_over_the_chain_trace(),
+        "root side node": root_side_node_trace(),
+        "missing source in the prefix": missing_source_in_the_prefix_trace(),
+    }
+
+
+def order_oracle_cases():
+    rng = random.Random(1994)
+    for i in range(40):
+        make_trace = random_posix_trace if i % 2 == 0 else random_mmio_trace
+        trace = make_trace(rng, max_ops=8, threads=rng.randint(1, 3))
+        for behavior in behaviors_with_several_contexts(trace):
+            yield behavior, trace
+    for trace in cutoff_traces().values():
+        yield whole_trace_behavior(trace)[0], trace
+
+
+ENUMERATORS = [(enumerate_schedules, ModelConfig()), (exhaustive_schedules, None)]
+
+
+@pytest.mark.parametrize("schedules, cfg", ENUMERATORS)
+def test_the_walk_yields_the_oracle_order(schedules, cfg):
+    for behavior, trace in order_oracle_cases():
+        expected = [s.applied_seqs for s in pinned_order_schedules(behavior, trace, cfg)]
+        assert [s.applied_seqs for s in schedules(behavior, trace)] == expected, (behavior.id, trace.ops)
+
+
+@pytest.mark.parametrize("schedules, cfg", ENUMERATORS)
+def test_the_walk_stops_at_every_budget_where_the_oracle_order_does(schedules, cfg):
+    """Every budget, so the walk runs out inside the forced prefix it
+    shares with the previous subset, right after it, and past it."""
+    for name, trace in cutoff_traces().items():
+        behavior, _ = whole_trace_behavior(trace)
+        expected = [s.applied_seqs for s in pinned_order_schedules(behavior, trace, cfg)]
+        for budget in range(1, len(expected) + 2):
+            got = []
+            with pytest.raises(ExplosionLimit) if budget < len(expected) else nullcontext():
+                for schedule in schedules(behavior, trace, budget=budget):
+                    got.append(schedule.applied_seqs)
+            assert got == expected[:budget], (name, budget)
+
+
+class CountingCache(StateCache):
+    """A :class:`StateCache` that counts the steps a walk asks it for."""
+
+    calls = 0
+
+    def step(self, image, op):
+        self.calls += 1
+        return super().step(image, op)
+
+
+@pytest.mark.parametrize("schedules", [enumerate_schedules, exhaustive_schedules])
+def test_each_append_before_the_barrier_costs_one_step(schedules):
+    """The appends and their fdatasync are the forced prefix of every
+    subset; a walk that placed them again for each subset would grow
+    quadratically in the appends."""
+
+    def steps(appends):
+        trace = log_then_tables_trace(appends, 4)
+        behavior, _ = whole_trace_behavior(trace)
+        cache = CountingCache()
+        for _ in schedules(behavior, trace, cache=cache):
+            pass
+        return cache.calls
+
+    for k in (20, 40):
+        assert steps(2 * k) - steps(k) == k
 
 
 # --- pruning soundness (small scale; the acceptance suite runs 200) ---
@@ -353,23 +477,23 @@ def test_explore_raises_a_replay_error_where_replaying_every_schedule_does():
     only at the first schedule that holds it, so the budget runs out first
     exactly when it would for a replay of each schedule.  (The stats of a
     run that raised are not compared: nothing reports them.)"""
-    trace = missing_source_trace()
-    behavior, _ = whole_trace_behavior(trace)
-    for schedules in (enumerate_schedules, exhaustive_schedules):
-        for budget in range(1, 6):
-            schedules_of = partial(schedules, trace=trace, budget=budget)
-            outcomes = []
-            for run in (explore, reference_explore):
-                stats, found = RunStats(), []
-                try:
-                    for b, s, digest, *_ in run([behavior], schedules_of, stats):
-                        found.append((getattr(b, "id", b), s, digest))
-                    found.append(stats)
-                except ReplayError as exc:
-                    found.append(str(exc))
-                outcomes.append(found)
-            assert outcomes[0] == outcomes[1], (schedules, budget)
-            assert isinstance(outcomes[0][-1], str) == (budget > 1)
+    for trace, first_failure in ((missing_source_trace(), 2), (missing_source_in_the_prefix_trace(), 4)):
+        behavior, _ = whole_trace_behavior(trace)
+        for schedules in (enumerate_schedules, exhaustive_schedules):
+            for budget in range(1, first_failure + 4):
+                schedules_of = partial(schedules, trace=trace, budget=budget)
+                outcomes = []
+                for run in (explore, reference_explore):
+                    stats, found = RunStats(), []
+                    try:
+                        for b, s, digest, *_ in run([behavior], schedules_of, stats):
+                            found.append((getattr(b, "id", b), s, digest))
+                        found.append(stats)
+                    except ReplayError as exc:
+                        found.append(str(exc))
+                    outcomes.append(found)
+                assert outcomes[0] == outcomes[1], (schedules, budget)
+                assert isinstance(outcomes[0][-1], str) == (budget >= first_failure)
 
 
 def test_state_cache_keys_steps_on_the_op_not_its_seq():
@@ -619,28 +743,21 @@ def test_explore_keys_the_memo_on_the_candidates():
     assert explorations_match([behavior], partial(enumerate_schedules, trace=trace))
 
 
-def log_then_tables_trace(appends, tables):
-    """``appends`` appends to one log, its fdatasync, then ``tables``
-    writes to distinct files that nothing orders."""
-    ops = [op(seq, "write", write_args("log", bytes([seq]) * 4, 4 * (seq - 1))) for seq in range(1, appends + 1)]
-    ops.append(op(appends + 1, "fdatasync", {"path": "log"}))
-    ops += [
-        op(appends + 2 + i, "write", write_args(f"table{i}", bytes([100 + i]) * 8))
-        for i in range(tables)
-    ]
-    return posix_trace(ops)
-
-
 def test_explore_matches_the_reference_at_every_budget():
     # Four tables: the first set whose orders repeat a branch point, so the
-    # budget runs out inside a counted item as well as at a schedule.
-    trace = log_then_tables_trace(2, 4)
-    behavior, _ = whole_trace_behavior(trace)
-    total = sum(1 for _ in exhaustive_schedules(behavior, trace))
-    for schedules in (enumerate_schedules, exhaustive_schedules):
-        for budget in range(1, total + 2):
-            schedules_of = partial(schedules, trace=trace, budget=budget)
-            assert explorations_match([behavior], schedules_of), (schedules, budget)
+    # budget runs out inside a counted item as well as at a schedule.  The
+    # cutoff traces run out inside the forced prefix a subset shares with
+    # the one before it and right after it.
+    cutoff = cutoff_traces()
+    # Its walk raises a replay error (see the test after the state cache's).
+    del cutoff["missing source in the prefix"]
+    for trace in (log_then_tables_trace(2, 4), *cutoff.values()):
+        behavior, _ = whole_trace_behavior(trace)
+        total = sum(1 for _ in exhaustive_schedules(behavior, trace))
+        for schedules in (enumerate_schedules, exhaustive_schedules):
+            for budget in range(1, total + 2):
+                schedules_of = partial(schedules, trace=trace, budget=budget)
+                assert explorations_match([behavior], schedules_of), (trace.ops, schedules, budget)
 
 
 def test_the_walk_reports_fewer_items_than_schedules():
