@@ -3,9 +3,10 @@ update behaviors.
 
 Pipeline: trace (parsed or synthesized from the workload DSL) -> happens-
 before edges under a POSIX or MMIO persistence model -> persistence graph
--> update behaviors (backtrace-derived for POSIX, type/instance/epoch for
-MMIO) -> behavior groups under the represents relation -> crash-schedule
-enumeration, replay and consistency checking of each group representative.
+-> update behaviors (backtrace runs merged up the call paths for POSIX,
+per-instance store runs cut into epochs for MMIO) -> behavior groups under
+the represents relation -> crash-schedule enumeration, replay and
+consistency checking of each group representative.
 """
 
 from .behavior import UpdateBehavior, cluster_temporal, make_behavior
@@ -34,18 +35,9 @@ from .grouping import (
     subset_equiv_edges,
     subset_equiv_nodes,
 )
-from .mmio_behaviors import (
-    EpochBoundary,
-    EpochSubgraph,
-    InstanceSubgraph,
-    TypeSubgraph,
-    build_instance_subgraphs,
-    build_type_subgraphs,
-    derive_mmio_behaviors,
-)
+from .mmio_behaviors import EpochBoundary, derive_mmio_behaviors, mmio_epochs
 from .models import EdgeReason, HappensBefore, ModelConfig, mmio_edges, model_edges, posix_edges
 from .posix_behaviors import (
-    CallStackTree,
     derive_function_subgraphs,
     derive_posix_behaviors,
     longest_common_prefix,

@@ -30,9 +30,6 @@ import re
 
 from .errors import DslError
 from .trace import (
-    MAX_INLINE_PAYLOAD,
-    MAX_RANGE_LENGTH,
-    MAX_WRITE_END,
     MMIO_MODE,
     POSIX_MODE,
     Annotation,
@@ -41,7 +38,7 @@ from .trace import (
     Operation,
     Trace,
     TraceMeta,
-    escapes_root,
+    _validate_args,
     payload_digest,
 )
 
@@ -102,9 +99,7 @@ class _Synth:
     def emit(self, line_no: int, kind: str, args: dict, annotation: Annotation | None = None):
         if not self.fn_stack:
             raise DslError(line_no, f"{kind} statement outside any fn block")
-        for key in ("path", "dst"):
-            if key in args and escapes_root(args[key]):
-                raise DslError(line_no, f"{kind} path {args[key]!r} must stay inside the image")
+        _validate_args(kind, args, line_no, DslError)
         self.ops.append(
             Operation(
                 seq=len(self.ops) + 1,
@@ -115,11 +110,6 @@ class _Synth:
                 annotation=annotation,
             )
         )
-
-    def payload_args(self, raw: bytes, line_no: int) -> dict:
-        if len(raw) > MAX_INLINE_PAYLOAD:
-            raise DslError(line_no, f"payload exceeds {MAX_INLINE_PAYLOAD} inline bytes")
-        return {"digest": payload_digest(raw), "data": raw.hex()}
 
     def statement(self, line_no: int, words: list[str]):
         head = words[0]
@@ -151,8 +141,6 @@ class _Synth:
             self._expect(line_no, words, 3)
             addr = _to_int(words[1], line_no, "address")
             length = _to_int(words[2], line_no, "length")
-            if length > MAX_RANGE_LENGTH:
-                raise DslError(line_no, f"{head} length exceeds {MAX_RANGE_LENGTH} bytes")
             self.emit(line_no, head, {"addr": addr, "length": length})
         elif head == "fence":
             self._expect(line_no, words, 1)
@@ -173,10 +161,8 @@ class _Synth:
             raise DslError(line_no, "write offset must be @-prefixed")
         raw = _unquote(literal, line_no)
         offset = _to_int(at_offset[1:], line_no, "offset")
-        if offset + len(raw) > MAX_WRITE_END:
-            raise DslError(line_no, f"write ends past byte {MAX_WRITE_END}")
         args = {"path": path, "offset": offset, "length": len(raw)}
-        args.update(self.payload_args(raw, line_no))
+        args.update(digest=payload_digest(raw), data=raw.hex())
         self.emit(line_no, "write", args)
 
     def _store(self, line_no: int, words: list[str]):
@@ -195,7 +181,7 @@ class _Synth:
         if len(raw) != length:
             raise DslError(line_no, f"store payload is {len(raw)} bytes, declared {length}")
         args = {"addr": addr, "length": length, "line": addr // self.cache_line_size}
-        args.update(self.payload_args(raw, line_no))
+        args.update(digest=payload_digest(raw), data=raw.hex())
         self.emit(line_no, "store", args, Annotation(parts[0], parts[1], parts[2]))
 
 

@@ -4,10 +4,10 @@ static keys used for node equivalence.
 Happens-before is stored once, as the model's per-rule bitsets ORed into
 one Python-int bitset of direct predecessors per node in the vector-clock
 style of FastTrack (Flanagan & Freund, PLDI'09), and every subgraph taken
-with :meth:`PersistenceGraph.induced` (behaviors, MMIO types, instances
-and epochs) shares it: a view's predecessors of ``n`` are ``preds[n] &
-mask``.  Only :meth:`PersistenceGraph.edges`, which DOT labels read, names
-each pair's rule.
+with :meth:`PersistenceGraph.induced` (each update behavior's) shares
+it: a view's predecessors of ``n`` are ``preds[n] & mask``.  Only
+:meth:`PersistenceGraph.edges`, which DOT labels read, names each pair's
+rule.
 
 Node identity is the trace seq; equivalence between nodes is a separate
 relation built on :class:`StaticKey` (see :mod:`crashcheck.grouping`), which
@@ -54,11 +54,6 @@ class StaticKey:
     def __hash__(self) -> int:
         # Grouping hashes keys in every set operation; hash the frames once.
         return self._hash
-
-    @property
-    def loc(self) -> tuple[str, int]:
-        _, file, line = self.static_stack[-1]
-        return (file, line)
 
     @classmethod
     def of(cls, op: Operation, mode: str = FULL_KEY) -> "StaticKey":

@@ -1,27 +1,29 @@
-"""MMIO update-behavior derivation: type subgraphs, instance subgraphs and
-epoch splitting.
+"""MMIO update-behavior derivation: stores split by type and instance,
+each run cut into epochs.
 
-Stores are grouped by annotated data type, then by instance.  Each
-instance's run of stores is cut into epochs before a store I when either
+Stores are grouped by annotated data type and instance, and each such run
+of stores is cut into epochs before a store I when either
 
-1. every store to the instance since the last cut is already persisted and
-   I rewrites a field already written in the current epoch, or
-2. some other instance was updated since this instance's previous store and
-   all of that instance's stores issued before I are persisted before I.
+1. every store of the run since the last cut is already persisted and I
+   rewrites a field already written in the current epoch, or
+2. some other instance was updated since the run's previous store and all
+   of that instance's stores issued before I are persisted before I.
 
 "Persisted" means each cache line of the store was flushed after the store
 and a fence (or covering msync) followed, all before I, as read from the
 one table :func:`crashcheck.models.line_persist_points`.  Field-repetition
 tracking resets at each cut.  Unannotated stores fall into a per-address
 pseudo type; a type name containing ``/`` (``Outer/Inner``) additionally
-contributes to a combined subgraph for the outer type, keyed by the declared
-instance id, so constituent-type orderings stay testable.
+joins a composite run for the outer type, keyed by the declared instance
+id, so constituent-type orderings stay testable.  The derivation works on
+plain lists of ops; each epoch's subgraph is induced once, when it becomes
+a behavior.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 
 from .behavior import UpdateBehavior, make_behavior
 from .errors import ModeMismatch
@@ -36,82 +38,12 @@ class EpochBoundary(str, Enum):
     TRACE_END = "TraceEnd"
 
 
-@dataclass(frozen=True)
-class TypeSubgraph:
-    type_name: str
-    subgraph: PersistenceGraph
-    composite: bool = False
-
-
-@dataclass(frozen=True)
-class InstanceSubgraph:
-    type_name: str
-    instance_id: str
-    subgraph: PersistenceGraph
-    composite: bool = False
-
-
-@dataclass(frozen=True)
-class EpochSubgraph:
-    type_name: str
-    instance_id: str
-    epoch_index: int
-    subgraph: PersistenceGraph
-    boundary_reason: EpochBoundary
-
-
 def effective_annotation(op: Operation) -> Annotation:
     """The store's annotation, or its per-address pseudo type when absent."""
     if op.annotation is not None:
         return op.annotation
     addr = op.args["addr"]
     return Annotation(f"addr:{addr}", f"addr:{addr}", str(addr))
-
-
-def build_type_subgraphs(graph: PersistenceGraph, trace: Trace) -> list[TypeSubgraph]:
-    """One subgraph per observed data type, plus combined subgraphs for
-    declared composite types.  Non-composite subgraphs partition the store
-    nodes."""
-    if trace.meta.mode != MMIO_MODE:
-        raise ModeMismatch(f"type subgraphs require an MMIO trace, got {trace.meta.mode}")
-    stores = [
-        graph.ops_by_seq[seq]
-        for seq in graph.node_seqs
-        if graph.ops_by_seq[seq].kind == "store"
-    ]
-    by_type: dict[str, set[int]] = {}
-    for op in stores:
-        by_type.setdefault(effective_annotation(op).type_name, set()).add(op.seq)
-
-    out = [
-        TypeSubgraph(type_name=name, subgraph=graph.induced(seqs))
-        for name, seqs in sorted(by_type.items())
-    ]
-    outer_types = sorted({name.split("/", 1)[0] for name in by_type if "/" in name})
-    for outer in outer_types:
-        members: set[int] = set()
-        for name, seqs in by_type.items():
-            if name == outer or name.startswith(outer + "/"):
-                members.update(seqs)
-        out.append(TypeSubgraph(type_name=outer, subgraph=graph.induced(members), composite=True))
-    return out
-
-
-def build_instance_subgraphs(tsg: TypeSubgraph) -> list[InstanceSubgraph]:
-    """Assign each node of a type subgraph to its instance, edges induced."""
-    by_instance: dict[str, set[int]] = {}
-    for seq in tsg.subgraph.node_seqs:
-        ann = effective_annotation(tsg.subgraph.ops_by_seq[seq])
-        by_instance.setdefault(ann.instance_id, set()).add(seq)
-    return [
-        InstanceSubgraph(
-            type_name=tsg.type_name,
-            instance_id=instance,
-            subgraph=tsg.subgraph.induced(seqs),
-            composite=tsg.composite,
-        )
-        for instance, seqs in sorted(by_instance.items())
-    ]
 
 
 def persisted_at(trace: Trace, cfg: ModelConfig | None = None) -> dict[int, float]:
@@ -122,54 +54,55 @@ def persisted_at(trace: Trace, cfg: ModelConfig | None = None) -> dict[int, floa
     return {seq: max(min(point) for point in lines) for seq, lines in points.items()}
 
 
-def _split_epochs(
-    isg: InstanceSubgraph,
-    full_graph: PersistenceGraph,
-    trace: Trace,
-    persisted: dict[int, float],
-) -> list[EpochSubgraph]:
-    own_ops = [isg.subgraph.ops_by_seq[seq] for seq in isg.subgraph.node_seqs]
-    if not own_ops:
-        return []
-    others_by_instance: dict[tuple[str, str], list[int]] = {}
-    for other in trace.ops:
-        if other.kind == "store" and other.seq not in isg.subgraph.ops_by_seq:
-            ann = effective_annotation(other)
-            others_by_instance.setdefault((ann.type_name, ann.instance_id), []).append(other.seq)
+def mmio_epochs(
+    trace: Trace, cfg: ModelConfig | None = None
+) -> dict[tuple[str, str, bool], list[tuple[list[Operation], EpochBoundary]]]:
+    """Every run of stores cut into epochs, keyed by (type, instance,
+    composite) in sorted order; each epoch is its stores in seq order and
+    the reason it ended.  Non-composite runs partition the stores."""
+    if trace.meta.mode != MMIO_MODE:
+        raise ModeMismatch(f"MMIO epochs require an MMIO trace, got {trace.meta.mode}")
+    persisted = persisted_at(trace, cfg)
+    stores: dict[tuple[str, str], list[Operation]] = {}
+    for op in trace.ops:
+        if op.kind == "store":
+            ann = effective_annotation(op)
+            stores.setdefault((ann.type_name, ann.instance_id), []).append(op)
+    store_seqs = {key: [op.seq for op in ops] for key, ops in stores.items()}
+    # run key -> the (type, instance) keys whose stores it holds
+    runs = {(type_name, instance, False): [(type_name, instance)] for type_name, instance in stores}
+    outer_types = {type_name.split("/", 1)[0] for type_name, _ in stores if "/" in type_name}
+    for type_name, instance in stores:
+        outer = type_name.split("/", 1)[0]
+        if outer in outer_types:
+            runs.setdefault((outer, instance, True), []).append((type_name, instance))
 
-    epochs: list[tuple[list[Operation], EpochBoundary]] = []
-    current: list[Operation] = [own_ops[0]]
-    fields_written = {effective_annotation(own_ops[0]).field_name}
-
-    for op in own_ops[1:]:
-        field = effective_annotation(op).field_name
-        prev_seq = current[-1].seq
-        crit1 = field in fields_written and all(persisted[s.seq] < op.seq for s in current)
-        crit2 = not crit1 and any(
-            any(prev_seq < seq < op.seq for seq in seqs)
-            and all(persisted[seq] < op.seq for seq in seqs if seq < op.seq)
-            for seqs in others_by_instance.values()
-        )
-        if crit1 or crit2:
-            reason = EpochBoundary.CRITERION_1 if crit1 else EpochBoundary.CRITERION_2
-            epochs.append((current, reason))
-            current = [op]
-            fields_written = {field}
-        else:
-            current.append(op)
-            fields_written.add(field)
-    epochs.append((current, EpochBoundary.TRACE_END))
-
-    return [
-        EpochSubgraph(
-            type_name=isg.type_name,
-            instance_id=isg.instance_id,
-            epoch_index=index,
-            subgraph=full_graph.induced([op.seq for op in ops]),
-            boundary_reason=reason,
-        )
-        for index, (ops, reason) in enumerate(epochs)
-    ]
+    out = {}
+    for run_key, members in sorted(runs.items()):
+        ops = sorted((op for key in members for op in stores[key]), key=attrgetter("seq"))
+        others = [seqs for key, seqs in store_seqs.items() if key not in members]
+        epochs: list[tuple[list[Operation], EpochBoundary]] = []
+        current = [ops[0]]
+        fields_written = {effective_annotation(ops[0]).field_name}
+        for op in ops[1:]:
+            field = effective_annotation(op).field_name
+            prev_seq = current[-1].seq
+            crit1 = field in fields_written and all(persisted[s.seq] < op.seq for s in current)
+            crit2 = not crit1 and any(
+                any(prev_seq < seq < op.seq for seq in seqs)
+                and all(persisted[seq] < op.seq for seq in seqs if seq < op.seq)
+                for seqs in others
+            )
+            if crit1 or crit2:
+                epochs.append((current, EpochBoundary.CRITERION_1 if crit1 else EpochBoundary.CRITERION_2))
+                current = [op]
+                fields_written = {field}
+            else:
+                current.append(op)
+                fields_written.add(field)
+        epochs.append((current, EpochBoundary.TRACE_END))
+        out[run_key] = epochs
+    return out
 
 
 def derive_mmio_behaviors(
@@ -177,23 +110,13 @@ def derive_mmio_behaviors(
     trace: Trace,
     cfg: ModelConfig | None = None,
 ) -> list[UpdateBehavior]:
-    """Full MMIO derivation: every epoch of every instance of every type
-    becomes one update behavior."""
+    """Full MMIO derivation: every epoch of every run becomes one update
+    behavior."""
     behaviors = []
-    persisted = persisted_at(trace, cfg)
-    for tsg in build_type_subgraphs(graph, trace):
-        for isg in build_instance_subgraphs(tsg):
-            for epoch in _split_epochs(isg, graph, trace, persisted):
-                label = f"{epoch.type_name}.{epoch.instance_id}"
-                tid = epoch.subgraph.ops_by_seq[epoch.subgraph.node_seqs[0]].tid
-                behaviors.append(
-                    make_behavior(
-                        f"t{tid}:{label}#e{epoch.epoch_index}"
-                        + ("+composite" if tsg.composite else ""),
-                        label,
-                        tid,
-                        epoch.subgraph.node_seqs,
-                        graph,
-                    )
-                )
+    for (type_name, instance, composite), epochs in mmio_epochs(trace, cfg).items():
+        label = f"{type_name}.{instance}"
+        for index, (ops, _) in enumerate(epochs):
+            tid = ops[0].tid
+            behavior_id = f"t{tid}:{label}#e{index}" + ("+composite" if composite else "")
+            behaviors.append(make_behavior(behavior_id, label, tid, [op.seq for op in ops], graph))
     return sorted(behaviors, key=lambda b: (b.tid, b.span, b.id))

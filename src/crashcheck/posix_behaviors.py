@@ -1,22 +1,21 @@
 """POSIX update-behavior derivation.
 
 Adjacent operations on one thread are grouped by the longest common prefix
-of their backtraces: a stable prefix keeps extending the open behavior, a
+of their backtraces: a stable prefix keeps extending the open run, a
 deeper prefix means a new function took over (the boundary op moves into
-the new behavior), and a shallower prefix closes the behavior.  Closed
-behaviors land under the function path their prefix ends at.  A call stack
-tree then merges child behaviors into parents, splitting the merged spans
-with density clustering so periodic callers do not glue unrelated work
-together.
+the new run), and a shallower prefix closes the run.  Closed runs land
+under the function path their prefix ends at.  Then, leaf to root along
+the call paths seen in the trace, each function's behaviors are merged
+with its children's, the merged spans split with density clustering so
+periodic callers do not glue unrelated work together.
 
 Behaviors never cross threads, and function map keys are full static paths
 from the thread root rather than bare names, so recursion levels stay
-distinct.
+distinct.  The derivation works on plain lists of ops; each behavior's
+subgraph is induced once, when it is made.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .behavior import UpdateBehavior, cluster_temporal, make_behavior
 from .graph import PersistenceGraph
@@ -51,54 +50,38 @@ def prefix_path(prefix: Backtrace | None) -> FnPath:
     return prefix.functions()
 
 
-@dataclass
-class _OpenBehavior:
-    ops: list[Operation]
-    path: FnPath
-
-
-class _Derivation:
-    def __init__(self):
-        self.result: dict[FnPath, list[list[Operation]]] = {}
-
-    def close(self, ops: list[Operation], path: FnPath):
-        if not ops:
-            return
-        self.result.setdefault(path, []).append(list(ops))
-
-    def run_thread(self, ops: list[Operation]):
-        if len(ops) == 1:
-            self.close(ops, self._innermost_path(ops[0]))
-            return
-        open_ub: _OpenBehavior | None = None
-        prev_path: FnPath = ()
-        for op_i, op_next in zip(ops, ops[1:]):
-            lcp = longest_common_prefix(op_i.backtrace, op_next.backtrace)
-            path = prefix_path(lcp)
-            if open_ub is None or op_i not in open_ub.ops:
-                open_ub = _OpenBehavior(ops=[op_i, op_next], path=path)
-            elif path == prev_path:
-                open_ub.ops.append(op_next)
-            elif len(path) > len(prev_path):
-                # A new, deeper function started with op_i: it belongs to the
-                # new behavior, not the one being closed.
-                open_ub.ops.remove(op_i)
-                self.close(open_ub.ops, open_ub.path)
-                open_ub = _OpenBehavior(ops=[op_i, op_next], path=path)
-            else:
-                self.close(open_ub.ops, open_ub.path)
-                open_ub = None
-            prev_path = path
-        if open_ub is not None:
-            self.close(open_ub.ops, open_ub.path)
-        elif ops:
-            # The final pair closed shallow, leaving the last op unassigned.
-            last = ops[-1]
-            self.close([last], self._innermost_path(last))
-
-    @staticmethod
-    def _innermost_path(op: Operation) -> FnPath:
-        return op.backtrace.functions()
+def _leaf_runs(thread_ops: list[Operation]) -> list[tuple[FnPath, list[Operation]]]:
+    """One thread's ops cut into ``(path, ops)`` runs, in the order the runs
+    close."""
+    runs: list[tuple[FnPath, list[Operation]]] = []
+    run: list[Operation] | None = None
+    run_path: FnPath = ()
+    prev_path: FnPath = ()
+    for op_i, op_next in zip(thread_ops, thread_ops[1:]):
+        path = prefix_path(longest_common_prefix(op_i.backtrace, op_next.backtrace))
+        # An open run always ends at op_i.
+        if run is None:
+            run, run_path = [op_i, op_next], path
+        elif path == prev_path:
+            run.append(op_next)
+        elif len(path) > len(prev_path):
+            # A new, deeper function started with op_i: it belongs to the
+            # new run, not the one being closed.
+            run.pop()
+            runs.append((run_path, run))
+            run, run_path = [op_i, op_next], path
+        else:
+            runs.append((run_path, run))
+            run = None
+        prev_path = path
+    if run is not None:
+        runs.append((run_path, run))
+    else:
+        # The final pair closed shallow (or the thread has one op), leaving
+        # the last op unassigned.
+        last = thread_ops[-1]
+        runs.append((last.backtrace.functions(), [last]))
+    return runs
 
 
 def derive_function_subgraphs(
@@ -109,18 +92,18 @@ def derive_function_subgraphs(
     Within one thread the leaf behaviors' node sets are disjoint and cover
     every graph node of the thread.
     """
-    deriv = _Derivation()
-    node_seqs = set(graph.ops_by_seq)
+    runs: dict[FnPath, list[list[Operation]]] = {}
     per_tid = split_by_thread(trace)
     for tid in sorted(per_tid):
-        thread_ops = [op for op in per_tid[tid] if op.seq in node_seqs]
+        thread_ops = [op for op in per_tid[tid] if op.seq in graph.ops_by_seq]
         if thread_ops:
-            deriv.run_thread(thread_ops)
+            for path, ops in _leaf_runs(thread_ops):
+                runs.setdefault(path, []).append(ops)
 
     out: dict[FnPath, list[UpdateBehavior]] = {}
     counter = 0
-    for path in sorted(deriv.result):
-        for ops in deriv.result[path]:
+    for path in sorted(runs):
+        for ops in runs[path]:
             behavior = make_behavior(
                 f"t{ops[0].tid}:{'/'.join(path)}#{counter}",
                 path[-1] if path else "?",
@@ -133,69 +116,38 @@ def derive_function_subgraphs(
     return out
 
 
-@dataclass
-class CallStackTree:
-    """Parent/child function relations observed in one trace's backtraces.
-
-    Nodes are keyed by (tid, static path); each node carries the behaviors
-    attached under that path.  Per thread the node set forms a forest of
-    proper trees.
-    """
-
-    children: dict[tuple[int, FnPath], set[FnPath]] = field(default_factory=dict)
-    behaviors: dict[tuple[int, FnPath], list[UpdateBehavior]] = field(default_factory=dict)
-
-    @classmethod
-    def from_trace(cls, trace: Trace) -> "CallStackTree":
-        tree = cls()
-        for op in trace.ops:
-            funcs = op.backtrace.functions()
-            for depth in range(1, len(funcs) + 1):
-                path = funcs[:depth]
-                key = (op.tid, path)
-                tree.children.setdefault(key, set())
-                if depth > 1:
-                    tree.children.setdefault((op.tid, funcs[: depth - 1]), set()).add(path)
-        return tree
-
-    def attach(self, fmap: dict[FnPath, list[UpdateBehavior]]):
-        for path, behaviors in fmap.items():
-            for behavior in behaviors:
-                key = (behavior.tid, path)
-                self.children.setdefault(key, set())
-                self.behaviors.setdefault(key, []).append(behavior)
-
-    def paths_deepest_first(self) -> list[tuple[int, FnPath]]:
-        return sorted(self.children, key=lambda k: (k[0], -len(k[1]), k[1]))
-
-
 def merge_up_tree(
-    tree: CallStackTree,
     fmap: dict[FnPath, list[UpdateBehavior]],
+    trace: Trace,
     graph: PersistenceGraph,
     eps: int = 10,
     min_pts: int = 1,
 ) -> dict[FnPath, list[UpdateBehavior]]:
     """Merge child behaviors into parents, leaf to root.
 
-    Each function with children gains behaviors built from the union of its
-    children's behavior node sets plus its own directly attached ops, split
-    temporally before attachment.  Existing behaviors are kept; merging
-    never invents ops and never crosses threads.
+    The call-stack tree is read from the trace's backtraces: per thread,
+    each static path's children are the one-frame-deeper paths observed
+    below it.  Deepest paths first, each function with children gains
+    behaviors built from the union of its children's behavior node sets
+    plus its own directly attached ones, split temporally before
+    attachment.  Existing behaviors are kept; merging never invents ops and
+    never crosses threads.
     """
-    tree.attach(fmap)
+    children: dict[tuple[int, FnPath], set[FnPath]] = {}
+    for op in trace.ops:
+        funcs = op.backtrace.functions()
+        for depth in range(2, len(funcs) + 1):
+            children.setdefault((op.tid, funcs[: depth - 1]), set()).add(funcs[:depth])
+    attached: dict[tuple[int, FnPath], list[UpdateBehavior]] = {}
+    for path, behaviors in fmap.items():
+        for behavior in behaviors:
+            attached.setdefault((behavior.tid, path), []).append(behavior)
+
     merged_counter = 0
-    for key in tree.paths_deepest_first():
+    for key in sorted(children, key=lambda k: (k[0], -len(k[1]), k[1])):
         tid, path = key
-        kids = tree.children.get(key, set())
-        if not kids:
-            continue
-        node_union: set[int] = set()
-        for kid in sorted(kids):
-            for behavior in tree.behaviors.get((tid, kid), []):
-                node_union.update(behavior.node_seqs)
-        for behavior in tree.behaviors.get(key, []):
-            node_union.update(behavior.node_seqs)
+        members = [key, *((tid, kid) for kid in children[key])]
+        node_union = {seq for member in members for b in attached.get(member, []) for seq in b.node_seqs}
         if not node_union:
             continue
         combined = make_behavior(
@@ -206,11 +158,10 @@ def merge_up_tree(
             graph,
         )
         merged_counter += 1
-        for piece in cluster_temporal(combined, eps=eps, min_pts=min_pts):
-            tree.behaviors.setdefault(key, []).append(piece)
+        attached.setdefault(key, []).extend(cluster_temporal(combined, eps=eps, min_pts=min_pts))
 
     out: dict[FnPath, list[UpdateBehavior]] = {}
-    for (tid, path), behaviors in sorted(tree.behaviors.items()):
+    for (tid, path), behaviors in sorted(attached.items()):
         out.setdefault(path, []).extend(behaviors)
     return out
 
@@ -218,12 +169,11 @@ def merge_up_tree(
 def derive_posix_behaviors(
     graph: PersistenceGraph, trace: Trace, eps: int = 10, min_pts: int = 1
 ) -> list[UpdateBehavior]:
-    """Full POSIX derivation: leaf behaviors, then call-stack-tree merging.
+    """Full POSIX derivation: leaf behaviors, then merging up the call paths.
 
     Returns all behaviors (leaf and merged), ordered by thread, span and id.
     """
     fmap = derive_function_subgraphs(graph, trace)
-    tree = CallStackTree.from_trace(trace)
-    merged = merge_up_tree(tree, fmap, graph, eps=eps, min_pts=min_pts)
+    merged = merge_up_tree(fmap, trace, graph, eps=eps, min_pts=min_pts)
     behaviors = [b for blist in merged.values() for b in blist]
     return sorted(behaviors, key=lambda b: (b.tid, b.span, b.id))

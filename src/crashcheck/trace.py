@@ -211,38 +211,40 @@ def _kind_mode(kind: str) -> str:
     raise UnknownOperationKind(f"unknown operation kind {kind!r}")
 
 
-def _validate_args(kind: str, args: dict, line_no: int) -> dict:
+def _validate_args(kind: str, args: dict, line_no: int, error: type = ParseError) -> dict:
+    """Check an op's arguments and bound the extents and payload it names,
+    raising ``error(line_no, message)``: a trace's or a workload's."""
     required = _REQUIRED_ARG_KEYS[kind]
     allowed = _ARG_KEYS[kind]
     missing = required - args.keys()
     if missing:
-        raise ParseError(line_no, f"{kind} args missing {sorted(missing)}")
+        raise error(line_no, f"{kind} args missing {sorted(missing)}")
     extra = args.keys() - allowed
     if extra:
-        raise ParseError(line_no, f"{kind} args have unknown keys {sorted(extra)}")
+        raise error(line_no, f"{kind} args have unknown keys {sorted(extra)}")
     for key in ("path", "dst", "digest"):
         if key in args and not isinstance(args[key], str):
-            raise ParseError(line_no, f"{kind} arg {key!r} must be a string")
+            raise error(line_no, f"{kind} arg {key!r} must be a string")
     for key in ("path", "dst"):
         if key in args and escapes_root(args[key]):
-            raise ParseError(line_no, f"{kind} arg {key!r} must stay inside the image, got {args[key]!r}")
+            raise error(line_no, f"{kind} arg {key!r} must stay inside the image, got {args[key]!r}")
     if "digest" in args and not args["digest"].isascii():
-        raise ParseError(line_no, f"{kind} arg 'digest' must be ASCII")
+        raise error(line_no, f"{kind} arg 'digest' must be ASCII")
     for key in ("offset", "length", "addr", "line"):
         if key in args and (not isinstance(args[key], int) or args[key] < 0):
-            raise ParseError(line_no, f"{kind} arg {key!r} must be a non-negative integer")
+            raise error(line_no, f"{kind} arg {key!r} must be a non-negative integer")
     if kind in ("write", "pwrite") and args["offset"] + args["length"] > MAX_WRITE_END:
-        raise ParseError(line_no, f"{kind} ends past byte {MAX_WRITE_END}")
+        raise error(line_no, f"{kind} ends past byte {MAX_WRITE_END}")
     if kind in ("store", "flush", "msync") and args["length"] > MAX_RANGE_LENGTH:
-        raise ParseError(line_no, f"{kind} length exceeds {MAX_RANGE_LENGTH} bytes")
+        raise error(line_no, f"{kind} length exceeds {MAX_RANGE_LENGTH} bytes")
     data = args.get("data")
     if data is not None:
         try:
             raw = bytes.fromhex(data)
         except (TypeError, ValueError):
-            raise ParseError(line_no, "inline payload must be a hex string") from None
+            raise error(line_no, "inline payload must be a hex string") from None
         if len(raw) > MAX_INLINE_PAYLOAD:
-            raise ParseError(line_no, f"inline payload exceeds {MAX_INLINE_PAYLOAD} bytes")
+            raise error(line_no, f"inline payload exceeds {MAX_INLINE_PAYLOAD} bytes")
     return args
 
 

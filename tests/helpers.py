@@ -11,10 +11,9 @@ import random
 from bisect import bisect_right
 from typing import Iterator
 
-from crashcheck import Backtrace, Frame, Operation, PersistenceGraph, Trace, build_graph
+from crashcheck import Annotation, Backtrace, Frame, Operation, PersistenceGraph, Trace, build_graph
 from crashcheck.behavior import UpdateBehavior, make_behavior
 from crashcheck.errors import ExplosionLimit
-from crashcheck.mmio_behaviors import EpochSubgraph, InstanceSubgraph, _split_epochs, persisted_at
 from crashcheck.models import (
     _DATA_KINDS,
     _POSIX_PERSISTING,
@@ -249,18 +248,6 @@ def hb_from_pairs(trace: Trace, pairs: Pairs) -> HappensBefore:
     return HappensBefore(rules)
 
 
-def split_epochs(
-    isg: InstanceSubgraph,
-    full_graph: PersistenceGraph,
-    trace: Trace,
-    cfg: ModelConfig | None = None,
-) -> list[EpochSubgraph]:
-    """Cut one instance's stores into epochs using the full trace's
-    flush/fence history.  Epochs are contiguous seq intervals restricted to
-    the instance and partition its subgraph."""
-    return _split_epochs(isg, full_graph, trace, persisted_at(trace, cfg))
-
-
 def ancestors(graph, seq: int) -> set[int]:
     """Every node with a happens-before path to ``seq`` in ``graph``."""
     out: set[int] = set()
@@ -358,6 +345,31 @@ def random_posix_trace(rng: random.Random, max_ops: int = 8, threads: int = 1) -
     return posix_trace(_spread_over_threads(rng, ops, threads))
 
 
+def random_nested_posix_trace(rng: random.Random, max_ops: int = 8, threads: int = 1) -> Trace:
+    """:func:`random_posix_trace` with each op's backtrace taken from a
+    random call-stack walk per thread: calls, returns and call-site changes
+    at any depth, at most 5 frames deep, reusing function names so a path
+    can recurse.  Leaf runs close deeper and shallower, so derivation
+    reaches merging and temporal splitting."""
+    trace = random_posix_trace(rng, max_ops, threads)
+    functions = ["put", "log", "sync_all", "main"]
+    stacks: dict[int, list[tuple[str, int]]] = {}
+    ops = []
+    for o in trace.ops:
+        stack = stacks.setdefault(o.tid, [("main", 1)])
+        roll = rng.random()
+        if roll < 0.3 and len(stack) < 5:
+            stack.append((rng.choice(functions), rng.randint(1, 3)))
+        elif roll < 0.5 and len(stack) > 1:
+            del stack[rng.randrange(1, len(stack)) :]
+        elif roll < 0.75:
+            depth = rng.randrange(len(stack))
+            del stack[depth + 1 :]
+            stack[depth] = (stack[depth][0], rng.randint(1, 3))
+        ops.append(dataclasses.replace(o, backtrace=bt(*stack)))
+    return posix_trace(ops)
+
+
 def log_then_tables_trace(appends: int, tables: int) -> Trace:
     """``appends`` appends to one log, its fdatasync, then ``tables``
     writes to distinct files that nothing orders."""
@@ -416,6 +428,22 @@ def random_mmio_trace(rng: random.Random, max_ops: int = 8, threads: int = 1) ->
             addr = rng.choice([0, 64])
             ops.append(op(seq, "msync", {"addr": addr, "length": 128}, (("main", seq),)))
     return mmio_trace(_spread_over_threads(rng, ops, threads))
+
+
+def random_annotated_mmio_trace(rng: random.Random, max_ops: int = 8, threads: int = 1) -> Trace:
+    """:func:`random_mmio_trace` with each store annotated with one of the
+    types ``Log``, ``Log/Hdr``, ``Log/Body`` and ``Tab/Row/Cell`` or left
+    unannotated, over 2 instances and 3 fields, so derivation reaches
+    composite types and both epoch criteria."""
+    types = [None, "Log", "Log/Hdr", "Log/Body", "Tab/Row/Cell"]
+    ops = []
+    for o in random_mmio_trace(rng, max_ops, threads).ops:
+        type_name = rng.choice(types) if o.kind == "store" else None
+        if type_name is not None:
+            annotation = Annotation(type_name, rng.choice(["i0", "i1"]), rng.choice(["a", "b", "c"]))
+            o = dataclasses.replace(o, annotation=annotation)
+        ops.append(o)
+    return mmio_trace(ops)
 
 
 def dbscan_1d_reference(points: list[int], eps: int, min_pts: int) -> tuple[list[list[int]], list[int]]:

@@ -19,11 +19,7 @@ from crashcheck import (
 from crashcheck.behavior import make_behavior
 from crashcheck.cli import RunConfig, derive_behaviors
 from crashcheck.graph import StaticKey
-from crashcheck.mmio_behaviors import (
-    EpochBoundary,
-    build_instance_subgraphs,
-    build_type_subgraphs,
-)
+from crashcheck.mmio_behaviors import EpochBoundary, mmio_epochs
 from crashcheck.models import EdgeReason, model_edges
 from crashcheck.simulate import (
     RunStats,
@@ -45,7 +41,6 @@ from helpers import (
     output_digest,
     random_mmio_trace,
     random_posix_trace,
-    split_epochs,
     write_args,
 )
 
@@ -231,14 +226,9 @@ def test_criterion_5_entry_insert_reproduction(tmp_path, entry_checker):
 
 def test_criterion_6_epoch_golden_trace(epochs_trace):
     with criterion(6, "three epochs for instance M"):
-        graph = build_graph(epochs_trace, model_edges(epochs_trace))
-        tsg = next(
-            t for t in build_type_subgraphs(graph, epochs_trace) if t.type_name == "M"
-        )
-        isg = build_instance_subgraphs(tsg)[0]
-        epochs = split_epochs(isg, graph, epochs_trace)
+        epochs = mmio_epochs(epochs_trace)[("M", "m0", False)]
         assert len(epochs) == 3
-        assert [e.boundary_reason for e in epochs] == [
+        assert [reason for _, reason in epochs] == [
             EpochBoundary.CRITERION_1,
             EpochBoundary.CRITERION_2,
             EpochBoundary.TRACE_END,

@@ -253,5 +253,5 @@ def test_static_key_modes():
     inner = StaticKey.of(trace.ops[0], "innermost")
     assert len(full.static_stack) == 2
     assert len(inner.static_stack) == 1
-    assert full.loc == inner.loc == ("<dsl>", 3)
+    assert full.static_stack[-1][1:] == inner.static_stack[-1][1:] == ("<dsl>", 3)
 

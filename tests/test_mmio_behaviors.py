@@ -3,18 +3,15 @@ import pytest
 from crashcheck import ModeMismatch, build_graph, mmio_edges
 from crashcheck.mmio_behaviors import (
     EpochBoundary,
-    build_instance_subgraphs,
-    build_type_subgraphs,
     derive_mmio_behaviors,
     effective_annotation,
+    mmio_epochs,
 )
 from helpers import (
     edge_triples,
-    hb_from_pairs,
     mmio_trace,
     op,
     posix_trace,
-    split_epochs,
     store_args,
     write_args,
 )
@@ -29,19 +26,34 @@ def graph_for(trace):
     return build_graph(trace, mmio_edges(trace))
 
 
-def epochs_graph(epochs_trace):
-    return graph_for(epochs_trace)
+def run_seqs(trace):
+    """(type, instance, composite) -> the run's store seqs, its epochs
+    joined."""
+    return {key: tuple(o.seq for ops, _ in epochs for o in ops) for key, epochs in mmio_epochs(trace).items()}
+
+
+def type_seqs(trace):
+    """(type, composite) -> the store seqs of all the type's runs."""
+    out = {}
+    for (type_name, _, composite), seqs in run_seqs(trace).items():
+        out[(type_name, composite)] = tuple(sorted(out.get((type_name, composite), ()) + seqs))
+    return out
+
+
+def only_epochs(trace):
+    """The epochs of a trace whose stores form a single run."""
+    (epochs,) = mmio_epochs(trace).values()
+    return epochs
 
 
 # --- type subgraphs ---
 
 
 def test_two_types_give_two_subgraphs(epochs_trace):
-    graph = graph_for(epochs_trace)
-    tsgs = build_type_subgraphs(graph, epochs_trace)
-    assert [(t.type_name, t.composite) for t in tsgs] == [("M", False), ("N", False)]
-    assert tsgs[0].subgraph.node_seqs == (1, 2, 3, 6, 11)
-    assert tsgs[1].subgraph.node_seqs == (7, 8)
+    types = type_seqs(epochs_trace)
+    assert list(types) == [("M", False), ("N", False)]
+    assert types[("M", False)] == (1, 2, 3, 6, 11)
+    assert types[("N", False)] == (7, 8)
 
 
 def test_single_type_projects_store_nodes():
@@ -53,26 +65,23 @@ def test_single_type_projects_store_nodes():
             op(4, "store", store_args(64, b"b"), (("m", 4),), annotation=ann("T", "i", "y")),
         ]
     )
-    graph = graph_for(trace)
-    tsgs = build_type_subgraphs(graph, trace)
-    assert len(tsgs) == 1
-    assert tsgs[0].subgraph.node_seqs == (1, 4)
+    types = type_seqs(trace)
+    assert len(types) == 1
+    assert types[("T", False)] == (1, 4)
     # the flush/fence edge among the stores survives the projection
-    assert {(src, dst) for src, dst, _ in edge_triples(tsgs[0].subgraph)} == {(1, 4)}
+    view = graph_for(trace).induced(types[("T", False)])
+    assert {(src, dst) for src, dst, _ in edge_triples(view)} == {(1, 4)}
 
 
 def test_unannotated_store_falls_into_address_pseudo_type():
     trace = mmio_trace([op(1, "store", store_args(320, b"a"), (("m", 1),))])
-    graph = graph_for(trace)
-    tsgs = build_type_subgraphs(graph, trace)
-    assert [t.type_name for t in tsgs] == ["addr:320"]
+    assert [type_name for type_name, _ in type_seqs(trace)] == ["addr:320"]
     assert effective_annotation(trace.ops[0]) == Annotation("addr:320", "addr:320", "320")
 
 
 def test_type_subgraphs_partition_store_nodes(epochs_trace):
     graph = graph_for(epochs_trace)
-    tsgs = [t for t in build_type_subgraphs(graph, epochs_trace) if not t.composite]
-    seen = sorted(s for t in tsgs for s in t.subgraph.node_seqs)
+    seen = sorted(s for (_, composite), seqs in type_seqs(epochs_trace).items() if not composite for s in seqs)
     store_nodes = [s for s in graph.node_seqs if graph.ops_by_seq[s].kind == "store"]
     assert seen == store_nodes
 
@@ -85,34 +94,29 @@ def test_composite_type_combined_subgraph():
             op(3, "store", store_args(128, b"x"), (("m", 3),), annotation=ann("Other", "o0", "f")),
         ]
     )
-    graph = graph_for(trace)
-    tsgs = build_type_subgraphs(graph, trace)
-    names = [(t.type_name, t.composite) for t in tsgs]
+    types = type_seqs(trace)
+    names = list(types)
     assert ("Log/Hdr", False) in names and ("Log/Body", False) in names
     assert ("Log", True) in names
-    combined = next(t for t in tsgs if t.composite)
-    assert combined.subgraph.node_seqs == (1, 2)
-    isgs = build_instance_subgraphs(combined)
-    assert [(i.instance_id, i.subgraph.node_seqs) for i in isgs] == [("l0", (1, 2))]
+    assert types[("Log", True)] == (1, 2)
+    composite_runs = [(instance, seqs) for (_, instance, composite), seqs in run_seqs(trace).items() if composite]
+    assert composite_runs == [("l0", (1, 2))]
 
 
 def test_posix_trace_is_rejected():
     trace = posix_trace([op(1, "write", write_args("f", b"x"), (("m", 1),))])
-    graph = build_graph(trace, hb_from_pairs(trace, {}))
     with pytest.raises(ModeMismatch):
-        build_type_subgraphs(graph, trace)
+        mmio_epochs(trace)
 
 
 # --- instance subgraphs ---
 
 
 def test_single_instance_equals_type_subgraph(epochs_trace):
-    graph = graph_for(epochs_trace)
-    tsg = build_type_subgraphs(graph, epochs_trace)[0]
-    isgs = build_instance_subgraphs(tsg)
-    assert len(isgs) == 1
-    assert isgs[0].instance_id == "m0"
-    assert isgs[0].subgraph.node_seqs == tsg.subgraph.node_seqs
+    m_runs = [(instance, seqs) for (type_name, instance, _), seqs in run_seqs(epochs_trace).items() if type_name == "M"]
+    assert len(m_runs) == 1
+    assert m_runs[0][0] == "m0"
+    assert m_runs[0][1] == type_seqs(epochs_trace)[("M", False)]
 
 
 def test_disjoint_instances_split():
@@ -122,30 +126,22 @@ def test_disjoint_instances_split():
             op(2, "store", store_args(64, b"b"), (("m", 2),), annotation=ann("E", "e1", "k")),
         ]
     )
-    graph = graph_for(trace)
-    isgs = build_instance_subgraphs(build_type_subgraphs(graph, trace)[0])
-    assert [(i.instance_id, i.subgraph.node_seqs) for i in isgs] == [
+    assert [(instance, seqs) for (_, instance, _), seqs in run_seqs(trace).items()] == [
         ("e0", (1,)),
         ("e1", (2,)),
     ]
 
 
 def test_fig8_m_instance_has_five_store_nodes(epochs_trace):
-    graph = graph_for(epochs_trace)
-    tsg = next(t for t in build_type_subgraphs(graph, epochs_trace) if t.type_name == "M")
-    isg = build_instance_subgraphs(tsg)[0]
-    assert len(isg.subgraph) == 5
+    assert len(run_seqs(epochs_trace)[("M", "m0", False)]) == 5
 
 
 # --- epochs ---
 
 
 def test_fig8_epochs_golden(epochs_trace):
-    graph = graph_for(epochs_trace)
-    tsg = next(t for t in build_type_subgraphs(graph, epochs_trace) if t.type_name == "M")
-    isg = build_instance_subgraphs(tsg)[0]
-    epochs = split_epochs(isg, graph, epochs_trace)
-    assert [(e.epoch_index, e.subgraph.node_seqs, e.boundary_reason) for e in epochs] == [
+    epochs = mmio_epochs(epochs_trace)[("M", "m0", False)]
+    assert [(index, tuple(o.seq for o in ops), reason) for index, (ops, reason) in enumerate(epochs)] == [
         (0, (1, 2, 3), EpochBoundary.CRITERION_1),
         (1, (6,), EpochBoundary.CRITERION_2),
         (2, (11,), EpochBoundary.TRACE_END),
@@ -160,11 +156,9 @@ def test_no_flush_means_single_epoch():
             op(3, "store", store_args(0, b"c"), (("m", 3),), annotation=ann("T", "i", "x")),
         ]
     )
-    graph = graph_for(trace)
-    isg = build_instance_subgraphs(build_type_subgraphs(graph, trace)[0])[0]
-    epochs = split_epochs(isg, graph, trace)
+    epochs = only_epochs(trace)
     assert len(epochs) == 1
-    assert epochs[0].boundary_reason is EpochBoundary.TRACE_END
+    assert epochs[0][1] is EpochBoundary.TRACE_END
 
 
 def test_criterion1_requires_field_repetition():
@@ -177,9 +171,7 @@ def test_criterion1_requires_field_repetition():
             op(4, "store", store_args(64, b"b"), (("m", 4),), annotation=ann("T", "i", "y")),
         ]
     )
-    graph = graph_for(trace)
-    isg = build_instance_subgraphs(build_type_subgraphs(graph, trace)[0])[0]
-    assert len(split_epochs(isg, graph, trace)) == 1
+    assert len(only_epochs(trace)) == 1
 
 
 def test_criterion1_requires_persistence():
@@ -190,9 +182,7 @@ def test_criterion1_requires_persistence():
             op(2, "store", store_args(0, b"b"), (("m", 2),), annotation=ann("T", "i", "x")),
         ]
     )
-    graph = graph_for(trace)
-    isg = build_instance_subgraphs(build_type_subgraphs(graph, trace)[0])[0]
-    assert len(split_epochs(isg, graph, trace)) == 1
+    assert len(only_epochs(trace)) == 1
 
 
 def test_field_tracking_resets_at_boundary():
@@ -207,26 +197,26 @@ def test_field_tracking_resets_at_boundary():
             op(5, "store", store_args(0, b"c"), (("m", 5),), annotation=ann("T", "i", "x")),
         ]
     )
-    graph = graph_for(trace)
-    isg = build_instance_subgraphs(build_type_subgraphs(graph, trace)[0])[0]
-    epochs = split_epochs(isg, graph, trace)
-    assert [e.subgraph.node_seqs for e in epochs] == [(1,), (4, 5)]
-    assert epochs[0].boundary_reason is EpochBoundary.CRITERION_1
+    epochs = only_epochs(trace)
+    assert [tuple(o.seq for o in ops) for ops, _ in epochs] == [(1,), (4, 5)]
+    assert epochs[0][1] is EpochBoundary.CRITERION_1
 
 
 def test_epochs_are_contiguous_partitions(epochs_trace):
-    graph = graph_for(epochs_trace)
-    for tsg in build_type_subgraphs(graph, epochs_trace):
-        for isg in build_instance_subgraphs(tsg):
-            epochs = split_epochs(isg, graph, epochs_trace)
-            all_nodes = sorted(s for e in epochs for s in e.subgraph.node_seqs)
-            assert all_nodes == list(isg.subgraph.node_seqs)
-            # contiguity: epoch seq intervals do not interleave
-            spans = [
-                (e.subgraph.node_seqs[0], e.subgraph.node_seqs[-1]) for e in epochs
-            ]
-            for (a1, b1), (a2, b2) in zip(spans, spans[1:]):
-                assert b1 < a2
+    for (type_name, instance, composite), epochs in mmio_epochs(epochs_trace).items():
+        all_nodes = sorted(o.seq for ops, _ in epochs for o in ops)
+        run = []
+        for o in epochs_trace.ops:
+            if o.kind == "store":
+                a = effective_annotation(o)
+                owner = a.type_name.split("/", 1)[0] if composite else a.type_name
+                if (owner, a.instance_id) == (type_name, instance):
+                    run.append(o.seq)
+        assert all_nodes == run
+        # contiguity: epoch seq intervals do not interleave
+        spans = [(ops[0].seq, ops[-1].seq) for ops, _ in epochs]
+        for (a1, b1), (a2, b2) in zip(spans, spans[1:]):
+            assert b1 < a2
 
 
 def test_composite_epochs_flow_into_behaviors_and_group():

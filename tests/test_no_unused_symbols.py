@@ -1,0 +1,55 @@
+"""A guard on dead code: every top-level function and class in
+``src/crashcheck``, and every method that is not a dunder, must be named by
+code in ``src/`` outside its own definition.  Names are read from the
+syntax tree, so docstrings, comments and import lists do not count as uses;
+a symbol that only tests or re-exports reach fails here."""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "crashcheck"
+
+# The paper's definitions, kept as the reference ``represents`` is checked
+# against, though the package itself never calls them.
+REFERENCE_DEFINITIONS = {"edge_equiv", "subset_equiv_nodes", "equivalence_image", "subset_equiv_edges"}
+
+
+def _names_used(node: ast.AST) -> Counter:
+    """Every identifier ``node`` names, keyed ``name`` for a variable and
+    ``.name`` for an attribute."""
+    used = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            used["." + sub.attr] += 1
+    return used
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, the keys a use of it is counted under, node) of
+    each top-level function and class and of each non-dunder method.  A
+    method is only ever reached as an attribute; a local variable of the
+    same name does not use it."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, (node.name, "." + node.name), node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}", ("." + item.name,), item
+
+
+def test_every_symbol_in_src_is_used_in_src():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    used = sum((_names_used(tree) for tree in trees.values()), Counter())
+    unused = []
+    for module, tree in trees.items():
+        for qualname, keys, node in _definitions(tree):
+            own = _names_used(node)
+            if qualname not in REFERENCE_DEFINITIONS and not any(used[key] > own[key] for key in keys):
+                unused.append(f"{module}:{qualname}")
+    assert unused == []

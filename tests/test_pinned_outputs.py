@@ -1,13 +1,16 @@
 """A guard on the outputs: ``analyze`` on every shipped program must write
 ``groups.json`` and DOT files whose sha256 digests equal the pinned ones,
-and so must it on three seeded random traces of over 200 ops, and
+and so must it on five seeded random traces of over 200 ops, and
 ``exhaustive`` without a checker a ``states.json`` whose digest equals
 the pinned one, on the programs and on generated traces whose subsets
 share a long forced prefix, so a refactor of happens-before, grouping, DOT rendering,
 schedule enumeration, replay or state dedup cannot change them silently.
 ``states.json`` names each state by its image digest and records the first
 schedule that reaches it, so it pins the enumeration order too.  Every
-pinned file is independent of the input and output paths.  Re-pin only in
+pinned file is independent of the input and output paths.  The update
+behaviors derived from 300 small random traces of each kind, with nested
+backtraces (POSIX) and annotated stores (MMIO), are pinned the same way,
+so a rewrite of either derivation cannot change them.  Re-pin only in
 a change that means to alter these outputs, and say why in CHANGES.md."""
 
 import hashlib
@@ -15,11 +18,21 @@ import random
 
 import pytest
 
+from crashcheck import build_graph, model_edges
 from crashcheck.cli import main
+from crashcheck.mmio_behaviors import derive_mmio_behaviors
+from crashcheck.posix_behaviors import derive_posix_behaviors
 from crashcheck.trace import serialize_trace
 
 from conftest import WORKLOADS
-from helpers import log_then_tables_trace, random_mmio_trace, random_posix_trace, side_node_chain_trace
+from helpers import (
+    log_then_tables_trace,
+    random_annotated_mmio_trace,
+    random_mmio_trace,
+    random_nested_posix_trace,
+    random_posix_trace,
+    side_node_chain_trace,
+)
 
 # program -> (mode, {output file: sha256})
 PINNED = {
@@ -134,6 +147,22 @@ PINNED_RANDOM = {
             "dot/full.dot": "17a8b8ef0bdda97a1f567dbcedcc78414d5f8133fbf48619440b9f56f09bdad7",
         },
     ),
+    "posix_nested_2threads": (
+        0,
+        lambda rng: random_nested_posix_trace(rng, 240, threads=2),
+        {
+            "groups.json": "6f5ef6de020b4a435b711de35b62563193f66dafde3579f3922ab4a53fd8ce1b",
+            "dot/full.dot": "359f5cbd911ac73877337c61886c7969bc30cdd7cf68a48b7ff658b541a4b8ee",
+        },
+    ),
+    "mmio_annotated": (
+        0,
+        lambda rng: random_annotated_mmio_trace(rng, 240),
+        {
+            "groups.json": "2e501ecd0c90a8ce4ecdec54705da66810e609c6beda0b441657c9082f14316c",
+            "dot/full.dot": "ec9181c5d43cd12482ead024ddd29be1d817c9cfbe850bc2c10b95a1f8e22543",
+        },
+    ),
 }
 
 
@@ -216,3 +245,41 @@ def test_exhaustive_states_of_long_prefix_traces_match_the_pinned_digest(tmp_pat
     out = tmp_path / "out"
     assert main(["exhaustive", "--trace", str(path), "--out", str(out), *extra]) == 0
     assert hashlib.sha256((out / "states.json").read_bytes()).hexdigest() == pinned
+
+
+# derivation -> sha256 of the behaviors derived from 300 seeded small
+# traces, each behavior as its (id, owner, tid, node seqs, span).  The
+# flat-backtrace, unannotated traces pinned above never reach a merge, a
+# composite type or a criterion-1 cut; these do, thousands of times.
+# The POSIX entries carry their (eps, min_pts); MMIO has none.
+PINNED_BEHAVIORS = {
+    "posix_eps10_min1": ((10, 1), "0109022f029f644c2858073bc64679cc5604d97ce07f32e671ae27754d7cd096"),
+    "posix_eps3_min2": ((3, 2), "6fd3088f9d38a23f30d122b05574715a92477f962a3029bdf7b29d1053f12d86"),
+    "posix_eps1_min1": ((1, 1), "ce04760368d47c7db066ca1bc97390a20690d326d4840ab5ca881efd56aa92e6"),
+    "mmio": (None, "e9e5d89341c56d9c2c2e120f1c8fadad154f44480f7115415ea220c6b70d1225"),
+}
+
+
+def _behaviors_digest(clustering: tuple[int, int] | None) -> str:
+    digest = hashlib.sha256()
+    for seed in range(300):
+        rng = random.Random(seed)
+        if clustering is None:
+            trace = random_annotated_mmio_trace(rng, 24, threads=1 + seed % 3)
+            behaviors = derive_mmio_behaviors(build_graph(trace, model_edges(trace)), trace)
+        else:
+            eps, min_pts = clustering
+            trace = random_nested_posix_trace(rng, 24, threads=1 + seed % 3)
+            behaviors = derive_posix_behaviors(
+                build_graph(trace, model_edges(trace)), trace, eps=eps, min_pts=min_pts
+            )
+        for b in behaviors:
+            digest.update(repr((b.id, b.owner_function, b.tid, b.node_seqs, b.span)).encode() + b"\n")
+        digest.update(b"--\n")
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BEHAVIORS))
+def test_behaviors_derived_from_random_traces_match_the_pinned_digest(name):
+    clustering, pinned = PINNED_BEHAVIORS[name]
+    assert _behaviors_digest(clustering) == pinned

@@ -9,7 +9,6 @@ from crashcheck import (
 from crashcheck.behavior import cluster_temporal, dbscan_1d, make_behavior
 from crashcheck.graph import StaticKey
 from crashcheck.posix_behaviors import (
-    CallStackTree,
     derive_function_subgraphs,
     derive_posix_behaviors,
     merge_up_tree,
@@ -209,8 +208,7 @@ def test_childless_function_is_unchanged():
     )
     graph = graph_for(trace)
     fmap = derive_function_subgraphs(graph, trace)
-    tree = CallStackTree.from_trace(trace)
-    merged = merge_up_tree(tree, fmap, graph)
+    merged = merge_up_tree(fmap, trace, graph)
     assert {p: [b.node_seqs for b in bs] for p, bs in merged.items()} == {
         ("main",): [(1, 2)]
     }
