@@ -15,6 +15,7 @@ Exit codes: 0 success / no bugs, 1 bugs (or inconsistent replay) found,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import shlex
@@ -23,6 +24,7 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from functools import partial
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .behavior import make_behavior
@@ -235,6 +237,67 @@ def _require_checker(checker: str) -> None:
         raise ConfigError(f"checker {checker_bin!r} not found")
 
 
+def report_json(value) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for report values:
+    dicts with string keys, lists, tuples, strings, ints, bools and None.
+    ``json.dumps`` takes its pure-Python path whenever ``indent`` is set;
+    here each string goes through the C quoting function, and a list of
+    ints or of strings is one join."""
+    chunks: list[str] = []
+    _write_json(value, "\n", chunks.append)
+    return "".join(chunks)
+
+
+# The text of an item of a list whose items all have one of these exact
+# types (``str`` of an exact int is its ``int.__repr__``, and faster).
+_LIST_ITEM_TEXT = {int: str, str: _quote}
+
+
+def _write_json(value, pad: str, out) -> None:
+    """Append ``value``'s ``indent=2`` JSON to ``out``; ``pad`` is the
+    newline and indent of the line ``value`` starts on."""
+    if isinstance(value, str):
+        out(_quote(value))
+    elif value is None:
+        out("null")
+    elif value is True:
+        out("true")
+    elif value is False:
+        out("false")
+    elif isinstance(value, int):
+        out(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out("[]")
+            return
+        inner = pad + "  "
+        types = set(map(type, value))
+        text = _LIST_ITEM_TEXT.get(types.pop()) if len(types) == 1 else None
+        if text is not None:
+            out("[" + inner + ("," + inner).join(map(text, value)) + pad + "]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out(pad + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            out(sep + _quote(key) + ": ")  # a key that is no string raises TypeError
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out(pad + "}")
+    else:
+        # Floats and anything unsupported: json's own text or TypeError.
+        out(json.dumps(value))
+
+
 def _safe_name(name: str) -> str:
     return "".join(c if c.isalnum() or c in "._-" else "_" for c in name)
 
@@ -299,7 +362,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             for i, g in enumerate(groups)
         ],
     }
-    (out / "groups.json").write_text(json.dumps(report, indent=2))
+    (out / "groups.json").write_text(report_json(report))
     print(
         f"analyze: {len(trace.ops)} ops, {len(graph)} nodes, {graph.edge_count} edges, "
         f"{len(behaviors)} behaviors, {len(groups)} groups -> {out}"
@@ -329,8 +392,8 @@ def cmd_test(args: argparse.Namespace) -> int:
             budget=cfg.budget,
             timeout=cfg.timeout,
         )
-    (out / "bugs.json").write_text(json.dumps({"bugs": [b.to_json() for b in bugs]}, indent=2))
-    (out / "stats.json").write_text(json.dumps(stats.to_json(), indent=2))
+    (out / "bugs.json").write_text(report_json({"bugs": [b.to_json() for b in bugs]}))
+    (out / "stats.json").write_text(report_json(stats.to_json()))
     print(
         f"test: {stats.representatives_tested} representatives, "
         f"{stats.schedules_tested} schedules, {stats.distinct_states} states, "
@@ -352,10 +415,12 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
     bugs = []
     if len(graph):
         whole = make_behavior("whole-trace", "*", trace.ops[0].tid, graph.node_seqs, graph)
-        with tempfile.TemporaryDirectory(prefix="crashcheck-") as scratch:
-            schedules_of = partial(exhaustive_schedules, trace=trace, budget=cfg.budget)
+        schedules_of = partial(exhaustive_schedules, trace=trace, budget=cfg.budget)
+        with contextlib.ExitStack() as cleanup:
             check = None
+            # Only the oracle needs a scratch directory.
             if cfg.checker:
+                scratch = cleanup.enter_context(tempfile.TemporaryDirectory(prefix="crashcheck-"))
                 argv = shlex.split(cfg.checker)
                 check = partial(run_oracle, checker=argv, scratch=Path(scratch), timeout=cfg.timeout)
             for _, schedule, digest, result in explore([whole], schedules_of, stats, check):
@@ -384,7 +449,7 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
         "states": states,
         "bugs": bugs,
     }
-    (out / "states.json").write_text(json.dumps(report, indent=2))
+    (out / "states.json").write_text(report_json(report))
     print(
         f"exhaustive: {stats.schedules_tested} schedules, {len(states)} distinct states, "
         f"{len(bugs)} inconsistent -> {out}"

@@ -6,8 +6,8 @@ one Python-int bitset of direct predecessors per node in the vector-clock
 style of FastTrack (Flanagan & Freund, PLDI'09), and every subgraph taken
 with :meth:`PersistenceGraph.induced` (each update behavior's) shares
 it: a view's predecessors of ``n`` are ``preds[n] & mask``.  Only
-:meth:`PersistenceGraph.edges`, which DOT labels read, names each pair's
-rule.
+:func:`export_dot`, which labels each edge, names a pair's rule; it
+renders the edges from per-source buckets filled in destination order.
 
 Node identity is the trace seq; equivalence between nodes is a separate
 relation built on :class:`StaticKey` (see :mod:`crashcheck.grouping`), which
@@ -20,8 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import compress, repeat
-from operator import itemgetter
+from itertools import compress
 from typing import Iterator
 
 from .errors import GraphBuildError, NodeNotFound
@@ -98,22 +97,6 @@ class PersistenceGraph:
     def edge_count(self) -> int:
         return sum((self.preds.get(seq, 0) & self.mask).bit_count() for seq in self.ops_by_seq)
 
-    def edges(self) -> list[tuple[int, int, EdgeReason]]:
-        """This graph's ``(src, dst, reason)`` triples in (src, dst) order,
-        each source named by the first of its destination's rules that
-        holds it."""
-        mask, preds, seqs_in = self.mask, self.preds, self._seqs_in
-        triples = []
-        for dst in seqs_in(mask):
-            rest = preds.get(dst, 0) & mask
-            for reason, by_dst in self.rules.items():
-                srcs = by_dst.get(dst, 0) & rest
-                if srcs:
-                    rest ^= srcs
-                    triples.extend(zip(seqs_in(srcs), repeat(dst), repeat(reason)))
-        triples.sort(key=itemgetter(0))  # stable, so each source's destinations stay in order
-        return triples
-
     def __len__(self) -> int:
         return len(self.ops_by_seq)
 
@@ -175,16 +158,35 @@ def build_graph(trace: Trace, hb: HappensBefore, key_mode: str = FULL_KEY) -> Pe
 
 
 def export_dot(graph: PersistenceGraph, name: str = "pg") -> str:
-    """Deterministic DOT rendering: nodes labeled kind@file:line, edges
-    labeled with the model rule that produced them."""
+    """Deterministic DOT rendering: nodes labeled kind@file:line in seq
+    order, then edges in (src, dst) order, each labeled with the first of
+    its destination's rules that holds it.
+
+    Destinations are visited in seq order and each edge's text after its
+    source (``" -> n<dst> [label=...];"``, built once per destination and
+    rule) goes into its source's bucket, so the buckets come out in
+    destination order without sorting the edges."""
     out = [f"digraph {name} {{"]
-    for seq in sorted(graph.ops_by_seq):
+    mask, preds, rules = graph.mask, graph.preds, graph.rules.items()
+    nodes = list(graph._seqs_in(mask))
+    tails: dict[int, list[str]] = {}
+    for seq in nodes:
         op = graph.ops_by_seq[seq]
         frame = op.backtrace.innermost
         out.append(f'  n{seq} [label="{op.kind}@{frame.file}:{frame.line}"];')
-    nodes = {seq: f"n{seq}" for seq in graph.ops_by_seq}
-    labels = {reason: f'[label="{reason.value}"];' for reason in EdgeReason}
-    for src, dst, reason in graph.edges():
-        out.append(f"  {nodes[src]} -> {nodes[dst]} {labels[reason]}")
+        tails[seq] = []
+    for dst in nodes:
+        rest = preds.get(dst, 0) & mask
+        for reason, by_dst in rules:
+            srcs = by_dst.get(dst, 0) & rest
+            if srcs:
+                rest ^= srcs
+                tail = f' -> n{dst} [label="{reason.value}"];'
+                for src in graph._seqs_in(srcs):
+                    tails[src].append(tail)
+    for src, edges in tails.items():
+        if edges:
+            head = f"\n  n{src}"
+            out.append(head[1:] + head.join(edges))
     out.append("}")
     return "\n".join(out) + "\n"

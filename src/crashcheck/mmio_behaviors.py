@@ -64,11 +64,21 @@ def mmio_epochs(
         raise ModeMismatch(f"MMIO epochs require an MMIO trace, got {trace.meta.mode}")
     persisted = persisted_at(trace, cfg)
     stores: dict[tuple[str, str], list[Operation]] = {}
+    # Every store in seq order with its (type, instance) key, and the
+    # persist point of that key's stores up to it: criterion 2 asks, of the
+    # last store of each other key between two stores of a run, whether
+    # this running max lies below the later store.
+    order: list[tuple[int, tuple[str, str]]] = []
+    reach: dict[int, float] = {}
+    last_reach: dict[tuple[str, str], float] = {}
     for op in trace.ops:
         if op.kind == "store":
             ann = effective_annotation(op)
-            stores.setdefault((ann.type_name, ann.instance_id), []).append(op)
-    store_seqs = {key: [op.seq for op in ops] for key, ops in stores.items()}
+            key = ann.type_name, ann.instance_id
+            stores.setdefault(key, []).append(op)
+            order.append((op.seq, key))
+            reach[op.seq] = last_reach[key] = max(last_reach.get(key, 0), persisted[op.seq])
+    position = {seq: i for i, (seq, _) in enumerate(order)}
     # run key -> the (type, instance) keys whose stores it holds
     runs = {(type_name, instance, False): [(type_name, instance)] for type_name, instance in stores}
     outer_types = {type_name.split("/", 1)[0] for type_name, _ in stores if "/" in type_name}
@@ -79,27 +89,34 @@ def mmio_epochs(
 
     out = {}
     for run_key, members in sorted(runs.items()):
+        # Sorted, so no store of a member lies between two adjacent ops.
         ops = sorted((op for key in members for op in stores[key]), key=attrgetter("seq"))
-        others = [seqs for key, seqs in store_seqs.items() if key not in members]
         epochs: list[tuple[list[Operation], EpochBoundary]] = []
         current = [ops[0]]
         fields_written = {effective_annotation(ops[0]).field_name}
+        current_reach = persisted[ops[0].seq]
         for op in ops[1:]:
             field = effective_annotation(op).field_name
-            prev_seq = current[-1].seq
-            crit1 = field in fields_written and all(persisted[s.seq] < op.seq for s in current)
-            crit2 = not crit1 and any(
-                any(prev_seq < seq < op.seq for seq in seqs)
-                and all(persisted[seq] < op.seq for seq in seqs if seq < op.seq)
-                for seqs in others
-            )
-            if crit1 or crit2:
-                epochs.append((current, EpochBoundary.CRITERION_1 if crit1 else EpochBoundary.CRITERION_2))
+            reason = None
+            if field in fields_written and current_reach < op.seq:
+                reason = EpochBoundary.CRITERION_1
+            else:
+                others = set()
+                for seq, key in reversed(order[position[current[-1].seq] + 1 : position[op.seq]]):
+                    if key not in others:
+                        others.add(key)
+                        if reach[seq] < op.seq:
+                            reason = EpochBoundary.CRITERION_2
+                            break
+            if reason is not None:
+                epochs.append((current, reason))
                 current = [op]
                 fields_written = {field}
+                current_reach = persisted[op.seq]
             else:
                 current.append(op)
                 fields_written.add(field)
+                current_reach = max(current_reach, persisted[op.seq])
         epochs.append((current, EpochBoundary.TRACE_END))
         out[run_key] = epochs
     return out

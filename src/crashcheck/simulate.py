@@ -39,7 +39,10 @@ one (Pruesse & Ruskey, 1994).  Images are
 copy-on-write: interned images share every file and directory an op did
 not touch, so they must be treated as read-only.  :func:`explore` dedups
 on the identity of the interned image and computes the sha256 digest once
-per distinct state.
+per distinct state.  A POSIX digest is joined from one JSON fragment per
+file and per directory, memoized in the cache by (path, contents), so a
+file that many states share is encoded once; the digest's input is the
+same text as ``json.dumps`` of the whole image with sorted keys.
 
 The oracle materializes each new state and runs ``<checker> <scratch>``.
 A checker of the form ``<this interpreter> <script>`` runs in a fork of
@@ -69,6 +72,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache, partial
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NoReturn
 
@@ -453,12 +457,17 @@ class FsImage:
     files: dict[str, bytes] = field(default_factory=dict)
     dirents: dict[str, frozenset[str]] = field(default_factory=dict)
 
-    def digest(self) -> str:
-        payload = {
-            "files": {p: b.hex() for p, b in sorted(self.files.items())},
-            "dirents": {d: sorted(names) for d, names in sorted(self.dirents.items())},
-        }
-        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    def digest(self, fragments: dict | None = None) -> str:
+        """The sha256 of ``json.dumps(payload, sort_keys=True)`` for the
+        payload ``{"files": {path: hex}, "dirents": {dir: sorted names}}``,
+        joined from one ``"key": value`` fragment per file and directory.
+        ``fragments`` memoizes them by ``(path, bytes)`` and ``(dir,
+        names)``: images of one :class:`StateCache` share the file and
+        directory objects an op did not change, so each is encoded once."""
+        memo = {} if fragments is None else fragments
+        dirs = _joined(self.dirents.items(), _dir_text, memo)
+        files = _joined(self.files.items(), _file_text, memo)
+        return hashlib.sha256(f'{{"dirents": {{{dirs}}}, "files": {{{files}}}}}'.encode()).hexdigest()
 
     def content_key(self) -> tuple:
         """Hashable; equal for two images exactly when their digests are."""
@@ -468,11 +477,35 @@ class FsImage:
         return FsImage(dict(self.files), dict(self.dirents))
 
 
+def _joined(items: Iterable[tuple], text: Callable, memo: dict) -> str:
+    """The ``text`` of each ``(key, value)`` item, in key order, joined as
+    ``json.dumps`` joins the members of an object; ``memo`` keeps each
+    item's text."""
+    out = []
+    for item in sorted(items):
+        fragment = memo.get(item)
+        if fragment is None:
+            fragment = memo[item] = text(*item)
+        out.append(fragment)
+    return ", ".join(out)
+
+
+def _file_text(path: str, data: bytes) -> str:
+    return f'{_quote(path)}: "{data.hex()}"'
+
+
+def _dir_text(path: str, names: frozenset[str]) -> str:
+    return f"{_quote(path)}: [{', '.join(map(_quote, sorted(names)))}]"
+
+
 @dataclass
 class MemImage:
     cells: dict[int, int] = field(default_factory=dict)
 
-    def digest(self) -> str:
+    def digest(self, fragments: dict | None = None) -> str:
+        """The sha256 of the sorted ``[addr, byte]`` cells as JSON.  The
+        cells are one dict, with no parts shared between images, so
+        ``fragments`` is not used."""
         payload = json.dumps(sorted(self.cells.items())).encode()
         return hashlib.sha256(payload).hexdigest()
 
@@ -565,14 +598,16 @@ class StateCache:
     op)`` for every op applied to an interned image so far; keeping the op
     in the value keeps its ``id`` from being reused, and the images stay
     alive in ``interned``.  ``seen`` holds the ids of the images that ended
-    a schedule.  Interned images are never changed, and they share
-    unchanged file and directory objects with each other, so they must be
-    treated as read-only.
+    a schedule, and ``fragments`` the digest fragments of their files and
+    directories (see :meth:`FsImage.digest`).  Interned images are never
+    changed, and they share unchanged file and directory objects with each
+    other, so they must be treated as read-only.
     """
 
     interned: dict[tuple | frozenset, FsImage | MemImage] = field(default_factory=dict)
     steps: dict[tuple[int, int], tuple[Operation, FsImage | MemImage]] = field(default_factory=dict)
     seen: set[int] = field(default_factory=set)
+    fragments: dict[tuple, str] = field(default_factory=dict)
 
     def intern(self, image: FsImage | MemImage) -> FsImage | MemImage:
         """The interned image with ``image``'s content."""
@@ -938,7 +973,7 @@ def explore(
                     stats.states_deduped += weight
                     continue
                 stats.distinct_states += 1
-                yield behavior, schedule, image.digest(), check(image) if check else None
+                yield behavior, schedule, image.digest(cache.fragments), check(image) if check else None
         except ExplosionLimit:
             stats.partial_coverage = True
 

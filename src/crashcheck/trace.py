@@ -255,7 +255,7 @@ def _parse_backtrace(raw, line_no: int) -> Backtrace:
     for item in raw:
         try:
             frame = Frame(item["function"], item["file"], int(item["line"]))
-        except (TypeError, KeyError, ValueError):
+        except (TypeError, KeyError, ValueError, OverflowError):  # int(Infinity) overflows
             raise ParseError(line_no, f"malformed frame {item!r}") from None
         if not (isinstance(frame.function, str) and isinstance(frame.file, str)):
             raise ParseError(line_no, f"frame function and file must be strings in {item!r}")

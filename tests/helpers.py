@@ -7,6 +7,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
+import json
 import random
 from bisect import bisect_right
 from typing import Iterator
@@ -26,7 +27,7 @@ from crashcheck.models import (
     lines_of,
     parent_dir,
 )
-from crashcheck.simulate import CheckResult, CrashSchedule, ops_commute
+from crashcheck.simulate import CheckResult, CrashSchedule, FsImage, ops_commute
 from crashcheck.trace import MMIO_MODE, POSIX_MODE, TraceMeta, payload_digest
 
 
@@ -89,8 +90,31 @@ def edge_triples(edges, trace: Trace | None = None) -> set[tuple[int, int, EdgeR
     if isinstance(edges, HappensBefore):
         edges = build_graph(trace, edges)
     if isinstance(edges, PersistenceGraph):
-        return set(edges.edges())
+        return set(graph_edges(edges))
     return {(src, dst, reason) for (src, dst), reason in edges.items()}
+
+
+def graph_edges(graph: PersistenceGraph) -> list[tuple[int, int, EdgeReason]]:
+    """A graph's ``(src, dst, reason)`` triples in (src, dst) order, each
+    pair named by the first of its destination's rules that holds it, read
+    one pair at a time from the predecessor sets and the rules."""
+    index = {seq: i for i, seq in enumerate(graph.seqs)}
+    triples = []
+    for dst in graph.node_seqs:
+        for src in graph.predecessors(dst):
+            reason = next(r for r, by_dst in graph.rules.items() if by_dst.get(dst, 0) >> index[src] & 1)
+            triples.append((src, dst, reason))
+    return sorted(triples, key=lambda t: t[:2])
+
+
+def reference_fs_digest(image: FsImage) -> str:
+    """``FsImage.digest`` written as the sha256 of ``json.dumps`` of the
+    whole payload."""
+    payload = {
+        "files": {p: b.hex() for p, b in sorted(image.files.items())},
+        "dirents": {d: sorted(names) for d, names in sorted(image.dirents.items())},
+    }
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
 # The reference model: (src seq, dst seq) -> the first rule that orders the

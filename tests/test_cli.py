@@ -1,15 +1,20 @@
 import json
+import math
+import random
 import shlex
 import sys
+import tempfile
+from collections import Counter
 
 import pytest
 
 from crashcheck import simulate
-from crashcheck.cli import main
+from crashcheck.cli import main, report_json
 from crashcheck.simulate import MAX_ORACLE_TIMEOUT, replay, schedule_from_json
-from crashcheck.trace import parse_trace
+from crashcheck.trace import parse_trace, serialize_trace
 
 from conftest import CHECKERS, WORKLOADS, load_workload
+from helpers import random_annotated_mmio_trace, random_mmio_trace, random_nested_posix_trace, random_posix_trace
 
 
 def checker_arg(name):
@@ -86,6 +91,101 @@ def test_non_string_digest_exits_2(tmp_path, capsys):
     )
     assert run("exhaustive", "--trace", trace_file, "--out", tmp_path / "o") == 2
     assert "'digest' must be a string" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", [math.inf, -math.inf, math.nan, "x", None])
+def test_frame_line_that_is_no_integer_exits_2(tmp_path, capsys, line):
+    # json.loads accepts Infinity and NaN; int() of them raises
+    # OverflowError and ValueError.
+    trace_file = tmp_path / "t.jsonl"
+    record = {"seq": 1, "tid": 0, "kind": "create", "args": {"path": "f"},
+              "backtrace": [{"function": "main", "file": "a.c", "line": line}]}
+    trace_file.write_text(
+        '{"app": "x", "mode": "POSIX", "version": 1}\n' + json.dumps(record) + "\n"
+    )
+    assert run("analyze", "--trace", trace_file, "--out", tmp_path / "o") == 2
+    assert "line 2: malformed frame" in capsys.readouterr().err
+
+
+# Values a mutated trace field takes: wrong types, out-of-range numbers,
+# the non-finite numbers json.loads accepts, and paths that leave the image.
+_JUNK = [None, True, -1, 0, 2**64, 1.5, 1e308, math.inf, -math.inf, math.nan,
+         "", "x", "../x", "/", [], {}, [1], {"a": 1}]
+
+
+def _mutate(rng, record):
+    """``record`` with one field, at any depth, replaced by junk or
+    removed."""
+    record = json.loads(json.dumps(record))
+    holder = record
+    while True:
+        keys = list(holder) if isinstance(holder, dict) else list(range(len(holder)))
+        key = rng.choice(keys)
+        inner = holder[key]
+        if isinstance(inner, (dict, list)) and inner and rng.random() < 0.7:
+            holder = inner
+            continue
+        if isinstance(holder, dict) and rng.random() < 0.2:
+            del holder[key]
+        else:
+            holder[key] = rng.choice(_JUNK)
+        return record
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_mutated_traces_exit_0_1_or_2(tmp_path, capsys, seed):
+    """A seeded fuzz: one field of one record of a random trace is
+    mutated; ``analyze`` and ``exhaustive`` must end with an exit status,
+    never an exception."""
+    rng = random.Random(seed)
+    makers = [random_posix_trace, random_nested_posix_trace, random_mmio_trace, random_annotated_mmio_trace]
+    trace_file = tmp_path / "t.jsonl"
+    codes = Counter()
+    for _ in range(150):
+        trace = rng.choice(makers)(rng, 6, threads=rng.randint(1, 3))
+        lines = serialize_trace(trace).decode().splitlines()
+        index = rng.randrange(len(lines))
+        lines[index] = json.dumps(_mutate(rng, json.loads(lines[index])))
+        trace_file.write_text("\n".join(lines) + "\n")
+        for command in ("analyze", "exhaustive"):
+            code = run(command, "--trace", trace_file, "--budget", 200, "--out", tmp_path / "o")
+            assert code in (0, 1, 2), (command, lines[index])
+            codes[code] += 1
+    capsys.readouterr()
+    assert codes[0] and codes[2]
+
+
+_TEXT = ["", "a", "key", " ", '"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "漢", "\u2028", "\U0001f600", "\ud800"]
+
+
+def _random_value(rng, depth=0):
+    """A random JSON report value: nested dicts with string keys, lists and
+    tuples (homogeneous or mixed), strings, ints, bools and None."""
+    roll = rng.random()
+    if depth < 4 and roll < 0.3:
+        items = [_random_value(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+        return tuple(items) if rng.random() < 0.3 else items
+    if depth < 4 and roll < 0.5:
+        return {_random_text(rng): _random_value(rng, depth + 1) for _ in range(rng.randint(0, 4))}
+    if roll < 0.6:
+        return [rng.randint(-(2**70), 2**70) for _ in range(rng.randint(1, 6))]
+    if roll < 0.7:
+        return [_random_text(rng) for _ in range(rng.randint(1, 4))]
+    return rng.choice([
+        _random_text(rng), rng.randint(-3, 3), rng.randint(-(2**70), 2**70), True, False, None,
+        [True, 1], [1, "1"], [[]], [{}], {"": []},
+    ])
+
+
+def _random_text(rng):
+    return "".join(rng.choice(_TEXT) for _ in range(rng.randint(0, 5)))
+
+
+def test_report_writer_matches_json_dumps_indent_2():
+    rng = random.Random(11)
+    for _ in range(2000):
+        value = _random_value(rng)
+        assert report_json(value) == json.dumps(value, indent=2)
 
 
 def test_mode_mismatch_exits_2(tmp_path):
@@ -179,6 +279,22 @@ def test_exhaustive_two_writes_four_states(tmp_path):
     report = json.loads((out / "states.json").read_text())
     assert report["distinct_states"] == 4
     assert not report["partial_coverage"]
+
+
+def test_exhaustive_makes_a_scratch_directory_only_for_a_checker(tmp_path, monkeypatch):
+    made = []
+    real = tempfile.TemporaryDirectory
+
+    def counted(*args, **kwargs):
+        made.append(args or kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tempfile, "TemporaryDirectory", counted)
+    program = ["--mode", "POSIX", "--dsl", WORKLOADS / "two_writes.dsl"]
+    assert run("exhaustive", *program, "--out", tmp_path / "a") == 0
+    assert made == []
+    assert run("exhaustive", *program, "--checker", checker_arg("always_ok.py"), "--out", tmp_path / "b") == 0
+    assert len(made) == 1
 
 
 def test_exhaustive_chain_of_three(tmp_path):

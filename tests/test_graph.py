@@ -18,6 +18,7 @@ from crashcheck.trace import Trace, TraceMeta
 
 from helpers import (
     edge_triples,
+    graph_edges,
     hb_from_pairs,
     op,
     posix_trace,
@@ -204,7 +205,7 @@ def test_induced_views_match_filtering_the_full_edge_set(make):
             view = graph.induced(s)
             want = {e for e in edge_triples(edges) if e[0] in s and e[1] in s}
             assert edge_triples(view) == want
-            assert view.edges() == sorted(want)
+            assert graph_edges(view) == sorted(want)
             assert view.edge_count == len(want)
             for n in s:
                 assert view.predecessors(n) == {src for src, dst, _ in want if dst == n}

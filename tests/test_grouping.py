@@ -21,6 +21,7 @@ from helpers import (
     bt,
     edge_triples,
     fig5_behaviors,
+    graph_edges,
     hb_from_pairs,
     op,
     posix_trace,
@@ -229,8 +230,8 @@ def test_represents_matches_its_definition_on_random_behaviors():
             for u2 in behaviors:
                 n2 = [u2.subgraph.op(seq) for seq in u2.node_seqs]
                 image = {o.seq for o in equivalence_image(n1, n2)}
-                image_edges = [(u1.subgraph.op(s), u1.subgraph.op(d)) for s, d, _ in u1.subgraph.edges() if {s, d} <= image]
-                member_edges = [(u2.subgraph.op(s), u2.subgraph.op(d)) for s, d, _ in u2.subgraph.edges()]
+                image_edges = [(u1.subgraph.op(s), u1.subgraph.op(d)) for s, d, _ in graph_edges(u1.subgraph) if {s, d} <= image]
+                member_edges = [(u2.subgraph.op(s), u2.subgraph.op(d)) for s, d, _ in graph_edges(u2.subgraph)]
                 want = subset_equiv_nodes(n2, n1) and subset_equiv_edges(image_edges, member_edges)
                 assert represents(u1, u2) == want
                 outcomes[want] += 1

@@ -6,8 +6,11 @@ the pinned one, on the programs and on generated traces whose subsets
 share a long forced prefix, so a refactor of happens-before, grouping, DOT rendering,
 schedule enumeration, replay or state dedup cannot change them silently.
 ``states.json`` names each state by its image digest and records the first
-schedule that reaches it, so it pins the enumeration order too.  Every
-pinned file is independent of the input and output paths.  The update
+schedule that reaches it, so it pins the enumeration order too.
+``test`` with each program's benchmark checker must write pinned
+``bugs.json`` and ``stats.json``, and ``exhaustive`` with it a pinned
+``states.json`` with verdicts, so the report writer and the oracle path
+are held to the same bytes.  Every pinned file is independent of the input and output paths.  The update
 behaviors derived from 300 small random traces of each kind, with nested
 backtraces (POSIX) and annotated stores (MMIO), are pinned the same way,
 so a rewrite of either derivation cannot change them.  Re-pin only in
@@ -15,6 +18,7 @@ a change that means to alter these outputs, and say why in CHANGES.md."""
 
 import hashlib
 import random
+import shlex
 
 import pytest
 
@@ -24,7 +28,7 @@ from crashcheck.mmio_behaviors import derive_mmio_behaviors
 from crashcheck.posix_behaviors import derive_posix_behaviors
 from crashcheck.trace import serialize_trace
 
-from conftest import WORKLOADS
+from conftest import WORKLOADS, checker_cmd
 from helpers import (
     log_then_tables_trace,
     random_annotated_mmio_trace,
@@ -180,7 +184,7 @@ PINNED_STATES = {
 
 
 def test_every_shipped_program_is_pinned():
-    assert {path.stem for path in WORKLOADS.glob("*.dsl")} == PINNED.keys()
+    assert {path.stem for path in WORKLOADS.glob("*.dsl")} == PINNED.keys() == PINNED_CHECKED.keys()
     assert PINNED.keys() - PINNED_STATES.keys() == {"epochs"}
 
 
@@ -213,6 +217,66 @@ def test_exhaustive_states_match_the_pinned_digest(tmp_path, name):
     out = tmp_path / "out"
     assert main(["exhaustive", "--mode", mode, "--dsl", str(WORKLOADS / f"{name}.dsl"), "--out", str(out)]) == 0
     assert hashlib.sha256((out / "states.json").read_bytes()).hexdigest() == PINNED_STATES[name]
+
+
+# program -> (checker, {output file: sha256}) of ``test`` with the
+# program's benchmark checker (``bugs.json``, ``stats.json``) and of
+# ``exhaustive`` with it (``states.json``, whose states then carry
+# verdicts).  The bug reports hold the checkers' output and each bug's
+# subgraph DOT.  epochs.dsl runs ``test`` only.
+PINNED_CHECKED = {
+    "two_writes": ("always_ok.py", {
+        "bugs.json": "032a1a341d7d77ccaf852a71384344d92b5e91a4175fe939574aee14880f5761",
+        "stats.json": "a3243a320ec0f930f5e2244fc5123fef62f01989045d7c654f64033b747b23f1",
+        "states.json": "d059ca206e5f699b75902f1795a81cc19acca43b8016dc4d92369f93ac55246d",
+    }),
+    "fig3": ("always_ok.py", {
+        "bugs.json": "032a1a341d7d77ccaf852a71384344d92b5e91a4175fe939574aee14880f5761",
+        "stats.json": "bfc000b1bda87a7355c1bcf4475f39325aa9811771189503746eb4786c1c96f7",
+        "states.json": "f6e39a86b1d581301cabff1354846a6b66a461601879ecd729f46c16101620c3",
+    }),
+    "current_update_buggy": ("current_pointer.py", {
+        "bugs.json": "fde502164f10f1c4365ffbe483b9c22dc63774c15fe5e6571004c74036e0ad59",
+        "stats.json": "2d07efee4b107f609d0472f21d5fd32b91ff2baf976cfd370d0782de455cc8dd",
+        "states.json": "aa42242322e382440ffe7a0333d08bacef20b503982c1bf71f4c7c1e7abd6b73",
+    }),
+    "current_update_fixed": ("current_pointer.py", {
+        "bugs.json": "032a1a341d7d77ccaf852a71384344d92b5e91a4175fe939574aee14880f5761",
+        "stats.json": "fc4140c10c9d2ed87af60906389a4587e479f44fa511adbc6e6c1a7fa6e4b422",
+        "states.json": "59e6c550e7aa03a4153e8a50403f3aca88e1cad828d2a7d172c04cf892cef10a",
+    }),
+    "entry_insert": ("entry_valid.py", {
+        "bugs.json": "daeb6bcd1878617d8d3fd1cd4bb2c15cc04c85a46811ee64a5015887b7f4d1c3",
+        "stats.json": "98080d9bc96c80c2be09f6c1a6f8732ab12dc21dd7866a5f671b4d5623eb6690",
+        "states.json": "99bd21e51d89217ba8823177cc494cc4069f75e6edff95b4a5aa0a15f5b2a407",
+    }),
+    "entry_insert_ordered": ("entry_valid.py", {
+        "bugs.json": "d26be3644c63b745a1440ab7713b1767715e58a7eac83f6b1869ce8c65d367ff",
+        "stats.json": "3fb29935e1ad6de4940babb6fd24545a14958ef542a229decc0c7f368bd458b7",
+        "states.json": "513ad6e6860dcb6756bd2744b9b87c96050921e216de96e2d60906d1dcc571b9",
+    }),
+    "entry_insert_safe": ("entry_valid.py", {
+        "bugs.json": "032a1a341d7d77ccaf852a71384344d92b5e91a4175fe939574aee14880f5761",
+        "stats.json": "8c0013d40a3c6f4d4620d474241368e3fba10542121d446a6075538dd93ff382",
+        "states.json": "6434f4a613767c4251e7152108aa13881e14b6c9f2866c9229f3a0c7ddb8752c",
+    }),
+    "epochs": ("always_ok.py", {
+        "bugs.json": "032a1a341d7d77ccaf852a71384344d92b5e91a4175fe939574aee14880f5761",
+        "stats.json": "777bf4c46f1d2907f7e0000abaed4ca31f67beaf6ec22e44efed150095dbf397",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CHECKED))
+def test_checked_outputs_match_the_pinned_digests(tmp_path, name):
+    mode, _ = PINNED[name]
+    checker, pinned = PINNED_CHECKED[name]
+    program = ["--mode", mode, "--dsl", str(WORKLOADS / f"{name}.dsl"), "--checker", shlex.join(checker_cmd(checker))]
+    main(["test", *program, "--out", str(tmp_path)])
+    if "states.json" in pinned:
+        main(["exhaustive", *program, "--out", str(tmp_path)])
+    got = {file: hashlib.sha256((tmp_path / file).read_bytes()).hexdigest() for file in pinned}
+    assert got == pinned
 
 
 # name -> (trace builder, extra arguments, sha256 of ``exhaustive``

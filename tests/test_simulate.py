@@ -42,13 +42,16 @@ from conftest import checker_cmd, load_workload
 from helpers import (
     ancestors,
     brute_force_schedules,
+    graph_edges,
     log_then_tables_trace,
     mmio_trace,
     op,
     pinned_order_schedules,
     posix_trace,
     random_mmio_trace,
+    random_nested_posix_trace,
     random_posix_trace,
+    reference_fs_digest,
     side_node_chain_trace,
     store_args,
     write_args,
@@ -134,7 +137,7 @@ def chain_diamond_behavior():
         ]
     )
     behavior, graph = whole_trace_behavior(trace)
-    assert [(src, dst) for src, dst, _ in graph.edges()] == [
+    assert [(src, dst) for src, dst, _ in graph_edges(graph)] == [
         (1, 2), (1, 3), (2, 3), (3, 4), (3, 5), (3, 6), (4, 6), (5, 6)
     ]
     return behavior, trace
@@ -802,6 +805,40 @@ def test_content_key_agrees_with_the_digest_on_edge_cases():
         for a in images:
             for b in images:
                 assert (a.content_key() == b.content_key()) == (a.digest() == b.digest())
+
+
+def test_memoized_digest_equals_the_whole_payload_digest():
+    """``explore`` digests each new state with the fragments its cache
+    shares across states; every digest equals the sha256 of the JSON of
+    the whole payload, on the states of random POSIX traces."""
+    states = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        make = random_nested_posix_trace if seed % 2 else random_posix_trace
+        trace = make(rng, 10, threads=1 + seed % 3)
+        behavior, _ = whole_trace_behavior(trace)
+        schedules_of = partial(exhaustive_schedules, trace=trace, budget=2000)
+        for _, schedule, digest, _ in explore([behavior], schedules_of, RunStats()):
+            assert digest == reference_fs_digest(replay(schedule))
+            states += 1
+    assert states > 400
+
+
+def test_digest_fragments_are_shared_across_images_of_any_names():
+    """One fragment memo across images whose paths and names need JSON
+    escapes (quotes, backslashes, control and non-ASCII characters), that
+    share some files and directories and differ in others."""
+    rng = random.Random(3)
+    names = ["a", "d/b", 'q"', "back\\slash", "tab\t", "nul\x00", "é", "漢字", "\U0001f600", "\ud800", ".", ""]
+    contents = [b"", b"\x00", b"x" * 5, bytes(range(256))]
+    memo = {}
+    for _ in range(200):
+        image = FsImage(
+            {rng.choice(names): rng.choice(contents) for _ in range(rng.randint(0, 4))},
+            {rng.choice(names): frozenset(rng.sample(names, rng.randint(0, 3))) for _ in range(rng.randint(0, 3))},
+        )
+        assert image.digest(memo) == image.digest() == reference_fs_digest(image)
+    assert memo
 
 
 # --- end-to-end group testing ---
