@@ -8,41 +8,36 @@ members but replay no-ops.
 Enumeration prunes linearizations that provably replay to the same image:
 two ops commute when they touch disjoint (file, block) pairs or disjoint
 cache lines and share no directory-entry or inode conflict, and only
-sequences with no adjacent commuting inversion are emitted (the
+sequences with no adjacent commuting inversion count (the
 lexicographically-least order within each commuting class survives).
 :func:`explore`, the one enumerate → replay → dedup → digest → check loop,
 dedups on image contents, which catches any equivalent images that still
 slip through, so the distinct-image set always equals the unpruned set.  The
-unpruned enumerator ``exhaustive_schedules`` backtracks over valid orders
-and backs the whole-trace baseline, which ``exhaustive`` runs through the
-same :func:`explore`.  Both enumerators are one generator with an explicit
-stack of branch points, so a schedule costs the same however long it is.
+unpruned enumerator ``exhaustive_schedules`` counts every valid order and
+backs the whole-trace baseline, which ``exhaustive`` runs through the same
+:func:`explore`.
 
 A bare :func:`replay` builds one schedule's crash image by applying the
 context and then the applied ops to an empty image it owns.  Exploration
-builds images inside the enumerator instead: given a :class:`StateCache`,
-the walk carries the image along its depth-first search and applies each
-placed op once per node.  Replay is a deterministic function of (image
-contents, op), so the cache interns every image by ``content_key`` (equal
-contents share one object) and memoizes each (interned image, op) step:
-each distinct step is applied once per cache, and every repeat is one dict
-lookup.  Below a branch point the walk's choices depend only on the placed
-set and the candidates, so a branch point reached again with the same
-interned image can only yield states already seen; the walk counts the
-schedules below it once and reports the count instead of walking them
-again, the state caching of explicit-state model checkers.  The next
-subset keeps the previous one's nodes below the node it adds, so the walk
-keeps the *trunk* of the previous subset's search, its forced stretch from
-the root, and resumes there instead of placing that prefix again, the way
-linear extensions are generated by changing only the tail of the previous
-one (Pruesse & Ruskey, 1994).  Images are
-copy-on-write: interned images share every file and directory an op did
-not touch, so they must be treated as read-only.  :func:`explore` dedups
-on the identity of the interned image and computes the sha256 digest once
-per distinct state.  A POSIX digest is joined from one JSON fragment per
-file and per directory, memoized in the cache by (path, contents), so a
-file that many states share is encoded once; the digest's input is the
-same text as ``json.dumps`` of the whole image with sorted keys.
+never walks the orders.  A subset's final states depend only on the states
+its sub-subsets end in, so the enumerators run a dynamic program over the
+lattice of downward-closed subsets (De Loof, De Meyer & De Baets, 2006),
+visiting each subset once in a fixed order.  Each subset's table maps
+(last node, interned image) to the number of orders that reach it and the
+least of them, and is built from the tables of the subsets one node
+smaller; a table is dropped once every subset one node larger is built, so
+live tables never outnumber the visited subsets.  Replay is a deterministic
+function of (image contents, op), so a :class:`StateCache` interns every
+image by ``content_key`` (equal contents share one object) and memoizes
+each (interned image, op) step: each distinct step is applied once per
+cache, and every repeat is one dict lookup.  Images are copy-on-write:
+interned images share every file and directory an op did not touch, so
+they must be treated as read-only.  :func:`explore` dedups on the identity
+of the interned image and computes the sha256 digest once per distinct
+state.  A POSIX digest is joined from one JSON fragment per file and per
+directory, memoized in the cache by (path, contents), so a file that many
+states share is encoded once; the digest's input is the same text as
+``json.dumps`` of the whole image with sorted keys.
 
 The oracle materializes each new state and runs ``<checker> <scratch>``.
 A checker of the form ``<this interpreter> <script>`` runs in a fork of
@@ -209,53 +204,36 @@ def _schedules(
     trace: Trace,
     cfg: ModelConfig | None,
     budget: int,
-    cache: StateCache | None = None,
-) -> Iterator:
-    """Every downward-closed subset of the behavior's nodes, and for each
-    every order that respects its edges.  With a config, only orders with
-    no adjacent commuting inversion are produced.
+    cache: StateCache | None,
+) -> Iterator[tuple[int, CrashSchedule | None, FsImage | MemImage | None]]:
+    """The crash states of every downward-closed subset of the behavior's
+    nodes, over every order that respects its edges; with a config, over
+    the orders with no adjacent commuting inversion.
 
     Subsets come in lexicographic order of their membership vectors over
-    ascending seqs, "absent" before "present", and the orders of a subset
-    in lexicographic order of their seqs.  Bit ``i`` of every bitset is the
-    ``i``-th node in seq order.  An explicit stack holds the branch points
-    of the order search; a node that is the only possible next one is
-    placed without a stack entry.
+    ascending seqs, "absent" before "present", and a subset's orders in
+    lexicographic order of their seqs.  Bit ``i`` of every bitset is the
+    ``i``-th node in seq order.  Per subset it yields ``(1, schedule,
+    image)`` for each image not in ``cache.seen`` (it is added), in the
+    order of the first order that reaches it, then ``(rest, None, None)``
+    for the other orders.  The subset whose orders cross ``budget`` yields
+    the states whose first order falls within it and the rest of the
+    budget, and raises :class:`ExplosionLimit`; a :class:`ReplayError` is
+    raised at the first order that hits one, if it falls within the budget.
 
-    Without a cache each order is yielded as a :class:`CrashSchedule`.
-    With one, the walk carries the crash image: it starts from the interned
-    image after the context, each placed op goes through ``cache.step``, and
-    it yields ``(weight, schedule, image)`` items.  An order is
-    ``(1, schedule, image)`` when its image is not in ``cache.seen`` (it is
-    added) and ``(1, None, None)`` when it is.  Within one subset, the
-    orders below a branch point depend only on (placed bitset, candidates,
-    image): the available nodes follow from the placed ones, and each
-    child's candidates from the child.  So once a branch point's orders are
-    all walked, their count is recorded under that key, and a branch point
-    reached again with the same key, whose orders can only end in images
-    already seen, is yielded as one ``(count, None, None)`` item.  Counts
-    stop at ``budget`` as the orders do.  The memo is per subset.
-
-    A subset's *trunk* is the forced stretch of its walk from the root up
-    to its first branch point or order end.  On the trunk every available
-    node is a candidate: the nodes that placing a node makes available lie
-    above it, and commutation only prunes nodes below the last placed one.
-    So at each depth short of the end exactly one node is available, and
-    it is placed.  The next subset adds node ``i`` and keeps only the
-    nodes below it, so its walk repeats the trunk step for step until
-    ``i`` becomes available, and to the trunk's end if it never does.  It
-    cannot reach a trunk node above ``i`` first: such a node is available
-    only once the subset's nodes below ``i``, ``i``'s predecessors among
-    them, are all placed.  The walk resumes at that depth with the trunk's
-    image, and with ``i`` added to the available set and the candidates;
-    every placed node is below ``i``, so commutation cannot prune it.  The
-    trunk keeps one node and one image per depth and the bitsets at its
-    end only; the bitsets at the resume depth are rebuilt by taking the
-    nodes above it back off, and those depths are dropped, so each trunk
-    depth is built by one step and dropped at most once.  Items, budget
-    crossings and replay errors stay as they would be with every subset
-    walked from the root.
+    The dynamic program keeps for each subset a table keyed by (last node,
+    interned image), the last node -1 without a config, as then only the
+    image decides what may follow.  An entry holds the number of orders
+    that reach its key and the least of them as a ``(prefix cell, node)``
+    cell, whose prefix cell is the least order of the entry it came from:
+    equal prefixes are one object, so two orders compare below their
+    deepest common cell.  A table is built from the tables of the subsets
+    one maximal node smaller through ``cache.step``, and an order that
+    fails carries its first :class:`ReplayError`, one per message.  The
+    crossing subset places each state's first order with
+    :func:`_positions`.
     """
+    cache = StateCache() if cache is None else cache
     context = tuple(op for op in trace.ops if op.seq < behavior.span[0])
     graph = behavior.subgraph
     seqs = sorted(graph.ops_by_seq)
@@ -263,9 +241,9 @@ def _schedules(
     bit = {seq: 1 << i for i, seq in enumerate(seqs)}
     preds = [sum(map(bit.__getitem__, graph.predecessors(seq))) for seq in seqs]
     # Edges run forward, so a node's predecessors sit on lower bits.  succs
-    # keeps only the edges of the transitive reduction: the placed nodes are
-    # always downward closed, so a node becomes available when the last of
-    # its reduction predecessors is placed.
+    # keeps only the edges of the transitive reduction: subsets are always
+    # downward closed, so a node becomes addable when the last of its
+    # reduction predecessors joins.
     succs = [0] * len(seqs)
     ancestors = [0] * len(seqs)
     for i, pred_bits in enumerate(preds):
@@ -282,134 +260,159 @@ def _schedules(
     commutes = [0] * len(seqs)
     tested = [0] * len(seqs)
 
-    def candidates(avail: int, last: int) -> int:
-        """The available nodes that may follow node ``last``."""
-        if cfg is None:
-            return avail
-        for j in _bits(avail & ((1 << last) - 1) & ~tested[last]):
-            tested[last] |= 1 << j
-            if ops_commute(ops[last], ops[j], cfg):
-                commutes[last] |= 1 << j
-        return avail & ~commutes[last]
+    def may_follow(last: int, node: int) -> bool:
+        # Whether node may come right after last (-1: nothing).
+        if cfg is None or node > last:
+            return True
+        if not tested[last] >> node & 1:
+            tested[last] |= 1 << node
+            if ops_commute(ops[last], ops[node], cfg):
+                commutes[last] |= 1 << node
+        return not commutes[last] >> node & 1
 
     mode = trace.meta.mode
     # The context is replayed in place and only the image after it is
     # interned, so a long context costs no image per op.
-    base = None if cache is None else cache.intern(replay(CrashSchedule(behavior.id, mode, context, ())))
-    # The trunk of the last subset's walk: the node placed at each of its
-    # depths, the image after it (``images[0]`` is the base) and, at its
-    # end, the placed and available bitsets.  ``applied`` starts with the
-    # trunk's ops.  The empty subset's walk starts with nothing available.
-    trunk: list[int] = []
-    images = [base]
-    applied: list[Operation] = []
-    placed = avail = 0
-    count = 0
-    subset = 0
+    base = cache.intern(replay(CrashSchedule(behavior.id, mode, context, ())))
+    # subset -> {(last, id(image)): [orders, least order, image]}, and the
+    # number of subsets one node larger still to build from each table.
+    tables = {0: {(-1, id(base)): [1, None, base]}}
+    pending: dict[int, int] = {}
+    # The first ReplayError of each message: orders that fail alike share a key.
+    errors: dict[str, ReplayError] = {}
+    # The current subset, the orders counted so far, the nodes that may
+    # join the subset, and its members in ascending order, each with the
+    # union of the predecessors of the members up to it.
+    subset = count = 0
+    addable = sum(1 << i for i, pred_bits in enumerate(preds) if not pred_bits)
+    members = [(-1, 0)]
     while True:
-        # The orders of ``subset``, from the depth its trunk resumes at.  A
-        # stack entry is (ops placed, placed bitset, available bitset,
-        # untried candidates, image, memo key, count on arrival) at a
-        # branch point, kept until its last candidate's orders are walked.
-        # The memo maps a key to its count.
-        cands = avail
-        image = images[-1]
-        memo: dict[tuple[int, int, int], int] = {}
-        stack = []
-        on_trunk = True
-        while True:
-            node = -1
-            if placed == subset:
-                count += 1
-                if count > budget:
-                    raise ExplosionLimit(budget)
-                if cache is None:
-                    yield CrashSchedule(behavior.id, mode, context, tuple(applied))
-                elif isinstance(image, ReplayError):
-                    raise image
-                elif id(image) in cache.seen:
-                    yield 1, None, None
-                else:
-                    cache.seen.add(id(image))
-                    yield 1, CrashSchedule(behavior.id, mode, context, tuple(applied)), image
-            elif cands & (cands - 1):
-                key = placed, cands, id(image)
-                weight = memo.get(key)
-                if weight is None:
-                    stack.append((len(applied), placed, avail, cands, image, key, count))
-                else:
-                    if count + weight > budget:
-                        if budget > count:
-                            yield budget - count, None, None
-                        raise ExplosionLimit(budget)
-                    count += weight
-                    yield weight, None, None
-            elif cands:
-                node = cands.bit_length() - 1
-            if node < 0:
-                if on_trunk:
-                    on_trunk = False
-                    trunk_placed, trunk_avail = placed, avail
-                while stack:
-                    depth, placed, avail, cands, image, key, start = stack.pop()
-                    if cands:
-                        low = cands & -cands
-                        stack.append((depth, placed, avail, cands ^ low, image, key, start))
-                        del applied[depth:]
-                        node = low.bit_length() - 1
-                        break
-                    # Without a cache every order is yielded, so no count is kept.
-                    if cache is not None:
-                        memo[key] = count - start
-                else:
-                    break
-            applied.append(ops[node])
-            placed |= 1 << node
-            avail ^= 1 << node
-            for j in _bits(succs[node] & subset):
-                if not preds[j] & ~placed:
-                    avail |= 1 << j
-            if cache is not None and not isinstance(image, ReplayError):
-                try:
-                    image = cache.step(image, ops[node])
-                except ReplayError as exc:
-                    # Raised at the first order that reaches it, as a replay
-                    # of that order would; a dead end never raises it.
-                    image = exc
-            cands = candidates(avail, node)
-            if on_trunk:
-                trunk.append(node)
-                images.append(image)
-        # The next subset: the highest absent node that the nodes below it
-        # admit joins them, and every node above it leaves.
-        for i in range(len(seqs) - 1, -1, -1):
-            if not subset >> i & 1 and not preds[i] & ~subset:
-                break
-        else:
+        total = 0
+        least: dict[int, tuple] = {}
+        for orders, order, image in tables[subset].values():
+            total += orders
+            if id(image) not in cache.seen:
+                first = least.get(id(image))
+                if first is None or _precedes(order, first[0]):
+                    least[id(image)] = order, image
+        new = sorted((_nodes(order), image) for order, image in least.values())
+        crossed = count + total > budget
+        if crossed:
+            positions = _positions([order for order, _ in new], subset, preds, may_follow)
+            new = [state for state, position in zip(new, positions) if count + position <= budget]
+        for order, image in new:
+            if isinstance(image, ReplayError):
+                raise image
+            cache.seen.add(id(image))
+            yield 1, CrashSchedule(behavior.id, mode, context, tuple(map(ops.__getitem__, order))), image
+        if crossed:
+            if budget > count + len(new):
+                yield budget - count - len(new), None, None
+            raise ExplosionLimit(budget)
+        count += total
+        if total > len(new):
+            yield total - len(new), None, None
+        if not addable:
             return
-        # Its walk repeats the trunk up to the first depth where i is
-        # available, or to the trunk's end: take the nodes above that depth
-        # back off.  Short of the end, the one node available at a depth is
-        # the one placed there.
+        pending[subset] = addable.bit_count()
+        # The next subset: the highest node that may join does, and every
+        # node above it leaves.  Below it the addable nodes stay; above it
+        # a node may join if it left and its predecessors stay, or if it
+        # follows the joining node and its predecessors are all in.
+        i = addable.bit_length() - 1
         below = (1 << i) - 1
-        placed, avail = trunk_placed, trunk_avail & below
-        if not preds[i] & ~placed:
-            while trunk and not preds[i] >> trunk[-1] & 1:
-                node = trunk.pop()
-                images.pop()
-                placed ^= 1 << node
-                avail = 1 << node & below
-            avail |= 1 << i
-        del applied[len(trunk):]
-        subset = subset & below | 1 << i
+        left, subset = subset & ~below, subset & below | 1 << i
+        addable &= below
+        for rest in (left, succs[i]):
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if not preds[low.bit_length() - 1] & ~subset:
+                    addable |= low
+        while members[-1][0] > i:
+            members.pop()
+        members.append((i, members[-1][1] | preds[i]))
+        table: dict[tuple[int, int], list] = {}
+        maximal = subset & ~members[-1][1]
+        while maximal:
+            low = maximal & -maximal
+            maximal ^= low
+            node = low.bit_length() - 1
+            op, before, last_key = ops[node], subset ^ low, -1 if cfg is None else node
+            for (last, _), (orders, order, image) in tables[before].items():
+                if node < last and not may_follow(last, node):
+                    continue
+                if not isinstance(image, ReplayError):
+                    try:
+                        image = cache.step(image, op)
+                    except ReplayError as exc:
+                        image = errors.setdefault(str(exc), exc)
+                cell = order, node
+                entry = table.setdefault((last_key, id(image)), [0, cell, image])
+                entry[0] += orders
+                if _precedes(cell, entry[1]):
+                    entry[1] = cell
+            pending[before] -= 1
+            if not pending[before]:
+                del tables[before], pending[before]
+        tables[subset] = table
 
 
-def _bits(bitset: int) -> Iterator[int]:
-    """The positions of the set bits of ``bitset``, lowest first."""
-    while bitset:
-        low = bitset & -bitset
-        yield low.bit_length() - 1
-        bitset ^= low
+def _precedes(a: tuple, b: tuple) -> bool:
+    """Whether order cell ``a`` is lexicographically before ``b``, an order
+    of the same subset: compared below their deepest common cell."""
+    while a[0] is not b[0]:
+        a, b = a[0], b[0]
+    return a[1] < b[1]
+
+
+def _nodes(order: tuple | None) -> tuple[int, ...]:
+    """The nodes of an order cell, first placed first."""
+    nodes = []
+    while order is not None:
+        order, node = order
+        nodes.append(node)
+    return tuple(reversed(nodes))
+
+
+def _positions(
+    orders: list[tuple[int, ...]], subset: int, preds: list[int], may_follow: Callable[[int, int], bool]
+) -> list[int]:
+    """The 1-based position of each of ``orders`` among all the orders of
+    ``subset``.  For each downward-closed part of ``subset`` and each node
+    that may join it, the ways to finish ``subset`` with that node next are
+    counted from the last part in the visiting order, which holds every
+    other part's extensions, back to the first.  An order comes after the
+    ways to finish each of its prefixes with a lower node next."""
+    parts = [0]
+    while True:
+        part = parts[-1]
+        rest = subset & ~part
+        while rest and preds[rest.bit_length() - 1] & ~part:
+            rest ^= 1 << rest.bit_length() - 1
+        if not rest:
+            break
+        i = rest.bit_length() - 1
+        parts.append(part & (1 << i) - 1 | 1 << i)
+    ways: dict[int, dict[int, int]] = {}
+    for part in reversed(parts):
+        row = ways[part] = {}
+        rest = subset & ~part
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            node = low.bit_length() - 1
+            if not preds[node] & ~part:
+                after = ways[part | low].items()
+                row[node] = 1 if part | low == subset else sum(n for y, n in after if may_follow(node, y))
+    positions = []
+    for order in orders:
+        position, part, last = 1, 0, -1
+        for node in order:
+            position += sum(n for y, n in ways[part].items() if y < node and may_follow(last, y))
+            part, last = part | 1 << node, node
+        positions.append(position)
+    return positions
 
 
 def enumerate_schedules(
@@ -419,12 +422,10 @@ def enumerate_schedules(
     budget: int = 100_000,
     cache: StateCache | None = None,
 ) -> Iterator:
-    """Pruned crash schedules for one behavior.
-
-    Yields one schedule per (downward-closed subset, commuting class);
-    raises :class:`ExplosionLimit` after ``budget`` schedules.  With a
-    ``cache`` it yields weighted items instead (see :func:`_schedules`).
-    """
+    """The crash states of one behavior, over the orders with no adjacent
+    commuting inversion, as weighted items (see :func:`_schedules`); raises
+    :class:`ExplosionLimit` after ``budget`` orders.  Without a ``cache``
+    the states are new against a private one."""
     yield from _schedules(behavior, trace, cfg or ModelConfig(), budget, cache)
 
 
@@ -434,13 +435,9 @@ def exhaustive_schedules(
     budget: int = 1_000_000,
     cache: StateCache | None = None,
 ) -> Iterator:
-    """Every downward-closed subset and every linearization, unpruned.
-
-    This is the baseline model checker's enumerator: no commutation
-    reasoning at all, but it backtracks over valid orders instead of
-    filtering raw permutations, so dense graphs stay tractable.  With a
-    ``cache`` it yields weighted items (see :func:`_schedules`).
-    """
+    """The crash states of one behavior over every valid order, unpruned:
+    the baseline model checker's enumerator, with no commutation reasoning
+    at all.  Weighted items as :func:`enumerate_schedules` gives them."""
     yield from _schedules(behavior, trace, None, budget, cache)
 
 
@@ -589,7 +586,7 @@ _APPLY = {FsImage: _apply_posix_op, MemImage: _apply_mmio_op}
 @dataclass
 class StateCache:
     """Crash images interned by content, the steps between them, and the
-    images that ended a schedule, for every walk given this cache.
+    images already yielded as states, for every enumerator given this cache.
 
     ``interned`` maps each image's ``content_key`` to the one image object
     with that content (an ``FsImage`` key never equals a ``MemImage`` one),
@@ -597,8 +594,8 @@ class StateCache:
     object.  ``steps`` maps ``(id(image), id(op))`` to ``(op, image after
     op)`` for every op applied to an interned image so far; keeping the op
     in the value keeps its ``id`` from being reused, and the images stay
-    alive in ``interned``.  ``seen`` holds the ids of the images that ended
-    a schedule, and ``fragments`` the digest fragments of their files and
+    alive in ``interned``.  ``seen`` holds the ids of the images yielded as
+    new states, and ``fragments`` the digest fragments of their files and
     directories (see :meth:`FsImage.digest`).  Interned images are never
     changed, and they share unchanged file and directory objects with each
     other, so they must be treated as read-only.
@@ -956,13 +953,15 @@ def explore(
 
     ``schedules_of(behavior, cache=...)`` is an enumerator such as
     :func:`enumerate_schedules` with its other arguments bound.  One
-    :class:`StateCache` spans all behaviors, so each walk builds its images
-    through the same interned steps, a state is new when its interned
-    object has not ended a schedule before, and the digest is computed once
-    per distinct state.  A weighted item from the walk counts its weight in
-    ``stats.schedules_tested``, and in ``stats.states_deduped`` when it
-    carries no new state.  A behavior whose enumerator runs out of budget
-    sets ``stats.partial_coverage`` and the next behavior is explored.
+    :class:`StateCache` spans all behaviors, so each enumerator's dynamic
+    program builds its images through the same interned steps, a state is
+    new when its interned object has not been yielded before, and the
+    digest is computed once per distinct state.  A weighted item counts its
+    weight in ``stats.schedules_tested``, and in ``stats.states_deduped``
+    when it carries no new state.  A behavior whose enumerator runs out of
+    budget sets ``stats.partial_coverage`` and the next behavior is
+    explored.  Orders are counted, never walked: the work follows the
+    subsets and their states, with at most one live table per visited one.
     """
     cache = StateCache()
     for behavior in behaviors:

@@ -27,7 +27,7 @@ from crashcheck.models import (
     lines_of,
     parent_dir,
 )
-from crashcheck.simulate import CheckResult, CrashSchedule, FsImage, ops_commute
+from crashcheck.simulate import CheckResult, CrashSchedule, FsImage, ops_commute, replay
 from crashcheck.trace import MMIO_MODE, POSIX_MODE, TraceMeta, payload_digest
 
 
@@ -406,6 +406,19 @@ def log_then_tables_trace(appends: int, tables: int) -> Trace:
     return posix_trace(ops)
 
 
+def store_flush_fence_chain_trace(stores: int) -> Trace:
+    """``stores`` stores to distinct cache lines, each followed by a flush
+    of its line and a fence.  The model allows ``stores + 1`` states, but
+    most subsets differ only in flushes and fences, so almost every order
+    repeats a state."""
+    ops = []
+    for i in range(stores):
+        ops.append(op(3 * i + 1, "store", store_args(64 * i, bytes([i + 1]) * 8)))
+        ops.append(op(3 * i + 2, "flush", {"addr": 64 * i, "length": 64}))
+        ops.append(op(3 * i + 3, "fence", {}))
+    return mmio_trace(ops)
+
+
 def side_node_chain_trace(appends: int, synced: int) -> Trace:
     """``appends`` appends to one log with its fdatasync after the first
     ``synced``, a write to ``early`` right after the fdatasync and a write
@@ -590,3 +603,80 @@ def pinned_order_schedules(
         for s in schedules
         if not any(a.seq > b.seq and ops_commute(a, b, cfg) for a, b in zip(s.applied, s.applied[1:]))
     ]
+
+
+def order_schedules(
+    behavior: UpdateBehavior,
+    trace: Trace,
+    cfg: ModelConfig | None = None,
+    budget: int = 1_000_000,
+) -> Iterator[CrashSchedule]:
+    """Every order of every downward-closed subset of the behavior's nodes,
+    one schedule each, in the order the enumerators pin (see
+    :func:`pinned_order_schedules`), raising :class:`ExplosionLimit` after
+    ``budget`` of them.  With a config, only orders with no adjacent
+    commuting inversion.  A plain recursive search, with no memo and no
+    images, for traces too large for brute force."""
+    context = tuple(op for op in trace.ops if op.seq < behavior.span[0])
+    ops = behavior.subgraph.ops_by_seq
+    seqs = sorted(ops)
+    preds = {seq: set(behavior.subgraph.predecessors(seq)) for seq in seqs}
+
+    def subsets(i: int, chosen: frozenset):
+        if i == len(seqs):
+            yield chosen
+            return
+        yield from subsets(i + 1, chosen)
+        if preds[seqs[i]] <= chosen:
+            yield from subsets(i + 1, chosen | {seqs[i]})
+
+    def orders(chosen: frozenset, placed: tuple):
+        if len(placed) == len(chosen):
+            yield placed
+        for seq in sorted(chosen - set(placed)):
+            if not preds[seq] <= set(placed):
+                continue
+            if cfg is not None and placed and seq < placed[-1] and ops_commute(ops[placed[-1]], ops[seq], cfg):
+                continue
+            yield from orders(chosen, placed + (seq,))
+
+    count = 0
+    for chosen in subsets(0, frozenset()):
+        for placed in orders(chosen, ()):
+            count += 1
+            if count > budget:
+                raise ExplosionLimit(budget)
+            yield CrashSchedule(behavior.id, trace.meta.mode, context, tuple(ops[seq] for seq in placed))
+
+
+def weighted_stream(schedules: list[CrashSchedule], budget: int = 1_000_000) -> Iterator[tuple]:
+    """The items an enumerator with a fresh cache yields, derived from
+    every order of one behavior listed in the pinned order, as ``(weight,
+    applied seqs or None, digest or None)``.  For each subset (a run of
+    orders with the same members), each image not reached before is one
+    ``(1, seqs, digest)`` item, in the order of its first order, and the
+    subset's other orders are one ``(count, None, None)`` item.  The subset
+    where the count crosses ``budget`` yields the states whose first order
+    falls within it, then the rest of the budget, and raises
+    :class:`ExplosionLimit`.  An order whose replay fails raises its
+    :class:`ReplayError` where it falls, if it falls within the budget."""
+    seen: set[str] = set()
+    count = 0
+    for _, group in itertools.groupby(schedules, key=lambda s: frozenset(s.applied_seqs)):
+        group = list(group)
+        new = 0
+        for position, schedule in enumerate(group, 1):
+            if count + position > budget:
+                break
+            digest = replay(schedule).digest()
+            if digest not in seen:
+                seen.add(digest)
+                new += 1
+                yield 1, schedule.applied_seqs, digest
+        if count + len(group) > budget:
+            if budget > count + new:
+                yield budget - count - new, None, None
+            raise ExplosionLimit(budget)
+        count += len(group)
+        if len(group) > new:
+            yield len(group) - new, None, None

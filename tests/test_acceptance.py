@@ -83,9 +83,10 @@ def representative_states(trace):
         if group.representative in seen:
             continue
         seen.add(group.representative)
-        for schedule in enumerate_schedules(by_id[group.representative], trace):
-            schedules += 1
-            digests.add(replay(schedule).digest())
+        for weight, schedule, _ in enumerate_schedules(by_id[group.representative], trace):
+            schedules += weight
+            if schedule:
+                digests.add(replay(schedule).digest())
     return digests, schedules
 
 
@@ -125,7 +126,7 @@ def rep_outcomes(trace, checker, scratch: Path):
 def test_criterion_1_four_state_example(two_writes_trace, tmp_path):
     with criterion(1, "four-state example", limit_s=1.0):
         behavior, _ = whole_behavior(two_writes_trace)
-        exhaustive = {replay(s).digest() for s in exhaustive_schedules(behavior, two_writes_trace)}
+        exhaustive = {replay(s).digest() for _, s, _ in exhaustive_schedules(behavior, two_writes_trace) if s}
         assert len(exhaustive) == 4
         rep_states, _ = representative_states(two_writes_trace)
         assert len(rep_states) == 4
@@ -246,7 +247,7 @@ def test_criterion_7_pruning_soundness_200_random_traces():
                 else random_mmio_trace(rng, max_ops=8)
             )
             behavior, _ = whole_behavior(trace)
-            pruned = {replay(s).digest() for s in enumerate_schedules(behavior, trace)}
+            pruned = {replay(s).digest() for _, s, _ in enumerate_schedules(behavior, trace) if s}
             brute = {replay(s).digest() for s in brute_force_schedules(behavior, trace, budget=2_000_000)}
             if pruned != brute:
                 mismatches += 1

@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 from crashcheck import simulate
-from crashcheck.cli import main, report_json
+from crashcheck.cli import _CONFIG_KEYS, main, report_json
 from crashcheck.simulate import MAX_ORACLE_TIMEOUT, replay, schedule_from_json
 from crashcheck.trace import parse_trace, serialize_trace
 
@@ -150,6 +150,80 @@ def test_mutated_traces_exit_0_1_or_2(tmp_path, capsys, seed):
         for command in ("analyze", "exhaustive"):
             code = run(command, "--trace", trace_file, "--budget", 200, "--out", tmp_path / "o")
             assert code in (0, 1, 2), (command, lines[index])
+            codes[code] += 1
+    capsys.readouterr()
+    assert codes[0] and codes[2]
+
+
+# Words a mutated program line takes: keywords, braces, addresses, sizes
+# and numbers out of range, broken and unterminated strings and escapes.
+_DSL_JUNK = ["", "fn", "{", "}", "fn f {", "write", "store", "flush", "fence", "rename", "fsync", "sync",
+             "@", "@-1", "@0", "@99999999999999999999", "0", "-1", "64", "1e9", "nan", '"', '""', '"\\x"',
+             '"\\xZZ"', '"\\', "a.b", "x.y.z", "é", "\t", "#"]
+# Values a random config key takes, valid for some keys and junk for others.
+_CONFIG_JUNK = ["", "0", "-3", "1", "7", "64", "4096", "1e3", "inf", "nan", "x", "true", "off",
+                "POSIX", "mmio", "full", "innermost"]
+
+
+def _mutate_program(rng, text):
+    """``text`` with one line removed or repeated, or one word of a line
+    replaced by junk, cut short or removed."""
+    lines = text.splitlines()
+    i = rng.randrange(len(lines))
+    roll = rng.random()
+    if roll < 0.2:
+        del lines[i]
+    elif roll < 0.35:
+        lines.insert(i, lines[rng.randrange(len(lines))])
+    else:
+        words = lines[i].split(" ")
+        j = rng.randrange(len(words))
+        if roll < 0.8:
+            words[j] = rng.choice(_DSL_JUNK)
+        elif roll < 0.9:
+            words[j] = words[j][: rng.randrange(len(words[j]) + 1)]
+        else:
+            del words[j]
+        lines[i] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+def _random_config(rng):
+    """A config file of random known and unknown keys, junk values, lines
+    without ``=`` and comments."""
+    keys = sorted(_CONFIG_KEYS) + ["nonsense", ""]
+    lines = []
+    for _ in range(rng.randint(0, 4)):
+        roll = rng.random()
+        if roll < 0.8:
+            lines.append(f"{rng.choice(keys)} = {rng.choice(_CONFIG_JUNK)}")
+        elif roll < 0.9:
+            lines.append(rng.choice(_CONFIG_JUNK))
+        else:
+            lines.append("# " + rng.choice(_CONFIG_JUNK))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_mutated_programs_and_configs_exit_0_1_or_2(tmp_path, capsys, seed):
+    """A seeded fuzz: a shipped program with one to three mutated lines,
+    run with a random config file, with or without ``--mode``, through
+    ``synth`` and ``analyze``; both must end with an exit status, never
+    an exception."""
+    rng = random.Random(seed)
+    programs = [path.read_text() for path in sorted(WORKLOADS.glob("*.dsl"))]
+    program, config, out = tmp_path / "p.dsl", tmp_path / "cfg", tmp_path / "o"
+    codes = Counter()
+    for _ in range(120):
+        text = rng.choice(programs)
+        for _ in range(rng.randint(1, 3)):
+            text = _mutate_program(rng, text)
+        program.write_text(text, encoding="utf-8")
+        config.write_text(_random_config(rng), encoding="utf-8")
+        mode = rng.choice([[], ["--mode", "POSIX"], ["--mode", "MMIO"]])
+        for command in (["synth", "-o", tmp_path / "t.jsonl"], ["analyze", "--out", out]):
+            code = run(*command, *mode, "--config", config, "--dsl", program)
+            assert code in (0, 1, 2), (command[0], text, config.read_text())
             codes[code] += 1
     capsys.readouterr()
     assert codes[0] and codes[2]

@@ -13,16 +13,22 @@ schedule that reaches it, so it pins the enumeration order too.
 are held to the same bytes.  Every pinned file is independent of the input and output paths.  The update
 behaviors derived from 300 small random traces of each kind, with nested
 backtraces (POSIX) and annotated stores (MMIO), are pinned the same way,
-so a rewrite of either derivation cannot change them.  Re-pin only in
+so a rewrite of either derivation cannot change them.  On a chain of
+stores each behind its own flush and fence, where almost every order
+repeats a state, what ``explore`` finds and counts before the budget runs
+out is pinned for both enumerators.  Re-pin only in
 a change that means to alter these outputs, and say why in CHANGES.md."""
 
 import hashlib
+import json
 import random
 import shlex
+from functools import partial
 
 import pytest
 
-from crashcheck import build_graph, model_edges
+from crashcheck import build_graph, model_edges, simulate
+from crashcheck.behavior import make_behavior
 from crashcheck.cli import main
 from crashcheck.mmio_behaviors import derive_mmio_behaviors
 from crashcheck.posix_behaviors import derive_posix_behaviors
@@ -36,6 +42,7 @@ from helpers import (
     random_nested_posix_trace,
     random_posix_trace,
     side_node_chain_trace,
+    store_flush_fence_chain_trace,
 )
 
 # program -> (mode, {output file: sha256})
@@ -347,3 +354,29 @@ def _behaviors_digest(clustering: tuple[int, int] | None) -> str:
 def test_behaviors_derived_from_random_traces_match_the_pinned_digest(name):
     clustering, pinned = PINNED_BEHAVIORS[name]
     assert _behaviors_digest(clustering) == pinned
+
+
+# enumerator -> (budget, sha256 of each state ``explore`` finds, as its
+# applied seqs and digest, and of its stats) on the whole-trace behavior of
+# a chain of 20 stores, each followed by a flush and a fence.  Both
+# enumerators run out of budget, so the pin holds where the count crosses
+# it as well as what comes before.
+PINNED_BARRIER_CHAIN = {
+    "enumerate_schedules": (10_000, "ec5ec3a92176a570e9b1bcec03071a2d19fa02462cca5d3c520c418f64cab863"),
+    "exhaustive_schedules": (100_000, "679cfdfa672d1a50cf465359d080e2b0b2cffdb82be9078ca85d60e48ff8ffcf"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BARRIER_CHAIN))
+def test_explore_on_a_barrier_chain_matches_the_pinned_digest(name):
+    budget, pinned = PINNED_BARRIER_CHAIN[name]
+    trace = store_flush_fence_chain_trace(20)
+    graph = build_graph(trace, model_edges(trace))
+    behavior = make_behavior("whole", "*", 0, graph.node_seqs, graph)
+    stats = simulate.RunStats()
+    digest = hashlib.sha256()
+    schedules_of = partial(getattr(simulate, name), trace=trace, budget=budget)
+    for _, schedule, state, _ in simulate.explore([behavior], schedules_of, stats):
+        digest.update(json.dumps([schedule.applied_seqs, state]).encode() + b"\n")
+    digest.update(json.dumps(stats.to_json()).encode())
+    assert digest.hexdigest() == pinned

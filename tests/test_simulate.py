@@ -2,7 +2,6 @@ import json
 import math
 import random
 import sys
-from contextlib import nullcontext
 from functools import partial
 
 import pytest
@@ -46,14 +45,17 @@ from helpers import (
     log_then_tables_trace,
     mmio_trace,
     op,
+    order_schedules,
     pinned_order_schedules,
     posix_trace,
+    random_annotated_mmio_trace,
     random_mmio_trace,
     random_nested_posix_trace,
     random_posix_trace,
     reference_fs_digest,
     side_node_chain_trace,
     store_args,
+    weighted_stream,
     write_args,
 )
 
@@ -67,14 +69,30 @@ def distinct_images(schedules):
     return {replay(s).digest() for s in schedules}
 
 
+def new_states(items):
+    """The schedules of the new states among an enumerator's items."""
+    return [schedule for _, schedule, _ in items if schedule]
+
+
+def weight_of(items):
+    """The number of orders an enumerator's items count."""
+    return sum(weight for weight, _, _ in items)
+
+
+def listing(schedules, **kwargs):
+    """:func:`order_schedules` for the orders enumerator ``schedules``
+    counts, with its other arguments bound."""
+    return partial(order_schedules, cfg=ModelConfig() if schedules is enumerate_schedules else None, **kwargs)
+
+
 # --- enumeration counts ---
 
 
 def test_two_independent_writes_give_four_schedules_and_states(two_writes_trace):
     behavior, _ = whole_trace_behavior(two_writes_trace)
-    schedules = list(enumerate_schedules(behavior, two_writes_trace))
-    assert len(schedules) == 4
-    assert len(distinct_images(schedules)) == 4
+    items = list(enumerate_schedules(behavior, two_writes_trace))
+    assert weight_of(items) == 4
+    assert len(distinct_images(new_states(items))) == 4
 
 
 def test_chain_gives_three_states():
@@ -85,21 +103,24 @@ def test_chain_gives_three_states():
         ]
     )
     behavior, _ = whole_trace_behavior(trace)
-    schedules = list(enumerate_schedules(behavior, trace))
-    assert [s.applied_seqs for s in schedules] == [(), (1,), (1, 2)]
-    assert len(distinct_images(schedules)) == 3
+    items = list(enumerate_schedules(behavior, trace))
+    assert weight_of(items) == 3
+    assert [s.applied_seqs for s in new_states(items)] == [(), (1,), (1, 2)]
+    assert len(distinct_images(new_states(items))) == 3
 
 
 def test_single_node_gives_two_states():
     trace = posix_trace([op(1, "create", {"path": "f"}, (("m", 1),))])
     behavior, _ = whole_trace_behavior(trace)
-    assert [s.applied_seqs for s in enumerate_schedules(behavior, trace)] == [(), (1,)]
+    items = list(enumerate_schedules(behavior, trace))
+    assert weight_of(items) == 2
+    assert [s.applied_seqs for s in new_states(items)] == [(), (1,)]
 
 
 def test_budget_guard_raises_explosion_limit(two_writes_trace):
     behavior, _ = whole_trace_behavior(two_writes_trace)
     gen = enumerate_schedules(behavior, two_writes_trace, budget=2)
-    assert next(gen).applied_seqs == ()
+    assert next(gen)[1].applied_seqs == ()
     next(gen)
     with pytest.raises(ExplosionLimit):
         next(gen)
@@ -110,7 +131,7 @@ def test_downward_closure_no_orphan_ops():
     for _ in range(20):
         trace = random_posix_trace(rng)
         behavior, graph = whole_trace_behavior(trace)
-        for schedule in enumerate_schedules(behavior, trace):
+        for schedule in new_states(enumerate_schedules(behavior, trace)):
             applied = set(schedule.applied_seqs)
             for seq in applied:
                 assert ancestors(graph, seq) <= applied
@@ -119,8 +140,8 @@ def test_downward_closure_no_orphan_ops():
 def test_context_is_everything_before_the_behavior(fig3_trace):
     graph = build_graph(fig3_trace, posix_edges(fig3_trace))
     tail = make_behavior("tail", "Fn5", 0, (5, 6, 7), graph)
-    schedules = list(enumerate_schedules(tail, fig3_trace))
-    assert all(s.context_seqs == (1, 2, 3, 4) for s in schedules)
+    schedules = new_states(enumerate_schedules(tail, fig3_trace))
+    assert schedules and all(s.context_seqs == (1, 2, 3, 4) for s in schedules)
 
 
 def chain_diamond_behavior():
@@ -149,7 +170,7 @@ def test_enumeration_order_is_pinned():
     # membership over ascending seqs (absent first), then each subset's
     # orders in lexicographic order.
     behavior, trace = chain_diamond_behavior()
-    assert [s.applied_seqs for s in exhaustive_schedules(behavior, trace)] == [
+    assert [s.applied_seqs for s in order_schedules(behavior, trace)] == [
         (),
         (1,),
         (1, 2),
@@ -162,7 +183,7 @@ def test_enumeration_order_is_pinned():
         (1, 2, 3, 5, 4, 6),
     ]
     # Pruning drops the orders that put 5 before the commuting 4.
-    assert [s.applied_seqs for s in enumerate_schedules(behavior, trace)] == [
+    assert [s.applied_seqs for s in order_schedules(behavior, trace, ModelConfig())] == [
         (),
         (1,),
         (1, 2),
@@ -172,9 +193,27 @@ def test_enumeration_order_is_pinned():
         (1, 2, 3, 4, 5),
         (1, 2, 3, 4, 5, 6),
     ]
+    # The enumerators name each state by its first order and count the
+    # subset's other orders, here the ones that put 5 before 4, in one item.
+    def items(schedules):
+        return [(weight, schedule and schedule.applied_seqs) for weight, schedule, _ in schedules(behavior, trace)]
+
+    assert items(exhaustive_schedules) == [
+        (1, ()),
+        (1, (1,)),
+        (1, (1, 2)),
+        (1, (1, 2, 3)),
+        (1, (1, 2, 3, 5)),
+        (1, (1, 2, 3, 4)),
+        (1, (1, 2, 3, 4, 5)),
+        (1, None),
+        (1, (1, 2, 3, 4, 5, 6)),
+        (1, None),
+    ]
+    assert items(enumerate_schedules) == [item for item in items(exhaustive_schedules) if item[1] is not None]
 
 
-# --- the walk's order against an oracle that shares no code with it ---
+# --- the enumerators' items against an oracle that shares no code with them ---
 
 
 def root_side_node_trace():
@@ -218,15 +257,33 @@ def rename_over_the_chain_trace():
     )
 
 
+def rename_across_threads_trace():
+    """A write to ``f2`` on one thread, a write to ``f3`` and a create of
+    ``f1`` on another, and a rename of ``f3`` onto ``f2`` on a third.  Only
+    the write to ``f3`` is ordered before the rename, so among the orders
+    of all four ops the first to put the write to ``f2`` last, (2, 3, 4,
+    1), comes after five orders that pruning drops and one it keeps."""
+    return posix_trace(
+        [
+            op(1, "write", write_args("f2", b"\x4e" * 3), tid=2),
+            op(2, "write", write_args("f3", b"\xe6" * 2, 2)),
+            op(3, "create", {"path": "f1"}),
+            op(4, "rename", {"path": "f3", "dst": "f2"}, tid=1),
+        ]
+    )
+
+
 def cutoff_traces():
-    """Traces whose walks share a forced prefix from one subset to the
-    next and leave it where a side node becomes available mid-chain, at
-    the root, and past a step that cannot be replayed."""
+    """Traces whose subsets share a forced prefix from one to the next and
+    leave it where a side node becomes available mid-chain, at the root,
+    and past a step that cannot be replayed, and one whose pruned orders
+    come before a state's first order in the same subset."""
     return {
         "side nodes mid-chain": side_node_chain_trace(5, 2),
         "side node mid-chain, not commuting": rename_over_the_chain_trace(),
         "root side node": root_side_node_trace(),
         "missing source in the prefix": missing_source_in_the_prefix_trace(),
+        "rename across threads": rename_across_threads_trace(),
     }
 
 
@@ -244,26 +301,43 @@ def order_oracle_cases():
 ENUMERATORS = [(enumerate_schedules, ModelConfig()), (exhaustive_schedules, None)]
 
 
+def as_stream(items):
+    """An enumerator's items in the form of :func:`helpers.weighted_stream`."""
+    for weight, schedule, image in items:
+        yield (weight, schedule.applied_seqs, image.digest()) if schedule else (weight, None, None)
+
+
+def outcome(stream):
+    """The items of a stream up to the exception that ends it, if any."""
+    got = []
+    try:
+        for item in stream:
+            got.append(item)
+    except (ExplosionLimit, ReplayError) as exc:
+        return got, repr(exc)
+    return got, None
+
+
 @pytest.mark.parametrize("schedules, cfg", ENUMERATORS)
 def test_the_walk_yields_the_oracle_order(schedules, cfg):
     for behavior, trace in order_oracle_cases():
-        expected = [s.applied_seqs for s in pinned_order_schedules(behavior, trace, cfg)]
-        assert [s.applied_seqs for s in schedules(behavior, trace)] == expected, (behavior.id, trace.ops)
+        expected = outcome(weighted_stream(pinned_order_schedules(behavior, trace, cfg)))
+        assert outcome(as_stream(schedules(behavior, trace))) == expected, (behavior.id, trace.ops)
 
 
 @pytest.mark.parametrize("schedules, cfg", ENUMERATORS)
 def test_the_walk_stops_at_every_budget_where_the_oracle_order_does(schedules, cfg):
-    """Every budget, so the walk runs out inside the forced prefix it
-    shares with the previous subset, right after it, and past it."""
+    """Every budget, so the count runs out in every subset, before, at and
+    after each of its states' first orders."""
     for name, trace in cutoff_traces().items():
         behavior, _ = whole_trace_behavior(trace)
-        expected = [s.applied_seqs for s in pinned_order_schedules(behavior, trace, cfg)]
-        for budget in range(1, len(expected) + 2):
-            got = []
-            with pytest.raises(ExplosionLimit) if budget < len(expected) else nullcontext():
-                for schedule in schedules(behavior, trace, budget=budget):
-                    got.append(schedule.applied_seqs)
-            assert got == expected[:budget], (name, budget)
+        orders = pinned_order_schedules(behavior, trace, cfg)
+        for budget in range(1, len(orders) + 2):
+            got = outcome(as_stream(schedules(behavior, trace, budget=budget)))
+            assert got == outcome(weighted_stream(orders, budget)), (name, budget)
+            if got[1] is None or got[1].startswith("ExplosionLimit"):
+                assert weight_of(got[0]) == min(budget, len(orders)), (name, budget)
+                assert (got[1] is not None) == (budget < len(orders)), (name, budget)
 
 
 class CountingCache(StateCache):
@@ -302,7 +376,7 @@ def test_pruned_and_brute_force_agree_on_sample_traces():
     for _ in range(30):
         trace = random_posix_trace(rng, max_ops=6) if rng.random() < 0.5 else random_mmio_trace(rng, max_ops=6)
         behavior, _ = whole_trace_behavior(trace)
-        pruned = distinct_images(enumerate_schedules(behavior, trace))
+        pruned = distinct_images(new_states(enumerate_schedules(behavior, trace)))
         brute = distinct_images(brute_force_schedules(behavior, trace))
         assert pruned == brute
 
@@ -312,7 +386,7 @@ def test_pruned_never_exceeds_brute_force_schedule_count():
     for _ in range(10):
         trace = random_posix_trace(rng, max_ops=6)
         behavior, _ = whole_trace_behavior(trace)
-        pruned = sum(1 for _ in enumerate_schedules(behavior, trace))
+        pruned = weight_of(enumerate_schedules(behavior, trace))
         brute = sum(1 for _ in brute_force_schedules(behavior, trace))
         assert pruned <= brute
 
@@ -381,7 +455,7 @@ def test_replay_is_deterministic():
     for _ in range(10):
         trace = random_posix_trace(rng)
         behavior, _ = whole_trace_behavior(trace)
-        schedules = list(enumerate_schedules(behavior, trace))
+        schedules = new_states(enumerate_schedules(behavior, trace))
         for s in schedules[:5]:
             assert replay(s).digest() == replay(s).digest()
 
@@ -437,7 +511,7 @@ def test_state_cache_steps_replay_like_a_fresh_replay():
         behaviors = behaviors_with_several_contexts(trace)
         # Depth-first order first, then an order that jumps between
         # schedules and contexts arbitrarily.
-        schedules = [s for b in behaviors for s in enumerate_schedules(b, trace)]
+        schedules = [s for b in behaviors for s in order_schedules(b, trace, ModelConfig())]
         schedules += [s for b in behaviors for s in brute_force_schedules(b, trace)]
         for schedule in schedules:
             assert replay_by_steps(schedule, cache).digest() == replay(schedule).digest()
@@ -485,11 +559,12 @@ def test_explore_raises_a_replay_error_where_replaying_every_schedule_does():
         for schedules in (enumerate_schedules, exhaustive_schedules):
             for budget in range(1, first_failure + 4):
                 schedules_of = partial(schedules, trace=trace, budget=budget)
+                orders_of = listing(schedules, trace=trace, budget=budget)
                 outcomes = []
-                for run in (explore, reference_explore):
+                for run, of in ((explore, schedules_of), (reference_explore, orders_of)):
                     stats, found = RunStats(), []
                     try:
-                        for b, s, digest, *_ in run([behavior], schedules_of, stats):
+                        for b, s, digest, *_ in run([behavior], of, stats):
                             found.append((getattr(b, "id", b), s, digest))
                         found.append(stats)
                     except ReplayError as exc:
@@ -519,13 +594,13 @@ def test_state_cache_keys_steps_on_the_op_not_its_seq():
     for make_trace, payloads in cases:
         trace = make_trace(*payloads)
         behavior, _ = whole_trace_behavior(trace)
-        for schedule in exhaustive_schedules(behavior, trace):
+        for schedule in order_schedules(behavior, trace):
             assert replay_by_steps(schedule, cache).digest() == replay(schedule).digest()
         # The walk through the same steps (with its own record of states
         # seen) reaches every state of this trace.
         walk = StateCache(interned=cache.interned, steps=cache.steps)
         walked = {image.digest() for _, s, image in exhaustive_schedules(behavior, trace, cache=walk) if s}
-        assert walked == distinct_images(exhaustive_schedules(behavior, trace))
+        assert walked == distinct_images(order_schedules(behavior, trace))
         # Drop the trace, so that its ops could hand their ids on to the
         # next trace's if the cache did not keep them alive.
         del trace, behavior, schedule
@@ -639,19 +714,20 @@ def test_explore_dedups_exactly_as_the_digests_do(schedules):
         schedules_of = partial(schedules, trace=trace)
         stats = RunStats()
         found = [digest for _, _, digest, _ in explore(behaviors, schedules_of, stats)]
-        from_scratch = {replay(s).digest() for b in behaviors for s in schedules_of(b)}
+        from_scratch = {replay(s).digest() for b in behaviors for s in listing(schedules, trace=trace)(b)}
         assert len(found) == len(set(found))
         assert set(found) == from_scratch
         assert stats.distinct_states + stats.states_deduped == stats.schedules_tested
 
 
-def reference_explore(behaviors, schedules_of, stats):
-    """:func:`explore` as a plain loop: every schedule replayed from scratch
-    and deduplicated on its digest."""
+def reference_explore(behaviors, orders_of, stats):
+    """:func:`explore` as a plain loop over every order ``orders_of`` lists
+    (see :func:`listing`): each replayed from scratch and deduplicated on
+    its digest."""
     seen = set()
     for behavior in behaviors:
         try:
-            for schedule in schedules_of(behavior):
+            for schedule in orders_of(behavior):
                 stats.schedules_tested += 1
                 digest = replay(schedule).digest()
                 if digest in seen:
@@ -665,9 +741,9 @@ def reference_explore(behaviors, schedules_of, stats):
 
 
 def random_explorations(seed, count):
-    """``(behaviors, schedules_of)`` over random 1-3-thread POSIX and MMIO
-    traces with several contexts, pruned or not, some with a budget that
-    runs out."""
+    """``(behaviors, schedules_of, orders_of)`` over random 1-3-thread POSIX
+    and MMIO traces with several contexts, pruned or not, some with a
+    budget that runs out: an enumerator and the listing of its orders."""
     rng = random.Random(seed)
     for i in range(count):
         threads = rng.randint(1, 3)
@@ -675,19 +751,20 @@ def random_explorations(seed, count):
         trace = make_trace(rng, max_ops=6, threads=threads)
         schedules = rng.choice([enumerate_schedules, exhaustive_schedules])
         budget = rng.choice([7, 100_000])
-        yield behaviors_with_several_contexts(trace), partial(schedules, trace=trace, budget=budget)
+        kwargs = {"trace": trace, "budget": budget}
+        yield behaviors_with_several_contexts(trace), partial(schedules, **kwargs), listing(schedules, **kwargs)
 
 
 def test_explore_matches_replaying_every_schedule_from_scratch():
-    for behaviors, schedules_of in random_explorations(4242, 80):
+    for behaviors, schedules_of, orders_of in random_explorations(4242, 80):
         stats, expected_stats = RunStats(), RunStats()
         found = [(b.id, s, digest) for b, s, digest, _ in explore(behaviors, schedules_of, stats)]
-        assert found == list(reference_explore(behaviors, schedules_of, expected_stats))
+        assert found == list(reference_explore(behaviors, orders_of, expected_stats))
         assert stats == expected_stats
 
 
 def test_explore_leaves_every_interned_image_as_it_was_interned():
-    for behaviors, schedules_of in random_explorations(77, 40):
+    for behaviors, schedules_of, _ in random_explorations(77, 40):
         caches = []
 
         def recording(behavior, cache):
@@ -703,13 +780,16 @@ def test_explore_leaves_every_interned_image_as_it_was_interned():
         assert cache.seen <= {id(image) for image in cache.interned.values()}
 
 
-# --- the walk's memo of counts below a branch point ---
+# --- the dynamic program against every order replayed from scratch ---
 
 
-def explorations_match(behaviors, schedules_of):
+def explorations_match(behaviors, schedules, **kwargs):
+    """Whether :func:`explore` over enumerator ``schedules`` (with
+    ``kwargs`` bound) finds and counts what the reference does."""
     stats, expected_stats = RunStats(), RunStats()
-    found = [(b.id, s, digest) for b, s, digest, _ in explore(behaviors, schedules_of, stats)]
-    return found == list(reference_explore(behaviors, schedules_of, expected_stats)) and stats == expected_stats
+    found = [(b.id, s, digest) for b, s, digest, _ in explore(behaviors, partial(schedules, **kwargs), stats)]
+    expected = list(reference_explore(behaviors, listing(schedules, **kwargs), expected_stats))
+    return found == expected and stats == expected_stats
 
 
 @pytest.mark.parametrize(
@@ -723,8 +803,7 @@ def test_explore_matches_the_reference_on_nine_op_traces(schedules, traces, budg
     for i in range(traces):
         make_trace = random_posix_trace if i % 2 == 0 else random_mmio_trace
         trace = make_trace(rng, max_ops=9, threads=rng.randint(1, 3))
-        schedules_of = partial(schedules, trace=trace, budget=budget)
-        assert explorations_match(behaviors_with_several_contexts(trace), schedules_of), i
+        assert explorations_match(behaviors_with_several_contexts(trace), schedules, trace=trace, budget=budget), i
 
 
 def test_explore_keys_the_memo_on_the_candidates():
@@ -743,7 +822,7 @@ def test_explore_keys_the_memo_on_the_candidates():
         ]
     )
     behavior, _ = whole_trace_behavior(trace)
-    assert explorations_match([behavior], partial(enumerate_schedules, trace=trace))
+    assert explorations_match([behavior], enumerate_schedules, trace=trace)
 
 
 def test_explore_matches_the_reference_at_every_budget():
@@ -756,11 +835,57 @@ def test_explore_matches_the_reference_at_every_budget():
     del cutoff["missing source in the prefix"]
     for trace in (log_then_tables_trace(2, 4), *cutoff.values()):
         behavior, _ = whole_trace_behavior(trace)
-        total = sum(1 for _ in exhaustive_schedules(behavior, trace))
+        total = weight_of(exhaustive_schedules(behavior, trace))
         for schedules in (enumerate_schedules, exhaustive_schedules):
             for budget in range(1, total + 2):
+                assert explorations_match([behavior], schedules, trace=trace, budget=budget), (trace.ops, schedules, budget)
+
+
+def brute_force_exploration(behaviors, orders, budget):
+    """What :func:`explore` must find and count, derived from every order
+    of each behavior in the pinned order with its image's digest: the
+    first ``budget`` orders of each behavior count, and a state is new at
+    the first order that reaches it."""
+    seen, found, stats = set(), [], RunStats()
+    for behavior in behaviors:
+        for position, (schedule, digest) in enumerate(orders[behavior.id], 1):
+            if position > budget:
+                stats.partial_coverage = True
+                break
+            stats.schedules_tested += 1
+            if digest in seen:
+                stats.states_deduped += 1
+                continue
+            seen.add(digest)
+            stats.distinct_states += 1
+            found.append((behavior.id, schedule.context_seqs, schedule.applied_seqs, digest))
+    return found, stats
+
+
+def test_explore_matches_the_brute_force_oracle_at_every_budget():
+    """Random 1-3-thread POSIX, nested POSIX, MMIO and annotated MMIO
+    traces of up to 7 ops, with several contexts, both enumerators, and
+    every budget up to one past the largest behavior's order count."""
+    rng = random.Random(15)
+    makers = [random_posix_trace, random_nested_posix_trace, random_mmio_trace, random_annotated_mmio_trace]
+    runs = 0
+    for i in range(12):
+        trace = makers[i % 4](rng, 7, threads=rng.randint(1, 3))
+        behaviors = behaviors_with_several_contexts(trace)
+        for schedules, cfg in ENUMERATORS:
+            orders = {
+                b.id: [(s, replay(s).digest()) for s in pinned_order_schedules(b, trace, cfg)] for b in behaviors
+            }
+            for budget in range(1, max(map(len, orders.values())) + 2):
+                stats = RunStats()
                 schedules_of = partial(schedules, trace=trace, budget=budget)
-                assert explorations_match([behavior], schedules_of), (trace.ops, schedules, budget)
+                found = [
+                    (b.id, s.context_seqs, s.applied_seqs, digest)
+                    for b, s, digest, _ in explore(behaviors, schedules_of, stats)
+                ]
+                assert (found, stats) == brute_force_exploration(behaviors, orders, budget), (i, schedules, budget)
+                runs += 1
+    assert runs > 1000
 
 
 def test_the_walk_reports_fewer_items_than_schedules():
@@ -945,7 +1070,7 @@ def test_oracle_errors_do_not_abort_the_run(tmp_path):
 def _states_containing_prefix(trace, prefix_seqs):
     behavior, _ = whole_trace_behavior(trace)
     out = set()
-    for s in enumerate_schedules(behavior, trace):
+    for s in order_schedules(behavior, trace, ModelConfig()):
         if set(prefix_seqs) <= set(s.applied_seqs):
             out.add(replay(s).digest())
     return out
@@ -1075,6 +1200,6 @@ def test_representative_subsumes_member_inconsistencies(tmp_path, entry_checker)
         return out
 
     member_bad = inconsistent_signatures(member, member_trace, brute_force_schedules, "m")
-    rep_bad = inconsistent_signatures(rep, rep_trace, enumerate_schedules, "r")
+    rep_bad = inconsistent_signatures(rep, rep_trace, partial(order_schedules, cfg=ModelConfig()), "r")
     assert member_bad  # non-vacuous: the member does expose the bug
     assert member_bad <= rep_bad
