@@ -298,6 +298,18 @@ def _write_json(value, pad: str, out) -> None:
         out(json.dumps(value))
 
 
+def _create_output(path: Path, mode: str = ""):
+    """Output file ``path`` opened in ``mode`` or, with no mode, output directory ``path`` made
+    with its parents; a path that cannot be made is a config error (exit 2), not a bug (exit 1)."""
+    try:
+        if mode:
+            return path.open(mode)
+        path.mkdir(parents=True, exist_ok=True)
+        return path
+    except OSError as exc:
+        raise ConfigError(f"cannot create output {path}: {exc.strerror or exc}") from None
+
+
 def _safe_name(name: str) -> str:
     return "".join(c if c.isalnum() or c in "._-" else "_" for c in name)
 
@@ -311,7 +323,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     )
     data = serialize_trace(trace)
     if args.output:
-        Path(args.output).write_bytes(data)
+        with _create_output(Path(args.output), "wb") as output:
+            output.write(data)
     else:
         sys.stdout.write(data.decode())
     return 0
@@ -323,15 +336,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     graph, behaviors = derive_behaviors(trace, cfg)
     groups = group_behaviors(behaviors)
 
-    out = cfg.out
-    out.mkdir(parents=True, exist_ok=True)
-    dot_dir = out / "dot"
-    dot_dir.mkdir(exist_ok=True)
-    (dot_dir / "full.dot").write_text(export_dot(graph))
+    out = _create_output(cfg.out)
+    dot_dir = _create_output(out / "dot")
+    with _create_output(dot_dir / "full.dot", "w") as dot:
+        export_dot(graph, write=dot.write)
+    with _create_output(dot_dir / "behaviors.dot", "w") as dot:
+        for index, behavior in enumerate(behaviors):
+            dot.write(f"// b{index:03d}_{_safe_name(behavior.id)}\n")
+            export_dot(behavior.subgraph, write=dot.write)
     by_id = {b.id: b for b in behaviors}
-    for index, behavior in enumerate(behaviors):
-        name = f"b{index:03d}_{_safe_name(behavior.id)}.dot"
-        (dot_dir / name).write_text(export_dot(behavior.subgraph))
 
     report = {
         "mode": trace.meta.mode,
@@ -379,8 +392,7 @@ def cmd_test(args: argparse.Namespace) -> int:
     groups = group_behaviors(behaviors)
     by_id = {b.id: b for b in behaviors}
 
-    out = cfg.out
-    out.mkdir(parents=True, exist_ok=True)
+    out = _create_output(cfg.out)
     with tempfile.TemporaryDirectory(prefix="crashcheck-") as scratch:
         bugs, stats = test_groups(
             groups,
@@ -407,8 +419,7 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
     trace = load_input_trace(args, cfg)
     graph = build_graph(trace, model_edges(trace, cfg.model), key_mode=cfg.static_key)
 
-    out = cfg.out
-    out.mkdir(parents=True, exist_ok=True)
+    out = _create_output(cfg.out)
 
     stats = RunStats()
     states: dict[str, dict] = {}
@@ -466,8 +477,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         raise ConfigError(f"schedule file {args.schedule} is not JSON: {exc}") from None
     schedule = schedule_from_json(data, trace)
     image = replay(schedule)
-    out = cfg.out
-    out.mkdir(parents=True, exist_ok=True)
+    out = _create_output(cfg.out)
     if cfg.checker:
         result = run_oracle(image, cfg.checker, out / "replayed", timeout=cfg.timeout)
         print(f"replay: {result.verdict.value}")
@@ -486,50 +496,36 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, with_input=True):
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--mode", choices=["POSIX", "MMIO", "posix", "mmio"])
-        p.add_argument("--out", help="output directory (default: out)")
-        p.add_argument("--block-size", type=int, dest="block_size")
-        p.add_argument("--cache-line-size", type=int, dest="cache_line_size")
-        p.add_argument(
-            "--no-block-split",
-            action="store_true",
-            dest="no_block_split",
-            help="order all same-file writes instead of per-block",
-        )
-        p.add_argument("--eps", type=int, help="temporal clustering radius")
-        p.add_argument("--min-pts", type=int, dest="min_pts")
-        p.add_argument("--budget", type=int, help="schedule budget per behavior")
-        p.add_argument("--timeout", type=float, help="checker timeout in seconds")
-        p.add_argument("--checker", help="consistency checker command")
-        p.add_argument("--static-key", dest="static_key", choices=["full", "innermost"])
-        if with_input:
-            p.add_argument("--trace", help="trace file input")
-            p.add_argument("--dsl", help="workload program input")
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--config", help="flat key=value config file")
+    shared.add_argument("--mode", choices=["POSIX", "MMIO", "posix", "mmio"])
+    shared.add_argument("--out", help="output directory (default: out)")
+    shared.add_argument("--block-size", type=int)
+    shared.add_argument("--cache-line-size", type=int)
+    shared.add_argument("--no-block-split", action="store_true", help="order all same-file writes instead of per-block")
+    shared.add_argument("--eps", type=int, help="temporal clustering radius")
+    shared.add_argument("--min-pts", type=int)
+    shared.add_argument("--budget", type=int, help="schedule budget per behavior")
+    shared.add_argument("--timeout", type=float, help="checker timeout in seconds")
+    shared.add_argument("--checker", help="consistency checker command")
+    shared.add_argument("--static-key", choices=["full", "innermost"])
+    with_input = argparse.ArgumentParser(add_help=False, parents=[shared])
+    with_input.add_argument("--trace", help="trace file input")
+    with_input.add_argument("--dsl", help="workload program input")
 
-    p_synth = sub.add_parser("synth", help="compile a workload program to a trace")
-    common(p_synth, with_input=False)
+    p_synth = sub.add_parser("synth", help="compile a workload program to a trace", parents=[shared])
     p_synth.add_argument("--dsl", required=True)
     p_synth.add_argument("-o", "--output", help="trace file to write (default stdout)")
     p_synth.set_defaults(func=cmd_synth)
 
-    p_analyze = sub.add_parser("analyze", help="derive and group update behaviors")
-    common(p_analyze)
-    p_analyze.set_defaults(func=cmd_analyze)
-
-    p_test = sub.add_parser("test", help="model-check representative behaviors")
-    common(p_test)
-    p_test.set_defaults(func=cmd_test)
-
-    p_ex = sub.add_parser("exhaustive", help="brute-force all crash states")
-    common(p_ex)
-    p_ex.set_defaults(func=cmd_exhaustive)
-
-    p_replay = sub.add_parser("replay", help="re-run a stored crash schedule")
-    common(p_replay)
-    p_replay.add_argument("--schedule", required=True, help="schedule JSON file")
-    p_replay.set_defaults(func=cmd_replay)
+    for name, func, summary in (
+        ("analyze", cmd_analyze, "derive and group update behaviors"),
+        ("test", cmd_test, "model-check representative behaviors"),
+        ("exhaustive", cmd_exhaustive, "brute-force all crash states"),
+        ("replay", cmd_replay, "re-run a stored crash schedule"),
+    ):
+        sub.add_parser(name, help=summary, parents=[with_input]).set_defaults(func=func)
+    sub.choices["replay"].add_argument("--schedule", required=True, help="schedule JSON file")
     return parser
 
 

@@ -157,23 +157,28 @@ def build_graph(trace: Trace, hb: HappensBefore, key_mode: str = FULL_KEY) -> Pe
     return PersistenceGraph(ops_by_seq, seqs, preds, hb.rules, keys, mask, key_mode)
 
 
-def export_dot(graph: PersistenceGraph, name: str = "pg") -> str:
+def export_dot(graph: PersistenceGraph, name: str = "pg", write=None) -> str | None:
     """Deterministic DOT rendering: nodes labeled kind@file:line in seq
     order, then edges in (src, dst) order, each labeled with the first of
-    its destination's rules that holds it.
+    its destination's rules that holds it.  The text goes to ``write`` in
+    pieces (a line, or one source's edges) or, without it, is returned.
 
     Destinations are visited in seq order and each edge's text after its
     source (``" -> n<dst> [label=...];"``, built once per destination and
     rule) goes into its source's bucket, so the buckets come out in
     destination order without sorting the edges."""
-    out = [f"digraph {name} {{"]
+    if write is None:
+        parts: list[str] = []
+        export_dot(graph, name, parts.append)
+        return "".join(parts)
+    write(f"digraph {name} {{\n")
     mask, preds, rules = graph.mask, graph.preds, graph.rules.items()
     nodes = list(graph._seqs_in(mask))
     tails: dict[int, list[str]] = {}
     for seq in nodes:
         op = graph.ops_by_seq[seq]
         frame = op.backtrace.innermost
-        out.append(f'  n{seq} [label="{op.kind}@{frame.file}:{frame.line}"];')
+        write(f'  n{seq} [label="{op.kind}@{frame.file}:{frame.line}"];\n')
         tails[seq] = []
     for dst in nodes:
         rest = preds.get(dst, 0) & mask
@@ -187,6 +192,5 @@ def export_dot(graph: PersistenceGraph, name: str = "pg") -> str:
     for src, edges in tails.items():
         if edges:
             head = f"\n  n{src}"
-            out.append(head[1:] + head.join(edges))
-    out.append("}")
-    return "\n".join(out) + "\n"
+            write(head[1:] + head.join(edges) + "\n")
+    write("}\n")

@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 from crashcheck import simulate
-from crashcheck.cli import _CONFIG_KEYS, main, report_json
+from crashcheck.cli import _CONFIG_KEYS, _safe_name, main, make_parser, report_json
 from crashcheck.simulate import MAX_ORACLE_TIMEOUT, replay, schedule_from_json
 from crashcheck.trace import parse_trace, serialize_trace
 
@@ -44,8 +44,12 @@ def test_analyze_fig3_lists_expected_behaviors(tmp_path):
     assert ("Fn3", (3, 4, 5, 6, 7)) in shapes
     assert ("Fn1", (1, 2, 3, 4, 5, 6, 7)) in shapes
     assert (out / "dot" / "full.dot").exists()
-    dots = list((out / "dot").glob("*.dot"))
-    assert len(dots) == 1 + report["counts"]["behaviors"]
+    # One section per behavior in behaviors.dot, each after a header naming
+    # it, in groups.json order.
+    text = (out / "dot" / "behaviors.dot").read_text()
+    headers = [line for line in text.splitlines() if line.startswith("// ")]
+    assert headers == [f"// b{i:03d}_{_safe_name(b['id'])}" for i, b in enumerate(report["behaviors"])]
+    assert text.count("digraph pg {") == len(headers) == report["counts"]["behaviors"]
     for group in report["groups"]:
         assert group["representative"] in group["members"]
 
@@ -683,3 +687,69 @@ def test_mmio_pipeline_via_cli(tmp_path):
     assert code == 1
     bugs = json.loads((out / "bugs.json").read_text())["bugs"]
     assert len(bugs) == 3
+
+
+@pytest.mark.parametrize("command", ["synth", "analyze", "test", "exhaustive", "replay"])
+def test_output_path_that_cannot_be_created_exits_2(tmp_path, capsys, command):
+    """An --out (or synth's -o) naming a regular file, a path under one or,
+    for synth, a file in a missing directory is a configuration error."""
+    program = ["--mode", "POSIX", "--dsl", WORKLOADS / "two_writes.dsl"]
+    extra = {
+        "test": ["--checker", checker_arg("always_ok.py")],
+        "replay": ["--schedule", tmp_path / "schedule.json"],
+    }.get(command, [])
+    (tmp_path / "schedule.json").write_text(json.dumps({
+        "behavior_id": "b", "mode": "POSIX", "context_seqs": [], "applied_seqs": [1],
+    }))
+    regular = tmp_path / "regular"
+    regular.write_text("")
+    if command == "synth":
+        bad = [["-o", tmp_path / "missing" / "t.jsonl"], ["-o", regular / "t.jsonl"]]
+    else:
+        bad = [["--out", regular], ["--out", regular / "out"]]
+    capsys.readouterr()
+    for output in bad:
+        assert run(command, *program, *extra, *output) == 2, output
+        err = capsys.readouterr().err
+        assert err.startswith(f"error ({command}): cannot create output {output[1]}: "), err
+    assert regular.read_text() == ""
+
+
+_OPTIONS = [
+    (("-h", "--help"), "help", False, None, None),
+    (("--config",), "config", False, None, None),
+    (("--mode",), "mode", False, ["POSIX", "MMIO", "posix", "mmio"], None),
+    (("--out",), "out", False, None, None),
+    (("--block-size",), "block_size", False, None, int),
+    (("--cache-line-size",), "cache_line_size", False, None, int),
+    (("--no-block-split",), "no_block_split", False, None, None),
+    (("--eps",), "eps", False, None, int),
+    (("--min-pts",), "min_pts", False, None, int),
+    (("--budget",), "budget", False, None, int),
+    (("--timeout",), "timeout", False, None, float),
+    (("--checker",), "checker", False, None, None),
+    (("--static-key",), "static_key", False, ["full", "innermost"], None),
+]
+_INPUT_OPTIONS = [*_OPTIONS, (("--trace",), "trace", False, None, None), (("--dsl",), "dsl", False, None, None)]
+
+
+def test_each_subcommand_keeps_its_options():
+    """Every subcommand's options, in order, with their dest, whether they
+    are required, their choices and their type."""
+    subcommands = make_parser()._subparsers._group_actions[0].choices
+    got = {
+        name: [(tuple(a.option_strings), a.dest, a.required, a.choices, a.type) for a in sub._actions]
+        for name, sub in subcommands.items()
+    }
+    assert got == {
+        "synth": [
+            *_OPTIONS,
+            (("--dsl",), "dsl", True, None, None),
+            (("-o", "--output"), "output", False, None, None),
+        ],
+        "analyze": _INPUT_OPTIONS,
+        "test": _INPUT_OPTIONS,
+        "exhaustive": _INPUT_OPTIONS,
+        "replay": [*_INPUT_OPTIONS, (("--schedule",), "schedule", True, None, None)],
+    }
+    assert list(got) == ["synth", "analyze", "test", "exhaustive", "replay"]

@@ -1,6 +1,9 @@
 """A guard on the outputs: ``analyze`` on every shipped program must write
-``groups.json`` and DOT files whose sha256 digests equal the pinned ones,
-and so must it on five seeded random traces of over 200 ops, and
+``groups.json`` and ``dot/full.dot`` whose sha256 digests equal the pinned
+ones, and ``dot/behaviors.dot`` as one ``// b<index>_<id>`` header line and
+one DOT text per behavior, each text's digest pinned under the header's
+name as ``dot/b<index>_<id>.dot``.  So must it on five seeded random traces
+of over 200 ops (``groups.json`` and ``dot/full.dot``), and
 ``exhaustive`` without a checker a ``states.json`` whose digest equals
 the pinned one, on the programs and on generated traces whose subsets
 share a long forced prefix, so a refactor of happens-before, grouping, DOT rendering,
@@ -22,6 +25,7 @@ a change that means to alter these outputs, and say why in CHANGES.md."""
 import hashlib
 import json
 import random
+import re
 import shlex
 from functools import partial
 
@@ -200,8 +204,17 @@ def test_analyze_outputs_match_the_pinned_digests(tmp_path, name):
     mode, pinned = PINNED[name]
     out = tmp_path / "out"
     assert main(["analyze", "--mode", mode, "--dsl", str(WORKLOADS / f"{name}.dsl"), "--out", str(out)]) == 0
-    written = [out / "groups.json", *sorted((out / "dot").glob("*.dot"))]
-    got = {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest() for path in written}
+    assert sorted(path.name for path in (out / "dot").iterdir()) == ["behaviors.dot", "full.dot"]
+    got = {file: hashlib.sha256((out / file).read_bytes()).hexdigest() for file in ("groups.json", "dot/full.dot")}
+    # behaviors.dot is a "// <stem>" header line and then that behavior's
+    # DOT text, for each behavior: each text is pinned as dot/<stem>.dot.
+    text = (out / "dot" / "behaviors.dot").read_bytes()
+    before, *parts = re.split(rb"^// (.*)\n", text, flags=re.MULTILINE)
+    stems, sections = parts[::2], parts[1::2]
+    assert before == b"" and b"".join(b"// %s\n%s" % pair for pair in zip(stems, sections)) == text
+    for stem, section in zip(stems, sections):
+        got[f"dot/{stem.decode()}.dot"] = hashlib.sha256(section).hexdigest()
+    assert len(got) == 2 + len(stems)
     assert got == pinned
 
 
