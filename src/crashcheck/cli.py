@@ -36,6 +36,7 @@ from .mmio_behaviors import derive_mmio_behaviors
 from .models import ModelConfig, model_edges
 from .posix_behaviors import derive_posix_behaviors
 from .simulate import (
+    DEFAULT_BUDGET,
     MAX_ORACLE_TIMEOUT,
     CrashSchedule,
     RunStats,
@@ -70,7 +71,7 @@ class RunConfig:
     dbscan_min_pts: int = 1
     static_key: str = FULL_KEY
     checker: str | None = None
-    budget: int = 100_000
+    budget: int = DEFAULT_BUDGET
     timeout: float = 30.0
     out: Path = Path("out")
 
@@ -310,6 +311,11 @@ def _create_output(path: Path, mode: str = ""):
         raise ConfigError(f"cannot create output {path}: {exc.strerror or exc}") from None
 
 
+def _write_report(path: Path, value) -> None:
+    with _create_output(path, "w") as report:
+        report.write(report_json(value))
+
+
 def _safe_name(name: str) -> str:
     return "".join(c if c.isalnum() or c in "._-" else "_" for c in name)
 
@@ -375,7 +381,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             for i, g in enumerate(groups)
         ],
     }
-    (out / "groups.json").write_text(report_json(report))
+    _write_report(out / "groups.json", report)
     print(
         f"analyze: {len(trace.ops)} ops, {len(graph)} nodes, {graph.edge_count} edges, "
         f"{len(behaviors)} behaviors, {len(groups)} groups -> {out}"
@@ -404,8 +410,8 @@ def cmd_test(args: argparse.Namespace) -> int:
             budget=cfg.budget,
             timeout=cfg.timeout,
         )
-    (out / "bugs.json").write_text(report_json({"bugs": [b.to_json() for b in bugs]}))
-    (out / "stats.json").write_text(report_json(stats.to_json()))
+    _write_report(out / "bugs.json", {"bugs": [b.to_json() for b in bugs]})
+    _write_report(out / "stats.json", stats.to_json())
     print(
         f"test: {stats.representatives_tested} representatives, "
         f"{stats.schedules_tested} schedules, {stats.distinct_states} states, "
@@ -460,7 +466,7 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
         "states": states,
         "bugs": bugs,
     }
-    (out / "states.json").write_text(report_json(report))
+    _write_report(out / "states.json", report)
     print(
         f"exhaustive: {stats.schedules_tested} schedules, {len(states)} distinct states, "
         f"{len(bugs)} inconsistent -> {out}"
@@ -477,15 +483,16 @@ def cmd_replay(args: argparse.Namespace) -> int:
         raise ConfigError(f"schedule file {args.schedule} is not JSON: {exc}") from None
     schedule = schedule_from_json(data, trace)
     image = replay(schedule)
-    out = _create_output(cfg.out)
+    # Made first: a regular file in its place is an output error, not removed.
+    replayed = _create_output(_create_output(cfg.out) / "replayed")
     if cfg.checker:
-        result = run_oracle(image, cfg.checker, out / "replayed", timeout=cfg.timeout)
+        result = run_oracle(image, cfg.checker, replayed, timeout=cfg.timeout)
         print(f"replay: {result.verdict.value}")
         if result.oracle_output.strip():
             print(result.oracle_output.strip())
         return 1 if result.verdict is Verdict.INCONSISTENT else 0
-    materialize(image, out / "replayed")
-    print(f"replay: image materialized under {out / 'replayed'}")
+    materialize(image, replayed)
+    print(f"replay: image materialized under {replayed}")
     return 0
 
 
@@ -505,7 +512,7 @@ def make_parser() -> argparse.ArgumentParser:
     shared.add_argument("--no-block-split", action="store_true", help="order all same-file writes instead of per-block")
     shared.add_argument("--eps", type=int, help="temporal clustering radius")
     shared.add_argument("--min-pts", type=int)
-    shared.add_argument("--budget", type=int, help="schedule budget per behavior")
+    shared.add_argument("--budget", type=int, help="downward-closed subsets of ops to explore per behavior")
     shared.add_argument("--timeout", type=float, help="checker timeout in seconds")
     shared.add_argument("--checker", help="consistency checker command")
     shared.add_argument("--static-key", choices=["full", "innermost"])

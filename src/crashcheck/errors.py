@@ -50,10 +50,10 @@ class ReplayError(CrashCheckError):
 
 
 class ExplosionLimit(CrashCheckError):
-    """Schedule enumeration exceeded its budget."""
+    """Schedule enumeration visited its budget of subsets and more remain."""
 
     def __init__(self, budget: int):
-        super().__init__(f"schedule budget of {budget} exhausted")
+        super().__init__(f"budget of {budget} subsets exhausted")
         self.budget = budget
 
 

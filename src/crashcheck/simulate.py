@@ -22,11 +22,12 @@ context and then the applied ops to an empty image it owns.  Exploration
 never walks the orders.  A subset's final states depend only on the states
 its sub-subsets end in, so the enumerators run a dynamic program over the
 lattice of downward-closed subsets (De Loof, De Meyer & De Baets, 2006),
-visiting each subset once in a fixed order.  Each subset's table maps
-(last node, interned image) to the number of orders that reach it and the
-least of them, and is built from the tables of the subsets one node
-smaller; a table is dropped once every subset one node larger is built, so
-live tables never outnumber the visited subsets.  Replay is a deterministic
+visiting each subset once in a fixed order; the budget counts them per
+behavior.  Each subset's table maps (last node, interned image) to the
+number of orders that reach it and the least of them, and is built from
+the tables of the subsets one node smaller; a table is dropped once every
+subset one node larger is built, so live tables never outnumber the
+visited subsets.  Replay is a deterministic
 function of (image contents, op), so a :class:`StateCache` interns every
 image by ``content_key`` (equal contents share one object) and memoizes
 each (interned image, op) step: each distinct step is applied once per
@@ -198,6 +199,10 @@ def ops_commute(a: Operation, b: Operation, cfg: ModelConfig) -> bool:
 # Enumeration
 # ---------------------------------------------------------------------------
 
+# The downward-closed subsets an enumerator completes for one behavior
+# before it raises :class:`ExplosionLimit`.
+DEFAULT_BUDGET = 100_000
+
 
 def _schedules(
     behavior: UpdateBehavior,
@@ -216,10 +221,11 @@ def _schedules(
     ``i``-th node in seq order.  Per subset it yields ``(1, schedule,
     image)`` for each image not in ``cache.seen`` (it is added), in the
     order of the first order that reaches it, then ``(rest, None, None)``
-    for the other orders.  The subset whose orders cross ``budget`` yields
-    the states whose first order falls within it and the rest of the
-    budget, and raises :class:`ExplosionLimit`; a :class:`ReplayError` is
-    raised at the first order that hits one, if it falls within the budget.
+    for the other orders; a :class:`ReplayError` is raised where the first
+    order that hits one falls.  ``budget`` counts subsets: after the
+    ``budget``-th, if any remain, it raises :class:`ExplosionLimit`, so the
+    weights it yielded are the exact order count of the subsets it
+    completed.
 
     The dynamic program keeps for each subset a table keyed by (last node,
     interned image), the last node -1 without a config, as then only the
@@ -229,9 +235,7 @@ def _schedules(
     equal prefixes are one object, so two orders compare below their
     deepest common cell.  A table is built from the tables of the subsets
     one maximal node smaller through ``cache.step``, and an order that
-    fails carries its first :class:`ReplayError`, one per message.  The
-    crossing subset places each state's first order with
-    :func:`_positions`.
+    fails carries its first :class:`ReplayError`, one per message.
     """
     cache = StateCache() if cache is None else cache
     context = tuple(op for op in trace.ops if op.seq < behavior.span[0])
@@ -280,13 +284,13 @@ def _schedules(
     pending: dict[int, int] = {}
     # The first ReplayError of each message: orders that fail alike share a key.
     errors: dict[str, ReplayError] = {}
-    # The current subset, the orders counted so far, the nodes that may
-    # join the subset, and its members in ascending order, each with the
-    # union of the predecessors of the members up to it.
-    subset = count = 0
+    # The current subset, the nodes that may join it, and its members in
+    # ascending order, each with the union of the predecessors of the
+    # members up to it; ``visited`` counts the subsets up to this one.
+    subset = 0
     addable = sum(1 << i for i, pred_bits in enumerate(preds) if not pred_bits)
     members = [(-1, 0)]
-    while True:
+    for visited in itertools.count(1):
         total = 0
         least: dict[int, tuple] = {}
         for orders, order, image in tables[subset].values():
@@ -296,24 +300,17 @@ def _schedules(
                 if first is None or _precedes(order, first[0]):
                     least[id(image)] = order, image
         new = sorted((_nodes(order), image) for order, image in least.values())
-        crossed = count + total > budget
-        if crossed:
-            positions = _positions([order for order, _ in new], subset, preds, may_follow)
-            new = [state for state, position in zip(new, positions) if count + position <= budget]
         for order, image in new:
             if isinstance(image, ReplayError):
                 raise image
             cache.seen.add(id(image))
             yield 1, CrashSchedule(behavior.id, mode, context, tuple(map(ops.__getitem__, order))), image
-        if crossed:
-            if budget > count + len(new):
-                yield budget - count - len(new), None, None
-            raise ExplosionLimit(budget)
-        count += total
         if total > len(new):
             yield total - len(new), None, None
         if not addable:
             return
+        if visited >= budget:
+            raise ExplosionLimit(budget)
         pending[subset] = addable.bit_count()
         # The next subset: the highest node that may join does, and every
         # node above it leaves.  Below it the addable nodes stay; above it
@@ -375,69 +372,30 @@ def _nodes(order: tuple | None) -> tuple[int, ...]:
     return tuple(reversed(nodes))
 
 
-def _positions(
-    orders: list[tuple[int, ...]], subset: int, preds: list[int], may_follow: Callable[[int, int], bool]
-) -> list[int]:
-    """The 1-based position of each of ``orders`` among all the orders of
-    ``subset``.  For each downward-closed part of ``subset`` and each node
-    that may join it, the ways to finish ``subset`` with that node next are
-    counted from the last part in the visiting order, which holds every
-    other part's extensions, back to the first.  An order comes after the
-    ways to finish each of its prefixes with a lower node next."""
-    parts = [0]
-    while True:
-        part = parts[-1]
-        rest = subset & ~part
-        while rest and preds[rest.bit_length() - 1] & ~part:
-            rest ^= 1 << rest.bit_length() - 1
-        if not rest:
-            break
-        i = rest.bit_length() - 1
-        parts.append(part & (1 << i) - 1 | 1 << i)
-    ways: dict[int, dict[int, int]] = {}
-    for part in reversed(parts):
-        row = ways[part] = {}
-        rest = subset & ~part
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            node = low.bit_length() - 1
-            if not preds[node] & ~part:
-                after = ways[part | low].items()
-                row[node] = 1 if part | low == subset else sum(n for y, n in after if may_follow(node, y))
-    positions = []
-    for order in orders:
-        position, part, last = 1, 0, -1
-        for node in order:
-            position += sum(n for y, n in ways[part].items() if y < node and may_follow(last, y))
-            part, last = part | 1 << node, node
-        positions.append(position)
-    return positions
-
-
 def enumerate_schedules(
     behavior: UpdateBehavior,
     trace: Trace,
     cfg: ModelConfig | None = None,
-    budget: int = 100_000,
+    budget: int = DEFAULT_BUDGET,
     cache: StateCache | None = None,
 ) -> Iterator:
     """The crash states of one behavior, over the orders with no adjacent
     commuting inversion, as weighted items (see :func:`_schedules`); raises
-    :class:`ExplosionLimit` after ``budget`` orders.  Without a ``cache``
-    the states are new against a private one."""
+    :class:`ExplosionLimit` after ``budget`` downward-closed subsets if more
+    remain.  Without a ``cache`` the states are new against a private one."""
     yield from _schedules(behavior, trace, cfg or ModelConfig(), budget, cache)
 
 
 def exhaustive_schedules(
     behavior: UpdateBehavior,
     trace: Trace,
-    budget: int = 1_000_000,
+    budget: int = DEFAULT_BUDGET,
     cache: StateCache | None = None,
 ) -> Iterator:
     """The crash states of one behavior over every valid order, unpruned:
     the baseline model checker's enumerator, with no commutation reasoning
-    at all.  Weighted items as :func:`enumerate_schedules` gives them."""
+    at all.  Weighted items, and a budget in subsets, as
+    :func:`enumerate_schedules` has them."""
     yield from _schedules(behavior, trace, None, budget, cache)
 
 
@@ -944,7 +902,7 @@ class RunStats:
 
 def explore(
     behaviors: Iterable[UpdateBehavior],
-    schedules_of: Callable[[UpdateBehavior], Iterator[CrashSchedule]],
+    schedules_of: Callable[..., Iterable[tuple[int, CrashSchedule | None, FsImage | MemImage | None]]],
     stats: RunStats,
     check: Callable[[FsImage | MemImage], CheckResult] | None = None,
 ) -> Iterator[tuple[UpdateBehavior, CrashSchedule, str, CheckResult | None]]:
@@ -959,8 +917,8 @@ def explore(
     digest is computed once per distinct state.  A weighted item counts its
     weight in ``stats.schedules_tested``, and in ``stats.states_deduped``
     when it carries no new state.  A behavior whose enumerator runs out of
-    budget sets ``stats.partial_coverage`` and the next behavior is
-    explored.  Orders are counted, never walked: the work follows the
+    its budget of subsets sets ``stats.partial_coverage`` and the next
+    behavior is explored.  Orders are counted, never walked: the work follows the
     subsets and their states, with at most one live table per visited one.
     """
     cache = StateCache()
@@ -991,7 +949,7 @@ def test_groups(
     checker: str | list[str],
     scratch_root: Path,
     cfg: ModelConfig | None = None,
-    budget: int = 100_000,
+    budget: int = DEFAULT_BUDGET,
     timeout: float = 30.0,
 ) -> tuple[list[BugReport], RunStats]:
     """Explore every distinct representative and check each new state.

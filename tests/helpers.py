@@ -10,7 +10,7 @@ import itertools
 import json
 import random
 from bisect import bisect_right
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from crashcheck import Annotation, Backtrace, Frame, Operation, PersistenceGraph, Trace, build_graph
 from crashcheck.behavior import UpdateBehavior, make_behavior
@@ -614,9 +614,9 @@ def order_schedules(
     """Every order of every downward-closed subset of the behavior's nodes,
     one schedule each, in the order the enumerators pin (see
     :func:`pinned_order_schedules`), raising :class:`ExplosionLimit` after
-    ``budget`` of them.  With a config, only orders with no adjacent
-    commuting inversion.  A plain recursive search, with no memo and no
-    images, for traces too large for brute force."""
+    ``budget`` subsets if more remain.  With a config, only orders with no
+    adjacent commuting inversion.  A plain recursive search, with no memo
+    and no images, for traces too large for brute force."""
     context = tuple(op for op in trace.ops if op.seq < behavior.span[0])
     ops = behavior.subgraph.ops_by_seq
     seqs = sorted(ops)
@@ -640,43 +640,39 @@ def order_schedules(
                 continue
             yield from orders(chosen, placed + (seq,))
 
-    count = 0
-    for chosen in subsets(0, frozenset()):
+    for visited, chosen in enumerate(subsets(0, frozenset())):
+        if visited == budget:
+            raise ExplosionLimit(budget)
         for placed in orders(chosen, ()):
-            count += 1
-            if count > budget:
-                raise ExplosionLimit(budget)
             yield CrashSchedule(behavior.id, trace.meta.mode, context, tuple(ops[seq] for seq in placed))
+
+
+def by_subset(schedules: Iterable[CrashSchedule]) -> Iterator[list[CrashSchedule]]:
+    """Runs of consecutive schedules that apply the same set of ops: the
+    subsets of a listing in the pinned order, one list of orders each."""
+    for _, group in itertools.groupby(schedules, key=lambda s: frozenset(s.applied_seqs)):
+        yield list(group)
 
 
 def weighted_stream(schedules: list[CrashSchedule], budget: int = 1_000_000) -> Iterator[tuple]:
     """The items an enumerator with a fresh cache yields, derived from
     every order of one behavior listed in the pinned order, as ``(weight,
-    applied seqs or None, digest or None)``.  For each subset (a run of
-    orders with the same members), each image not reached before is one
-    ``(1, seqs, digest)`` item, in the order of its first order, and the
-    subset's other orders are one ``(count, None, None)`` item.  The subset
-    where the count crosses ``budget`` yields the states whose first order
-    falls within it, then the rest of the budget, and raises
+    applied seqs or None, digest or None)``.  For each subset, each image
+    not reached before is one ``(1, seqs, digest)`` item, in the order of
+    its first order, and the subset's other orders are one ``(count, None,
+    None)`` item.  After ``budget`` subsets, if more remain, it raises
     :class:`ExplosionLimit`.  An order whose replay fails raises its
-    :class:`ReplayError` where it falls, if it falls within the budget."""
+    :class:`ReplayError` where it falls."""
     seen: set[str] = set()
-    count = 0
-    for _, group in itertools.groupby(schedules, key=lambda s: frozenset(s.applied_seqs)):
-        group = list(group)
+    for visited, group in enumerate(by_subset(schedules)):
+        if visited == budget:
+            raise ExplosionLimit(budget)
         new = 0
-        for position, schedule in enumerate(group, 1):
-            if count + position > budget:
-                break
+        for schedule in group:
             digest = replay(schedule).digest()
             if digest not in seen:
                 seen.add(digest)
                 new += 1
                 yield 1, schedule.applied_seqs, digest
-        if count + len(group) > budget:
-            if budget > count + new:
-                yield budget - count - new, None, None
-            raise ExplosionLimit(budget)
-        count += len(group)
         if len(group) > new:
             yield len(group) - new, None, None

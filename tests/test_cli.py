@@ -692,7 +692,9 @@ def test_mmio_pipeline_via_cli(tmp_path):
 @pytest.mark.parametrize("command", ["synth", "analyze", "test", "exhaustive", "replay"])
 def test_output_path_that_cannot_be_created_exits_2(tmp_path, capsys, command):
     """An --out (or synth's -o) naming a regular file, a path under one or,
-    for synth, a file in a missing directory is a configuration error."""
+    for synth, a file in a missing directory is a configuration error.  So
+    is an --out holding a directory where a report goes or, for replay, a
+    regular file where the image goes; that file is left as it was."""
     program = ["--mode", "POSIX", "--dsl", WORKLOADS / "two_writes.dsl"]
     extra = {
         "test": ["--checker", checker_arg("always_ok.py")],
@@ -707,12 +709,25 @@ def test_output_path_that_cannot_be_created_exits_2(tmp_path, capsys, command):
         bad = [["-o", tmp_path / "missing" / "t.jsonl"], ["-o", regular / "t.jsonl"]]
     else:
         bad = [["--out", regular], ["--out", regular / "out"]]
+    cases = [(output, output[1]) for output in bad]
+    blocked = {
+        "analyze": ["groups.json"], "test": ["bugs.json", "stats.json"], "exhaustive": ["states.json"],
+    }.get(command, [])
+    for name in blocked:
+        (tmp_path / name / name).mkdir(parents=True)
+        cases.append((["--out", tmp_path / name], tmp_path / name / name))
+    if command == "replay":
+        (tmp_path / "replay").mkdir()
+        (tmp_path / "replay" / "replayed").write_text("kept")
+        cases.append((["--out", tmp_path / "replay"], tmp_path / "replay" / "replayed"))
     capsys.readouterr()
-    for output in bad:
+    for output, path in cases:
         assert run(command, *program, *extra, *output) == 2, output
         err = capsys.readouterr().err
-        assert err.startswith(f"error ({command}): cannot create output {output[1]}: "), err
+        assert err.startswith(f"error ({command}): cannot create output {path}: "), err
     assert regular.read_text() == ""
+    if command == "replay":
+        assert (tmp_path / "replay" / "replayed").read_text() == "kept"
 
 
 _OPTIONS = [

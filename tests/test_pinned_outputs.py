@@ -182,21 +182,21 @@ PINNED_RANDOM = {
 
 
 # program -> sha256 of ``exhaustive`` ``states.json`` without a checker.
-# epochs.dsl is left out: it enumerates over a million schedules.
 PINNED_STATES = {
     "current_update_buggy": "a10e9cc76c80527a87302ed483d574f7dbd16a83bba267f74a907da359e5c2a4",
     "current_update_fixed": "7ce60cbf469dfa23426bb4d30d5340ef36ffc26b27604545252c81407c11acbe",
     "entry_insert": "b2273fbd90da06b6bc8bf85a46fde03fa96e5f67cbde62b08070a456e330c622",
     "entry_insert_ordered": "d506b7f2150a8b3a4706ff007638b542875dac08272a4349b18d86bba4697133",
     "entry_insert_safe": "7aae3444c2487c5c6f7d361228bfa053ba53c34f0dda647ebecde03c6abd228d",
+    "epochs": "1f9b51787789f71c00f761cbebfd2be1b251783ff249eef554987c81f99803e4",
     "fig3": "a174174d97069e6ca33c10cc965c4b40d75b4e26e47417cb9445082a5cbbf9e6",
     "two_writes": "6ee000e1acd25a296497b7c40d54c674abee08b0c4f4c9d8b2ed9b8c6622d8cb",
 }
 
 
 def test_every_shipped_program_is_pinned():
-    assert {path.stem for path in WORKLOADS.glob("*.dsl")} == PINNED.keys() == PINNED_CHECKED.keys()
-    assert PINNED.keys() - PINNED_STATES.keys() == {"epochs"}
+    programs = {path.stem for path in WORKLOADS.glob("*.dsl")}
+    assert programs == PINNED.keys() == PINNED_CHECKED.keys() == PINNED_STATES.keys()
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
@@ -315,8 +315,8 @@ PINNED_LONG_PREFIX_STATES = {
     ),
     "posix_3threads_budget": (
         lambda: random_posix_trace(random.Random(5), 16, threads=3),
-        ["--budget", "3000"],
-        "6b1951dae88247c78d479e6a2c12fe91401692d960daed90b9ce7d11a63c6a12",
+        ["--budget", "50"],
+        "2d553d5c348d2aaf46ee344ee70b7dabeb7c4eff704743473eb449c52733d055",
     ),
 }
 
@@ -369,14 +369,14 @@ def test_behaviors_derived_from_random_traces_match_the_pinned_digest(name):
     assert _behaviors_digest(clustering) == pinned
 
 
-# enumerator -> (budget, sha256 of each state ``explore`` finds, as its
-# applied seqs and digest, and of its stats) on the whole-trace behavior of
-# a chain of 20 stores, each followed by a flush and a fence.  Both
-# enumerators run out of budget, so the pin holds where the count crosses
-# it as well as what comes before.
+# enumerator -> (budget in subsets, sha256 of each state ``explore``
+# finds, as its applied seqs and digest, and of its stats) on the
+# whole-trace behavior of a chain of 20 stores, each followed by a flush
+# and a fence.  Both enumerators run out of budget, so the pin holds where
+# the walk stops as well as what comes before.
 PINNED_BARRIER_CHAIN = {
     "enumerate_schedules": (10_000, "ec5ec3a92176a570e9b1bcec03071a2d19fa02462cca5d3c520c418f64cab863"),
-    "exhaustive_schedules": (100_000, "679cfdfa672d1a50cf465359d080e2b0b2cffdb82be9078ca85d60e48ff8ffcf"),
+    "exhaustive_schedules": (10_000, "08bd35ae1b7f8e81c42c6b60193598a83f944f980b1fa1ca24a40345395be501"),
 }
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -41,6 +42,7 @@ from conftest import checker_cmd, load_workload
 from helpers import (
     ancestors,
     brute_force_schedules,
+    by_subset,
     graph_edges,
     log_then_tables_trace,
     mmio_trace,
@@ -327,17 +329,18 @@ def test_the_walk_yields_the_oracle_order(schedules, cfg):
 
 @pytest.mark.parametrize("schedules, cfg", ENUMERATORS)
 def test_the_walk_stops_at_every_budget_where_the_oracle_order_does(schedules, cfg):
-    """Every budget, so the count runs out in every subset, before, at and
-    after each of its states' first orders."""
+    """Every budget, so the walk stops after each subset, and one past the
+    last, where it completes."""
     for name, trace in cutoff_traces().items():
         behavior, _ = whole_trace_behavior(trace)
         orders = pinned_order_schedules(behavior, trace, cfg)
-        for budget in range(1, len(orders) + 2):
+        subsets = list(by_subset(orders))
+        for budget in range(1, len(subsets) + 2):
             got = outcome(as_stream(schedules(behavior, trace, budget=budget)))
             assert got == outcome(weighted_stream(orders, budget)), (name, budget)
             if got[1] is None or got[1].startswith("ExplosionLimit"):
-                assert weight_of(got[0]) == min(budget, len(orders)), (name, budget)
-                assert (got[1] is not None) == (budget < len(orders)), (name, budget)
+                assert weight_of(got[0]) == sum(map(len, subsets[:budget])), (name, budget)
+                assert (got[1] is not None) == (budget < len(subsets)), (name, budget)
 
 
 class CountingCache(StateCache):
@@ -551,7 +554,8 @@ def test_state_cache_step_that_raises_records_nothing():
 
 def test_explore_raises_a_replay_error_where_replaying_every_schedule_does():
     """The walk applies the failing rename when it places it, but raises
-    only at the first schedule that holds it, so the budget runs out first
+    only at the first schedule that holds it, in the first subset that
+    holds it (the ``first_failure``-th), so the budget runs out first
     exactly when it would for a replay of each schedule.  (The stats of a
     run that raised are not compared: nothing reports them.)"""
     for trace, first_failure in ((missing_source_trace(), 2), (missing_source_in_the_prefix_trace(), 4)):
@@ -793,12 +797,13 @@ def explorations_match(behaviors, schedules, **kwargs):
 
 
 @pytest.mark.parametrize(
-    "schedules, traces, budget", [(enumerate_schedules, 200, 20_000), (exhaustive_schedules, 60, 1_000)]
+    "schedules, traces, budget", [(enumerate_schedules, 200, 20_000), (exhaustive_schedules, 60, 100)]
 )
 def test_explore_matches_the_reference_on_nine_op_traces(schedules, traces, budget):
     """Larger traces than :func:`random_explorations` gives, where one
     state is reached by several orders that admit different candidates.
-    The unpruned walk has many more schedules, so it gets fewer traces."""
+    The unpruned walk has many more schedules, so it gets fewer traces and
+    a budget of 100 subsets, which a few of them run out of."""
     rng = random.Random(0)
     for i in range(traces):
         make_trace = random_posix_trace if i % 2 == 0 else random_mmio_trace
@@ -826,57 +831,60 @@ def test_explore_keys_the_memo_on_the_candidates():
 
 
 def test_explore_matches_the_reference_at_every_budget():
-    # Four tables: the first set whose orders repeat a branch point, so the
-    # budget runs out inside a counted item as well as at a schedule.  The
-    # cutoff traces run out inside the forced prefix a subset shares with
-    # the one before it and right after it.
+    # Four tables: the first set whose subsets have several orders, so a
+    # counted item comes before the budget runs out.  The cutoff traces
+    # stop inside the forced prefix a subset shares with the one before
+    # it and right after it.
     cutoff = cutoff_traces()
     # Its walk raises a replay error (see the test after the state cache's).
     del cutoff["missing source in the prefix"]
     for trace in (log_then_tables_trace(2, 4), *cutoff.values()):
         behavior, _ = whole_trace_behavior(trace)
-        total = weight_of(exhaustive_schedules(behavior, trace))
+        subsets = sum(1 for _ in by_subset(order_schedules(behavior, trace)))
         for schedules in (enumerate_schedules, exhaustive_schedules):
-            for budget in range(1, total + 2):
+            for budget in range(1, subsets + 2):
                 assert explorations_match([behavior], schedules, trace=trace, budget=budget), (trace.ops, schedules, budget)
 
 
 def brute_force_exploration(behaviors, orders, budget):
     """What :func:`explore` must find and count, derived from every order
-    of each behavior in the pinned order with its image's digest: the
-    first ``budget`` orders of each behavior count, and a state is new at
-    the first order that reaches it."""
+    of each behavior in the pinned order with its image's digest: every
+    order of the first ``budget`` subsets of each behavior counts, and a
+    state is new at the first order that reaches it."""
     seen, found, stats = set(), [], RunStats()
     for behavior in behaviors:
-        for position, (schedule, digest) in enumerate(orders[behavior.id], 1):
-            if position > budget:
+        subsets = itertools.groupby(orders[behavior.id], key=lambda item: frozenset(item[0].applied_seqs))
+        for visited, (_, group) in enumerate(subsets):
+            if visited == budget:
                 stats.partial_coverage = True
                 break
-            stats.schedules_tested += 1
-            if digest in seen:
-                stats.states_deduped += 1
-                continue
-            seen.add(digest)
-            stats.distinct_states += 1
-            found.append((behavior.id, schedule.context_seqs, schedule.applied_seqs, digest))
+            for schedule, digest in group:
+                stats.schedules_tested += 1
+                if digest in seen:
+                    stats.states_deduped += 1
+                    continue
+                seen.add(digest)
+                stats.distinct_states += 1
+                found.append((behavior.id, schedule.context_seqs, schedule.applied_seqs, digest))
     return found, stats
 
 
 def test_explore_matches_the_brute_force_oracle_at_every_budget():
     """Random 1-3-thread POSIX, nested POSIX, MMIO and annotated MMIO
     traces of up to 7 ops, with several contexts, both enumerators, and
-    every budget up to one past the largest behavior's order count."""
+    every budget up to one past the largest behavior's subset count."""
     rng = random.Random(15)
     makers = [random_posix_trace, random_nested_posix_trace, random_mmio_trace, random_annotated_mmio_trace]
     runs = 0
-    for i in range(12):
+    for i in range(28):
         trace = makers[i % 4](rng, 7, threads=rng.randint(1, 3))
         behaviors = behaviors_with_several_contexts(trace)
         for schedules, cfg in ENUMERATORS:
             orders = {
                 b.id: [(s, replay(s).digest()) for s in pinned_order_schedules(b, trace, cfg)] for b in behaviors
             }
-            for budget in range(1, max(map(len, orders.values())) + 2):
+            most = max(len({frozenset(s.applied_seqs) for s, _ in listed}) for listed in orders.values())
+            for budget in range(1, most + 2):
                 stats = RunStats()
                 schedules_of = partial(schedules, trace=trace, budget=budget)
                 found = [
@@ -886,6 +894,17 @@ def test_explore_matches_the_brute_force_oracle_at_every_budget():
                 assert (found, stats) == brute_force_exploration(behaviors, orders, budget), (i, schedules, budget)
                 runs += 1
     assert runs > 1000
+
+
+def test_exhaustive_finds_every_state_of_eleven_tables_at_the_default_budget():
+    """2,069 subsets and 108,505,133 orders: a budget counted in orders
+    stopped this walk with 276 of its states."""
+    trace = log_then_tables_trace(20, 11)
+    behavior, _ = whole_trace_behavior(trace)
+    stats = RunStats()
+    found = list(explore([behavior], partial(exhaustive_schedules, trace=trace), stats))
+    assert len(found) == stats.distinct_states == 20 + 2**11
+    assert not stats.partial_coverage
 
 
 def test_the_walk_reports_fewer_items_than_schedules():
