@@ -25,16 +25,7 @@ from .errors import (
     UnknownOperationKind,
 )
 from .graph import PersistenceGraph, StaticKey, build_graph, export_dot
-from .grouping import (
-    BehaviorGroup,
-    edge_equiv,
-    equivalence_image,
-    group_behaviors,
-    node_equiv,
-    represents,
-    subset_equiv_edges,
-    subset_equiv_nodes,
-)
+from .grouping import BehaviorGroup, group_behaviors, represents
 from .mmio_behaviors import EpochBoundary, derive_mmio_behaviors, mmio_epochs
 from .models import EdgeReason, HappensBefore, ModelConfig, mmio_edges, model_edges, posix_edges
 from .posix_behaviors import (

@@ -22,7 +22,7 @@ import shlex
 import shutil
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -30,7 +30,7 @@ from pathlib import Path
 from .behavior import make_behavior
 from .dsl import synth_workload
 from .errors import CrashCheckError, ModeMismatch
-from .graph import FULL_KEY, build_graph, export_dot
+from .graph import FULL_KEY, INNERMOST_KEY, build_graph, export_dot
 from .grouping import group_behaviors
 from .mmio_behaviors import derive_mmio_behaviors
 from .models import ModelConfig, model_edges
@@ -51,16 +51,7 @@ from .simulate import (
 )
 from .trace import MMIO_MODE, POSIX_MODE, Trace, parse_trace, serialize_trace
 
-_CONFIG_KEYS = {
-    "mode", "block_size", "cache_line_size", "split_writes_at_block_boundary",
-    "dbscan_eps", "dbscan_min_pts", "static_key", "checker", "budget",
-    "timeout", "out",
-}
-
 _CHECKER_COMMANDS = {"test", "exhaustive", "replay"}
-
-_BOOL_TRUE = {"1", "true", "yes", "on"}
-_BOOL_FALSE = {"0", "false", "no", "off"}
 
 
 @dataclass
@@ -70,7 +61,7 @@ class RunConfig:
     dbscan_eps: int = 10
     dbscan_min_pts: int = 1
     static_key: str = FULL_KEY
-    checker: str | None = None
+    checker: list[str] | None = None
     budget: int = DEFAULT_BUDGET
     timeout: float = 30.0
     out: Path = Path("out")
@@ -78,15 +69,6 @@ class RunConfig:
 
 class ConfigError(CrashCheckError):
     pass
-
-
-def _parse_bool(raw: str, key: str) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in _BOOL_TRUE:
-        return True
-    if lowered in _BOOL_FALSE:
-        return False
-    raise ConfigError(f"config key {key} must be a boolean, got {raw!r}")
 
 
 def _read_text(path: str | Path, what: str) -> str:
@@ -113,8 +95,69 @@ def _positive(convert, raw, key: str, most: float = math.inf):
     return value
 
 
+def _one_of(*allowed: str, fold=str):
+    """A parser of ``fold(raw)``, which must be one of ``allowed``."""
+
+    def parse(raw: str, key: str) -> str:
+        if fold(raw) not in allowed:
+            raise ConfigError(f"{key} must be {' or '.join(allowed)}, got {raw!r}")
+        return fold(raw)
+
+    return parse
+
+
+def _switch(raw: str, key: str) -> bool:
+    lowered = raw.lower()
+    if lowered not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ConfigError(f"{key} must be a boolean, got {raw!r}")
+    return lowered in ("1", "true", "yes", "on")
+
+
+def _command(raw: str, key: str) -> list[str]:
+    try:
+        argv = shlex.split(raw)
+    except ValueError:
+        argv = []
+    if not argv:
+        raise ConfigError(f"{key} {raw!r} is not a command")
+    return argv
+
+
+def _directory(raw: str, key: str) -> Path:
+    if not raw:
+        raise ConfigError(f"{key} must name a directory, got ''")
+    return Path(raw)
+
+
+# One row per setting: its config key, its flag, the flag's argparse
+# options, and ``parse(raw, key)``, which the flag's value and the key's
+# value both go through.
+_INT = partial(_positive, int)
+_SETTINGS = (
+    ("mode", "--mode", {"choices": ["POSIX", "MMIO", "posix", "mmio"]}, _one_of(POSIX_MODE, MMIO_MODE, fold=str.upper)),
+    ("out", "--out", {"help": "output directory (default: out)"}, _directory),
+    ("block_size", "--block-size", {"type": int}, _INT),
+    ("cache_line_size", "--cache-line-size", {"type": int}, _INT),
+    (
+        "split_writes_at_block_boundary", "--no-block-split",
+        {"action": "store_const", "const": "off", "help": "order all same-file writes instead of per-block"}, _switch,
+    ),
+    ("dbscan_eps", "--eps", {"type": int, "help": "temporal clustering radius"}, _INT),
+    ("dbscan_min_pts", "--min-pts", {"type": int}, _INT),
+    ("budget", "--budget", {"type": int, "help": "downward-closed subsets of ops to explore per behavior"}, _INT),
+    (
+        "timeout", "--timeout", {"type": float, "help": "checker timeout in seconds"},
+        partial(_positive, float, most=MAX_ORACLE_TIMEOUT),
+    ),
+    ("checker", "--checker", {"help": "consistency checker command"}, _command),
+    ("static_key", "--static-key", {"choices": ["full", "innermost"]}, _one_of(FULL_KEY, INNERMOST_KEY)),
+)
+_MODEL_KEYS = {f.name for f in fields(ModelConfig)}
+
+
 def load_config_file(path: Path) -> dict:
     """Flat ``key = value`` text file; '#' starts a comment."""
+    known = {row[0] for row in _SETTINGS}
     values = {}
     for line_no, line in enumerate(_read_text(path, "config file").splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -124,74 +167,31 @@ def load_config_file(path: Path) -> dict:
             raise ConfigError(f"{path}:{line_no}: expected key = value")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in known:
             raise ConfigError(f"{path}:{line_no}: unknown config key {key!r}")
         values[key] = raw.strip()
     return values
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
+    """Each setting from its flag, else from the config file, else its
+    default.  Only the commands that run the checker look it up."""
+    in_file = load_config_file(Path(args.config)) if args.config else {}
     values = {}
-    if getattr(args, "config", None):
-        values = load_config_file(Path(args.config))
-
-    def pick(flag_name: str, key: str):
-        flag = getattr(args, flag_name, None)
-        if flag is not None:
-            return flag
-        return values.get(key)
-
-    mode = pick("mode", "mode")
-    if mode is not None:
-        mode = str(mode).upper()
-        if mode not in (POSIX_MODE, MMIO_MODE):
-            raise ConfigError(f"mode must be POSIX or MMIO, got {mode!r}")
-        cfg.mode = mode
-
-    block_size = pick("block_size", "block_size")
-    cache_line = pick("cache_line_size", "cache_line_size")
-    split_raw = values.get("split_writes_at_block_boundary")
-    split = _parse_bool(split_raw, "split_writes_at_block_boundary") if split_raw is not None else True
-    if getattr(args, "no_block_split", False):
-        split = False
-    try:
-        cfg.model = ModelConfig(
-            block_size=int(block_size) if block_size is not None else 4096,
-            cache_line_size=int(cache_line) if cache_line is not None else 64,
-            split_writes_at_block_boundary=split,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    for attr, flag, key in (
-        ("dbscan_eps", "eps", "dbscan_eps"),
-        ("dbscan_min_pts", "min_pts", "dbscan_min_pts"),
-        ("budget", "budget", "budget"),
-    ):
-        raw = pick(flag, key)
+    for key, flag, _, parse in _SETTINGS:
+        raw = getattr(args, flag[2:].replace("-", "_"))
+        if raw is None:
+            raw = in_file.get(key)
         if raw is not None:
-            setattr(cfg, attr, _positive(int, raw, key))
-
-    timeout = pick("timeout", "timeout")
-    if timeout is not None:
-        cfg.timeout = _positive(float, timeout, "timeout", MAX_ORACLE_TIMEOUT)
-
-    static_key = pick("static_key", "static_key")
-    if static_key is not None:
-        if static_key not in ("full", "innermost"):
-            raise ConfigError("static_key must be 'full' or 'innermost'")
-        cfg.static_key = static_key
-
-    checker = pick("checker", "checker")
-    if checker is not None:
-        cfg.checker = str(checker)
-        if getattr(args, "command", None) in _CHECKER_COMMANDS:
-            _require_checker(cfg.checker)
-
-    out = pick("out", "out")
-    if out is not None:
-        cfg.out = Path(out)
+            values[key] = parse(raw, key)
+    try:
+        model = ModelConfig(**{key: values.pop(key) for key in _MODEL_KEYS & values.keys()})
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    cfg = RunConfig(model=model, **values)
+    command = cfg.checker[0] if cfg.checker and args.command in _CHECKER_COMMANDS else None
+    if command is not None and shutil.which(command) is None and not Path(command).exists():
+        raise ConfigError(f"checker {command!r} not found")
     return cfg
 
 
@@ -227,15 +227,6 @@ def derive_behaviors(trace: Trace, cfg: RunConfig):
     else:
         behaviors = derive_mmio_behaviors(graph, trace, cfg.model)
     return graph, behaviors
-
-
-def _require_checker(checker: str) -> None:
-    try:
-        checker_bin = shlex.split(checker)[0]
-    except (ValueError, IndexError):
-        raise ConfigError(f"checker {checker!r} is not a command") from None
-    if shutil.which(checker_bin) is None and not Path(checker_bin).exists():
-        raise ConfigError(f"checker {checker_bin!r} not found")
 
 
 def report_json(value) -> str:
@@ -322,12 +313,7 @@ def _safe_name(name: str) -> str:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
-    if cfg.mode is None:
-        raise ConfigError("synth needs --mode")
-    trace = synth_workload(
-        _read_text(args.dsl, "workload program"), cfg.mode, cache_line_size=cfg.model.cache_line_size
-    )
-    data = serialize_trace(trace)
+    data = serialize_trace(load_input_trace(args, cfg))
     if args.output:
         with _create_output(Path(args.output), "wb") as output:
             output.write(data)
@@ -438,8 +424,7 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
             # Only the oracle needs a scratch directory.
             if cfg.checker:
                 scratch = cleanup.enter_context(tempfile.TemporaryDirectory(prefix="crashcheck-"))
-                argv = shlex.split(cfg.checker)
-                check = partial(run_oracle, checker=argv, scratch=Path(scratch), timeout=cfg.timeout)
+                check = partial(run_oracle, checker=cfg.checker, scratch=Path(scratch), timeout=cfg.timeout)
             for _, schedule, digest, result in explore([whole], schedules_of, stats, check):
                 entry = schedule.to_json()
                 if result is not None:
@@ -505,17 +490,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="flat key=value config file")
-    shared.add_argument("--mode", choices=["POSIX", "MMIO", "posix", "mmio"])
-    shared.add_argument("--out", help="output directory (default: out)")
-    shared.add_argument("--block-size", type=int)
-    shared.add_argument("--cache-line-size", type=int)
-    shared.add_argument("--no-block-split", action="store_true", help="order all same-file writes instead of per-block")
-    shared.add_argument("--eps", type=int, help="temporal clustering radius")
-    shared.add_argument("--min-pts", type=int)
-    shared.add_argument("--budget", type=int, help="downward-closed subsets of ops to explore per behavior")
-    shared.add_argument("--timeout", type=float, help="checker timeout in seconds")
-    shared.add_argument("--checker", help="consistency checker command")
-    shared.add_argument("--static-key", choices=["full", "innermost"])
+    for _, flag, options, _ in _SETTINGS:
+        shared.add_argument(flag, **options)
     with_input = argparse.ArgumentParser(add_help=False, parents=[shared])
     with_input.add_argument("--trace", help="trace file input")
     with_input.add_argument("--dsl", help="workload program input")

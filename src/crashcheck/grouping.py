@@ -1,4 +1,4 @@
-"""Node/edge equivalence, the represents relation, and behavior grouping.
+"""The represents relation and behavior grouping.
 
 Two nodes are equivalent when their static keys match (same kind, same
 payload-independent call chain); dynamic data never participates.  Edge
@@ -8,9 +8,9 @@ among the matched U1 nodes all have equivalents among U2's dependencies:
 the representative has at least the ops and at most the ordering, so its
 crash schedules subsume the member's.
 
-The subset relations are the existential definitions, so when several nodes
-of one side share a static key the equivalence image can be smaller than
-the matched set; nothing here assumes image and subset sizes agree.
+The subset relations are existential, so when several nodes of one side
+share a static key the equivalence image can be smaller than the matched
+set; nothing here assumes image and subset sizes agree.
 """
 
 from __future__ import annotations
@@ -18,51 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .behavior import UpdateBehavior
-from .graph import FULL_KEY, StaticKey
-from .trace import Operation
-
-KeyPair = tuple[StaticKey, StaticKey]
-
-
-def node_equiv(n1: Operation, n2: Operation, mode: str = FULL_KEY) -> bool:
-    """True when two operations share all static information."""
-    return StaticKey.of(n1, mode) == StaticKey.of(n2, mode)
-
-
-def edge_equiv(
-    e1: tuple[Operation, Operation],
-    e2: tuple[Operation, Operation],
-    mode: str = FULL_KEY,
-) -> bool:
-    """True when sources are equivalent and destinations are equivalent.
-
-    Edges are passed as resolved (source op, destination op) pairs so the
-    two edges may come from different graphs.
-    """
-    return node_equiv(e1[0], e2[0], mode) and node_equiv(e1[1], e2[1], mode)
-
-
-def _keys(ops, mode: str) -> set[StaticKey]:
-    return {StaticKey.of(op, mode) for op in ops}
-
-
-def subset_equiv_nodes(n2, n1, mode: str = FULL_KEY) -> bool:
-    """N2 is subset-equivalent to N1: every op in N2 has an equivalent in N1."""
-    return _keys(n2, mode) <= _keys(n1, mode)
-
-
-def equivalence_image(n1, n2, mode: str = FULL_KEY):
-    """The ops of N1 that are equivalent to some op of N2."""
-    wanted = _keys(n2, mode)
-    return [op for op in n1 if StaticKey.of(op, mode) in wanted]
-
-
-def subset_equiv_edges(e1, e2, mode: str = FULL_KEY) -> bool:
-    """E1 is subset-equivalent to E2 over resolved (src op, dst op) pairs."""
-    def keypairs(edges) -> set[KeyPair]:
-        return {(StaticKey.of(s, mode), StaticKey.of(d, mode)) for s, d in edges}
-
-    return keypairs(e1) <= keypairs(e2)
 
 
 def represents(u1: UpdateBehavior, u2: UpdateBehavior) -> bool:
@@ -70,20 +25,15 @@ def represents(u1: UpdateBehavior, u2: UpdateBehavior) -> bool:
 
     Requires u2's nodes to embed into u1's up to equivalence, and the
     induced dependencies among the matched u1 nodes to all have equivalents
-    among u2's dependencies.  This is :func:`subset_equiv_nodes`,
-    :func:`equivalence_image` and :func:`subset_equiv_edges` evaluated over
-    the key sets each behavior's subgraph caches.
+    among u2's dependencies.  Both are read from the key sets each
+    behavior's subgraph caches: the matched nodes' dependencies, up to
+    equivalence, are u1's key pairs whose two keys u2 has.
     """
     g1, g2 = u1.subgraph, u2.subgraph
-    wanted = g2.key_set
-    if not wanted <= g1.key_set:
-        return False
-    if wanted == g1.key_set:
-        # Every node of u1 matches, so the image is u1's whole subgraph.
-        return g1.key_pairs <= g2.key_pairs
-    keys = g1.static_keys
-    image = g1.induced(seq for seq in g1.ops_by_seq if keys[seq] in wanted)
-    return image.key_pairs <= g2.key_pairs
+    wanted, pairs = g2.key_set, g2.key_pairs
+    return wanted <= g1.key_set and all(
+        pair in pairs for pair in g1.key_pairs if pair[0] in wanted and pair[1] in wanted
+    )
 
 
 @dataclass

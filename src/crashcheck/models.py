@@ -124,7 +124,6 @@ def lines_of(addr: int, length: int, line_size: int) -> frozenset[int]:
 
 _DATA_KINDS = {"write", "pwrite"}
 _METADATA_KINDS = {"create", "mkdir", "rename", "unlink"}
-_POSIX_PERSISTING = {"write", "pwrite", "create", "mkdir", "rename", "unlink"}
 
 
 def _paths_named(op: Operation) -> tuple[str, ...]:
@@ -172,7 +171,7 @@ def posix_edges(trace: Trace, cfg: ModelConfig | None = None) -> HappensBefore:
             if sources:
                 released |= sources | bit
             continue
-        if kind not in _POSIX_PERSISTING:
+        if not op.is_persisting:
             continue
         barrier[op.seq] = released
         issued |= bit

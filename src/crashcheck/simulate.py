@@ -57,7 +57,6 @@ import locale
 import os
 import posixpath
 import select
-import shlex
 import shutil
 import signal
 import subprocess
@@ -817,20 +816,19 @@ MAX_ORACLE_TIMEOUT = (2**31 - 1) // 1000
 
 def run_oracle(
     image: FsImage | MemImage,
-    checker: str | list[str],
+    checker: list[str],
     scratch: Path,
     timeout: float = 30.0,
 ) -> CheckResult:
-    """Materialize the image, invoke ``<checker> <scratch>``, map the exit
-    status: 0 is consistent, anything else inconsistent, a timeout is an
+    """Materialize the image, run the argv ``checker`` with ``scratch``
+    appended, map the exit status: 0 is consistent, anything else inconsistent, a timeout is an
     oracle error.
 
     A checker of the form ``<this interpreter> <script> ...`` runs in a
     fork of this process (:func:`_fork_check`); any other command runs as
     a new process.  ``timeout`` may be at most :data:`MAX_ORACLE_TIMEOUT`."""
     materialize(image, scratch)
-    argv = shlex.split(checker) if isinstance(checker, str) else list(checker)
-    argv.append(str(scratch))
+    argv = [*checker, str(scratch)]
     if _forkable(argv):
         return _fork_check(argv, timeout)
     return _subprocess_check(argv, timeout)
@@ -946,7 +944,7 @@ def test_groups(
     groups,
     behaviors_by_id: dict[str, UpdateBehavior],
     trace: Trace,
-    checker: str | list[str],
+    checker: list[str],
     scratch_root: Path,
     cfg: ModelConfig | None = None,
     budget: int = DEFAULT_BUDGET,
@@ -971,8 +969,7 @@ def test_groups(
     bug_keys: set[tuple] = set()
     states_by_rep: Counter[str] = Counter()
     schedules_of = partial(enumerate_schedules, trace=trace, cfg=cfg, budget=budget)
-    argv = shlex.split(checker) if isinstance(checker, str) else checker
-    check = partial(run_oracle, checker=argv, scratch=scratch, timeout=timeout)
+    check = partial(run_oracle, checker=checker, scratch=scratch, timeout=timeout)
     for rep, schedule, _, result in explore(reps, schedules_of, stats, check):
         states_by_rep[rep.id] += 1
         if result.verdict is Verdict.ORACLE_ERROR:

@@ -44,40 +44,23 @@ MAX_INLINE_PAYLOAD = 256
 MAX_WRITE_END = 1 << 26  # offset + length of a write or pwrite
 MAX_RANGE_LENGTH = 1 << 20  # length of a store, flush or msync
 
+# Each kind's required args, then the args it may also carry.
 _ARG_KEYS = {
-    "write": {"path", "offset", "length", "digest", "data"},
-    "pwrite": {"path", "offset", "length", "digest", "data"},
-    "rename": {"path", "dst"},
-    "unlink": {"path"},
-    "create": {"path"},
-    "mkdir": {"path"},
-    "open": {"path"},
-    "close": {"path"},
-    "fsync": {"path", "dir"},
-    "fdatasync": {"path"},
-    "sync": set(),
-    "store": {"addr", "length", "digest", "data", "line"},
-    "flush": {"addr", "length"},
-    "msync": {"addr", "length"},
-    "fence": set(),
-}
-
-_REQUIRED_ARG_KEYS = {
-    "write": {"path", "offset", "length", "digest"},
-    "pwrite": {"path", "offset", "length", "digest"},
-    "rename": {"path", "dst"},
-    "unlink": {"path"},
-    "create": {"path"},
-    "mkdir": {"path"},
-    "open": {"path"},
-    "close": {"path"},
-    "fsync": {"path"},
-    "fdatasync": {"path"},
-    "sync": set(),
-    "store": {"addr", "length", "digest"},
-    "flush": {"addr", "length"},
-    "msync": {"addr", "length"},
-    "fence": set(),
+    "write": ({"path", "offset", "length", "digest"}, {"data"}),
+    "pwrite": ({"path", "offset", "length", "digest"}, {"data"}),
+    "rename": ({"path", "dst"}, set()),
+    "unlink": ({"path"}, set()),
+    "create": ({"path"}, set()),
+    "mkdir": ({"path"}, set()),
+    "open": ({"path"}, set()),
+    "close": ({"path"}, set()),
+    "fsync": ({"path"}, {"dir"}),
+    "fdatasync": ({"path"}, set()),
+    "sync": (set(), set()),
+    "store": ({"addr", "length", "digest"}, {"data", "line"}),
+    "flush": ({"addr", "length"}, set()),
+    "msync": ({"addr", "length"}, set()),
+    "fence": (set(), set()),
 }
 
 
@@ -190,9 +173,6 @@ class Trace:
     def __len__(self) -> int:
         return len(self.ops)
 
-    def op(self, seq: int) -> Operation:
-        return self.ops_by_seq()[seq]
-
     def ops_by_seq(self) -> dict[int, Operation]:
         return {op.seq: op for op in self.ops}
 
@@ -214,12 +194,11 @@ def _kind_mode(kind: str) -> str:
 def _validate_args(kind: str, args: dict, line_no: int, error: type = ParseError) -> dict:
     """Check an op's arguments and bound the extents and payload it names,
     raising ``error(line_no, message)``: a trace's or a workload's."""
-    required = _REQUIRED_ARG_KEYS[kind]
-    allowed = _ARG_KEYS[kind]
+    required, optional = _ARG_KEYS[kind]
     missing = required - args.keys()
     if missing:
         raise error(line_no, f"{kind} args missing {sorted(missing)}")
-    extra = args.keys() - allowed
+    extra = args.keys() - required - optional
     if extra:
         raise error(line_no, f"{kind} args have unknown keys {sorted(extra)}")
     for key in ("path", "dst", "digest"):

@@ -15,9 +15,9 @@ from typing import Iterable, Iterator
 from crashcheck import Annotation, Backtrace, Frame, Operation, PersistenceGraph, Trace, build_graph
 from crashcheck.behavior import UpdateBehavior, make_behavior
 from crashcheck.errors import ExplosionLimit
+from crashcheck.graph import FULL_KEY, StaticKey
 from crashcheck.models import (
     _DATA_KINDS,
-    _POSIX_PERSISTING,
     EdgeReason,
     HappensBefore,
     ModelConfig,
@@ -202,7 +202,7 @@ def reference_posix_pairs(trace: Trace, cfg: ModelConfig | None = None) -> Pairs
             if op.kind == "fsync":
                 sources = sources + meta_at.get(op.args["path"], [])
         else:
-            if op.kind in _POSIX_PERSISTING:
+            if op.is_persisting:
                 issued.append(op.seq)
             if op.kind in _DATA_KINDS:
                 data_at.setdefault(op.args["path"], []).append(op.seq)
@@ -282,6 +282,46 @@ def ancestors(graph, seq: int) -> set[int]:
             out.add(cur)
             stack.extend(graph.predecessors(cur))
     return out
+
+
+# The paper's equivalence definitions, which ``grouping.represents`` is
+# checked against: it reads the same relations from cached key sets.
+
+
+def node_equiv(n1: Operation, n2: Operation, mode: str = FULL_KEY) -> bool:
+    """True when two operations share all static information."""
+    return StaticKey.of(n1, mode) == StaticKey.of(n2, mode)
+
+
+def edge_equiv(e1: tuple[Operation, Operation], e2: tuple[Operation, Operation], mode: str = FULL_KEY) -> bool:
+    """True when sources are equivalent and destinations are equivalent.
+    Edges are resolved (source op, destination op) pairs, so the two edges
+    may come from different graphs."""
+    return node_equiv(e1[0], e2[0], mode) and node_equiv(e1[1], e2[1], mode)
+
+
+def _keys(ops, mode: str) -> set[StaticKey]:
+    return {StaticKey.of(op, mode) for op in ops}
+
+
+def subset_equiv_nodes(n2, n1, mode: str = FULL_KEY) -> bool:
+    """N2 is subset-equivalent to N1: every op in N2 has an equivalent in N1."""
+    return _keys(n2, mode) <= _keys(n1, mode)
+
+
+def equivalence_image(n1, n2, mode: str = FULL_KEY) -> list[Operation]:
+    """The ops of N1 that are equivalent to some op of N2."""
+    wanted = _keys(n2, mode)
+    return [op for op in n1 if StaticKey.of(op, mode) in wanted]
+
+
+def subset_equiv_edges(e1, e2, mode: str = FULL_KEY) -> bool:
+    """E1 is subset-equivalent to E2 over resolved (src op, dst op) pairs."""
+
+    def keypairs(edges) -> set[tuple[StaticKey, StaticKey]]:
+        return {(StaticKey.of(s, mode), StaticKey.of(d, mode)) for s, d in edges}
+
+    return keypairs(e1) <= keypairs(e2)
 
 
 def fig5_behaviors():

@@ -12,7 +12,6 @@ from crashcheck import (
     ExplosionLimit,
     build_graph,
     group_behaviors,
-    node_equiv,
     posix_edges,
     represents,
 )
@@ -37,6 +36,7 @@ from helpers import (
     brute_force_schedules,
     edge_triples,
     fig5_behaviors,
+    node_equiv,
     op,
     output_digest,
     random_mmio_trace,

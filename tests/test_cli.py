@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 from crashcheck import simulate
-from crashcheck.cli import _CONFIG_KEYS, _safe_name, main, make_parser, report_json
+from crashcheck.cli import _SETTINGS, _safe_name, build_run_config, main, make_parser, report_json
 from crashcheck.simulate import MAX_ORACLE_TIMEOUT, replay, schedule_from_json
 from crashcheck.trace import parse_trace, serialize_trace
 
@@ -195,7 +195,7 @@ def _mutate_program(rng, text):
 def _random_config(rng):
     """A config file of random known and unknown keys, junk values, lines
     without ``=`` and comments."""
-    keys = sorted(_CONFIG_KEYS) + ["nonsense", ""]
+    keys = sorted(key for key, *_ in _SETTINGS) + ["nonsense", ""]
     lines = []
     for _ in range(rng.randint(0, 4)):
         roll = rng.random()
@@ -570,6 +570,67 @@ def test_bad_config_key_exits_2(tmp_path, capsys):
     missing = tmp_path / "no-such.cfg"
     assert run("analyze", "--config", missing, "--dsl", WORKLOADS / "two_writes.dsl") == 2
     assert "cannot read config file" in capsys.readouterr().err
+
+
+# A well-formed value of each setting, as its config file spells it.
+_VALID = {
+    "mode": "mmio", "out": "o", "block_size": "512", "cache_line_size": "128",
+    "split_writes_at_block_boundary": "off", "dbscan_eps": "3", "dbscan_min_pts": "2", "budget": "7",
+    "timeout": "2.5", "checker": f"{sys.executable} 'a b.py' -q", "static_key": "innermost",
+}
+# Malformed values of each setting; a flag's argparse type or choices
+# reject some of them before they reach the setting's parser.
+_MALFORMED = {
+    "mode": ["x"], "out": [""], "block_size": ["abc", "0", "3"], "cache_line_size": ["x", "96"],
+    "split_writes_at_block_boundary": ["maybe"], "dbscan_eps": ["1.5", "0"], "dbscan_min_pts": ["-1"],
+    "budget": ["abc", "0"], "timeout": ["nan", "0", "1e12"], "checker": ["", " ", "'unclosed"],
+    "static_key": ["outer"],
+}
+
+
+def _parsed(argv, config=None):
+    args = make_parser().parse_args(["analyze", *map(str, argv)] + (["--config", str(config)] if config else []))
+    return build_run_config(args)
+
+
+@pytest.mark.parametrize("key", [key for key, *_ in _SETTINGS])
+def test_a_flag_and_its_config_key_give_the_same_run_config(tmp_path, key):
+    assert list(_VALID) == [row[0] for row in _SETTINGS]
+    _, flag, options, _ = next(row for row in _SETTINGS if row[0] == key)
+    value = options.get("const", _VALID[key])
+    config = tmp_path / "cfg"
+    config.write_text(f"{key} = {value}\n")
+    by_flag = _parsed([flag] if "const" in options else [flag, value])
+    assert by_flag == _parsed([], config)
+    assert by_flag != _parsed([])
+
+
+@pytest.mark.parametrize("key", [key for key, *_ in _SETTINGS])
+def test_a_malformed_setting_exits_2_naming_its_key(tmp_path, capsys, monkeypatch, key):
+    """From the config file, and from the flag when argparse passes the
+    value on, the message starts with the key; a value argparse refuses
+    exits 2 with argparse's message naming the flag.  Nothing is written:
+    ``--out ""`` and ``out =`` used to put groups.json and dot/ in the
+    working directory."""
+    monkeypatch.chdir(tmp_path)
+    _, flag, options, _ = next(row for row in _SETTINGS if row[0] == key)
+    config = tmp_path / "cfg"
+    program = ["--mode", "POSIX", "--dsl", WORKLOADS / "two_writes.dsl"]
+    for raw in _MALFORMED[key]:
+        config.write_text(f"{key} = {raw}\n")
+        argvs = [["--config", config]] if "const" in options else [["--config", config], [flag, raw]]
+        for argv in argvs:
+            out = ["--out", tmp_path / "o"] if key != "out" else []
+            try:
+                code = run("analyze", *([] if key == "mode" else program), *out, *argv)
+            except SystemExit as exc:
+                assert argv[0] == flag and exc.code == 2, (argv, raw)
+                assert f"argument {flag}: invalid" in capsys.readouterr().err
+                continue
+            assert code == 2, (argv, raw)
+            err = capsys.readouterr().err
+            assert err.startswith(f"error (analyze): {key} "), err
+    assert [path.name for path in tmp_path.iterdir()] == ["cfg"]
 
 
 @pytest.mark.parametrize("command", ["test", "exhaustive", "replay"])

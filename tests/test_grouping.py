@@ -3,29 +3,25 @@ from dataclasses import replace
 
 import pytest
 
-from crashcheck import (
-    build_graph,
-    edge_equiv,
-    equivalence_image,
-    group_behaviors,
-    node_equiv,
-    represents,
-    subset_equiv_edges,
-    subset_equiv_nodes,
-)
+from crashcheck import build_graph, group_behaviors, represents
 from crashcheck.behavior import make_behavior
 from crashcheck.cli import RunConfig, derive_behaviors
 from crashcheck.models import EdgeReason
 
 from helpers import (
     bt,
+    edge_equiv,
     edge_triples,
+    equivalence_image,
     fig5_behaviors,
     graph_edges,
     hb_from_pairs,
+    node_equiv,
     op,
     posix_trace,
     random_posix_trace,
+    subset_equiv_edges,
+    subset_equiv_nodes,
     write_args,
 )
 

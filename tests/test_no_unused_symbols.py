@@ -10,10 +10,6 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "crashcheck"
 
-# The paper's definitions, kept as the reference ``represents`` is checked
-# against, though the package itself never calls them.
-REFERENCE_DEFINITIONS = {"edge_equiv", "subset_equiv_nodes", "equivalence_image", "subset_equiv_edges"}
-
 
 def _names_used(node: ast.AST) -> Counter:
     """Every identifier ``node`` names, keyed ``name`` for a variable and
@@ -50,6 +46,6 @@ def test_every_symbol_in_src_is_used_in_src():
     for module, tree in trees.items():
         for qualname, keys, node in _definitions(tree):
             own = _names_used(node)
-            if qualname not in REFERENCE_DEFINITIONS and not any(used[key] > own[key] for key in keys):
+            if not any(used[key] > own[key] for key in keys):
                 unused.append(f"{module}:{qualname}")
     assert unused == []

@@ -10,9 +10,10 @@ import time
 import pytest
 
 from crashcheck import simulate
+from crashcheck.cli import main
 from crashcheck.simulate import CheckResult, FsImage, Verdict, run_oracle
 
-from conftest import checker_cmd
+from conftest import WORKLOADS, checker_cmd
 
 CONSISTENT, INCONSISTENT = Verdict.CONSISTENT, Verdict.INCONSISTENT
 
@@ -141,7 +142,6 @@ def test_only_this_interpreter_with_a_script_file_is_forked(tmp_path, paths_take
     link.symlink_to(sys.executable)
     checkers = [
         ([sys.executable, script], "fork"),
-        (f"{sys.executable} {script}", "fork"),
         ([str(link), script], "subprocess"),
         ([sys.executable, "-I", script], "subprocess"),
         (["env", sys.executable, script], "subprocess"),
@@ -151,6 +151,17 @@ def test_only_this_interpreter_with_a_script_file_is_forked(tmp_path, paths_take
     for checker, _ in checkers:
         run_oracle(FsImage(), checker, tmp_path / "s")
     assert paths_taken == [path for _, path in checkers]
+
+
+def test_a_checker_command_of_this_interpreter_and_a_script_is_forked(tmp_path, paths_taken):
+    """The CLI splits ``--checker`` into argv once; the command
+    ``<python> <script>`` takes the fork path for every state."""
+    code = main([
+        "test", "--mode", "POSIX", "--dsl", str(WORKLOADS / "two_writes.dsl"),
+        "--checker", f"{sys.executable} {checker_cmd('always_ok.py')[1]}", "--out", str(tmp_path / "out"),
+    ])
+    assert code == 0
+    assert paths_taken == ["fork"] * 4
 
 
 def test_a_live_thread_selects_the_subprocess_path(tmp_path, paths_taken):

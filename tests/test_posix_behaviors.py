@@ -183,7 +183,7 @@ def test_threads_are_never_merged():
     )
     behaviors = derive_posix_behaviors(graph_for(trace), trace)
     for b in behaviors:
-        tids = {trace.op(s).tid for s in b.node_seqs}
+        tids = {trace.ops_by_seq()[s].tid for s in b.node_seqs}
         assert len(tids) == 1
 
 
