@@ -28,12 +28,7 @@ from .graph import PersistenceGraph, StaticKey, build_graph, export_dot
 from .grouping import BehaviorGroup, group_behaviors, represents
 from .mmio_behaviors import EpochBoundary, derive_mmio_behaviors, mmio_epochs
 from .models import EdgeReason, HappensBefore, ModelConfig, mmio_edges, model_edges, posix_edges
-from .posix_behaviors import (
-    derive_function_subgraphs,
-    derive_posix_behaviors,
-    longest_common_prefix,
-    merge_up_tree,
-)
+from .posix_behaviors import common_path, derive_posix_behaviors
 from .simulate import (
     BugReport,
     CheckResult,

@@ -4,10 +4,14 @@
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import deque
 from dataclasses import dataclass
+from itertools import groupby
 
 from .graph import PersistenceGraph
+
+# Temporal clustering's radius, in seqs, and the points a core needs.
+DEFAULT_EPS = 10
+DEFAULT_MIN_PTS = 1
 
 
 @dataclass(frozen=True)
@@ -54,42 +58,40 @@ def make_behavior(
 
 
 def dbscan_1d(points: list[int], eps: int, min_pts: int) -> tuple[list[list[int]], list[int]]:
-    """DBSCAN over integer points on a line.
+    """DBSCAN over integer points on a line, as one scan of the sorted points.
 
     Returns (clusters, noise).  A point is core when at least ``min_pts``
-    points (itself included) lie within ``eps``; clusters grow from core
-    points in ascending order, border points joining the first cluster that
-    reaches them.
+    points (itself and its copies included) lie within ``eps``, counted by
+    bisection.  Consecutive cores within ``eps`` of each other share a
+    cluster.  Any other point joins the cluster of its nearest lower core if
+    that core reaches it, else that of its nearest upper core if it reaches
+    it, else it is noise.  A cluster lists each of its values once; noise
+    keeps every copy.
     """
     if eps <= 0 or min_pts <= 0:
         raise ValueError("eps and min_pts must be positive")
     pts = sorted(points)
-    neighbors = {p: pts[bisect_left(pts, p - eps):bisect_right(pts, p + eps)] for p in pts}
-    core = {p for p in pts if len(neighbors[p]) >= min_pts}
-    assigned: dict[int, int] = {}
+    cores = [p for p in dict.fromkeys(pts) if bisect_right(pts, p + eps) - bisect_left(pts, p - eps) >= min_pts]
     clusters: list[list[int]] = []
-    for p in pts:
-        if p in assigned or p not in core:
-            continue
-        cluster_id = len(clusters)
-        clusters.append([])
-        frontier = deque([p])
-        assigned[p] = cluster_id
-        while frontier:
-            cur = frontier.popleft()
-            clusters[cluster_id].append(cur)
-            if cur not in core:
-                continue
-            for q in neighbors[cur]:
-                if q not in assigned:
-                    assigned[q] = cluster_id
-                    frontier.append(q)
-    noise = [p for p in pts if p not in assigned]
-    return [sorted(c) for c in clusters], noise
+    cluster_of: list[int] = []  # the index in ``clusters`` of each core's cluster
+    for i, core in enumerate(cores):
+        if not i or core - cores[i - 1] > eps:
+            clusters.append([])
+        cluster_of.append(len(clusters) - 1)
+    noise: list[int] = []
+    for p, copies in groupby(pts):
+        i = bisect_right(cores, p)  # cores[i - 1] <= p < cores[i]
+        if i and p - cores[i - 1] <= eps:
+            clusters[cluster_of[i - 1]].append(p)
+        elif i < len(cores) and cores[i] - p <= eps:
+            clusters[cluster_of[i]].append(p)
+        else:
+            noise.extend(copies)
+    return clusters, noise
 
 
 def cluster_temporal(
-    behavior: UpdateBehavior, eps: int = 10, min_pts: int = 1
+    behavior: UpdateBehavior, eps: int = DEFAULT_EPS, min_pts: int = DEFAULT_MIN_PTS
 ) -> list[UpdateBehavior]:
     """Split a behavior into temporally local behaviors.
 

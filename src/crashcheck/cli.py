@@ -27,7 +27,7 @@ from functools import partial
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
-from .behavior import make_behavior
+from .behavior import DEFAULT_EPS, DEFAULT_MIN_PTS, make_behavior
 from .dsl import synth_workload
 from .errors import CrashCheckError, ModeMismatch
 from .graph import FULL_KEY, INNERMOST_KEY, build_graph, export_dot
@@ -37,6 +37,7 @@ from .models import ModelConfig, model_edges
 from .posix_behaviors import derive_posix_behaviors
 from .simulate import (
     DEFAULT_BUDGET,
+    DEFAULT_TIMEOUT,
     MAX_ORACLE_TIMEOUT,
     CrashSchedule,
     RunStats,
@@ -58,12 +59,12 @@ _CHECKER_COMMANDS = {"test", "exhaustive", "replay"}
 class RunConfig:
     mode: str | None = None
     model: ModelConfig = field(default_factory=ModelConfig)
-    dbscan_eps: int = 10
-    dbscan_min_pts: int = 1
+    dbscan_eps: int = DEFAULT_EPS
+    dbscan_min_pts: int = DEFAULT_MIN_PTS
     static_key: str = FULL_KEY
     checker: list[str] | None = None
     budget: int = DEFAULT_BUDGET
-    timeout: float = 30.0
+    timeout: float = DEFAULT_TIMEOUT
     out: Path = Path("out")
 
 

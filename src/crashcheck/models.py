@@ -51,7 +51,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import ModeMismatch
+from .errors import CrashCheckError, ModeMismatch
 from .trace import MMIO_KINDS, MMIO_MODE, POSIX_KINDS, POSIX_MODE, Operation, Trace
 
 
@@ -102,12 +102,30 @@ class ModelConfig:
 
 
 def parent_dir(path: str) -> str:
-    parent = posixpath.dirname(path.rstrip("/"))
+    parent = posixpath.dirname(path)
     return parent if parent else "."
 
 
 def entry_name(path: str) -> str:
-    return posixpath.basename(path.rstrip("/"))
+    return posixpath.basename(path)
+
+
+# The most blocks or cache lines one op may cover.  A write ending by byte
+# 2^26 covers at most 2^14 blocks of 4096 bytes, and a 2^20-byte range at
+# most 2^14 + 1 lines of 64 bytes (when it starts mid-line), so every trace
+# valid under the default sizes stays valid and a smaller size cannot make
+# one op's block or line set any larger.
+MAX_UNITS_PER_OP = (1 << 14) + 1
+
+
+def _check_units(op: Operation, start: int, size: int, unit: str) -> None:
+    """Raise when ``op``'s byte range from ``start`` covers more than
+    :data:`MAX_UNITS_PER_OP` units of ``size`` bytes."""
+    count = (start + max(op.args["length"], 1) - 1) // size - start // size + 1
+    if count > MAX_UNITS_PER_OP:
+        raise CrashCheckError(
+            f"op {op.seq} covers {count} {unit}s of size {size}, more than the {MAX_UNITS_PER_OP} one op may cover"
+        )
 
 
 def blocks_of(offset: int, length: int, block_size: int) -> frozenset[int]:
@@ -142,6 +160,8 @@ def posix_edges(trace: Trace, cfg: ModelConfig | None = None) -> HappensBefore:
     for op in trace.ops:
         if op.kind not in POSIX_KINDS:
             raise ModeMismatch(f"op {op.seq} has MMIO kind {op.kind!r} in a POSIX trace")
+        if op.kind in _DATA_KINDS:
+            _check_units(op, op.args["offset"], cfg.block_size, "block")
 
     same_block: dict[int, int] = {}
     metadata: dict[int, int] = {}
@@ -162,7 +182,7 @@ def posix_edges(trace: Trace, cfg: ModelConfig | None = None) -> HappensBefore:
             if kind == "sync":
                 sources = issued
             elif kind == "fsync" and args.get("dir"):
-                sources = meta_in_dir[args["path"].rstrip("/") or "."]
+                sources = meta_in_dir[args["path"]]
             else:
                 sources = data_at[args["path"]] | (meta_at[args["path"]] if kind == "fsync" else 0)
             # A barrier with nothing pending constrains nothing; one with
@@ -257,6 +277,8 @@ def mmio_edges(trace: Trace, cfg: ModelConfig | None = None) -> HappensBefore:
     for op in trace.ops:
         if op.kind not in MMIO_KINDS:
             raise ModeMismatch(f"op {op.seq} has POSIX kind {op.kind!r} in an MMIO trace")
+        if op.kind != "fence":
+            _check_units(op, op.args["addr"], cfg.cache_line_size, "cache line")
 
     # A store happens before every store after the first point at which any
     # of its lines is persisted: it joins the released bitsets there.

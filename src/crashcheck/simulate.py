@@ -55,7 +55,6 @@ import itertools
 import json
 import locale
 import os
-import posixpath
 import select
 import shutil
 import signal
@@ -509,7 +508,7 @@ def _apply_posix_op(image: FsImage, op: Operation):
         files.setdefault(path, b"")
         _add_entry(image.dirents, path)
     elif kind == "mkdir":
-        path = op.args["path"].rstrip("/")
+        path = op.args["path"]
         _add_entry(image.dirents, path)
         image.dirents.setdefault(path, frozenset())
     elif kind == "rename":
@@ -635,18 +634,17 @@ def materialize(image: FsImage | MemImage, scratch: Path):
     # Every directory on disk: the dirent keys, each file's parent, and all
     # their ancestors.  A file may not name one of them.
     dirs: set[str] = set()
-    for path in (*image.dirents, *(posixpath.dirname(posixpath.normpath(f)) for f in image.files)):
-        path = posixpath.normpath(path)
+    for path in (*image.dirents, *map(parent_dir, image.files)):
         while path not in dirs:
             dirs.add(path)
-            path = posixpath.normpath(posixpath.dirname(path))
+            path = parent_dir(path)
     for path in image.files:
-        if posixpath.normpath(path) in dirs:
+        if path in dirs:
             raise ReplayError(f"cannot materialize file {path!r}: the image also has it as a directory")
     for dirpath in dirs:
         (scratch / dirpath).mkdir(parents=True, exist_ok=True)
     for path, data in image.files.items():
-        (scratch / posixpath.normpath(path)).write_bytes(data)
+        (scratch / path).write_bytes(data)
 
 
 def _decode(data: bytes) -> str:
@@ -809,8 +807,10 @@ def _exec_main(args: list[str]) -> int:
     return 0
 
 
-# The longest checker timeout in seconds that both oracle paths can wait:
-# ``subprocess`` polls for at most 2^31 - 1 milliseconds.
+# The checker timeout in seconds when none is configured, and the longest
+# that both oracle paths can wait: ``subprocess`` polls for at most 2^31 - 1
+# milliseconds.
+DEFAULT_TIMEOUT = 30.0
 MAX_ORACLE_TIMEOUT = (2**31 - 1) // 1000
 
 
@@ -818,7 +818,7 @@ def run_oracle(
     image: FsImage | MemImage,
     checker: list[str],
     scratch: Path,
-    timeout: float = 30.0,
+    timeout: float = DEFAULT_TIMEOUT,
 ) -> CheckResult:
     """Materialize the image, run the argv ``checker`` with ``scratch``
     appended, map the exit status: 0 is consistent, anything else inconsistent, a timeout is an
@@ -948,7 +948,7 @@ def test_groups(
     scratch_root: Path,
     cfg: ModelConfig | None = None,
     budget: int = DEFAULT_BUDGET,
-    timeout: float = 30.0,
+    timeout: float = DEFAULT_TIMEOUT,
 ) -> tuple[list[BugReport], RunStats]:
     """Explore every distinct representative and check each new state.
 

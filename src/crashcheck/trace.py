@@ -205,8 +205,11 @@ def _validate_args(kind: str, args: dict, line_no: int, error: type = ParseError
         if key in args and not isinstance(args[key], str):
             raise error(line_no, f"{kind} arg {key!r} must be a string")
     for key in ("path", "dst"):
-        if key in args and escapes_root(args[key]):
-            raise error(line_no, f"{kind} arg {key!r} must stay inside the image, got {args[key]!r}")
+        if key in args:
+            if escapes_root(args[key]):
+                raise error(line_no, f"{kind} arg {key!r} must stay inside the image, got {args[key]!r}")
+            # One spelling per file: ``./a``, ``a/`` and ``d/../a`` are all ``a``.
+            args[key] = posixpath.normpath(args[key])
     if "digest" in args and not args["digest"].isascii():
         raise error(line_no, f"{kind} arg 'digest' must be ASCII")
     for key in ("offset", "length", "addr", "line"):

@@ -27,8 +27,9 @@ from crashcheck.models import (
     lines_of,
     parent_dir,
 )
+from crashcheck.posix_behaviors import _leaf_runs
 from crashcheck.simulate import CheckResult, CrashSchedule, FsImage, ops_commute, replay
-from crashcheck.trace import MMIO_MODE, POSIX_MODE, TraceMeta, payload_digest
+from crashcheck.trace import MMIO_MODE, POSIX_MODE, TraceMeta, payload_digest, split_by_thread
 
 
 def bt(*frames: tuple[str, int], file: str = "app.c") -> Backtrace:
@@ -521,6 +522,18 @@ def random_annotated_mmio_trace(rng: random.Random, max_ops: int = 8, threads: i
             o = dataclasses.replace(o, annotation=annotation)
         ops.append(o)
     return mmio_trace(ops)
+
+
+def leaf_runs_by_path(graph: PersistenceGraph, trace: Trace) -> dict[tuple[str, ...], list[tuple[int, ...]]]:
+    """Every thread's leaf runs over its graph ops, threads in tid order,
+    as ``{path: [seqs of each run]}``."""
+    out: dict[tuple[str, ...], list[tuple[int, ...]]] = {}
+    for _, ops in sorted(split_by_thread(trace).items()):
+        thread_ops = [o for o in ops if o.seq in graph.ops_by_seq]
+        if thread_ops:
+            for path, run in _leaf_runs(thread_ops):
+                out.setdefault(path, []).append(tuple(o.seq for o in run))
+    return out
 
 
 def dbscan_1d_reference(points: list[int], eps: int, min_pts: int) -> tuple[list[list[int]], list[int]]:

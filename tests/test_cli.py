@@ -386,6 +386,60 @@ def test_exhaustive_chain_of_three(tmp_path):
     assert report["distinct_states"] == 4
 
 
+def test_two_spellings_of_a_rename_source_are_one_file(tmp_path):
+    dsl = tmp_path / "rename.dsl"
+    dsl.write_text("fn main {\n  create a\n  rename ./a b\n}\n")
+    for command in ("test", "exhaustive"):
+        out = tmp_path / command
+        assert run(command, "--mode", "POSIX", "--dsl", dsl, "--checker", checker_arg("always_ok.py"), "--out", out) == 0
+
+
+def test_two_spellings_of_a_written_file_share_its_blocks(tmp_path):
+    dsl = tmp_path / "rewrite.dsl"
+    dsl.write_text('fn main {\n  write a "1" @0\n  write ./a "2" @0\n}\n')
+    out = tmp_path / "out"
+    assert run("exhaustive", "--mode", "POSIX", "--dsl", dsl, "--out", out) == 0
+    report = json.loads((out / "states.json").read_text())
+    # The second write overwrites the first: nothing, "1", "2".
+    assert (report["schedules_tested"], report["distinct_states"]) == (3, 3)
+
+
+def _one_op_trace(tmp_path, mode, kind, args):
+    trace_file = tmp_path / "t.jsonl"
+    record = {"seq": 1, "tid": 0, "kind": kind, "args": args,
+              "backtrace": [{"function": "main", "file": "a.c", "line": 1}]}
+    trace_file.write_text(json.dumps({"app": "x", "mode": mode, "version": 1}) + "\n" + json.dumps(record) + "\n")
+    return trace_file
+
+
+_WIDE_OPS = {
+    "write": ("POSIX", "write", {"path": "f", "offset": 0, "length": 32768, "digest": "0" * 64}, "--block-size"),
+    "store": ("MMIO", "store", {"addr": 0, "length": 32768, "digest": "0" * 64}, "--cache-line-size"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WIDE_OPS))
+def test_op_covering_too_many_units_exits_2(tmp_path, capsys, name):
+    mode, kind, args, flag = _WIDE_OPS[name]
+    trace_file = _one_op_trace(tmp_path, mode, kind, args)
+    assert run("analyze", "--trace", trace_file, "--out", tmp_path / "ok") == 0
+    assert run("analyze", "--trace", trace_file, flag, 1, "--out", tmp_path / "wide") == 2
+    assert "op 1 covers 32768" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mode, kind, args",
+    [
+        ("POSIX", "write", {"path": "f", "offset": 1, "length": (1 << 26) - 1, "digest": "0" * 64}),
+        ("MMIO", "store", {"addr": 63, "length": 1 << 20, "digest": "0" * 64}),
+        ("MMIO", "flush", {"addr": 63, "length": 1 << 20}),
+    ],
+    ids=["write", "store", "flush"],
+)
+def test_widest_op_at_the_default_sizes_stays_valid(tmp_path, mode, kind, args):
+    assert run("analyze", "--trace", _one_op_trace(tmp_path, mode, kind, args), "--out", tmp_path / "out") == 0
+
+
 def test_exhaustive_empty_trace_single_state(tmp_path):
     trace_file = tmp_path / "t.jsonl"
     trace_file.write_text('{"app": "x", "mode": "POSIX", "version": 1}\n')

@@ -1,5 +1,6 @@
-"""A guard on dead code: every top-level function and class in
-``src/crashcheck``, and every method that is not a dunder, must be named by
+"""A guard on dead code: every top-level function, class and assigned name
+(a constant, type alias or table) in ``src/crashcheck``, except
+``__version__``, and every method that is not a dunder, must be named by
 code in ``src/`` outside its own definition.  Names are read from the
 syntax tree, so docstrings, comments and import lists do not count as uses;
 a symbol that only tests or re-exports reach fails here."""
@@ -25,9 +26,9 @@ def _names_used(node: ast.AST) -> Counter:
 
 def _definitions(tree: ast.Module):
     """(qualified name, the keys a use of it is counted under, node) of
-    each top-level function and class and of each non-dunder method.  A
-    method is only ever reached as an attribute; a local variable of the
-    same name does not use it."""
+    each top-level function, class and assigned name and of each non-dunder
+    method.  A method is only ever reached as an attribute; a local variable
+    of the same name does not use it."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name, (node.name, "." + node.name), node
@@ -37,6 +38,11 @@ def _definitions(tree: ast.Module):
                     item.name.startswith("__") and item.name.endswith("__")
                 ):
                     yield f"{node.name}.{item.name}", ("." + item.name,), item
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for name in (sub for target in targets for sub in ast.walk(target)):
+                if isinstance(name, ast.Name) and name.id != "__version__":
+                    yield name.id, (name.id, "." + name.id), node
 
 
 def test_every_symbol_in_src_is_used_in_src():

@@ -2,20 +2,24 @@ import random
 
 from crashcheck import (
     build_graph,
-    longest_common_prefix,
+    common_path,
     posix_edges,
     synth_workload,
 )
 from crashcheck.behavior import cluster_temporal, dbscan_1d, make_behavior
 from crashcheck.graph import StaticKey
-from crashcheck.posix_behaviors import (
-    derive_function_subgraphs,
-    derive_posix_behaviors,
-    merge_up_tree,
-    prefix_path,
-)
+from crashcheck.posix_behaviors import derive_posix_behaviors
 
-from helpers import bt, dbscan_1d_reference, edge_triples, op, posix_trace, random_posix_trace, write_args
+from helpers import (
+    bt,
+    dbscan_1d_reference,
+    edge_triples,
+    leaf_runs_by_path,
+    op,
+    posix_trace,
+    random_posix_trace,
+    write_args,
+)
 
 
 def behavior_sets(behaviors):
@@ -27,27 +31,26 @@ def behavior_sets(behaviors):
 
 def test_lcp_of_identical_backtraces_is_full():
     trace = bt(("main", 1), ("f", 2), ("g", 3))
-    assert longest_common_prefix(trace, trace) == trace
+    assert common_path(trace, trace) == trace.functions()
 
 
 def test_lcp_stops_at_diverging_functions():
     a = bt(("main", 1), ("Fn1", 5), ("Fn3", 8), ("Fn4", 9))
     b = bt(("main", 1), ("Fn1", 5), ("Fn3", 8), ("Fn5", 9))
-    assert prefix_path(longest_common_prefix(a, b)) == ("main", "Fn1", "Fn3")
+    assert common_path(a, b) == ("main", "Fn1", "Fn3")
 
 
 def test_lcp_includes_frame_with_differing_call_sites():
     a = bt(("main", 1), ("f", 7))
     b = bt(("main", 1), ("f", 9))
     # Two call sites inside f: the prefix ends at f itself.
-    assert prefix_path(longest_common_prefix(a, b)) == ("main", "f")
+    assert common_path(a, b) == ("main", "f")
 
 
 def test_lcp_of_disjoint_roots_is_empty():
     a = bt(("alpha", 1))
     b = bt(("beta", 1))
-    assert longest_common_prefix(a, b) is None
-    assert prefix_path(longest_common_prefix(a, b)) == ()
+    assert common_path(a, b) == ()
 
 
 # --- leaf derivation (pairwise LCP walk) ---
@@ -59,9 +62,7 @@ def graph_for(trace):
 
 def test_fig3_leaf_derivation(fig3_trace):
     graph = graph_for(fig3_trace)
-    fmap = derive_function_subgraphs(graph, fig3_trace)
-    by_path = {path: [b.node_seqs for b in bs] for path, bs in fmap.items()}
-    assert by_path == {
+    assert leaf_runs_by_path(graph, fig3_trace) == {
         ("Fn1", "Fn2"): [(1, 2)],
         ("Fn1", "Fn3", "Fn4"): [(3, 4)],
         ("Fn1", "Fn3", "Fn5"): [(5, 6, 7)],
@@ -73,8 +74,7 @@ def test_constant_backtrace_yields_single_behavior():
     trace = posix_trace(
         [op(s, "write", write_args("f", b"x", 4096 * s), frames) for s in (1, 2, 3)]
     )
-    fmap = derive_function_subgraphs(graph_for(trace), trace)
-    assert {p: [b.node_seqs for b in bs] for p, bs in fmap.items()} == {
+    assert leaf_runs_by_path(graph_for(trace), trace) == {
         ("main", "writer"): [(1, 2, 3)]
     }
 
@@ -90,16 +90,14 @@ def test_alternating_leaves_handmade_walk():
             op(4, "write", write_args("b", b"4"), (("main", 4), ("B", 21))),
         ]
     )
-    fmap = derive_function_subgraphs(graph_for(trace), trace)
-    assert {p: [b.node_seqs for b in bs] for p, bs in fmap.items()} == {
+    assert leaf_runs_by_path(graph_for(trace), trace) == {
         ("main",): [(1, 2, 3, 4)]
     }
 
 
 def test_single_op_thread_gets_singleton_behavior():
     trace = posix_trace([op(1, "write", write_args("f", b"x"), (("main", 3), ("w", 9)))])
-    fmap = derive_function_subgraphs(graph_for(trace), trace)
-    assert {p: [b.node_seqs for b in bs] for p, bs in fmap.items()} == {
+    assert leaf_runs_by_path(graph_for(trace), trace) == {
         ("main", "w"): [(1,)]
     }
 
@@ -112,8 +110,7 @@ def test_trailing_op_after_shallow_close_gets_singleton():
             op(3, "write", write_args("b", b"3"), (("main", 5),)),
         ]
     )
-    fmap = derive_function_subgraphs(graph_for(trace), trace)
-    assert {p: [b.node_seqs for b in bs] for p, bs in fmap.items()} == {
+    assert leaf_runs_by_path(graph_for(trace), trace) == {
         ("main", "deep"): [(1, 2)],
         ("main",): [(3,)],
     }
@@ -124,11 +121,10 @@ def test_leaf_behaviors_cover_thread_and_stay_disjoint():
     for _ in range(20):
         trace = random_posix_trace(rng)
         graph = graph_for(trace)
-        fmap = derive_function_subgraphs(graph, trace)
         seen = []
-        for behaviors in fmap.values():
-            for b in behaviors:
-                seen.extend(b.node_seqs)
+        for runs in leaf_runs_by_path(graph, trace).values():
+            for seqs in runs:
+                seen.extend(seqs)
         assert sorted(seen) == list(graph.node_seqs)  # disjoint cover
 
 
@@ -142,8 +138,7 @@ def test_recursion_levels_stay_distinct():
             op(4, "write", write_args("b", b"4"), (("work", 8),)),
         ]
     )
-    fmap = derive_function_subgraphs(graph_for(trace), trace)
-    assert {p: [b.node_seqs for b in bs] for p, bs in fmap.items()} == {
+    assert leaf_runs_by_path(graph_for(trace), trace) == {
         ("work", "work"): [(1, 2)],
         ("work",): [(3, 4)],
     }
@@ -162,11 +157,11 @@ def test_multithreaded_leaf_coverage_and_disjointness():
             )
         trace = posix_trace(ops)
         graph = graph_for(trace)
-        fmap = derive_function_subgraphs(graph, trace)
+        tid_of = {o.seq: o.tid for o in trace.ops}
         per_tid_nodes = {}
-        for behaviors in fmap.values():
-            for b in behaviors:
-                per_tid_nodes.setdefault(b.tid, []).extend(b.node_seqs)
+        for runs in leaf_runs_by_path(graph, trace).values():
+            for seqs in runs:
+                per_tid_nodes.setdefault(tid_of[seqs[0]], []).extend(seqs)
         for tid, nodes in per_tid_nodes.items():
             expected = [o.seq for o in trace.ops if o.tid == tid]
             assert sorted(nodes) == expected  # disjoint cover per thread
@@ -207,11 +202,8 @@ def test_childless_function_is_unchanged():
         [op(s, "write", write_args("f", b"x", 4096 * s), (("main", s),)) for s in (1, 2)]
     )
     graph = graph_for(trace)
-    fmap = derive_function_subgraphs(graph, trace)
-    merged = merge_up_tree(fmap, trace, graph)
-    assert {p: [b.node_seqs for b in bs] for p, bs in merged.items()} == {
-        ("main",): [(1, 2)]
-    }
+    behaviors = derive_posix_behaviors(graph, trace)
+    assert [(b.owner_function, b.node_seqs) for b in behaviors] == [("main", (1, 2))]
 
 
 def test_temporally_dispersed_children_split_on_merge():

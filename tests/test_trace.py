@@ -148,9 +148,12 @@ def test_path_outside_the_image_is_a_parse_error(path):
 
 
 def test_paths_inside_the_image_parse():
-    for path in ("f", "dir/f", "a/../f", ".", "./f"):
+    # Each path is stored in its one canonical spelling.
+    for path, stored in (
+        ("f", "f"), ("dir/f", "dir/f"), ("a/../f", "f"), (".", "."), ("./f", "f"), ("a/", "a"), ("a//b", "a/b"),
+    ):
         trace = parse_trace("\n".join([HEADER, record(1, "create", {"path": path})]))
-        assert trace.ops[0].args["path"] == path
+        assert trace.ops[0].args["path"] == stored
 
 
 def test_non_monotone_seq_is_rejected():
