@@ -393,7 +393,6 @@ def cmd_test(args: argparse.Namespace) -> int:
             trace,
             cfg.checker,
             Path(scratch),
-            cfg=cfg.model,
             budget=cfg.budget,
             timeout=cfg.timeout,
         )

@@ -78,9 +78,8 @@ def _tokenize(program: str):
 
 
 class _Synth:
-    def __init__(self, mode: str, file_name: str, cache_line_size: int):
+    def __init__(self, mode: str, cache_line_size: int):
         self.mode = mode
-        self.file_name = file_name
         self.cache_line_size = cache_line_size
         # stack of (function name, line where its block opens)
         self.fn_stack: list[tuple[str, int]] = []
@@ -93,7 +92,7 @@ class _Synth:
                 call_line = self.fn_stack[i + 1][1]
             else:
                 call_line = stmt_line
-            frames.append(Frame(name, self.file_name, call_line))
+            frames.append(Frame(name, "<dsl>", call_line))
         return Backtrace(tuple(frames))
 
     def emit(self, line_no: int, kind: str, args: dict, annotation: Annotation | None = None):
@@ -188,19 +187,18 @@ class _Synth:
 def synth_workload(
     program: str,
     mode: str,
-    app_name: str = "workload",
-    file_name: str = "<dsl>",
     cache_line_size: int = 64,
 ) -> Trace:
     """Compile a workload program into a deterministic trace.
 
     Operations correspond 1:1 to storage statements in program order, with
-    seq starting at 1 and all ops on tid 0.
+    seq starting at 1 and all ops on tid 0.  The trace's app name is
+    ``workload`` and every frame's file ``<dsl>``.
     """
     if mode not in (POSIX_MODE, MMIO_MODE):
         raise DslError(0, f"mode must be POSIX or MMIO, got {mode!r}")
 
-    synth = _Synth(mode, file_name, cache_line_size)
+    synth = _Synth(mode, cache_line_size)
     pending: list[str] = []
     pending_line = 0
     pending_fn: str | None = None
@@ -249,4 +247,4 @@ def synth_workload(
     if synth.fn_stack:
         raise DslError(last_line, f"unclosed fn block {synth.fn_stack[-1][0]!r}")
 
-    return Trace(meta=TraceMeta(app_name=app_name, mode=mode), ops=synth.ops)
+    return Trace(meta=TraceMeta(app_name="workload", mode=mode), ops=synth.ops)

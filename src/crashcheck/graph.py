@@ -157,7 +157,7 @@ def build_graph(trace: Trace, hb: HappensBefore, key_mode: str = FULL_KEY) -> Pe
     return PersistenceGraph(ops_by_seq, seqs, preds, hb.rules, keys, mask, key_mode)
 
 
-def export_dot(graph: PersistenceGraph, name: str = "pg", write=None) -> str | None:
+def export_dot(graph: PersistenceGraph, write=None) -> str | None:
     """Deterministic DOT rendering: nodes labeled kind@file:line in seq
     order, then edges in (src, dst) order, each labeled with the first of
     its destination's rules that holds it.  The text goes to ``write`` in
@@ -169,9 +169,9 @@ def export_dot(graph: PersistenceGraph, name: str = "pg", write=None) -> str | N
     destination order without sorting the edges."""
     if write is None:
         parts: list[str] = []
-        export_dot(graph, name, parts.append)
+        export_dot(graph, parts.append)
         return "".join(parts)
-    write(f"digraph {name} {{\n")
+    write("digraph pg {\n")
     mask, preds, rules = graph.mask, graph.preds, graph.rules.items()
     nodes = list(graph._seqs_in(mask))
     tails: dict[int, list[str]] = {}

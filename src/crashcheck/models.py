@@ -10,6 +10,10 @@ filled from one running bitset per path, block, directory or line, so no
 ``(src, dst)`` pair is built.  When several rules order a pair, the first
 in naming priority names it: ``SameBlock`` > ``MetadataOrder`` >
 ``SyncBarrier``, and ``SameCacheLine`` > ``FlushFence`` > ``Msync``.
+In both models every two persisting ops whose replays do not commute are
+ordered by a direct edge, so every order of a downward-closed set of ops
+replays to one image, that of its ops in seq order;
+:mod:`crashcheck.simulate` relies on it.
 
 POSIX rules (ext4-style):
 
@@ -25,9 +29,13 @@ POSIX rules (ext4-style):
   it points at later persisting ops.  Anchors order the barrier op itself,
   so schedules never move a barrier past its sources or sinks; they add no
   ordering between persisting ops beyond the direct edges;
-* metadata ops naming the same path are ordered in trace order, and a
-  rename or unlink is ordered after the earlier ops that materialize its
-  source (otherwise legal schedules could rename a file that never existed);
+* metadata ops naming the same path are ordered in trace order; a rename
+  or unlink consumes the paths it names, a rename both its source and its
+  destination, and is ordered after the earlier ops that create them
+  (otherwise legal schedules could rename a file that never existed, or
+  land an earlier write to the destination on the file renamed onto it);
+  a later write or create of a consumed path is ordered after the
+  consumer;
 * open/close contribute nothing.
 
 MMIO rules (persistent-x86 style): stores overlapping a cache line are
@@ -207,26 +215,29 @@ def posix_edges(trace: Trace, cfg: ModelConfig | None = None) -> HappensBefore:
             data_at[path] |= bit
         same_block[op.seq] = same
 
-        # Metadata ops naming a shared path, in trace order.  A rename's
-        # source (and an unlink's target) must have been materialized, and
-        # recreating a consumed path is ordered after the consumer; the
-        # per-path life cycle then replays in trace order under any legal
-        # schedule, so path-based replay never sees an impossible state.
-        # Every bitset is read before this op joins any, so ``rename a a``
-        # is not ordered after itself.
+        # Metadata ops naming a shared path, in trace order.  A rename or
+        # unlink consumes the paths it names (a rename replaces what its
+        # destination held) and is ordered after their earlier creators,
+        # and recreating or writing a consumed path is ordered after the
+        # consumer; the per-path life cycle then replays in trace order
+        # under any legal schedule, so path-based replay never sees an
+        # impossible state.  Every bitset is read before this op joins any,
+        # so ``rename a a`` is not ordered after itself.
         named = _paths_named(op)
-        consumed = args["path"] if kind in ("rename", "unlink") else None
+        consumed = named if kind in ("rename", "unlink") else ()
         created = args["dst"] if kind == "rename" else (None if kind == "unlink" else args["path"])
         for path in named:
             ordered |= meta_at[path]
-        metadata[op.seq] = ordered | creators[consumed] | consumers[created]
+        for path in consumed:
+            ordered |= creators[path]
+        metadata[op.seq] = ordered | consumers[created]
         for path in named:
             meta_at[path] |= bit
             meta_in_dir[parent_dir(path)] |= bit
         if created is not None:
             creators[created] |= bit
-        if consumed is not None:
-            consumers[consumed] |= bit
+        for path in consumed:
+            consumers[path] |= bit
     return HappensBefore({
         EdgeReason.SAME_BLOCK: same_block,
         EdgeReason.METADATA_ORDER: metadata,

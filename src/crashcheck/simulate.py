@@ -5,40 +5,34 @@ test (the context) and then some downward-closed subset of the behavior's
 nodes in an order that respects its edges.  Ordering ops are schedule
 members but replay no-ops.
 
-Enumeration prunes linearizations that provably replay to the same image:
-two ops commute when they touch disjoint (file, block) pairs or disjoint
-cache lines and share no directory-entry or inode conflict, and only
-sequences with no adjacent commuting inversion count (the
-lexicographically-least order within each commuting class survives).
-:func:`explore`, the one enumerate → replay → dedup → digest → check loop,
-dedups on image contents, which catches any equivalent images that still
-slip through, so the distinct-image set always equals the unpruned set.  The
-unpruned enumerator ``exhaustive_schedules`` counts every valid order and
-backs the whole-trace baseline, which ``exhaustive`` runs through the same
-:func:`explore`.
+The persistence models order every two persisting ops that do not commute
+(see :mod:`crashcheck.models`), so every order of a downward-closed subset
+replays to one image, that of its ops in seq order: a crash state is a
+subset, and enumeration never walks orders.  Both enumerators visit each
+downward-closed subset once, in a fixed order, and build its image with
+one step from the subset without its highest node; the budget counts
+subsets per behavior.  ``enumerate_schedules`` counts one order per
+subset.  ``exhaustive_schedules`` counts every valid order, as the sum of
+the counts of the subsets one maximal node smaller (the way linear
+extensions are counted; De Loof, De Meyer & De Baets, 2006), and backs the
+whole-trace baseline.  :func:`explore`, the one enumerate → replay → dedup
+→ digest → check loop, runs either.  A subset's entry is dropped once
+every subset one node larger is built, so live entries never outnumber
+the visited subsets.
 
 A bare :func:`replay` builds one schedule's crash image by applying the
-context and then the applied ops to an empty image it owns.  Exploration
-never walks the orders.  A subset's final states depend only on the states
-its sub-subsets end in, so the enumerators run a dynamic program over the
-lattice of downward-closed subsets (De Loof, De Meyer & De Baets, 2006),
-visiting each subset once in a fixed order; the budget counts them per
-behavior.  Each subset's table maps (last node, interned image) to the
-number of orders that reach it and the least of them, and is built from
-the tables of the subsets one node smaller; a table is dropped once every
-subset one node larger is built, so live tables never outnumber the
-visited subsets.  Replay is a deterministic
-function of (image contents, op), so a :class:`StateCache` interns every
-image by ``content_key`` (equal contents share one object) and memoizes
-each (interned image, op) step: each distinct step is applied once per
-cache, and every repeat is one dict lookup.  Images are copy-on-write:
-interned images share every file and directory an op did not touch, so
-they must be treated as read-only.  :func:`explore` dedups on the identity
-of the interned image and computes the sha256 digest once per distinct
-state.  A POSIX digest is joined from one JSON fragment per file and per
-directory, memoized in the cache by (path, contents), so a file that many
-states share is encoded once; the digest's input is the same text as
-``json.dumps`` of the whole image with sorted keys.
+context and then the applied ops to an empty image it owns.  Replay is a
+deterministic function of (image contents, op), so a :class:`StateCache`
+interns every image by ``content_key`` (equal contents share one object)
+and memoizes each (interned image, op) step: each distinct step is applied
+once per cache, and every repeat is one dict lookup.  Images are
+copy-on-write: interned images share every file and directory an op did
+not touch, so they must be treated as read-only.  :func:`explore` dedups
+on the identity of the interned image and computes the sha256 digest once
+per distinct state.  A POSIX digest is joined from one JSON fragment per
+file and per directory, memoized in the cache by (path, contents), so a
+file that many states share is encoded once; the digest's input is the
+same text as ``json.dumps`` of the whole image with sorted keys.
 
 The oracle materializes each new state and runs ``<checker> <scratch>``.
 A checker of the form ``<this interpreter> <script>`` runs in a fork of
@@ -73,7 +67,7 @@ from typing import Callable, Iterable, Iterator, NoReturn
 from .behavior import UpdateBehavior
 from .errors import CheckerError, ExplosionLimit, ReplayError
 from .graph import FULL_KEY, StaticKey, export_dot
-from .models import ModelConfig, blocks_of, lines_of, parent_dir, entry_name
+from .models import entry_name, parent_dir
 from .trace import MMIO_MODE, POSIX_MODE, Operation, Trace, escapes_root
 
 
@@ -127,73 +121,6 @@ def schedule_from_json(data, trace: Trace) -> CrashSchedule:
 
 
 # ---------------------------------------------------------------------------
-# Commutation
-# ---------------------------------------------------------------------------
-
-_ALL_BLOCKS = frozenset({-1})
-
-
-def _posix_resources(op: Operation, cfg: ModelConfig):
-    kind = op.kind
-    if kind in ("write", "pwrite"):
-        return (
-            {("data", op.args["path"], b) for b in blocks_of(op.args["offset"], op.args["length"], cfg.block_size)},
-            set(),
-        )
-    if kind in ("create", "mkdir"):
-        path = op.args["path"]
-        return set(), {("dirent", parent_dir(path), entry_name(path)), ("inode", path)}
-    if kind == "unlink":
-        path = op.args["path"]
-        return (
-            {("data", path, b) for b in _ALL_BLOCKS},
-            {("dirent", parent_dir(path), entry_name(path)), ("inode", path)},
-        )
-    if kind == "rename":
-        src, dst = op.args["path"], op.args["dst"]
-        return (
-            {("data", p, b) for p in (src, dst) for b in _ALL_BLOCKS},
-            {
-                ("dirent", parent_dir(src), entry_name(src)),
-                ("dirent", parent_dir(dst), entry_name(dst)),
-                ("inode", src),
-                ("inode", dst),
-            },
-        )
-    return set(), set()
-
-
-def _data_conflict(a: set, b: set) -> bool:
-    paths_a: dict[str, set[int]] = {}
-    for _, path, blk in a:
-        paths_a.setdefault(path, set()).add(blk)
-    for _, path, blk in b:
-        blks = paths_a.get(path)
-        if blks is None:
-            continue
-        if blk == -1 or -1 in blks or blk in blks:
-            return True
-    return False
-
-
-def ops_commute(a: Operation, b: Operation, cfg: ModelConfig) -> bool:
-    """True when replaying a then b provably equals replaying b then a."""
-    if not (a.is_persisting and b.is_persisting):
-        return True
-    if a.kind == "store" or b.kind == "store":
-        if a.kind != "store" or b.kind != "store":
-            return True
-        la = lines_of(a.args["addr"], a.args["length"], cfg.cache_line_size)
-        lb = lines_of(b.args["addr"], b.args["length"], cfg.cache_line_size)
-        return not (la & lb)
-    data_a, meta_a = _posix_resources(a, cfg)
-    data_b, meta_b = _posix_resources(b, cfg)
-    if meta_a & meta_b:
-        return False
-    return not _data_conflict(data_a, data_b)
-
-
-# ---------------------------------------------------------------------------
 # Enumeration
 # ---------------------------------------------------------------------------
 
@@ -205,35 +132,31 @@ DEFAULT_BUDGET = 100_000
 def _schedules(
     behavior: UpdateBehavior,
     trace: Trace,
-    cfg: ModelConfig | None,
+    every_order: bool,
     budget: int,
     cache: StateCache | None,
 ) -> Iterator[tuple[int, CrashSchedule | None, FsImage | MemImage | None]]:
-    """The crash states of every downward-closed subset of the behavior's
-    nodes, over every order that respects its edges; with a config, over
-    the orders with no adjacent commuting inversion.
+    """The crash state of every downward-closed subset of the behavior's
+    nodes, with the number of its orders that respect the edges when
+    ``every_order`` is set, and one order per subset otherwise.
 
     Subsets come in lexicographic order of their membership vectors over
-    ascending seqs, "absent" before "present", and a subset's orders in
-    lexicographic order of their seqs.  Bit ``i`` of every bitset is the
-    ``i``-th node in seq order.  Per subset it yields ``(1, schedule,
-    image)`` for each image not in ``cache.seen`` (it is added), in the
-    order of the first order that reaches it, then ``(rest, None, None)``
-    for the other orders; a :class:`ReplayError` is raised where the first
-    order that hits one falls.  ``budget`` counts subsets: after the
-    ``budget``-th, if any remain, it raises :class:`ExplosionLimit`, so the
-    weights it yielded are the exact order count of the subsets it
-    completed.
+    ascending seqs, "absent" before "present".  Bit ``i`` of every bitset
+    is the ``i``-th node in seq order.  Per subset it yields ``(1,
+    schedule, image)`` if the image is not in ``cache.seen`` (it is added),
+    the schedule applying the subset in seq order, then ``(rest, None,
+    None)`` for its other orders; a :class:`ReplayError` is raised at the
+    first subset whose image cannot be replayed.  ``budget`` counts
+    subsets: after the ``budget``-th, if any remain, it raises
+    :class:`ExplosionLimit`, so the weights it yielded are the exact order
+    count of the subsets it completed.
 
-    The dynamic program keeps for each subset a table keyed by (last node,
-    interned image), the last node -1 without a config, as then only the
-    image decides what may follow.  An entry holds the number of orders
-    that reach its key and the least of them as a ``(prefix cell, node)``
-    cell, whose prefix cell is the least order of the entry it came from:
-    equal prefixes are one object, so two orders compare below their
-    deepest common cell.  A table is built from the tables of the subsets
-    one maximal node smaller through ``cache.step``, and an order that
-    fails carries its first :class:`ReplayError`, one per message.
+    The model orders every two persisting ops that do not commute, so
+    every order of a subset replays to the image of its ops in seq order.
+    The dynamic program keeps for each subset its order count and that
+    image, interned: the image is one ``cache.step`` of the subset's
+    highest node from the subset without it, and the count is the sum of
+    the counts of the subsets one maximal node smaller.
     """
     cache = StateCache() if cache is None else cache
     context = tuple(op for op in trace.ops if op.seq < behavior.span[0])
@@ -257,31 +180,15 @@ def _schedules(
             ancestors[i] |= ancestors[j]
             rest &= ~(ancestors[j] | 1 << j)
         ancestors[i] |= pred_bits
-    # commutes[i] holds the nodes below i found to commute with it so far,
-    # tested[i] every node below i tested so far.
-    commutes = [0] * len(seqs)
-    tested = [0] * len(seqs)
-
-    def may_follow(last: int, node: int) -> bool:
-        # Whether node may come right after last (-1: nothing).
-        if cfg is None or node > last:
-            return True
-        if not tested[last] >> node & 1:
-            tested[last] |= 1 << node
-            if ops_commute(ops[last], ops[node], cfg):
-                commutes[last] |= 1 << node
-        return not commutes[last] >> node & 1
 
     mode = trace.meta.mode
     # The context is replayed in place and only the image after it is
     # interned, so a long context costs no image per op.
     base = cache.intern(replay(CrashSchedule(behavior.id, mode, context, ())))
-    # subset -> {(last, id(image)): [orders, least order, image]}, and the
-    # number of subsets one node larger still to build from each table.
-    tables = {0: {(-1, id(base)): [1, None, base]}}
+    # subset -> (orders, image), and the number of subsets one node larger
+    # still to build from each entry.
+    entries = {0: (1, base)}
     pending: dict[int, int] = {}
-    # The first ReplayError of each message: orders that fail alike share a key.
-    errors: dict[str, ReplayError] = {}
     # The current subset, the nodes that may join it, and its members in
     # ascending order, each with the union of the predecessors of the
     # members up to it; ``visited`` counts the subsets up to this one.
@@ -289,22 +196,13 @@ def _schedules(
     addable = sum(1 << i for i, pred_bits in enumerate(preds) if not pred_bits)
     members = [(-1, 0)]
     for visited in itertools.count(1):
-        total = 0
-        least: dict[int, tuple] = {}
-        for orders, order, image in tables[subset].values():
-            total += orders
-            if id(image) not in cache.seen:
-                first = least.get(id(image))
-                if first is None or _precedes(order, first[0]):
-                    least[id(image)] = order, image
-        new = sorted((_nodes(order), image) for order, image in least.values())
-        for order, image in new:
-            if isinstance(image, ReplayError):
-                raise image
+        orders, image = entries[subset]
+        if id(image) not in cache.seen:
             cache.seen.add(id(image))
-            yield 1, CrashSchedule(behavior.id, mode, context, tuple(map(ops.__getitem__, order))), image
-        if total > len(new):
-            yield total - len(new), None, None
+            orders -= 1
+            yield 1, CrashSchedule(behavior.id, mode, context, tuple(ops[i] for i, _ in members[1:])), image
+        if orders:
+            yield orders, None, None
         if not addable:
             return
         if visited >= budget:
@@ -327,61 +225,32 @@ def _schedules(
         while members[-1][0] > i:
             members.pop()
         members.append((i, members[-1][1] | preds[i]))
-        table: dict[tuple[int, int], list] = {}
+        # i is the highest node, so it is maximal.
+        image = cache.step(entries[subset ^ 1 << i][1], ops[i])
+        orders = 0
         maximal = subset & ~members[-1][1]
         while maximal:
             low = maximal & -maximal
             maximal ^= low
-            node = low.bit_length() - 1
-            op, before, last_key = ops[node], subset ^ low, -1 if cfg is None else node
-            for (last, _), (orders, order, image) in tables[before].items():
-                if node < last and not may_follow(last, node):
-                    continue
-                if not isinstance(image, ReplayError):
-                    try:
-                        image = cache.step(image, op)
-                    except ReplayError as exc:
-                        image = errors.setdefault(str(exc), exc)
-                cell = order, node
-                entry = table.setdefault((last_key, id(image)), [0, cell, image])
-                entry[0] += orders
-                if _precedes(cell, entry[1]):
-                    entry[1] = cell
+            before = subset ^ low
+            orders += entries[before][0]
             pending[before] -= 1
             if not pending[before]:
-                del tables[before], pending[before]
-        tables[subset] = table
-
-
-def _precedes(a: tuple, b: tuple) -> bool:
-    """Whether order cell ``a`` is lexicographically before ``b``, an order
-    of the same subset: compared below their deepest common cell."""
-    while a[0] is not b[0]:
-        a, b = a[0], b[0]
-    return a[1] < b[1]
-
-
-def _nodes(order: tuple | None) -> tuple[int, ...]:
-    """The nodes of an order cell, first placed first."""
-    nodes = []
-    while order is not None:
-        order, node = order
-        nodes.append(node)
-    return tuple(reversed(nodes))
+                del entries[before], pending[before]
+        entries[subset] = orders if every_order else 1, image
 
 
 def enumerate_schedules(
     behavior: UpdateBehavior,
     trace: Trace,
-    cfg: ModelConfig | None = None,
     budget: int = DEFAULT_BUDGET,
     cache: StateCache | None = None,
 ) -> Iterator:
-    """The crash states of one behavior, over the orders with no adjacent
-    commuting inversion, as weighted items (see :func:`_schedules`); raises
-    :class:`ExplosionLimit` after ``budget`` downward-closed subsets if more
-    remain.  Without a ``cache`` the states are new against a private one."""
-    yield from _schedules(behavior, trace, cfg or ModelConfig(), budget, cache)
+    """The crash states of one behavior, one order per downward-closed
+    subset, as weighted items (see :func:`_schedules`); raises
+    :class:`ExplosionLimit` after ``budget`` subsets if more remain.
+    Without a ``cache`` the states are new against a private one."""
+    yield from _schedules(behavior, trace, False, budget, cache)
 
 
 def exhaustive_schedules(
@@ -390,11 +259,10 @@ def exhaustive_schedules(
     budget: int = DEFAULT_BUDGET,
     cache: StateCache | None = None,
 ) -> Iterator:
-    """The crash states of one behavior over every valid order, unpruned:
-    the baseline model checker's enumerator, with no commutation reasoning
-    at all.  Weighted items, and a budget in subsets, as
-    :func:`enumerate_schedules` has them."""
-    yield from _schedules(behavior, trace, None, budget, cache)
+    """The crash states of one behavior, counting every valid order: the
+    baseline model checker's enumerator.  Weighted items, and a budget in
+    subsets, as :func:`enumerate_schedules` has them."""
+    yield from _schedules(behavior, trace, True, budget, cache)
 
 
 # ---------------------------------------------------------------------------
@@ -916,8 +784,8 @@ def explore(
     weight in ``stats.schedules_tested``, and in ``stats.states_deduped``
     when it carries no new state.  A behavior whose enumerator runs out of
     its budget of subsets sets ``stats.partial_coverage`` and the next
-    behavior is explored.  Orders are counted, never walked: the work follows the
-    subsets and their states, with at most one live table per visited one.
+    behavior is explored.  Orders are counted, never walked: the work follows
+    the subsets, with at most one live entry per visited one.
     """
     cache = StateCache()
     for behavior in behaviors:
@@ -946,7 +814,6 @@ def test_groups(
     trace: Trace,
     checker: list[str],
     scratch_root: Path,
-    cfg: ModelConfig | None = None,
     budget: int = DEFAULT_BUDGET,
     timeout: float = DEFAULT_TIMEOUT,
 ) -> tuple[list[BugReport], RunStats]:
@@ -968,7 +835,7 @@ def test_groups(
     bugs: list[BugReport] = []
     bug_keys: set[tuple] = set()
     states_by_rep: Counter[str] = Counter()
-    schedules_of = partial(enumerate_schedules, trace=trace, cfg=cfg, budget=budget)
+    schedules_of = partial(enumerate_schedules, trace=trace, budget=budget)
     check = partial(run_oracle, checker=checker, scratch=scratch, timeout=timeout)
     for rep, schedule, _, result in explore(reps, schedules_of, stats, check):
         states_by_rep[rep.id] += 1

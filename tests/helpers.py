@@ -23,12 +23,13 @@ from crashcheck.models import (
     ModelConfig,
     _paths_named,
     blocks_of,
+    entry_name,
     line_persist_points,
     lines_of,
     parent_dir,
 )
 from crashcheck.posix_behaviors import _leaf_runs
-from crashcheck.simulate import CheckResult, CrashSchedule, FsImage, ops_commute, replay
+from crashcheck.simulate import CheckResult, CrashSchedule, FsImage, replay
 from crashcheck.trace import MMIO_MODE, POSIX_MODE, TraceMeta, payload_digest, split_by_thread
 
 
@@ -165,24 +166,30 @@ def reference_posix_pairs(trace: Trace, cfg: ModelConfig | None = None) -> Pairs
                 add((earlier.seq, op.seq), EdgeReason.METADATA_ORDER)
             meta_by_path.setdefault(path, []).append(op)
 
-    # A rename's source (and an unlink's target) must have been materialized,
-    # and recreating a consumed path is ordered after the consumer; the
-    # per-path life cycle then replays in trace order under any legal
-    # schedule, so path-based replay never sees an impossible state.
+    # A rename's source and destination (and an unlink's target) are
+    # consumed: each must have been materialized, and recreating or
+    # writing a consumed path is ordered after the consumer; the per-path
+    # life cycle then replays in trace order under any legal schedule, so
+    # path-based replay never sees an impossible state.
     creators_by_path: dict[str, list[int]] = {}
     consumers_by_path: dict[str, list[int]] = {}
     for op in ops:
-        consumed = op.args["path"] if op.kind in ("rename", "unlink") else None
+        consumed = []
+        if op.kind in ("rename", "unlink"):
+            consumed.append(op.args["path"])
+        if op.kind == "rename":
+            consumed.append(op.args["dst"])
         created = op.args["dst"] if op.kind == "rename" else None
         if op.kind in _DATA_KINDS or op.kind in ("create", "mkdir"):
             created = op.args["path"]
-        for seq in creators_by_path.get(consumed, []) + consumers_by_path.get(created, []):
+        earlier = [seq for path in consumed for seq in creators_by_path.get(path, [])]
+        for seq in earlier + consumers_by_path.get(created, []):
             add((seq, op.seq), EdgeReason.METADATA_ORDER)
         if created is not None:
             creators_by_path.setdefault(created, []).append(op.seq)
-        if consumed is not None:
+        for path in consumed:
             # Appended last, so ``rename a a`` is not ordered after itself.
-            consumers_by_path.setdefault(consumed, []).append(op.seq)
+            consumers_by_path.setdefault(path, []).append(op.seq)
 
     # Durability barriers, in one forward pass that indexes the persisting ops
     # issued so far.  A source points at every barrier covering it; the sinks
@@ -629,6 +636,69 @@ def brute_force_schedules(
                     context=context,
                     applied=tuple(graph.ops_by_seq[s] for s in perm),
                 )
+
+
+_ALL_BLOCKS = frozenset({-1})
+
+
+def _posix_resources(op: Operation, cfg: ModelConfig):
+    kind = op.kind
+    if kind in ("write", "pwrite"):
+        return (
+            {("data", op.args["path"], b) for b in blocks_of(op.args["offset"], op.args["length"], cfg.block_size)},
+            set(),
+        )
+    if kind in ("create", "mkdir"):
+        path = op.args["path"]
+        return set(), {("dirent", parent_dir(path), entry_name(path)), ("inode", path)}
+    if kind == "unlink":
+        path = op.args["path"]
+        return (
+            {("data", path, b) for b in _ALL_BLOCKS},
+            {("dirent", parent_dir(path), entry_name(path)), ("inode", path)},
+        )
+    if kind == "rename":
+        src, dst = op.args["path"], op.args["dst"]
+        return (
+            {("data", p, b) for p in (src, dst) for b in _ALL_BLOCKS},
+            {
+                ("dirent", parent_dir(src), entry_name(src)),
+                ("dirent", parent_dir(dst), entry_name(dst)),
+                ("inode", src),
+                ("inode", dst),
+            },
+        )
+    return set(), set()
+
+
+def _data_conflict(a: set, b: set) -> bool:
+    paths_a: dict[str, set[int]] = {}
+    for _, path, blk in a:
+        paths_a.setdefault(path, set()).add(blk)
+    for _, path, blk in b:
+        blks = paths_a.get(path)
+        if blks is None:
+            continue
+        if blk == -1 or -1 in blks or blk in blks:
+            return True
+    return False
+
+
+def ops_commute(a: Operation, b: Operation, cfg: ModelConfig) -> bool:
+    """True when replaying a then b provably equals replaying b then a."""
+    if not (a.is_persisting and b.is_persisting):
+        return True
+    if a.kind == "store" or b.kind == "store":
+        if a.kind != "store" or b.kind != "store":
+            return True
+        la = lines_of(a.args["addr"], a.args["length"], cfg.cache_line_size)
+        lb = lines_of(b.args["addr"], b.args["length"], cfg.cache_line_size)
+        return not (la & lb)
+    data_a, meta_a = _posix_resources(a, cfg)
+    data_b, meta_b = _posix_resources(b, cfg)
+    if meta_a & meta_b:
+        return False
+    return not _data_conflict(data_a, data_b)
 
 
 def pinned_order_schedules(

@@ -1,12 +1,18 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line
-(visible with ``pytest -s``) and enforcing its stated tolerance and runtime.
+(visible with ``pytest -s``) and enforcing its stated tolerance and runtime,
+and criterion 8's bug-set equality on barrier-deletion mutants of the
+shipped programs.
 """
 
+import json
 import random
+import shlex
 import time
 from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
+
+import pytest
 
 from crashcheck import (
     ExplosionLimit,
@@ -14,9 +20,10 @@ from crashcheck import (
     group_behaviors,
     posix_edges,
     represents,
+    synth_workload,
 )
 from crashcheck.behavior import make_behavior
-from crashcheck.cli import RunConfig, derive_behaviors
+from crashcheck.cli import RunConfig, derive_behaviors, main
 from crashcheck.graph import StaticKey
 from crashcheck.mmio_behaviors import EpochBoundary, mmio_epochs
 from crashcheck.models import EdgeReason, model_edges
@@ -31,7 +38,7 @@ from crashcheck.simulate import (
 )
 from crashcheck.simulate import test_groups as run_group_tests
 
-from conftest import checker_cmd, load_workload
+from conftest import WORKLOADS, checker_cmd, load_workload
 from helpers import (
     brute_force_schedules,
     edge_triples,
@@ -289,6 +296,33 @@ def test_criterion_8_reduction_and_bug_set_equality(tmp_path):
                 assert stats.correlated_states[bug.id] >= 1, name
             compared += 1
         assert compared == len(CORPUS)
+
+
+@pytest.mark.parametrize(
+    "name, schedules, states, inconsistent",
+    [("current_update_fixed", 37, 9, 0), ("current_update_buggy", 45, 11, 1)],
+)
+def test_setup_sync_deletion_mutants_agree_with_the_baseline(tmp_path, name, schedules, states, inconsistent):
+    """The pointer-update programs with ``Setup``'s ``sync`` deleted.  Only
+    the rename's consuming its destination then orders ``write CURRENT``
+    before ``rename tmp CURRENT``; without that edge the baseline replayed
+    the write onto the renamed-in file and reported a dangling pointer on
+    the fixed program, a state no file system reaches.  ``exhaustive
+    --checker`` must agree with ``test`` on the bug set."""
+    program = tmp_path / f"{name}.dsl"
+    program.write_text((WORKLOADS / f"{name}.dsl").read_text().replace("  sync\n", "", 1))
+    checker = checker_cmd("current_pointer.py")
+    args = ["--mode", "POSIX", "--dsl", str(program), "--checker", shlex.join(checker)]
+    assert main(["exhaustive", *args, "--out", str(tmp_path / "exhaustive")]) == (1 if inconsistent else 0)
+    report = json.loads((tmp_path / "exhaustive" / "states.json").read_text())
+    assert (report["schedules_tested"], report["distinct_states"], len(report["bugs"])) == (
+        schedules, states, inconsistent
+    )
+    assert main(["test", *args, "--out", str(tmp_path / "test")]) == (1 if inconsistent else 0)
+    trace = synth_workload(program.read_text(), "POSIX")
+    _, _, ex_keys = exhaustive_outcomes(trace, checker, tmp_path / "e")
+    _, _, rep_keys = rep_outcomes(trace, checker, tmp_path / "r")
+    assert rep_keys == ex_keys
 
 
 def test_criterion_9_equivalence_properties():

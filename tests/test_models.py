@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from helpers import (
     edge_triples,
     mmio_trace,
     op,
+    ops_commute,
     posix_trace,
     random_mmio_trace,
     random_posix_trace,
@@ -234,6 +236,28 @@ def test_recreating_consumed_path_is_ordered_after_consumer():
     )
     edge_pairs = pairs(posix_edges(trace), trace)
     assert {(1, 2), (2, 3), (3, 4)} <= edge_pairs
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [ModelConfig(), ModelConfig(split_writes_at_block_boundary=False), ModelConfig(block_size=16, cache_line_size=16)],
+    ids=["default", "unsplit", "16-byte units"],
+)
+def test_every_unordered_pair_of_persisting_ops_commutes(cfg):
+    """The invariant enumeration relies on: two persisting ops with no
+    direct edge commute under the reference predicate, so every order of a
+    downward-closed set of ops replays to one image.  Random 1-3-thread
+    POSIX traces, whose renames may land on written paths, and MMIO
+    traces."""
+    rng = random.Random(2006)
+    for i in range(400):
+        make = random_posix_trace if i % 4 else random_mmio_trace
+        trace = make(rng, 12, threads=rng.randint(1, 3))
+        graph = build_graph(trace, model_edges(trace, cfg))
+        persisting = [o for o in trace.ops if o.is_persisting]
+        for a, b in itertools.combinations(persisting, 2):
+            if a.seq not in graph.predecessors(b.seq):
+                assert ops_commute(a, b, cfg), (i, a, b)
 
 
 def test_open_close_contribute_no_edges():

@@ -1,9 +1,10 @@
 """A guard on dead code: every top-level function, class and assigned name
 (a constant, type alias or table) in ``src/crashcheck``, except
 ``__version__``, and every method that is not a dunder, must be named by
-code in ``src/`` outside its own definition.  Names are read from the
-syntax tree, so docstrings, comments and import lists do not count as uses;
-a symbol that only tests or re-exports reach fails here."""
+code in ``src/`` outside its own definition, and every parameter of a
+function must be read in its body.  Names are read from the syntax tree,
+so docstrings, comments and import lists do not count as uses; a symbol
+that only tests or re-exports reach fails here."""
 
 import ast
 from collections import Counter
@@ -55,3 +56,38 @@ def test_every_symbol_in_src_is_used_in_src():
             if not any(used[key] > own[key] for key in keys):
                 unused.append(f"{module}:{qualname}")
     assert unused == []
+
+
+def _functions(node: ast.AST, prefix: str = ""):
+    """(qualified name, node, whether it is a method) of every function
+    and lambda under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not isinstance(child, ast.ClassDef):
+                yield prefix + child.name, child, isinstance(node, ast.ClassDef)
+            yield from _functions(child, f"{prefix}{child.name}.")
+        else:
+            if isinstance(child, ast.Lambda):
+                yield prefix + "<lambda>", child, False
+            yield from _functions(child, prefix)
+
+
+def test_every_parameter_in_src_is_read():
+    """Every parameter of a function, method or lambda, except a method's
+    receiver, is read in its body.  ``MemImage.digest`` takes ``fragments``
+    only to share ``FsImage.digest``'s signature: ``explore`` calls
+    ``digest`` on either image type."""
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for qualname, node, method in _functions(ast.parse(path.read_text())):
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, *filter(None, (args.vararg, args.kwarg))]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                sub.id
+                for stmt in body
+                for sub in ast.walk(stmt)
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
+            }
+            unread += [f"{path.name}:{qualname}({p.arg})" for p in params[method:] if p.arg not in read]
+    assert unread == ["simulate.py:MemImage.digest(fragments)"]

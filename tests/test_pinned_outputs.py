@@ -60,7 +60,7 @@ PINNED = {
             "dot/b002_t0_UpdateManifest_m0.dot": "2a79c2cc4129696f0c35c03c31e70a53b4b0964319b9313cb52031477a30713c",
             "dot/b003_t0_UpdateManifest_SetCurrentFile_3.dot": "4b5993ad90de8064b3a30fa4651af6ae3846e09fa2a9888c15c492ae23fa513f",
             "dot/b004_t0_UpdateManifest_2.dot": "f9358a409bd8db2ac52ade74edd6a13e19f9be9eb0132721f78d55047df551e3",
-            "dot/full.dot": "a65b934d14a6da6e6194d27be2ac2ffc9f7bcb06f79c8042e943a9da34fcf85e",
+            "dot/full.dot": "f50925560c0dc839c7ba05fa053cecaacb7ab6e76e72f8c310ca5d6f8364cc38",
         },
     ),
     "current_update_fixed": (
@@ -72,7 +72,7 @@ PINNED = {
             "dot/b002_t0_UpdateManifest_m0.dot": "c2e02aa9b0cd309a14c7558c8a79c1aa922857fd3084053bb964e0fb51ceb0a5",
             "dot/b003_t0_UpdateManifest_SetCurrentFile_3.dot": "e36c6fd21d55eb6bfd328f20fba094ed86b936d2e3ee087ae845d2b310805143",
             "dot/b004_t0_UpdateManifest_2.dot": "bd7b2a652586aeebf31f34f9483518a6c2e89f4d44b152948c5feebd17ba5e0e",
-            "dot/full.dot": "272a42ad734e6042de709f3d63495e166a4d6e59ff8f9c943a21eeba80040940",
+            "dot/full.dot": "6fc7ba85e8e41f7be3b232b3b3cd36dec2f8da79a78f61c1709c9ad1593d67e6",
         },
     ),
     "entry_insert": (
@@ -142,8 +142,8 @@ PINNED_RANDOM = {
         0,
         lambda rng: random_posix_trace(rng, 240),
         {
-            "groups.json": "1885fff0896901cb65e2a45e6a23a9d08a7209a5af5626c25085faebdf705827",
-            "dot/full.dot": "1aa35ac77d2487f4dc449d600785f22dc76db47c8055dc1622261bd36ac80d1f",
+            "groups.json": "4b14c4a4a9b2bc00eb41f6ccf52fe79e7f740fd996775a64fe532451c42cb708",
+            "dot/full.dot": "44a4028435cf2865d56fe9be5acd388cc3fbd2e1645910b4fcefef7b37cae12e",
         },
     ),
     "mmio": (
@@ -158,16 +158,16 @@ PINNED_RANDOM = {
         2,
         lambda rng: random_posix_trace(rng, 240, threads=3),
         {
-            "groups.json": "8bd156a5b38ba26eac604468eae8a14ef962321161404495fd0fea27d17e75ff",
-            "dot/full.dot": "17a8b8ef0bdda97a1f567dbcedcc78414d5f8133fbf48619440b9f56f09bdad7",
+            "groups.json": "9c223bf66a3fb38eba3dff78dec026198a69e6c0f5ef031f1f162b8ceebf4357",
+            "dot/full.dot": "cbba86aa9a45fa59e51591cb1169b4853058f762ecef22d690974a0b04756680",
         },
     ),
     "posix_nested_2threads": (
         0,
         lambda rng: random_nested_posix_trace(rng, 240, threads=2),
         {
-            "groups.json": "6f5ef6de020b4a435b711de35b62563193f66dafde3579f3922ab4a53fd8ce1b",
-            "dot/full.dot": "359f5cbd911ac73877337c61886c7969bc30cdd7cf68a48b7ff658b541a4b8ee",
+            "groups.json": "4ed74cee4b3a527281edd16e9545d4a0e60cd8960edf2687083b5a3a5935875b",
+            "dot/full.dot": "7ab070d0cd0437267a6baf9f7bd6631173619d5d6962b79eb5b79e0515dd4730",
         },
     ),
     "mmio_annotated": (
@@ -315,8 +315,8 @@ PINNED_LONG_PREFIX_STATES = {
     ),
     "posix_3threads_budget": (
         lambda: random_posix_trace(random.Random(5), 16, threads=3),
-        ["--budget", "50"],
-        "2d553d5c348d2aaf46ee344ee70b7dabeb7c4eff704743473eb449c52733d055",
+        ["--budget", "40"],
+        "bba77c5f0d046532a7dc1aa92dec0fd530252f29482610d73a348f5bcb3cb3d9",
     ),
 }
 

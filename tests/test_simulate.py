@@ -21,7 +21,7 @@ from crashcheck import (
 from crashcheck import simulate
 from crashcheck.behavior import make_behavior
 from crashcheck.graph import StaticKey
-from crashcheck.models import ModelConfig, model_edges
+from crashcheck.models import EdgeReason, ModelConfig, model_edges
 from crashcheck.simulate import (
     CheckResult,
     CrashSchedule,
@@ -32,7 +32,6 @@ from crashcheck.simulate import (
     exhaustive_schedules,
     explore,
     materialize,
-    ops_commute,
     replay,
     run_oracle,
     schedule_from_json,
@@ -47,6 +46,7 @@ from helpers import (
     log_then_tables_trace,
     mmio_trace,
     op,
+    ops_commute,
     order_schedules,
     pinned_order_schedules,
     posix_trace,
@@ -215,6 +215,67 @@ def test_enumeration_order_is_pinned():
     assert items(enumerate_schedules) == [item for item in items(exhaustive_schedules) if item[1] is not None]
 
 
+# --- one state per subset ---
+
+
+RENAME_DESTINATION_TRACES = {
+    # A write of the destination, then a rename onto it: the write must
+    # persist first, or replay would land it on the renamed-in file.
+    "write before": (
+        [
+            op(1, "write", write_args("b", b"old")),
+            op(2, "create", {"path": "a"}),
+            op(3, "rename", {"path": "a", "dst": "b"}),
+        ],
+        (1, 3),
+    ),
+    # A rename onto a path, then a write of it: the write goes to the
+    # renamed-in file, so it must persist after the rename.
+    "write after": (
+        [
+            op(1, "create", {"path": "a"}),
+            op(2, "rename", {"path": "a", "dst": "b"}),
+            op(3, "write", write_args("b", b"new")),
+        ],
+        (2, 3),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RENAME_DESTINATION_TRACES))
+def test_a_rename_is_ordered_against_writes_of_its_destination(name):
+    ops, edge = RENAME_DESTINATION_TRACES[name]
+    trace = posix_trace(ops)
+    behavior, graph = whole_trace_behavior(trace)
+    assert (*edge, EdgeReason.METADATA_ORDER) in graph_edges(graph)
+    # Every order of a subset replays to the image of its ops in seq
+    # order, which the pinned listing puts first.
+    subsets = list(by_subset(order_schedules(behavior, trace)))
+    in_seq_order = {}
+    for orders in subsets:
+        digest = replay(orders[0]).digest()
+        assert {replay(s).digest() for s in orders} == {digest}
+        in_seq_order.setdefault(digest, orders[0].applied_seqs)
+    stats = RunStats()
+    found = explore([behavior], partial(exhaustive_schedules, trace=trace), stats)
+    assert {digest: s.applied_seqs for _, s, digest, _ in found} == in_seq_order
+    assert stats.schedules_tested == sum(map(len, subsets))
+
+
+def test_exhaustive_at_the_pinned_budget_matches_the_reference():
+    """The 3-thread trace whose ``states.json`` is pinned at ``--budget
+    40``: the walk stops with 31 states, having found and counted what
+    replaying every order of the first 40 subsets does.  At 50 it now
+    completes, with 33 states."""
+    trace = random_posix_trace(random.Random(5), 16, threads=3)
+    behavior, _ = whole_trace_behavior(trace)
+    for budget, states, partial_coverage in ((40, 31, True), (50, 33, False)):
+        assert explorations_match([behavior], exhaustive_schedules, trace=trace, budget=budget)
+        stats = RunStats()
+        list(explore([behavior], partial(exhaustive_schedules, trace=trace, budget=budget), stats))
+        assert (stats.distinct_states, stats.partial_coverage) == (states, partial_coverage)
+
+
 # --- the enumerators' items against an oracle that shares no code with them ---
 
 
@@ -244,10 +305,8 @@ def missing_source_in_the_prefix_trace():
 
 def rename_over_the_chain_trace():
     """A create of ``a``, a directory fsync, two writes to ``b``, then a
-    rename of ``a`` onto ``b``.  The rename becomes available once the
-    fsync is placed, nothing orders it against the writes, and it commutes
-    with neither, so the pruned walk keeps orders that place it before
-    them."""
+    rename of ``a`` onto ``b``.  The rename consumes ``b``, so it joins
+    only after both writes, at the end of the chain they form."""
     return posix_trace(
         [
             op(1, "create", {"path": "a"}),
@@ -261,10 +320,9 @@ def rename_over_the_chain_trace():
 
 def rename_across_threads_trace():
     """A write to ``f2`` on one thread, a write to ``f3`` and a create of
-    ``f1`` on another, and a rename of ``f3`` onto ``f2`` on a third.  Only
-    the write to ``f3`` is ordered before the rename, so among the orders
-    of all four ops the first to put the write to ``f2`` last, (2, 3, 4,
-    1), comes after five orders that pruning drops and one it keeps."""
+    ``f1`` on another, and a rename of ``f3`` onto ``f2`` on a third.  The
+    rename follows both writes across threads; the create is ordered
+    against nothing."""
     return posix_trace(
         [
             op(1, "write", write_args("f2", b"\x4e" * 3), tid=2),
@@ -278,11 +336,11 @@ def rename_across_threads_trace():
 def cutoff_traces():
     """Traces whose subsets share a forced prefix from one to the next and
     leave it where a side node becomes available mid-chain, at the root,
-    and past a step that cannot be replayed, and one whose pruned orders
-    come before a state's first order in the same subset."""
+    and past a step that cannot be replayed, and renames onto written
+    paths, on one thread and across three."""
     return {
         "side nodes mid-chain": side_node_chain_trace(5, 2),
-        "side node mid-chain, not commuting": rename_over_the_chain_trace(),
+        "rename over the chain": rename_over_the_chain_trace(),
         "root side node": root_side_node_trace(),
         "missing source in the prefix": missing_source_in_the_prefix_trace(),
         "rename across threads": rename_across_threads_trace(),
@@ -812,9 +870,11 @@ def test_explore_matches_the_reference_on_nine_op_traces(schedules, traces, budg
 
 
 def test_explore_keys_the_memo_on_the_candidates():
-    """(1, 2, 3) and (2, 1, 3) reach one image with one placed set, but the
-    pruned candidates after them differ (after 3 they hold the write to f1,
-    after the other fsync they do not), so the orders below differ too."""
+    """(1, 2, 3) and (2, 1, 3) reach one image with one placed set.  Before
+    a rename consumed its destination, the pruned orders that could follow
+    them differed, so a walk had to key its memo on them; the rename now
+    follows the write to ``f2``, and the walk must still match the
+    reference here."""
     trace = posix_trace(
         [
             op(1, "write", write_args("f2", b"\x2d" * 4, 2), (("m", 1),), tid=1),
