@@ -35,6 +35,7 @@ from .simulate import (
     CrashSchedule,
     FsImage,
     MemImage,
+    PreparedChecker,
     RunStats,
     Verdict,
     enumerate_schedules,

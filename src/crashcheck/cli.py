@@ -40,6 +40,7 @@ from .simulate import (
     DEFAULT_TIMEOUT,
     MAX_ORACLE_TIMEOUT,
     CrashSchedule,
+    PreparedChecker,
     RunStats,
     Verdict,
     exhaustive_schedules,
@@ -421,10 +422,11 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
         schedules_of = partial(exhaustive_schedules, trace=trace, budget=cfg.budget)
         with contextlib.ExitStack() as cleanup:
             check = None
-            # Only the oracle needs a scratch directory.
+            # Only the oracle needs a scratch directory.  States go one level
+            # down, so what a checker leaves at their path never reaches the cleanup.
             if cfg.checker:
-                scratch = cleanup.enter_context(tempfile.TemporaryDirectory(prefix="crashcheck-"))
-                check = partial(run_oracle, checker=cfg.checker, scratch=Path(scratch), timeout=cfg.timeout)
+                scratch = Path(cleanup.enter_context(tempfile.TemporaryDirectory(prefix="crashcheck-"))) / "state"
+                check = partial(run_oracle, checker=PreparedChecker(cfg.checker, scratch, cfg.timeout))
             for _, schedule, digest, result in explore([whole], schedules_of, stats, check):
                 entry = schedule.to_json()
                 if result is not None:
@@ -468,10 +470,14 @@ def cmd_replay(args: argparse.Namespace) -> int:
         raise ConfigError(f"schedule file {args.schedule} is not JSON: {exc}") from None
     schedule = schedule_from_json(data, trace)
     image = replay(schedule)
-    # Made first: a regular file in its place is an output error, not removed.
-    replayed = _create_output(_create_output(cfg.out) / "replayed")
+    # Made first: a regular file or a symlink in its place is an output
+    # error, not removed.
+    replayed = _create_output(cfg.out) / "replayed"
+    if replayed.is_symlink():
+        raise ConfigError(f"cannot create output {replayed}: it is a symbolic link")
+    _create_output(replayed)
     if cfg.checker:
-        result = run_oracle(image, cfg.checker, replayed, timeout=cfg.timeout)
+        result = run_oracle(image, PreparedChecker(cfg.checker, replayed, cfg.timeout))
         print(f"replay: {result.verdict.value}")
         if result.oracle_output.strip():
             print(result.oracle_output.strip())

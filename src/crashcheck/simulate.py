@@ -35,14 +35,19 @@ file that many states share is encoded once; the digest's input is the
 same text as ``json.dumps`` of the whole image with sorted keys.
 
 The oracle materializes each new state and runs ``<checker> <scratch>``.
-A checker of the form ``<this interpreter> <script>`` runs in a fork of
-this process, which skips interpreter start-up; any other command runs as
-a new process.  Both give the same verdict and output.
+A :class:`PreparedChecker` is made once per run and checks every state:
+the scratch directory is emptied in place before each one, and anything a
+checker left at its path, a symlink included, is removed unfollowed.  A
+checker of the form ``<this interpreter> <script>`` runs in a fork of
+this process, which skips interpreter start-up; the script is read at
+every state and compiled once per distinct content.  Any other command
+runs as a new process.  Both give the same verdict and output.
 """
 
 from __future__ import annotations
 
 import builtins
+import contextlib
 import hashlib
 import io
 import itertools
@@ -56,11 +61,13 @@ import subprocess
 import sys
 import threading
 import types
+import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache, partial
 from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NoReturn
 
@@ -85,11 +92,11 @@ class CrashSchedule:
 
     @property
     def applied_seqs(self) -> tuple[int, ...]:
-        return tuple(op.seq for op in self.applied)
+        return tuple(map(attrgetter("seq"), self.applied))
 
     @property
     def context_seqs(self) -> tuple[int, ...]:
-        return tuple(op.seq for op in self.context)
+        return tuple(map(attrgetter("seq"), self.context))
 
     def to_json(self) -> dict:
         return {
@@ -191,16 +198,18 @@ def _schedules(
     pending: dict[int, int] = {}
     # The current subset, the nodes that may join it, and its members in
     # ascending order, each with the union of the predecessors of the
-    # members up to it; ``visited`` counts the subsets up to this one.
+    # members up to it, and their ops; ``visited`` counts the subsets up to
+    # this one.
     subset = 0
     addable = sum(1 << i for i, pred_bits in enumerate(preds) if not pred_bits)
     members = [(-1, 0)]
+    applied: list[Operation] = []
     for visited in itertools.count(1):
         orders, image = entries[subset]
         if id(image) not in cache.seen:
             cache.seen.add(id(image))
             orders -= 1
-            yield 1, CrashSchedule(behavior.id, mode, context, tuple(ops[i] for i, _ in members[1:])), image
+            yield 1, CrashSchedule(behavior.id, mode, context, tuple(applied)), image
         if orders:
             yield orders, None, None
         if not addable:
@@ -224,7 +233,9 @@ def _schedules(
                     addable |= low
         while members[-1][0] > i:
             members.pop()
+            applied.pop()
         members.append((i, members[-1][1] | preds[i]))
+        applied.append(ops[i])
         # i is the highest node, so it is maximal.
         image = cache.step(entries[subset ^ 1 << i][1], ops[i])
         orders = 0
@@ -485,13 +496,22 @@ MEM_IMAGE_FILE = "mem_image.json"
 def materialize(image: FsImage | MemImage, scratch: Path):
     """Write an image into a scratch directory for the checker to inspect.
 
-    The directory is owned by the run: any previous contents are removed so
-    files absent from the image are absent on disk.
+    The directory is owned by the run: it is emptied in place, so files
+    absent from the image are absent on disk, and anything else at its path,
+    a symlink included, is removed without being followed.
     """
     scratch = Path(scratch)
-    if scratch.exists():
-        shutil.rmtree(scratch)
-    scratch.mkdir(parents=True)
+    if scratch.is_dir() and not scratch.is_symlink():
+        with os.scandir(scratch) as entries:
+            for entry in entries:
+                if entry.is_dir(follow_symlinks=False):
+                    shutil.rmtree(entry.path)
+                else:
+                    os.unlink(entry.path)
+    else:
+        if os.path.lexists(scratch):
+            os.unlink(scratch)
+        scratch.mkdir(parents=True)
     if isinstance(image, MemImage):
         payload = {"cells": {str(a): v for a, v in sorted(image.cells.items())}}
         (scratch / MEM_IMAGE_FILE).write_text(json.dumps(payload, indent=0))
@@ -528,23 +548,55 @@ def _check_result(returncode: int, stdout: bytes, stderr: bytes) -> CheckResult:
     return CheckResult(verdict, _decode(stdout) + _decode(stderr))
 
 
-def _forkable(argv: list[str]) -> bool:
-    """True for ``<this interpreter> <script file> ...``, which
-    :func:`_fork_check` can run in a fork of this process.  The interpreter
-    path is compared unresolved, so a venv interpreter never matches its
-    base one."""
-    exe = shutil.which(argv[0])
-    return (
-        exe is not None
-        and bool(sys.executable)
-        and os.path.abspath(exe) == os.path.abspath(sys.executable)
-        and len(argv) > 1
-        and not argv[1].startswith("-")
-        and os.path.isfile(argv[1])
-        and hasattr(os, "fork")
-        and hasattr(os, "pidfd_open")
-        and threading.active_count() == 1
-    )
+# The checker timeout in seconds when none is configured, and the longest
+# that both oracle paths can wait: ``subprocess`` polls for at most 2^31 - 1
+# milliseconds.
+DEFAULT_TIMEOUT = 30.0
+MAX_ORACLE_TIMEOUT = (2**31 - 1) // 1000
+
+
+class PreparedChecker:
+    """A checker command prepared once per run for :func:`run_oracle`:
+    ``argv`` is the command with ``scratch`` appended.  Whether it has the
+    form ``<this interpreter> <script> ...`` is decided here, with one
+    ``shutil.which`` (the interpreter path compared unresolved, so a venv
+    interpreter never matches its base one); the script's bytes are read at
+    every state and compiled once per distinct content."""
+
+    def __init__(self, checker: list[str], scratch: Path, timeout: float = DEFAULT_TIMEOUT):
+        self.argv, self.scratch, self.timeout = [*checker, str(scratch)], scratch, timeout
+        exe = shutil.which(checker[0])
+        self._interpreter_form = (
+            exe is not None
+            and bool(sys.executable)
+            and os.path.abspath(exe) == os.path.abspath(sys.executable)
+            and not self.argv[1].startswith("-")
+            and all(hasattr(os, name) for name in ("fork", "pidfd_open", "memfd_create"))
+        )
+        self._source = self._code = None
+
+    def forkable(self) -> bool:
+        """True when :func:`_fork_check` can check this state: the command
+        has the interpreter form, its script is a file now and this process
+        has no second thread."""
+        return self._interpreter_form and os.path.isfile(self.argv[1]) and threading.active_count() == 1
+
+    def code(self) -> types.CodeType | None:
+        """The script's code, or None when the script cannot be read or
+        compiles with an error or a warning: the child then compiles it and
+        reports what it gets, as a fresh interpreter would."""
+        try:
+            with open(self.argv[1], "rb") as script:
+                source = script.read()
+        except OSError:
+            return None
+        if source != self._source:
+            self._source, self._code = source, None
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with contextlib.suppress(SyntaxError, ValueError, RecursionError, MemoryError, Warning):
+                    self._code = compile(source, os.path.abspath(self.argv[1]), "exec", dont_inherit=True)
+        return self._code
 
 
 def _subprocess_check(argv: list[str], timeout: float) -> CheckResult:
@@ -558,21 +610,22 @@ def _subprocess_check(argv: list[str], timeout: float) -> CheckResult:
     return _check_result(proc.returncode, proc.stdout, proc.stderr)
 
 
-def _fork_check(argv: list[str], timeout: float) -> CheckResult:
+def _fork_check(checker: PreparedChecker) -> CheckResult:
     """Run ``<python> <script> <args...>`` in a fork of this process: the
     child executes the script as ``__main__`` the way a fresh interpreter
-    would, but skips interpreter start-up.  Output goes through anonymous
-    temporary files, so a checker that writes a lot cannot block on a full
-    pipe."""
-    import tempfile  # only this path needs it; ``import crashcheck`` does not load it
-
-    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+    would, but skips interpreter start-up.  Output goes to two anonymous
+    memory files made for this state only, so a checker that writes a lot
+    cannot block on a full pipe, and a descendant it leaves running cannot
+    write into another state's output."""
+    argv, timeout = checker.argv, checker.timeout
+    code = checker.code()
+    with open(os.memfd_create("stdout"), "rb") as out, open(os.memfd_create("stderr"), "rb") as err:
         try:
             pid = os.fork()
         except OSError as exc:
             raise CheckerError(f"cannot fork checker {argv[1]!r}: {exc}") from exc
         if pid == 0:
-            _run_forked_checker(argv[1:], out.fileno(), err.fileno())
+            _run_forked_checker(argv[1:], code, out.fileno(), err.fileno())
         try:
             pidfd = os.pidfd_open(pid)
             try:
@@ -595,10 +648,10 @@ def _fork_check(argv: list[str], timeout: float) -> CheckResult:
         return _check_result(os.waitstatus_to_exitcode(status), out.read(), err.read())
 
 
-def _run_forked_checker(args: list[str], out_fd: int, err_fd: int) -> NoReturn:
-    """The child side of :func:`_fork_check`: run ``args[0]`` as a script
-    with ``sys.argv = args`` and leave through ``os._exit`` with the exit
-    status the interpreter would give."""
+def _run_forked_checker(args: list[str], code: types.CodeType | None, out_fd: int, err_fd: int) -> NoReturn:
+    """The child side of :func:`_fork_check`: run ``code``, or the script
+    ``args[0]`` when there is none, with ``sys.argv = args`` and leave
+    through ``os._exit`` with the exit status the interpreter would give."""
     status = 1
     try:
         import gc
@@ -616,7 +669,7 @@ def _run_forked_checker(args: list[str], out_fd: int, err_fd: int) -> NoReturn:
             sys.modules["faulthandler"].disable()
         sys.stdout = sys.__stdout__ = _stdio(1, sys.__stdout__, "strict")
         sys.stderr = sys.__stderr__ = _stdio(2, sys.__stderr__, "backslashreplace", line_buffering=True)
-        status = _exec_main(args)
+        status = _exec_main(args, code)
         for stream in (sys.stdout, sys.stderr, sys.__stdout__, sys.__stderr__):
             if not stream.closed:
                 stream.flush()
@@ -640,9 +693,10 @@ def _stdio(fd: int, like, errors: str, line_buffering: bool = False) -> io.TextI
     )
 
 
-def _exec_main(args: list[str]) -> int:
-    """Execute the script ``args[0]`` in a fresh ``__main__`` module and
-    return the exit status the interpreter would give for how it ended."""
+def _exec_main(args: list[str], code: types.CodeType | None) -> int:
+    """Execute ``code``, or the script ``args[0]`` compiled here when it is
+    None, in a fresh ``__main__`` module and return the exit status the
+    interpreter would give for how it ended."""
     script = os.path.abspath(args[0])
     sys.argv = list(args)
     sys.path[:1] = [os.path.dirname(os.path.realpath(script))]
@@ -650,10 +704,10 @@ def _exec_main(args: list[str]) -> int:
     main.__file__ = script
     main.__builtins__ = builtins
     sys.modules["__main__"] = main
-    code = None
     try:
-        with open(script, "rb") as source:
-            code = compile(source.read(), script, "exec", dont_inherit=True)
+        if code is None:
+            with open(script, "rb") as source:
+                code = compile(source.read(), script, "exec", dont_inherit=True)
         exec(code, main.__dict__)
     except SystemExit as exc:
         if exc.code is None:
@@ -675,31 +729,19 @@ def _exec_main(args: list[str]) -> int:
     return 0
 
 
-# The checker timeout in seconds when none is configured, and the longest
-# that both oracle paths can wait: ``subprocess`` polls for at most 2^31 - 1
-# milliseconds.
-DEFAULT_TIMEOUT = 30.0
-MAX_ORACLE_TIMEOUT = (2**31 - 1) // 1000
-
-
-def run_oracle(
-    image: FsImage | MemImage,
-    checker: list[str],
-    scratch: Path,
-    timeout: float = DEFAULT_TIMEOUT,
-) -> CheckResult:
-    """Materialize the image, run the argv ``checker`` with ``scratch``
-    appended, map the exit status: 0 is consistent, anything else inconsistent, a timeout is an
-    oracle error.
+def run_oracle(image: FsImage | MemImage, checker: PreparedChecker) -> CheckResult:
+    """Materialize the image under ``checker.scratch``, run the checker and
+    map its exit status: 0 is consistent, anything else inconsistent, a
+    timeout is an oracle error.
 
     A checker of the form ``<this interpreter> <script> ...`` runs in a
     fork of this process (:func:`_fork_check`); any other command runs as
-    a new process.  ``timeout`` may be at most :data:`MAX_ORACLE_TIMEOUT`."""
-    materialize(image, scratch)
-    argv = [*checker, str(scratch)]
-    if _forkable(argv):
-        return _fork_check(argv, timeout)
-    return _subprocess_check(argv, timeout)
+    a new process.  ``checker.timeout`` may be at most
+    :data:`MAX_ORACLE_TIMEOUT`."""
+    materialize(image, checker.scratch)
+    if checker.forkable():
+        return _fork_check(checker)
+    return _subprocess_check(checker.argv, checker.timeout)
 
 
 # ---------------------------------------------------------------------------
@@ -836,7 +878,7 @@ def test_groups(
     bug_keys: set[tuple] = set()
     states_by_rep: Counter[str] = Counter()
     schedules_of = partial(enumerate_schedules, trace=trace, budget=budget)
-    check = partial(run_oracle, checker=checker, scratch=scratch, timeout=timeout)
+    check = partial(run_oracle, checker=PreparedChecker(checker, scratch, timeout))
     for rep, schedule, _, result in explore(reps, schedules_of, stats, check):
         states_by_rep[rep.id] += 1
         if result.verdict is Verdict.ORACLE_ERROR:
@@ -850,11 +892,12 @@ def test_groups(
                 applied=list(schedule.applied),
                 omitted=[rep.subgraph.ops_by_seq[s] for s in rep.node_seqs if s not in applied],
                 oracle_output=result.oracle_output,
-                subgraph_dot=export_dot(rep.subgraph),
+                subgraph_dot="",
             )
             key = report.dedup_key(key_mode)
             if key not in bug_keys:
                 bug_keys.add(key)
+                report.subgraph_dot = export_dot(rep.subgraph)
                 bugs.append(report)
 
     for bug in bugs:

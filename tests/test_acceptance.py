@@ -28,6 +28,7 @@ from crashcheck.graph import StaticKey
 from crashcheck.mmio_behaviors import EpochBoundary, mmio_epochs
 from crashcheck.models import EdgeReason, model_edges
 from crashcheck.simulate import (
+    PreparedChecker,
     RunStats,
     Verdict,
     enumerate_schedules,
@@ -108,7 +109,7 @@ def exhaustive_outcomes(trace, checker, scratch: Path, budget=2_000_000):
     bug_keys = set()
     persisting = {s for s in graph.node_seqs if graph.ops_by_seq[s].is_persisting}
     schedules_of = partial(exhaustive_schedules, trace=trace, budget=budget)
-    check = partial(run_oracle, checker=checker, scratch=scratch)
+    check = partial(run_oracle, checker=PreparedChecker(checker, scratch))
     for _, schedule, digest, result in explore([behavior], schedules_of, stats, check):
         digests.add(digest)
         if result.verdict is Verdict.INCONSISTENT:

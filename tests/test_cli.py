@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import random
 import shlex
 import sys
@@ -579,6 +580,52 @@ def test_malformed_replay_schedule_exits_2(tmp_path, capsys, text):
     assert not (tmp_path / "ro" / "replayed").exists()
 
 
+@pytest.mark.parametrize("launcher", [sys.executable, f"env {sys.executable}"], ids=["fork", "subprocess"])
+@pytest.mark.parametrize("command", ["test", "exhaustive"])
+def test_a_checker_that_puts_a_symlink_at_its_scratch_does_not_stop_the_run(tmp_path, command, launcher):
+    """The scratch directory used to be reset with ``shutil.rmtree``, so
+    the next state died with ``OSError: Cannot call rmtree on a symbolic
+    link``; the symlink is now replaced, not followed."""
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    (elsewhere / "keep").write_text("kept")
+    script = tmp_path / "relink.py"
+    script.write_text(
+        "import os, shutil, sys\n"
+        "assert os.path.isdir(sys.argv[1]) and not os.path.islink(sys.argv[1])\n"
+        f"shutil.rmtree(sys.argv[1])\nos.symlink({str(elsewhere)!r}, sys.argv[1])\n"
+    )
+    out = tmp_path / "out"
+    code = run(command, "--mode", "POSIX", "--dsl", WORKLOADS / "fig3.dsl",
+               "--checker", f"{launcher} {script}", "--out", out)
+    assert code == 0
+    if command == "test":
+        assert json.loads((out / "stats.json").read_text())["distinct_states"] > 1
+    else:
+        assert json.loads((out / "states.json").read_text())["distinct_states"] > 1
+    assert os.listdir(elsewhere) == ["keep"] and (elsewhere / "keep").read_text() == "kept"
+
+
+@pytest.mark.parametrize("checker", [[], ["--checker", checker_arg("always_ok.py")]], ids=["materialize", "checker"])
+def test_replay_refuses_a_symlinked_output_directory(tmp_path, capsys, checker):
+    """``replay`` used to die with ``OSError: Cannot call rmtree on a
+    symbolic link`` when ``<out>/replayed`` was a symlink to a directory."""
+    target = tmp_path / "target"
+    target.mkdir()
+    (target / "keep").write_text("kept")
+    out = tmp_path / "ro"
+    out.mkdir()
+    (out / "replayed").symlink_to(target)
+    schedule_file = tmp_path / "schedule.json"
+    schedule_file.write_text('{"behavior_id": "b", "mode": "POSIX", "context_seqs": [], "applied_seqs": [1]}')
+    code = run("replay", "--mode", "POSIX", "--dsl", WORKLOADS / "two_writes.dsl",
+               "--schedule", schedule_file, *checker, "--out", out)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error (replay): cannot create output {out / 'replayed'}: it is a symbolic link\n"
+    assert os.listdir(target) == ["keep"]
+
+
 def test_config_file_with_flag_override(tmp_path):
     config = tmp_path / "cfg"
     config.write_text(
@@ -716,7 +763,7 @@ def test_timeout_beyond_what_the_oracle_can_wait_exits_2(tmp_path, capsys, comma
     ids=["fork", "subprocess"],
 )
 def test_largest_timeout_still_runs_a_checker(tmp_path, checker, path):
-    assert simulate._forkable([*shlex.split(checker), str(tmp_path)]) == (path == "fork")
+    assert simulate.PreparedChecker(shlex.split(checker), tmp_path).forkable() == (path == "fork")
     out = tmp_path / "out"
     code = run("test", "--mode", "POSIX", "--dsl", WORKLOADS / "two_writes.dsl", "--checker", checker,
                "--timeout", MAX_ORACLE_TIMEOUT, "--out", out)

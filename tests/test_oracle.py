@@ -1,7 +1,10 @@
 """The checker contract, run on both oracle paths: a checker of the form
 ``<this interpreter> <script>`` runs in a fork of the test process, any
 other command as a new process, and both must give the same verdict and
-output for every way a checker can end."""
+output for every way a checker can end.  A checker is prepared once per
+run and checks many states."""
+
+import os
 
 import sys
 import threading
@@ -11,7 +14,7 @@ import pytest
 
 from crashcheck import simulate
 from crashcheck.cli import main
-from crashcheck.simulate import CheckResult, FsImage, Verdict, run_oracle
+from crashcheck.simulate import CheckResult, FsImage, PreparedChecker, Verdict, run_oracle
 
 from conftest import WORKLOADS, checker_cmd
 
@@ -37,6 +40,8 @@ CASES = [
         INCONSISTENT,
     ),
     ("syntax-error", "print('never')\ndef (:\n", INCONSISTENT),
+    ("parser-stack-overflow", "print('never')\n" + "-" * 100_000 + "1\n", INCONSISTENT),
+    ("compile-recursion", "print('never')\nx = 1" + "+1" * 100_000 + "\n", INCONSISTENT),
     ("abort", "import os\nprint('before abort')\nos.abort()\n", INCONSISTENT),
     ("os-exit-3", "import os, sys\nsys.stdout.write('x')\nsys.stdout.flush()\nos._exit(3)\n", INCONSISTENT),
     ("large-output", "import sys\nsys.stdout.write('x' * (3 << 19))\nsys.exit(1)\n", INCONSISTENT),
@@ -62,23 +67,35 @@ CASES = [
 ]
 
 
-def script_argv(tmp_path, source: str) -> list[str]:
+def script_checker(tmp_path, source: str, timeout: float = 30.0) -> PreparedChecker:
     (tmp_path / "oracle_contract_sibling.py").write_text("VALUE = 42\n")
     script = tmp_path / "checker.py"
     script.write_text(source)
-    scratch = tmp_path / "scratch"
-    scratch.mkdir(exist_ok=True)
-    return [sys.executable, str(script), str(scratch)]
+    return PreparedChecker([sys.executable, str(script)], tmp_path / "scratch", timeout)
+
+
+def fs_image(files: dict[str, bytes]) -> FsImage:
+    image = FsImage(dict(files))
+    for path in files:
+        parent, _, name = path.rpartition("/")
+        image.dirents[parent or "."] = image.dirents.get(parent or ".", frozenset()) | {name}
+    return image
+
+
+# Three states in a row for one prepared checker: an empty one, one with a
+# file and a subdirectory, and the empty one again.
+STATES = [FsImage(), fs_image({"a": b"1", "d/b": b"22"}), FsImage()]
 
 
 @pytest.mark.parametrize("source, verdict", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
 def test_fork_and_subprocess_paths_agree(tmp_path, source, verdict):
-    argv = script_argv(tmp_path, source)
-    assert simulate._forkable(argv)
-    forked = simulate._fork_check(argv, timeout=30.0)
-    spawned = simulate._subprocess_check(argv, timeout=30.0)
-    assert (forked.verdict, forked.oracle_output) == (spawned.verdict, spawned.oracle_output)
-    assert forked.verdict is verdict
+    checker = script_checker(tmp_path, source)
+    assert checker.forkable()
+    for image in STATES:
+        forked = run_oracle(image, checker)
+        spawned = simulate._subprocess_check(checker.argv, checker.timeout)
+        assert (forked.verdict, forked.oracle_output) == (spawned.verdict, spawned.oracle_output)
+        assert forked.verdict is verdict
 
 
 def test_contract_outputs_are_the_interpreters(tmp_path):
@@ -87,12 +104,14 @@ def test_contract_outputs_are_the_interpreters(tmp_path):
     for name, source, _ in CASES:
         case_dir = tmp_path / name
         case_dir.mkdir()
-        outputs[name] = simulate._fork_check(script_argv(case_dir, source), timeout=30.0).oracle_output
+        outputs[name] = run_oracle(FsImage(), script_checker(case_dir, source)).oracle_output
     assert outputs["stdout-and-stderr"] == "to stdout\nto stderr\n"
     assert outputs["sys-exit-message"] == "partial\nmsg\n"
     assert outputs["uncaught-exception"].startswith("Traceback (most recent call last):\n  File ")
     assert outputs["uncaught-exception"].endswith("ValueError: bad root True\n")
     assert "SyntaxError" in outputs["syntax-error"] and "never" not in outputs["syntax-error"]
+    assert outputs["parser-stack-overflow"] == "MemoryError\n"
+    assert outputs["compile-recursion"] == "RecursionError: maximum recursion depth exceeded during compilation\n"
     assert outputs["large-output"] == "x" * (3 << 19)
     assert outputs["non-utf8-bytes"] == "ok \\xff\\xfe\nnext\n\\x80"
     assert outputs["sibling-import"] == "42\n"
@@ -101,11 +120,15 @@ def test_contract_outputs_are_the_interpreters(tmp_path):
     assert outputs["annotations"] == "{'x': <class 'int'>, 'return': None}\n"
 
 
-@pytest.mark.parametrize("check", [simulate._fork_check, simulate._subprocess_check], ids=["fork", "subprocess"])
+@pytest.mark.parametrize(
+    "check",
+    [simulate._fork_check, lambda checker: simulate._subprocess_check(checker.argv, checker.timeout)],
+    ids=["fork", "subprocess"],
+)
 def test_hanging_checker_is_an_oracle_error_after_the_timeout(tmp_path, check):
-    argv = script_argv(tmp_path, "import time\nprint('started')\ntime.sleep(60)\n")
+    checker = script_checker(tmp_path, "import time\nprint('started')\ntime.sleep(60)\n", timeout=0.5)
     start = time.monotonic()
-    result = check(argv, timeout=0.5)
+    result = check(checker)
     assert time.monotonic() - start < 10
     assert (result.verdict, result.oracle_output) == (Verdict.ORACLE_ERROR, "timeout after 0.5s")
 
@@ -115,7 +138,7 @@ def test_non_utf8_output_through_run_oracle(tmp_path):
     script = tmp_path / "badout.py"
     script.write_text("import sys\nsys.stdout.buffer.write(b'\\xff')\nsys.exit(1)\n")
     for checker in ([sys.executable, str(script)], ["env", sys.executable, str(script)]):
-        result = run_oracle(FsImage(), checker, tmp_path / "s")
+        result = run_oracle(FsImage(), PreparedChecker(checker, tmp_path / "s"))
         assert (result.verdict, result.oracle_output) == (Verdict.INCONSISTENT, "\\xff")
 
 
@@ -125,7 +148,7 @@ def paths_taken(monkeypatch):
     taken = []
 
     def fake(name):
-        def check(argv, timeout):
+        def check(*_args):
             taken.append(name)
             return CheckResult(Verdict.CONSISTENT, "")
 
@@ -149,7 +172,7 @@ def test_only_this_interpreter_with_a_script_file_is_forked(tmp_path, paths_take
         (["true"], "subprocess"),
     ]
     for checker, _ in checkers:
-        run_oracle(FsImage(), checker, tmp_path / "s")
+        run_oracle(FsImage(), PreparedChecker(checker, tmp_path / "s"))
     assert paths_taken == [path for _, path in checkers]
 
 
@@ -165,16 +188,28 @@ def test_a_checker_command_of_this_interpreter_and_a_script_is_forked(tmp_path, 
 
 
 def test_a_live_thread_selects_the_subprocess_path(tmp_path, paths_taken):
+    """The thread count is looked at for every state of a prepared checker."""
+    checker = PreparedChecker(checker_cmd("always_ok.py"), tmp_path / "s")
     release = threading.Event()
     thread = threading.Thread(target=release.wait, args=(30,))
     thread.start()
     try:
-        run_oracle(FsImage(), checker_cmd("always_ok.py"), tmp_path / "s")
+        run_oracle(FsImage(), checker)
     finally:
         release.set()
         thread.join(timeout=30)
     assert not thread.is_alive()
-    run_oracle(FsImage(), checker_cmd("always_ok.py"), tmp_path / "s")
+    run_oracle(FsImage(), checker)
+    assert paths_taken == ["subprocess", "fork"]
+
+
+def test_a_script_made_after_preparing_is_forked_once_it_exists(tmp_path, paths_taken):
+    """Whether the script is a file is looked at for every state."""
+    script = tmp_path / "later.py"
+    checker = PreparedChecker([sys.executable, str(script)], tmp_path / "s")
+    run_oracle(FsImage(), checker)
+    script.write_text("pass\n")
+    run_oracle(FsImage(), checker)
     assert paths_taken == ["subprocess", "fork"]
 
 
@@ -185,7 +220,63 @@ def test_forked_checker_leaves_this_process_alone(tmp_path):
         "print('meddled', file=sys.__stderr__)\nsys.exit(3)\n"
     )
     path_before, main_before = list(sys.path), sys.modules["__main__"]
-    result = run_oracle(FsImage(), [sys.executable, str(script)], tmp_path / "s")
+    result = run_oracle(FsImage(), PreparedChecker([sys.executable, str(script)], tmp_path / "s"))
     assert (result.verdict, result.oracle_output) == (Verdict.INCONSISTENT, "meddled\n")
     assert sys.path == path_before and sys.modules["__main__"] is main_before
     assert sys.modules["json"] is not None
+
+
+@pytest.mark.parametrize("launcher", [[sys.executable], ["env", sys.executable]], ids=["fork", "subprocess"])
+def test_editing_the_script_between_states_changes_the_verdict(tmp_path, launcher):
+    script = tmp_path / "edited.py"
+    script.write_text("print('first')\n")
+    checker = PreparedChecker([*launcher, str(script)], tmp_path / "s")
+    first = run_oracle(FsImage(), checker)
+    script.write_text("import sys\nprint('second')\nsys.exit(1)\n")
+    second = run_oracle(FsImage(), checker)
+    script.write_text("def (:\n")
+    third = run_oracle(FsImage(), checker)
+    assert (first.verdict, first.oracle_output) == (Verdict.CONSISTENT, "first\n")
+    assert (second.verdict, second.oracle_output) == (Verdict.INCONSISTENT, "second\n")
+    assert third.verdict is Verdict.INCONSISTENT and "SyntaxError" in third.oracle_output
+
+
+def test_the_script_is_compiled_once_per_distinct_content(tmp_path):
+    script = tmp_path / "same.py"
+    script.write_text("pass\n")
+    checker = PreparedChecker([sys.executable, str(script)], tmp_path / "s")
+    code = checker.code()
+    assert code is not None and checker.code() is code
+    script.write_text("pass  # edited\n")
+    assert checker.code() is not code
+    script.write_text("def (:\n")
+    assert checker.code() is None
+
+
+# Lists what the checker sees under its scratch directory, then leaves a
+# file, a nested subdirectory and a symlink to a directory outside it.
+MESSY = """\
+import os, sys
+root = sys.argv[1]
+for top, dirs, files in sorted(os.walk(root)):
+    for name in sorted(dirs + files):
+        path = os.path.join(top, name)
+        print(os.path.relpath(path, root), open(path).read() if os.path.isfile(path) else "/")
+open(os.path.join(root, "junk"), "w").write("left behind")
+os.makedirs(os.path.join(root, "d", "deep", "er"), exist_ok=True)
+open(os.path.join(root, "d", "deep", "er", "f"), "w").write("left behind")
+os.symlink({outside!r}, os.path.join(root, "link"))
+"""
+
+
+@pytest.mark.parametrize("launcher", [[sys.executable], ["env", sys.executable]], ids=["fork", "subprocess"])
+def test_what_a_checker_leaves_in_its_scratch_is_gone_at_the_next_state(tmp_path, launcher):
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    (outside / "keep").write_text("kept")
+    script = tmp_path / "messy.py"
+    script.write_text(MESSY.format(outside=str(outside)))
+    checker = PreparedChecker([*launcher, str(script)], tmp_path / "s")
+    outputs = [run_oracle(image, checker).oracle_output for image in STATES]
+    assert outputs == ["", "a 1\nd /\nd/b 22\n", ""]
+    assert os.listdir(outside) == ["keep"] and (outside / "keep").read_text() == "kept"

@@ -26,6 +26,7 @@ from crashcheck.simulate import (
     CheckResult,
     CrashSchedule,
     FsImage,
+    PreparedChecker,
     RunStats,
     StateCache,
     enumerate_schedules,
@@ -672,7 +673,7 @@ def test_state_cache_keys_steps_on_the_op_not_its_seq():
 
 
 def test_always_ok_checker_is_consistent(tmp_path):
-    result = run_oracle(FsImage(), checker_cmd("always_ok.py"), tmp_path / "s")
+    result = run_oracle(FsImage(), PreparedChecker(checker_cmd("always_ok.py"), tmp_path / "s"))
     assert result.verdict is Verdict.CONSISTENT
 
 
@@ -680,7 +681,7 @@ def test_current_checker_flags_dangling_pointer(tmp_path, current_checker):
     image = FsImage()
     image.files["CURRENT"] = b"MANIFEST-1"
     image.dirents["."] = frozenset({"CURRENT"})
-    result = run_oracle(image, current_checker, tmp_path / "s")
+    result = run_oracle(image, PreparedChecker(current_checker, tmp_path / "s"))
     assert result.verdict is Verdict.INCONSISTENT
     assert "dangling" in result.oracle_output
 
@@ -688,13 +689,13 @@ def test_current_checker_flags_dangling_pointer(tmp_path, current_checker):
 def test_checker_timeout_is_an_oracle_error(tmp_path):
     slow = tmp_path / "slow.py"
     slow.write_text("import time\ntime.sleep(5)\n")
-    result = run_oracle(FsImage(), [sys.executable, str(slow)], tmp_path / "s", timeout=0.3)
+    result = run_oracle(FsImage(), PreparedChecker([sys.executable, str(slow)], tmp_path / "s", timeout=0.3))
     assert result.verdict is Verdict.ORACLE_ERROR
 
 
 def test_missing_checker_raises(tmp_path):
     with pytest.raises(CheckerError):
-        run_oracle(FsImage(), ["/nonexistent/checker-bin"], tmp_path / "s")
+        run_oracle(FsImage(), PreparedChecker(["/nonexistent/checker-bin"], tmp_path / "s"))
 
 
 def test_materialize_clears_stale_files(tmp_path):
@@ -1059,6 +1060,29 @@ def run_workload(name, mode, checker, tmp_path, eps=10):
     return run_group_tests(groups, by_id, trace, checker, tmp_path / "scratch")
 
 
+def test_a_bug_graph_is_rendered_once_per_new_bug(tmp_path, monkeypatch):
+    """The two writes share a line, so omitting either one is the same bug
+    to a checker that always fails the same way; the subgraph's DOT used
+    to be rendered for every inconsistent state, duplicates included."""
+    from crashcheck.cli import RunConfig, derive_behaviors
+
+    trace = synth_workload('fn main {\n  write f1 "a" @0; write f2 "b" @0\n}\n', "POSIX")
+    _, behaviors = derive_behaviors(trace, RunConfig())
+    script = tmp_path / "fails.py"
+    script.write_text("print('bad')\nraise SystemExit(1)\n")
+    rendered = []
+    export_dot = simulate.export_dot
+    monkeypatch.setattr(simulate, "export_dot", lambda graph: rendered.append(graph) or export_dot(graph))
+    bugs, stats = run_group_tests(
+        group_behaviors(behaviors), {b.id: b for b in behaviors}, trace,
+        [sys.executable, str(script)], tmp_path / "scratch",
+    )
+    assert stats.distinct_states == 4
+    assert sorted(len(bug.omitted) for bug in bugs) == [0, 1, 2]
+    assert len(rendered) == len(bugs) == 3
+    assert all(bug.subgraph_dot == export_dot(behaviors[0].subgraph) for bug in bugs)
+
+
 def test_buggy_pointer_switch_reports_rename_bug(tmp_path, current_checker):
     bugs, stats = run_workload("current_update_buggy.dsl", "POSIX", current_checker, tmp_path)
     assert len(bugs) == 1
@@ -1104,7 +1128,7 @@ def test_bug_schedule_roundtrips_and_reproduces(tmp_path, current_checker):
     trace = load_workload("current_update_buggy.dsl", "POSIX")
     blob = json.dumps(bugs[0].to_json())
     schedule = schedule_from_json(json.loads(blob)["schedule"], trace)
-    result = run_oracle(replay(schedule), current_checker, tmp_path / "re")
+    result = run_oracle(replay(schedule), PreparedChecker(current_checker, tmp_path / "re"))
     assert result.verdict is Verdict.INCONSISTENT
 
 
@@ -1268,9 +1292,10 @@ def test_representative_subsumes_member_inconsistencies(tmp_path, entry_checker)
 
     def inconsistent_signatures(behavior, trace, enumerator, where):
         out = set()
-        for i, schedule in enumerate(enumerator(behavior, trace)):
+        checker = PreparedChecker(entry_checker, tmp_path / where)
+        for schedule in enumerator(behavior, trace):
             image = replay(schedule)
-            result = run_oracle(image, entry_checker, tmp_path / where / str(i))
+            result = run_oracle(image, checker)
             if result.verdict is Verdict.INCONSISTENT:
                 applied = set(schedule.applied_seqs)
                 omitted = [behavior.subgraph.ops_by_seq[s] for s in behavior.node_seqs if s not in applied]
