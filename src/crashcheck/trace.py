@@ -209,12 +209,19 @@ def _validate_args(kind: str, args: dict, line_no: int, error: type = ParseError
             if escapes_root(args[key]):
                 raise error(line_no, f"{kind} arg {key!r} must stay inside the image, got {args[key]!r}")
             # One spelling per file: ``./a``, ``a/`` and ``d/../a`` are all ``a``.
-            args[key] = posixpath.normpath(args[key])
+            path = posixpath.normpath(args[key])
+            # Replay would turn the root into a file, so only the ops it skips may name it.
+            if path == "." and kind in PERSISTING_KINDS:
+                raise error(line_no, f"{kind} arg {key!r} names the image root, got {args[key]!r}")
+            args[key] = path
     if "digest" in args and not args["digest"].isascii():
         raise error(line_no, f"{kind} arg 'digest' must be ASCII")
     for key in ("offset", "length", "addr", "line"):
-        if key in args and (not isinstance(args[key], int) or args[key] < 0):
+        # ``type`` and not ``isinstance``: JSON's true and false are bools.
+        if key in args and (type(args[key]) is not int or args[key] < 0):
             raise error(line_no, f"{kind} arg {key!r} must be a non-negative integer")
+    if not isinstance(args.get("dir", False), bool):
+        raise error(line_no, f"{kind} arg 'dir' must be true or false")
     if kind in ("write", "pwrite") and args["offset"] + args["length"] > MAX_WRITE_END:
         raise error(line_no, f"{kind} ends past byte {MAX_WRITE_END}")
     if kind in ("store", "flush", "msync") and args["length"] > MAX_RANGE_LENGTH:
@@ -291,7 +298,7 @@ def parse_trace(stream: bytes | str) -> Trace:
             raise ParseError(line_no, f"{kind} is a {kind_mode} kind in a {meta.mode} trace")
 
         seq = rec["seq"]
-        if not isinstance(seq, int) or seq <= 0:
+        if type(seq) is not int or seq <= 0:
             raise ParseError(line_no, "seq must be a positive integer")
         if seq <= prev_seq:
             raise SequenceOrderError(
@@ -300,7 +307,7 @@ def parse_trace(stream: bytes | str) -> Trace:
         prev_seq = seq
 
         tid = rec["tid"]
-        if not isinstance(tid, int) or tid < 0:
+        if type(tid) is not int or tid < 0:
             raise ParseError(line_no, "tid must be a non-negative integer")
 
         args = rec["args"]

@@ -10,7 +10,7 @@ import itertools
 import json
 import random
 from bisect import bisect_right
-from typing import Iterable, Iterator
+from typing import Iterator, NamedTuple
 
 from crashcheck import Annotation, Backtrace, Frame, Operation, PersistenceGraph, Trace, build_graph
 from crashcheck.behavior import UpdateBehavior, make_behavior
@@ -701,101 +701,60 @@ def ops_commute(a: Operation, b: Operation, cfg: ModelConfig) -> bool:
     return not _data_conflict(data_a, data_b)
 
 
-def pinned_order_schedules(
+class ReferenceState(NamedTuple):
+    """One set of :func:`reference_states`: its ``applied`` seqs, the
+    full-graph ancestors it lacks (``pulled``), the number of its orders
+    that respect the behavior's edges, and its image's digest."""
+
+    applied: tuple[int, ...]
+    pulled: tuple[int, ...]
+    orders: int
+    digest: str
+
+
+def reference_states(
     behavior: UpdateBehavior,
+    graph: PersistenceGraph,
     trace: Trace,
-    cfg: ModelConfig | None = None,
-) -> list[CrashSchedule]:
-    """:func:`brute_force_schedules` sorted into the order the enumerators
-    pin: subsets by their membership vector over ascending seqs ("absent"
-    first), then each subset's orders by their seqs.  With a config, only
-    orders with no adjacent commuting inversion (a later op placed right
-    after an earlier one it commutes with) are kept, the orders the pruned
-    enumerator yields.  Shares no code with the enumerators."""
-    seqs = sorted(behavior.subgraph.ops_by_seq)
+    budget: int | None = None,
+) -> Iterator[ReferenceState]:
+    """Every set of the behavior's nodes closed under its own edges, barrier
+    nodes included, found by brute force over bitmasks in the order the
+    enumerators visit subsets: lexicographic in membership over ascending
+    seqs, "absent" first.  Shares no code with the enumerators.
 
-    def position(schedule: CrashSchedule):
-        members = set(schedule.applied_seqs)
-        return [seq in members for seq in seqs], schedule.applied_seqs
+    ``pulled`` is read from the full ``graph``: the ancestors of the set at
+    or after the span start that it lacks.  The digest is that of the
+    context, the set and ``pulled`` replayed from scratch in seq order, so a
+    set whose ``pulled`` is empty is a state of the full model as it
+    stands, and one whose ``pulled`` is not must either pull those ops in or
+    be dropped.  The order count comes from a memoized recursion that
+    removes one minimal node at a time.  Raises :class:`ExplosionLimit`
+    before the ``budget + 1``-th set, and the :class:`ReplayError` of the
+    first set whose replay fails."""
+    ops = trace.ops_by_seq()
+    start = behavior.span[0]
+    context = tuple(op for op in trace.ops if op.seq < start)
+    seqs = behavior.node_seqs
+    # The lowest seq is the highest bit, so counting up is lexicographic.
+    bit = {seq: 1 << (len(seqs) - 1 - i) for i, seq in enumerate(seqs)}
+    preds = {seq: sum(map(bit.__getitem__, behavior.subgraph.predecessors(seq))) for seq in seqs}
+    counts = {0: 1}
 
-    schedules = sorted(brute_force_schedules(behavior, trace), key=position)
-    if cfg is None:
-        return schedules
-    return [
-        s
-        for s in schedules
-        if not any(a.seq > b.seq and ops_commute(a, b, cfg) for a, b in zip(s.applied, s.applied[1:]))
-    ]
+    def orders(mask: int) -> int:
+        if mask not in counts:
+            counts[mask] = sum(orders(mask ^ bit[seq]) for seq in seqs if mask & bit[seq] and not preds[seq] & mask)
+        return counts[mask]
 
-
-def order_schedules(
-    behavior: UpdateBehavior,
-    trace: Trace,
-    cfg: ModelConfig | None = None,
-    budget: int = 1_000_000,
-) -> Iterator[CrashSchedule]:
-    """Every order of every downward-closed subset of the behavior's nodes,
-    one schedule each, in the order the enumerators pin (see
-    :func:`pinned_order_schedules`), raising :class:`ExplosionLimit` after
-    ``budget`` subsets if more remain.  With a config, only orders with no
-    adjacent commuting inversion.  A plain recursive search, with no memo
-    and no images, for traces too large for brute force."""
-    context = tuple(op for op in trace.ops if op.seq < behavior.span[0])
-    ops = behavior.subgraph.ops_by_seq
-    seqs = sorted(ops)
-    preds = {seq: set(behavior.subgraph.predecessors(seq)) for seq in seqs}
-
-    def subsets(i: int, chosen: frozenset):
-        if i == len(seqs):
-            yield chosen
-            return
-        yield from subsets(i + 1, chosen)
-        if preds[seqs[i]] <= chosen:
-            yield from subsets(i + 1, chosen | {seqs[i]})
-
-    def orders(chosen: frozenset, placed: tuple):
-        if len(placed) == len(chosen):
-            yield placed
-        for seq in sorted(chosen - set(placed)):
-            if not preds[seq] <= set(placed):
-                continue
-            if cfg is not None and placed and seq < placed[-1] and ops_commute(ops[placed[-1]], ops[seq], cfg):
-                continue
-            yield from orders(chosen, placed + (seq,))
-
-    for visited, chosen in enumerate(subsets(0, frozenset())):
+    in_span = {seq: {a for a in ancestors(graph, seq) if a >= start} for seq in seqs}
+    visited = 0
+    for mask in range(1 << len(seqs)):
+        applied = tuple(seq for seq in seqs if mask & bit[seq])
+        if any(preds[seq] & ~mask for seq in applied):
+            continue
         if visited == budget:
             raise ExplosionLimit(budget)
-        for placed in orders(chosen, ()):
-            yield CrashSchedule(behavior.id, trace.meta.mode, context, tuple(ops[seq] for seq in placed))
-
-
-def by_subset(schedules: Iterable[CrashSchedule]) -> Iterator[list[CrashSchedule]]:
-    """Runs of consecutive schedules that apply the same set of ops: the
-    subsets of a listing in the pinned order, one list of orders each."""
-    for _, group in itertools.groupby(schedules, key=lambda s: frozenset(s.applied_seqs)):
-        yield list(group)
-
-
-def weighted_stream(schedules: list[CrashSchedule], budget: int = 1_000_000) -> Iterator[tuple]:
-    """The items an enumerator with a fresh cache yields, derived from
-    every order of one behavior listed in the pinned order, as ``(weight,
-    applied seqs or None, digest or None)``.  For each subset, each image
-    not reached before is one ``(1, seqs, digest)`` item, in the order of
-    its first order, and the subset's other orders are one ``(count, None,
-    None)`` item.  After ``budget`` subsets, if more remain, it raises
-    :class:`ExplosionLimit`.  An order whose replay fails raises its
-    :class:`ReplayError` where it falls."""
-    seen: set[str] = set()
-    for visited, group in enumerate(by_subset(schedules)):
-        if visited == budget:
-            raise ExplosionLimit(budget)
-        new = 0
-        for schedule in group:
-            digest = replay(schedule).digest()
-            if digest not in seen:
-                seen.add(digest)
-                new += 1
-                yield 1, schedule.applied_seqs, digest
-        if len(group) > new:
-            yield len(group) - new, None, None
+        visited += 1
+        pulled = tuple(sorted(set().union(*map(in_span.__getitem__, applied)).difference(applied)))
+        schedule = CrashSchedule(behavior.id, trace.meta.mode, context, tuple(ops[s] for s in sorted(applied + pulled)))
+        yield ReferenceState(applied, pulled, orders(mask), replay(schedule).digest())

@@ -110,6 +110,14 @@ def test_paths_outside_the_image_are_rejected():
         assert err.value.line_no == 2, statement
 
 
+def test_ops_that_would_replace_the_image_root_are_rejected():
+    for statement in ('write . "a" @0', "create d/..", "rename f .", "rename ./ f", "unlink ."):
+        with pytest.raises(DslError) as err:
+            synth_workload("fn main {\n  " + statement + "\n}", "POSIX")
+        assert err.value.line_no == 2, statement
+        assert "names the image root" in str(err.value), statement
+
+
 def test_bad_syntax_reports_location():
     with pytest.raises(DslError) as err:
         synth_workload('fn main {\n  write f1 "a"\n}', "POSIX")

@@ -4,13 +4,16 @@
 code in ``src/`` outside its own definition, and every parameter of a
 function must be read in its body.  Names are read from the syntax tree,
 so docstrings, comments and import lists do not count as uses; a symbol
-that only tests or re-exports reach fails here."""
+that only tests or re-exports reach fails here.  The same guard keeps every
+top-level function in ``tests/helpers.py`` named by a test module or by
+another helper, so a deleted test leaves no orphan helper behind."""
 
 import ast
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "crashcheck"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "crashcheck"
 
 
 def _names_used(node: ast.AST) -> Counter:
@@ -56,6 +59,17 @@ def test_every_symbol_in_src_is_used_in_src():
             if not any(used[key] > own[key] for key in keys):
                 unused.append(f"{module}:{qualname}")
     assert unused == []
+
+
+def test_every_test_helper_is_used_by_a_test_or_another_helper():
+    helpers = ast.parse((TESTS / "helpers.py").read_text())
+    used = sum((_names_used(ast.parse(path.read_text())) for path in sorted(TESTS.glob("*.py"))), Counter())
+    orphans = [
+        node.name
+        for node in helpers.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and used[node.name] <= _names_used(node)[node.name]
+    ]
+    assert orphans == []
 
 
 def _functions(node: ast.AST, prefix: str = ""):

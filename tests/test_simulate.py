@@ -3,6 +3,7 @@ import json
 import math
 import random
 import sys
+from collections import Counter
 from functools import partial
 
 import pytest
@@ -21,8 +22,11 @@ from crashcheck import (
 from crashcheck import simulate
 from crashcheck.behavior import make_behavior
 from crashcheck.graph import StaticKey
+from crashcheck.mmio_behaviors import derive_mmio_behaviors
 from crashcheck.models import EdgeReason, ModelConfig, model_edges
+from crashcheck.posix_behaviors import derive_posix_behaviors
 from crashcheck.simulate import (
+    DEFAULT_BUDGET,
     CheckResult,
     CrashSchedule,
     FsImage,
@@ -42,29 +46,26 @@ from conftest import checker_cmd, load_workload
 from helpers import (
     ancestors,
     brute_force_schedules,
-    by_subset,
     graph_edges,
     log_then_tables_trace,
     mmio_trace,
     op,
     ops_commute,
-    order_schedules,
-    pinned_order_schedules,
     posix_trace,
     random_annotated_mmio_trace,
     random_mmio_trace,
     random_nested_posix_trace,
     random_posix_trace,
     reference_fs_digest,
+    reference_states,
     side_node_chain_trace,
     store_args,
-    weighted_stream,
     write_args,
 )
 
 
-def whole_trace_behavior(trace, cfg=None):
-    graph = build_graph(trace, model_edges(trace, cfg))
+def whole_trace_behavior(trace):
+    graph = build_graph(trace, model_edges(trace))
     return make_behavior("whole", "*", 0, graph.node_seqs, graph), graph
 
 
@@ -80,12 +81,6 @@ def new_states(items):
 def weight_of(items):
     """The number of orders an enumerator's items count."""
     return sum(weight for weight, _, _ in items)
-
-
-def listing(schedules, **kwargs):
-    """:func:`order_schedules` for the orders enumerator ``schedules``
-    counts, with its other arguments bound."""
-    return partial(order_schedules, cfg=ModelConfig() if schedules is enumerate_schedules else None, **kwargs)
 
 
 # --- enumeration counts ---
@@ -170,34 +165,11 @@ def chain_diamond_behavior():
 def test_enumeration_order_is_pinned():
     # The first schedule to reach a state names it in states.json, so the
     # order is part of the output: subsets in lexicographic order of their
-    # membership over ascending seqs (absent first), then each subset's
-    # orders in lexicographic order.
+    # membership over ascending seqs (absent first), each named by its ops
+    # in seq order.  The enumerators count the subset's other orders, here
+    # the ones that put 5 before 4, in one item.
     behavior, trace = chain_diamond_behavior()
-    assert [s.applied_seqs for s in order_schedules(behavior, trace)] == [
-        (),
-        (1,),
-        (1, 2),
-        (1, 2, 3),
-        (1, 2, 3, 5),
-        (1, 2, 3, 4),
-        (1, 2, 3, 4, 5),
-        (1, 2, 3, 5, 4),
-        (1, 2, 3, 4, 5, 6),
-        (1, 2, 3, 5, 4, 6),
-    ]
-    # Pruning drops the orders that put 5 before the commuting 4.
-    assert [s.applied_seqs for s in order_schedules(behavior, trace, ModelConfig())] == [
-        (),
-        (1,),
-        (1, 2),
-        (1, 2, 3),
-        (1, 2, 3, 5),
-        (1, 2, 3, 4),
-        (1, 2, 3, 4, 5),
-        (1, 2, 3, 4, 5, 6),
-    ]
-    # The enumerators name each state by its first order and count the
-    # subset's other orders, here the ones that put 5 before 4, in one item.
+
     def items(schedules):
         return [(weight, schedule and schedule.applied_seqs) for weight, schedule, _ in schedules(behavior, trace)]
 
@@ -249,35 +221,111 @@ def test_a_rename_is_ordered_against_writes_of_its_destination(name):
     trace = posix_trace(ops)
     behavior, graph = whole_trace_behavior(trace)
     assert (*edge, EdgeReason.METADATA_ORDER) in graph_edges(graph)
-    # Every order of a subset replays to the image of its ops in seq
-    # order, which the pinned listing puts first.
-    subsets = list(by_subset(order_schedules(behavior, trace)))
-    in_seq_order = {}
-    for orders in subsets:
-        digest = replay(orders[0]).digest()
-        assert {replay(s).digest() for s in orders} == {digest}
-        in_seq_order.setdefault(digest, orders[0].applied_seqs)
-    stats = RunStats()
-    found = explore([behavior], partial(exhaustive_schedules, trace=trace), stats)
-    assert {digest: s.applied_seqs for _, s, digest, _ in found} == in_seq_order
-    assert stats.schedules_tested == sum(map(len, subsets))
+    # Every order of a subset replays to the image of its ops in seq order.
+    digests = {state.applied: state.digest for state in reference_states(behavior, graph, trace)}
+    for schedule in brute_force_schedules(behavior, trace):
+        assert replay(schedule).digest() == digests[tuple(sorted(schedule.applied_seqs))]
+    assert_exploration_matches_the_reference(graph, [behavior], trace, exhaustive_schedules)
 
 
 def test_exhaustive_at_the_pinned_budget_matches_the_reference():
     """The 3-thread trace whose ``states.json`` is pinned at ``--budget
     40``: the walk stops with 31 states, having found and counted what
-    replaying every order of the first 40 subsets does.  At 50 it now
+    the reference does over the first 40 subsets.  At 50 it now
     completes, with 33 states."""
     trace = random_posix_trace(random.Random(5), 16, threads=3)
-    behavior, _ = whole_trace_behavior(trace)
+    behavior, graph = whole_trace_behavior(trace)
     for budget, states, partial_coverage in ((40, 31, True), (50, 33, False)):
-        assert explorations_match([behavior], exhaustive_schedules, trace=trace, budget=budget)
-        stats = RunStats()
-        list(explore([behavior], partial(exhaustive_schedules, trace=trace, budget=budget), stats))
+        _, stats = assert_exploration_matches_the_reference(graph, [behavior], trace, exhaustive_schedules, budget)
         assert (stats.distinct_states, stats.partial_coverage) == (states, partial_coverage)
 
 
-# --- the enumerators' items against an oracle that shares no code with them ---
+# --- the enumerators against the reference crash states, which share no code with them ---
+
+
+def until_raised(items):
+    """``items`` as a list up to the exception that ends them, and that
+    exception's repr, or ``None`` when they complete."""
+    got = []
+    try:
+        for item in items:
+            got.append(item)
+    except (ExplosionLimit, ReplayError) as exc:
+        return got, repr(exc)
+    return got, None
+
+
+def reference_items(behavior, graph, trace, every_order, budget):
+    """The items an enumerator with a fresh cache yields, derived from
+    :func:`helpers.reference_states` as ``(weight, applied seqs or None,
+    digest or None)``: per set, ``(1, seqs, digest)`` when the digest is
+    new, then the set's other orders (its order count with
+    ``every_order``, one order per set without) as one ``(rest, None,
+    None)`` item."""
+    seen = set()
+    for state in reference_states(behavior, graph, trace, budget):
+        rest = state.orders if every_order else 1
+        if state.digest not in seen:
+            seen.add(state.digest)
+            rest -= 1
+            yield 1, state.applied, state.digest
+        if rest:
+            yield rest, None, None
+
+
+def assert_walk_matches_the_reference(schedules, behavior, graph, trace, budget=DEFAULT_BUDGET):
+    """Enumerator ``schedules`` yields for ``behavior`` the items
+    :func:`reference_items` derives and stops where they stop; returns
+    them with the repr of the exception that ended them."""
+    items = schedules(behavior, trace, budget=budget)
+    got = until_raised((w, s.applied_seqs, image.digest()) if s else (w, None, None) for w, s, image in items)
+    expected = reference_items(behavior, graph, trace, schedules is exhaustive_schedules, budget)
+    assert got == until_raised(expected), (behavior.id, trace.ops, budget)
+    return got
+
+
+def reference_exploration(graph, behaviors, trace, every_order, budget):
+    """What :func:`explore` finds, as ``(behavior id, context seqs, applied
+    seqs, digest)``, and counts, from the reference states of each behavior in
+    turn: each set counts its orders (one with no ``every_order``) and is
+    new when no set before it had its digest.  A behavior out of budget
+    sets ``partial_coverage``; a :class:`ReplayError` ends the walk and
+    takes the place of the stats as its message."""
+    seen, found, stats = set(), [], RunStats()
+    for behavior in behaviors:
+        context = tuple(o.seq for o in trace.ops if o.seq < behavior.span[0])
+        try:
+            for state in reference_states(behavior, graph, trace, budget):
+                orders = state.orders if every_order else 1
+                new = state.digest not in seen
+                seen.add(state.digest)
+                stats.schedules_tested += orders
+                stats.distinct_states += new
+                stats.states_deduped += orders - new
+                if new:
+                    found.append((behavior.id, context, state.applied, state.digest))
+        except ExplosionLimit:
+            stats.partial_coverage = True
+        except ReplayError as exc:
+            return found, str(exc)
+    return found, stats
+
+
+def assert_exploration_matches_the_reference(graph, behaviors, trace, schedules, budget=DEFAULT_BUDGET):
+    """:func:`explore` over enumerator ``schedules``, one cache across
+    ``behaviors``, finds and counts what :func:`reference_exploration`
+    does, or stops with the same replay error; returns what it found and
+    its stats or the error's message."""
+    stats, found = RunStats(), []
+    try:
+        for b, s, digest, _ in explore(behaviors, partial(schedules, trace=trace, budget=budget), stats):
+            found.append((b.id, s.context_seqs, s.applied_seqs, digest))
+        got = found, stats
+    except ReplayError as exc:
+        got = found, str(exc)
+    every_order = schedules is exhaustive_schedules
+    assert got == reference_exploration(graph, behaviors, trace, every_order, budget), (trace.ops, schedules, budget)
+    return got
 
 
 def root_side_node_trace():
@@ -348,58 +396,104 @@ def cutoff_traces():
     }
 
 
-def order_oracle_cases():
+ENUMERATORS = [enumerate_schedules, exhaustive_schedules]
+
+
+@pytest.mark.parametrize("schedules", ENUMERATORS)
+def test_the_walk_yields_the_oracle_order(schedules):
     rng = random.Random(1994)
     for i in range(40):
         make_trace = random_posix_trace if i % 2 == 0 else random_mmio_trace
         trace = make_trace(rng, max_ops=8, threads=rng.randint(1, 3))
-        for behavior in behaviors_with_several_contexts(trace):
-            yield behavior, trace
+        graph, behaviors = behaviors_with_several_contexts(trace)
+        for behavior in behaviors:
+            assert_walk_matches_the_reference(schedules, behavior, graph, trace)
     for trace in cutoff_traces().values():
-        yield whole_trace_behavior(trace)[0], trace
+        assert_walk_matches_the_reference(schedules, *whole_trace_behavior(trace), trace)
 
 
-ENUMERATORS = [(enumerate_schedules, ModelConfig()), (exhaustive_schedules, None)]
+@pytest.mark.parametrize("schedules", ENUMERATORS)
+def test_the_walk_stops_at_every_budget_where_the_oracle_order_does(schedules):
+    """Every budget, so the walk stops after each subset, up to the first
+    at which it completes or fails to replay."""
+    for trace in cutoff_traces().values():
+        behavior, graph = whole_trace_behavior(trace)
+        for budget in itertools.count(1):
+            _, end = assert_walk_matches_the_reference(schedules, behavior, graph, trace, budget)
+            if end is None or not end.startswith("ExplosionLimit"):
+                break
 
 
-def as_stream(items):
-    """An enumerator's items in the form of :func:`helpers.weighted_stream`."""
-    for weight, schedule, image in items:
-        yield (weight, schedule.applied_seqs, image.digest()) if schedule else (weight, None, None)
+def test_the_reference_counts_the_orders_brute_force_lists():
+    """The reference's sets, and its order counts from a recursion over
+    minimal nodes, against every order ``itertools.permutations`` gives,
+    on behaviors of at most 6 nodes."""
+    rng = random.Random(6)
+    for i in range(40):
+        make_trace = random_posix_trace if i % 2 == 0 else random_mmio_trace
+        trace = make_trace(rng, max_ops=6, threads=rng.randint(1, 3))
+        graph, behaviors = behaviors_with_several_contexts(trace)
+        for behavior in behaviors:
+            listed = Counter(tuple(sorted(s.applied_seqs)) for s in brute_force_schedules(behavior, trace))
+            assert {state.applied: state.orders for state in reference_states(behavior, graph, trace)} == listed
 
 
-def outcome(stream):
-    """The items of a stream up to the exception that ends it, if any."""
-    got = []
-    try:
-        for item in stream:
-            got.append(item)
-    except (ExplosionLimit, ReplayError) as exc:
-        return got, repr(exc)
-    return got, None
+def test_the_reference_agrees_with_the_walk_wherever_nothing_is_pulled_in():
+    """Behaviors derived from random 2-3-thread traces, which need not hold
+    every op of their spans.  Wherever a set lacks none of its full-graph
+    ancestors, the walk reaches the reference's digest; where the walk
+    fails to replay a set, the set lacks one."""
+    rng = random.Random(3)
+    sets = Counter()
+    for i in range(60):
+        posix = i % 2 == 0
+        trace = (random_posix_trace if posix else random_mmio_trace)(rng, max_ops=8, threads=rng.randint(2, 3))
+        graph = build_graph(trace, model_edges(trace))
+        for behavior in (derive_posix_behaviors if posix else derive_mmio_behaviors)(graph, trace):
+            # One item per set: the walk counts one order per subset.
+            walk, seen = enumerate_schedules(behavior, trace), set()
+            for state in reference_states(behavior, graph, trace):
+                sets[bool(state.pulled)] += 1
+                try:
+                    _, schedule, image = next(walk)
+                except ReplayError:
+                    assert state.pulled, (trace.ops, behavior.node_seqs, state)
+                    break
+                if schedule:
+                    assert schedule.applied_seqs == state.applied
+                    seen.add(image.digest())
+                if not state.pulled:
+                    assert (image.digest() == state.digest) if schedule else (state.digest in seen)
+            else:
+                assert next(walk, None) is None
+    assert sets[False] and sets[True]
 
 
-@pytest.mark.parametrize("schedules, cfg", ENUMERATORS)
-def test_the_walk_yields_the_oracle_order(schedules, cfg):
-    for behavior, trace in order_oracle_cases():
-        expected = outcome(weighted_stream(pinned_order_schedules(behavior, trace, cfg)))
-        assert outcome(as_stream(schedules(behavior, trace))) == expected, (behavior.id, trace.ops)
+def item_1_repro():
+    """T1 writes ``f`` blocks 0-1, T2 blocks 1-2, T1 block 2: the edges are
+    1 -> 2 -> 3, and T1's behavior is {1, 3}."""
+    trace = posix_trace(
+        [
+            op(1, "write", write_args("f", b"\x01" * 8192), tid=1),
+            op(2, "write", write_args("f", b"\x02" * 8192, 4096), tid=2),
+            op(3, "write", write_args("f", b"\x03" * 4096, 8192), tid=1),
+        ]
+    )
+    graph = build_graph(trace, model_edges(trace))
+    assert [(src, dst) for src, dst, _ in graph_edges(graph)] == [(1, 2), (2, 3)]
+    return make_behavior("t1", "f", 1, [1, 3], graph), graph, trace
 
 
-@pytest.mark.parametrize("schedules, cfg", ENUMERATORS)
-def test_the_walk_stops_at_every_budget_where_the_oracle_order_does(schedules, cfg):
-    """Every budget, so the walk stops after each subset, and one past the
-    last, where it completes."""
-    for name, trace in cutoff_traces().items():
-        behavior, _ = whole_trace_behavior(trace)
-        orders = pinned_order_schedules(behavior, trace, cfg)
-        subsets = list(by_subset(orders))
-        for budget in range(1, len(subsets) + 2):
-            got = outcome(as_stream(schedules(behavior, trace, budget=budget)))
-            assert got == outcome(weighted_stream(orders, budget)), (name, budget)
-            if got[1] is None or got[1].startswith("ExplosionLimit"):
-                assert weight_of(got[0]) == sum(map(len, subsets[:budget])), (name, budget)
-                assert (got[1] is not None) == (budget < len(subsets)), (name, budget)
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: span ops outside a behavior are neither context nor applied, "
+    "so the walk yields (3,) and (1, 3) without 2, which 3 needs",
+)
+def test_every_state_the_walk_yields_lacks_no_full_graph_ancestor():
+    behavior, graph, trace = item_1_repro()
+    pulled = {state.applied: state.pulled for state in reference_states(behavior, graph, trace)}
+    yielded = [s.applied_seqs for s in new_states(enumerate_schedules(behavior, trace))]
+    assert [seqs for seqs in yielded if pulled[seqs]] == []
 
 
 class CountingCache(StateCache):
@@ -547,13 +641,14 @@ def test_mmio_replay_full_trace_equals_in_order_application():
 
 
 def behaviors_with_several_contexts(trace):
-    """The whole trace plus behaviors over its first third, its last two
-    thirds and its last third, so their schedules start from three contexts."""
+    """The trace's graph, and behaviors over the whole trace, its first
+    third, its last two thirds and its last third, so their schedules start
+    from three contexts.  Each holds every op of its span."""
     graph = build_graph(trace, model_edges(trace))
     seqs = sorted(graph.node_seqs)
     third = max(1, len(seqs) // 3)
     chunks = [seqs, seqs[:third], seqs[third:], seqs[2 * third:]]
-    return [make_behavior(f"b{i}", "f", 0, chunk, graph) for i, chunk in enumerate(chunks) if chunk]
+    return graph, [make_behavior(f"b{i}", "f", 0, chunk, graph) for i, chunk in enumerate(chunks) if chunk]
 
 
 def replay_by_steps(schedule, cache):
@@ -570,11 +665,11 @@ def test_state_cache_steps_replay_like_a_fresh_replay():
     cache = StateCache()
     for make_trace in (random_posix_trace, random_mmio_trace) * 8:
         trace = make_trace(rng, max_ops=7)
-        behaviors = behaviors_with_several_contexts(trace)
-        # Depth-first order first, then an order that jumps between
+        _, behaviors = behaviors_with_several_contexts(trace)
+        listed = [s for b in behaviors for s in brute_force_schedules(b, trace)]
+        # Depth-first order first, then the listing's, which jumps between
         # schedules and contexts arbitrarily.
-        schedules = [s for b in behaviors for s in order_schedules(b, trace, ModelConfig())]
-        schedules += [s for b in behaviors for s in brute_force_schedules(b, trace)]
+        schedules = sorted(listed, key=lambda s: (s.context_seqs, s.applied_seqs)) + listed
         for schedule in schedules:
             assert replay_by_steps(schedule, cache).digest() == replay(schedule).digest()
         for _ in range(10):
@@ -613,28 +708,16 @@ def test_state_cache_step_that_raises_records_nothing():
 
 def test_explore_raises_a_replay_error_where_replaying_every_schedule_does():
     """The walk applies the failing rename when it places it, but raises
-    only at the first schedule that holds it, in the first subset that
-    holds it (the ``first_failure``-th), so the budget runs out first
-    exactly when it would for a replay of each schedule.  (The stats of a
-    run that raised are not compared: nothing reports them.)"""
+    only at the first subset that holds it (the ``first_failure``-th), so
+    the budget runs out first exactly when it would for a replay of each
+    subset.  (The stats of a run that raised are not compared: nothing
+    reports them.)"""
     for trace, first_failure in ((missing_source_trace(), 2), (missing_source_in_the_prefix_trace(), 4)):
-        behavior, _ = whole_trace_behavior(trace)
-        for schedules in (enumerate_schedules, exhaustive_schedules):
+        behavior, graph = whole_trace_behavior(trace)
+        for schedules in ENUMERATORS:
             for budget in range(1, first_failure + 4):
-                schedules_of = partial(schedules, trace=trace, budget=budget)
-                orders_of = listing(schedules, trace=trace, budget=budget)
-                outcomes = []
-                for run, of in ((explore, schedules_of), (reference_explore, orders_of)):
-                    stats, found = RunStats(), []
-                    try:
-                        for b, s, digest, *_ in run([behavior], of, stats):
-                            found.append((getattr(b, "id", b), s, digest))
-                        found.append(stats)
-                    except ReplayError as exc:
-                        found.append(str(exc))
-                    outcomes.append(found)
-                assert outcomes[0] == outcomes[1], (schedules, budget)
-                assert isinstance(outcomes[0][-1], str) == (budget >= first_failure)
+                _, end = assert_exploration_matches_the_reference(graph, [behavior], trace, schedules, budget)
+                assert isinstance(end, str) == (budget >= first_failure)
 
 
 def test_state_cache_keys_steps_on_the_op_not_its_seq():
@@ -657,13 +740,13 @@ def test_state_cache_keys_steps_on_the_op_not_its_seq():
     for make_trace, payloads in cases:
         trace = make_trace(*payloads)
         behavior, _ = whole_trace_behavior(trace)
-        for schedule in order_schedules(behavior, trace):
+        for schedule in brute_force_schedules(behavior, trace):
             assert replay_by_steps(schedule, cache).digest() == replay(schedule).digest()
         # The walk through the same steps (with its own record of states
         # seen) reaches every state of this trace.
         walk = StateCache(interned=cache.interned, steps=cache.steps)
         walked = {image.digest() for _, s, image in exhaustive_schedules(behavior, trace, cache=walk) if s}
-        assert walked == distinct_images(order_schedules(behavior, trace))
+        assert walked == distinct_images(brute_force_schedules(behavior, trace))
         # Drop the trace, so that its ops could hand their ids on to the
         # next trace's if the cache did not keep them alive.
         del trace, behavior, schedule
@@ -767,72 +850,43 @@ def test_explore_checks_each_new_state_once():
     assert all(result.verdict is Verdict.CONSISTENT for _, _, _, result in found)
 
 
-@pytest.mark.parametrize("schedules", [enumerate_schedules, exhaustive_schedules])
+@pytest.mark.parametrize("schedules", ENUMERATORS)
 def test_explore_dedups_exactly_as_the_digests_do(schedules):
     rng = random.Random(2024)
     for i in range(60):
         trace = random_posix_trace(rng, max_ops=6) if i % 2 == 0 else random_mmio_trace(rng, max_ops=6)
-        behaviors = behaviors_with_several_contexts(trace)
-
-        schedules_of = partial(schedules, trace=trace)
-        stats = RunStats()
-        found = [digest for _, _, digest, _ in explore(behaviors, schedules_of, stats)]
-        from_scratch = {replay(s).digest() for b in behaviors for s in listing(schedules, trace=trace)(b)}
-        assert len(found) == len(set(found))
-        assert set(found) == from_scratch
+        graph, behaviors = behaviors_with_several_contexts(trace)
+        found, stats = assert_exploration_matches_the_reference(graph, behaviors, trace, schedules)
+        assert len({digest for *_, digest in found}) == len(found)
         assert stats.distinct_states + stats.states_deduped == stats.schedules_tested
 
 
-def reference_explore(behaviors, orders_of, stats):
-    """:func:`explore` as a plain loop over every order ``orders_of`` lists
-    (see :func:`listing`): each replayed from scratch and deduplicated on
-    its digest."""
-    seen = set()
-    for behavior in behaviors:
-        try:
-            for schedule in orders_of(behavior):
-                stats.schedules_tested += 1
-                digest = replay(schedule).digest()
-                if digest in seen:
-                    stats.states_deduped += 1
-                    continue
-                seen.add(digest)
-                stats.distinct_states += 1
-                yield behavior.id, schedule, digest
-        except ExplosionLimit:
-            stats.partial_coverage = True
-
-
 def random_explorations(seed, count):
-    """``(behaviors, schedules_of, orders_of)`` over random 1-3-thread POSIX
-    and MMIO traces with several contexts, pruned or not, some with a
-    budget that runs out: an enumerator and the listing of its orders."""
+    """``(graph, behaviors, trace, enumerator, budget)`` over random
+    1-3-thread POSIX and MMIO traces with several contexts, pruned or not,
+    some with a budget that runs out."""
     rng = random.Random(seed)
     for i in range(count):
         threads = rng.randint(1, 3)
         make_trace = random_posix_trace if i % 2 == 0 else random_mmio_trace
         trace = make_trace(rng, max_ops=6, threads=threads)
-        schedules = rng.choice([enumerate_schedules, exhaustive_schedules])
+        schedules = rng.choice(ENUMERATORS)
         budget = rng.choice([7, 100_000])
-        kwargs = {"trace": trace, "budget": budget}
-        yield behaviors_with_several_contexts(trace), partial(schedules, **kwargs), listing(schedules, **kwargs)
+        yield *behaviors_with_several_contexts(trace), trace, schedules, budget
 
 
 def test_explore_matches_replaying_every_schedule_from_scratch():
-    for behaviors, schedules_of, orders_of in random_explorations(4242, 80):
-        stats, expected_stats = RunStats(), RunStats()
-        found = [(b.id, s, digest) for b, s, digest, _ in explore(behaviors, schedules_of, stats)]
-        assert found == list(reference_explore(behaviors, orders_of, expected_stats))
-        assert stats == expected_stats
+    for case in random_explorations(4242, 80):
+        assert_exploration_matches_the_reference(*case)
 
 
 def test_explore_leaves_every_interned_image_as_it_was_interned():
-    for behaviors, schedules_of, _ in random_explorations(77, 40):
+    for _, behaviors, trace, schedules, budget in random_explorations(77, 40):
         caches = []
 
         def recording(behavior, cache):
             caches.append(cache)
-            return schedules_of(behavior, cache=cache)
+            return schedules(behavior, trace, budget, cache)
 
         list(explore(behaviors, recording, RunStats()))
         (cache,) = {id(c): c for c in caches}.values()
@@ -843,16 +897,7 @@ def test_explore_leaves_every_interned_image_as_it_was_interned():
         assert cache.seen <= {id(image) for image in cache.interned.values()}
 
 
-# --- the dynamic program against every order replayed from scratch ---
-
-
-def explorations_match(behaviors, schedules, **kwargs):
-    """Whether :func:`explore` over enumerator ``schedules`` (with
-    ``kwargs`` bound) finds and counts what the reference does."""
-    stats, expected_stats = RunStats(), RunStats()
-    found = [(b.id, s, digest) for b, s, digest, _ in explore(behaviors, partial(schedules, **kwargs), stats)]
-    expected = list(reference_explore(behaviors, listing(schedules, **kwargs), expected_stats))
-    return found == expected and stats == expected_stats
+# --- the dynamic program against the reference states ---
 
 
 @pytest.mark.parametrize(
@@ -861,13 +906,14 @@ def explorations_match(behaviors, schedules, **kwargs):
 def test_explore_matches_the_reference_on_nine_op_traces(schedules, traces, budget):
     """Larger traces than :func:`random_explorations` gives, where one
     state is reached by several orders that admit different candidates.
-    The unpruned walk has many more schedules, so it gets fewer traces and
-    a budget of 100 subsets, which a few of them run out of."""
+    The unpruned walk gets fewer traces and a budget of 100 subsets, which
+    a few of them run out of."""
     rng = random.Random(0)
     for i in range(traces):
         make_trace = random_posix_trace if i % 2 == 0 else random_mmio_trace
         trace = make_trace(rng, max_ops=9, threads=rng.randint(1, 3))
-        assert explorations_match(behaviors_with_several_contexts(trace), schedules, trace=trace, budget=budget), i
+        graph, behaviors = behaviors_with_several_contexts(trace)
+        assert_exploration_matches_the_reference(graph, behaviors, trace, schedules, budget)
 
 
 def test_explore_keys_the_memo_on_the_candidates():
@@ -887,8 +933,21 @@ def test_explore_keys_the_memo_on_the_candidates():
             op(7, "fsync", {"path": ".", "dir": True}, (("m", 7),)),
         ]
     )
-    behavior, _ = whole_trace_behavior(trace)
-    assert explorations_match([behavior], enumerate_schedules, trace=trace)
+    behavior, graph = whole_trace_behavior(trace)
+    assert_exploration_matches_the_reference(graph, [behavior], trace, enumerate_schedules)
+
+
+def explorations_at_every_budget(graph, behaviors, trace):
+    """Both enumerators, at every budget up to the first at which no
+    behavior runs out of it; returns the number of walks compared."""
+    walks = 0
+    for schedules in ENUMERATORS:
+        for budget in itertools.count(1):
+            _, stats = assert_exploration_matches_the_reference(graph, behaviors, trace, schedules, budget)
+            walks += 1
+            if not stats.partial_coverage:
+                break
+    return walks
 
 
 def test_explore_matches_the_reference_at_every_budget():
@@ -900,61 +959,21 @@ def test_explore_matches_the_reference_at_every_budget():
     # Its walk raises a replay error (see the test after the state cache's).
     del cutoff["missing source in the prefix"]
     for trace in (log_then_tables_trace(2, 4), *cutoff.values()):
-        behavior, _ = whole_trace_behavior(trace)
-        subsets = sum(1 for _ in by_subset(order_schedules(behavior, trace)))
-        for schedules in (enumerate_schedules, exhaustive_schedules):
-            for budget in range(1, subsets + 2):
-                assert explorations_match([behavior], schedules, trace=trace, budget=budget), (trace.ops, schedules, budget)
-
-
-def brute_force_exploration(behaviors, orders, budget):
-    """What :func:`explore` must find and count, derived from every order
-    of each behavior in the pinned order with its image's digest: every
-    order of the first ``budget`` subsets of each behavior counts, and a
-    state is new at the first order that reaches it."""
-    seen, found, stats = set(), [], RunStats()
-    for behavior in behaviors:
-        subsets = itertools.groupby(orders[behavior.id], key=lambda item: frozenset(item[0].applied_seqs))
-        for visited, (_, group) in enumerate(subsets):
-            if visited == budget:
-                stats.partial_coverage = True
-                break
-            for schedule, digest in group:
-                stats.schedules_tested += 1
-                if digest in seen:
-                    stats.states_deduped += 1
-                    continue
-                seen.add(digest)
-                stats.distinct_states += 1
-                found.append((behavior.id, schedule.context_seqs, schedule.applied_seqs, digest))
-    return found, stats
+        behavior, graph = whole_trace_behavior(trace)
+        explorations_at_every_budget(graph, [behavior], trace)
 
 
 def test_explore_matches_the_brute_force_oracle_at_every_budget():
     """Random 1-3-thread POSIX, nested POSIX, MMIO and annotated MMIO
     traces of up to 7 ops, with several contexts, both enumerators, and
-    every budget up to one past the largest behavior's subset count."""
+    every budget up to the largest behavior's subset count."""
     rng = random.Random(15)
     makers = [random_posix_trace, random_nested_posix_trace, random_mmio_trace, random_annotated_mmio_trace]
-    runs = 0
+    walks = 0
     for i in range(28):
         trace = makers[i % 4](rng, 7, threads=rng.randint(1, 3))
-        behaviors = behaviors_with_several_contexts(trace)
-        for schedules, cfg in ENUMERATORS:
-            orders = {
-                b.id: [(s, replay(s).digest()) for s in pinned_order_schedules(b, trace, cfg)] for b in behaviors
-            }
-            most = max(len({frozenset(s.applied_seqs) for s, _ in listed}) for listed in orders.values())
-            for budget in range(1, most + 2):
-                stats = RunStats()
-                schedules_of = partial(schedules, trace=trace, budget=budget)
-                found = [
-                    (b.id, s.context_seqs, s.applied_seqs, digest)
-                    for b, s, digest, _ in explore(behaviors, schedules_of, stats)
-                ]
-                assert (found, stats) == brute_force_exploration(behaviors, orders, budget), (i, schedules, budget)
-                runs += 1
-    assert runs > 1000
+        walks += explorations_at_every_budget(*behaviors_with_several_contexts(trace), trace)
+    assert walks > 1000
 
 
 def test_exhaustive_finds_every_state_of_eleven_tables_at_the_default_budget():
@@ -1171,12 +1190,8 @@ def test_oracle_errors_do_not_abort_the_run(tmp_path):
 
 
 def _states_containing_prefix(trace, prefix_seqs):
-    behavior, _ = whole_trace_behavior(trace)
-    out = set()
-    for s in order_schedules(behavior, trace, ModelConfig()):
-        if set(prefix_seqs) <= set(s.applied_seqs):
-            out.add(replay(s).digest())
-    return out
+    states = reference_states(*whole_trace_behavior(trace), trace)
+    return {state.digest for state in states if set(prefix_seqs) <= set(state.applied)}
 
 
 def test_global_barrier_makes_suffix_states_prefix_independent():
@@ -1263,14 +1278,12 @@ ORDERED_ALIGNED = (
 
 
 def aligned_behavior(program, key_bytes, value_bytes):
-    from crashcheck.mmio_behaviors import derive_mmio_behaviors
-
     src = program.replace("{K}", key_bytes).replace("{V}", value_bytes)
     trace = synth_workload(src, "MMIO")
     graph = build_graph(trace, mmio_edges(trace))
     behaviors = derive_mmio_behaviors(graph, trace)
     assert len(behaviors) == 1
-    return behaviors[0], trace
+    return behaviors[0], graph, trace
 
 
 def test_representative_subsumes_member_inconsistencies(tmp_path, entry_checker):
@@ -1280,8 +1293,8 @@ def test_representative_subsumes_member_inconsistencies(tmp_path, entry_checker)
     # enumeration, matched by applied/omitted static-key signature.
     import dataclasses
 
-    rep, rep_trace = aligned_behavior(INSERT_ALIGNED, "kkkkkkkk", "vvvvvvvv")
-    member, member_trace = aligned_behavior(ORDERED_ALIGNED, "KKKKKKKK", "VVVVVVVV")
+    rep, rep_graph, rep_trace = aligned_behavior(INSERT_ALIGNED, "kkkkkkkk", "vvvvvvvv")
+    member, _, member_trace = aligned_behavior(ORDERED_ALIGNED, "KKKKKKKK", "VVVVVVVV")
     member = dataclasses.replace(member, id="member:" + member.id)
     from crashcheck.grouping import represents
 
@@ -1290,10 +1303,10 @@ def test_representative_subsumes_member_inconsistencies(tmp_path, entry_checker)
     groups = group_behaviors([rep, member])
     assert len(groups) == 1 and groups[0].representative == rep.id
 
-    def inconsistent_signatures(behavior, trace, enumerator, where):
+    def inconsistent_signatures(behavior, schedules, where):
         out = set()
         checker = PreparedChecker(entry_checker, tmp_path / where)
-        for schedule in enumerator(behavior, trace):
+        for schedule in schedules:
             image = replay(schedule)
             result = run_oracle(image, checker)
             if result.verdict is Verdict.INCONSISTENT:
@@ -1303,7 +1316,14 @@ def test_representative_subsumes_member_inconsistencies(tmp_path, entry_checker)
                 out.add(schedule_signature(fake))
         return out
 
-    member_bad = inconsistent_signatures(member, member_trace, brute_force_schedules, "m")
-    rep_bad = inconsistent_signatures(rep, rep_trace, partial(order_schedules, cfg=ModelConfig()), "r")
+    member_bad = inconsistent_signatures(member, brute_force_schedules(member, member_trace), "m")
+    # One schedule per subset of the representative, its ops in seq order.
+    ops = rep_trace.ops_by_seq()
+    context = tuple(o for o in rep_trace.ops if o.seq < rep.span[0])
+    rep_schedules = [
+        CrashSchedule(rep.id, "MMIO", context, tuple(map(ops.__getitem__, state.applied)))
+        for state in reference_states(rep, rep_graph, rep_trace)
+    ]
+    rep_bad = inconsistent_signatures(rep, rep_schedules, "r")
     assert member_bad  # non-vacuous: the member does expose the bug
     assert member_bad <= rep_bad

@@ -131,6 +131,42 @@ def test_extent_past_its_bound_is_a_parse_error(kind, args, key):
     assert parse_trace("\n".join([header, record(1, kind, at_bound)])).ops[0].args == at_bound
 
 
+@pytest.mark.parametrize("field", ["seq", "tid"])
+@pytest.mark.parametrize("value", [True, False])
+def test_boolean_seq_or_tid_is_a_parse_error(field, value):
+    rec = json.loads(record(1, "create", {"path": "f"}))
+    rec[field] = value
+    with pytest.raises(ParseError) as err:
+        parse_trace("\n".join([HEADER, json.dumps(rec)]))
+    assert err.value.line_no == 2
+
+
+@pytest.mark.parametrize(
+    "kind, args, key",
+    [
+        ("write", {"path": "f", "offset": True, "length": 1, "digest": "0" * 64}, "offset"),
+        ("pwrite", {"path": "f", "offset": 0, "length": True, "digest": "0" * 64}, "length"),
+        ("store", {"addr": False, "length": 8, "digest": "0" * 64}, "addr"),
+        ("store", {"addr": 0, "length": 8, "digest": "0" * 64, "line": False}, "line"),
+        ("flush", {"addr": 0, "length": True}, "length"),
+    ],
+)
+def test_boolean_extent_is_a_parse_error(kind, args, key):
+    header = HEADER if kind in ("write", "pwrite") else MMIO_HEADER
+    with pytest.raises(ParseError) as err:
+        parse_trace("\n".join([header, record(1, kind, args)]))
+    assert err.value.line_no == 2
+    assert f"{kind} arg {key!r} must be a non-negative integer" in str(err.value)
+
+
+@pytest.mark.parametrize("value", [1, 0, "true", None, []])
+def test_fsync_dir_that_is_no_boolean_is_a_parse_error(value):
+    with pytest.raises(ParseError) as err:
+        parse_trace("\n".join([HEADER, record(1, "fsync", {"path": ".", "dir": value})]))
+    assert err.value.line_no == 2
+    assert "fsync arg 'dir' must be true or false" in str(err.value)
+
+
 @pytest.mark.parametrize("path", ["/etc/passwd", "../x", "a/../../x", "..", "./../x"])
 def test_path_outside_the_image_is_a_parse_error(path):
     write = {"path": path, "offset": 0, "length": 1, "digest": "0" * 64}
@@ -149,11 +185,30 @@ def test_path_outside_the_image_is_a_parse_error(path):
 
 def test_paths_inside_the_image_parse():
     # Each path is stored in its one canonical spelling.
-    for path, stored in (
-        ("f", "f"), ("dir/f", "dir/f"), ("a/../f", "f"), (".", "."), ("./f", "f"), ("a/", "a"), ("a//b", "a/b"),
-    ):
+    for path, stored in (("f", "f"), ("dir/f", "dir/f"), ("a/../f", "f"), ("./f", "f"), ("a/", "a"), ("a//b", "a/b")):
         trace = parse_trace("\n".join([HEADER, record(1, "create", {"path": path})]))
         assert trace.ops[0].args["path"] == stored
+    # A sync may name the image root.
+    trace = parse_trace("\n".join([HEADER, record(1, "fsync", {"path": ".", "dir": True})]))
+    assert trace.ops[0].args["path"] == "."
+
+
+@pytest.mark.parametrize("path", [".", "./", "d/..", ""])
+def test_an_op_that_would_replace_the_image_root_is_a_parse_error(path):
+    write = {"path": path, "offset": 0, "length": 1, "digest": "0" * 64}
+    for kind, args in (
+        ("write", write),
+        ("pwrite", write),
+        ("create", {"path": path}),
+        ("mkdir", {"path": path}),
+        ("unlink", {"path": path}),
+        ("rename", {"path": "f", "dst": path}),
+        ("rename", {"path": path, "dst": "f"}),
+    ):
+        with pytest.raises(ParseError) as err:
+            parse_trace("\n".join([HEADER, record(1, kind, args)]))
+        assert err.value.line_no == 2, (kind, args)
+        assert "names the image root" in str(err.value)
 
 
 def test_non_monotone_seq_is_rejected():
