@@ -136,16 +136,13 @@ def _check_units(op: Operation, start: int, size: int, unit: str) -> None:
         )
 
 
-def blocks_of(offset: int, length: int, block_size: int) -> frozenset[int]:
+def units_of(start: int, length: int, size: int) -> frozenset[int]:
+    """The indices of the ``size``-byte units (blocks or cache lines) that
+    the byte range from ``start`` covers; an empty range covers the unit
+    that holds ``start``."""
     if length <= 0:
-        return frozenset({offset // block_size})
-    return frozenset(range(offset // block_size, (offset + length - 1) // block_size + 1))
-
-
-def lines_of(addr: int, length: int, line_size: int) -> frozenset[int]:
-    if length <= 0:
-        return frozenset({addr // line_size})
-    return frozenset(range(addr // line_size, (addr + length - 1) // line_size + 1))
+        return frozenset({start // size})
+    return frozenset(range(start // size, (start + length - 1) // size + 1))
 
 
 _DATA_KINDS = {"write", "pwrite"}
@@ -206,7 +203,7 @@ def posix_edges(trace: Trace, cfg: ModelConfig | None = None) -> HappensBefore:
         same = ordered = 0
         if kind in _DATA_KINDS:
             path, end = args["path"], args["offset"] + args["length"]
-            for blk in blocks_of(args["offset"], args["length"], cfg.block_size) if split else (-1,):
+            for blk in units_of(args["offset"], args["length"], cfg.block_size) if split else (-1,):
                 same |= written[path, blk]
                 written[path, blk] |= bit
             if end > sizes.get(path, 0):
@@ -266,7 +263,7 @@ def line_persist_points(trace: Trace, cfg: ModelConfig) -> dict[int, list[list[f
             continue
         if op.kind not in ("store", "flush", "msync"):
             continue
-        for line in sorted(lines_of(op.args["addr"], op.args["length"], cfg.cache_line_size)):
+        for line in sorted(units_of(op.args["addr"], op.args["length"], cfg.cache_line_size)):
             if op.kind == "store":
                 point = [math.inf, math.inf]
                 points.setdefault(op.seq, []).append(point)
@@ -310,7 +307,7 @@ def mmio_edges(trace: Trace, cfg: ModelConfig | None = None) -> HappensBefore:
         # Same-cache-line conflicts in trace order, from the stores so far
         # on each line.
         same = 0
-        for line in lines_of(op.args["addr"], op.args["length"], cfg.cache_line_size):
+        for line in units_of(op.args["addr"], op.args["length"], cfg.cache_line_size):
             same |= on_line[line]
             on_line[line] |= 1 << i
         same_line[op.seq], flush_fence[op.seq], msynced[op.seq] = same, fenced, synced

@@ -9,30 +9,30 @@ The persistence models order every two persisting ops that do not commute
 (see :mod:`crashcheck.models`), so every order of a downward-closed subset
 replays to one image, that of its ops in seq order: a crash state is a
 subset, and enumeration never walks orders.  Both enumerators visit each
-downward-closed subset once, in a fixed order, and build its image with
-one step from the subset without its highest node; the budget counts
-subsets per behavior.  ``enumerate_schedules`` counts one order per
-subset.  ``exhaustive_schedules`` counts every valid order, as the sum of
-the counts of the subsets one maximal node smaller (the way linear
-extensions are counted; De Loof, De Meyer & De Baets, 2006), and backs the
-whole-trace baseline.  :func:`explore`, the one enumerate → replay → dedup
-→ digest → check loop, runs either.  A subset's entry is dropped once
-every subset one node larger is built, so live entries never outnumber
-the visited subsets.
+downward-closed subset once, in a fixed order (a depth-first walk whose
+stack holds the subset's members in seq order); the budget counts subsets
+per behavior.  Each stack entry carries the interned image of the members
+up to it, so a subset's image is one step from the entry below its
+highest node, and the walk holds one image per depth.
+``enumerate_schedules`` counts one order per subset.
+``exhaustive_schedules`` counts every valid order, as the sum of the
+counts of the subsets one maximal node smaller (the way linear extensions
+are counted; De Loof, De Meyer & De Baets, 2006), so it keeps one count
+per visited subset; it backs the whole-trace baseline.  :func:`explore`,
+the one enumerate → replay → dedup → digest → check loop, runs either.
 
 A bare :func:`replay` builds one schedule's crash image by applying the
-context and then the applied ops to an empty image it owns.  Replay is a
-deterministic function of (image contents, op), so a :class:`StateCache`
-interns every image by ``content_key`` (equal contents share one object)
-and memoizes each (interned image, op) step: each distinct step is applied
-once per cache, and every repeat is one dict lookup.  Images are
-copy-on-write: interned images share every file and directory an op did
-not touch, so they must be treated as read-only.  :func:`explore` dedups
-on the identity of the interned image and computes the sha256 digest once
-per distinct state.  A POSIX digest is joined from one JSON fragment per
-file and per directory, memoized in the cache by (path, contents), so a
-file that many states share is encoded once; the digest's input is the
-same text as ``json.dumps`` of the whole image with sorted keys.
+context and then the applied ops to an empty image it owns.  A
+:class:`StateCache` interns every image by ``content_key`` (equal contents
+share one object), and a step copies an interned image, applies one op and
+interns the result.  Images are copy-on-write: interned images share every
+file and directory an op did not touch, so they must be treated as
+read-only.  :func:`explore` dedups on the identity of the interned image
+and computes the sha256 digest once per distinct state.  A POSIX digest is
+joined from one JSON fragment per file and per directory, memoized in the
+cache by (path, contents), so a file that many states share is encoded
+once; the digest's input is the same text as ``json.dumps`` of the whole
+image with sorted keys.
 
 The oracle materializes each new state and runs ``<checker> <scratch>``.
 A :class:`PreparedChecker` is made once per run and checks every state:
@@ -160,10 +160,12 @@ def _schedules(
 
     The model orders every two persisting ops that do not commute, so
     every order of a subset replays to the image of its ops in seq order.
-    The dynamic program keeps for each subset its order count and that
-    image, interned: the image is one ``cache.step`` of the subset's
-    highest node from the subset without it, and the count is the sum of
-    the counts of the subsets one maximal node smaller.
+    The walk's stack holds the subset's members in ascending order, each
+    with the interned image of the members up to it: a subset's image is
+    one ``cache.step`` of its highest node from the entry below it, so the
+    walk holds one image per depth.  With ``every_order`` it also keeps the
+    order count of each visited subset, the sum of the counts of the
+    subsets one maximal node smaller.
     """
     cache = StateCache() if cache is None else cache
     context = tuple(op for op in trace.ops if op.seq < behavior.span[0])
@@ -192,20 +194,20 @@ def _schedules(
     # The context is replayed in place and only the image after it is
     # interned, so a long context costs no image per op.
     base = cache.intern(replay(CrashSchedule(behavior.id, mode, context, ())))
-    # subset -> (orders, image), and the number of subsets one node larger
-    # still to build from each entry.
-    entries = {0: (1, base)}
-    pending: dict[int, int] = {}
+    # The order count of each visited subset, summed into the counts of the
+    # subsets one node larger; only counting every order needs it.
+    counts = {0: 1}
     # The current subset, the nodes that may join it, and its members in
     # ascending order, each with the union of the predecessors of the
-    # members up to it, and their ops; ``visited`` counts the subsets up to
-    # this one.
+    # members up to it and the interned image of the members up to it, and
+    # their ops; ``visited`` counts the subsets up to this one.
     subset = 0
     addable = sum(1 << i for i, pred_bits in enumerate(preds) if not pred_bits)
-    members = [(-1, 0)]
+    members = [(-1, 0, base)]
     applied: list[Operation] = []
     for visited in itertools.count(1):
-        orders, image = entries[subset]
+        image = members[-1][2]
+        orders = counts[subset] if every_order else 1
         if id(image) not in cache.seen:
             cache.seen.add(id(image))
             orders -= 1
@@ -216,7 +218,6 @@ def _schedules(
             return
         if visited >= budget:
             raise ExplosionLimit(budget)
-        pending[subset] = addable.bit_count()
         # The next subset: the highest node that may join does, and every
         # node above it leaves.  Below it the addable nodes stay; above it
         # a node may join if it left and its predecessors stay, or if it
@@ -234,21 +235,19 @@ def _schedules(
         while members[-1][0] > i:
             members.pop()
             applied.pop()
-        members.append((i, members[-1][1] | preds[i]))
+        # i is the highest node, so it is maximal, and the members left
+        # are the subset without it.
+        _, pred_bits, image = members[-1]
+        members.append((i, pred_bits | preds[i], cache.step(image, ops[i])))
         applied.append(ops[i])
-        # i is the highest node, so it is maximal.
-        image = cache.step(entries[subset ^ 1 << i][1], ops[i])
-        orders = 0
-        maximal = subset & ~members[-1][1]
-        while maximal:
-            low = maximal & -maximal
-            maximal ^= low
-            before = subset ^ low
-            orders += entries[before][0]
-            pending[before] -= 1
-            if not pending[before]:
-                del entries[before], pending[before]
-        entries[subset] = orders if every_order else 1, image
+        if every_order:
+            orders = 0
+            maximal = subset & ~members[-1][1]
+            while maximal:
+                low = maximal & -maximal
+                maximal ^= low
+                orders += counts[subset ^ low]
+            counts[subset] = orders
 
 
 def enumerate_schedules(
@@ -283,7 +282,7 @@ def exhaustive_schedules(
 
 @dataclass
 class FsImage:
-    """File contents and directory entries.  Both are immutable values, so
+    """File contents and directory listings.  Both are immutable values, so
     :meth:`copy` shares them and an op replaces the ones it changes."""
 
     files: dict[str, bytes] = field(default_factory=dict)
@@ -420,24 +419,20 @@ _APPLY = {FsImage: _apply_posix_op, MemImage: _apply_mmio_op}
 
 @dataclass
 class StateCache:
-    """Crash images interned by content, the steps between them, and the
-    images already yielded as states, for every enumerator given this cache.
+    """Crash images interned by content, and the images already yielded as
+    states, for every enumerator given this cache.
 
     ``interned`` maps each image's ``content_key`` to the one image object
     with that content (an ``FsImage`` key never equals a ``MemImage`` one),
     so two images from one cache are equal exactly when they are the same
-    object.  ``steps`` maps ``(id(image), id(op))`` to ``(op, image after
-    op)`` for every op applied to an interned image so far; keeping the op
-    in the value keeps its ``id`` from being reused, and the images stay
-    alive in ``interned``.  ``seen`` holds the ids of the images yielded as
-    new states, and ``fragments`` the digest fragments of their files and
-    directories (see :meth:`FsImage.digest`).  Interned images are never
-    changed, and they share unchanged file and directory objects with each
-    other, so they must be treated as read-only.
+    object.  ``seen`` holds the ids of the images yielded as new states,
+    and ``fragments`` the digest fragments of their files and directories
+    (see :meth:`FsImage.digest`).  Interned images are never changed, and
+    they share unchanged file and directory objects with each other, so
+    they must be treated as read-only.
     """
 
     interned: dict[tuple | frozenset, FsImage | MemImage] = field(default_factory=dict)
-    steps: dict[tuple[int, int], tuple[Operation, FsImage | MemImage]] = field(default_factory=dict)
     seen: set[int] = field(default_factory=set)
     fragments: dict[tuple, str] = field(default_factory=dict)
 
@@ -446,20 +441,14 @@ class StateCache:
         return self.interned.setdefault(image.content_key(), image)
 
     def step(self, image: FsImage | MemImage, op: Operation) -> FsImage | MemImage:
-        """The interned image after ``op`` on the interned ``image``.  Replay
-        is a function of (image content, op), so each distinct step is
-        applied once per cache; a step that raises records nothing."""
-        key = id(image), id(op)
-        hit = self.steps.get(key)
-        if hit is None:
-            after = image
-            # Ordering ops are replay no-ops, so they map an image to itself.
-            if op.is_persisting:
-                after = image.copy()
-                _APPLY[type(image)](after, op)
-                after = self.intern(after)
-            hit = self.steps[key] = op, after
-        return hit[1]
+        """The interned image after ``op`` on the interned ``image``: a copy
+        with the op applied, interned.  Ordering ops are replay no-ops, so
+        they return ``image`` itself; a step that raises interns nothing."""
+        if not op.is_persisting:
+            return image
+        after = image.copy()
+        _APPLY[type(image)](after, op)
+        return self.intern(after)
 
 
 def replay(schedule: CrashSchedule) -> FsImage | MemImage:
@@ -502,8 +491,8 @@ def materialize(image: FsImage | MemImage, scratch: Path):
     """
     scratch = Path(scratch)
     if scratch.is_dir() and not scratch.is_symlink():
-        with os.scandir(scratch) as entries:
-            for entry in entries:
+        with os.scandir(scratch) as listing:
+            for entry in listing:
                 if entry.is_dir(follow_symlinks=False):
                     shutil.rmtree(entry.path)
                 else:
@@ -819,15 +808,15 @@ def explore(
 
     ``schedules_of(behavior, cache=...)`` is an enumerator such as
     :func:`enumerate_schedules` with its other arguments bound.  One
-    :class:`StateCache` spans all behaviors, so each enumerator's dynamic
-    program builds its images through the same interned steps, a state is
-    new when its interned object has not been yielded before, and the
-    digest is computed once per distinct state.  A weighted item counts its
-    weight in ``stats.schedules_tested``, and in ``stats.states_deduped``
-    when it carries no new state.  A behavior whose enumerator runs out of
-    its budget of subsets sets ``stats.partial_coverage`` and the next
-    behavior is explored.  Orders are counted, never walked: the work follows
-    the subsets, with at most one live entry per visited one.
+    :class:`StateCache` spans all behaviors, so every enumerator interns
+    its images in one table, a state is new when its interned object has
+    not been yielded before, and the digest is computed once per distinct
+    state.  A weighted item counts its weight in ``stats.schedules_tested``,
+    and in ``stats.states_deduped`` when it carries no new state.  A
+    behavior whose enumerator runs out of its budget of subsets sets
+    ``stats.partial_coverage`` and the next behavior is explored.  Orders
+    are counted, never walked: the work is one step per visited subset, and
+    the walk holds one image per depth.
     """
     cache = StateCache()
     for behavior in behaviors:

@@ -183,12 +183,12 @@ def escapes_root(path: str) -> bool:
     return rel.startswith("..") or posixpath.isabs(rel)
 
 
-def _kind_mode(kind: str) -> str:
+def _kind_mode(kind: str, line_no: int) -> str:
     if kind in POSIX_KINDS:
         return POSIX_MODE
     if kind in MMIO_KINDS:
         return MMIO_MODE
-    raise UnknownOperationKind(f"unknown operation kind {kind!r}")
+    raise UnknownOperationKind(f"line {line_no}: unknown operation kind {kind!r}")
 
 
 def _validate_args(kind: str, args: dict, line_no: int, error: type = ParseError) -> dict:
@@ -293,7 +293,7 @@ def parse_trace(stream: bytes | str) -> Trace:
         kind = rec["kind"]
         if not isinstance(kind, str):
             raise ParseError(line_no, "kind must be a string")
-        kind_mode = _kind_mode(kind)
+        kind_mode = _kind_mode(kind, line_no)
         if kind_mode != meta.mode:
             raise ParseError(line_no, f"{kind} is a {kind_mode} kind in a {meta.mode} trace")
 

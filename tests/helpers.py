@@ -22,11 +22,10 @@ from crashcheck.models import (
     HappensBefore,
     ModelConfig,
     _paths_named,
-    blocks_of,
     entry_name,
     line_persist_points,
-    lines_of,
     parent_dir,
+    units_of,
 )
 from crashcheck.posix_behaviors import _leaf_runs
 from crashcheck.simulate import CheckResult, CrashSchedule, FsImage, replay
@@ -143,7 +142,7 @@ def reference_posix_pairs(trace: Trace, cfg: ModelConfig | None = None) -> Pairs
             continue
         path = op.args["path"]
         if cfg.split_writes_at_block_boundary:
-            blks = blocks_of(op.args["offset"], op.args["length"], cfg.block_size)
+            blks = units_of(op.args["offset"], op.args["length"], cfg.block_size)
         else:
             blks = frozenset({-1})
         for earlier, earlier_blks in writes_by_path.get(path, []):
@@ -245,7 +244,7 @@ def reference_mmio_pairs(trace: Trace, cfg: ModelConfig | None = None) -> Pairs:
     # each line.
     stores_on_line: dict[int, list[int]] = {}
     for op in stores:
-        for line in lines_of(op.args["addr"], op.args["length"], cfg.cache_line_size):
+        for line in units_of(op.args["addr"], op.args["length"], cfg.cache_line_size):
             earlier = stores_on_line.setdefault(line, [])
             for seq in earlier:
                 add((seq, op.seq), EdgeReason.SAME_CACHE_LINE)
@@ -645,7 +644,7 @@ def _posix_resources(op: Operation, cfg: ModelConfig):
     kind = op.kind
     if kind in ("write", "pwrite"):
         return (
-            {("data", op.args["path"], b) for b in blocks_of(op.args["offset"], op.args["length"], cfg.block_size)},
+            {("data", op.args["path"], b) for b in units_of(op.args["offset"], op.args["length"], cfg.block_size)},
             set(),
         )
     if kind in ("create", "mkdir"):
@@ -691,8 +690,8 @@ def ops_commute(a: Operation, b: Operation, cfg: ModelConfig) -> bool:
     if a.kind == "store" or b.kind == "store":
         if a.kind != "store" or b.kind != "store":
             return True
-        la = lines_of(a.args["addr"], a.args["length"], cfg.cache_line_size)
-        lb = lines_of(b.args["addr"], b.args["length"], cfg.cache_line_size)
+        la = units_of(a.args["addr"], a.args["length"], cfg.cache_line_size)
+        lb = units_of(b.args["addr"], b.args["length"], cfg.cache_line_size)
         return not (la & lb)
     data_a, meta_a = _posix_resources(a, cfg)
     data_b, meta_b = _posix_resources(b, cfg)

@@ -6,7 +6,7 @@ import pytest
 
 from crashcheck import ModeMismatch, ModelConfig, build_graph, mmio_edges, model_edges, posix_edges
 from crashcheck.mmio_behaviors import persisted_at
-from crashcheck.models import EdgeReason, blocks_of, lines_of
+from crashcheck.models import EdgeReason, units_of
 from crashcheck.trace import POSIX_MODE
 
 from helpers import (
@@ -84,7 +84,7 @@ def test_block_spanning_write_conflicts_on_every_block():
         ]
     )
     assert (1, 2) in pairs(posix_edges(trace), trace)
-    assert blocks_of(4092, 8, 4096) == frozenset({0, 1})
+    assert units_of(4092, 8, 4096) == frozenset({0, 1})
 
 
 def test_no_block_split_orders_whole_file():
@@ -318,7 +318,7 @@ def test_same_cache_line_stores_are_ordered():
     edges = mmio_edges(trace)
     assert pairs(edges, trace) == {(1, 2)}
     assert reasons(edges, trace) == {EdgeReason.SAME_CACHE_LINE}
-    assert lines_of(8, 3, 64) == frozenset({0})
+    assert units_of(8, 3, 64) == frozenset({0})
 
 
 def test_fence_alone_orders_nothing():
@@ -381,7 +381,7 @@ def test_mmio_durability_matches_its_definition_with_straddling_stores():
     for _ in range(300):
         trace = straddling_mmio_trace(rng)
         stores = [o for o in trace.ops if o.kind == "store"]
-        lines = {o.seq: lines_of(o.args["addr"], o.args["length"], 64) for o in trace.ops if o.kind != "fence"}
+        lines = {o.seq: units_of(o.args["addr"], o.args["length"], 64) for o in trace.ops if o.kind != "fence"}
         straddled += any(len(lines[s.seq]) > 1 for s in stores)
 
         def persisted_by(kind, store, line, before):

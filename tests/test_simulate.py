@@ -3,6 +3,7 @@ import json
 import math
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from functools import partial
 
@@ -60,6 +61,7 @@ from helpers import (
     reference_states,
     side_node_chain_trace,
     store_args,
+    store_flush_fence_chain_trace,
     write_args,
 )
 
@@ -524,6 +526,26 @@ def test_each_append_before_the_barrier_costs_one_step(schedules):
         assert steps(2 * k) - steps(k) == k
 
 
+def test_the_walk_holds_as_much_memory_at_a_tenfold_budget():
+    """The walk holds one image per depth and keeps no table per subset, so
+    on a barrier chain, where nearly every subset repeats a state, its peak
+    allocation does not follow the number of subsets it visits."""
+    trace = store_flush_fence_chain_trace(20)
+    behavior, _ = whole_trace_behavior(trace)
+
+    def peak(budget):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ExplosionLimit):
+                for _ in enumerate_schedules(behavior, trace, budget):
+                    pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert abs(peak(5_000) - peak(500)) < 64 * 1024
+
+
 # --- pruning soundness (small scale; the acceptance suite runs 200) ---
 
 
@@ -696,13 +718,12 @@ def test_state_cache_step_that_raises_records_nothing():
     empty = cache.intern(FsImage())
     written = cache.step(empty, write)
     assert written.digest() == replay(CrashSchedule("b", "POSIX", (), (write,))).digest()
-    memo = (dict(cache.interned), dict(cache.steps))
+    interned = dict(cache.interned)
     for image in (empty, written, empty):
         with pytest.raises(ReplayError):
             cache.step(image, rename)
-        # The failed step left no interned image and no transition behind.
-        assert (cache.interned, cache.steps) == memo
-        assert (id(image), id(rename)) not in cache.steps
+        # The failed step left no interned image behind.
+        assert cache.interned == interned
     assert cache.step(empty, write) is written
 
 
@@ -722,8 +743,8 @@ def test_explore_raises_a_replay_error_where_replaying_every_schedule_does():
 
 def test_state_cache_keys_steps_on_the_op_not_its_seq():
     """Traces whose seqs coincide but whose payloads differ, one after the
-    other through one cache: a step memo keyed on seqs would hand the later
-    trace the earlier one's images."""
+    other through one cache: steps that told ops apart by seq would hand
+    the later trace the earlier one's images."""
     def writes(*payloads):
         return posix_trace([op(seq, "write", write_args(*p)) for seq, p in enumerate(payloads, 1)])
 
@@ -744,12 +765,9 @@ def test_state_cache_keys_steps_on_the_op_not_its_seq():
             assert replay_by_steps(schedule, cache).digest() == replay(schedule).digest()
         # The walk through the same steps (with its own record of states
         # seen) reaches every state of this trace.
-        walk = StateCache(interned=cache.interned, steps=cache.steps)
+        walk = StateCache(interned=cache.interned)
         walked = {image.digest() for _, s, image in exhaustive_schedules(behavior, trace, cache=walk) if s}
         assert walked == distinct_images(brute_force_schedules(behavior, trace))
-        # Drop the trace, so that its ops could hand their ids on to the
-        # next trace's if the cache did not keep them alive.
-        del trace, behavior, schedule
 
 
 # --- oracle ---
@@ -892,8 +910,6 @@ def test_explore_leaves_every_interned_image_as_it_was_interned():
         (cache,) = {id(c): c for c in caches}.values()
         for key, image in cache.interned.items():
             assert image.content_key() == key
-        for _, image in cache.steps.values():
-            assert cache.interned[image.content_key()] is image
         assert cache.seen <= {id(image) for image in cache.interned.values()}
 
 

@@ -63,6 +63,12 @@ def test_unknown_kind_is_rejected():
         parse_trace(stream)
 
 
+def test_unknown_kind_error_names_its_line():
+    stream = "\n".join([HEADER, record(1, "write", write_args("f", b"x")), record(2, "truncate", {"path": "f"})])
+    with pytest.raises(UnknownOperationKind, match=r"^line 3: unknown operation kind 'truncate'$"):
+        parse_trace(stream)
+
+
 @pytest.mark.parametrize("kind", [[], {}, 7, None])
 def test_non_string_kind_is_a_parse_error(kind):
     with pytest.raises(ParseError) as err:
