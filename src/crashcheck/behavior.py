@@ -4,8 +4,8 @@
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import groupby
+from typing import NamedTuple
 
 from .graph import PersistenceGraph
 
@@ -14,13 +14,14 @@ DEFAULT_EPS = 10
 DEFAULT_MIN_PTS = 1
 
 
-@dataclass(frozen=True)
-class UpdateBehavior:
-    """One semantically related run of storage operations.
+class UpdateBehavior(NamedTuple):
+    """One semantically related run of storage operations, built by
+    :func:`make_behavior`.
 
     ``owner_function`` is the function (POSIX) or ``type.instance`` label
     (MMIO) the behavior was derived under; ``subgraph`` is always the
-    induced subgraph of the full persistence graph on ``node_seqs``.
+    induced subgraph of the full persistence graph on ``node_seqs``, which
+    is never empty.
     """
 
     id: str
@@ -29,10 +30,6 @@ class UpdateBehavior:
     node_seqs: tuple[int, ...]
     subgraph: PersistenceGraph
     span: tuple[int, int]
-
-    def __post_init__(self):
-        if not self.node_seqs:
-            raise ValueError("update behavior must contain at least one op")
 
     @property
     def size(self) -> int:
@@ -47,6 +44,8 @@ def make_behavior(
     full_graph: PersistenceGraph,
 ) -> UpdateBehavior:
     seqs = tuple(sorted(node_seqs))
+    if not seqs:
+        raise ValueError("update behavior must contain at least one op")
     return UpdateBehavior(
         id=behavior_id,
         owner_function=owner,

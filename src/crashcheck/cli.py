@@ -22,7 +22,6 @@ import shlex
 import shutil
 import sys
 import tempfile
-from dataclasses import dataclass, field, fields
 from functools import partial
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -56,17 +55,31 @@ from .trace import MMIO_MODE, POSIX_MODE, Trace, parse_trace, serialize_trace
 _CHECKER_COMMANDS = {"test", "exhaustive", "replay"}
 
 
-@dataclass
 class RunConfig:
-    mode: str | None = None
-    model: ModelConfig = field(default_factory=ModelConfig)
-    dbscan_eps: int = DEFAULT_EPS
-    dbscan_min_pts: int = DEFAULT_MIN_PTS
-    static_key: str = FULL_KEY
-    checker: list[str] | None = None
-    budget: int = DEFAULT_BUDGET
-    timeout: float = DEFAULT_TIMEOUT
-    out: Path = Path("out")
+    """Every setting of one run; ``mode`` is set from the trace when no
+    setting names it."""
+
+    __slots__ = ("mode", "model", "dbscan_eps", "dbscan_min_pts", "static_key", "checker", "budget", "timeout", "out")
+
+    def __init__(
+        self,
+        mode: str | None = None,
+        model: ModelConfig = ModelConfig(),
+        dbscan_eps: int = DEFAULT_EPS,
+        dbscan_min_pts: int = DEFAULT_MIN_PTS,
+        static_key: str = FULL_KEY,
+        checker: list[str] | None = None,
+        budget: int = DEFAULT_BUDGET,
+        timeout: float = DEFAULT_TIMEOUT,
+        out: Path = Path("out"),
+    ):
+        self.mode, self.model, self.dbscan_eps, self.dbscan_min_pts = mode, model, dbscan_eps, dbscan_min_pts
+        self.static_key, self.checker, self.budget, self.timeout, self.out = static_key, checker, budget, timeout, out
+
+    def __eq__(self, other):
+        if other.__class__ is not RunConfig:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
 
 class ConfigError(CrashCheckError):
@@ -131,15 +144,24 @@ def _directory(raw: str, key: str) -> Path:
     return Path(raw)
 
 
+_INT = partial(_positive, int)
+
+
+def _power_of_two(raw, key: str) -> int:
+    value = _INT(raw, key)
+    if value & (value - 1):
+        raise ConfigError(f"{key} must be a power of two, got {value}")
+    return value
+
+
 # One row per setting: its config key, its flag, the flag's argparse
 # options, and ``parse(raw, key)``, which the flag's value and the key's
 # value both go through.
-_INT = partial(_positive, int)
 _SETTINGS = (
     ("mode", "--mode", {"choices": ["POSIX", "MMIO", "posix", "mmio"]}, _one_of(POSIX_MODE, MMIO_MODE, fold=str.upper)),
     ("out", "--out", {"help": "output directory (default: out)"}, _directory),
-    ("block_size", "--block-size", {"type": int}, _INT),
-    ("cache_line_size", "--cache-line-size", {"type": int}, _INT),
+    ("block_size", "--block-size", {"type": int}, _power_of_two),
+    ("cache_line_size", "--cache-line-size", {"type": int}, _power_of_two),
     (
         "split_writes_at_block_boundary", "--no-block-split",
         {"action": "store_const", "const": "off", "help": "order all same-file writes instead of per-block"}, _switch,
@@ -154,7 +176,7 @@ _SETTINGS = (
     ("checker", "--checker", {"help": "consistency checker command"}, _command),
     ("static_key", "--static-key", {"choices": ["full", "innermost"]}, _one_of(FULL_KEY, INNERMOST_KEY)),
 )
-_MODEL_KEYS = {f.name for f in fields(ModelConfig)}
+_MODEL_KEYS = set(ModelConfig._fields)
 
 
 def load_config_file(path: Path) -> dict:
@@ -186,10 +208,7 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
             raw = in_file.get(key)
         if raw is not None:
             values[key] = parse(raw, key)
-    try:
-        model = ModelConfig(**{key: values.pop(key) for key in _MODEL_KEYS & values.keys()})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    model = ModelConfig(**{key: values.pop(key) for key in _MODEL_KEYS & values.keys()})
     cfg = RunConfig(model=model, **values)
     command = cfg.checker[0] if cfg.checker and args.command in _CHECKER_COMMANDS else None
     if command is not None and shutil.which(command) is None and not Path(command).exists():

@@ -18,7 +18,6 @@ construction and safe to share across readers.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import compress
 from typing import Iterator
@@ -33,7 +32,6 @@ FULL_KEY = "full"
 INNERMOST_KEY = "innermost"
 
 
-@dataclass(frozen=True, order=True)
 class StaticKey:
     """Payload-independent identity of an operation's program location.
 
@@ -43,20 +41,27 @@ class StaticKey:
     conflates call contexts.
     """
 
-    kind: str
-    static_stack: tuple[tuple[str, str, int], ...]
+    __slots__ = ("kind", "static_stack", "_hash")
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.kind, self.static_stack))
+    def __init__(self, kind: str, static_stack: tuple[tuple[str, str, int], ...]):
+        self.kind, self.static_stack = kind, static_stack
+        # Grouping hashes keys in every set operation; hash the frames once.
+        self._hash = hash((kind, static_stack))
+
+    def __eq__(self, other):
+        if other.__class__ is not StaticKey:
+            return NotImplemented
+        return self.kind == other.kind and self.static_stack == other.static_stack
 
     def __hash__(self) -> int:
-        # Grouping hashes keys in every set operation; hash the frames once.
         return self._hash
+
+    def __repr__(self) -> str:
+        return f"StaticKey(kind={self.kind!r}, static_stack={self.static_stack!r})"
 
     @classmethod
     def of(cls, op: Operation, mode: str = FULL_KEY) -> "StaticKey":
-        frames = tuple((f.function, f.file, f.line) for f in op.backtrace.frames)
+        frames = tuple(map(tuple, op.backtrace.frames))
         if mode == INNERMOST_KEY:
             frames = frames[-1:]
         elif mode != FULL_KEY:
@@ -64,7 +69,6 @@ class StaticKey:
         return cls(kind=op.kind, static_stack=frames)
 
 
-@dataclass(frozen=True)
 class PersistenceGraph:
     """Nodes ``ops_by_seq`` over one happens-before shared by every graph
     induced from the same :func:`build_graph` result.
@@ -77,13 +81,18 @@ class PersistenceGraph:
     subgraph copies nothing but the node map.
     """
 
-    ops_by_seq: dict[int, Operation]
-    seqs: tuple[int, ...] = field(repr=False)
-    preds: dict[int, int] = field(repr=False)
-    rules: dict[EdgeReason, dict[int, int]] = field(repr=False)
-    static_keys: dict[int, StaticKey] = field(repr=False)
-    mask: int = field(repr=False)
-    key_mode: str = FULL_KEY
+    def __init__(
+        self,
+        ops_by_seq: dict[int, Operation],
+        seqs: tuple[int, ...],
+        preds: dict[int, int],
+        rules: dict[EdgeReason, dict[int, int]],
+        static_keys: dict[int, StaticKey],
+        mask: int,
+        key_mode: str = FULL_KEY,
+    ):
+        self.ops_by_seq, self.seqs, self.preds, self.rules = ops_by_seq, seqs, preds, rules
+        self.static_keys, self.mask, self.key_mode = static_keys, mask, key_mode
 
     def _seqs_in(self, bitset: int) -> Iterator[int]:
         # The binary digits, lowest first, as 0/1 bytes select from seqs.
@@ -128,7 +137,8 @@ class PersistenceGraph:
         if unknown:
             raise NodeNotFound(f"nodes {sorted(unknown)} are not in the graph")
         mask = sum(1 << bisect_left(self.seqs, seq) for seq in nodes)
-        return replace(self, ops_by_seq={seq: self.ops_by_seq[seq] for seq in nodes}, mask=mask)
+        ops_by_seq = {seq: self.ops_by_seq[seq] for seq in nodes}
+        return PersistenceGraph(ops_by_seq, self.seqs, self.preds, self.rules, self.static_keys, mask, self.key_mode)
 
 
 def build_graph(trace: Trace, hb: HappensBefore, key_mode: str = FULL_KEY) -> PersistenceGraph:

@@ -15,8 +15,6 @@ set; nothing here assumes image and subset sizes agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .behavior import UpdateBehavior
 
 
@@ -36,10 +34,11 @@ def represents(u1: UpdateBehavior, u2: UpdateBehavior) -> bool:
     )
 
 
-@dataclass
 class BehaviorGroup:
-    representative: str
-    members: list[str]
+    __slots__ = ("representative", "members")
+
+    def __init__(self, representative: str, members: list[str]):
+        self.representative, self.members = representative, members
 
 
 def group_behaviors(behaviors: list[UpdateBehavior]) -> list[BehaviorGroup]:

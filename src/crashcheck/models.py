@@ -56,8 +56,8 @@ from __future__ import annotations
 import math
 import posixpath
 from collections import defaultdict
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import CrashCheckError, ModeMismatch
 from .trace import MMIO_KINDS, MMIO_MODE, POSIX_KINDS, POSIX_MODE, Operation, Trace
@@ -73,8 +73,7 @@ class EdgeReason(str, Enum):
     MSYNC = "Msync"
 
 
-@dataclass(frozen=True)
-class HappensBefore:
+class HappensBefore(NamedTuple):
     """Happens-before of one trace as per-rule predecessor bitsets.
 
     ``rules`` maps each rule, in naming priority, to a map from a
@@ -96,17 +95,13 @@ class HappensBefore:
         return sum(srcs.bit_count() for srcs in self.preds().values())
 
 
-@dataclass(frozen=True)
-class ModelConfig:
+class ModelConfig(NamedTuple):
+    """Block and cache-line sizes are powers of two; ``crashcheck.cli``
+    checks the values it reads."""
+
     block_size: int = 4096
     cache_line_size: int = 64
     split_writes_at_block_boundary: bool = True
-
-    def __post_init__(self):
-        for name in ("block_size", "cache_line_size"):
-            value = getattr(self, name)
-            if value <= 0 or value & (value - 1):
-                raise ValueError(f"{name} must be a power of two, got {value}")
 
 
 def parent_dir(path: str) -> str:

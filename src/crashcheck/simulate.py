@@ -63,13 +63,12 @@ import threading
 import types
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache, partial
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NoReturn
+from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn
 
 from .behavior import UpdateBehavior
 from .errors import CheckerError, ExplosionLimit, ReplayError
@@ -83,8 +82,7 @@ from .trace import MMIO_MODE, POSIX_MODE, Operation, Trace, escapes_root
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CrashSchedule:
+class CrashSchedule(NamedTuple):
     behavior_id: str
     mode: str
     context: tuple[Operation, ...]
@@ -280,13 +278,15 @@ def exhaustive_schedules(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class FsImage:
     """File contents and directory listings.  Both are immutable values, so
     :meth:`copy` shares them and an op replaces the ones it changes."""
 
-    files: dict[str, bytes] = field(default_factory=dict)
-    dirents: dict[str, frozenset[str]] = field(default_factory=dict)
+    __slots__ = ("files", "dirents")
+
+    def __init__(self, files: dict[str, bytes] | None = None, dirents: dict[str, frozenset[str]] | None = None):
+        self.files = {} if files is None else files
+        self.dirents = {} if dirents is None else dirents
 
     def digest(self, fragments: dict | None = None) -> str:
         """The sha256 of ``json.dumps(payload, sort_keys=True)`` for the
@@ -329,9 +329,11 @@ def _dir_text(path: str, names: frozenset[str]) -> str:
     return f"{_quote(path)}: [{', '.join(map(_quote, sorted(names)))}]"
 
 
-@dataclass
 class MemImage:
-    cells: dict[int, int] = field(default_factory=dict)
+    __slots__ = ("cells",)
+
+    def __init__(self, cells: dict[int, int] | None = None):
+        self.cells = {} if cells is None else cells
 
     def digest(self, fragments: dict | None = None) -> str:
         """The sha256 of the sorted ``[addr, byte]`` cells as JSON.  The
@@ -417,7 +419,6 @@ _IMAGES = {POSIX_MODE: FsImage, MMIO_MODE: MemImage}
 _APPLY = {FsImage: _apply_posix_op, MemImage: _apply_mmio_op}
 
 
-@dataclass
 class StateCache:
     """Crash images interned by content, and the images already yielded as
     states, for every enumerator given this cache.
@@ -432,9 +433,12 @@ class StateCache:
     they must be treated as read-only.
     """
 
-    interned: dict[tuple | frozenset, FsImage | MemImage] = field(default_factory=dict)
-    seen: set[int] = field(default_factory=set)
-    fragments: dict[tuple, str] = field(default_factory=dict)
+    __slots__ = ("interned", "seen", "fragments")
+
+    def __init__(self, interned: dict[tuple | frozenset, FsImage | MemImage] | None = None):
+        self.interned = {} if interned is None else interned
+        self.seen: set[int] = set()
+        self.fragments: dict[tuple, str] = {}
 
     def intern(self, image: FsImage | MemImage) -> FsImage | MemImage:
         """The interned image with ``image``'s content."""
@@ -473,8 +477,7 @@ class Verdict(str, Enum):
     ORACLE_ERROR = "OracleError"
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     verdict: Verdict
     oracle_output: str
 
@@ -738,15 +741,23 @@ def run_oracle(image: FsImage | MemImage, checker: PreparedChecker) -> CheckResu
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class BugReport:
-    id: str
-    behavior_id: str
-    schedule: CrashSchedule
-    applied: list[Operation]
-    omitted: list[Operation]
-    oracle_output: str
-    subgraph_dot: str
+    """One inconsistent state; ``subgraph_dot`` is filled in only for the
+    first report of each :meth:`dedup_key`."""
+
+    __slots__ = ("id", "behavior_id", "schedule", "applied", "omitted", "oracle_output", "subgraph_dot")
+
+    def __init__(
+        self,
+        id: str,
+        behavior_id: str,
+        schedule: CrashSchedule,
+        applied: list[Operation],
+        omitted: list[Operation],
+        oracle_output: str,
+    ):
+        self.id, self.behavior_id, self.schedule = id, behavior_id, schedule
+        self.applied, self.omitted, self.oracle_output, self.subgraph_dot = applied, omitted, oracle_output, ""
 
     def dedup_key(self, key_mode: str) -> tuple:
         omitted_keys = sorted(
@@ -775,15 +786,22 @@ class BugReport:
         }
 
 
-@dataclass
 class RunStats:
-    representatives_tested: int = 0
-    schedules_tested: int = 0
-    distinct_states: int = 0
-    states_deduped: int = 0
-    oracle_errors: int = 0
-    partial_coverage: bool = False
-    correlated_states: dict[str, int] = field(default_factory=dict)
+    """The counts of one run; equal to another when their JSON is."""
+
+    __slots__ = (
+        "representatives_tested", "schedules_tested", "distinct_states", "states_deduped", "oracle_errors",
+        "partial_coverage", "correlated_states",
+    )
+
+    def __init__(self, representatives_tested: int = 0):
+        self.representatives_tested = representatives_tested
+        self.schedules_tested = self.distinct_states = self.states_deduped = self.oracle_errors = 0
+        self.partial_coverage = False
+        self.correlated_states: dict[str, int] = {}
+
+    def __eq__(self, other):
+        return self.to_json() == other.to_json() if other.__class__ is RunStats else NotImplemented
 
     def to_json(self) -> dict:
         return {
@@ -881,7 +899,6 @@ def test_groups(
                 applied=list(schedule.applied),
                 omitted=[rep.subgraph.ops_by_seq[s] for s in rep.node_seqs if s not in applied],
                 oracle_output=result.oracle_output,
-                subgraph_dot="",
             )
             key = report.dedup_key(key_mode)
             if key not in bug_keys:

@@ -16,8 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import posixpath
-from dataclasses import dataclass, field
-from functools import cached_property
+from typing import NamedTuple
 
 from .errors import ParseError, SequenceOrderError, UnknownOperationKind
 
@@ -75,25 +74,16 @@ def payload_from_digest(digest: str, length: int) -> bytes:
     return (pattern * reps)[:length]
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     function: str
     file: str
     line: int
 
-    def to_json(self) -> dict:
-        return {"function": self.function, "file": self.file, "line": self.line}
 
-
-@dataclass(frozen=True)
-class Backtrace:
-    """Call stack of an operation, outermost frame first."""
+class Backtrace(NamedTuple):
+    """Call stack of an operation, outermost frame first; never empty."""
 
     frames: tuple[Frame, ...]
-
-    def __post_init__(self):
-        if not self.frames:
-            raise ValueError("backtrace must contain at least one frame")
 
     @property
     def innermost(self) -> Frame:
@@ -103,50 +93,59 @@ class Backtrace:
         return tuple(f.function for f in self.frames)
 
     def to_json(self) -> list:
-        return [f.to_json() for f in self.frames]
+        return [f._asdict() for f in self.frames]
 
 
-@dataclass(frozen=True)
-class Annotation:
+class Annotation(NamedTuple):
     """Data-structure annotation carried by MMIO stores."""
 
     type_name: str
     instance_id: str
     field_name: str
 
-    def to_json(self) -> dict:
-        return {
-            "type_name": self.type_name,
-            "instance_id": self.instance_id,
-            "field_name": self.field_name,
-        }
+
+_OP_FIELDS = ("seq", "tid", "kind", "args", "backtrace", "annotation")
 
 
-@dataclass(frozen=True)
 class Operation:
-    seq: int
-    tid: int
-    kind: str
-    args: dict
-    backtrace: Backtrace
-    annotation: Annotation | None = None
+    """One traced operation.  Equal to another exactly when every field is;
+    the replay payload is decoded at most once and is not compared."""
+
+    __slots__ = (*_OP_FIELDS, "_payload")
+
+    def __init__(
+        self, seq: int, tid: int, kind: str, args: dict, backtrace: Backtrace, annotation: Annotation | None = None
+    ):
+        self.seq, self.tid, self.kind, self.args = seq, tid, kind, args
+        self.backtrace, self.annotation, self._payload = backtrace, annotation, None
+
+    def _values(self) -> tuple:
+        return self.seq, self.tid, self.kind, self.args, self.backtrace, self.annotation
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is Operation else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Operation({', '.join(f'{n}={v!r}' for n, v in zip(_OP_FIELDS, self._values()))})"
+
+    def replace(self, **changes) -> Operation:
+        """A copy with the named fields changed."""
+        return Operation(**dict(zip(_OP_FIELDS, self._values()), **changes))
 
     @property
     def is_persisting(self) -> bool:
         return self.kind in PERSISTING_KINDS
 
     def payload(self) -> bytes:
-        """Concrete bytes this operation writes, for replay."""
+        """Concrete bytes this operation writes, for replay; decoded once,
+        as replay asks at every apply."""
+        if self._payload is None:
+            data = self.args.get("data")
+            if data is not None:
+                self._payload = bytes.fromhex(data)
+            else:
+                self._payload = payload_from_digest(self.args["digest"], self.args["length"])
         return self._payload
-
-    @cached_property
-    def _payload(self) -> bytes:
-        # Decoded once per op: replay asks at every apply.  The cached value
-        # is no dataclass field, so it is not compared, hashed or printed.
-        data = self.args.get("data")
-        if data is not None:
-            return bytes.fromhex(data)
-        return payload_from_digest(self.args["digest"], self.args["length"])
 
     def to_json(self) -> dict:
         return {
@@ -155,20 +154,21 @@ class Operation:
             "kind": self.kind,
             "args": self.args,
             "backtrace": self.backtrace.to_json(),
-            "annotation": self.annotation.to_json() if self.annotation else None,
+            "annotation": self.annotation._asdict() if self.annotation else None,
         }
 
 
-@dataclass(frozen=True)
-class TraceMeta:
+class TraceMeta(NamedTuple):
     app_name: str
     mode: str
 
 
-@dataclass
 class Trace:
-    meta: TraceMeta
-    ops: list[Operation] = field(default_factory=list)
+    __slots__ = ("meta", "ops")
+
+    def __init__(self, meta: TraceMeta, ops: list[Operation] | None = None):
+        self.meta = meta
+        self.ops = [] if ops is None else ops
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -243,9 +243,12 @@ def _parse_backtrace(raw, line_no: int) -> Backtrace:
     frames = []
     for item in raw:
         try:
-            frame = Frame(item["function"], item["file"], int(item["line"]))
-        except (TypeError, KeyError, ValueError, OverflowError):  # int(Infinity) overflows
-            raise ParseError(line_no, f"malformed frame {item!r}") from None
+            frame = Frame(item["function"], item["file"], item["line"])
+        except (TypeError, KeyError):
+            frame = None
+        # ``type`` and not ``isinstance``: JSON's true and false are bools.
+        if frame is None or type(frame.line) is not int or frame.line < 0:
+            raise ParseError(line_no, f"malformed frame {item!r}")
         if not (isinstance(frame.function, str) and isinstance(frame.file, str)):
             raise ParseError(line_no, f"frame function and file must be strings in {item!r}")
         frames.append(frame)
@@ -268,7 +271,8 @@ def parse_trace(stream: bytes | str) -> Trace:
         header = json.loads(lines[0])
     except json.JSONDecodeError:
         raise ParseError(1, "header is not valid JSON") from None
-    if not isinstance(header, dict) or header.get("version") != 1:
+    # ``1`` also equals true and 1.0, which are no version.
+    if not isinstance(header, dict) or type(header.get("version")) is not int or header["version"] != 1:
         raise ParseError(1, "header must declare version 1")
     mode = header.get("mode")
     if mode not in (POSIX_MODE, MMIO_MODE):
@@ -326,7 +330,7 @@ def parse_trace(stream: bytes | str) -> Trace:
                 )
             except (TypeError, KeyError):
                 raise ParseError(line_no, f"malformed annotation {raw_ann!r}") from None
-            if not all(isinstance(v, str) for v in annotation.to_json().values()):
+            if not all(isinstance(v, str) for v in annotation):
                 raise ParseError(line_no, f"annotation fields must be strings in {raw_ann!r}")
 
         ops.append(

@@ -4,7 +4,6 @@ among them the rule-by-rule reference of the persistence models."""
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -437,7 +436,7 @@ def random_nested_posix_trace(rng: random.Random, max_ops: int = 8, threads: int
             depth = rng.randrange(len(stack))
             del stack[depth + 1 :]
             stack[depth] = (stack[depth][0], rng.randint(1, 3))
-        ops.append(dataclasses.replace(o, backtrace=bt(*stack)))
+        ops.append(o.replace(backtrace=bt(*stack)))
     return posix_trace(ops)
 
 
@@ -487,7 +486,7 @@ def side_node_chain_trace(appends: int, synced: int) -> Trace:
 def _spread_over_threads(rng: random.Random, ops: list[Operation], threads: int) -> list[Operation]:
     if threads == 1:
         return ops
-    return [dataclasses.replace(o, tid=rng.randrange(threads)) for o in ops]
+    return [o.replace(tid=rng.randrange(threads)) for o in ops]
 
 
 def random_mmio_trace(rng: random.Random, max_ops: int = 8, threads: int = 1) -> Trace:
@@ -525,7 +524,7 @@ def random_annotated_mmio_trace(rng: random.Random, max_ops: int = 8, threads: i
         type_name = rng.choice(types) if o.kind == "store" else None
         if type_name is not None:
             annotation = Annotation(type_name, rng.choice(["i0", "i1"]), rng.choice(["a", "b", "c"]))
-            o = dataclasses.replace(o, annotation=annotation)
+            o = o.replace(annotation=annotation)
         ops.append(o)
     return mmio_trace(ops)
 

@@ -100,8 +100,7 @@ def test_non_string_digest_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("line", [math.inf, -math.inf, math.nan, "x", None])
 def test_frame_line_that_is_no_integer_exits_2(tmp_path, capsys, line):
-    # json.loads accepts Infinity and NaN; int() of them raises
-    # OverflowError and ValueError.
+    # json.loads accepts Infinity and NaN, which are floats, not integers.
     trace_file = tmp_path / "t.jsonl"
     record = {"seq": 1, "tid": 0, "kind": "create", "args": {"path": "f"},
               "backtrace": [{"function": "main", "file": "a.c", "line": line}]}

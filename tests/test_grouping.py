@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -218,7 +217,7 @@ def test_represents_matches_its_definition_on_random_behaviors():
     for _ in range(40):
         ops = random_posix_trace(rng, max_ops=14, threads=rng.randint(1, 3)).ops
         trace = posix_trace(
-            [replace(o, backtrace=bt(("main", 1), (rng.choice(["put", "sync"]), rng.randint(1, 3)))) for o in ops]
+            [o.replace(backtrace=bt(("main", 1), (rng.choice(["put", "sync"]), rng.randint(1, 3)))) for o in ops]
         )
         _, behaviors = derive_behaviors(trace, RunConfig())
         for u1 in behaviors:

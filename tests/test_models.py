@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -7,7 +6,7 @@ import pytest
 from crashcheck import ModeMismatch, ModelConfig, build_graph, mmio_edges, model_edges, posix_edges
 from crashcheck.mmio_behaviors import persisted_at
 from crashcheck.models import EdgeReason, units_of
-from crashcheck.trace import POSIX_MODE
+from crashcheck.trace import POSIX_MODE, Trace
 
 from helpers import (
     edge_triples,
@@ -451,8 +450,8 @@ def _sparse(trace, rng):
         if trace.meta.mode == POSIX_MODE and rng.random() < 0.3:
             kind = rng.choice(["open", "close"])
             ops.append(op(3 * o.seq - 1, kind, {"path": rng.choice(["f1", "f2"])}, tid=o.tid))
-        ops.append(dataclasses.replace(o, seq=3 * o.seq))
-    return dataclasses.replace(trace, ops=ops)
+        ops.append(o.replace(seq=3 * o.seq))
+    return Trace(trace.meta, ops)
 
 
 @pytest.mark.parametrize(

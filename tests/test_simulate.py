@@ -1307,11 +1307,9 @@ def test_representative_subsumes_member_inconsistencies(tmp_path, entry_checker)
     # sites, fewer dependencies).  Every inconsistent state of the member
     # must have a matching inconsistent state in the representative's
     # enumeration, matched by applied/omitted static-key signature.
-    import dataclasses
-
     rep, rep_graph, rep_trace = aligned_behavior(INSERT_ALIGNED, "kkkkkkkk", "vvvvvvvv")
     member, _, member_trace = aligned_behavior(ORDERED_ALIGNED, "KKKKKKKK", "VVVVVVVV")
-    member = dataclasses.replace(member, id="member:" + member.id)
+    member = member._replace(id="member:" + member.id)
     from crashcheck.grouping import represents
 
     assert represents(rep, member)

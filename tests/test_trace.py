@@ -147,6 +147,21 @@ def test_boolean_seq_or_tid_is_a_parse_error(field, value):
     assert err.value.line_no == 2
 
 
+@pytest.mark.parametrize("line", ["7", True, 1.9, -4, None])
+def test_frame_line_that_is_no_non_negative_integer_is_a_parse_error(line):
+    # 1.9 used to become line 1, and so share a static key with it.
+    with pytest.raises(ParseError, match=r"^line 2: malformed frame "):
+        parse_trace("\n".join([HEADER, record(1, "create", {"path": "f"}, line=line)]))
+    assert parse_trace("\n".join([HEADER, record(1, "create", {"path": "f"}, line=0)])).ops[0].backtrace.innermost.line == 0
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1", 2, None])
+def test_header_version_other_than_the_integer_1_is_a_parse_error(version):
+    header = json.dumps({"app": "t", "mode": "POSIX", "version": version})
+    with pytest.raises(ParseError, match=r"^line 1: header must declare version 1$"):
+        parse_trace("\n".join([header, record(1, "create", {"path": "f"})]))
+
+
 @pytest.mark.parametrize(
     "kind, args, key",
     [
