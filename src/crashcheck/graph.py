@@ -109,12 +109,6 @@ class PersistenceGraph:
     def __len__(self) -> int:
         return len(self.ops_by_seq)
 
-    def op(self, seq: int) -> Operation:
-        try:
-            return self.ops_by_seq[seq]
-        except KeyError:
-            raise NodeNotFound(f"node {seq} is not in the graph") from None
-
     @cached_property
     def key_set(self) -> frozenset[StaticKey]:
         return frozenset(map(self.static_keys.__getitem__, self.ops_by_seq))
@@ -126,10 +120,6 @@ class PersistenceGraph:
         return frozenset(
             (keys[src], keys[dst]) for dst in seqs_in(mask) for src in seqs_in(self.preds.get(dst, 0) & mask)
         )
-
-    def predecessors(self, seq: int) -> set[int]:
-        self.op(seq)
-        return set(self._seqs_in(self.preds.get(seq, 0) & self.mask))
 
     def induced(self, node_set) -> "PersistenceGraph":
         nodes = set(node_set)

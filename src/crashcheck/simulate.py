@@ -1,9 +1,11 @@
 """Crash-schedule enumeration, replay into storage images, and oracle runs.
 
 A crash schedule applies every trace op issued before the behavior under
-test (the context) and then some downward-closed subset of the behavior's
-nodes in an order that respects its edges.  Ordering ops are schedule
-members but replay no-ops.
+test (the context) and then a subset of the behavior's nodes that holds
+their full-graph ancestors in its span, in an order that respects the
+edges: a span op outside the behavior is never applied, nor is any node it
+precedes, so every crash state is downward closed in the full graph.
+Ordering ops are schedule members but replay no-ops.
 
 The persistence models order every two persisting ops that do not commute
 (see :mod:`crashcheck.models`), so every order of a downward-closed subset
@@ -141,18 +143,20 @@ def _schedules(
     budget: int,
     cache: StateCache | None,
 ) -> Iterator[tuple[int, CrashSchedule | None, FsImage | MemImage | None]]:
-    """The crash state of every downward-closed subset of the behavior's
-    nodes, with the number of its orders that respect the edges when
-    ``every_order`` is set, and one order per subset otherwise.
+    """The crash state of every subset of the behavior's nodes closed under
+    the full graph's edges in the span, with the number of its orders that
+    respect the edges when ``every_order`` is set, and one order per
+    subset otherwise.
 
     Subsets come in lexicographic order of their membership vectors over
-    ascending seqs, "absent" before "present".  Bit ``i`` of every bitset
-    is the ``i``-th node in seq order.  Per subset it yields ``(1,
+    ascending seqs, "absent" before "present".  Bit ``i`` of every bitset is
+    the ``i``-th trace op of the span (the full graph's bitsets, shifted);
+    only the behavior's nodes (``own``) join.  Per subset it yields ``(1,
     schedule, image)`` if the image is not in ``cache.seen`` (it is added),
     the schedule applying the subset in seq order, then ``(rest, None,
     None)`` for its other orders; a :class:`ReplayError` is raised at the
-    first subset whose image cannot be replayed.  ``budget`` counts
-    subsets: after the ``budget``-th, if any remain, it raises
+    first subset whose image cannot be replayed.  ``budget`` counts subsets:
+    after the ``budget``-th, if any remain, it raises
     :class:`ExplosionLimit`, so the weights it yielded are the exact order
     count of the subsets it completed.
 
@@ -168,16 +172,17 @@ def _schedules(
     cache = StateCache() if cache is None else cache
     context = tuple(op for op in trace.ops if op.seq < behavior.span[0])
     graph = behavior.subgraph
-    seqs = sorted(graph.ops_by_seq)
-    ops = [graph.ops_by_seq[seq] for seq in seqs]
-    bit = {seq: 1 << i for i, seq in enumerate(seqs)}
-    preds = [sum(map(bit.__getitem__, graph.predecessors(seq))) for seq in seqs]
+    start = (graph.mask & -graph.mask).bit_length() - 1
+    own = graph.mask >> start
+    span = graph.seqs[start:start + own.bit_length()]
+    ops = [graph.ops_by_seq.get(seq) for seq in span]
+    preds = [graph.preds.get(seq, 0) >> start for seq in span]
     # Edges run forward, so a node's predecessors sit on lower bits.  succs
     # keeps only the edges of the transitive reduction: subsets are always
     # downward closed, so a node becomes addable when the last of its
     # reduction predecessors joins.
-    succs = [0] * len(seqs)
-    ancestors = [0] * len(seqs)
+    succs = [0] * len(ops)
+    ancestors = [0] * len(ops)
     for i, pred_bits in enumerate(preds):
         rest = pred_bits
         while rest:
@@ -200,7 +205,7 @@ def _schedules(
     # members up to it and the interned image of the members up to it, and
     # their ops; ``visited`` counts the subsets up to this one.
     subset = 0
-    addable = sum(1 << i for i, pred_bits in enumerate(preds) if not pred_bits)
+    addable = own & sum(1 << i for i, pred_bits in enumerate(preds) if not pred_bits)
     members = [(-1, 0, base)]
     applied: list[Operation] = []
     for visited in itertools.count(1):
@@ -224,7 +229,7 @@ def _schedules(
         below = (1 << i) - 1
         left, subset = subset & ~below, subset & below | 1 << i
         addable &= below
-        for rest in (left, succs[i]):
+        for rest in (left, succs[i] & own):
             while rest:
                 low = rest & -rest
                 rest ^= low

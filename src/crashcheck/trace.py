@@ -277,7 +277,10 @@ def parse_trace(stream: bytes | str) -> Trace:
     mode = header.get("mode")
     if mode not in (POSIX_MODE, MMIO_MODE):
         raise ParseError(1, f"header mode must be POSIX or MMIO, got {mode!r}")
-    meta = TraceMeta(app_name=str(header.get("app", "")), mode=mode)
+    app = header.get("app", "")
+    if not isinstance(app, str):
+        raise ParseError(1, "header app must be a string")
+    meta = TraceMeta(app_name=app, mode=mode)
 
     ops: list[Operation] = []
     prev_seq = 0

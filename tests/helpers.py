@@ -101,7 +101,7 @@ def graph_edges(graph: PersistenceGraph) -> list[tuple[int, int, EdgeReason]]:
     index = {seq: i for i, seq in enumerate(graph.seqs)}
     triples = []
     for dst in graph.node_seqs:
-        for src in graph.predecessors(dst):
+        for src in predecessors(graph, dst):
             reason = next(r for r, by_dst in graph.rules.items() if by_dst.get(dst, 0) >> index[src] & 1)
             triples.append((src, dst, reason))
     return sorted(triples, key=lambda t: t[:2])
@@ -278,15 +278,22 @@ def hb_from_pairs(trace: Trace, pairs: Pairs) -> HappensBefore:
     return HappensBefore(rules)
 
 
+def predecessors(graph: PersistenceGraph, seq: int) -> set[int]:
+    """The nodes of ``graph`` with a direct edge into ``seq``, read one bit
+    at a time from its predecessor bitset."""
+    bits = graph.preds.get(seq, 0) & graph.mask
+    return {src for i, src in enumerate(graph.seqs) if bits >> i & 1}
+
+
 def ancestors(graph, seq: int) -> set[int]:
     """Every node with a happens-before path to ``seq`` in ``graph``."""
     out: set[int] = set()
-    stack = list(graph.predecessors(seq))
+    stack = list(predecessors(graph, seq))
     while stack:
         cur = stack.pop()
         if cur not in out:
             out.add(cur)
-            stack.extend(graph.predecessors(cur))
+            stack.extend(predecessors(graph, cur))
     return out
 
 
@@ -736,7 +743,7 @@ def reference_states(
     seqs = behavior.node_seqs
     # The lowest seq is the highest bit, so counting up is lexicographic.
     bit = {seq: 1 << (len(seqs) - 1 - i) for i, seq in enumerate(seqs)}
-    preds = {seq: sum(map(bit.__getitem__, behavior.subgraph.predecessors(seq))) for seq in seqs}
+    preds = {seq: sum(map(bit.__getitem__, predecessors(behavior.subgraph, seq))) for seq in seqs}
     counts = {0: 1}
 
     def orders(mask: int) -> int:

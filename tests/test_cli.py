@@ -15,7 +15,15 @@ from crashcheck.simulate import MAX_ORACLE_TIMEOUT, replay, schedule_from_json
 from crashcheck.trace import parse_trace, serialize_trace
 
 from conftest import CHECKERS, WORKLOADS, load_workload
-from helpers import random_annotated_mmio_trace, random_mmio_trace, random_nested_posix_trace, random_posix_trace
+from helpers import (
+    op,
+    posix_trace,
+    random_annotated_mmio_trace,
+    random_mmio_trace,
+    random_nested_posix_trace,
+    random_posix_trace,
+    write_args,
+)
 
 
 def checker_arg(name):
@@ -84,6 +92,16 @@ def test_non_string_kind_exits_2(tmp_path, capsys):
     )
     assert run("analyze", "--trace", trace_file, "--out", tmp_path / "o") == 2
     assert "kind must be a string" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("app", [None, 5, ["x"], {}])
+def test_non_string_app_exits_2_and_a_missing_one_is_empty(tmp_path, capsys, app):
+    header = {"mode": "POSIX", "version": 1}
+    assert parse_trace(json.dumps(header)).meta.app_name == ""
+    trace_file = tmp_path / "t.jsonl"
+    trace_file.write_text(json.dumps({"app": app, **header}) + "\n")
+    assert run("analyze", "--trace", trace_file, "--out", tmp_path / "o") == 2
+    assert "error (analyze): line 1: header app must be a string" in capsys.readouterr().err
 
 
 def test_non_string_digest_exits_2(tmp_path, capsys):
@@ -301,6 +319,25 @@ def test_test_fixed_exits_0(tmp_path):
     assert code == 0
     bugs = json.loads((tmp_path / "out" / "bugs.json").read_text())["bugs"]
     assert bugs == []
+
+
+@pytest.mark.parametrize(
+    "t1_file, t2_file, last",
+    [
+        ("f2", "f1", op(3, "rename", {"path": "f1", "dst": "f2"}, tid=1)),
+        ("g", "f3", op(3, "unlink", {"path": "f3"}, tid=1)),
+    ],
+)
+def test_test_replays_no_state_without_another_threads_op_it_needs(tmp_path, t1_file, t2_file, last):
+    """T1 writes a file, T2 writes the file T1 then renames or unlinks: no
+    tested state of T1's behavior holds the rename or unlink without T2's
+    write, which the model orders before it."""
+    trace = posix_trace(
+        [op(1, "write", write_args(t1_file, b"\x01"), tid=1), op(2, "write", write_args(t2_file, b"\x02"), tid=2), last]
+    )
+    trace_file = tmp_path / "t.jsonl"
+    trace_file.write_bytes(serialize_trace(trace))
+    assert run("test", "--trace", trace_file, "--checker", "true", "--out", tmp_path / "out") == 0
 
 
 def test_test_empty_trace_reports_no_bugs(tmp_path):

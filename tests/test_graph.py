@@ -23,6 +23,7 @@ from helpers import (
     hb_from_pairs,
     op,
     posix_trace,
+    predecessors,
     random_mmio_trace,
     random_posix_trace,
     reference_model_pairs,
@@ -209,7 +210,7 @@ def test_induced_views_match_filtering_the_full_edge_set(make):
             assert graph_edges(view) == sorted(want)
             assert view.edge_count == len(want)
             for n in s:
-                assert view.predecessors(n) == {src for src, dst, _ in want if dst == n}
+                assert predecessors(view, n) == {src for src, dst, _ in want if dst == n}
             assert export_dot(view) == reference_dot(trace, edges, s)
             parts = []
             assert export_dot(view, write=parts.append) is None

@@ -221,12 +221,12 @@ def test_represents_matches_its_definition_on_random_behaviors():
         )
         _, behaviors = derive_behaviors(trace, RunConfig())
         for u1 in behaviors:
-            n1 = [u1.subgraph.op(seq) for seq in u1.node_seqs]
+            n1 = [u1.subgraph.ops_by_seq[seq] for seq in u1.node_seqs]
             for u2 in behaviors:
-                n2 = [u2.subgraph.op(seq) for seq in u2.node_seqs]
+                n2 = [u2.subgraph.ops_by_seq[seq] for seq in u2.node_seqs]
                 image = {o.seq for o in equivalence_image(n1, n2)}
-                image_edges = [(u1.subgraph.op(s), u1.subgraph.op(d)) for s, d, _ in graph_edges(u1.subgraph) if {s, d} <= image]
-                member_edges = [(u2.subgraph.op(s), u2.subgraph.op(d)) for s, d, _ in graph_edges(u2.subgraph)]
+                image_edges = [(u1.subgraph.ops_by_seq[s], u1.subgraph.ops_by_seq[d]) for s, d, _ in graph_edges(u1.subgraph) if {s, d} <= image]
+                member_edges = [(u2.subgraph.ops_by_seq[s], u2.subgraph.ops_by_seq[d]) for s, d, _ in graph_edges(u2.subgraph)]
                 want = subset_equiv_nodes(n2, n1) and subset_equiv_edges(image_edges, member_edges)
                 assert represents(u1, u2) == want
                 outcomes[want] += 1

@@ -14,6 +14,7 @@ from helpers import (
     op,
     ops_commute,
     posix_trace,
+    predecessors,
     random_mmio_trace,
     random_posix_trace,
     reference_model_pairs,
@@ -255,7 +256,7 @@ def test_every_unordered_pair_of_persisting_ops_commutes(cfg):
         graph = build_graph(trace, model_edges(trace, cfg))
         persisting = [o for o in trace.ops if o.is_persisting]
         for a, b in itertools.combinations(persisting, 2):
-            if a.seq not in graph.predecessors(b.seq):
+            if a.seq not in predecessors(graph, b.seq):
                 assert ops_commute(a, b, cfg), (i, a, b)
 
 

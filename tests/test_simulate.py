@@ -440,35 +440,51 @@ def test_the_reference_counts_the_orders_brute_force_lists():
             assert {state.applied: state.orders for state in reference_states(behavior, graph, trace)} == listed
 
 
-def test_the_reference_agrees_with_the_walk_wherever_nothing_is_pulled_in():
-    """Behaviors derived from random 2-3-thread traces, which need not hold
-    every op of their spans.  Wherever a set lacks none of its full-graph
-    ancestors, the walk reaches the reference's digest; where the walk
-    fails to replay a set, the set lacks one."""
+def derived_behaviors_of_random_traces():
+    """60 random 2-3-thread traces, POSIX and MMIO in turn, each with its
+    graph and its derived behaviors, which need not hold every op of their
+    spans."""
     rng = random.Random(3)
-    sets = Counter()
     for i in range(60):
         posix = i % 2 == 0
         trace = (random_posix_trace if posix else random_mmio_trace)(rng, max_ops=8, threads=rng.randint(2, 3))
         graph = build_graph(trace, model_edges(trace))
-        for behavior in (derive_posix_behaviors if posix else derive_mmio_behaviors)(graph, trace):
+        yield trace, graph, (derive_posix_behaviors if posix else derive_mmio_behaviors)(graph, trace)
+
+
+def test_the_reference_agrees_with_the_walk_wherever_nothing_is_pulled_in():
+    """The walk's items are the reference's sets that lack none of their
+    full-graph ancestors, in the reference's order and with its digests:
+    a set that lacks one is dropped, so no replay fails."""
+    sets = Counter()
+    for trace, graph, behaviors in derived_behaviors_of_random_traces():
+        for behavior in behaviors:
             # One item per set: the walk counts one order per subset.
-            walk, seen = enumerate_schedules(behavior, trace), set()
+            expected, seen = [], set()
             for state in reference_states(behavior, graph, trace):
                 sets[bool(state.pulled)] += 1
-                try:
-                    _, schedule, image = next(walk)
-                except ReplayError:
-                    assert state.pulled, (trace.ops, behavior.node_seqs, state)
-                    break
-                if schedule:
-                    assert schedule.applied_seqs == state.applied
-                    seen.add(image.digest())
                 if not state.pulled:
-                    assert (image.digest() == state.digest) if schedule else (state.digest in seen)
-            else:
-                assert next(walk, None) is None
+                    expected.append((1, state.applied, state.digest) if state.digest not in seen else (1, None, None))
+                    seen.add(state.digest)
+            items = enumerate_schedules(behavior, trace)
+            got = [(w, s.applied_seqs, image.digest()) if s else (w, None, None) for w, s, image in items]
+            assert got == expected, (trace.ops, behavior.node_seqs)
     assert sets[False] and sets[True]
+
+
+def test_every_state_explore_reaches_over_derived_behaviors_is_a_whole_trace_state():
+    """Soundness against the full model: what ``test`` explores over the
+    derived behaviors is a subset of what whole-trace ``exhaustive``
+    reaches."""
+    reached_in_all = 0
+    for trace, graph, behaviors in derived_behaviors_of_random_traces():
+        whole = RunStats()
+        whole_trace = make_behavior("whole", "*", 0, graph.node_seqs, graph)
+        every = {d for _, _, d, _ in explore([whole_trace], partial(exhaustive_schedules, trace=trace), whole)}
+        found = {d for _, _, d, _ in explore(behaviors, partial(enumerate_schedules, trace=trace), RunStats())}
+        assert not whole.partial_coverage and found <= every, trace.ops
+        reached_in_all += len(found)
+    assert reached_in_all == 352
 
 
 def item_1_repro():
@@ -486,11 +502,6 @@ def item_1_repro():
     return make_behavior("t1", "f", 1, [1, 3], graph), graph, trace
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: span ops outside a behavior are neither context nor applied, "
-    "so the walk yields (3,) and (1, 3) without 2, which 3 needs",
-)
 def test_every_state_the_walk_yields_lacks_no_full_graph_ancestor():
     behavior, graph, trace = item_1_repro()
     pulled = {state.applied: state.pulled for state in reference_states(behavior, graph, trace)}
