@@ -26,7 +26,7 @@ from functools import partial
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
-from .behavior import DEFAULT_EPS, DEFAULT_MIN_PTS, make_behavior
+from .behavior import DEFAULT_EPS, DEFAULT_MIN_PTS, UpdateBehavior
 from .dsl import synth_workload
 from .errors import CrashCheckError, ModeMismatch
 from .graph import FULL_KEY, INNERMOST_KEY, build_graph, export_dot
@@ -38,7 +38,7 @@ from .simulate import (
     DEFAULT_BUDGET,
     DEFAULT_TIMEOUT,
     MAX_ORACLE_TIMEOUT,
-    CrashSchedule,
+    BugReport,
     PreparedChecker,
     RunStats,
     Verdict,
@@ -430,47 +430,39 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
     trace = load_input_trace(args, cfg)
     graph = build_graph(trace, model_edges(trace, cfg.model), key_mode=cfg.static_key)
+    nodes = graph.node_seqs
+    # Without nodes every op is context, and the one crash state is the image after them.
+    span = (nodes[0], nodes[-1]) if nodes else (math.inf, math.inf)
+    whole = UpdateBehavior("whole-trace", "*", 0, nodes, graph, span)
 
     out = _create_output(cfg.out)
 
     stats = RunStats()
     states: dict[str, dict] = {}
-    bugs = []
-    if len(graph):
-        whole = make_behavior("whole-trace", "*", trace.ops[0].tid, graph.node_seqs, graph)
-        schedules_of = partial(exhaustive_schedules, trace=trace, budget=cfg.budget)
-        with contextlib.ExitStack() as cleanup:
-            check = None
-            # Only the oracle needs a scratch directory.  States go one level
-            # down, so what a checker leaves at their path never reaches the cleanup.
-            if cfg.checker:
-                scratch = Path(cleanup.enter_context(tempfile.TemporaryDirectory(prefix="crashcheck-"))) / "state"
-                check = partial(run_oracle, checker=PreparedChecker(cfg.checker, scratch, cfg.timeout))
-            for _, schedule, digest, result in explore([whole], schedules_of, stats, check):
-                entry = schedule.to_json()
-                if result is not None:
-                    entry["verdict"] = result.verdict.value
-                    if result.verdict is Verdict.INCONSISTENT:
-                        applied = set(schedule.applied_seqs)
-                        bugs.append(
-                            {
-                                "applied_seqs": sorted(applied),
-                                "omitted_seqs": [s for s in graph.node_seqs if s not in applied],
-                                "oracle_output": result.oracle_output,
-                                "schedule": schedule.to_json(),
-                            }
-                        )
-                states[digest] = entry
-    else:
-        states["empty"] = CrashSchedule("whole-trace", trace.meta.mode, (), ()).to_json()
-        stats.schedules_tested = 1
+    bugs: dict[tuple, BugReport] = {}
+    schedules_of = partial(exhaustive_schedules, trace=trace, budget=cfg.budget)
+    with contextlib.ExitStack() as cleanup:
+        check = None
+        # Only the oracle needs a scratch directory.  States go one level
+        # down, so what a checker leaves at their path never reaches the cleanup.
+        if cfg.checker:
+            scratch = Path(cleanup.enter_context(tempfile.TemporaryDirectory(prefix="crashcheck-"))) / "state"
+            check = partial(run_oracle, checker=PreparedChecker(cfg.checker, scratch, cfg.timeout))
+        for _, schedule, digest, result in explore([whole], schedules_of, stats, check):
+            entry = schedule.to_json()
+            if result is not None:
+                entry["verdict"] = result.verdict.value
+                if result.verdict is Verdict.INCONSISTENT:
+                    bug = BugReport(f"bug{len(bugs)}", whole, schedule, trace, result.oracle_output)
+                    bugs.setdefault(bug.key, bug)
+            states[digest] = entry
 
     report = {
         "schedules_tested": stats.schedules_tested,
         "distinct_states": len(states),
         "partial_coverage": stats.partial_coverage,
         "states": states,
-        "bugs": bugs,
+        "bugs": [bug.to_json() for bug in bugs.values()],
     }
     _write_report(out / "states.json", report)
     print(

@@ -89,10 +89,9 @@ class PersistenceGraph:
         rules: dict[EdgeReason, dict[int, int]],
         static_keys: dict[int, StaticKey],
         mask: int,
-        key_mode: str = FULL_KEY,
     ):
         self.ops_by_seq, self.seqs, self.preds, self.rules = ops_by_seq, seqs, preds, rules
-        self.static_keys, self.mask, self.key_mode = static_keys, mask, key_mode
+        self.static_keys, self.mask = static_keys, mask
 
     def _seqs_in(self, bitset: int) -> Iterator[int]:
         # The binary digits, lowest first, as 0/1 bytes select from seqs.
@@ -128,7 +127,7 @@ class PersistenceGraph:
             raise NodeNotFound(f"nodes {sorted(unknown)} are not in the graph")
         mask = sum(1 << bisect_left(self.seqs, seq) for seq in nodes)
         ops_by_seq = {seq: self.ops_by_seq[seq] for seq in nodes}
-        return PersistenceGraph(ops_by_seq, self.seqs, self.preds, self.rules, self.static_keys, mask, self.key_mode)
+        return PersistenceGraph(ops_by_seq, self.seqs, self.preds, self.rules, self.static_keys, mask)
 
 
 def build_graph(trace: Trace, hb: HappensBefore, key_mode: str = FULL_KEY) -> PersistenceGraph:
@@ -154,7 +153,7 @@ def build_graph(trace: Trace, hb: HappensBefore, key_mode: str = FULL_KEY) -> Pe
     keys = {seq: StaticKey.of(op, key_mode) for seq, op in ops_by_seq.items()}
     interned = {key: key for key in keys.values()}
     keys = {seq: interned[key] for seq, key in keys.items()}
-    return PersistenceGraph(ops_by_seq, seqs, preds, hb.rules, keys, mask, key_mode)
+    return PersistenceGraph(ops_by_seq, seqs, preds, hb.rules, keys, mask)
 
 
 def export_dot(graph: PersistenceGraph, write=None) -> str | None:

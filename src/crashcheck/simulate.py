@@ -74,7 +74,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn
 
 from .behavior import UpdateBehavior
 from .errors import CheckerError, ExplosionLimit, ReplayError
-from .graph import FULL_KEY, StaticKey, export_dot
+from .graph import export_dot
 from .models import entry_name, parent_dir
 from .trace import MMIO_MODE, POSIX_MODE, Operation, Trace, escapes_root
 
@@ -172,7 +172,8 @@ def _schedules(
     cache = StateCache() if cache is None else cache
     context = tuple(op for op in trace.ops if op.seq < behavior.span[0])
     graph = behavior.subgraph
-    start = (graph.mask & -graph.mask).bit_length() - 1
+    # The lowest bit of the behavior's nodes; 0 for a behavior without any.
+    start = max((graph.mask & -graph.mask).bit_length() - 1, 0)
     own = graph.mask >> start
     span = graph.seqs[start:start + own.bit_length()]
     ops = [graph.ops_by_seq.get(seq) for seq in span]
@@ -747,29 +748,28 @@ def run_oracle(image: FsImage | MemImage, checker: PreparedChecker) -> CheckResu
 
 
 class BugReport:
-    """One inconsistent state; ``subgraph_dot`` is filled in only for the
-    first report of each :meth:`dedup_key`."""
+    """One inconsistent crash state, the same record for ``test`` and
+    ``exhaustive``.  ``omitted`` holds the persisting ops issued after the
+    context and before the last persisting op applied that are not applied,
+    so it is defined by the state, whatever behavior explored it.  ``key``,
+    by which reports are deduplicated, is the sorted static keys of the
+    omitted ops and the sha256 of the checker output."""
 
-    __slots__ = ("id", "behavior_id", "schedule", "applied", "omitted", "oracle_output", "subgraph_dot")
+    __slots__ = ("id", "behavior", "schedule", "omitted", "oracle_output", "key")
 
-    def __init__(
-        self,
-        id: str,
-        behavior_id: str,
-        schedule: CrashSchedule,
-        applied: list[Operation],
-        omitted: list[Operation],
-        oracle_output: str,
-    ):
-        self.id, self.behavior_id, self.schedule = id, behavior_id, schedule
-        self.applied, self.omitted, self.oracle_output, self.subgraph_dot = applied, omitted, oracle_output, ""
-
-    def dedup_key(self, key_mode: str) -> tuple:
-        omitted_keys = sorted(
-            str(StaticKey.of(op, key_mode)) for op in self.omitted if op.is_persisting
+    def __init__(self, id: str, behavior: UpdateBehavior, schedule: CrashSchedule, trace: Trace, oracle_output: str):
+        self.id, self.behavior, self.schedule, self.oracle_output = id, behavior, schedule, oracle_output
+        applied = set(schedule.applied_seqs)
+        last = max((op.seq for op in schedule.applied if op.is_persisting), default=0)
+        self.omitted = [
+            op for op in trace.ops[len(schedule.context):]
+            if op.seq < last and op.is_persisting and op.seq not in applied
+        ]
+        keys = behavior.subgraph.static_keys
+        self.key = (
+            tuple(sorted(str(keys[op.seq]) for op in self.omitted)),
+            hashlib.sha256(oracle_output.encode()).hexdigest(),
         )
-        digest = hashlib.sha256(self.oracle_output.encode()).hexdigest()
-        return (tuple(omitted_keys), digest)
 
     def to_json(self) -> dict:
         def op_json(op: Operation) -> dict:
@@ -782,12 +782,12 @@ class BugReport:
 
         return {
             "id": self.id,
-            "behavior_id": self.behavior_id,
+            "behavior_id": self.behavior.id,
             "schedule": self.schedule.to_json(),
-            "applied": [op_json(op) for op in self.applied],
+            "applied": [op_json(op) for op in self.schedule.applied],
             "omitted": [op_json(op) for op in self.omitted],
             "oracle_output": self.oracle_output,
-            "subgraph_dot": self.subgraph_dot,
+            "subgraph_dot": export_dot(self.behavior.subgraph),
         }
 
 
@@ -876,18 +876,15 @@ def test_groups(
     Because :func:`explore` shares its interned images across representatives,
     no crash state is oracle-tested twice, including states that sit on the
     boundary between one behavior's context and another's subsets.
-    Inconsistent states become bug reports, deduplicated by the static-key
-    multiset of omitted persisting ops plus the oracle output digest.  The
-    correlated-state count for a bug is the number of distinct tested
-    states whose generating behavior covers the bug's root-cause source
-    location.
+    Inconsistent states become bug reports, deduplicated by
+    :attr:`BugReport.key`.  The correlated-state count for a bug is the
+    number of distinct tested states whose generating behavior covers the
+    source location of its first omitted op.
     """
     scratch = Path(scratch_root) / "state"
     reps = [behaviors_by_id[rep_id] for rep_id in dict.fromkeys(g.representative for g in groups)]
     stats = RunStats(representatives_tested=len(reps))
-    key_mode = reps[0].subgraph.key_mode if reps else FULL_KEY
-    bugs: list[BugReport] = []
-    bug_keys: set[tuple] = set()
+    bugs: dict[tuple, BugReport] = {}
     states_by_rep: Counter[str] = Counter()
     schedules_of = partial(enumerate_schedules, trace=trace, budget=budget)
     check = partial(run_oracle, checker=PreparedChecker(checker, scratch, timeout))
@@ -896,27 +893,14 @@ def test_groups(
         if result.verdict is Verdict.ORACLE_ERROR:
             stats.oracle_errors += 1
         elif result.verdict is Verdict.INCONSISTENT:
-            applied = set(schedule.applied_seqs)
-            report = BugReport(
-                id=f"bug{len(bugs)}",
-                behavior_id=rep.id,
-                schedule=schedule,
-                applied=list(schedule.applied),
-                omitted=[rep.subgraph.ops_by_seq[s] for s in rep.node_seqs if s not in applied],
-                oracle_output=result.oracle_output,
-            )
-            key = report.dedup_key(key_mode)
-            if key not in bug_keys:
-                bug_keys.add(key)
-                report.subgraph_dot = export_dot(rep.subgraph)
-                bugs.append(report)
+            report = BugReport(f"bug{len(bugs)}", rep, schedule, trace, result.oracle_output)
+            bugs.setdefault(report.key, report)
 
-    for bug in bugs:
-        anchor = next((op for op in bug.omitted if op.is_persisting), None)
-        if anchor is None:
-            continue
-        loc = (anchor.backtrace.innermost.file, anchor.backtrace.innermost.line)
-        stats.correlated_states[bug.id] = sum(
-            states_by_rep[rep.id] for rep in reps if loc in _behavior_locs(rep)
-        )
-    return bugs, stats
+    for bug in bugs.values():
+        if bug.omitted:
+            anchor = bug.omitted[0].backtrace.innermost
+            loc = (anchor.file, anchor.line)
+            stats.correlated_states[bug.id] = sum(
+                states_by_rep[rep.id] for rep in reps if loc in _behavior_locs(rep)
+            )
+    return list(bugs.values()), stats

@@ -98,37 +98,63 @@ def representative_states(trace):
     return digests, schedules
 
 
+def state_bug_key(schedule, trace, result):
+    """The bug key of one inconsistent state, computed here apart from
+    ``BugReport``: the sorted static keys of the persisting trace ops that
+    are neither context nor applied and were issued before the last
+    persisting op applied, and the sha256 of the checker output."""
+    context, applied = set(schedule.context_seqs), set(schedule.applied_seqs)
+    last = max((o.seq for o in schedule.applied if o.is_persisting), default=0)
+    omitted = sorted(
+        str(StaticKey.of(o))
+        for o in trace.ops
+        if o.is_persisting and o.seq < last and o.seq not in context and o.seq not in applied
+    )
+    return tuple(omitted), output_digest(result)
+
+
 def exhaustive_outcomes(trace, checker, scratch: Path, budget=2_000_000):
-    """Schedule count, distinct states and bug keys of the unpruned
-    whole-trace baseline, explored the way ``crashcheck exhaustive`` does.
-    Raises :class:`ExplosionLimit` when it does not complete within
-    ``budget`` schedules."""
-    behavior, graph = whole_behavior(trace)
+    """Schedule count, the verdict of each distinct state by its digest, and
+    the bug keys of the unpruned whole-trace baseline, explored the way
+    ``crashcheck exhaustive`` does.  Raises :class:`ExplosionLimit` when it
+    does not complete within ``budget`` subsets."""
+    behavior, _ = whole_behavior(trace)
     stats = RunStats()
-    digests = set()
+    verdicts = {}
     bug_keys = set()
-    persisting = {s for s in graph.node_seqs if graph.ops_by_seq[s].is_persisting}
     schedules_of = partial(exhaustive_schedules, trace=trace, budget=budget)
     check = partial(run_oracle, checker=PreparedChecker(checker, scratch))
     for _, schedule, digest, result in explore([behavior], schedules_of, stats, check):
-        digests.add(digest)
+        verdicts[digest] = result.verdict
         if result.verdict is Verdict.INCONSISTENT:
-            applied = set(schedule.applied_seqs)
-            omitted = sorted(
-                str(StaticKey.of(graph.ops_by_seq[s])) for s in persisting - applied
-            )
-            bug_keys.add((tuple(omitted), output_digest(result)))
+            bug_keys.add(state_bug_key(schedule, trace, result))
     if stats.partial_coverage:
         raise ExplosionLimit(budget)
-    return stats.schedules_tested, digests, bug_keys
+    return stats.schedules_tested, verdicts, bug_keys
 
 
 def rep_outcomes(trace, checker, scratch: Path):
     behaviors, groups = pipeline(trace)
     by_id = {b.id: b for b in behaviors}
     bugs, stats = run_group_tests(groups, by_id, trace, checker, scratch)
-    bug_keys = {b.dedup_key("full") for b in bugs}
-    return bugs, stats, bug_keys
+    return bugs, stats, {b.key for b in bugs}
+
+
+def assert_bug_sets_agree(trace, checker, scratch: Path, name: str):
+    """Criterion 8 on one program: ``test`` checks no more states than the
+    baseline, its bug keys are the baseline's, and each state it reports is
+    one the baseline found inconsistent.  Raises :class:`ExplosionLimit`
+    when the baseline does not complete."""
+    ex_schedules, ex_verdicts, ex_keys = exhaustive_outcomes(trace, checker, scratch / "e")
+    bugs, stats, rep_keys = rep_outcomes(trace, checker, scratch / "r")
+    # the reduction: the representative path never oracle-tests more
+    # crash states than the exhaustive baseline
+    assert stats.distinct_states <= len(ex_verdicts), name
+    assert stats.distinct_states <= ex_schedules, name
+    assert rep_keys == ex_keys, name
+    for bug in bugs:
+        assert stats.correlated_states[bug.id] >= 1, name
+        assert ex_verdicts[replay(bug.schedule).digest()] is Verdict.INCONSISTENT, name
 
 
 def test_criterion_1_four_state_example(two_writes_trace, tmp_path):
@@ -215,7 +241,7 @@ def test_criterion_5_entry_insert_reproduction(tmp_path, entry_checker):
         insert = load_workload("entry_insert.dsl", "MMIO")
         bugs, _, _ = rep_outcomes(insert, entry_checker, tmp_path / "ri")
         assert any(
-            sorted(o.annotation.field_name for o in b.applied if o.kind == "store") == ["valid"]
+            sorted(o.annotation.field_name for o in b.schedule.applied if o.kind == "store") == ["valid"]
             and sorted(o.annotation.field_name for o in b.omitted) == ["key", "value"]
             for b in bugs
         )
@@ -223,7 +249,7 @@ def test_criterion_5_entry_insert_reproduction(tmp_path, entry_checker):
         ordered = load_workload("entry_insert_ordered.dsl", "MMIO")
         ordered_bugs, _, _ = rep_outcomes(ordered, entry_checker, tmp_path / "ro")
         assert any(
-            "valid" in [o.annotation.field_name for o in b.applied if o.kind == "store"]
+            "valid" in [o.annotation.field_name for o in b.schedule.applied if o.kind == "store"]
             and "value" in [o.annotation.field_name for o in b.omitted]
             for b in ordered_bugs
         )
@@ -279,22 +305,10 @@ def test_criterion_8_reduction_and_bug_set_equality(tmp_path):
         compared = 0
         for name, mode, checker_name in CORPUS:
             trace = load_workload(name, mode)
-            checker = checker_cmd(checker_name)
-            tag = name.split(".")[0]
             try:
-                ex_schedules, ex_states, ex_keys = exhaustive_outcomes(
-                    trace, checker, tmp_path / f"e-{tag}"
-                )
-            except Exception:
+                assert_bug_sets_agree(trace, checker_cmd(checker_name), tmp_path / name.split(".")[0], name)
+            except ExplosionLimit:
                 continue  # exhaustive did not complete within budget
-            bugs, stats, rep_keys = rep_outcomes(trace, checker, tmp_path / f"r-{tag}")
-            # the reduction: the representative path never oracle-tests more
-            # crash states than the exhaustive baseline
-            assert stats.distinct_states <= len(ex_states), name
-            assert stats.distinct_states <= ex_schedules, name
-            assert rep_keys == ex_keys, name
-            for bug in bugs:
-                assert stats.correlated_states[bug.id] >= 1, name
             compared += 1
         assert compared == len(CORPUS)
 

@@ -11,7 +11,7 @@ import pytest
 
 from crashcheck import simulate
 from crashcheck.cli import _SETTINGS, _safe_name, build_run_config, main, make_parser, report_json
-from crashcheck.simulate import MAX_ORACLE_TIMEOUT, replay, schedule_from_json
+from crashcheck.simulate import MAX_ORACLE_TIMEOUT, FsImage, replay, schedule_from_json
 from crashcheck.trace import parse_trace, serialize_trace
 
 from conftest import CHECKERS, WORKLOADS, load_workload
@@ -486,6 +486,24 @@ def test_exhaustive_empty_trace_single_state(tmp_path):
     assert report["distinct_states"] == 1
 
 
+@pytest.mark.parametrize("exit_status, verdict", [(0, "Consistent"), (1, "Inconsistent")])
+def test_exhaustive_checks_the_one_state_of_a_trace_without_nodes(tmp_path, exit_status, verdict):
+    """A trace whose only op is an ``open`` has no graph node and one crash
+    state, the empty image.  It is named by its digest and checked like any
+    other state, so a checker that rejects it makes a bug."""
+    trace_file = tmp_path / "t.jsonl"
+    trace_file.write_bytes(serialize_trace(posix_trace([op(1, "open", {"path": "f"})])))
+    script = tmp_path / "checker.py"
+    script.write_text(f"print('checked')\nraise SystemExit({exit_status})\n")
+    out = tmp_path / "out"
+    assert run("exhaustive", "--trace", trace_file, "--checker", f"{sys.executable} {script}", "--out", out) == exit_status
+    report = json.loads((out / "states.json").read_text())
+    assert (report["schedules_tested"], report["distinct_states"]) == (1, 1)
+    assert list(report["states"]) == [FsImage().digest()]
+    assert report["states"][FsImage().digest()]["verdict"] == verdict
+    assert [bug["oracle_output"] for bug in report["bugs"]] == ["checked\n"] * exit_status
+
+
 def test_exhaustive_with_checker_finds_same_bug(tmp_path):
     out = tmp_path / "out"
     code = run(
@@ -512,7 +530,7 @@ def test_exhaustive_states_and_bugs_are_replayable(tmp_path, capsys):
     assert report["bugs"]
     capsys.readouterr()
     for i, bug in enumerate(report["bugs"]):
-        assert bug["applied_seqs"] == sorted(bug["schedule"]["applied_seqs"])
+        assert [o["seq"] for o in bug["applied"]] == sorted(bug["schedule"]["applied_seqs"])
         schedule_file = tmp_path / f"bug{i}.json"
         schedule_file.write_text(json.dumps(bug))
         code = run("replay", *program, *checker, "--schedule", schedule_file, "--out", tmp_path / "ro")

@@ -258,7 +258,7 @@ PINNED_CHECKED = {
     "current_update_buggy": ("current_pointer.py", {
         "bugs.json": "fde502164f10f1c4365ffbe483b9c22dc63774c15fe5e6571004c74036e0ad59",
         "stats.json": "2d07efee4b107f609d0472f21d5fd32b91ff2baf976cfd370d0782de455cc8dd",
-        "states.json": "aa42242322e382440ffe7a0333d08bacef20b503982c1bf71f4c7c1e7abd6b73",
+        "states.json": "67a7e99bd739b55a7efc9829cee34a34b276fcd721da837e89ef62a4d192affe",
     }),
     "current_update_fixed": ("current_pointer.py", {
         "bugs.json": "032a1a341d7d77ccaf852a71384344d92b5e91a4175fe939574aee14880f5761",
@@ -268,12 +268,12 @@ PINNED_CHECKED = {
     "entry_insert": ("entry_valid.py", {
         "bugs.json": "daeb6bcd1878617d8d3fd1cd4bb2c15cc04c85a46811ee64a5015887b7f4d1c3",
         "stats.json": "98080d9bc96c80c2be09f6c1a6f8732ab12dc21dd7866a5f671b4d5623eb6690",
-        "states.json": "99bd21e51d89217ba8823177cc494cc4069f75e6edff95b4a5aa0a15f5b2a407",
+        "states.json": "6750a1bbad3627a1eebcfbe5d8d9b4aeac31af9982a62d49e3deb34198bdd461",
     }),
     "entry_insert_ordered": ("entry_valid.py", {
         "bugs.json": "d26be3644c63b745a1440ab7713b1767715e58a7eac83f6b1869ce8c65d367ff",
         "stats.json": "3fb29935e1ad6de4940babb6fd24545a14958ef542a229decc0c7f368bd458b7",
-        "states.json": "513ad6e6860dcb6756bd2744b9b87c96050921e216de96e2d60906d1dcc571b9",
+        "states.json": "49d7c711d44d3b7bde52cfdaa0e57efeace16e8dee647ecc4a081d009f89521f",
     }),
     "entry_insert_safe": ("entry_valid.py", {
         "bugs.json": "032a1a341d7d77ccaf852a71384344d92b5e91a4175fe939574aee14880f5761",

@@ -1107,9 +1107,11 @@ def run_workload(name, mode, checker, tmp_path, eps=10):
 
 
 def test_a_bug_graph_is_rendered_once_per_new_bug(tmp_path, monkeypatch):
-    """The two writes share a line, so omitting either one is the same bug
-    to a checker that always fails the same way; the subgraph's DOT used
-    to be rendered for every inconsistent state, duplicates included."""
+    """A checker that always fails the same way finds two bugs in two
+    writes: the states that omit nothing before their last write, and the
+    one that holds the second write without the first.  The subgraph's DOT
+    used to be rendered for every inconsistent state, duplicates included;
+    now a report renders it once, when it is written."""
     from crashcheck.cli import RunConfig, derive_behaviors
 
     trace = synth_workload('fn main {\n  write f1 "a" @0; write f2 "b" @0\n}\n', "POSIX")
@@ -1124,9 +1126,11 @@ def test_a_bug_graph_is_rendered_once_per_new_bug(tmp_path, monkeypatch):
         [sys.executable, str(script)], tmp_path / "scratch",
     )
     assert stats.distinct_states == 4
-    assert sorted(len(bug.omitted) for bug in bugs) == [0, 1, 2]
-    assert len(rendered) == len(bugs) == 3
-    assert all(bug.subgraph_dot == export_dot(behaviors[0].subgraph) for bug in bugs)
+    assert sorted(len(bug.omitted) for bug in bugs) == [0, 1]
+    assert rendered == []
+    dots = [bug.to_json()["subgraph_dot"] for bug in bugs]
+    assert len(rendered) == len(bugs) == 2
+    assert dots == [export_dot(behaviors[0].subgraph)] * 2
 
 
 def test_buggy_pointer_switch_reports_rename_bug(tmp_path, current_checker):
@@ -1147,7 +1151,7 @@ def test_entry_insert_reports_valid_without_data(tmp_path, entry_checker):
     bugs, _ = run_workload("entry_insert.dsl", "MMIO", entry_checker, tmp_path)
     fields = [
         (
-            sorted(o.annotation.field_name for o in b.applied if o.kind == "store"),
+            sorted(o.annotation.field_name for o in b.schedule.applied if o.kind == "store"),
             sorted(o.annotation.field_name for o in b.omitted),
         )
         for b in bugs
@@ -1158,7 +1162,7 @@ def test_entry_insert_reports_valid_without_data(tmp_path, entry_checker):
 def test_entry_insert_ordered_same_bug_class(tmp_path, entry_checker):
     bugs, _ = run_workload("entry_insert_ordered.dsl", "MMIO", entry_checker, tmp_path)
     assert any(
-        "valid" in [o.annotation.field_name for o in b.applied if o.kind == "store"]
+        "valid" in [o.annotation.field_name for o in b.schedule.applied if o.kind == "store"]
         and "value" in [o.annotation.field_name for o in b.omitted]
         for b in bugs
     )
