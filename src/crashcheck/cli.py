@@ -15,7 +15,6 @@ Exit codes: 0 success / no bugs, 1 bugs (or inconsistent replay) found,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
 import shlex
@@ -25,7 +24,9 @@ import tempfile
 from functools import partial
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
+from typing import NamedTuple
 
+from . import simulate
 from .behavior import DEFAULT_EPS, DEFAULT_MIN_PTS, UpdateBehavior
 from .dsl import synth_workload
 from .errors import CrashCheckError, ModeMismatch
@@ -38,12 +39,9 @@ from .simulate import (
     DEFAULT_BUDGET,
     DEFAULT_TIMEOUT,
     MAX_ORACLE_TIMEOUT,
-    BugReport,
     PreparedChecker,
-    RunStats,
     Verdict,
     exhaustive_schedules,
-    explore,
     materialize,
     replay,
     run_oracle,
@@ -55,31 +53,18 @@ from .trace import MMIO_MODE, POSIX_MODE, Trace, parse_trace, serialize_trace
 _CHECKER_COMMANDS = {"test", "exhaustive", "replay"}
 
 
-class RunConfig:
-    """Every setting of one run; ``mode`` is set from the trace when no
-    setting names it."""
+class RunConfig(NamedTuple):
+    """Every setting of one run; ``mode`` is None when no setting names it."""
 
-    __slots__ = ("mode", "model", "dbscan_eps", "dbscan_min_pts", "static_key", "checker", "budget", "timeout", "out")
-
-    def __init__(
-        self,
-        mode: str | None = None,
-        model: ModelConfig = ModelConfig(),
-        dbscan_eps: int = DEFAULT_EPS,
-        dbscan_min_pts: int = DEFAULT_MIN_PTS,
-        static_key: str = FULL_KEY,
-        checker: list[str] | None = None,
-        budget: int = DEFAULT_BUDGET,
-        timeout: float = DEFAULT_TIMEOUT,
-        out: Path = Path("out"),
-    ):
-        self.mode, self.model, self.dbscan_eps, self.dbscan_min_pts = mode, model, dbscan_eps, dbscan_min_pts
-        self.static_key, self.checker, self.budget, self.timeout, self.out = static_key, checker, budget, timeout, out
-
-    def __eq__(self, other):
-        if other.__class__ is not RunConfig:
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+    mode: str | None = None
+    model: ModelConfig = ModelConfig()
+    dbscan_eps: int = DEFAULT_EPS
+    dbscan_min_pts: int = DEFAULT_MIN_PTS
+    static_key: str = FULL_KEY
+    checker: list[str] | None = None
+    budget: int = DEFAULT_BUDGET
+    timeout: float = DEFAULT_TIMEOUT
+    out: Path = Path("out")
 
 
 class ConfigError(CrashCheckError):
@@ -235,7 +220,6 @@ def load_input_trace(args: argparse.Namespace, cfg: RunConfig) -> Trace:
         raise ModeMismatch(
             f"trace mode {trace.meta.mode} does not match configured mode {cfg.mode}"
         )
-    cfg.mode = trace.meta.mode
     return trace
 
 
@@ -396,26 +380,33 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+def _checked_run(cfg: RunConfig, behaviors: list[UpdateBehavior], enumerator, trace: Trace):
+    """:func:`test_groups` over ``behaviors`` with ``enumerator`` under the
+    configured budget and, when a checker is set, the checker in a scratch
+    directory that lives as long as the run."""
+    schedules_of = partial(enumerator, trace=trace, budget=cfg.budget)
+    if not cfg.checker:
+        return test_groups(behaviors, schedules_of, trace)
+    with tempfile.TemporaryDirectory(prefix="crashcheck-") as scratch:
+        # States go one level down, so what a checker leaves at their path
+        # never reaches the cleanup.
+        check = partial(run_oracle, checker=PreparedChecker(cfg.checker, Path(scratch) / "state", cfg.timeout))
+        return test_groups(behaviors, schedules_of, trace, check)
+
+
 def cmd_test(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
     if not cfg.checker:
         raise ConfigError("test needs --checker")
     trace = load_input_trace(args, cfg)
     _, behaviors = derive_behaviors(trace, cfg)
-    groups = group_behaviors(behaviors)
     by_id = {b.id: b for b in behaviors}
+    reps = [by_id[rep_id] for rep_id in dict.fromkeys(g.representative for g in group_behaviors(behaviors))]
 
     out = _create_output(cfg.out)
-    with tempfile.TemporaryDirectory(prefix="crashcheck-") as scratch:
-        bugs, stats = test_groups(
-            groups,
-            by_id,
-            trace,
-            cfg.checker,
-            Path(scratch),
-            budget=cfg.budget,
-            timeout=cfg.timeout,
-        )
+    # The enumerator is looked up in ``simulate`` at every run, so a
+    # wrapper installed there (the benchmark's tracer) sees it.
+    bugs, stats, _ = _checked_run(cfg, reps, simulate.enumerate_schedules, trace)
     _write_report(out / "bugs.json", {"bugs": [b.to_json() for b in bugs]})
     _write_report(out / "stats.json", stats.to_json())
     print(
@@ -436,33 +427,18 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
     whole = UpdateBehavior("whole-trace", "*", 0, nodes, graph, span)
 
     out = _create_output(cfg.out)
-
-    stats = RunStats()
-    states: dict[str, dict] = {}
-    bugs: dict[tuple, BugReport] = {}
-    schedules_of = partial(exhaustive_schedules, trace=trace, budget=cfg.budget)
-    with contextlib.ExitStack() as cleanup:
-        check = None
-        # Only the oracle needs a scratch directory.  States go one level
-        # down, so what a checker leaves at their path never reaches the cleanup.
-        if cfg.checker:
-            scratch = Path(cleanup.enter_context(tempfile.TemporaryDirectory(prefix="crashcheck-"))) / "state"
-            check = partial(run_oracle, checker=PreparedChecker(cfg.checker, scratch, cfg.timeout))
-        for _, schedule, digest, result in explore([whole], schedules_of, stats, check):
-            entry = schedule.to_json()
-            if result is not None:
-                entry["verdict"] = result.verdict.value
-                if result.verdict is Verdict.INCONSISTENT:
-                    bug = BugReport(f"bug{len(bugs)}", whole, schedule, trace, result.oracle_output)
-                    bugs.setdefault(bug.key, bug)
-            states[digest] = entry
-
+    bugs, stats, checked = _checked_run(cfg, [whole], exhaustive_schedules, trace)
+    states = {}
+    for digest, (schedule, result) in checked.items():
+        states[digest] = entry = schedule.to_json()
+        if result is not None:
+            entry["verdict"] = result.verdict.value
     report = {
         "schedules_tested": stats.schedules_tested,
         "distinct_states": len(states),
         "partial_coverage": stats.partial_coverage,
         "states": states,
-        "bugs": [bug.to_json() for bug in bugs.values()],
+        "bugs": [bug.to_json() for bug in bugs],
     }
     _write_report(out / "states.json", report)
     print(

@@ -10,18 +10,24 @@ Ordering ops are schedule members but replay no-ops.
 The persistence models order every two persisting ops that do not commute
 (see :mod:`crashcheck.models`), so every order of a downward-closed subset
 replays to one image, that of its ops in seq order: a crash state is a
-subset, and enumeration never walks orders.  Both enumerators visit each
-downward-closed subset once, in a fixed order (a depth-first walk whose
-stack holds the subset's members in seq order); the budget counts subsets
-per behavior.  Each stack entry carries the interned image of the members
-up to it, so a subset's image is one step from the entry below its
-highest node, and the walk holds one image per depth.
-``enumerate_schedules`` counts one order per subset.
-``exhaustive_schedules`` counts every valid order, as the sum of the
-counts of the subsets one maximal node smaller (the way linear extensions
-are counted; De Loof, De Meyer & De Baets, 2006), so it keeps one count
-per visited subset; it backs the whole-trace baseline.  :func:`explore`,
-the one enumerate → replay → dedup → digest → check loop, runs either.
+subset, and enumeration never walks orders.  The one enumerator,
+:func:`enumerate_schedules`, visits each downward-closed subset once, in a
+fixed order (a depth-first walk whose stack holds the subset's members in
+seq order); the budget counts subsets per behavior.  Each stack entry
+carries the interned image of the members up to it, so a subset's image is
+one step from the entry below its highest node, and the walk holds one
+image per depth.  It counts one order per subset.  With ``every_order``,
+as ``exhaustive_schedules`` binds it for the whole-trace baseline, it
+counts every valid order, as the sum of the counts of the subsets one
+maximal node smaller (the way linear extensions are counted; De Loof,
+De Meyer & De Baets, 2006), so it keeps one count per visited subset.
+
+:func:`test_groups` is the one checked run of both ``test`` (over the
+distinct group representatives, one order per subset) and ``exhaustive``
+(over the whole trace, every order): :func:`explore`, the enumerate →
+replay → dedup → digest loop, yields each new state, the check runs on
+it, and inconsistent states become :class:`BugReport` records
+deduplicated by one key, whatever behavior reached them.
 
 A bare :func:`replay` builds one schedule's crash image by applying the
 context and then the applied ops to an empty image it owns.  A
@@ -119,12 +125,15 @@ def schedule_from_json(data, trace: Trace) -> CrashSchedule:
     if data["mode"] != trace.meta.mode:
         raise ReplayError(f"schedule mode {data['mode']!r} does not match the {trace.meta.mode} trace")
     ops = trace.ops_by_seq()
-    try:
-        context = tuple(ops[s] for s in data["context_seqs"])
-        applied = tuple(ops[s] for s in data["applied_seqs"])
-    except (TypeError, KeyError):
-        raise ReplayError("schedule seqs must be lists of seqs of this trace") from None
-    return CrashSchedule(data["behavior_id"], data["mode"], context, applied)
+    context, applied = data["context_seqs"], data["applied_seqs"]
+    # A seq is an exact int (JSON true and 1.0 are not seq 1), and a
+    # schedule names each op at most once.
+    seqs = [*context, *applied] if type(context) is type(applied) is list else [None]
+    if not all(type(s) is int and s in ops for s in seqs) or len(set(seqs)) < len(seqs):
+        raise ReplayError("schedule seqs must be lists of distinct seqs of this trace")
+    return CrashSchedule(
+        data["behavior_id"], data["mode"], tuple(ops[s] for s in context), tuple(ops[s] for s in applied)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -136,17 +145,18 @@ def schedule_from_json(data, trace: Trace) -> CrashSchedule:
 DEFAULT_BUDGET = 100_000
 
 
-def _schedules(
+def enumerate_schedules(
     behavior: UpdateBehavior,
     trace: Trace,
-    every_order: bool,
-    budget: int,
-    cache: StateCache | None,
+    budget: int = DEFAULT_BUDGET,
+    cache: StateCache | None = None,
+    every_order: bool = False,
 ) -> Iterator[tuple[int, CrashSchedule | None, FsImage | MemImage | None]]:
     """The crash state of every subset of the behavior's nodes closed under
     the full graph's edges in the span, with the number of its orders that
     respect the edges when ``every_order`` is set, and one order per
-    subset otherwise.
+    subset otherwise.  Without a ``cache`` the states are new against a
+    private one.
 
     Subsets come in lexicographic order of their membership vectors over
     ascending seqs, "absent" before "present".  Bit ``i`` of every bitset is
@@ -254,29 +264,8 @@ def _schedules(
             counts[subset] = orders
 
 
-def enumerate_schedules(
-    behavior: UpdateBehavior,
-    trace: Trace,
-    budget: int = DEFAULT_BUDGET,
-    cache: StateCache | None = None,
-) -> Iterator:
-    """The crash states of one behavior, one order per downward-closed
-    subset, as weighted items (see :func:`_schedules`); raises
-    :class:`ExplosionLimit` after ``budget`` subsets if more remain.
-    Without a ``cache`` the states are new against a private one."""
-    yield from _schedules(behavior, trace, False, budget, cache)
-
-
-def exhaustive_schedules(
-    behavior: UpdateBehavior,
-    trace: Trace,
-    budget: int = DEFAULT_BUDGET,
-    cache: StateCache | None = None,
-) -> Iterator:
-    """The crash states of one behavior, counting every valid order: the
-    baseline model checker's enumerator.  Weighted items, and a budget in
-    subsets, as :func:`enumerate_schedules` has them."""
-    yield from _schedules(behavior, trace, True, budget, cache)
+# The baseline model checker's enumerator: every valid order counted.
+exhaustive_schedules = partial(enumerate_schedules, every_order=True)
 
 
 # ---------------------------------------------------------------------------
@@ -863,44 +852,43 @@ def _behavior_locs(behavior: UpdateBehavior) -> set[tuple[str, int]]:
 
 
 def test_groups(
-    groups,
-    behaviors_by_id: dict[str, UpdateBehavior],
+    behaviors: list[UpdateBehavior],
+    schedules_of: Callable[..., Iterable[tuple[int, CrashSchedule | None, FsImage | MemImage | None]]],
     trace: Trace,
-    checker: list[str],
-    scratch_root: Path,
-    budget: int = DEFAULT_BUDGET,
-    timeout: float = DEFAULT_TIMEOUT,
-) -> tuple[list[BugReport], RunStats]:
-    """Explore every distinct representative and check each new state.
+    check: Callable[[FsImage | MemImage], CheckResult] | None = None,
+) -> tuple[list[BugReport], RunStats, dict[str, tuple[CrashSchedule, CheckResult | None]]]:
+    """The one checked run of ``test`` and ``exhaustive``: explore the
+    behaviors with ``schedules_of`` (see :func:`explore`), check each new
+    state when ``check`` is given, and record the bugs.
 
-    Because :func:`explore` shares its interned images across representatives,
+    Because :func:`explore` shares its interned images across behaviors,
     no crash state is oracle-tested twice, including states that sit on the
     boundary between one behavior's context and another's subsets.
     Inconsistent states become bug reports, deduplicated by
     :attr:`BugReport.key`.  The correlated-state count for a bug is the
     number of distinct tested states whose generating behavior covers the
-    source location of its first omitted op.
+    source location of its first omitted op.  Returns the bugs, the counts,
+    and each distinct state's schedule and check result by its digest.
     """
-    scratch = Path(scratch_root) / "state"
-    reps = [behaviors_by_id[rep_id] for rep_id in dict.fromkeys(g.representative for g in groups)]
-    stats = RunStats(representatives_tested=len(reps))
+    stats = RunStats(representatives_tested=len(behaviors))
     bugs: dict[tuple, BugReport] = {}
-    states_by_rep: Counter[str] = Counter()
-    schedules_of = partial(enumerate_schedules, trace=trace, budget=budget)
-    check = partial(run_oracle, checker=PreparedChecker(checker, scratch, timeout))
-    for rep, schedule, _, result in explore(reps, schedules_of, stats, check):
-        states_by_rep[rep.id] += 1
+    states: dict[str, tuple[CrashSchedule, CheckResult | None]] = {}
+    for behavior, schedule, digest, result in explore(behaviors, schedules_of, stats, check):
+        states[digest] = schedule, result
+        if result is None:
+            continue
         if result.verdict is Verdict.ORACLE_ERROR:
             stats.oracle_errors += 1
         elif result.verdict is Verdict.INCONSISTENT:
-            report = BugReport(f"bug{len(bugs)}", rep, schedule, trace, result.oracle_output)
+            report = BugReport(f"bug{len(bugs)}", behavior, schedule, trace, result.oracle_output)
             bugs.setdefault(report.key, report)
 
+    states_of = Counter(schedule.behavior_id for schedule, _ in states.values())
     for bug in bugs.values():
         if bug.omitted:
             anchor = bug.omitted[0].backtrace.innermost
             loc = (anchor.file, anchor.line)
             stats.correlated_states[bug.id] = sum(
-                states_by_rep[rep.id] for rep in reps if loc in _behavior_locs(rep)
+                states_of[behavior.id] for behavior in behaviors if loc in _behavior_locs(behavior)
             )
-    return list(bugs.values()), stats
+    return list(bugs.values()), stats, states

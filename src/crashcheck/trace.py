@@ -128,10 +128,6 @@ class Operation:
     def __repr__(self) -> str:
         return f"Operation({', '.join(f'{n}={v!r}' for n, v in zip(_OP_FIELDS, self._values()))})"
 
-    def replace(self, **changes) -> Operation:
-        """A copy with the named fields changed."""
-        return Operation(**dict(zip(_OP_FIELDS, self._values()), **changes))
-
     @property
     def is_persisting(self) -> bool:
         return self.kind in PERSISTING_KINDS

@@ -9,6 +9,7 @@ import itertools
 import json
 import random
 from bisect import bisect_right
+from functools import partial
 from typing import Iterator, NamedTuple
 
 from crashcheck import Annotation, Backtrace, Frame, Operation, PersistenceGraph, Trace, build_graph
@@ -27,12 +28,29 @@ from crashcheck.models import (
     units_of,
 )
 from crashcheck.posix_behaviors import _leaf_runs
-from crashcheck.simulate import CheckResult, CrashSchedule, FsImage, replay
+from crashcheck.simulate import (
+    DEFAULT_BUDGET,
+    DEFAULT_TIMEOUT,
+    CheckResult,
+    CrashSchedule,
+    FsImage,
+    PreparedChecker,
+    enumerate_schedules,
+    replay,
+    run_oracle,
+    test_groups,
+)
 from crashcheck.trace import MMIO_MODE, POSIX_MODE, TraceMeta, payload_digest, split_by_thread
 
 
 def bt(*frames: tuple[str, int], file: str = "app.c") -> Backtrace:
     return Backtrace(tuple(Frame(fn, file, line) for fn, line in frames))
+
+
+def replace_op(o: Operation, **changes) -> Operation:
+    """A copy of ``o`` with the named fields changed."""
+    fields = {name: getattr(o, name) for name in ("seq", "tid", "kind", "args", "backtrace", "annotation")}
+    return Operation(**{**fields, **changes})
 
 
 def op(
@@ -443,7 +461,7 @@ def random_nested_posix_trace(rng: random.Random, max_ops: int = 8, threads: int
             depth = rng.randrange(len(stack))
             del stack[depth + 1 :]
             stack[depth] = (stack[depth][0], rng.randint(1, 3))
-        ops.append(o.replace(backtrace=bt(*stack)))
+        ops.append(replace_op(o, backtrace=bt(*stack)))
     return posix_trace(ops)
 
 
@@ -493,7 +511,7 @@ def side_node_chain_trace(appends: int, synced: int) -> Trace:
 def _spread_over_threads(rng: random.Random, ops: list[Operation], threads: int) -> list[Operation]:
     if threads == 1:
         return ops
-    return [o.replace(tid=rng.randrange(threads)) for o in ops]
+    return [replace_op(o, tid=rng.randrange(threads)) for o in ops]
 
 
 def random_mmio_trace(rng: random.Random, max_ops: int = 8, threads: int = 1) -> Trace:
@@ -531,7 +549,7 @@ def random_annotated_mmio_trace(rng: random.Random, max_ops: int = 8, threads: i
         type_name = rng.choice(types) if o.kind == "store" else None
         if type_name is not None:
             annotation = Annotation(type_name, rng.choice(["i0", "i1"]), rng.choice(["a", "b", "c"]))
-            o = o.replace(annotation=annotation)
+            o = replace_op(o, annotation=annotation)
         ops.append(o)
     return mmio_trace(ops)
 
@@ -600,6 +618,18 @@ def straddling_mmio_trace(rng: random.Random, threads: int = 1) -> Trace:
 def output_digest(result: CheckResult) -> str:
     """The sha256 of a check's oracle output, as bug dedup keys hash it."""
     return hashlib.sha256(result.oracle_output.encode()).hexdigest()
+
+
+def run_group_tests(groups, by_id, trace: Trace, checker: list[str], scratch, budget=DEFAULT_BUDGET,
+                    timeout=DEFAULT_TIMEOUT):
+    """The bugs and counts of ``crashcheck test``'s checked run: each
+    distinct representative of ``groups`` explored one order per subset,
+    and every new state checked by ``checker`` under ``scratch``."""
+    reps = [by_id[rep_id] for rep_id in dict.fromkeys(g.representative for g in groups)]
+    schedules_of = partial(enumerate_schedules, trace=trace, budget=budget)
+    check = partial(run_oracle, checker=PreparedChecker(checker, scratch, timeout))
+    bugs, stats, _ = test_groups(reps, schedules_of, trace, check)
+    return bugs, stats
 
 
 def brute_force_schedules(

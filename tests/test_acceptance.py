@@ -37,7 +37,6 @@ from crashcheck.simulate import (
     replay,
     run_oracle,
 )
-from crashcheck.simulate import test_groups as run_group_tests
 
 from conftest import WORKLOADS, checker_cmd, load_workload
 from helpers import (
@@ -49,6 +48,7 @@ from helpers import (
     output_digest,
     random_mmio_trace,
     random_posix_trace,
+    run_group_tests,
     write_args,
 )
 

@@ -634,6 +634,27 @@ def test_malformed_replay_schedule_exits_2(tmp_path, capsys, text):
     assert not (tmp_path / "ro" / "replayed").exists()
 
 
+@pytest.mark.parametrize(
+    "context, applied",
+    [([], [True]), ([], [1.0]), ([], [2, 2]), ([1], [1, 2])],
+    ids=["true", "float", "applied-twice", "context-and-applied"],
+)
+def test_replay_takes_each_seq_once_and_as_an_exact_int(tmp_path, capsys, context, applied):
+    """JSON ``true`` and ``1.0`` used to replay as seq 1, writing out
+    ``f1``, and ``[2, 2]`` applied the second write twice."""
+    schedule_file = tmp_path / "schedule.json"
+    schedule_file.write_text(
+        json.dumps({"behavior_id": "b", "mode": "POSIX", "context_seqs": context, "applied_seqs": applied})
+    )
+    code = run(
+        "replay", "--mode", "POSIX", "--dsl", WORKLOADS / "two_writes.dsl",
+        "--schedule", schedule_file, "--out", tmp_path / "ro",
+    )
+    assert code == 2
+    assert "distinct seqs" in capsys.readouterr().err
+    assert not (tmp_path / "ro" / "replayed").exists()
+
+
 @pytest.mark.parametrize("launcher", [sys.executable, f"env {sys.executable}"], ids=["fork", "subprocess"])
 @pytest.mark.parametrize("command", ["test", "exhaustive"])
 def test_a_checker_that_puts_a_symlink_at_its_scratch_does_not_stop_the_run(tmp_path, command, launcher):

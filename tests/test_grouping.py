@@ -19,6 +19,7 @@ from helpers import (
     op,
     posix_trace,
     random_posix_trace,
+    replace_op,
     subset_equiv_edges,
     subset_equiv_nodes,
     write_args,
@@ -217,7 +218,7 @@ def test_represents_matches_its_definition_on_random_behaviors():
     for _ in range(40):
         ops = random_posix_trace(rng, max_ops=14, threads=rng.randint(1, 3)).ops
         trace = posix_trace(
-            [o.replace(backtrace=bt(("main", 1), (rng.choice(["put", "sync"]), rng.randint(1, 3)))) for o in ops]
+            [replace_op(o, backtrace=bt(("main", 1), (rng.choice(["put", "sync"]), rng.randint(1, 3)))) for o in ops]
         )
         _, behaviors = derive_behaviors(trace, RunConfig())
         for u1 in behaviors:

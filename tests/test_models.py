@@ -18,6 +18,7 @@ from helpers import (
     random_mmio_trace,
     random_posix_trace,
     reference_model_pairs,
+    replace_op,
     store_args,
     straddling_mmio_trace,
     write_args,
@@ -451,7 +452,7 @@ def _sparse(trace, rng):
         if trace.meta.mode == POSIX_MODE and rng.random() < 0.3:
             kind = rng.choice(["open", "close"])
             ops.append(op(3 * o.seq - 1, kind, {"path": rng.choice(["f1", "f2"])}, tid=o.tid))
-        ops.append(o.replace(seq=3 * o.seq))
+        ops.append(replace_op(o, seq=3 * o.seq))
     return Trace(trace.meta, ops)
 
 

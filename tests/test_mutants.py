@@ -15,6 +15,7 @@ import pytest
 from crashcheck.trace import METADATA_ONLY_KINDS, Trace
 
 from conftest import checker_cmd, load_workload
+from helpers import replace_op
 from test_acceptance import CORPUS, assert_bug_sets_agree
 
 
@@ -31,7 +32,7 @@ MUTANTS = list(barrier_deletions())
 
 def without(trace: Trace, seq: int) -> Trace:
     """``trace`` without the op at ``seq``, each later op one seq lower."""
-    ops = [o.replace(seq=o.seq - (o.seq > seq)) for o in trace.ops if o.seq != seq]
+    ops = [replace_op(o, seq=o.seq - (o.seq > seq)) for o in trace.ops if o.seq != seq]
     return Trace(trace.meta, ops)
 
 

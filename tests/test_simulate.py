@@ -42,7 +42,6 @@ from crashcheck.simulate import (
     run_oracle,
     schedule_from_json,
 )
-from crashcheck.simulate import test_groups as run_group_tests
 from conftest import checker_cmd, load_workload
 from helpers import (
     ancestors,
@@ -59,6 +58,7 @@ from helpers import (
     random_posix_trace,
     reference_fs_digest,
     reference_states,
+    run_group_tests,
     side_node_chain_trace,
     store_args,
     store_flush_fence_chain_trace,
@@ -399,9 +399,12 @@ def cutoff_traces():
 
 
 ENUMERATORS = [enumerate_schedules, exhaustive_schedules]
+# Test ids: pytest names a parameter after its ``__name__``, which
+# ``exhaustive_schedules``, a partial, lacks.
+ENUMERATOR_NAMES = ["enumerate_schedules", "exhaustive_schedules"]
 
 
-@pytest.mark.parametrize("schedules", ENUMERATORS)
+@pytest.mark.parametrize("schedules", ENUMERATORS, ids=ENUMERATOR_NAMES)
 def test_the_walk_yields_the_oracle_order(schedules):
     rng = random.Random(1994)
     for i in range(40):
@@ -414,7 +417,7 @@ def test_the_walk_yields_the_oracle_order(schedules):
         assert_walk_matches_the_reference(schedules, *whole_trace_behavior(trace), trace)
 
 
-@pytest.mark.parametrize("schedules", ENUMERATORS)
+@pytest.mark.parametrize("schedules", ENUMERATORS, ids=ENUMERATOR_NAMES)
 def test_the_walk_stops_at_every_budget_where_the_oracle_order_does(schedules):
     """Every budget, so the walk stops after each subset, up to the first
     at which it completes or fails to replay."""
@@ -519,7 +522,7 @@ class CountingCache(StateCache):
         return super().step(image, op)
 
 
-@pytest.mark.parametrize("schedules", [enumerate_schedules, exhaustive_schedules])
+@pytest.mark.parametrize("schedules", ENUMERATORS, ids=ENUMERATOR_NAMES)
 def test_each_append_before_the_barrier_costs_one_step(schedules):
     """The appends and their fdatasync are the forced prefix of every
     subset; a walk that placed them again for each subset would grow
@@ -879,7 +882,7 @@ def test_explore_checks_each_new_state_once():
     assert all(result.verdict is Verdict.CONSISTENT for _, _, _, result in found)
 
 
-@pytest.mark.parametrize("schedules", ENUMERATORS)
+@pytest.mark.parametrize("schedules", ENUMERATORS, ids=ENUMERATOR_NAMES)
 def test_explore_dedups_exactly_as_the_digests_do(schedules):
     rng = random.Random(2024)
     for i in range(60):
@@ -928,7 +931,9 @@ def test_explore_leaves_every_interned_image_as_it_was_interned():
 
 
 @pytest.mark.parametrize(
-    "schedules, traces, budget", [(enumerate_schedules, 200, 20_000), (exhaustive_schedules, 60, 100)]
+    "schedules, traces, budget",
+    [(enumerate_schedules, 200, 20_000), (exhaustive_schedules, 60, 100)],
+    ids=["enumerate_schedules-200-20000", "exhaustive_schedules-60-100"],
 )
 def test_explore_matches_the_reference_on_nine_op_traces(schedules, traces, budget):
     """Larger traces than :func:`random_explorations` gives, where one
