@@ -234,15 +234,16 @@ def derive_behaviors(trace: Trace, cfg: RunConfig):
     return graph, behaviors
 
 
-def report_json(value) -> str:
+def report_json(value, write=None) -> str | None:
     """``json.dumps(value, indent=2)``, byte for byte, for report values:
     dicts with string keys, lists, tuples, strings, ints, bools and None.
     ``json.dumps`` takes its pure-Python path whenever ``indent`` is set;
     here each string goes through the C quoting function, and a list of
-    ints or of strings is one join."""
+    ints or of strings is one join.  With ``write``, the text goes to it
+    chunk by chunk as it is made, and None is returned."""
     chunks: list[str] = []
-    _write_json(value, "\n", chunks.append)
-    return "".join(chunks)
+    _write_json(value, "\n", chunks.append if write is None else write)
+    return "".join(chunks) if write is None else None
 
 
 # The text of an item of a list whose items all have one of these exact
@@ -309,7 +310,7 @@ def _create_output(path: Path, mode: str = ""):
 
 def _write_report(path: Path, value) -> None:
     with _create_output(path, "w") as report:
-        report.write(report_json(value))
+        report_json(value, write=report.write)
 
 
 def _safe_name(name: str) -> str:
@@ -407,7 +408,8 @@ def cmd_test(args: argparse.Namespace) -> int:
     # The enumerator is looked up in ``simulate`` at every run, so a
     # wrapper installed there (the benchmark's tracer) sees it.
     bugs, stats, _ = _checked_run(cfg, reps, simulate.enumerate_schedules, trace)
-    _write_report(out / "bugs.json", {"bugs": [b.to_json() for b in bugs]})
+    dots: dict[str, str] = {}
+    _write_report(out / "bugs.json", {"bugs": [bug.to_json(dots) for bug in bugs]})
     _write_report(out / "stats.json", stats.to_json())
     print(
         f"test: {stats.representatives_tested} representatives, "
@@ -428,7 +430,7 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
 
     out = _create_output(cfg.out)
     bugs, stats, checked = _checked_run(cfg, [whole], exhaustive_schedules, trace)
-    states = {}
+    states, dots = {}, {}
     for digest, (schedule, result) in checked.items():
         states[digest] = entry = schedule.to_json()
         if result is not None:
@@ -438,7 +440,7 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
         "distinct_states": len(states),
         "partial_coverage": stats.partial_coverage,
         "states": states,
-        "bugs": [bug.to_json() for bug in bugs],
+        "bugs": [bug.to_json(dots) for bug in bugs],
     }
     _write_report(out / "states.json", report)
     print(

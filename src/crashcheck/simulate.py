@@ -50,6 +50,12 @@ checker of the form ``<this interpreter> <script>`` runs in a fork of
 this process, which skips interpreter start-up; the script is read at
 every state and compiled once per distinct content.  Any other command
 runs as a new process.  Both give the same verdict and output.
+
+A forked check records its reads (:func:`_record_reads`), and a later state
+where each read of a check of the same script sees what it saw reuses its
+result unmaterialized (after Jaaru, Gorjiara et al., ASPLOS'21).  The checker
+is taken to be deterministic, and what it reads outside the scratch
+directory, the script aside, not to change during a run.
 """
 
 from __future__ import annotations
@@ -480,6 +486,48 @@ class CheckResult(NamedTuple):
 MEM_IMAGE_FILE = "mem_image.json"
 
 
+class _View:
+    """An image as :func:`materialize` lays it out: files (the memory image's
+    one file without the bytes only rendering gives) and directories, ``"."``
+    included.  ``whole`` is set by a read of that file: it sees every cell."""
+
+    __slots__ = ("files", "dirs", "whole")
+
+    def __init__(self, image: FsImage | MemImage):
+        self.whole = False
+        if isinstance(image, MemImage):
+            self.files, self.dirs = {MEM_IMAGE_FILE: None}, {"."}
+            return
+        for path in (*image.dirents, *image.files):
+            if escapes_root(path):
+                raise ReplayError(f"refusing to materialize path {path!r}")
+        # The dirent keys, each file's parent, and all their ancestors.  A
+        # file may not name one of them.
+        self.files, self.dirs = image.files, {"."}
+        for path in (*image.dirents, *map(parent_dir, image.files)):
+            while path not in self.dirs:
+                self.dirs.add(path)
+                path = parent_dir(path)
+        for path in image.files:
+            if path in self.dirs:
+                raise ReplayError(f"cannot materialize file {path!r}: the image also has it as a directory")
+
+    def seen(self, kind: str, path: str):
+        """What an ``o``pen, ``l``isting or ``s``tat of ``path`` sees: a
+        directory's names, each with what a stat of it sees, or ``"dir"``;
+        a file's bytes if opened, else its size; ``"notdir"`` under a file."""
+        if path in self.dirs:
+            entries = (e for e in itertools.chain(self.files, self.dirs) if e != "." and _entry_of(e)[0] == path)
+            return tuple(sorted((_entry_of(e)[1], self.seen("s", e)) for e in entries)) if kind == "l" else "dir"
+        if path in self.files:
+            data = self.files[path]
+            self.whole |= data is None
+            return data if kind == "o" or data is None else len(data)
+        while path != "." and parent_dir(path) not in self.files:
+            path = parent_dir(path)
+        return None if path == "." else "notdir"
+
+
 def materialize(image: FsImage | MemImage, scratch: Path):
     """Write an image into a scratch directory for the checker to inspect.
 
@@ -487,6 +535,7 @@ def materialize(image: FsImage | MemImage, scratch: Path):
     absent from the image are absent on disk, and anything else at its path,
     a symlink included, is removed without being followed.
     """
+    view = _View(image)
     scratch = Path(scratch)
     if scratch.is_dir() and not scratch.is_symlink():
         with os.scandir(scratch) as listing:
@@ -503,20 +552,7 @@ def materialize(image: FsImage | MemImage, scratch: Path):
         payload = {"cells": {str(a): v for a, v in sorted(image.cells.items())}}
         (scratch / MEM_IMAGE_FILE).write_text(json.dumps(payload, indent=0))
         return
-    for path in (*image.dirents, *image.files):
-        if escapes_root(path):
-            raise ReplayError(f"refusing to materialize path {path!r}")
-    # Every directory on disk: the dirent keys, each file's parent, and all
-    # their ancestors.  A file may not name one of them.
-    dirs: set[str] = set()
-    for path in (*image.dirents, *map(parent_dir, image.files)):
-        while path not in dirs:
-            dirs.add(path)
-            path = parent_dir(path)
-    for path in image.files:
-        if path in dirs:
-            raise ReplayError(f"cannot materialize file {path!r}: the image also has it as a directory")
-    for dirpath in dirs:
+    for dirpath in view.dirs:
         (scratch / dirpath).mkdir(parents=True, exist_ok=True)
     for path, data in image.files.items():
         (scratch / path).write_bytes(data)
@@ -548,7 +584,9 @@ class PreparedChecker:
     form ``<this interpreter> <script> ...`` is decided here, with one
     ``shutil.which`` (the interpreter path compared unresolved, so a venv
     interpreter never matches its base one); the script's bytes are read at
-    every state and compiled once per distinct content."""
+    every state and compiled once per distinct content.  Per content, the
+    reusable checks form a tree of ``[read, {what it saw: node}]`` nodes and
+    result leaves, grown from the ``reads`` :func:`_fork_check` leaves."""
 
     def __init__(self, checker: list[str], scratch: Path, timeout: float = DEFAULT_TIMEOUT):
         self.argv, self.scratch, self.timeout = [*checker, str(scratch)], scratch, timeout
@@ -560,7 +598,8 @@ class PreparedChecker:
             and not self.argv[1].startswith("-")
             and all(hasattr(os, name) for name in ("fork", "pidfd_open", "memfd_create"))
         )
-        self._source = self._code = None
+        self._source = self._code = self.reads = None
+        self._trees: dict[bytes, list | CheckResult] = {}
 
     def forkable(self) -> bool:
         """True when :func:`_fork_check` can check this state: the command
@@ -576,6 +615,7 @@ class PreparedChecker:
             with open(self.argv[1], "rb") as script:
                 source = script.read()
         except OSError:
+            self._source = self._code = None
             return None
         if source != self._source:
             self._source, self._code = source, None
@@ -584,6 +624,34 @@ class PreparedChecker:
                 with contextlib.suppress(SyntaxError, ValueError, RecursionError, MemoryError, Warning):
                     self._code = compile(source, os.path.abspath(self.argv[1]), "exec", dont_inherit=True)
         return self._code
+
+    def reused(self, view: _View) -> CheckResult | None:
+        """The result of a check of the script as it is now whose every read
+        sees in ``view`` what it saw.  The checker is deterministic, so its
+        next read depends only on what it saw: a lookup walks one path."""
+        self.code()
+        node = self._trees.get(self._source)
+        while type(node) is list:
+            node = node[1].get(view.seen(*node[0]))
+        return node
+
+    def remember(self, view: _View, result: CheckResult):
+        """Store ``result`` under what ``reads`` saw in ``view``, unless it
+        is a timeout, there are no reads, or they saw the whole image."""
+        reads, self.reads = self.reads, None
+        if reads is None or self._source is None or result.verdict is Verdict.ORACLE_ERROR:
+            return
+        values = [view.seen(*read) for read in reads]
+        opened, listed = ({path for kind, path in reads if kind == k} for k in "ol")
+        if view.whole or opened >= view.files.keys() and listed >= view.dirs:
+            return
+        children, key = self._trees, self._source
+        for read, value in zip(reads, values):
+            node = children.setdefault(key, [read, {}])
+            if type(node) is not list or node[0] != read:
+                return  # the same view read differently: not deterministic
+            children, key = node[1], value
+        children.setdefault(key, result)
 
 
 def _subprocess_check(argv: list[str], timeout: float) -> CheckResult:
@@ -603,16 +671,22 @@ def _fork_check(checker: PreparedChecker) -> CheckResult:
     would, but skips interpreter start-up.  Output goes to two anonymous
     memory files made for this state only, so a checker that writes a lot
     cannot block on a full pipe, and a descendant it leaves running cannot
-    write into another state's output."""
+    write into another state's output.  A third one carries back the log
+    of :func:`_record_reads`, kept in ``checker.reads`` when it is whole."""
     argv, timeout = checker.argv, checker.timeout
     code = checker.code()
-    with open(os.memfd_create("stdout"), "rb") as out, open(os.memfd_create("stderr"), "rb") as err:
+    checker.reads = None
+    with (
+        open(os.memfd_create("stdout"), "rb") as out,
+        open(os.memfd_create("stderr"), "rb") as err,
+        open(os.memfd_create("reads"), "rb") as log,
+    ):
         try:
             pid = os.fork()
         except OSError as exc:
             raise CheckerError(f"cannot fork checker {argv[1]!r}: {exc}") from exc
         if pid == 0:
-            _run_forked_checker(argv[1:], code, out.fileno(), err.fileno())
+            _run_forked_checker(argv[1:], code, out.fileno(), err.fileno(), log.fileno())
         try:
             pidfd = os.pidfd_open(pid)
             try:
@@ -630,16 +704,74 @@ def _fork_check(checker: PreparedChecker) -> CheckResult:
             os.waitpid(pid, 0)
             return CheckResult(Verdict.ORACLE_ERROR, f"timeout after {timeout}s")
         status = os.waitpid(pid, 0)[1]
-        out.seek(0)
-        err.seek(0)
+        for memfd in (out, err, log):
+            memfd.seek(0)
+        # No record is empty, so an empty one ends a whole log.
+        records = log.read().split(b"\0")
+        if records[-2:] == [b"", b""]:
+            checker.reads = [(r[:1].decode(), os.fsdecode(r[1:])) for r in records[:-2]]
         return _check_result(os.waitstatus_to_exitcode(status), out.read(), err.read())
 
 
-def _run_forked_checker(args: list[str], code: types.CodeType | None, out_fd: int, err_fd: int) -> NoReturn:
+# Audit events that leave a forked check reusable: reads, and events that
+# run or inspect code and reach nothing outside the process.
+_READ_EVENTS = {"open": "o", "os.listdir": "l", "os.scandir": "l", "os.stat": "s"}
+_PURE_EVENTS = {
+    "exec", "compile", "import", "marshal.loads", "sys._getframe", "object.__getattr__", "object.__setattr__",
+    "object.__delattr__", "builtins.id", "os.walk", "glob.glob", "glob.glob/2", "time.sleep",
+}
+_WRITE_FLAGS = os.O_WRONLY | os.O_RDWR | os.O_CREAT | os.O_TRUNC | os.O_APPEND
+
+
+def _record_reads(scratch: str) -> Callable[[], bytes | None]:
+    """Record this forked child's reads; the function returned stops and
+    gives the log of those in ``scratch``, each its kind and real path there
+    ended by NUL, then a NUL.  Not reusable (None): a path in ``scratch``
+    with ``..``, ``os.open`` (it may give a directory descriptor), a write,
+    a ``dir_fd`` stat, any other event.  ``os.stat``, ``os.lstat``,
+    ``os.access`` and ``os.readlink`` raise none, so wrappers raise one."""
+    reads: list | None = []
+
+    def hook(event: str, args: tuple):
+        nonlocal reads
+        kind = _READ_EVENTS.get(event)
+        if kind == "o" and (args[1] is None or args[2] & _WRITE_FLAGS) or not kind and event not in _PURE_EVENTS:
+            reads = None
+        elif kind and reads is not None and not isinstance(args[0], int):
+            reads.append((kind, args[0]))
+
+    def wrap(stat):
+        def audited(path, *args, **options):
+            sys.audit("os.stat" if options.get("dir_fd") is None else "os.stat dir_fd", path)
+            return stat(path, *args, **options)
+
+        return audited
+
+    def stop() -> bytes | None:
+        nonlocal reads
+        taken, reads, log = reads, None, []
+        root = os.path.realpath(scratch) + "/"
+        for kind, path in taken or ():
+            path, real = os.fsdecode(path), os.path.realpath(path) + "/"
+            if real.startswith(root):
+                if ".." in path.split("/"):
+                    return None
+                log.append(os.fsencode(kind + (real[len(root):-1] or ".")) + b"\0")
+        return None if taken is None else b"".join(log) + b"\0"
+
+    sys.addaudithook(hook)
+    os.stat, os.lstat, os.access, os.readlink = map(wrap, (os.stat, os.lstat, os.access, os.readlink))
+    return stop
+
+
+def _run_forked_checker(
+    args: list[str], code: types.CodeType | None, out_fd: int, err_fd: int, log_fd: int
+) -> NoReturn:
     """The child side of :func:`_fork_check`: run ``code``, or the script
     ``args[0]`` when there is none, with ``sys.argv = args`` and leave
-    through ``os._exit`` with the exit status the interpreter would give."""
-    status = 1
+    through ``os._exit`` with the exit status the interpreter would give.
+    When the checker returns, the log of its reads goes to ``log_fd``."""
+    status, log = 1, None
     try:
         import gc
 
@@ -648,7 +780,8 @@ def _run_forked_checker(args: list[str], code: types.CodeType | None, out_fd: in
         gc.freeze()
         os.dup2(out_fd, 1)
         os.dup2(err_fd, 2)
-        os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+        os.closerange(3, log_fd)
+        os.closerange(log_fd + 1, os.sysconf("SC_OPEN_MAX"))
         # A fault handler enabled here (pytest enables one) would write a
         # crashing checker's dump to a descriptor that is now closed or
         # reused; a fresh interpreter has none.
@@ -656,11 +789,16 @@ def _run_forked_checker(args: list[str], code: types.CodeType | None, out_fd: in
             sys.modules["faulthandler"].disable()
         sys.stdout = sys.__stdout__ = _stdio(1, sys.__stdout__, "strict")
         sys.stderr = sys.__stderr__ = _stdio(2, sys.__stderr__, "backslashreplace", line_buffering=True)
+        stop = _record_reads(args[-1])
         status = _exec_main(args, code)
         for stream in (sys.stdout, sys.stderr, sys.__stdout__, sys.__stderr__):
             if not stream.closed:
                 stream.flush()
+        log = stop()
     finally:
+        if log is not None:
+            with contextlib.suppress(OSError):
+                os.write(log_fd, log)
         os._exit(status)
 
 
@@ -724,11 +862,19 @@ def run_oracle(image: FsImage | MemImage, checker: PreparedChecker) -> CheckResu
     A checker of the form ``<this interpreter> <script> ...`` runs in a
     fork of this process (:func:`_fork_check`); any other command runs as
     a new process.  ``checker.timeout`` may be at most
-    :data:`MAX_ORACLE_TIMEOUT`."""
-    materialize(image, checker.scratch)
-    if checker.forkable():
-        return _fork_check(checker)
-    return _subprocess_check(checker.argv, checker.timeout)
+    :data:`MAX_ORACLE_TIMEOUT`.  A forked check's result is reused, with
+    nothing materialized or run, for a later state on which each of its
+    reads sees what it saw (see the module docstring)."""
+    if not checker.forkable():
+        materialize(image, checker.scratch)
+        return _subprocess_check(checker.argv, checker.timeout)
+    view = _View(image)
+    result = checker.reused(view)
+    if result is None:
+        materialize(image, checker.scratch)
+        result = _fork_check(checker)
+        checker.remember(view, result)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -760,7 +906,11 @@ class BugReport:
             hashlib.sha256(oracle_output.encode()).hexdigest(),
         )
 
-    def to_json(self) -> dict:
+    def to_json(self, dots: dict[str, str] | None = None) -> dict:
+        """``dots`` keeps each behavior's DOT by id: one report renders it once."""
+        dots = {} if dots is None else dots
+        dot = dots.get(self.behavior.id) or dots.setdefault(self.behavior.id, export_dot(self.behavior.subgraph))
+
         def op_json(op: Operation) -> dict:
             return {
                 "seq": op.seq,
@@ -776,7 +926,7 @@ class BugReport:
             "applied": [op_json(op) for op in self.schedule.applied],
             "omitted": [op_json(op) for op in self.omitted],
             "oracle_output": self.oracle_output,
-            "subgraph_dot": export_dot(self.behavior.subgraph),
+            "subgraph_dot": dot,
         }
 
 
@@ -867,7 +1017,8 @@ def test_groups(
     Inconsistent states become bug reports, deduplicated by
     :attr:`BugReport.key`.  The correlated-state count for a bug is the
     number of distinct tested states whose generating behavior covers the
-    source location of its first omitted op.  Returns the bugs, the counts,
+    source location of its first omitted op, or, when it omits nothing,
+    that its own behavior generated.  Returns the bugs, the counts,
     and each distinct state's schedule and check result by its digest.
     """
     stats = RunStats(representatives_tested=len(behaviors))
@@ -885,10 +1036,7 @@ def test_groups(
 
     states_of = Counter(schedule.behavior_id for schedule, _ in states.values())
     for bug in bugs.values():
-        if bug.omitted:
-            anchor = bug.omitted[0].backtrace.innermost
-            loc = (anchor.file, anchor.line)
-            stats.correlated_states[bug.id] = sum(
-                states_of[behavior.id] for behavior in behaviors if loc in _behavior_locs(behavior)
-            )
+        anchor = bug.omitted[0].backtrace.innermost if bug.omitted else None
+        owners = [b for b in behaviors if (anchor.file, anchor.line) in _behavior_locs(b)] if anchor else [bug.behavior]
+        stats.correlated_states[bug.id] = sum(states_of[b.id] for b in owners)
     return list(bugs.values()), stats, states

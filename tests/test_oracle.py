@@ -5,18 +5,26 @@ output for every way a checker can end.  A checker is prepared once per
 run and checks many states."""
 
 import os
-
+import random
 import sys
 import threading
 import time
+from functools import lru_cache, partial
 
 import pytest
 
 from crashcheck import simulate
-from crashcheck.cli import main
+from crashcheck.behavior import make_behavior
+from crashcheck.cli import RunConfig, derive_behaviors, main
+from crashcheck.graph import build_graph
+from crashcheck.grouping import group_behaviors
+from crashcheck.models import model_edges
 from crashcheck.simulate import CheckResult, FsImage, PreparedChecker, Verdict, run_oracle
+from crashcheck.trace import MMIO_MODE, POSIX_MODE
 
-from conftest import WORKLOADS, checker_cmd
+from conftest import CHECKERS, REPO_ROOT, WORKLOADS, checker_cmd, load_workload
+from helpers import random_mmio_trace, random_posix_trace
+from test_acceptance import CORPUS
 
 CONSISTENT, INCONSISTENT = Verdict.CONSISTENT, Verdict.INCONSISTENT
 
@@ -254,14 +262,15 @@ def test_the_script_is_compiled_once_per_distinct_content(tmp_path):
 
 
 # Lists what the checker sees under its scratch directory, then leaves a
-# file, a nested subdirectory and a symlink to a directory outside it.
+# file, a nested subdirectory and a symlink to a directory outside it; it
+# gets that far whatever bytes the files hold.
 MESSY = """\
 import os, sys
 root = sys.argv[1]
 for top, dirs, files in sorted(os.walk(root)):
     for name in sorted(dirs + files):
         path = os.path.join(top, name)
-        print(os.path.relpath(path, root), open(path).read() if os.path.isfile(path) else "/")
+        print(os.path.relpath(path, root), open(path, errors="replace").read() if os.path.isfile(path) else "/")
 open(os.path.join(root, "junk"), "w").write("left behind")
 os.makedirs(os.path.join(root, "d", "deep", "er"), exist_ok=True)
 open(os.path.join(root, "d", "deep", "er", "f"), "w").write("left behind")
@@ -280,3 +289,173 @@ def test_what_a_checker_leaves_in_its_scratch_is_gone_at_the_next_state(tmp_path
     outputs = [run_oracle(image, checker).oracle_output for image in STATES]
     assert outputs == ["", "a 1\nd /\nd/b 22\n", ""]
     assert os.listdir(outside) == ["keep"] and (outside / "keep").read_text() == "kept"
+
+
+# --- reused verdicts ---
+
+
+def reached_images(trace) -> list:
+    """Every crash image that ``test`` and then ``exhaustive`` reach on
+    ``trace``, in the order they reach them."""
+    _, behaviors = derive_behaviors(trace, RunConfig())
+    by_id = {b.id: b for b in behaviors}
+    reps = [by_id[rep_id] for rep_id in dict.fromkeys(g.representative for g in group_behaviors(behaviors))]
+    graph = build_graph(trace, model_edges(trace))
+    whole = make_behavior("whole", "*", 0, graph.node_seqs, graph)
+    images = []
+    for behaviors, enumerator in (reps, simulate.enumerate_schedules), ([whole], simulate.exhaustive_schedules):
+        _, _, states = simulate.test_groups(behaviors, partial(enumerator, trace=trace), trace)
+        images += [simulate.replay(schedule) for schedule, _ in states.values()]
+    return images
+
+
+@lru_cache(maxsize=None)
+def crash_images() -> dict:
+    """The distinct images, by mode, that ``test`` and ``exhaustive`` reach
+    on the 8 shipped programs and on random 2- and 3-thread traces."""
+    rng = random.Random(5)
+    traces = [load_workload(program, mode) for program, mode, _ in CORPUS]
+    for _ in range(6):
+        traces.append(random_posix_trace(rng, 6, threads=rng.choice([2, 3])))
+        traces.append(random_mmio_trace(rng, 6, threads=rng.choice([2, 3])))
+    images = {POSIX_MODE: {}, MMIO_MODE: {}}
+    for trace in traces:
+        for image in reached_images(trace):
+            images[trace.meta.mode].setdefault(image.digest(), image)
+    return {mode: list(by_digest.values()) for mode, by_digest in images.items()}
+
+
+# name, script source (None: the shipped checker of that name), the mode of
+# the states it checks, and whether any verdict of it is reused.
+REUSE_CASES = [
+    ("always_ok.py", None, POSIX_MODE, True),
+    ("always_ok.py", None, MMIO_MODE, True),
+    ("current_pointer.py", None, POSIX_MODE, True),
+    # It reads the whole memory image, which no other state matches.
+    ("entry_valid.py", None, MMIO_MODE, False),
+    ("listdir", "import os, sys\nnames = sorted(os.listdir(sys.argv[1]))\nprint(names)\nsys.exit(len(names) % 2)\n",
+     POSIX_MODE, True),
+    (
+        "walk",
+        "import os, sys\nroot = sys.argv[1]\nfor top, dirs, files in os.walk(root):\n"
+        "    print(os.path.relpath(top, root), sorted(dirs), sorted(files))\n",
+        POSIX_MODE, True,
+    ),
+    (
+        "exists",
+        "import os, sys\nfrom pathlib import Path\n"
+        "print(os.path.exists(os.path.join(sys.argv[1], 'f1')), Path(sys.argv[1], 'CURRENT').is_file())\n",
+        POSIX_MODE, True,
+    ),
+    (
+        "subprocess",
+        "import os, subprocess, sys\nsubprocess.run(['true'], check=True)\nprint(sorted(os.listdir(sys.argv[1])))\n",
+        POSIX_MODE, False,
+    ),
+    ("messy", MESSY, POSIX_MODE, False),
+    (
+        "writes",
+        "import os, sys\nwith open(os.path.join(sys.argv[1], 'junk'), 'a') as junk:\n    junk.write('x')\n"
+        "print(sorted(os.listdir(sys.argv[1])))\n",
+        POSIX_MODE, False,
+    ),
+    (
+        "os-exit",
+        "import os, sys\nprint(sorted(os.listdir(sys.argv[1])))\nsys.stdout.flush()\nos._exit(0)\n",
+        POSIX_MODE, False,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "name, source, mode, reuses", REUSE_CASES, ids=[f"{case[0]}-{case[2]}" for case in REUSE_CASES]
+)
+def test_a_reused_verdict_is_that_of_a_fresh_fork(tmp_path, monkeypatch, name, source, mode, reuses):
+    """One prepared checker over every state, reusing verdicts, gives each
+    state the verdict and output of a fresh ``_fork_check`` on it; a
+    checker that writes, starts a process, leaves through ``os._exit`` or
+    reads the whole image forks at every state."""
+    outside = tmp_path / "outside"
+    outside.mkdir()
+    script = CHECKERS / name if source is None else tmp_path / "checker.py"
+    if source is not None:
+        script.write_text(source.format(outside=str(outside)) if source is MESSY else source)
+    images = crash_images()[mode]
+    assert len(images) > 40
+    assert_reuse_is_sound(tmp_path, monkeypatch, script, images, reuses)
+
+
+def assert_reuse_is_sound(tmp_path, monkeypatch, script, images, reuses: bool):
+    """Check ``images`` in order with one prepared checker, which may reuse
+    verdicts, and each with a fresh ``_fork_check``: every state gets the
+    same verdict and output, and some state is not forked exactly when the
+    checker ``reuses``."""
+    fork_check = simulate._fork_check
+    forks = []
+    monkeypatch.setattr(simulate, "_fork_check", lambda checker: forks.append(checker) or fork_check(checker))
+    checker = PreparedChecker([sys.executable, str(script)], tmp_path / "reused" / "s")
+    reused = [run_oracle(image, checker) for image in images]
+    fresh = []
+    for image in images:
+        checker = PreparedChecker([sys.executable, str(script)], tmp_path / "fresh" / "s")
+        simulate.materialize(image, checker.scratch)
+        fresh.append(fork_check(checker))
+    assert [(r.verdict, r.oracle_output) for r in reused] == [(r.verdict, r.oracle_output) for r in fresh]
+    assert (len(forks) < len(images)) is reuses, (len(forks), len(images))
+
+
+# Small states that tell apart what a read may see: a missing file and a
+# path under a file, equal sizes with other bytes and another size, a file
+# in a directory that no mkdir made, and one state twice.
+SMALL_STATES = [
+    {}, {"f1": b"a"}, {"f1": b"b"}, {"f1": b"abc"}, {"f1": b"a", "d/x": b"1"}, {"d/x": b"22"}, {"f1": b"a"},
+]
+
+# name, script source, whether any verdict is reused
+READ_CASES = [
+    (
+        "under-a-file",
+        "import os, sys\ntry:\n    os.stat(os.path.join(sys.argv[1], 'f1', 'x'))\n"
+        "except OSError as exc:\n    print(type(exc).__name__)\n",
+        True,
+    ),
+    ("dotdot", "import os, sys\nprint(os.path.exists(os.path.join(sys.argv[1], 'd', '..', 'f1')))\n", False),
+    (
+        "os-open",
+        "import os, sys\ntry:\n    os.close(os.open(os.path.join(sys.argv[1], 'f1'), os.O_RDONLY))\n"
+        "except OSError:\n    sys.exit(1)\n",
+        False,
+    ),
+    ("reads-only-itself", "print(len(open(__file__).read()))\n", True),
+    ("access", "import os, sys\nprint(os.access(os.path.join(sys.argv[1], 'f1'), os.R_OK))\n", True),
+    (
+        "scandir-sizes",
+        "import os, sys\nfor entry in sorted(os.scandir(sys.argv[1]), key=lambda e: e.name):\n"
+        "    print(entry.name, entry.is_dir() or entry.stat().st_size)\n",
+        True,
+    ),
+]
+
+
+@pytest.mark.parametrize("source, reuses", [case[1:] for case in READ_CASES], ids=[case[0] for case in READ_CASES])
+def test_what_a_checker_reads_decides_whether_its_verdict_is_reused(tmp_path, monkeypatch, source, reuses):
+    script = tmp_path / "checker.py"
+    script.write_text(source)
+    assert_reuse_is_sound(tmp_path, monkeypatch, script, [fs_image(files) for files in SMALL_STATES], reuses)
+
+
+def test_a_corpus_pass_forks_at_most_60_checkers(tmp_path, monkeypatch):
+    """The benchmark's ``corpus`` pass, run in this process, checked 116
+    states with a fork each before verdicts were reused."""
+    bench = str(REPO_ROOT / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(bench)
+    fork_check = simulate._fork_check
+    forks = []
+    monkeypatch.setattr(simulate, "_fork_check", lambda checker: forks.append(checker) or fork_check(checker))
+    for command in workloads.Corpus().commands(tmp_path):
+        assert main(command.argv) == command.exit_code, command.argv
+    assert len(forks) <= 60

@@ -1138,6 +1138,25 @@ def test_a_bug_graph_is_rendered_once_per_new_bug(tmp_path, monkeypatch):
     assert dots == [export_dot(behaviors[0].subgraph)] * 2
 
 
+def test_a_bug_that_omits_nothing_counts_the_states_of_its_behavior(tmp_path):
+    """A bug whose ``omitted`` is empty has no first omitted op to anchor
+    its correlated-state count; it used to get no count at all, so a
+    checker that always fails on two writes gave ``{"bug1": 4}``."""
+    from crashcheck.cli import RunConfig, derive_behaviors
+
+    trace = synth_workload('fn main {\n  write f1 "a" @0; write f2 "b" @0\n}\n', "POSIX")
+    _, behaviors = derive_behaviors(trace, RunConfig())
+    script = tmp_path / "fails.py"
+    script.write_text("print('bad')\nraise SystemExit(1)\n")
+    bugs, stats = run_group_tests(
+        group_behaviors(behaviors), {b.id: b for b in behaviors}, trace,
+        [sys.executable, str(script)], tmp_path / "scratch",
+    )
+    assert [len(behaviors), stats.distinct_states] == [1, 4]
+    assert sorted((len(bug.omitted), bug.id) for bug in bugs) == [(0, "bug0"), (1, "bug1")]
+    assert stats.correlated_states == {"bug0": 4, "bug1": 4}
+
+
 def test_buggy_pointer_switch_reports_rename_bug(tmp_path, current_checker):
     bugs, stats = run_workload("current_update_buggy.dsl", "POSIX", current_checker, tmp_path)
     assert len(bugs) == 1
