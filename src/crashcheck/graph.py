@@ -5,9 +5,13 @@ Happens-before is stored once, as the model's per-rule bitsets ORed into
 one Python-int bitset of direct predecessors per node in the vector-clock
 style of FastTrack (Flanagan & Freund, PLDI'09), and every subgraph taken
 with :meth:`PersistenceGraph.induced` (each update behavior's) shares
-it: a view's predecessors of ``n`` are ``preds[n] & mask``.  Only
-:func:`export_dot`, which labels each edge, names a pair's rule; it
-renders the edges from per-source buckets filled in destination order.
+it.  A graph is windowed to its span: ``base`` is the trace-wide bit of
+its lowest node and its ``mask`` counts bits from there, so a view's
+predecessors of ``n`` are ``preds[n] >> base & mask`` and a behavior
+costs its span, not the trace.  :func:`export_dot`, which labels each
+edge, draws only the transitive reduction of the graph's pairs (Aho,
+Garey & Ullman, SIAM J. Comput. 1972), found by :func:`reduction`, the
+pass over ancestor bitsets that schedule enumeration also runs.
 
 Node identity is the trace seq; equivalence between nodes is a separate
 relation built on :class:`StaticKey` (see :mod:`crashcheck.grouping`), which
@@ -69,6 +73,39 @@ class StaticKey:
         return cls(kind=op.kind, static_stack=frames)
 
 
+def _select(items, bitset: int) -> Iterator:
+    # The binary digits, lowest first, as 0/1 bytes select from items.
+    return compress(items, bin(bitset)[:1:-1].encode().translate(_DIGIT_VALUES))
+
+
+def bits_of(bitset: int) -> Iterator[int]:
+    """The indices of a bitset's bits, highest first: for a sparse bitset,
+    cheaper than selecting by its digits."""
+    while bitset:
+        i = bitset.bit_length() - 1
+        yield i
+        bitset ^= 1 << i
+
+
+def reduction(preds: list[int]) -> list[int]:
+    """The transitive reduction of a DAG whose edges run forward: ``preds[i]``
+    is the bitset of node ``i``'s direct predecessors, all on lower bits, and
+    the result keeps of each only the predecessors that no path through
+    another one reaches.  One pass in node order over ancestor bitsets."""
+    ancestors = [0] * len(preds)
+    kept = [0] * len(preds)
+    for i, pred_bits in enumerate(preds):
+        rest, reach, keep = pred_bits, pred_bits, 0
+        while rest:
+            # The highest remaining predecessor is no ancestor of another.
+            j = rest.bit_length() - 1
+            keep |= 1 << j
+            reach |= ancestors[j]
+            rest &= ~(ancestors[j] | 1 << j)
+        ancestors[i], kept[i] = reach, keep
+    return kept
+
+
 class PersistenceGraph:
     """Nodes ``ops_by_seq`` over one happens-before shared by every graph
     induced from the same :func:`build_graph` result.
@@ -77,8 +114,10 @@ class PersistenceGraph:
     ``i`` standing for ``seqs[i]``, the seqs of all trace ops as in the
     model; ``rules`` names each edge; and ``static_keys`` holds one object
     per distinct key, so comparing keys is mostly an identity check.
-    ``mask`` is the bitset of this graph's own nodes, so inducing a
-    subgraph copies nothing but the node map.
+    ``base`` is the bit of the graph's lowest node (0 without nodes) and
+    ``mask`` the bitset of its own nodes from there, bit ``i`` standing for
+    ``seqs[base + i]``, so inducing a subgraph copies nothing but the node
+    map and every bitset it reads is as wide as its span.
     """
 
     def __init__(
@@ -89,13 +128,20 @@ class PersistenceGraph:
         rules: dict[EdgeReason, dict[int, int]],
         static_keys: dict[int, StaticKey],
         mask: int,
+        base: int,
     ):
         self.ops_by_seq, self.seqs, self.preds, self.rules = ops_by_seq, seqs, preds, rules
-        self.static_keys, self.mask = static_keys, mask
+        self.static_keys, self.mask, self.base = static_keys, mask, base
 
     def _seqs_in(self, bitset: int) -> Iterator[int]:
-        # The binary digits, lowest first, as 0/1 bytes select from seqs.
-        return compress(self.seqs, bin(bitset)[:1:-1].encode().translate(_DIGIT_VALUES))
+        """The seqs of a window bitset's bits, lowest first."""
+        return _select(self.seqs[self.base:self.base + bitset.bit_length()], bitset)
+
+    def own_preds(self) -> Iterator[tuple[int, int]]:
+        """Each node's seq, lowest first, with its predecessors in this graph
+        as a window bitset."""
+        preds, base, mask = self.preds, self.base, self.mask
+        return ((dst, preds.get(dst, 0) >> base & mask) for dst in self._seqs_in(mask))
 
     @property
     def node_seqs(self) -> tuple[int, ...]:
@@ -103,7 +149,7 @@ class PersistenceGraph:
 
     @cached_property
     def edge_count(self) -> int:
-        return sum((self.preds.get(seq, 0) & self.mask).bit_count() for seq in self.ops_by_seq)
+        return sum(bits.bit_count() for _, bits in self.own_preds())
 
     def __len__(self) -> int:
         return len(self.ops_by_seq)
@@ -115,19 +161,27 @@ class PersistenceGraph:
     @cached_property
     def key_pairs(self) -> frozenset[tuple[StaticKey, StaticKey]]:
         """The (source key, destination key) pairs of this graph's edges."""
-        keys, mask, seqs_in = self.static_keys, self.mask, self._seqs_in
-        return frozenset(
-            (keys[src], keys[dst]) for dst in seqs_in(mask) for src in seqs_in(self.preds.get(dst, 0) & mask)
-        )
+        keys, seqs_in = self.static_keys, self._seqs_in
+        return frozenset((keys[src], keys[dst]) for dst, bits in self.own_preds() for src in seqs_in(bits))
 
     def induced(self, node_set) -> "PersistenceGraph":
-        nodes = set(node_set)
-        unknown = nodes - self.ops_by_seq.keys()
+        nodes = sorted(set(node_set))
+        unknown = [seq for seq in nodes if seq not in self.ops_by_seq]
         if unknown:
-            raise NodeNotFound(f"nodes {sorted(unknown)} are not in the graph")
-        mask = sum(1 << bisect_left(self.seqs, seq) for seq in nodes)
+            raise NodeNotFound(f"nodes {unknown} are not in the graph")
         ops_by_seq = {seq: self.ops_by_seq[seq] for seq in nodes}
-        return PersistenceGraph(ops_by_seq, self.seqs, self.preds, self.rules, self.static_keys, mask)
+        if not nodes:
+            return PersistenceGraph(ops_by_seq, self.seqs, self.preds, self.rules, self.static_keys, 0, 0)
+        # Each node's bit in this graph's window, then its digit in the new
+        # window, which starts at the lowest node.
+        lo, hi = self.base, self.base + self.mask.bit_length()
+        bits = [bisect_left(self.seqs, seq, lo, hi) for seq in nodes]
+        digits = bytearray(b"0" * (bits[-1] - bits[0] + 1))
+        for bit in bits:
+            digits[bits[-1] - bit] = 49  # ord("1"), most significant first
+        return PersistenceGraph(
+            ops_by_seq, self.seqs, self.preds, self.rules, self.static_keys, int(digits, 2), bits[0]
+        )
 
 
 def build_graph(trace: Trace, hb: HappensBefore, key_mode: str = FULL_KEY) -> PersistenceGraph:
@@ -141,7 +195,7 @@ def build_graph(trace: Trace, hb: HappensBefore, key_mode: str = FULL_KEY) -> Pe
     if any(a >= b for a, b in zip(seqs, seqs[1:])):
         raise GraphBuildError("trace seqs do not increase")
     ops_by_seq = {op.seq: op for op in trace.ops if op.kind not in METADATA_ONLY_KINDS}
-    mask = sum(1 << i for i, op in enumerate(trace.ops) if op.kind not in METADATA_ONLY_KINDS)
+    mask = int("".join("0" if op.kind in METADATA_ONLY_KINDS else "1" for op in reversed(trace.ops)) or "0", 2)
     index = {seq: i for i, seq in enumerate(seqs)}
     preds = hb.preds()
     for dst, srcs in preds.items():
@@ -153,13 +207,16 @@ def build_graph(trace: Trace, hb: HappensBefore, key_mode: str = FULL_KEY) -> Pe
     keys = {seq: StaticKey.of(op, key_mode) for seq, op in ops_by_seq.items()}
     interned = {key: key for key in keys.values()}
     keys = {seq: interned[key] for seq, key in keys.items()}
-    return PersistenceGraph(ops_by_seq, seqs, preds, hb.rules, keys, mask)
+    base = max((mask & -mask).bit_length() - 1, 0)
+    return PersistenceGraph(ops_by_seq, seqs, preds, hb.rules, keys, mask >> base, base)
 
 
 def export_dot(graph: PersistenceGraph, write=None) -> str | None:
     """Deterministic DOT rendering: nodes labeled kind@file:line in seq
-    order, then edges in (src, dst) order, each labeled with the first of
-    its destination's rules that holds it.  The text goes to ``write`` in
+    order, then the edges of the transitive reduction of the graph's pairs
+    in (src, dst) order, each labeled with the first of its destination's
+    rules that holds it: a pair that a path of others implies is not
+    drawn, though ``edge_count`` counts it.  The text goes to ``write`` in
     pieces (a line, or one source's edges) or, without it, is returned.
 
     Destinations are visited in seq order and each edge's text after its
@@ -171,23 +228,30 @@ def export_dot(graph: PersistenceGraph, write=None) -> str | None:
         export_dot(graph, parts.append)
         return "".join(parts)
     write("digraph pg {\n")
-    mask, preds, rules = graph.mask, graph.preds, graph.rules.items()
-    nodes = list(graph._seqs_in(mask))
+    base, mask, rules = graph.base, graph.mask, graph.rules.items()
+    seqs = graph.seqs[base:base + mask.bit_length()]
     tails: dict[int, list[str]] = {}
-    for seq in nodes:
+    window = [0] * len(seqs)
+    nodes = []
+    for bit, (seq, bits) in zip(_select(range(len(window)), mask), graph.own_preds()):
         op = graph.ops_by_seq[seq]
         frame = op.backtrace.innermost
         write(f'  n{seq} [label="{op.kind}@{frame.file}:{frame.line}"];\n')
         tails[seq] = []
-    for dst in nodes:
-        rest = preds.get(dst, 0) & mask
+        window[bit] = bits
+        nodes.append((bit, seq))
+    kept = reduction(window)
+    for bit, dst in nodes:
+        rest = kept[bit]
         for reason, by_dst in rules:
-            srcs = by_dst.get(dst, 0) & rest
+            if not rest:
+                break
+            srcs = by_dst.get(dst, 0) >> base & rest
             if srcs:
                 rest ^= srcs
                 tail = f' -> n{dst} [label="{reason.value}"];'
-                for src in graph._seqs_in(srcs):
-                    tails[src].append(tail)
+                for src in bits_of(srcs):
+                    tails[seqs[src]].append(tail)
     for src, edges in tails.items():
         if edges:
             head = f"\n  n{src}"

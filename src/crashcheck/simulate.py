@@ -86,7 +86,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn
 
 from .behavior import UpdateBehavior
 from .errors import CheckerError, ExplosionLimit, ReplayError
-from .graph import export_dot
+from .graph import bits_of, export_dot, reduction
 from .models import entry_name, parent_dir
 from .trace import MMIO_MODE, POSIX_MODE, Operation, Trace, escapes_root
 
@@ -188,9 +188,7 @@ def enumerate_schedules(
     cache = StateCache() if cache is None else cache
     context = tuple(op for op in trace.ops if op.seq < behavior.span[0])
     graph = behavior.subgraph
-    # The lowest bit of the behavior's nodes; 0 for a behavior without any.
-    start = max((graph.mask & -graph.mask).bit_length() - 1, 0)
-    own = graph.mask >> start
+    own, start = graph.mask, graph.base
     span = graph.seqs[start:start + own.bit_length()]
     ops = [graph.ops_by_seq.get(seq) for seq in span]
     preds = [graph.preds.get(seq, 0) >> start for seq in span]
@@ -199,16 +197,9 @@ def enumerate_schedules(
     # downward closed, so a node becomes addable when the last of its
     # reduction predecessors joins.
     succs = [0] * len(ops)
-    ancestors = [0] * len(ops)
-    for i, pred_bits in enumerate(preds):
-        rest = pred_bits
-        while rest:
-            # The highest remaining predecessor is no ancestor of another.
-            j = rest.bit_length() - 1
+    for i, kept in enumerate(reduction(preds)):
+        for j in bits_of(kept):
             succs[j] |= 1 << i
-            ancestors[i] |= ancestors[j]
-            rest &= ~(ancestors[j] | 1 << j)
-        ancestors[i] |= pred_bits
 
     mode = trace.meta.mode
     # The context is replayed in place and only the image after it is
@@ -528,14 +519,15 @@ class _View:
         return None if path == "." else "notdir"
 
 
-def materialize(image: FsImage | MemImage, scratch: Path):
+def materialize(image: FsImage | MemImage, scratch: Path, view: _View | None = None):
     """Write an image into a scratch directory for the checker to inspect.
 
     The directory is owned by the run: it is emptied in place, so files
     absent from the image are absent on disk, and anything else at its path,
-    a symlink included, is removed without being followed.
+    a symlink included, is removed without being followed.  ``view`` is the
+    image's :class:`_View` when the caller has already built it.
     """
-    view = _View(image)
+    view = _View(image) if view is None else view
     scratch = Path(scratch)
     if scratch.is_dir() and not scratch.is_symlink():
         with os.scandir(scratch) as listing:
@@ -871,7 +863,7 @@ def run_oracle(image: FsImage | MemImage, checker: PreparedChecker) -> CheckResu
     view = _View(image)
     result = checker.reused(view)
     if result is None:
-        materialize(image, checker.scratch)
+        materialize(image, checker.scratch, view)
         result = _fork_check(checker)
         checker.remember(view, result)
     return result

@@ -298,9 +298,9 @@ def hb_from_pairs(trace: Trace, pairs: Pairs) -> HappensBefore:
 
 def predecessors(graph: PersistenceGraph, seq: int) -> set[int]:
     """The nodes of ``graph`` with a direct edge into ``seq``, read one bit
-    at a time from its predecessor bitset."""
-    bits = graph.preds.get(seq, 0) & graph.mask
-    return {src for i, src in enumerate(graph.seqs) if bits >> i & 1}
+    at a time from its predecessor bitset in the graph's window."""
+    bits = dict(graph.own_preds()).get(seq, 0)
+    return {src for i, src in enumerate(graph.seqs[graph.base:]) if bits >> i & 1}
 
 
 def ancestors(graph, seq: int) -> set[int]:

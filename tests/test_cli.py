@@ -14,7 +14,7 @@ from crashcheck.cli import _SETTINGS, _safe_name, build_run_config, main, make_p
 from crashcheck.simulate import MAX_ORACLE_TIMEOUT, FsImage, replay, schedule_from_json
 from crashcheck.trace import parse_trace, serialize_trace
 
-from conftest import CHECKERS, WORKLOADS, load_workload
+from conftest import CHECKERS, REPO_ROOT, WORKLOADS, load_workload
 from helpers import (
     op,
     posix_trace,
@@ -81,6 +81,28 @@ def test_analyze_empty_trace_is_ok(tmp_path):
     assert report["counts"] == {
         "ops": 0, "graph_nodes": 0, "graph_edges": 0, "behaviors": 0, "groups": 0,
     }
+
+
+def test_analyze_draws_fewer_than_2_edges_per_node_on_a_long_trace(tmp_path):
+    """``dot/full.dot`` draws the transitive reduction, so it stays linear in
+    the trace: on the benchmark generator's 2,884-op pointer-update trace,
+    whose graph stores over two million pairs, it draws fewer than 2 edges per
+    node."""
+    bench = str(REPO_ROOT / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import gen
+    finally:
+        sys.path.remove(bench)
+    trace_file = tmp_path / "t.jsonl"
+    trace_file.write_text(gen.pointer_update_trace(7, rounds=480))
+    out = tmp_path / "out"
+    assert run("analyze", "--trace", trace_file, "--out", out) == 0
+    counts = json.loads((out / "groups.json").read_text())["counts"]
+    dot = (out / "dot" / "full.dot").read_text()
+    assert counts["ops"] >= 2_500
+    assert dot.count(" [label=") - dot.count(" -> ") == counts["graph_nodes"]
+    assert dot.count(" -> ") < 2 * counts["graph_nodes"]
 
 
 def test_non_string_kind_exits_2(tmp_path, capsys):

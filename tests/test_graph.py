@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -14,9 +15,13 @@ from crashcheck import (
     posix_edges,
     synth_workload,
 )
+from crashcheck.behavior import cluster_temporal, make_behavior
+from crashcheck.mmio_behaviors import derive_mmio_behaviors
 from crashcheck.models import EdgeReason
-from crashcheck.trace import Trace, TraceMeta
+from crashcheck.posix_behaviors import derive_posix_behaviors
+from crashcheck.trace import POSIX_MODE, Trace, TraceMeta
 
+from conftest import WORKLOADS, load_workload
 from helpers import (
     edge_triples,
     graph_edges,
@@ -24,7 +29,9 @@ from helpers import (
     op,
     posix_trace,
     predecessors,
+    random_annotated_mmio_trace,
     random_mmio_trace,
+    random_nested_posix_trace,
     random_posix_trace,
     reference_model_pairs,
     straddling_mmio_trace,
@@ -162,18 +169,62 @@ def test_pointer_switch_subset_keeps_only_write_dependency():
     assert edge_triples(graph.induced({1, 2})) == {(1, 2, MO)}
 
 
+def closure(pairs) -> set[tuple[int, int]]:
+    """Every (src, dst) joined by a path of ``pairs``, by brute force."""
+    closed = set(pairs)
+    while True:
+        more = {(a, d) for a, b in closed for c, d in closed if b == c} - closed
+        if not more:
+            return closed
+        closed |= more
+
+
+def reduction_pairs(pairs) -> set[tuple[int, int]]:
+    """The pairs of a DAG that no path through a third node implies."""
+    closed = closure(pairs)
+    nodes = {n for pair in pairs for n in pair}
+    return {(a, b) for a, b in pairs if not any((a, c) in closed and (c, b) in closed for c in nodes)}
+
+
+DOT_EDGE = re.compile(r'^  n(\d+) -> n(\d+) \[label="(\w+)"\];$', re.MULTILINE)
+
+
+def dot_edges(dot: str) -> set[tuple[int, int, EdgeReason]]:
+    return {(int(src), int(dst), EdgeReason(reason)) for src, dst, reason in DOT_EDGE.findall(dot)}
+
+
 def reference_dot(trace, edges, nodes) -> str:
     """DOT text for the subgraph on ``nodes``, from the trace and the
-    reference model's full pair dict alone."""
+    reference model's full pair dict alone: the transitive reduction of
+    the pairs with both ends in ``nodes``."""
     ops = {o.seq: o for o in trace.ops}
     lines = ["digraph pg {"]
     for seq in sorted(nodes):
         frame = ops[seq].backtrace.innermost
         lines.append(f'  n{seq} [label="{ops[seq].kind}@{frame.file}:{frame.line}"];')
-    for (src, dst), reason in sorted(edges.items()):
-        if src in nodes and dst in nodes:
-            lines.append(f'  n{src} -> n{dst} [label="{reason.value}"];')
+    drawn = reduction_pairs({pair for pair in edges if pair[0] in nodes and pair[1] in nodes})
+    for src, dst in sorted(drawn):
+        lines.append(f'  n{src} -> n{dst} [label="{edges[src, dst].value}"];')
     return "\n".join(lines + ["}"]) + "\n"
+
+
+def check_view(view, trace, edges, nodes):
+    """A view's edges, counts, keys, predecessors and DOT against the
+    reference pairs with both ends in ``nodes``."""
+    want = {e for e in edge_triples(edges) if e[0] in nodes and e[1] in nodes}
+    assert view.node_seqs == tuple(sorted(nodes))
+    assert edge_triples(view) == want
+    assert graph_edges(view) == sorted(want)
+    assert view.edge_count == len(want)
+    keys = {o.seq: StaticKey.of(o) for o in trace.ops if o.seq in nodes}
+    assert view.key_set == frozenset(keys.values())
+    assert view.key_pairs == {(keys[src], keys[dst]) for src, dst, _ in want}
+    for n in nodes:
+        assert predecessors(view, n) == {src for src, dst, _ in want if dst == n}
+    assert export_dot(view) == reference_dot(trace, edges, nodes)
+    parts = []
+    assert export_dot(view, write=parts.append) is None
+    assert "".join(parts) == export_dot(view)
 
 
 @pytest.mark.parametrize(
@@ -192,41 +243,90 @@ def reference_dot(trace, edges, nodes) -> str:
     ],
 )
 def test_induced_views_match_filtering_the_full_edge_set(make):
-    """Predecessor bitsets against the naive reading of happens-before: a
-    view's edges are the reference model's pairs with both ends in the
-    view."""
+    """Windowed predecessor bitsets against the naive reading of
+    happens-before: a view's edges, edge count, key set and key pairs are
+    those of the reference model's pairs with both ends in the view, and
+    so are those of a view of a view and of temporal clustering's pieces."""
     rng = random.Random(23)
     for _ in range(30):
         trace = make(rng, max_ops=12)
         edges = reference_model_pairs(trace)
         graph = build_graph(trace, model_edges(trace))
-        assert edge_triples(graph) == edge_triples(edges)
+        check_view(graph, trace, edges, set(graph.node_seqs))
         for _ in range(5):
             s = {n for n in graph.node_seqs if rng.random() < 0.6}
             t = {n for n in s if rng.random() < 0.6}
             view = graph.induced(s)
-            want = {e for e in edge_triples(edges) if e[0] in s and e[1] in s}
-            assert edge_triples(view) == want
-            assert graph_edges(view) == sorted(want)
-            assert view.edge_count == len(want)
-            for n in s:
-                assert predecessors(view, n) == {src for src, dst, _ in want if dst == n}
-            assert export_dot(view) == reference_dot(trace, edges, s)
-            parts = []
-            assert export_dot(view, write=parts.append) is None
-            assert "".join(parts) == export_dot(view)
+            check_view(view, trace, edges, s)
             # Re-inducing a view (as temporal clustering does) equals
             # inducing the full graph directly.
-            assert edge_triples(view.induced(t)) == edge_triples(graph.induced(t))
+            check_view(view.induced(t), trace, edges, t)
+            if s:
+                # eps from the view, so the traces drawn stay those of rng.
+                whole = make_behavior("whole", "main", 0, s, graph)
+                for piece in cluster_temporal(whole, eps=1 + len(s) % 3):
+                    check_view(piece.subgraph, trace, edges, set(piece.node_seqs))
+
+
+def assert_dot_is_the_reduction(graph):
+    """The DOT of ``graph`` draws the transitive reduction of its stored
+    pairs, each edge labeled with the first rule of its destination that
+    holds it (``graph_edges`` names each pair so)."""
+    drawn = dot_edges(export_dot(graph))
+    stored = graph_edges(graph)
+    assert drawn <= set(stored)
+    pairs = {(src, dst) for src, dst, _ in drawn}
+    assert closure(pairs) == closure({(src, dst) for src, dst, _ in stored})
+    closed = closure(pairs)
+    assert not any((a, c) in closed and (c, b) in closed for a, b in pairs for c in graph.node_seqs)
+    for src, dst, reason in drawn:
+        assert reason is next(r for r, by_dst in graph.rules.items() if by_dst.get(dst, 0) >> graph.seqs.index(src) & 1)
+
+
+def reduction_cases():
+    for path in sorted(WORKLOADS.glob("*.dsl")):
+        mode = "MMIO" if path.stem.startswith("entry") or path.stem == "epochs" else "POSIX"
+        yield path.stem, load_workload(path.name, mode)
+    rng = random.Random(11)
+    makers = (random_posix_trace, random_nested_posix_trace, random_mmio_trace, random_annotated_mmio_trace)
+    for i in range(60):
+        make = makers[i % len(makers)]
+        yield f"{make.__name__}_{i}", make(rng, rng.randint(8, 30), threads=rng.randint(1, 3))
+
+
+def test_dot_draws_the_transitive_reduction():
+    """On the 8 programs and on 60 random 1-3-thread POSIX and MMIO traces,
+    the DOT of the full graph, of every behavior's subgraph and of views of
+    those (temporal pieces and random subsets) is the transitive reduction
+    of the graph's stored pairs."""
+    rng = random.Random(3)
+    for name, trace in reduction_cases():
+        graph = build_graph(trace, model_edges(trace))
+        if trace.meta.mode == POSIX_MODE:
+            behaviors = derive_posix_behaviors(graph, trace)
+        else:
+            behaviors = derive_mmio_behaviors(graph, trace)
+        assert behaviors or not len(graph), name
+        assert_dot_is_the_reduction(graph)
+        for behavior in behaviors:
+            assert_dot_is_the_reduction(behavior.subgraph)
+            for piece in cluster_temporal(behavior, eps=1):
+                assert_dot_is_the_reduction(piece.subgraph)
+            for _ in range(2):
+                some = [n for n in behavior.node_seqs if rng.random() < 0.6]
+                assert_dot_is_the_reduction(behavior.subgraph.induced(some))
 
 
 def test_streamed_dot_holds_less_than_its_text():
-    """Streaming a large graph's DOT into a sink never holds its whole
-    text: on the seeded 240-op trace the ``analyze`` pins use for POSIX,
-    the allocation peak stays below the size of the text written."""
+    """Streaming a large graph's DOT into a sink holds nothing per stored
+    pair: on the seeded 240-op trace the ``analyze`` pins use for POSIX,
+    over 20,000 stored pairs draw as fewer than 2 edges per node, and the
+    allocation peak stays below a fifth of the text that drawing every
+    stored pair would take."""
     trace = random_posix_trace(random.Random(0), 240)
     graph = build_graph(trace, model_edges(trace))
     assert graph.edge_count > 20_000
+    every_pair = sum(len(f'  n{src} -> n{dst} [label="{r.value}"];\n') for src, dst, r in graph_edges(graph))
     written = 0
 
     def sink(piece):
@@ -239,8 +339,11 @@ def test_streamed_dot_holds_less_than_its_text():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert written == len(export_dot(graph)) > 700_000
-    assert peak < written
+    dot = export_dot(graph)
+    assert written == len(dot)
+    assert dot.count(" -> ") < 2 * len(graph)
+    assert every_pair > 700_000
+    assert peak < every_pair / 5
 
 
 def test_export_dot_empty_graph():
@@ -257,11 +360,21 @@ def test_export_dot_single_node():
 
 
 def test_export_dot_fig3_counts(fig3_trace):
+    """fig3's 11 stored pairs draw as the 6 of their transitive reduction:
+    the two chains 1 -> 2 -> 3 -> 7 and 4 -> 5 -> 6 -> 7."""
     edges = posix_edges(fig3_trace)
     graph = build_graph(fig3_trace, edges)
     dot = export_dot(graph)
-    assert dot.count("[label=") == len(graph) + len(edge_triples(graph))
-    assert dot.count(" -> ") == len(edge_triples(graph))
+    assert graph.edge_count == len(edge_triples(graph)) == 11
+    assert dot.count("[label=") == len(graph) + 6
+    assert dot_edges(dot) == {
+        (1, 2, EdgeReason.SAME_BLOCK),
+        (2, 3, EdgeReason.SAME_BLOCK),
+        (3, 7, EdgeReason.SYNC_BARRIER),
+        (4, 5, EdgeReason.SYNC_BARRIER),
+        (5, 6, EdgeReason.SYNC_BARRIER),
+        (6, 7, EdgeReason.SYNC_BARRIER),
+    }
     assert export_dot(graph) == dot  # deterministic
 
 

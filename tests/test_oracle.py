@@ -459,3 +459,21 @@ def test_a_corpus_pass_forks_at_most_60_checkers(tmp_path, monkeypatch):
     for command in workloads.Corpus().commands(tmp_path):
         assert main(command.argv) == command.exit_code, command.argv
     assert len(forks) <= 60
+
+
+def test_each_state_is_laid_out_once(tmp_path, monkeypatch):
+    """``run_oracle`` builds one ``_View`` of a state, which checks its paths
+    and its file/directory collisions, and hands it to ``materialize`` when
+    it forks: one view per state, whether the verdict is reused or not."""
+    views, forks = [], []
+    view, fork_check = simulate._View, simulate._fork_check
+    monkeypatch.setattr(simulate, "_View", lambda image: views.append(image) or view(image))
+    monkeypatch.setattr(simulate, "_fork_check", lambda checker: forks.append(checker) or fork_check(checker))
+    script = tmp_path / "checker.py"
+    script.write_text(READ_CASES[4][1])
+    checker = PreparedChecker([sys.executable, str(script)], tmp_path / "s")
+    images = [fs_image(files) for files in SMALL_STATES]
+    for image in images:
+        run_oracle(image, checker)
+    assert len(views) == len(images)
+    assert 0 < len(forks) < len(images)

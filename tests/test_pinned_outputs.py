@@ -55,24 +55,24 @@ PINNED = {
         "POSIX",
         {
             "groups.json": "6bd32701fcba1ad30f95759022c1108fc232b07c04305115b61ea275a8f95541",
-            "dot/b000_t0_Setup_0.dot": "0f72d6aaaa643189d6dccac480ae134887fe1d4448bca03fbed494bdb65a6900",
+            "dot/b000_t0_Setup_0.dot": "7736963de503b10a368e6bdd21c5b8d14ce8537139c3585864cb3dab59d155f9",
             "dot/b001_t0_UpdateManifest_1.dot": "75bc16a1f23fdf2fdeac0e1edead9671d63879307f63c58696a35e744cb63268",
-            "dot/b002_t0_UpdateManifest_m0.dot": "2a79c2cc4129696f0c35c03c31e70a53b4b0964319b9313cb52031477a30713c",
-            "dot/b003_t0_UpdateManifest_SetCurrentFile_3.dot": "4b5993ad90de8064b3a30fa4651af6ae3846e09fa2a9888c15c492ae23fa513f",
+            "dot/b002_t0_UpdateManifest_m0.dot": "a813e2218e841cefc7050636928d28e717533c51bd16b3389b95cffc0059dab9",
+            "dot/b003_t0_UpdateManifest_SetCurrentFile_3.dot": "a07115c642cc2e9ba9d7ce0a5d9607d5b6ac7bc5bade20c1a7ddf9fb9ed7b6e5",
             "dot/b004_t0_UpdateManifest_2.dot": "f9358a409bd8db2ac52ade74edd6a13e19f9be9eb0132721f78d55047df551e3",
-            "dot/full.dot": "f50925560c0dc839c7ba05fa053cecaacb7ab6e76e72f8c310ca5d6f8364cc38",
+            "dot/full.dot": "dac3cd20f5f83a6edcd8d8f9c0d370311b92a532fa582255da9053f27ca92c5c",
         },
     ),
     "current_update_fixed": (
         "POSIX",
         {
             "groups.json": "781ede587f6016efaff199c250e4ea2519c8b344343f7bc9b226f27f67c91014",
-            "dot/b000_t0_Setup_0.dot": "7bbd09a4ff86422064d0f2c5bacff3b272dc45589eeb6f5012dd76691f475209",
+            "dot/b000_t0_Setup_0.dot": "a90510144b7dcb7d891130e6adec313123a04091edb6288e8d2ec6b1467f4878",
             "dot/b001_t0_UpdateManifest_1.dot": "57816f120c30e3b3c4e6a2131d114b7ee3590f066e964a544667e5c826a1fde0",
-            "dot/b002_t0_UpdateManifest_m0.dot": "c2e02aa9b0cd309a14c7558c8a79c1aa922857fd3084053bb964e0fb51ceb0a5",
-            "dot/b003_t0_UpdateManifest_SetCurrentFile_3.dot": "e36c6fd21d55eb6bfd328f20fba094ed86b936d2e3ee087ae845d2b310805143",
+            "dot/b002_t0_UpdateManifest_m0.dot": "f4049887c236c8d87ea9203423cfcde155ec670fa202244c5f1533d55adfd581",
+            "dot/b003_t0_UpdateManifest_SetCurrentFile_3.dot": "36c88ccda4e4dbfe1ae3d605a9b480bab15d8231ef224f295e12a51625b5db4e",
             "dot/b004_t0_UpdateManifest_2.dot": "bd7b2a652586aeebf31f34f9483518a6c2e89f4d44b152948c5feebd17ba5e0e",
-            "dot/full.dot": "6fc7ba85e8e41f7be3b232b3b3cd36dec2f8da79a78f61c1709c9ad1593d67e6",
+            "dot/full.dot": "379a1e7dd238997afeea706fe618c2746d30df6d33384901a83f63384ee26251",
         },
     ),
     "entry_insert": (
@@ -107,7 +107,7 @@ PINNED = {
             "dot/b001_t0_M.m0_e1.dot": "46be920eb3d9e55d6e1ddf9000364785a9ef043cf058d7247401037c2b398ce4",
             "dot/b002_t0_N.n0_e0.dot": "41f3793aefa000f6c0ce637a862f4bc30170bfe769ac4f477e5203d656b0176b",
             "dot/b003_t0_M.m0_e2.dot": "9e846029fe2bd2a5bfb61374238324fc01afeb758d330f65683ab99b864bee77",
-            "dot/full.dot": "a4ca934e988a3c8d584b4ff81f8b22704a0cca393bf42390aa6bec93555741c8",
+            "dot/full.dot": "4374326b439c058c157fa909a27d4e7a63c9b64bd0fe201d26a98de8e051ea56",
         },
     ),
     "fig3": (
@@ -115,11 +115,11 @@ PINNED = {
         {
             "groups.json": "7c36aa5bdba43167e6b06baa7082ac73726cd14769ea68d341ee2829efe00300",
             "dot/b000_t0_Fn1_Fn2_0.dot": "35fdce4b2a6b3515e787c72378480e6949cd1aa5f5c70e4077678f77e7afbc41",
-            "dot/b001_t0_Fn1_m1.dot": "ad08894a3f94f4de038465f2cc04027d95ef3a82fd54bd32b6cc5ca33655b7f6",
+            "dot/b001_t0_Fn1_m1.dot": "08235519168998a5323bbf4b9f62a62172bf22f600b1e8de913ccaf6970a9e12",
             "dot/b002_t0_Fn1_Fn3_Fn4_1.dot": "098c05174e88fd6132ae0a224d7d267d0c3b75bb5bc92306ac40e4f580ecaea8",
-            "dot/b003_t0_Fn1_Fn3_m0.dot": "6e6b6bf00f1a72ecb6e6906a25ce7cbc7df46ae733c11c991e95137e8346db30",
+            "dot/b003_t0_Fn1_Fn3_m0.dot": "88478805441e69e98ffff42ec5a9e999d86dd0341abfccf50d4b3f0f25bbabad",
             "dot/b004_t0_Fn1_Fn3_Fn5_2.dot": "d5479a17598de1d075c0990d4471d0146af9d3f2b275eed01712f796c72b2150",
-            "dot/full.dot": "ad08894a3f94f4de038465f2cc04027d95ef3a82fd54bd32b6cc5ca33655b7f6",
+            "dot/full.dot": "08235519168998a5323bbf4b9f62a62172bf22f600b1e8de913ccaf6970a9e12",
         },
     ),
     "two_writes": (
@@ -143,7 +143,7 @@ PINNED_RANDOM = {
         lambda rng: random_posix_trace(rng, 240),
         {
             "groups.json": "4b14c4a4a9b2bc00eb41f6ccf52fe79e7f740fd996775a64fe532451c42cb708",
-            "dot/full.dot": "44a4028435cf2865d56fe9be5acd388cc3fbd2e1645910b4fcefef7b37cae12e",
+            "dot/full.dot": "f7ee08a5dbde58c45c473a2c0575ffd3e5707390cf4cb58cb062a6034d538302",
         },
     ),
     "mmio": (
@@ -151,7 +151,7 @@ PINNED_RANDOM = {
         lambda rng: random_mmio_trace(rng, 240),
         {
             "groups.json": "1d2098eceaf809a9438ec4012d36c92dfcb67e16d0e5ddf3a27c1226b06d665b",
-            "dot/full.dot": "d240a0433a43f967d5bf5755f0bb35eef126b87555dcca5ce4ec039a5babb12e",
+            "dot/full.dot": "0499f360c2ed0e88590a0dc09eb651f54a8e11e1aac56cd951acd19b13371d92",
         },
     ),
     "posix_3threads": (
@@ -159,7 +159,7 @@ PINNED_RANDOM = {
         lambda rng: random_posix_trace(rng, 240, threads=3),
         {
             "groups.json": "9c223bf66a3fb38eba3dff78dec026198a69e6c0f5ef031f1f162b8ceebf4357",
-            "dot/full.dot": "cbba86aa9a45fa59e51591cb1169b4853058f762ecef22d690974a0b04756680",
+            "dot/full.dot": "c8402ad3d6730395b95f96a4c9f63ae83770859c39a7f4416d5f4ce30be0effc",
         },
     ),
     "posix_nested_2threads": (
@@ -167,7 +167,7 @@ PINNED_RANDOM = {
         lambda rng: random_nested_posix_trace(rng, 240, threads=2),
         {
             "groups.json": "4ed74cee4b3a527281edd16e9545d4a0e60cd8960edf2687083b5a3a5935875b",
-            "dot/full.dot": "7ab070d0cd0437267a6baf9f7bd6631173619d5d6962b79eb5b79e0515dd4730",
+            "dot/full.dot": "91ba50ed45933f18f1b000c8aab52a44650048587d4e5f4a07863dc597a70da5",
         },
     ),
     "mmio_annotated": (
@@ -175,7 +175,7 @@ PINNED_RANDOM = {
         lambda rng: random_annotated_mmio_trace(rng, 240),
         {
             "groups.json": "2e501ecd0c90a8ce4ecdec54705da66810e609c6beda0b441657c9082f14316c",
-            "dot/full.dot": "ec9181c5d43cd12482ead024ddd29be1d817c9cfbe850bc2c10b95a1f8e22543",
+            "dot/full.dot": "42495166dc5b6277b6c07be9d28bb01103b27b15ba83cf44131f99b92b9cb455",
         },
     ),
 }
@@ -256,9 +256,9 @@ PINNED_CHECKED = {
         "states.json": "f6e39a86b1d581301cabff1354846a6b66a461601879ecd729f46c16101620c3",
     }),
     "current_update_buggy": ("current_pointer.py", {
-        "bugs.json": "fde502164f10f1c4365ffbe483b9c22dc63774c15fe5e6571004c74036e0ad59",
+        "bugs.json": "464422acfdb40104a1c591f9bf2b17a87ef4a4f29e28194e287d345ab979027f",
         "stats.json": "2d07efee4b107f609d0472f21d5fd32b91ff2baf976cfd370d0782de455cc8dd",
-        "states.json": "67a7e99bd739b55a7efc9829cee34a34b276fcd721da837e89ef62a4d192affe",
+        "states.json": "c8a423d885cc26a19051bca6b09dd2adc8084d8c7862b24008237523fe69120b",
     }),
     "current_update_fixed": ("current_pointer.py", {
         "bugs.json": "032a1a341d7d77ccaf852a71384344d92b5e91a4175fe939574aee14880f5761",
