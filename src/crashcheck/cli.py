@@ -239,19 +239,33 @@ def report_json(value, write=None) -> str | None:
     dicts with string keys, lists, tuples, strings, ints, bools and None.
     ``json.dumps`` takes its pure-Python path whenever ``indent`` is set;
     here each string goes through the C quoting function, and a list of
-    ints or of strings is one join.  With ``write``, the text goes to it
-    chunk by chunk as it is made, and None is returned."""
+    ints or of strings is one join.  Each call renders each distinct int
+    of its lists of more than 8 ints once.  With ``write``, the text goes
+    to it chunk by chunk as it is made, and None is returned."""
     chunks: list[str] = []
-    _write_json(value, "\n", chunks.append if write is None else write)
+    _write_json(value, "\n", chunks.append if write is None else write, _IntTexts())
     return "".join(chunks) if write is None else None
 
 
+class _IntTexts(dict):
+    """Exact int -> its JSON text, each rendered on its first lookup; a
+    later lookup is one C-level dict hit.  Never keyed by a bool, which
+    hashes equal to an int."""
+
+    def __missing__(self, value: int) -> str:
+        text = self[value] = int.__repr__(value)
+        return text
+
+
 # The text of an item of a list whose items all have one of these exact
-# types (``str`` of an exact int is its ``int.__repr__``, and faster).
+# types.  A list of more than 8 exact ints (a crash state's seqs) mostly
+# repeats ints the call has rendered, so it reads them from the call's
+# ``_IntTexts``; a shorter one (a span, a small behavior's nodes) mostly
+# holds new ones, where a memo miss costs more than ``str``.
 _LIST_ITEM_TEXT = {int: str, str: _quote}
 
 
-def _write_json(value, pad: str, out) -> None:
+def _write_json(value, pad: str, out, texts: _IntTexts) -> None:
     """Append ``value``'s ``indent=2`` JSON to ``out``; ``pad`` is the
     newline and indent of the line ``value`` starts on."""
     if isinstance(value, str):
@@ -272,12 +286,14 @@ def _write_json(value, pad: str, out) -> None:
         types = set(map(type, value))
         text = _LIST_ITEM_TEXT.get(types.pop()) if len(types) == 1 else None
         if text is not None:
+            if text is str and len(value) > 8:
+                text = texts.__getitem__
             out("[" + inner + ("," + inner).join(map(text, value)) + pad + "]")
             return
         sep = "[" + inner
         for item in value:
             out(sep)
-            _write_json(item, inner, out)
+            _write_json(item, inner, out, texts)
             sep = "," + inner
         out(pad + "]")
     elif isinstance(value, dict):
@@ -288,7 +304,7 @@ def _write_json(value, pad: str, out) -> None:
         sep = "{" + inner
         for key, item in value.items():
             out(sep + _quote(key) + ": ")  # a key that is no string raises TypeError
-            _write_json(item, inner, out)
+            _write_json(item, inner, out, texts)
             sep = "," + inner
         out(pad + "}")
     else:
@@ -455,7 +471,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     trace = load_input_trace(args, cfg)
     try:
         data = json.loads(_read_text(args.schedule, "schedule file"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, or past the int-digit or recursion limit
         raise ConfigError(f"schedule file {args.schedule} is not JSON: {exc}") from None
     schedule = schedule_from_json(data, trace)
     image = replay(schedule)

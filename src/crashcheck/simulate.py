@@ -106,16 +106,12 @@ class CrashSchedule(NamedTuple):
     def applied_seqs(self) -> tuple[int, ...]:
         return tuple(map(attrgetter("seq"), self.applied))
 
-    @property
-    def context_seqs(self) -> tuple[int, ...]:
-        return tuple(map(attrgetter("seq"), self.context))
-
     def to_json(self) -> dict:
         return {
             "behavior_id": self.behavior_id,
             "mode": self.mode,
-            "context_seqs": list(self.context_seqs),
-            "applied_seqs": list(self.applied_seqs),
+            "context_seqs": list(map(attrgetter("seq"), self.context)),
+            "applied_seqs": list(map(attrgetter("seq"), self.applied)),
         }
 
 
@@ -590,7 +586,7 @@ class PreparedChecker:
             and not self.argv[1].startswith("-")
             and all(hasattr(os, name) for name in ("fork", "pidfd_open", "memfd_create"))
         )
-        self._source = self._code = self.reads = None
+        self._source = self._code = self.reads = self.fresh = None
         self._trees: dict[bytes, list | CheckResult] = {}
 
     def forkable(self) -> bool:
@@ -620,11 +616,14 @@ class PreparedChecker:
     def reused(self, view: _View) -> CheckResult | None:
         """The result of a check of the script as it is now whose every read
         sees in ``view`` what it saw.  The checker is deterministic, so its
-        next read depends only on what it saw: a lookup walks one path."""
-        self.code()
+        next read depends only on what it saw: a lookup walks one path.  On
+        a miss, the code read for the lookup is kept in ``fresh`` for this
+        state's :func:`_fork_check`, so a checked state reads the script once."""
+        code = self.code()
         node = self._trees.get(self._source)
         while type(node) is list:
             node = node[1].get(view.seen(*node[0]))
+        self.fresh = None if node is not None else (code,)
         return node
 
     def remember(self, view: _View, result: CheckResult):
@@ -664,10 +663,11 @@ def _fork_check(checker: PreparedChecker) -> CheckResult:
     memory files made for this state only, so a checker that writes a lot
     cannot block on a full pipe, and a descendant it leaves running cannot
     write into another state's output.  A third one carries back the log
-    of :func:`_record_reads`, kept in ``checker.reads`` when it is whole."""
+    of :func:`_record_reads`, kept in ``checker.reads`` when it is whole.
+    The script is read now unless ``checker.reused`` just read it."""
     argv, timeout = checker.argv, checker.timeout
-    code = checker.code()
-    checker.reads = None
+    fresh, checker.fresh, checker.reads = checker.fresh, None, None
+    code = fresh[0] if fresh else checker.code()
     with (
         open(os.memfd_create("stdout"), "rb") as out,
         open(os.memfd_create("stderr"), "rb") as err,

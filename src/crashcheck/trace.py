@@ -251,6 +251,16 @@ def _parse_backtrace(raw, line_no: int) -> Backtrace:
     return Backtrace(tuple(frames))
 
 
+def _json_line(line: str, line_no: int, what: str):
+    """``json.loads(line)``, or a :class:`ParseError` naming the line."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError:
+        raise ParseError(line_no, f"{what} is not valid JSON") from None
+    except (ValueError, RecursionError):  # past the int-digit or recursion limit
+        raise ParseError(line_no, f"{what} holds an integer too long or nesting too deep to read") from None
+
+
 def parse_trace(stream: bytes | str) -> Trace:
     """Parse a trace file into a validated :class:`Trace`.
 
@@ -263,10 +273,7 @@ def parse_trace(stream: bytes | str) -> Trace:
     if not lines or all(not line.strip() for line in lines):
         return Trace(meta=TraceMeta(app_name="", mode=POSIX_MODE))
 
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError:
-        raise ParseError(1, "header is not valid JSON") from None
+    header = _json_line(lines[0], 1, "header")
     # ``1`` also equals true and 1.0, which are no version.
     if not isinstance(header, dict) or type(header.get("version")) is not int or header["version"] != 1:
         raise ParseError(1, "header must declare version 1")
@@ -283,10 +290,7 @@ def parse_trace(stream: bytes | str) -> Trace:
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError:
-            raise ParseError(line_no, "record is not valid JSON") from None
+        rec = _json_line(line, line_no, "record")
         if not isinstance(rec, dict):
             raise ParseError(line_no, "record must be a JSON object")
         missing = {"seq", "tid", "kind", "args", "backtrace"} - rec.keys()

@@ -103,7 +103,7 @@ def state_bug_key(schedule, trace, result):
     ``BugReport``: the sorted static keys of the persisting trace ops that
     are neither context nor applied and were issued before the last
     persisting op applied, and the sha256 of the checker output."""
-    context, applied = set(schedule.context_seqs), set(schedule.applied_seqs)
+    context, applied = {o.seq for o in schedule.context}, set(schedule.applied_seqs)
     last = max((o.seq for o in schedule.applied if o.is_persisting), default=0)
     omitted = sorted(
         str(StaticKey.of(o))

@@ -5,11 +5,12 @@ import random
 import shlex
 import sys
 import tempfile
+import weakref
 from collections import Counter
 
 import pytest
 
-from crashcheck import simulate
+from crashcheck import cli, simulate
 from crashcheck.cli import _SETTINGS, _safe_name, build_run_config, main, make_parser, report_json
 from crashcheck.simulate import MAX_ORACLE_TIMEOUT, FsImage, replay, schedule_from_json
 from crashcheck.trace import parse_trace, serialize_trace
@@ -149,6 +150,40 @@ def test_frame_line_that_is_no_integer_exits_2(tmp_path, capsys, line):
     )
     assert run("analyze", "--trace", trace_file, "--out", tmp_path / "o") == 2
     assert "line 2: malformed frame" in capsys.readouterr().err
+
+
+_HEADER = '{"app": "x", "mode": "POSIX", "version": 1}'
+_RECORD = (
+    '{"seq": 1, "tid": 0, "kind": "create", "args": {"path": "f"}, '
+    '"backtrace": [{"function": "main", "file": "a.c", "line": 1}]}'
+)
+_TOO_LONG = "9" * 5_000  # past the 4,300-digit int-string limit
+_TOO_DEEP = "[" * 200_000
+
+
+@pytest.mark.parametrize(
+    "command, trace, schedule, message",
+    [
+        ("analyze", _HEADER + "\n" + _RECORD.replace('"seq": 1', '"seq": ' + _TOO_LONG), None, "line 2: record"),
+        ("analyze", _HEADER + "\n" + _RECORD.replace('"line": 1', '"line": ' + _TOO_LONG), None, "line 2: record"),
+        ("analyze", _HEADER.replace('"version": 1', '"version": ' + _TOO_LONG), None, "line 1: header"),
+        ("analyze", _HEADER + "\n" + _TOO_DEEP, None, "line 2: record"),
+        ("replay", _HEADER + "\n" + _RECORD, _TOO_DEEP, "is not JSON"),
+    ],
+    ids=["long-seq", "long-frame-line", "long-version", "deep-record", "deep-schedule"],
+)
+def test_json_past_the_int_or_recursion_limit_exits_2(tmp_path, capsys, command, trace, schedule, message):
+    """An int of more than 4,300 digits (``ValueError``) and 200,000 nested
+    arrays (``RecursionError``) escaped as tracebacks, exit 1."""
+    trace_file, schedule_file = tmp_path / "t.jsonl", tmp_path / "schedule.json"
+    trace_file.write_text(trace + "\n")
+    extra = []
+    if schedule is not None:
+        schedule_file.write_text(schedule)
+        extra = ["--schedule", schedule_file]
+    assert run(command, "--trace", trace_file, *extra, "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error ({command}): ") and message in err and "Traceback" not in err
 
 
 # Values a mutated trace field takes: wrong types, out-of-range numbers,
@@ -304,6 +339,37 @@ def test_report_writer_matches_json_dumps_indent_2():
     for _ in range(2000):
         value = _random_value(rng)
         assert report_json(value) == json.dumps(value, indent=2)
+
+
+def test_report_writer_renders_each_int_of_its_long_lists_once_per_call(monkeypatch):
+    """Each call keeps its own memo of int texts, read for lists of more
+    than 8 exact ints.  A bool hashes equal to 1 and 0, so ``True`` next to
+    a memoized ``1`` must still read ``true``."""
+    seqs = [-(2**70), -1, 0, 1, 7, 2**64 - 1, 2**64, 2**64 + 1, 10**30]
+    first = {
+        "states": {str(i): {"applied_seqs": seqs[i % 3:] + [7] * 4, "seq": 7, "flag": True} for i in range(20)},
+        "bools": [[True, 1], [True, True], [1, True], True, 1, False, 0, [True] * 12, [False] * 12, [True, 0] * 6],
+        "mixed": [7, "7", [1] * 9, [0] * 9, 7, [True, 1] * 9],
+        "span": [3, 4],
+    }
+    second = {"seqs": [[0] * 9, [True] * 9, [1, 0] * 6], "one": 1, "true": True}
+    misses, memos = [], []
+
+    class Counting(cli._IntTexts):
+        def __init__(self):
+            memos.append(weakref.ref(self))
+
+        def __missing__(self, value):
+            misses.append(value)
+            return super().__missing__(value)
+
+    monkeypatch.setattr(cli, "_IntTexts", Counting)
+    assert report_json(first) == json.dumps(first, indent=2)
+    assert sorted(misses) == sorted({*seqs, 0, 1})
+    misses.clear()
+    assert report_json(second) == json.dumps(second, indent=2)
+    assert sorted(misses) == [0, 1]
+    assert len(memos) == 2 and all(memo() is None for memo in memos)
 
 
 def test_mode_mismatch_exits_2(tmp_path):

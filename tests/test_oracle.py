@@ -477,3 +477,23 @@ def test_each_state_is_laid_out_once(tmp_path, monkeypatch):
         run_oracle(image, checker)
     assert len(views) == len(images)
     assert 0 < len(forks) < len(images)
+
+
+def test_each_checked_state_reads_the_script_once(tmp_path, monkeypatch):
+    """The reuse lookup reads the checker script, and a state it misses
+    forks with that read: before, the fork read the script again.
+    ``_fork_check`` called on its own still reads it."""
+    reads, forks = [], []
+    fork_check = simulate._fork_check
+    monkeypatch.setattr(simulate, "open", lambda path, *args: reads.append(path) or open(path, *args), raising=False)
+    monkeypatch.setattr(simulate, "_fork_check", lambda checker: forks.append(checker) or fork_check(checker))
+    script = tmp_path / "checker.py"
+    script.write_text(READ_CASES[4][1])
+    checker = PreparedChecker([sys.executable, str(script)], tmp_path / "s")
+    images = [fs_image(files) for files in SMALL_STATES]
+    for image in images:
+        run_oracle(image, checker)
+    assert reads.count(str(script)) == len(images) and 0 < len(forks) < len(images)
+    reads.clear()
+    simulate.materialize(images[1], checker.scratch)
+    assert fork_check(checker).oracle_output == "True\n" and reads.count(str(script)) == 1

@@ -141,7 +141,7 @@ def test_context_is_everything_before_the_behavior(fig3_trace):
     graph = build_graph(fig3_trace, posix_edges(fig3_trace))
     tail = make_behavior("tail", "Fn5", 0, (5, 6, 7), graph)
     schedules = new_states(enumerate_schedules(tail, fig3_trace))
-    assert schedules and all(s.context_seqs == (1, 2, 3, 4) for s in schedules)
+    assert schedules and all(tuple(o.seq for o in s.context) == (1, 2, 3, 4) for s in schedules)
 
 
 def chain_diamond_behavior():
@@ -321,7 +321,7 @@ def assert_exploration_matches_the_reference(graph, behaviors, trace, schedules,
     stats, found = RunStats(), []
     try:
         for b, s, digest, _ in explore(behaviors, partial(schedules, trace=trace, budget=budget), stats):
-            found.append((b.id, s.context_seqs, s.applied_seqs, digest))
+            found.append((b.id, tuple(o.seq for o in s.context), s.applied_seqs, digest))
         got = found, stats
     except ReplayError as exc:
         got = found, str(exc)
@@ -705,7 +705,7 @@ def test_state_cache_steps_replay_like_a_fresh_replay():
         listed = [s for b in behaviors for s in brute_force_schedules(b, trace)]
         # Depth-first order first, then the listing's, which jumps between
         # schedules and contexts arbitrarily.
-        schedules = sorted(listed, key=lambda s: (s.context_seqs, s.applied_seqs)) + listed
+        schedules = sorted(listed, key=lambda s: ([o.seq for o in s.context], s.applied_seqs)) + listed
         for schedule in schedules:
             assert replay_by_steps(schedule, cache).digest() == replay(schedule).digest()
         for _ in range(10):
@@ -840,7 +840,7 @@ def test_explore_yields_a_state_reached_by_two_behaviors_once():
     trace, first, second = two_file_behaviors()
     stats = RunStats()
     found = list(explore([first, second], partial(enumerate_schedules, trace=trace), stats))
-    assert [(b.id, s.context_seqs + s.applied_seqs) for b, s, _, _ in found] == [
+    assert [(b.id, tuple(o.seq for o in s.context + s.applied)) for b, s, _, _ in found] == [
         ("first", ()), ("first", (1,)), ("second", (1, 2)),
     ]
     assert len({digest for _, _, digest, _ in found}) == 3
