@@ -36,7 +36,6 @@ from .simulate import (
     FsImage,
     MemImage,
     PreparedChecker,
-    RunStats,
     Verdict,
     enumerate_schedules,
     run_oracle,

@@ -426,10 +426,10 @@ def cmd_test(args: argparse.Namespace) -> int:
     bugs, stats, _ = _checked_run(cfg, reps, simulate.enumerate_schedules, trace)
     dots: dict[str, str] = {}
     _write_report(out / "bugs.json", {"bugs": [bug.to_json(dots) for bug in bugs]})
-    _write_report(out / "stats.json", stats.to_json())
+    _write_report(out / "stats.json", stats)
     print(
-        f"test: {stats.representatives_tested} representatives, "
-        f"{stats.schedules_tested} schedules, {stats.distinct_states} states, "
+        f"test: {stats['representatives_tested']} representatives, "
+        f"{stats['schedules_tested']} schedules, {stats['distinct_states']} states, "
         f"{len(bugs)} bugs -> {out}"
     )
     return 1 if bugs else 0
@@ -452,15 +452,15 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
         if result is not None:
             entry["verdict"] = result.verdict.value
     report = {
-        "schedules_tested": stats.schedules_tested,
+        "schedules_tested": stats["schedules_tested"],
         "distinct_states": len(states),
-        "partial_coverage": stats.partial_coverage,
+        "partial_coverage": stats["partial_coverage"],
         "states": states,
         "bugs": [bug.to_json(dots) for bug in bugs],
     }
     _write_report(out / "states.json", report)
     print(
-        f"exhaustive: {stats.schedules_tested} schedules, {len(states)} distinct states, "
+        f"exhaustive: {stats['schedules_tested']} schedules, {len(states)} distinct states, "
         f"{len(bugs)} inconsistent -> {out}"
     )
     return 1 if bugs else 0

@@ -35,7 +35,10 @@ POSIX rules (ext4-style):
   (otherwise legal schedules could rename a file that never existed, or
   land an earlier write to the destination on the file renamed onto it);
   a later write or create of a consumed path is ordered after the
-  consumer;
+  consumer; an op that creates a path (a write, ``create``, ``mkdir`` or a
+  rename's destination) is ordered after the earlier metadata ops that name
+  the path's parent directory, so ``write d/x`` follows ``mkdir d`` and
+  whatever ``create d``/``unlink d`` came before it;
 * open/close contribute nothing.
 
 MMIO rules (persistent-x86 style): stores overlapping a cache line are
@@ -213,8 +216,11 @@ def posix_edges(trace: Trace, cfg: ModelConfig | None = None) -> HappensBefore:
         # and recreating or writing a consumed path is ordered after the
         # consumer; the per-path life cycle then replays in trace order
         # under any legal schedule, so path-based replay never sees an
-        # impossible state.  Every bitset is read before this op joins any,
-        # so ``rename a a`` is not ordered after itself.
+        # impossible state.  A created path is also ordered after the
+        # earlier metadata ops naming its parent directory, so a file never
+        # lands in a directory that is not made yet or is still a file.
+        # Every bitset is read before this op joins any, so ``rename a a``
+        # is not ordered after itself.
         named = _paths_named(op)
         consumed = named if kind in ("rename", "unlink") else ()
         created = args["dst"] if kind == "rename" else (None if kind == "unlink" else args["path"])
@@ -222,7 +228,9 @@ def posix_edges(trace: Trace, cfg: ModelConfig | None = None) -> HappensBefore:
             ordered |= meta_at[path]
         for path in consumed:
             ordered |= creators[path]
-        metadata[op.seq] = ordered | consumers[created]
+        if created is not None:
+            ordered |= consumers[created] | meta_at[parent_dir(created)]
+        metadata[op.seq] = ordered
         for path in named:
             meta_at[path] |= bit
             meta_in_dir[parent_dir(path)] |= bit

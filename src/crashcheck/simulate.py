@@ -24,10 +24,10 @@ De Meyer & De Baets, 2006), so it keeps one count per visited subset.
 
 :func:`test_groups` is the one checked run of both ``test`` (over the
 distinct group representatives, one order per subset) and ``exhaustive``
-(over the whole trace, every order): :func:`explore`, the enumerate →
-replay → dedup → digest loop, yields each new state, the check runs on
-it, and inconsistent states become :class:`BugReport` records
-deduplicated by one key, whatever behavior reached them.
+(over the whole trace, every order), and its one loop: it walks each
+behavior's enumerator, counts and digests each new state, checks it, and
+records inconsistent states as :class:`BugReport` records deduplicated by
+one key, whatever behavior reached them.
 
 A bare :func:`replay` builds one schedule's crash image by applying the
 context and then the applied ops to an empty image it owns.  A
@@ -35,27 +35,29 @@ context and then the applied ops to an empty image it owns.  A
 share one object), and a step copies an interned image, applies one op and
 interns the result.  Images are copy-on-write: interned images share every
 file and directory an op did not touch, so they must be treated as
-read-only.  :func:`explore` dedups on the identity of the interned image
-and computes the sha256 digest once per distinct state.  A POSIX digest is
-joined from one JSON fragment per file and per directory, memoized in the
-cache by (path, contents), so a file that many states share is encoded
-once; the digest's input is the same text as ``json.dumps`` of the whole
-image with sorted keys.
+read-only.  The enumerator dedups on the identity of the interned image,
+and :func:`test_groups` computes the sha256 digest once per distinct state.
+A POSIX digest is joined from one JSON fragment per file and per directory,
+memoized for the run by (path, contents), so a file that many states share
+is encoded once; the digest's input is the same text as ``json.dumps`` of
+the whole image with sorted keys.
 
 The oracle materializes each new state and runs ``<checker> <scratch>``.
 A :class:`PreparedChecker` is made once per run and checks every state:
 the scratch directory is emptied in place before each one, and anything a
 checker left at its path, a symlink included, is removed unfollowed.  A
 checker of the form ``<this interpreter> <script>`` runs in a fork of
-this process, which skips interpreter start-up; the script is read at
-every state and compiled once per distinct content.  Any other command
-runs as a new process.  Both give the same verdict and output.
+this process, which skips interpreter start-up; the script is read once
+per checked state and compiled once per distinct content, and its bytes
+and code are passed on as values.  Any other command runs as a new
+process.  Both give the same verdict and output.
 
-A forked check records its reads (:func:`_record_reads`), and a later state
-where each read of a check of the same script sees what it saw reuses its
-result unmaterialized (after Jaaru, Gorjiara et al., ASPLOS'21).  The checker
-is taken to be deterministic, and what it reads outside the scratch
-directory, the script aside, not to change during a run.
+A forked check returns the log of its reads (:func:`_record_reads`) with
+its result, and a later state where each read of a check of the same script
+sees what it saw reuses that result unmaterialized (after Jaaru, Gorjiara
+et al., ASPLOS'21).  The checker is taken to be deterministic, and what it
+reads outside the scratch directory, the script aside, not to change
+during a run.
 """
 
 from __future__ import annotations
@@ -414,19 +416,17 @@ class StateCache:
     ``interned`` maps each image's ``content_key`` to the one image object
     with that content (an ``FsImage`` key never equals a ``MemImage`` one),
     so two images from one cache are equal exactly when they are the same
-    object.  ``seen`` holds the ids of the images yielded as new states,
-    and ``fragments`` the digest fragments of their files and directories
-    (see :meth:`FsImage.digest`).  Interned images are never changed, and
-    they share unchanged file and directory objects with each other, so
-    they must be treated as read-only.
+    object.  ``seen`` holds the ids of the images yielded as new states.
+    Interned images are never changed, and they share unchanged file and
+    directory objects with each other, so they must be treated as
+    read-only.
     """
 
-    __slots__ = ("interned", "seen", "fragments")
+    __slots__ = ("interned", "seen")
 
-    def __init__(self, interned: dict[tuple | frozenset, FsImage | MemImage] | None = None):
-        self.interned = {} if interned is None else interned
+    def __init__(self):
+        self.interned: dict[tuple | frozenset, FsImage | MemImage] = {}
         self.seen: set[int] = set()
-        self.fragments: dict[tuple, str] = {}
 
     def intern(self, image: FsImage | MemImage) -> FsImage | MemImage:
         """The interned image with ``image``'s content."""
@@ -571,10 +571,11 @@ class PreparedChecker:
     ``argv`` is the command with ``scratch`` appended.  Whether it has the
     form ``<this interpreter> <script> ...`` is decided here, with one
     ``shutil.which`` (the interpreter path compared unresolved, so a venv
-    interpreter never matches its base one); the script's bytes are read at
-    every state and compiled once per distinct content.  Per content, the
-    reusable checks form a tree of ``[read, {what it saw: node}]`` nodes and
-    result leaves, grown from the ``reads`` :func:`_fork_check` leaves."""
+    interpreter never matches its base one); :meth:`script` reads the
+    script's bytes at every checked state and compiles each distinct
+    content once.  Per content, the reusable checks form a tree of
+    ``[read, {what it saw: node}]`` nodes and result leaves, grown from the
+    read logs :func:`_fork_check` returns."""
 
     def __init__(self, checker: list[str], scratch: Path, timeout: float = DEFAULT_TIMEOUT):
         self.argv, self.scratch, self.timeout = [*checker, str(scratch)], scratch, timeout
@@ -586,7 +587,7 @@ class PreparedChecker:
             and not self.argv[1].startswith("-")
             and all(hasattr(os, name) for name in ("fork", "pidfd_open", "memfd_create"))
         )
-        self._source = self._code = self.reads = self.fresh = None
+        self._codes: dict[bytes, types.CodeType | None] = {}
         self._trees: dict[bytes, list | CheckResult] = {}
 
     def forkable(self) -> bool:
@@ -595,48 +596,44 @@ class PreparedChecker:
         has no second thread."""
         return self._interpreter_form and os.path.isfile(self.argv[1]) and threading.active_count() == 1
 
-    def code(self) -> types.CodeType | None:
-        """The script's code, or None when the script cannot be read or
-        compiles with an error or a warning: the child then compiles it and
-        reports what it gets, as a fresh interpreter would."""
+    def script(self) -> tuple[bytes | None, types.CodeType | None]:
+        """The script's bytes as read now, and their code.  Both are None
+        when the script cannot be read, and the code is None when the bytes
+        compile with an error or a warning: the child then compiles the
+        script and reports what it gets, as a fresh interpreter would."""
         try:
             with open(self.argv[1], "rb") as script:
                 source = script.read()
         except OSError:
-            self._source = self._code = None
-            return None
-        if source != self._source:
-            self._source, self._code = source, None
+            return None, None
+        if source not in self._codes:
+            self._codes[source] = None
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with contextlib.suppress(SyntaxError, ValueError, RecursionError, MemoryError, Warning):
-                    self._code = compile(source, os.path.abspath(self.argv[1]), "exec", dont_inherit=True)
-        return self._code
+                    self._codes[source] = compile(source, os.path.abspath(self.argv[1]), "exec", dont_inherit=True)
+        return source, self._codes[source]
 
-    def reused(self, view: _View) -> CheckResult | None:
-        """The result of a check of the script as it is now whose every read
+    def reused(self, source: bytes | None, view: _View) -> CheckResult | None:
+        """The result of a check of the script ``source`` whose every read
         sees in ``view`` what it saw.  The checker is deterministic, so its
-        next read depends only on what it saw: a lookup walks one path.  On
-        a miss, the code read for the lookup is kept in ``fresh`` for this
-        state's :func:`_fork_check`, so a checked state reads the script once."""
-        code = self.code()
-        node = self._trees.get(self._source)
+        next read depends only on what it saw: a lookup walks one path."""
+        node = self._trees.get(source)
         while type(node) is list:
             node = node[1].get(view.seen(*node[0]))
-        self.fresh = None if node is not None else (code,)
         return node
 
-    def remember(self, view: _View, result: CheckResult):
-        """Store ``result`` under what ``reads`` saw in ``view``, unless it
-        is a timeout, there are no reads, or they saw the whole image."""
-        reads, self.reads = self.reads, None
-        if reads is None or self._source is None or result.verdict is Verdict.ORACLE_ERROR:
+    def remember(self, source: bytes | None, view: _View, reads: list[tuple[str, str]] | None, result: CheckResult):
+        """Store ``result`` of a check of ``source`` under what ``reads``
+        saw in ``view``, unless there are no reads (a timeout has none), the
+        script could not be read, or the reads saw the whole image."""
+        if reads is None or source is None:
             return
         values = [view.seen(*read) for read in reads]
         opened, listed = ({path for kind, path in reads if kind == k} for k in "ol")
         if view.whole or opened >= view.files.keys() and listed >= view.dirs:
             return
-        children, key = self._trees, self._source
+        children, key = self._trees, source
         for read, value in zip(reads, values):
             node = children.setdefault(key, [read, {}])
             if type(node) is not list or node[0] != read:
@@ -656,18 +653,15 @@ def _subprocess_check(argv: list[str], timeout: float) -> CheckResult:
     return _check_result(proc.returncode, proc.stdout, proc.stderr)
 
 
-def _fork_check(checker: PreparedChecker) -> CheckResult:
+def _fork_check(argv: list[str], code: types.CodeType | None, timeout: float) -> tuple[CheckResult, list | None]:
     """Run ``<python> <script> <args...>`` in a fork of this process: the
-    child executes the script as ``__main__`` the way a fresh interpreter
-    would, but skips interpreter start-up.  Output goes to two anonymous
-    memory files made for this state only, so a checker that writes a lot
-    cannot block on a full pipe, and a descendant it leaves running cannot
-    write into another state's output.  A third one carries back the log
-    of :func:`_record_reads`, kept in ``checker.reads`` when it is whole.
-    The script is read now unless ``checker.reused`` just read it."""
-    argv, timeout = checker.argv, checker.timeout
-    fresh, checker.fresh, checker.reads = checker.fresh, None, None
-    code = fresh[0] if fresh else checker.code()
+    child executes ``code`` as ``__main__`` the way a fresh interpreter
+    would (compiling the script itself when ``code`` is None), but skips
+    interpreter start-up.  Output goes to two anonymous memory files made
+    for this state only, so a checker that writes a lot cannot block on a
+    full pipe, and a descendant it leaves running cannot write into another
+    state's output.  A third one carries back the log of
+    :func:`_record_reads`, returned with the result when it is whole."""
     with (
         open(os.memfd_create("stdout"), "rb") as out,
         open(os.memfd_create("stderr"), "rb") as err,
@@ -694,15 +688,14 @@ def _fork_check(checker: PreparedChecker) -> CheckResult:
         if not exited:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-            return CheckResult(Verdict.ORACLE_ERROR, f"timeout after {timeout}s")
+            return CheckResult(Verdict.ORACLE_ERROR, f"timeout after {timeout}s"), None
         status = os.waitpid(pid, 0)[1]
         for memfd in (out, err, log):
             memfd.seek(0)
         # No record is empty, so an empty one ends a whole log.
         records = log.read().split(b"\0")
-        if records[-2:] == [b"", b""]:
-            checker.reads = [(r[:1].decode(), os.fsdecode(r[1:])) for r in records[:-2]]
-        return _check_result(os.waitstatus_to_exitcode(status), out.read(), err.read())
+        reads = [(r[:1].decode(), os.fsdecode(r[1:])) for r in records[:-2]] if records[-2:] == [b"", b""] else None
+        return _check_result(os.waitstatus_to_exitcode(status), out.read(), err.read()), reads
 
 
 # Audit events that leave a forked check reusable: reads, and events that
@@ -861,16 +854,17 @@ def run_oracle(image: FsImage | MemImage, checker: PreparedChecker) -> CheckResu
         materialize(image, checker.scratch)
         return _subprocess_check(checker.argv, checker.timeout)
     view = _View(image)
-    result = checker.reused(view)
+    source, code = checker.script()
+    result = checker.reused(source, view)
     if result is None:
         materialize(image, checker.scratch, view)
-        result = _fork_check(checker)
-        checker.remember(view, result)
+        result, reads = _fork_check(checker.argv, code, checker.timeout)
+        checker.remember(source, view, reads, result)
     return result
 
 
 # ---------------------------------------------------------------------------
-# Exploration and group testing
+# Group testing
 # ---------------------------------------------------------------------------
 
 
@@ -922,70 +916,6 @@ class BugReport:
         }
 
 
-class RunStats:
-    """The counts of one run; equal to another when their JSON is."""
-
-    __slots__ = (
-        "representatives_tested", "schedules_tested", "distinct_states", "states_deduped", "oracle_errors",
-        "partial_coverage", "correlated_states",
-    )
-
-    def __init__(self, representatives_tested: int = 0):
-        self.representatives_tested = representatives_tested
-        self.schedules_tested = self.distinct_states = self.states_deduped = self.oracle_errors = 0
-        self.partial_coverage = False
-        self.correlated_states: dict[str, int] = {}
-
-    def __eq__(self, other):
-        return self.to_json() == other.to_json() if other.__class__ is RunStats else NotImplemented
-
-    def to_json(self) -> dict:
-        return {
-            "representatives_tested": self.representatives_tested,
-            "schedules_tested": self.schedules_tested,
-            "distinct_states": self.distinct_states,
-            "states_deduped": self.states_deduped,
-            "oracle_errors": self.oracle_errors,
-            "partial_coverage": self.partial_coverage,
-            "correlated_states": dict(sorted(self.correlated_states.items())),
-        }
-
-
-def explore(
-    behaviors: Iterable[UpdateBehavior],
-    schedules_of: Callable[..., Iterable[tuple[int, CrashSchedule | None, FsImage | MemImage | None]]],
-    stats: RunStats,
-    check: Callable[[FsImage | MemImage], CheckResult] | None = None,
-) -> Iterator[tuple[UpdateBehavior, CrashSchedule, str, CheckResult | None]]:
-    """Walk the schedules of each behavior and yield each crash state not
-    seen before as ``(behavior, schedule, digest, check(image) or None)``.
-
-    ``schedules_of(behavior, cache=...)`` is an enumerator such as
-    :func:`enumerate_schedules` with its other arguments bound.  One
-    :class:`StateCache` spans all behaviors, so every enumerator interns
-    its images in one table, a state is new when its interned object has
-    not been yielded before, and the digest is computed once per distinct
-    state.  A weighted item counts its weight in ``stats.schedules_tested``,
-    and in ``stats.states_deduped`` when it carries no new state.  A
-    behavior whose enumerator runs out of its budget of subsets sets
-    ``stats.partial_coverage`` and the next behavior is explored.  Orders
-    are counted, never walked: the work is one step per visited subset, and
-    the walk holds one image per depth.
-    """
-    cache = StateCache()
-    for behavior in behaviors:
-        try:
-            for weight, schedule, image in schedules_of(behavior, cache=cache):
-                stats.schedules_tested += weight
-                if schedule is None:
-                    stats.states_deduped += weight
-                    continue
-                stats.distinct_states += 1
-                yield behavior, schedule, image.digest(cache.fragments), check(image) if check else None
-        except ExplosionLimit:
-            stats.partial_coverage = True
-
-
 def _behavior_locs(behavior: UpdateBehavior) -> set[tuple[str, int]]:
     return {
         (op.backtrace.innermost.file, op.backtrace.innermost.line)
@@ -998,37 +928,60 @@ def test_groups(
     schedules_of: Callable[..., Iterable[tuple[int, CrashSchedule | None, FsImage | MemImage | None]]],
     trace: Trace,
     check: Callable[[FsImage | MemImage], CheckResult] | None = None,
-) -> tuple[list[BugReport], RunStats, dict[str, tuple[CrashSchedule, CheckResult | None]]]:
-    """The one checked run of ``test`` and ``exhaustive``: explore the
-    behaviors with ``schedules_of`` (see :func:`explore`), check each new
-    state when ``check`` is given, and record the bugs.
+) -> tuple[list[BugReport], dict, dict[str, tuple[CrashSchedule, CheckResult | None]]]:
+    """The one checked run of ``test`` and ``exhaustive``: walk the
+    schedules of each behavior, digest each crash state not seen before,
+    check it when ``check`` is given, and record the bugs.
 
-    Because :func:`explore` shares its interned images across behaviors,
-    no crash state is oracle-tested twice, including states that sit on the
-    boundary between one behavior's context and another's subsets.
+    ``schedules_of(behavior, cache=...)`` is an enumerator such as
+    :func:`enumerate_schedules` with its other arguments bound.  One
+    :class:`StateCache` spans all behaviors, so a state is new when its
+    interned image has not been yielded before, and no state is digested
+    or checked twice, even one on the boundary between one behavior's
+    context and another's subsets.  Each item's weight counts as schedules
+    tested; those of the items that carry no new state are deduped.  A
+    behavior that runs out of its budget of subsets sets
+    ``partial_coverage`` and the next behavior is explored.
+
     Inconsistent states become bug reports, deduplicated by
     :attr:`BugReport.key`.  The correlated-state count for a bug is the
     number of distinct tested states whose generating behavior covers the
     source location of its first omitted op, or, when it omits nothing,
-    that its own behavior generated.  Returns the bugs, the counts,
-    and each distinct state's schedule and check result by its digest.
+    that its own behavior generated.  Returns the bugs, the counts as
+    ``stats.json`` holds them, and each distinct state's schedule and check
+    result by its digest.
     """
-    stats = RunStats(representatives_tested=len(behaviors))
+    cache, fragments = StateCache(), {}
     bugs: dict[tuple, BugReport] = {}
     states: dict[str, tuple[CrashSchedule, CheckResult | None]] = {}
-    for behavior, schedule, digest, result in explore(behaviors, schedules_of, stats, check):
-        states[digest] = schedule, result
-        if result is None:
-            continue
-        if result.verdict is Verdict.ORACLE_ERROR:
-            stats.oracle_errors += 1
-        elif result.verdict is Verdict.INCONSISTENT:
-            report = BugReport(f"bug{len(bugs)}", behavior, schedule, trace, result.oracle_output)
-            bugs.setdefault(report.key, report)
+    schedules = 0
+    partial_coverage = False
+    for behavior in behaviors:
+        try:
+            for weight, schedule, image in schedules_of(behavior, cache=cache):
+                schedules += weight
+                if schedule is None:
+                    continue
+                result = check(image) if check else None
+                states[image.digest(fragments)] = schedule, result
+                if result is not None and result.verdict is Verdict.INCONSISTENT:
+                    report = BugReport(f"bug{len(bugs)}", behavior, schedule, trace, result.oracle_output)
+                    bugs.setdefault(report.key, report)
+        except ExplosionLimit:
+            partial_coverage = True
 
     states_of = Counter(schedule.behavior_id for schedule, _ in states.values())
+    correlated = {}
     for bug in bugs.values():
         anchor = bug.omitted[0].backtrace.innermost if bug.omitted else None
         owners = [b for b in behaviors if (anchor.file, anchor.line) in _behavior_locs(b)] if anchor else [bug.behavior]
-        stats.correlated_states[bug.id] = sum(states_of[b.id] for b in owners)
-    return list(bugs.values()), stats, states
+        correlated[bug.id] = sum(states_of[b.id] for b in owners)
+    return list(bugs.values()), {
+        "representatives_tested": len(behaviors),
+        "schedules_tested": schedules,
+        "distinct_states": len(states),
+        "states_deduped": schedules - len(states),
+        "oracle_errors": sum(r is not None and r.verdict is Verdict.ORACLE_ERROR for _, r in states.values()),
+        "partial_coverage": partial_coverage,
+        "correlated_states": dict(sorted(correlated.items())),
+    }, states

@@ -187,9 +187,12 @@ def reference_posix_pairs(trace: Trace, cfg: ModelConfig | None = None) -> Pairs
     # writing a consumed path is ordered after the consumer; the per-path
     # life cycle then replays in trace order under any legal schedule, so
     # path-based replay never sees an impossible state.
+    # A created path is also ordered after the earlier metadata ops that
+    # name its parent directory: a file never lands in a directory that is
+    # not made yet or is still a file.
     creators_by_path: dict[str, list[int]] = {}
     consumers_by_path: dict[str, list[int]] = {}
-    for op in ops:
+    for i, op in enumerate(ops):
         consumed = []
         if op.kind in ("rename", "unlink"):
             consumed.append(op.args["path"])
@@ -199,6 +202,8 @@ def reference_posix_pairs(trace: Trace, cfg: ModelConfig | None = None) -> Pairs
         if op.kind in _DATA_KINDS or op.kind in ("create", "mkdir"):
             created = op.args["path"]
         earlier = [seq for path in consumed for seq in creators_by_path.get(path, [])]
+        if created is not None:
+            earlier += [o.seq for o in ops[:i] if parent_dir(created) in _paths_named(o)]
         for seq in earlier + consumers_by_path.get(created, []):
             add((seq, op.seq), EdgeReason.METADATA_ORDER)
         if created is not None:
@@ -462,6 +467,54 @@ def random_nested_posix_trace(rng: random.Random, max_ops: int = 8, threads: int
             del stack[depth + 1 :]
             stack[depth] = (stack[depth][0], rng.randint(1, 3))
         ops.append(replace_op(o, backtrace=bt(*stack)))
+    return posix_trace(ops)
+
+
+def random_dir_posix_trace(rng: random.Random, max_ops: int = 8) -> Trace:
+    """Random small POSIX trace over files in directories: ``mkdir`` of a
+    top-level name, writes and creates of files at the top level and one
+    level down, renames and unlinks of files only, and fsyncs.  A top-level
+    name that was a file and was unlinked or renamed away may be made a
+    directory, and files then land in it.  Every op is legal where it is
+    issued: a file's directory exists and is no file, and a renamed or
+    unlinked file exists."""
+    names = ["a", "b"]
+    files: set[str] = set()
+    dirs: set[str] = set()
+    was_file: set[str] = set()
+    ops: list[Operation] = []
+    for seq in range(1, rng.randint(3, max_ops) + 1):
+        homes = [n for n in names if n not in dirs] + [f"{d}/{n}" for d in sorted(dirs) for n in ("x", "y")]
+        free = [n for n in names if n not in files and n not in dirs]
+        roll = rng.random()
+        frames = (("main", seq),)
+        if free and roll < 0.25 and (set(free) & was_file or roll < 0.1):
+            path = rng.choice(sorted(set(free) & was_file) or free)
+            ops.append(op(seq, "mkdir", {"path": path}, frames))
+            dirs.add(path)
+        elif roll < 0.55 or not files:
+            path = rng.choice(homes)
+            if rng.random() < 0.3:
+                ops.append(op(seq, "create", {"path": path}, frames))
+            else:
+                data = bytes([rng.randint(1, 255)]) * rng.randint(1, 4)
+                ops.append(op(seq, "write", write_args(path, data, rng.choice([0, 2])), frames))
+            files.add(path)
+        elif roll < 0.7:
+            path = rng.choice(sorted(files))
+            ops.append(op(seq, "unlink", {"path": path}, frames))
+            files.discard(path)
+            was_file.add(path)
+        elif roll < 0.85:
+            src = rng.choice(sorted(files))
+            dst = rng.choice([p for p in homes if p != src])
+            ops.append(op(seq, "rename", {"path": src, "dst": dst}, frames))
+            files.discard(src)
+            files.add(dst)
+            was_file.add(src)
+        else:
+            path = rng.choice(sorted(files | dirs | {"."}))
+            ops.append(op(seq, "fsync", {"path": path, "dir": path in dirs or path == "."}, frames))
     return posix_trace(ops)
 
 

@@ -22,6 +22,7 @@ from crashcheck import (
     represents,
     synth_workload,
 )
+from crashcheck import simulate
 from crashcheck.behavior import make_behavior
 from crashcheck.cli import RunConfig, derive_behaviors, main
 from crashcheck.graph import StaticKey
@@ -29,11 +30,9 @@ from crashcheck.mmio_behaviors import EpochBoundary, mmio_epochs
 from crashcheck.models import EdgeReason, model_edges
 from crashcheck.simulate import (
     PreparedChecker,
-    RunStats,
     Verdict,
     enumerate_schedules,
     exhaustive_schedules,
-    explore,
     replay,
     run_oracle,
 )
@@ -119,18 +118,18 @@ def exhaustive_outcomes(trace, checker, scratch: Path, budget=2_000_000):
     ``crashcheck exhaustive`` does.  Raises :class:`ExplosionLimit` when it
     does not complete within ``budget`` subsets."""
     behavior, _ = whole_behavior(trace)
-    stats = RunStats()
-    verdicts = {}
-    bug_keys = set()
     schedules_of = partial(exhaustive_schedules, trace=trace, budget=budget)
     check = partial(run_oracle, checker=PreparedChecker(checker, scratch))
-    for _, schedule, digest, result in explore([behavior], schedules_of, stats, check):
-        verdicts[digest] = result.verdict
-        if result.verdict is Verdict.INCONSISTENT:
-            bug_keys.add(state_bug_key(schedule, trace, result))
-    if stats.partial_coverage:
+    _, stats, states = simulate.test_groups([behavior], schedules_of, trace, check)
+    verdicts = {digest: result.verdict for digest, (_, result) in states.items()}
+    bug_keys = {
+        state_bug_key(schedule, trace, result)
+        for schedule, result in states.values()
+        if result.verdict is Verdict.INCONSISTENT
+    }
+    if stats["partial_coverage"]:
         raise ExplosionLimit(budget)
-    return stats.schedules_tested, verdicts, bug_keys
+    return stats["schedules_tested"], verdicts, bug_keys
 
 
 def rep_outcomes(trace, checker, scratch: Path):
@@ -149,11 +148,11 @@ def assert_bug_sets_agree(trace, checker, scratch: Path, name: str):
     bugs, stats, rep_keys = rep_outcomes(trace, checker, scratch / "r")
     # the reduction: the representative path never oracle-tests more
     # crash states than the exhaustive baseline
-    assert stats.distinct_states <= len(ex_verdicts), name
-    assert stats.distinct_states <= ex_schedules, name
+    assert stats["distinct_states"] <= len(ex_verdicts), name
+    assert stats["distinct_states"] <= ex_schedules, name
     assert rep_keys == ex_keys, name
     for bug in bugs:
-        assert stats.correlated_states[bug.id] >= 1, name
+        assert stats["correlated_states"][bug.id] >= 1, name
         assert ex_verdicts[replay(bug.schedule).digest()] is Verdict.INCONSISTENT, name
 
 

@@ -1000,6 +1000,35 @@ def test_file_that_is_also_a_directory_exits_2(tmp_path, capsys, paths, message)
         assert message in capsys.readouterr().err
 
 
+def test_a_file_path_reused_as_a_directory_is_tested(tmp_path, capsys):
+    """``create d``, ``unlink d``, ``mkdir d``, ``write d/x``: a legal trace.
+    ``write d/x`` used to be ordered after nothing, so a state with ``d``
+    still a file and ``d/x`` written stopped both checked commands with
+    "cannot materialize file 'd'"; it now follows every earlier op naming
+    ``d``, and the five states are checked."""
+    trace_file = tmp_path / "t.jsonl"
+    records = [
+        {"seq": seq, "tid": 0, "kind": kind, "args": args, "backtrace": [{"function": "main", "file": "a.c", "line": seq}]}
+        for seq, (kind, args) in enumerate(
+            [
+                ("create", {"path": "d"}),
+                ("unlink", {"path": "d"}),
+                ("mkdir", {"path": "d"}),
+                ("write", {"path": "d/x", "offset": 0, "length": 1, "digest": "0" * 64}),
+            ],
+            1,
+        )
+    ]
+    trace_file.write_text(
+        '{"app": "x", "mode": "POSIX", "version": 1}\n' + "".join(json.dumps(r) + "\n" for r in records)
+    )
+    checker = ["--checker", checker_arg("always_ok.py")]
+    for command, report in (("test", "stats.json"), ("exhaustive", "states.json")):
+        out = tmp_path / command
+        assert run(command, "--trace", trace_file, *checker, "--out", out) == 0, capsys.readouterr().err
+        assert json.loads((out / report).read_text())["distinct_states"] == 5
+
+
 def test_mmio_pipeline_via_cli(tmp_path):
     out = tmp_path / "out"
     code = run(

@@ -2,7 +2,9 @@
 (a constant, type alias or table) in ``src/crashcheck``, except
 ``__version__``, and every method that is not a dunder, must be named by
 code in ``src/`` outside its own definition, and every parameter of a
-function must be read in its body.  Names are read from the syntax tree,
+function must be read in its body.  A guard on side channels: no function
+sets an attribute of a parameter other than a method's receiver, so what a
+call gives back travels as its return value.  Names are read from the syntax tree,
 so docstrings, comments and import lists do not count as uses; a symbol
 that only tests or re-exports reach fails here.  The same guard keeps every
 top-level function in ``tests/helpers.py`` named by a test module or by
@@ -86,22 +88,42 @@ def _functions(node: ast.AST, prefix: str = ""):
             yield from _functions(child, prefix)
 
 
-def test_every_parameter_in_src_is_read():
-    """Every parameter of a function, method or lambda, except a method's
-    receiver, is read in its body.  ``MemImage.digest`` takes ``fragments``
-    only to share ``FsImage.digest``'s signature: ``explore`` calls
-    ``digest`` on either image type."""
-    unread = []
+def _parameters_and_bodies():
+    """(path, qualified name, parameter names, every node of the body) of
+    every function, method and lambda in ``src/``; a method's receiver is
+    not among its parameters."""
     for path in sorted(SRC.glob("*.py")):
         for qualname, node, method in _functions(ast.parse(path.read_text())):
             args = node.args
             params = [*args.posonlyargs, *args.args, *args.kwonlyargs, *filter(None, (args.vararg, args.kwarg))]
             body = node.body if isinstance(node.body, list) else [node.body]
-            read = {
-                sub.id
-                for stmt in body
-                for sub in ast.walk(stmt)
-                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)
-            }
-            unread += [f"{path.name}:{qualname}({p.arg})" for p in params[method:] if p.arg not in read]
+            yield path, qualname, [p.arg for p in params[method:]], [sub for stmt in body for sub in ast.walk(stmt)]
+
+
+def test_every_parameter_in_src_is_read():
+    """Every parameter of a function, method or lambda, except a method's
+    receiver, is read in its body.  ``MemImage.digest`` takes ``fragments``
+    only to share ``FsImage.digest``'s signature: ``test_groups`` calls
+    ``digest`` on either image type."""
+    unread = []
+    for path, qualname, params, body in _parameters_and_bodies():
+        read = {sub.id for sub in body if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+        unread += [f"{path.name}:{qualname}({p})" for p in params if p not in read]
     assert unread == ["simulate.py:MemImage.digest(fragments)"]
+
+
+def test_no_function_in_src_sets_an_attribute_of_its_parameters():
+    """A value one function hands another travels as an argument or a
+    return value, never as an attribute that one sets on the other's
+    object (counts kept on a stats object passed in, a read log left on
+    the checker): such a side channel is right only when the calls come in
+    one fixed order.  A method's receiver is excepted; a nested function's
+    assignments count for its parents too."""
+    sets = [
+        f"{path.name}:{qualname}({sub.value.id}.{sub.attr})"
+        for path, qualname, params, body in _parameters_and_bodies()
+        for sub in body
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+        and isinstance(sub.value, ast.Name) and sub.value.id in params
+    ]
+    assert sets == []

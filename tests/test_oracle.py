@@ -130,7 +130,10 @@ def test_contract_outputs_are_the_interpreters(tmp_path):
 
 @pytest.mark.parametrize(
     "check",
-    [simulate._fork_check, lambda checker: simulate._subprocess_check(checker.argv, checker.timeout)],
+    [
+        lambda checker: simulate._fork_check(checker.argv, checker.script()[1], checker.timeout)[0],
+        lambda checker: simulate._subprocess_check(checker.argv, checker.timeout),
+    ],
     ids=["fork", "subprocess"],
 )
 def test_hanging_checker_is_an_oracle_error_after_the_timeout(tmp_path, check):
@@ -155,15 +158,16 @@ def paths_taken(monkeypatch):
     """Record which oracle path ``run_oracle`` selects, without running it."""
     taken = []
 
-    def fake(name):
+    def fake(name, returned):
         def check(*_args):
             taken.append(name)
-            return CheckResult(Verdict.CONSISTENT, "")
+            return returned
 
         return check
 
-    monkeypatch.setattr(simulate, "_fork_check", fake("fork"))
-    monkeypatch.setattr(simulate, "_subprocess_check", fake("subprocess"))
+    consistent = CheckResult(Verdict.CONSISTENT, "")
+    monkeypatch.setattr(simulate, "_fork_check", fake("fork", (consistent, None)))
+    monkeypatch.setattr(simulate, "_subprocess_check", fake("subprocess", consistent))
     return taken
 
 
@@ -253,12 +257,17 @@ def test_the_script_is_compiled_once_per_distinct_content(tmp_path):
     script = tmp_path / "same.py"
     script.write_text("pass\n")
     checker = PreparedChecker([sys.executable, str(script)], tmp_path / "s")
-    code = checker.code()
-    assert code is not None and checker.code() is code
+    source, code = checker.script()
+    assert (source, code is not None) == (b"pass\n", True) and checker.script()[1] is code
     script.write_text("pass  # edited\n")
-    assert checker.code() is not code
+    edited = checker.script()[1]
+    assert edited is not None and edited is not code
     script.write_text("def (:\n")
-    assert checker.code() is None
+    assert checker.script() == (b"def (:\n", None)
+    script.write_text("pass\n")
+    assert checker.script()[1] is code
+    script.unlink()
+    assert checker.script() == (None, None)
 
 
 # Lists what the checker sees under its scratch directory, then leaves a
@@ -392,14 +401,14 @@ def assert_reuse_is_sound(tmp_path, monkeypatch, script, images, reuses: bool):
     checker ``reuses``."""
     fork_check = simulate._fork_check
     forks = []
-    monkeypatch.setattr(simulate, "_fork_check", lambda checker: forks.append(checker) or fork_check(checker))
+    monkeypatch.setattr(simulate, "_fork_check", lambda *args: forks.append(args) or fork_check(*args))
     checker = PreparedChecker([sys.executable, str(script)], tmp_path / "reused" / "s")
     reused = [run_oracle(image, checker) for image in images]
     fresh = []
     for image in images:
         checker = PreparedChecker([sys.executable, str(script)], tmp_path / "fresh" / "s")
         simulate.materialize(image, checker.scratch)
-        fresh.append(fork_check(checker))
+        fresh.append(fork_check(checker.argv, checker.script()[1], checker.timeout)[0])
     assert [(r.verdict, r.oracle_output) for r in reused] == [(r.verdict, r.oracle_output) for r in fresh]
     assert (len(forks) < len(images)) is reuses, (len(forks), len(images))
 
@@ -455,7 +464,7 @@ def test_a_corpus_pass_forks_at_most_60_checkers(tmp_path, monkeypatch):
         sys.path.remove(bench)
     fork_check = simulate._fork_check
     forks = []
-    monkeypatch.setattr(simulate, "_fork_check", lambda checker: forks.append(checker) or fork_check(checker))
+    monkeypatch.setattr(simulate, "_fork_check", lambda *args: forks.append(args) or fork_check(*args))
     for command in workloads.Corpus().commands(tmp_path):
         assert main(command.argv) == command.exit_code, command.argv
     assert len(forks) <= 60
@@ -468,7 +477,7 @@ def test_each_state_is_laid_out_once(tmp_path, monkeypatch):
     views, forks = [], []
     view, fork_check = simulate._View, simulate._fork_check
     monkeypatch.setattr(simulate, "_View", lambda image: views.append(image) or view(image))
-    monkeypatch.setattr(simulate, "_fork_check", lambda checker: forks.append(checker) or fork_check(checker))
+    monkeypatch.setattr(simulate, "_fork_check", lambda *args: forks.append(args) or fork_check(*args))
     script = tmp_path / "checker.py"
     script.write_text(READ_CASES[4][1])
     checker = PreparedChecker([sys.executable, str(script)], tmp_path / "s")
@@ -480,13 +489,13 @@ def test_each_state_is_laid_out_once(tmp_path, monkeypatch):
 
 
 def test_each_checked_state_reads_the_script_once(tmp_path, monkeypatch):
-    """The reuse lookup reads the checker script, and a state it misses
-    forks with that read: before, the fork read the script again.
-    ``_fork_check`` called on its own still reads it."""
+    """``run_oracle`` reads the checker script once per state: its bytes
+    key the reuse lookup, and a state the lookup misses forks with their
+    code, so the child reads no script either."""
     reads, forks = [], []
     fork_check = simulate._fork_check
     monkeypatch.setattr(simulate, "open", lambda path, *args: reads.append(path) or open(path, *args), raising=False)
-    monkeypatch.setattr(simulate, "_fork_check", lambda checker: forks.append(checker) or fork_check(checker))
+    monkeypatch.setattr(simulate, "_fork_check", lambda *args: forks.append(args) or fork_check(*args))
     script = tmp_path / "checker.py"
     script.write_text(READ_CASES[4][1])
     checker = PreparedChecker([sys.executable, str(script)], tmp_path / "s")
@@ -494,6 +503,4 @@ def test_each_checked_state_reads_the_script_once(tmp_path, monkeypatch):
     for image in images:
         run_oracle(image, checker)
     assert reads.count(str(script)) == len(images) and 0 < len(forks) < len(images)
-    reads.clear()
-    simulate.materialize(images[1], checker.scratch)
-    assert fork_check(checker).oracle_output == "True\n" and reads.count(str(script)) == 1
+    assert all(code is not None for _, code, _ in forks)

@@ -32,11 +32,9 @@ from crashcheck.simulate import (
     CrashSchedule,
     FsImage,
     PreparedChecker,
-    RunStats,
     StateCache,
     enumerate_schedules,
     exhaustive_schedules,
-    explore,
     materialize,
     replay,
     run_oracle,
@@ -46,6 +44,7 @@ from conftest import checker_cmd, load_workload
 from helpers import (
     ancestors,
     brute_force_schedules,
+    edge_triples,
     graph_edges,
     log_then_tables_trace,
     mmio_trace,
@@ -54,9 +53,11 @@ from helpers import (
     posix_trace,
     random_annotated_mmio_trace,
     random_mmio_trace,
+    random_dir_posix_trace,
     random_nested_posix_trace,
     random_posix_trace,
     reference_fs_digest,
+    reference_posix_pairs,
     reference_states,
     run_group_tests,
     side_node_chain_trace,
@@ -239,7 +240,7 @@ def test_exhaustive_at_the_pinned_budget_matches_the_reference():
     behavior, graph = whole_trace_behavior(trace)
     for budget, states, partial_coverage in ((40, 31, True), (50, 33, False)):
         _, stats = assert_exploration_matches_the_reference(graph, [behavior], trace, exhaustive_schedules, budget)
-        assert (stats.distinct_states, stats.partial_coverage) == (states, partial_coverage)
+        assert (stats["distinct_states"], stats["partial_coverage"]) == (states, partial_coverage)
 
 
 # --- the enumerators against the reference crash states, which share no code with them ---
@@ -287,13 +288,16 @@ def assert_walk_matches_the_reference(schedules, behavior, graph, trace, budget=
 
 
 def reference_exploration(graph, behaviors, trace, every_order, budget):
-    """What :func:`explore` finds, as ``(behavior id, context seqs, applied
-    seqs, digest)``, and counts, from the reference states of each behavior in
-    turn: each set counts its orders (one with no ``every_order``) and is
-    new when no set before it had its digest.  A behavior out of budget
-    sets ``partial_coverage``; a :class:`ReplayError` ends the walk and
-    takes the place of the stats as its message."""
-    seen, found, stats = set(), [], RunStats()
+    """What an unchecked :func:`test_groups` finds, as ``(behavior id,
+    context seqs, applied seqs, digest)``, and counts, from the reference
+    states of each behavior in turn: each set counts its orders (one with
+    no ``every_order``) and is new when no set before it had its digest.
+    A behavior out of budget sets ``partial_coverage``; a
+    :class:`ReplayError` ends the walk and takes the place of the stats as
+    its message."""
+    seen, found = set(), []
+    schedules = deduped = 0
+    partial_coverage = False
     for behavior in behaviors:
         context = tuple(o.seq for o in trace.ops if o.seq < behavior.span[0])
         try:
@@ -301,27 +305,44 @@ def reference_exploration(graph, behaviors, trace, every_order, budget):
                 orders = state.orders if every_order else 1
                 new = state.digest not in seen
                 seen.add(state.digest)
-                stats.schedules_tested += orders
-                stats.distinct_states += new
-                stats.states_deduped += orders - new
+                schedules += orders
+                deduped += orders - new
                 if new:
                     found.append((behavior.id, context, state.applied, state.digest))
         except ExplosionLimit:
-            stats.partial_coverage = True
+            partial_coverage = True
         except ReplayError as exc:
             return found, str(exc)
-    return found, stats
+    return found, {
+        "representatives_tested": len(behaviors),
+        "schedules_tested": schedules,
+        "distinct_states": len(found),
+        "states_deduped": deduped,
+        "oracle_errors": 0,
+        "partial_coverage": partial_coverage,
+        "correlated_states": {},
+    }
 
 
 def assert_exploration_matches_the_reference(graph, behaviors, trace, schedules, budget=DEFAULT_BUDGET):
-    """:func:`explore` over enumerator ``schedules``, one cache across
+    """:func:`test_groups` over enumerator ``schedules``, one cache across
     ``behaviors``, finds and counts what :func:`reference_exploration`
     does, or stops with the same replay error; returns what it found and
-    its stats or the error's message."""
-    stats, found = RunStats(), []
+    its stats or the error's message.  What it finds is the states it
+    returns, in order, which are the new states its enumerators yield: a
+    run that raises returns nothing, so those are what it is held to."""
+    found = []
+
+    def recording(behavior, cache):
+        for weight, s, image in schedules(behavior, trace, budget, cache):
+            if s:
+                found.append((s.behavior_id, tuple(o.seq for o in s.context), s.applied_seqs, image.digest()))
+            yield weight, s, image
+
     try:
-        for b, s, digest, _ in explore(behaviors, partial(schedules, trace=trace, budget=budget), stats):
-            found.append((b.id, tuple(o.seq for o in s.context), s.applied_seqs, digest))
+        _, stats, states = simulate.test_groups(behaviors, recording, trace)
+        returned = [(s.behavior_id, tuple(o.seq for o in s.context), s.applied_seqs, d) for d, (s, _) in states.items()]
+        assert returned == found
         got = found, stats
     except ReplayError as exc:
         got = found, str(exc)
@@ -481,13 +502,39 @@ def test_every_state_explore_reaches_over_derived_behaviors_is_a_whole_trace_sta
     reaches."""
     reached_in_all = 0
     for trace, graph, behaviors in derived_behaviors_of_random_traces():
-        whole = RunStats()
         whole_trace = make_behavior("whole", "*", 0, graph.node_seqs, graph)
-        every = {d for _, _, d, _ in explore([whole_trace], partial(exhaustive_schedules, trace=trace), whole)}
-        found = {d for _, _, d, _ in explore(behaviors, partial(enumerate_schedules, trace=trace), RunStats())}
-        assert not whole.partial_coverage and found <= every, trace.ops
+        _, whole, every = simulate.test_groups([whole_trace], partial(exhaustive_schedules, trace=trace), trace)
+        _, _, found = simulate.test_groups(behaviors, partial(enumerate_schedules, trace=trace), trace)
+        assert not whole["partial_coverage"] and found.keys() <= every.keys(), trace.ops
         reached_in_all += len(found)
     assert reached_in_all == 352
+
+
+def test_no_state_of_a_trace_with_directories_has_a_path_both_file_and_directory():
+    """Path-based replay never sees an impossible state, on random traces
+    where files live in directories and a path that was a file becomes a
+    directory: ``posix_edges`` equals the reference pairs, and every state
+    that whole-trace ``exhaustive`` reaches lays out as files and
+    directories (``_View`` raises nothing)."""
+    rng = random.Random(11)
+    states = file_then_dir = 0
+    for _ in range(300):
+        trace = random_dir_posix_trace(rng, 9)
+        behavior, graph = whole_trace_behavior(trace)
+        assert edge_triples(graph) == edge_triples(reference_posix_pairs(trace)), trace.ops
+        _, stats, found = simulate.test_groups([behavior], partial(exhaustive_schedules, trace=trace), trace)
+        assert not stats["partial_coverage"]
+        for schedule, _ in found.values():
+            simulate._View(replay(schedule))
+        states += len(found)
+        # A path that was a file, then a directory with a file in it.
+        filed = [(o.seq, o.args["path"]) for o in trace.ops if o.kind in ("create", "write")]
+        file_then_dir += any(
+            o.kind == "mkdir" and any(seq < o.seq and path == o.args["path"] for seq, path in filed)
+            and any(seq > o.seq and path.startswith(o.args["path"] + "/") for seq, path in filed)
+            for o in trace.ops
+        )
+    assert states > 2500 and file_then_dir > 30, (states, file_then_dir)
 
 
 def item_1_repro():
@@ -777,10 +824,10 @@ def test_state_cache_keys_steps_on_the_op_not_its_seq():
         behavior, _ = whole_trace_behavior(trace)
         for schedule in brute_force_schedules(behavior, trace):
             assert replay_by_steps(schedule, cache).digest() == replay(schedule).digest()
-        # The walk through the same steps (with its own record of states
-        # seen) reaches every state of this trace.
-        walk = StateCache(interned=cache.interned)
-        walked = {image.digest() for _, s, image in exhaustive_schedules(behavior, trace, cache=walk) if s}
+        # The walk through the same steps (with the record of states seen
+        # emptied) reaches every state of this trace.
+        cache.seen.clear()
+        walked = {image.digest() for _, s, image in exhaustive_schedules(behavior, trace, cache=cache) if s}
         assert walked == distinct_images(brute_force_schedules(behavior, trace))
 
 
@@ -838,38 +885,31 @@ def two_file_behaviors():
 
 def test_explore_yields_a_state_reached_by_two_behaviors_once():
     trace, first, second = two_file_behaviors()
-    stats = RunStats()
-    found = list(explore([first, second], partial(enumerate_schedules, trace=trace), stats))
-    assert [(b.id, tuple(o.seq for o in s.context + s.applied)) for b, s, _, _ in found] == [
+    _, stats, states = simulate.test_groups([first, second], partial(enumerate_schedules, trace=trace), trace)
+    assert [(s.behavior_id, tuple(o.seq for o in s.context + s.applied)) for s, _ in states.values()] == [
         ("first", ()), ("first", (1,)), ("second", (1, 2)),
     ]
-    assert len({digest for _, _, digest, _ in found}) == 3
-    assert (stats.schedules_tested, stats.distinct_states, stats.states_deduped) == (4, 3, 1)
-    assert not stats.partial_coverage
+    assert (stats["schedules_tested"], stats["distinct_states"], stats["states_deduped"]) == (4, 3, 1)
+    assert not stats["partial_coverage"]
 
 
 def test_explore_budget_hit_moves_on_to_the_next_behavior():
     trace, first, second = two_file_behaviors()
     budgets = {"first": 1, "second": 100}
-    stats = RunStats()
-    found = list(
-        explore(
-            [first, second],
-            lambda b, cache: enumerate_schedules(b, trace, budget=budgets[b.id], cache=cache),
-            stats,
-        )
+    _, stats, states = simulate.test_groups(
+        [first, second], lambda b, cache: enumerate_schedules(b, trace, budget=budgets[b.id], cache=cache), trace
     )
-    assert stats.partial_coverage is True
-    assert [b.id for b, _, _, _ in found] == ["first", "second", "second"]
-    assert stats.schedules_tested == 3
+    assert stats["partial_coverage"] is True
+    assert [s.behavior_id for s, _ in states.values()] == ["first", "second", "second"]
+    assert stats["schedules_tested"] == 3
 
 
 def test_explore_checks_each_new_state_once():
     trace, first, second = two_file_behaviors()
 
     schedules_of = partial(enumerate_schedules, trace=trace)
-    unchecked = list(explore([first, second], schedules_of, RunStats()))
-    assert [result for _, _, _, result in unchecked] == [None, None, None]
+    _, _, unchecked = simulate.test_groups([first, second], schedules_of, trace)
+    assert [result for _, result in unchecked.values()] == [None, None, None]
 
     checked = []
 
@@ -877,9 +917,9 @@ def test_explore_checks_each_new_state_once():
         checked.append(image.digest())
         return CheckResult(Verdict.CONSISTENT, "")
 
-    found = list(explore([first, second], schedules_of, RunStats(), check))
-    assert checked == [digest for _, _, digest, _ in found]
-    assert all(result.verdict is Verdict.CONSISTENT for _, _, _, result in found)
+    _, _, found = simulate.test_groups([first, second], schedules_of, trace, check)
+    assert checked == list(found)
+    assert all(result.verdict is Verdict.CONSISTENT for _, result in found.values())
 
 
 @pytest.mark.parametrize("schedules", ENUMERATORS, ids=ENUMERATOR_NAMES)
@@ -890,7 +930,7 @@ def test_explore_dedups_exactly_as_the_digests_do(schedules):
         graph, behaviors = behaviors_with_several_contexts(trace)
         found, stats = assert_exploration_matches_the_reference(graph, behaviors, trace, schedules)
         assert len({digest for *_, digest in found}) == len(found)
-        assert stats.distinct_states + stats.states_deduped == stats.schedules_tested
+        assert stats["distinct_states"] + stats["states_deduped"] == stats["schedules_tested"]
 
 
 def random_explorations(seed, count):
@@ -920,7 +960,7 @@ def test_explore_leaves_every_interned_image_as_it_was_interned():
             caches.append(cache)
             return schedules(behavior, trace, budget, cache)
 
-        list(explore(behaviors, recording, RunStats()))
+        simulate.test_groups(behaviors, recording, trace)
         (cache,) = {id(c): c for c in caches}.values()
         for key, image in cache.interned.items():
             assert image.content_key() == key
@@ -977,7 +1017,7 @@ def explorations_at_every_budget(graph, behaviors, trace):
         for budget in itertools.count(1):
             _, stats = assert_exploration_matches_the_reference(graph, behaviors, trace, schedules, budget)
             walks += 1
-            if not stats.partial_coverage:
+            if not stats["partial_coverage"]:
                 break
     return walks
 
@@ -1013,10 +1053,9 @@ def test_exhaustive_finds_every_state_of_eleven_tables_at_the_default_budget():
     stopped this walk with 276 of its states."""
     trace = log_then_tables_trace(20, 11)
     behavior, _ = whole_trace_behavior(trace)
-    stats = RunStats()
-    found = list(explore([behavior], partial(exhaustive_schedules, trace=trace), stats))
-    assert len(found) == stats.distinct_states == 20 + 2**11
-    assert not stats.partial_coverage
+    _, stats, found = simulate.test_groups([behavior], partial(exhaustive_schedules, trace=trace), trace)
+    assert len(found) == stats["distinct_states"] == 20 + 2**11
+    assert not stats["partial_coverage"]
 
 
 def test_the_walk_reports_fewer_items_than_schedules():
@@ -1064,8 +1103,8 @@ def test_content_key_agrees_with_the_digest_on_edge_cases():
 
 
 def test_memoized_digest_equals_the_whole_payload_digest():
-    """``explore`` digests each new state with the fragments its cache
-    shares across states; every digest equals the sha256 of the JSON of
+    """``test_groups`` digests each new state with the fragments it shares
+    across the run's states; every digest equals the sha256 of the JSON of
     the whole payload, on the states of random POSIX traces."""
     states = 0
     for seed in range(40):
@@ -1074,7 +1113,7 @@ def test_memoized_digest_equals_the_whole_payload_digest():
         trace = make(rng, 10, threads=1 + seed % 3)
         behavior, _ = whole_trace_behavior(trace)
         schedules_of = partial(exhaustive_schedules, trace=trace, budget=2000)
-        for _, schedule, digest, _ in explore([behavior], schedules_of, RunStats()):
+        for digest, (schedule, _) in simulate.test_groups([behavior], schedules_of, trace)[2].items():
             assert digest == reference_fs_digest(replay(schedule))
             states += 1
     assert states > 400
@@ -1130,7 +1169,7 @@ def test_a_bug_graph_is_rendered_once_per_new_bug(tmp_path, monkeypatch):
         group_behaviors(behaviors), {b.id: b for b in behaviors}, trace,
         [sys.executable, str(script)], tmp_path / "scratch",
     )
-    assert stats.distinct_states == 4
+    assert stats["distinct_states"] == 4
     assert sorted(len(bug.omitted) for bug in bugs) == [0, 1]
     assert rendered == []
     dots = [bug.to_json()["subgraph_dot"] for bug in bugs]
@@ -1152,23 +1191,23 @@ def test_a_bug_that_omits_nothing_counts_the_states_of_its_behavior(tmp_path):
         group_behaviors(behaviors), {b.id: b for b in behaviors}, trace,
         [sys.executable, str(script)], tmp_path / "scratch",
     )
-    assert [len(behaviors), stats.distinct_states] == [1, 4]
+    assert [len(behaviors), stats["distinct_states"]] == [1, 4]
     assert sorted((len(bug.omitted), bug.id) for bug in bugs) == [(0, "bug0"), (1, "bug1")]
-    assert stats.correlated_states == {"bug0": 4, "bug1": 4}
+    assert stats["correlated_states"] == {"bug0": 4, "bug1": 4}
 
 
 def test_buggy_pointer_switch_reports_rename_bug(tmp_path, current_checker):
     bugs, stats = run_workload("current_update_buggy.dsl", "POSIX", current_checker, tmp_path)
     assert len(bugs) == 1
     assert any(o.kind == "rename" for o in bugs[0].omitted)
-    assert stats.correlated_states[bugs[0].id] >= 1
-    assert not stats.partial_coverage
+    assert stats["correlated_states"][bugs[0].id] >= 1
+    assert not stats["partial_coverage"]
 
 
 def test_fixed_pointer_switch_reports_nothing(tmp_path, current_checker):
     bugs, stats = run_workload("current_update_fixed.dsl", "POSIX", current_checker, tmp_path)
     assert bugs == []
-    assert stats.schedules_tested > 0
+    assert stats["schedules_tested"] > 0
 
 
 def test_entry_insert_reports_valid_without_data(tmp_path, entry_checker):
@@ -1216,8 +1255,8 @@ def test_budget_exhaustion_sets_partial_coverage(tmp_path, entry_checker):
     bugs, stats = run_group_tests(
         groups, by_id, trace, entry_checker, tmp_path / "s", budget=3
     )
-    assert stats.partial_coverage is True
-    assert stats.schedules_tested == 3  # the run keeps what it managed
+    assert stats["partial_coverage"] is True
+    assert stats["schedules_tested"] == 3  # the run keeps what it managed
 
 
 
@@ -1239,8 +1278,8 @@ def test_oracle_errors_do_not_abort_the_run(tmp_path):
     bugs, stats = run_group_tests(
         groups, by_id, trace, [sys.executable, str(flaky)], tmp_path / "s", timeout=0.3
     )
-    assert stats.oracle_errors >= 1
-    assert stats.schedules_tested == 4
+    assert stats["oracle_errors"] >= 1
+    assert stats["schedules_tested"] == 4
     assert bugs == []
 
 
