@@ -34,10 +34,12 @@ from .trace import (
     POSIX_MODE,
     Annotation,
     Backtrace,
-    Frame,
+    Chain,
     Operation,
     Trace,
     TraceMeta,
+    _check_rename_source,
+    _shared_backtrace,
     _validate_args,
     payload_digest,
 )
@@ -84,21 +86,25 @@ class _Synth:
         # stack of (function name, line where its block opens)
         self.fn_stack: list[tuple[str, int]] = []
         self.ops: list[Operation] = []
+        # One Backtrace per distinct call chain, shared by its ops.
+        self.chains: dict[Chain, Backtrace] = {}
+        self.directories: set[str] = set()
 
     def backtrace(self, stmt_line: int) -> Backtrace:
-        frames = []
+        chain = []
         for i, (name, _open_line) in enumerate(self.fn_stack):
             if i + 1 < len(self.fn_stack):
                 call_line = self.fn_stack[i + 1][1]
             else:
                 call_line = stmt_line
-            frames.append(Frame(name, "<dsl>", call_line))
-        return Backtrace(tuple(frames))
+            chain.append((name, "<dsl>", call_line))
+        return _shared_backtrace(self.chains, tuple(chain))
 
     def emit(self, line_no: int, kind: str, args: dict, annotation: Annotation | None = None):
         if not self.fn_stack:
             raise DslError(line_no, f"{kind} statement outside any fn block")
         _validate_args(kind, args, line_no, DslError)
+        _check_rename_source(kind, args, line_no, self.directories, DslError)
         self.ops.append(
             Operation(
                 seq=len(self.ops) + 1,

@@ -15,8 +15,10 @@ pass over ancestor bitsets that schedule enumeration also runs.
 
 Node identity is the trace seq; equivalence between nodes is a separate
 relation built on :class:`StaticKey` (see :mod:`crashcheck.grouping`), which
-keeps the dynamic/static split explicit.  Graphs are immutable after
-construction and safe to share across readers.
+keeps the dynamic/static split explicit.  :func:`build_graph` makes one key
+per kind and shared backtrace, so a trace costs one key object per distinct
+call chain, not one per op.  Graphs are immutable after construction and
+safe to share across readers.
 """
 
 from __future__ import annotations
@@ -204,9 +206,18 @@ def build_graph(trace: Trace, hb: HappensBefore, key_mode: str = FULL_KEY) -> Pe
             raise GraphBuildError(f"happens-before into {dst} names an op outside the graph")
         if srcs >> i:
             raise GraphBuildError(f"happens-before into {dst} does not run forward in trace order")
-    keys = {seq: StaticKey.of(op, key_mode) for seq, op in ops_by_seq.items()}
-    interned = {key: key for key in keys.values()}
-    keys = {seq: interned[key] for seq, key in keys.items()}
+    # Parsing shares one backtrace per call chain, so a key is made once
+    # per (kind, backtrace object) and then interned by value.
+    by_chain: dict[tuple[str, int], StaticKey] = {}
+    interned: dict[StaticKey, StaticKey] = {}
+    keys = {}
+    for seq, op in ops_by_seq.items():
+        chain = (op.kind, id(op.backtrace))
+        key = by_chain.get(chain)
+        if key is None:
+            key = StaticKey.of(op, key_mode)
+            key = by_chain[chain] = interned.setdefault(key, key)
+        keys[seq] = key
     base = max((mask & -mask).bit_length() - 1, 0)
     return PersistenceGraph(ops_by_seq, seqs, preds, hb.rules, keys, mask >> base, base)
 

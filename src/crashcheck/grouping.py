@@ -11,11 +11,18 @@ crash schedules subsume the member's.
 The subset relations are existential, so when several nodes of one side
 share a static key the equivalence image can be smaller than the matched
 set; nothing here assumes image and subset sizes agree.
+
+Grouping works per behavior *shape*: the window of the behavior's nodes and
+each node's static key and window predecessor bitset, in seq order.  Equal
+shapes have equal key sets, key pairs and edge counts, so a behavior that
+repeats one shape costs one edge count and one ``represents`` call per
+pair of shapes, and only one behavior per shape caches its key sets.
 """
 
 from __future__ import annotations
 
 from .behavior import UpdateBehavior
+from .graph import PersistenceGraph
 
 
 def represents(u1: UpdateBehavior, u2: UpdateBehavior) -> bool:
@@ -32,6 +39,14 @@ def represents(u1: UpdateBehavior, u2: UpdateBehavior) -> bool:
     return wanted <= g1.key_set and all(
         pair in pairs for pair in g1.key_pairs if pair[0] in wanted and pair[1] in wanted
     )
+
+
+def _shape(graph: PersistenceGraph) -> tuple:
+    """What :func:`represents` and the edge count read of a graph.  The mask
+    places the nodes in the window: without it, one predecessor bit could
+    stand for nodes of different keys in two graphs."""
+    keys = graph.static_keys
+    return graph.mask, tuple((keys[dst], bits) for dst, bits in graph.own_preds())
 
 
 class BehaviorGroup:
@@ -54,17 +69,32 @@ def group_behaviors(behaviors: list[UpdateBehavior]) -> list[BehaviorGroup]:
     behavior can belong to several groups.  When two behaviors are mutually
     representative the first one processed stays the representative.
     """
-    by_id = {b.id: b for b in behaviors}
-    if len(by_id) != len(behaviors):
+    if len({b.id for b in behaviors}) != len(behaviors):
         raise ValueError("behavior ids must be unique")
+    # Each behavior's shape index, and the first behavior of each shape,
+    # which stands for the others in every edge count and represents call.
+    index_of: dict[tuple, int] = {}
+    shape_of: dict[str, int] = {}
+    exemplars: list[UpdateBehavior] = []
+    for behavior in behaviors:
+        shape = shape_of[behavior.id] = index_of.setdefault(_shape(behavior.subgraph), len(index_of))
+        if shape == len(exemplars):
+            exemplars.append(behavior)
+    edge_counts = [b.subgraph.edge_count for b in exemplars]
     ordered = sorted(
-        behaviors, key=lambda b: (-b.size, b.subgraph.edge_count, b.span[0], b.id)
+        behaviors, key=lambda b: (-b.size, edge_counts[shape_of[b.id]], b.span[0], b.id)
     )
+    verdicts: dict[tuple[int, int], bool] = {}
     groups: list[BehaviorGroup] = []
     for behavior in ordered:
+        shape = shape_of[behavior.id]
         joined = False
         for group in groups:
-            if represents(by_id[group.representative], behavior):
+            pair = (shape_of[group.representative], shape)
+            verdict = verdicts.get(pair)
+            if verdict is None:
+                verdict = verdicts[pair] = represents(exemplars[pair[0]], exemplars[shape])
+            if verdict:
                 group.members.append(behavior.id)
                 joined = True
         if not joined:

@@ -9,6 +9,11 @@ Payloads travel as a sha256 hex digest plus optional inline bytes (hex,
 <= 256 bytes). Replay uses the inline bytes when present and otherwise a
 deterministic pattern derived from the digest, so traces stay small while
 replay stays reproducible.
+
+Parsing shares one immutable :class:`Backtrace`, with its frames, among all
+ops of one call chain (hash-consing: Filliâtre & Conchon, ML Workshop
+2006), so a trace holds one per distinct chain rather than one per op.
+Every frame is validated before it is looked up.
 """
 
 from __future__ import annotations
@@ -233,22 +238,56 @@ def _validate_args(kind: str, args: dict, line_no: int, error: type = ParseError
     return args
 
 
-def _parse_backtrace(raw, line_no: int) -> Backtrace:
+def _check_rename_source(kind: str, args: dict, line_no: int, directories: set[str], error: type = ParseError):
+    """Raise ``error(line_no, message)`` when the op renames a path that is a
+    directory at that point: one an earlier ``mkdir`` made or that holds an
+    earlier op's path, as replay moves files only.  Else add the directories
+    this op shows to ``directories``, which the caller keeps across ops."""
+    if kind == "rename" and args["path"] in directories:
+        raise error(line_no, f"rename of directory {args['path']!r} is not modeled, only files")
+    if kind == "mkdir":
+        directories.add(args["path"])
+    for key in ("path", "dst"):
+        # Paths are normalized and relative: the parent is what precedes the last "/".
+        parent = args.get(key, "").rpartition("/")[0]
+        while parent and parent not in directories:
+            directories.add(parent)
+            parent = parent.rpartition("/")[0]
+
+
+# A call chain as plain (function, file, line) tuples, outermost first.
+Chain = tuple[tuple[str, str, int], ...]
+
+
+def _shared_backtrace(chains: dict[Chain, Backtrace], chain: Chain) -> Backtrace:
+    """The one backtrace in ``chains`` of a validated call chain, made on
+    first sight.  Validated fields are exactly str, str and int, so equal
+    chains serialize alike."""
+    backtrace = chains.get(chain)
+    if backtrace is None:
+        backtrace = chains[chain] = Backtrace(tuple(Frame(*frame) for frame in chain))
+    return backtrace
+
+
+def _parse_backtrace(raw, line_no: int, chains: dict[Chain, Backtrace]) -> Backtrace:
+    """The validated backtrace of a record, shared through ``chains`` with
+    every earlier record of the same call chain.  Each frame is validated
+    before the lookup, so sharing never lets one through that would fail."""
     if not isinstance(raw, list) or not raw:
         raise ParseError(line_no, "backtrace must be a non-empty list of frames")
-    frames = []
+    chain = []
     for item in raw:
         try:
-            frame = Frame(item["function"], item["file"], item["line"])
+            frame = item["function"], item["file"], item["line"]
         except (TypeError, KeyError):
             frame = None
         # ``type`` and not ``isinstance``: JSON's true and false are bools.
-        if frame is None or type(frame.line) is not int or frame.line < 0:
+        if frame is None or type(frame[2]) is not int or frame[2] < 0:
             raise ParseError(line_no, f"malformed frame {item!r}")
-        if not (isinstance(frame.function, str) and isinstance(frame.file, str)):
+        if not (isinstance(frame[0], str) and isinstance(frame[1], str)):
             raise ParseError(line_no, f"frame function and file must be strings in {item!r}")
-        frames.append(frame)
-    return Backtrace(tuple(frames))
+        chain.append(frame)
+    return _shared_backtrace(chains, tuple(chain))
 
 
 def _json_line(line: str, line_no: int, what: str):
@@ -287,6 +326,8 @@ def parse_trace(stream: bytes | str) -> Trace:
 
     ops: list[Operation] = []
     prev_seq = 0
+    chains: dict[Chain, Backtrace] = {}
+    directories: set[str] = set()
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -321,6 +362,7 @@ def parse_trace(stream: bytes | str) -> Trace:
         if not isinstance(args, dict):
             raise ParseError(line_no, "args must be a JSON object")
         args = _validate_args(kind, args, line_no)
+        _check_rename_source(kind, args, line_no, directories)
 
         annotation = None
         raw_ann = rec.get("annotation")
@@ -342,7 +384,7 @@ def parse_trace(stream: bytes | str) -> Trace:
                 tid=tid,
                 kind=kind,
                 args=args,
-                backtrace=_parse_backtrace(rec["backtrace"], line_no),
+                backtrace=_parse_backtrace(rec["backtrace"], line_no, chains),
                 annotation=annotation,
             )
         )

@@ -1,3 +1,4 @@
+import importlib
 import sys
 from pathlib import Path
 
@@ -8,6 +9,17 @@ from crashcheck import synth_workload
 REPO_ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = REPO_ROOT / "workloads"
 CHECKERS = WORKLOADS / "checkers"
+
+
+def bench_module(name: str):
+    """A module of ``bench/`` (``gen``, ``workloads``), imported without
+    leaving ``bench/`` on the path."""
+    bench = str(REPO_ROOT / "bench")
+    sys.path.insert(0, bench)
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(bench)
 
 
 def load_workload(name: str, mode: str):

@@ -16,6 +16,7 @@ from crashcheck import Annotation, Backtrace, Frame, Operation, PersistenceGraph
 from crashcheck.behavior import UpdateBehavior, make_behavior
 from crashcheck.errors import ExplosionLimit
 from crashcheck.graph import FULL_KEY, StaticKey
+from crashcheck.grouping import represents
 from crashcheck.models import (
     _DATA_KINDS,
     EdgeReason,
@@ -358,6 +359,24 @@ def subset_equiv_edges(e1, e2, mode: str = FULL_KEY) -> bool:
         return {(StaticKey.of(s, mode), StaticKey.of(d, mode)) for s, d in edges}
 
     return keypairs(e1) <= keypairs(e2)
+
+
+def reference_group_behaviors(behaviors: list[UpdateBehavior]) -> list[tuple[str, list[str]]]:
+    """Grouping as one ``represents`` call per (group, behavior) and one
+    edge count per behavior: the loop ``grouping.group_behaviors`` must
+    agree with, as (representative, members) pairs in order."""
+    by_id = {b.id: b for b in behaviors}
+    ordered = sorted(behaviors, key=lambda b: (-b.size, b.subgraph.edge_count, b.span[0], b.id))
+    groups: list[tuple[str, list[str]]] = []
+    for behavior in ordered:
+        joined = False
+        for representative, members in groups:
+            if represents(by_id[representative], behavior):
+                members.append(behavior.id)
+                joined = True
+        if not joined:
+            groups.append((behavior.id, [behavior.id]))
+    return groups
 
 
 def fig5_behaviors():

@@ -4,28 +4,16 @@ each command's expected exit code and an output its ``check`` accepts, so a
 changed count or message fails here and not only in a benchmark run.  This
 imports the benchmark's modules and changes nothing under ``bench/``."""
 
-import sys
-
 import pytest
 
 from crashcheck.cli import main
-from conftest import REPO_ROOT
-
-
-def import_workloads():
-    bench = str(REPO_ROOT / "bench")
-    sys.path.insert(0, bench)
-    try:
-        import workloads
-    finally:
-        sys.path.remove(bench)
-    return workloads
+from conftest import bench_module
 
 
 @pytest.mark.parametrize("seed", [1, 7])
 @pytest.mark.parametrize("name", ["scale", "corpus", "explore"])
 def test_one_pass_of_each_bench_workload_gives_its_answers(tmp_path, name, seed):
-    workload = import_workloads().WORKLOADS[name]
+    workload = bench_module("workloads").WORKLOADS[name]
     workload.write_inputs(tmp_path, seed)
     commands = 0
     for command in workload.commands(tmp_path):

@@ -15,7 +15,7 @@ from crashcheck.cli import _SETTINGS, _safe_name, build_run_config, main, make_p
 from crashcheck.simulate import MAX_ORACLE_TIMEOUT, FsImage, replay, schedule_from_json
 from crashcheck.trace import parse_trace, serialize_trace
 
-from conftest import CHECKERS, REPO_ROOT, WORKLOADS, load_workload
+from conftest import CHECKERS, WORKLOADS, bench_module, load_workload
 from helpers import (
     op,
     posix_trace,
@@ -89,14 +89,8 @@ def test_analyze_draws_fewer_than_2_edges_per_node_on_a_long_trace(tmp_path):
     the trace: on the benchmark generator's 2,884-op pointer-update trace,
     whose graph stores over two million pairs, it draws fewer than 2 edges per
     node."""
-    bench = str(REPO_ROOT / "bench")
-    sys.path.insert(0, bench)
-    try:
-        import gen
-    finally:
-        sys.path.remove(bench)
     trace_file = tmp_path / "t.jsonl"
-    trace_file.write_text(gen.pointer_update_trace(7, rounds=480))
+    trace_file.write_text(bench_module("gen").pointer_update_trace(7, rounds=480))
     out = tmp_path / "out"
     assert run("analyze", "--trace", trace_file, "--out", out) == 0
     counts = json.loads((out / "groups.json").read_text())["counts"]
@@ -153,6 +147,28 @@ def test_frame_line_that_is_no_integer_exits_2(tmp_path, capsys, line):
 
 
 _HEADER = '{"app": "x", "mode": "POSIX", "version": 1}'
+
+
+@pytest.mark.parametrize("command", ["analyze", "test", "exhaustive"])
+def test_renaming_a_directory_exits_2_at_parse(tmp_path, capsys, command):
+    """``test`` and ``exhaustive`` used to fail at replay with "rename of
+    nonexistent source 'd' (op 3)", and ``analyze`` exited 0."""
+    frames = [{"function": "main", "file": "a.c", "line": 1}]
+    records = [
+        {"seq": 1, "tid": 0, "kind": "mkdir", "args": {"path": "d"}, "backtrace": frames},
+        {"seq": 2, "tid": 0, "kind": "write", "backtrace": frames,
+         "args": {"path": "d/x", "offset": 0, "length": 1, "digest": "0" * 64}},
+        {"seq": 3, "tid": 0, "kind": "rename", "args": {"path": "d", "dst": "e"}, "backtrace": frames},
+    ]
+    trace_file = tmp_path / "t.jsonl"
+    trace_file.write_text("\n".join([_HEADER, *map(json.dumps, records)]) + "\n")
+    checker = ["--checker", checker_arg("always_ok.py")] if command == "test" else []
+    assert run(command, "--trace", trace_file, *checker, "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert err == f"error ({command}): line 4: rename of directory 'd' is not modeled, only files\n"
+    assert not (tmp_path / "o").exists()
+
+
 _RECORD = (
     '{"seq": 1, "tid": 0, "kind": "create", "args": {"path": "f"}, '
     '"backtrace": [{"function": "main", "file": "a.c", "line": 1}]}'

@@ -49,6 +49,20 @@ def test_nested_backtraces_use_call_site_lines():
     assert all(f.file == "<dsl>" for f in frames)
 
 
+def test_statements_of_one_call_chain_share_one_backtrace():
+    program = 'fn main {\n  write a "x" @0 ; write b "y" @0\n  sync\n}\n'
+    ops = synth_workload(program, "POSIX").ops
+    assert ops[0].backtrace is ops[1].backtrace
+    assert ops[2].backtrace != ops[0].backtrace
+
+
+def test_renaming_a_directory_is_rejected():
+    with pytest.raises(DslError, match="rename of directory 'd' is not modeled") as err:
+        synth_workload('fn main {\n  write d/x "a" @0\n  rename d e\n}', "POSIX")
+    assert err.value.line_no == 3
+    synth_workload('fn main {\n  write d "a" @0\n  rename d e\n}', "POSIX")
+
+
 def test_determinism_byte_for_byte():
     program = 'fn main {\n  write f "ab" @4\n  fsyncdir .\n}\n'
     one = serialize_trace(synth_workload(program, "POSIX"))

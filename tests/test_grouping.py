@@ -1,12 +1,15 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 
-from crashcheck import build_graph, group_behaviors, represents
+from crashcheck import build_graph, group_behaviors, grouping, parse_trace, represents, serialize_trace
 from crashcheck.behavior import make_behavior
 from crashcheck.cli import RunConfig, derive_behaviors
 from crashcheck.models import EdgeReason
 
+from conftest import bench_module
 from helpers import (
     bt,
     edge_equiv,
@@ -16,9 +19,13 @@ from helpers import (
     graph_edges,
     hb_from_pairs,
     node_equiv,
+    mmio_trace,
     op,
     posix_trace,
+    random_annotated_mmio_trace,
+    random_nested_posix_trace,
     random_posix_trace,
+    reference_group_behaviors,
     replace_op,
     subset_equiv_edges,
     subset_equiv_nodes,
@@ -312,3 +319,98 @@ def test_duplicate_ids_are_rejected():
     b2 = make_behavior("x", "m", 0, (1,), g)
     with pytest.raises(ValueError):
         group_behaviors([b1, b2])
+
+
+# --- grouping by shape ---
+
+
+def grouped(groups):
+    return [(g.representative, g.members) for g in groups]
+
+
+@pytest.mark.parametrize(
+    "random_trace, make, few_sites",
+    [
+        (random_posix_trace, posix_trace, True),
+        (random_nested_posix_trace, posix_trace, False),
+        (random_annotated_mmio_trace, mmio_trace, True),
+    ],
+    ids=["posix", "nested", "annotated-mmio"],
+)
+def test_grouping_by_shape_equals_grouping_by_behavior_on_random_traces(random_trace, make, few_sites):
+    """Traces are written out and parsed back, so equal chains share one
+    backtrace; the flat generators' ops move onto six call sites, so
+    behaviors repeat shapes."""
+    rng = random.Random(32)
+    repeats = 0
+    for _ in range(60):
+        trace = random_trace(rng, max_ops=12, threads=rng.randint(1, 2))
+        if few_sites:
+            trace = make([replace_op(o, backtrace=bt(("main", 1), (rng.choice(["put", "sync"]), rng.randint(1, 3)))) for o in trace.ops])
+        trace = parse_trace(serialize_trace(trace))
+        _, behaviors = derive_behaviors(trace, RunConfig())
+        assert grouped(group_behaviors(behaviors)) == reference_group_behaviors(behaviors)
+        repeats += len(behaviors) - len({grouping._shape(b.subgraph) for b in behaviors})
+    assert repeats > 30
+
+
+@pytest.mark.parametrize("seed", [1, 3, 7])
+@pytest.mark.parametrize("generator", ["pointer_update_trace", "entry_insert_trace"])
+def test_grouping_by_shape_equals_grouping_by_behavior_on_the_scale_traces(generator, seed):
+    trace = parse_trace(getattr(bench_module("gen"), generator)(seed))
+    _, behaviors = derive_behaviors(trace, RunConfig())
+    assert grouped(group_behaviors(behaviors)) == reference_group_behaviors(behaviors)
+
+
+def test_equal_keys_and_predecessor_bits_at_other_window_places_are_other_shapes():
+    """Behaviors a (window bits 0, 1, 4, 5) and b (bits 0, 4, 5, 6) list the
+    same keys and the same window predecessor bitsets, node by node, but
+    bit 4 is a's third node and b's second, so their last nodes depend on
+    different keys and neither represents the other."""
+    k0, k1, x1, x2, k2, k3 = ("k0", 1), ("k1", 1), ("x", 1), ("x", 2), ("k2", 1), ("k3", 1)
+    sites = [k0, k1, x1, x2, k2, k3] + [k0, x1, x2, x2, k1, k2, k3]
+    trace = posix_trace([w(seq, f"f{seq}", b"x", (site,)) for seq, site in enumerate(sites, start=1)])
+    # a: seqs 1, 2, 5, 6 with 5 -> 6; b: seqs 7, 11, 12, 13 with 11 -> 13.
+    graph = build_graph(trace, hb_from_pairs(trace, {(5, 6): MO, (11, 13): MO}))
+    a = make_behavior("a", "m", 0, (1, 2, 5, 6), graph)
+    b = make_behavior("b", "m", 0, (7, 11, 12, 13), graph)
+    assert [bits for _, bits in a.subgraph.own_preds()] == [bits for _, bits in b.subgraph.own_preds()]
+    assert a.subgraph.key_set == b.subgraph.key_set and a.subgraph.key_pairs != b.subgraph.key_pairs
+    assert not represents(a, b) and not represents(b, a)
+    assert grouped(group_behaviors([a, b])) == [("a", ["a"]), ("b", ["b"])]
+
+
+def test_represents_runs_once_per_pair_of_shapes(monkeypatch):
+    """On the benchmark's 364-op pointer-update trace, 243 behaviors have 6
+    shapes; a call per (group, behavior) pair made 484 calls."""
+    calls = []
+    original = grouping.represents
+
+    def counted(u1, u2):
+        calls.append((u1.id, u2.id))
+        return original(u1, u2)
+
+    monkeypatch.setattr(grouping, "represents", counted)
+    _, behaviors = derive_behaviors(parse_trace(bench_module("gen").pointer_update_trace(7)), RunConfig())
+    groups = group_behaviors(behaviors)
+    assert len(behaviors) == 243 and len(groups) == 3
+    assert len(calls) <= 15
+
+
+def test_parse_derive_and_group_of_a_4984_op_trace_hold_under_12_mb():
+    """What parsing, deriving and grouping the 830-round pointer-update
+    trace leave allocated: 18.8 MB when every op had its own backtrace and
+    static key and every behavior its own cached key sets."""
+    text = bench_module("gen").pointer_update_trace(7, rounds=830)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        trace = parse_trace(text)
+        _, behaviors = derive_behaviors(trace, RunConfig())
+        groups = group_behaviors(behaviors)
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace.ops) == 4984 and len(groups) == 3
+    assert held < 12_000_000

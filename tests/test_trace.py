@@ -7,12 +7,15 @@ from crashcheck import (
     ParseError,
     SequenceOrderError,
     UnknownOperationKind,
+    build_graph,
     parse_trace,
     serialize_trace,
     split_by_thread,
 )
+from crashcheck.models import ModelConfig, model_edges
 from crashcheck.trace import MAX_RANGE_LENGTH, MAX_WRITE_END, POSIX_MODE
 
+from conftest import bench_module
 from helpers import op, posix_trace, random_posix_trace, write_args
 
 HEADER = '{"app": "t", "mode": "POSIX", "version": 1}'
@@ -230,6 +233,80 @@ def test_an_op_that_would_replace_the_image_root_is_a_parse_error(path):
             parse_trace("\n".join([HEADER, record(1, kind, args)]))
         assert err.value.line_no == 2, (kind, args)
         assert "names the image root" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [("line", True, "malformed frame"), ("line", 1.0, "malformed frame"),
+     ("function", ["main"], "frame function and file must be strings")],
+    ids=["line-true", "line-float", "function-list"],
+)
+def test_a_bad_frame_after_an_equal_valid_one_fails_as_it_does_first(key, value, message):
+    """``True`` and ``1.0`` equal ``1`` and hash alike, so a chain looked up
+    before its frames are checked would let them through."""
+    good = json.loads(record(1, "create", {"path": "f"}))
+    bad = json.loads(record(2, "create", {"path": "g"}))
+    bad["backtrace"][0][key] = value
+    alone = dict(bad, seq=1)
+    in_chain = dict(bad, seq=1, backtrace=good["backtrace"] + bad["backtrace"])
+    failures = []
+    for lines in ([alone], [good, bad], [in_chain]):
+        with pytest.raises(ParseError) as err:
+            parse_trace("\n".join([HEADER, *map(json.dumps, lines)]))
+        assert err.value.line_no == len(lines) + 1
+        failures.append(str(err.value).split(": ", 1)[1])
+    assert failures[0].startswith(message)
+    assert failures == [failures[0]] * 3
+
+
+def test_ops_of_one_call_chain_share_one_backtrace_and_static_key():
+    """The benchmark's 364-op pointer-update trace repeats 10 call chains."""
+    trace = parse_trace(bench_module("gen").pointer_update_trace(7))
+    backtraces = {id(o.backtrace): o.backtrace for o in trace.ops}
+    assert len(trace.ops) == 364 and len(backtraces) == len(set(backtraces.values())) == 10
+    graph = build_graph(trace, model_edges(trace, ModelConfig()))
+    key_of = {}
+    for o in trace.ops:
+        assert key_of.setdefault((o.kind, o.backtrace), graph.static_keys[o.seq]) is graph.static_keys[o.seq]
+    assert len(key_of) == 10
+    # One chain, two kinds: one backtrace, two keys.
+    two = parse_trace("\n".join([HEADER, record(1, "create", {"path": "f"}), record(2, "fsync", {"path": "f"})]))
+    assert two.ops[0].backtrace is two.ops[1].backtrace
+    keys = build_graph(two, model_edges(two, ModelConfig())).static_keys
+    assert keys[1] != keys[2]
+
+
+@pytest.mark.parametrize(
+    "ops, line",
+    [
+        ([("mkdir", {"path": "d"}), ("write", {"path": "d/x"}), ("rename", {"path": "d", "dst": "e"})], 4),
+        ([("mkdir", {"path": "d"}), ("rename", {"path": "d", "dst": "e"})], 3),
+        ([("create", {"path": "a/b/c"}), ("rename", {"path": "a", "dst": "e"})], 3),
+        ([("create", {"path": "x"}), ("rename", {"path": "x", "dst": "a/b/c"}),
+          ("rename", {"path": "a/b", "dst": "e"})], 4),
+        ([("open", {"path": "d/f"}), ("rename", {"path": "d", "dst": "e"})], 3),
+    ],
+    ids=["mkdir-then-write", "mkdir", "grandparent", "rename-destination", "open"],
+)
+def test_renaming_a_directory_is_a_parse_error_on_its_line(ops, line):
+    """Replay moves files only; it used to fail with "rename of nonexistent
+    source" and only once the rename was replayed."""
+    records = []
+    for seq, (kind, args) in enumerate(ops, start=1):
+        if kind == "write":
+            args = dict(args, offset=0, length=1, digest="0" * 64)
+        records.append(record(seq, kind, args))
+    with pytest.raises(ParseError, match=r"rename of directory '[ad]\S*' is not modeled") as err:
+        parse_trace("\n".join([HEADER, *records]))
+    assert err.value.line_no == line
+
+
+def test_renaming_a_file_whose_name_is_later_a_directory_parses():
+    stream = "\n".join(
+        [HEADER, record(1, "create", {"path": "d"}), record(2, "rename", {"path": "d", "dst": "e"}),
+         record(3, "create", {"path": "d/x"}), record(4, "rename", {"path": "e", "dst": "d/y"})]
+    )
+    assert [o.kind for o in parse_trace(stream).ops] == ["create", "rename", "create", "rename"]
 
 
 def test_non_monotone_seq_is_rejected():
