@@ -114,6 +114,7 @@ def _switch(raw: str, key: str) -> bool:
 
 
 def _command(raw: str, key: str) -> list[str]:
+    _no_nul(raw, key)
     try:
         argv = shlex.split(raw)
     except ValueError:
@@ -126,7 +127,14 @@ def _command(raw: str, key: str) -> list[str]:
 def _directory(raw: str, key: str) -> Path:
     if not raw:
         raise ConfigError(f"{key} must name a directory, got ''")
+    _no_nul(raw, key)
     return Path(raw)
+
+
+def _no_nul(raw: str, key: str):
+    """No path or argument the OS is handed may hold a NUL byte."""
+    if "\0" in raw:
+        raise ConfigError(f"{key} must not hold a NUL byte, got {raw!r}")
 
 
 _INT = partial(_positive, int)

@@ -38,7 +38,7 @@ from .trace import (
     Operation,
     Trace,
     TraceMeta,
-    _check_rename_source,
+    _check_paths,
     _shared_backtrace,
     _validate_args,
     payload_digest,
@@ -89,6 +89,7 @@ class _Synth:
         # One Backtrace per distinct call chain, shared by its ops.
         self.chains: dict[Chain, Backtrace] = {}
         self.directories: set[str] = set()
+        self.files: set[str] = set()
 
     def backtrace(self, stmt_line: int) -> Backtrace:
         chain = []
@@ -104,7 +105,7 @@ class _Synth:
         if not self.fn_stack:
             raise DslError(line_no, f"{kind} statement outside any fn block")
         _validate_args(kind, args, line_no, DslError)
-        _check_rename_source(kind, args, line_no, self.directories, DslError)
+        _check_paths(kind, args, line_no, self.directories, self.files, DslError)
         self.ops.append(
             Operation(
                 seq=len(self.ops) + 1,

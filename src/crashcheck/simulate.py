@@ -49,8 +49,10 @@ checker left at its path, a symlink included, is removed unfollowed.  A
 checker of the form ``<this interpreter> <script>`` runs in a fork of
 this process, which skips interpreter start-up; the script is read once
 per checked state and compiled once per distinct content, and its bytes
-and code are passed on as values.  Any other command runs as a new
-process.  Both give the same verdict and output.
+and code are passed on as values.  The fork is made on the CPU this
+process runs on, and this process stays on it until the child is reaped;
+the checker runs with this process's affinity mask.  Any other command
+runs as a new process.  Both give the same verdict and output.
 
 A forked check returns the log of its reads (:func:`_record_reads`) with
 its result, and a later state where each read of a check of the same script
@@ -64,6 +66,7 @@ from __future__ import annotations
 
 import builtins
 import contextlib
+import gc
 import hashlib
 import io
 import itertools
@@ -521,29 +524,33 @@ def materialize(image: FsImage | MemImage, scratch: Path, view: _View | None = N
     The directory is owned by the run: it is emptied in place, so files
     absent from the image are absent on disk, and anything else at its path,
     a symlink included, is removed without being followed.  ``view`` is the
-    image's :class:`_View` when the caller has already built it.
+    image's :class:`_View` when the caller has already built it.  It runs
+    before every forked check, so it works on ``str`` paths and makes no
+    ``pathlib`` objects.
     """
     view = _View(image) if view is None else view
-    scratch = Path(scratch)
-    if scratch.is_dir() and not scratch.is_symlink():
-        with os.scandir(scratch) as listing:
+    root = os.fspath(scratch)
+    if os.path.isdir(root) and not os.path.islink(root):
+        with os.scandir(root) as listing:
             for entry in listing:
                 if entry.is_dir(follow_symlinks=False):
                     shutil.rmtree(entry.path)
                 else:
                     os.unlink(entry.path)
     else:
-        if os.path.lexists(scratch):
-            os.unlink(scratch)
-        scratch.mkdir(parents=True)
-    if isinstance(image, MemImage):
-        payload = {"cells": {str(a): v for a, v in sorted(image.cells.items())}}
-        (scratch / MEM_IMAGE_FILE).write_text(json.dumps(payload, indent=0))
-        return
-    for dirpath in view.dirs:
-        (scratch / dirpath).mkdir(parents=True, exist_ok=True)
-    for path, data in image.files.items():
-        (scratch / path).write_bytes(data)
+        if os.path.lexists(root):
+            os.unlink(root)
+        os.makedirs(root)
+    files = image.files if isinstance(image, FsImage) else {
+        MEM_IMAGE_FILE: json.dumps({"cells": {str(a): v for a, v in sorted(image.cells.items())}}, indent=0).encode()
+    }
+    # A directory sorts before every path under it.
+    for dirpath in sorted(view.dirs):
+        if dirpath != ".":
+            os.mkdir(f"{root}/{dirpath}")
+    for path, data in files.items():
+        with open(f"{root}/{path}", "wb") as file:
+            file.write(data)
 
 
 def _decode(data: bytes) -> str:
@@ -585,7 +592,7 @@ class PreparedChecker:
             and bool(sys.executable)
             and os.path.abspath(exe) == os.path.abspath(sys.executable)
             and not self.argv[1].startswith("-")
-            and all(hasattr(os, name) for name in ("fork", "pidfd_open", "memfd_create"))
+            and all(hasattr(os, name) for name in ("fork", "pidfd_open", "memfd_create", "sched_setaffinity"))
         )
         self._codes: dict[bytes, types.CodeType | None] = {}
         self._trees: dict[bytes, list | CheckResult] = {}
@@ -660,36 +667,51 @@ def _fork_check(argv: list[str], code: types.CodeType | None, timeout: float) ->
     interpreter start-up.  Output goes to two anonymous memory files made
     for this state only, so a checker that writes a lot cannot block on a
     full pipe, and a descendant it leaves running cannot write into another
-    state's output.  A third one carries back the log of
-    :func:`_record_reads`, returned with the result when it is whole."""
+    state's output.  A third one carries back the log of its reads,
+    returned with the result when it is whole.  The fork is made on the CPU
+    this process runs on, which it stays pinned to until the child is
+    reaped; the checker runs with this process's mask."""
     with (
-        open(os.memfd_create("stdout"), "rb") as out,
-        open(os.memfd_create("stderr"), "rb") as err,
-        open(os.memfd_create("reads"), "rb") as log,
+        open(os.memfd_create("stdout"), "rb", 0) as out,
+        open(os.memfd_create("stderr"), "rb", 0) as err,
+        open(os.memfd_create("reads"), "rb", 0) as log,
     ):
+        # Resolved here, not under the child's audited ``os.lstat``.
+        root, home = os.path.realpath(argv[-1]), os.path.dirname(os.path.realpath(argv[1]))
+        mask, pinned = os.sched_getaffinity(0), False
+        # Pin to the CPU this process runs on, field 39 of its stat counted
+        # after the last ")" (the command name may hold spaces).
+        with contextlib.suppress(OSError, ValueError, IndexError), io.FileIO("/proc/thread-self/stat") as stat:
+            if len(mask) > 1:
+                os.sched_setaffinity(0, {int(stat.read().rpartition(b")")[2].split()[36])})
+                pinned = True
         try:
-            pid = os.fork()
-        except OSError as exc:
-            raise CheckerError(f"cannot fork checker {argv[1]!r}: {exc}") from exc
-        if pid == 0:
-            _run_forked_checker(argv[1:], code, out.fileno(), err.fileno(), log.fileno())
-        try:
-            pidfd = os.pidfd_open(pid)
             try:
-                exited = select.select([pidfd], [], [], timeout)[0]
-            finally:
-                os.close(pidfd)
-        except BaseException as exc:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            if isinstance(exc, OSError):
-                raise CheckerError(f"cannot wait for checker {argv[1]!r}: {exc}") from exc
-            raise
-        if not exited:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            return CheckResult(Verdict.ORACLE_ERROR, f"timeout after {timeout}s"), None
-        status = os.waitpid(pid, 0)[1]
+                pid = os.fork()
+            except OSError as exc:
+                raise CheckerError(f"cannot fork checker {argv[1]!r}: {exc}") from exc
+            if pid == 0:
+                _run_forked_checker(argv[1:], code, (out, err, log), mask if pinned else None, root, home)
+            try:
+                pidfd = os.pidfd_open(pid)
+                try:
+                    exited = select.select([pidfd], [], [], timeout)[0]
+                finally:
+                    os.close(pidfd)
+            except BaseException as exc:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                if isinstance(exc, OSError):
+                    raise CheckerError(f"cannot wait for checker {argv[1]!r}: {exc}") from exc
+                raise
+            if not exited:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                return CheckResult(Verdict.ORACLE_ERROR, f"timeout after {timeout}s"), None
+            status = os.waitpid(pid, 0)[1]
+        finally:
+            if pinned:
+                os.sched_setaffinity(0, mask)
         for memfd in (out, err, log):
             memfd.seek(0)
         # No record is empty, so an empty one ends a whole log.
@@ -708,13 +730,14 @@ _PURE_EVENTS = {
 _WRITE_FLAGS = os.O_WRONLY | os.O_RDWR | os.O_CREAT | os.O_TRUNC | os.O_APPEND
 
 
-def _record_reads(scratch: str) -> Callable[[], bytes | None]:
+def _record_reads(root: str) -> Callable[[], bytes | None]:
     """Record this forked child's reads; the function returned stops and
-    gives the log of those in ``scratch``, each its kind and real path there
-    ended by NUL, then a NUL.  Not reusable (None): a path in ``scratch``
-    with ``..``, ``os.open`` (it may give a directory descriptor), a write,
-    a ``dir_fd`` stat, any other event.  ``os.stat``, ``os.lstat``,
-    ``os.access`` and ``os.readlink`` raise none, so wrappers raise one."""
+    gives the log of those in the real directory ``root``, each its kind
+    and real path there ended by NUL, then a NUL.  Not reusable (None): a
+    path in ``root`` with ``..``, ``os.open`` (it may give a directory
+    descriptor), a write, a ``dir_fd`` stat, any other event.  ``os.stat``,
+    ``os.lstat``, ``os.access`` and ``os.readlink`` raise none, so wrappers
+    raise one."""
     reads: list | None = []
 
     def hook(event: str, args: tuple):
@@ -734,14 +757,13 @@ def _record_reads(scratch: str) -> Callable[[], bytes | None]:
 
     def stop() -> bytes | None:
         nonlocal reads
-        taken, reads, log = reads, None, []
-        root = os.path.realpath(scratch) + "/"
+        taken, reads, log, prefix = reads, None, [], root + "/"
         for kind, path in taken or ():
             path, real = os.fsdecode(path), os.path.realpath(path) + "/"
-            if real.startswith(root):
+            if real.startswith(prefix):
                 if ".." in path.split("/"):
                     return None
-                log.append(os.fsencode(kind + (real[len(root):-1] or ".")) + b"\0")
+                log.append(os.fsencode(kind + (real[len(prefix):-1] or ".")) + b"\0")
         return None if taken is None else b"".join(log) + b"\0"
 
     sys.addaudithook(hook)
@@ -750,18 +772,23 @@ def _record_reads(scratch: str) -> Callable[[], bytes | None]:
 
 
 def _run_forked_checker(
-    args: list[str], code: types.CodeType | None, out_fd: int, err_fd: int, log_fd: int
+    args: list[str], code: types.CodeType | None, memfds: tuple, mask: set[int] | None, root: str, home: str
 ) -> NoReturn:
-    """The child side of :func:`_fork_check`: run ``code``, or the script
-    ``args[0]`` when there is none, with ``sys.argv = args`` and leave
-    through ``os._exit`` with the exit status the interpreter would give.
-    When the checker returns, the log of its reads goes to ``log_fd``."""
+    """The child side of :func:`_fork_check`: restore the affinity
+    ``mask`` unless it is None, run ``code``, or the script ``args[0]`` when
+    there is none, with ``sys.argv = args`` and ``sys.path[0] = home``, and
+    leave through ``os._exit`` with the exit status the interpreter would
+    give.  Output goes to the first two ``memfds``, then the log of the
+    reads in the real scratch ``root`` to the third."""
     status, log = 1, None
+    out_fd, err_fd, log_fd = (memfd.fileno() for memfd in memfds)
     try:
-        import gc
-
+        if mask is not None:
+            os.sched_setaffinity(0, mask)
         # The checker's collections should not finalize this process's
-        # objects (a finalizer could remove the parent's files).
+        # objects (a finalizer could remove the parent's files).  ``gc`` is
+        # imported with this module: where the parent has not loaded it,
+        # importing it here cost each child about 0.4 ms.
         gc.freeze()
         os.dup2(out_fd, 1)
         os.dup2(err_fd, 2)
@@ -774,8 +801,8 @@ def _run_forked_checker(
             sys.modules["faulthandler"].disable()
         sys.stdout = sys.__stdout__ = _stdio(1, sys.__stdout__, "strict")
         sys.stderr = sys.__stderr__ = _stdio(2, sys.__stderr__, "backslashreplace", line_buffering=True)
-        stop = _record_reads(args[-1])
-        status = _exec_main(args, code)
+        stop = _record_reads(root)
+        status = _exec_main(args, code, home)
         for stream in (sys.stdout, sys.stderr, sys.__stdout__, sys.__stderr__):
             if not stream.closed:
                 stream.flush()
@@ -803,13 +830,14 @@ def _stdio(fd: int, like, errors: str, line_buffering: bool = False) -> io.TextI
     )
 
 
-def _exec_main(args: list[str], code: types.CodeType | None) -> int:
+def _exec_main(args: list[str], code: types.CodeType | None, home: str) -> int:
     """Execute ``code``, or the script ``args[0]`` compiled here when it is
-    None, in a fresh ``__main__`` module and return the exit status the
-    interpreter would give for how it ended."""
+    None, in a fresh ``__main__`` module with ``home`` as ``sys.path[0]``
+    and return the exit status the interpreter would give for how it
+    ended."""
     script = os.path.abspath(args[0])
     sys.argv = list(args)
-    sys.path[:1] = [os.path.dirname(os.path.realpath(script))]
+    sys.path[:1] = [home]
     main = types.ModuleType("__main__")
     main.__file__ = script
     main.__builtins__ = builtins

@@ -207,6 +207,8 @@ def _validate_args(kind: str, args: dict, line_no: int, error: type = ParseError
             raise error(line_no, f"{kind} arg {key!r} must be a string")
     for key in ("path", "dst"):
         if key in args:
+            if "\0" in args[key]:
+                raise error(line_no, f"{kind} arg {key!r} must not hold a NUL byte, got {args[key]!r}")
             if escapes_root(args[key]):
                 raise error(line_no, f"{kind} arg {key!r} must stay inside the image, got {args[key]!r}")
             # One spelling per file: ``./a``, ``a/`` and ``d/../a`` are all ``a``.
@@ -238,21 +240,37 @@ def _validate_args(kind: str, args: dict, line_no: int, error: type = ParseError
     return args
 
 
-def _check_rename_source(kind: str, args: dict, line_no: int, directories: set[str], error: type = ParseError):
-    """Raise ``error(line_no, message)`` when the op renames a path that is a
-    directory at that point: one an earlier ``mkdir`` made or that holds an
-    earlier op's path, as replay moves files only.  Else add the directories
-    this op shows to ``directories``, which the caller keeps across ops."""
-    if kind == "rename" and args["path"] in directories:
-        raise error(line_no, f"rename of directory {args['path']!r} is not modeled, only files")
-    if kind == "mkdir":
-        directories.add(args["path"])
+def _check_paths(kind: str, args: dict, line_no: int, directories: set[str], files: set[str], error: type = ParseError):
+    """Raise ``error(line_no, message)`` when the op would make a path both
+    a file and a directory at that point, or renames a directory (replay
+    moves files only).  A directory is one an earlier ``mkdir`` made or that
+    holds an earlier op's path; a file is live from a write, create or
+    rename to it until it is unlinked or renamed away.  Else record what
+    this op makes of its paths in ``directories`` and ``files``, which the
+    caller keeps across ops."""
+    path = args.get("path")
+    if kind == "rename" and path in directories:
+        raise error(line_no, f"rename of directory {path!r} is not modeled, only files")
     for key in ("path", "dst"):
         # Paths are normalized and relative: the parent is what precedes the last "/".
         parent = args.get(key, "").rpartition("/")[0]
         while parent and parent not in directories:
+            if parent in files:
+                raise error(line_no, f"{kind} arg {key!r} lies under the file {parent!r}, got {args[key]!r}")
             directories.add(parent)
             parent = parent.rpartition("/")[0]
+    key = "dst" if kind == "rename" else "path"
+    made = args[key] if kind in ("write", "pwrite", "create", "rename") else None
+    if made in directories:
+        raise error(line_no, f"{kind} arg {key!r} names a directory, got {made!r}")
+    if kind == "mkdir":
+        if path in files:
+            raise error(line_no, f"mkdir arg 'path' names a file, got {path!r}")
+        directories.add(path)
+    elif kind in ("unlink", "rename"):
+        files.discard(path)
+    if made is not None:
+        files.add(made)
 
 
 # A call chain as plain (function, file, line) tuples, outermost first.
@@ -328,6 +346,7 @@ def parse_trace(stream: bytes | str) -> Trace:
     prev_seq = 0
     chains: dict[Chain, Backtrace] = {}
     directories: set[str] = set()
+    files: set[str] = set()
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -362,7 +381,7 @@ def parse_trace(stream: bytes | str) -> Trace:
         if not isinstance(args, dict):
             raise ParseError(line_no, "args must be a JSON object")
         args = _validate_args(kind, args, line_no)
-        _check_rename_source(kind, args, line_no, directories)
+        _check_paths(kind, args, line_no, directories, files)
 
         annotation = None
         raw_ann = rec.get("annotation")

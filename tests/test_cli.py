@@ -202,6 +202,45 @@ def test_json_past_the_int_or_recursion_limit_exits_2(tmp_path, capsys, command,
     assert err.startswith(f"error ({command}): ") and message in err and "Traceback" not in err
 
 
+_NUL_RECORD = _RECORD.replace('"path": "f"', '"path": "a\\u0000b"')
+
+
+@pytest.mark.parametrize(
+    "command, trace, program, config, message",
+    [
+        ("analyze", _NUL_RECORD, None, "", "line 2: create arg 'path' must not hold a NUL byte, got 'a\\x00b'"),
+        ("test", _NUL_RECORD, None, "", "line 2: create arg 'path' must not hold a NUL byte, got 'a\\x00b'"),
+        ("exhaustive", _NUL_RECORD, None, "", "line 2: create arg 'path' must not hold a NUL byte, got 'a\\x00b'"),
+        ("test", None, 'fn main {\n  write a\0b "x" @0\n}\n', "", "line 2: write arg 'path' must not hold a NUL"),
+        ("analyze", None, "fn main {\n}\n", "out = o\0x\n", "out must not hold a NUL byte, got 'o\\x00x'"),
+        ("test", None, "fn main {\n}\n", "checker = /bin/true a\0b\n",
+         "checker must not hold a NUL byte, got '/bin/true a\\x00b'"),
+    ],
+    ids=["trace-analyze", "trace-test", "trace-exhaustive", "dsl-test", "config-out", "config-checker"],
+)
+def test_a_nul_byte_in_a_path_or_command_exits_2(tmp_path, capsys, command, trace, program, config, message):
+    """Each ended in ``ValueError: embedded null byte`` and exit 1: the
+    trace and DSL paths in ``materialize``, ``out`` when the output
+    directory was made, and the checker when it was spawned."""
+    trace_file, program_file, config_file = tmp_path / "t.jsonl", tmp_path / "p.dsl", tmp_path / "cfg"
+    config_file.write_text(config)
+    argv = [command, "--config", config_file]
+    if trace is not None:
+        trace_file.write_text(_HEADER + "\n" + trace + "\n")
+        argv += ["--trace", trace_file]
+    else:
+        program_file.write_text(program)
+        argv += ["--mode", "POSIX", "--dsl", program_file]
+    if command != "analyze" and "checker" not in config:
+        argv += ["--checker", checker_arg("always_ok.py")]
+    if "out" not in config:
+        argv += ["--out", tmp_path / "o"]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error ({command}): ") and message in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 # Values a mutated trace field takes: wrong types, out-of-range numbers,
 # the non-finite numbers json.loads accepts, and paths that leave the image.
 _JUNK = [None, True, -1, 0, 2**64, 1.5, 1e308, math.inf, -math.inf, math.nan,
@@ -990,7 +1029,7 @@ def test_path_outside_the_image_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "paths, message",
-    [(["."], "line 2: create arg 'path' names the image root"), (["d", "d/f"], "cannot materialize file 'd'")],
+    [(["."], "line 2: create arg 'path' names the image root"), (["d", "d/f"], "line 3: create arg 'path' lies under the file 'd'")],
     ids=["image-root", "file-and-parent"],
 )
 def test_file_that_is_also_a_directory_exits_2(tmp_path, capsys, paths, message):

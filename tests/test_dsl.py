@@ -63,6 +63,12 @@ def test_renaming_a_directory_is_rejected():
     synth_workload('fn main {\n  write d "a" @0\n  rename d e\n}', "POSIX")
 
 
+def test_a_path_both_file_and_directory_is_rejected():
+    with pytest.raises(DslError, match="write arg 'path' lies under the file 'd', got 'd/x'") as err:
+        synth_workload('fn main {\n  write d "a" @0\n  write d/x "b" @0\n}', "POSIX")
+    assert err.value.line_no == 3
+
+
 def test_determinism_byte_for_byte():
     program = 'fn main {\n  write f "ab" @4\n  fsyncdir .\n}\n'
     one = serialize_trace(synth_workload(program, "POSIX"))

@@ -82,6 +82,10 @@ def script_checker(tmp_path, source: str, timeout: float = 30.0) -> PreparedChec
     return PreparedChecker([sys.executable, str(script)], tmp_path / "scratch", timeout)
 
 
+def fork_check(checker: PreparedChecker) -> CheckResult:
+    return simulate._fork_check(checker.argv, checker.script()[1], checker.timeout)[0]
+
+
 def fs_image(files: dict[str, bytes]) -> FsImage:
     image = FsImage(dict(files))
     for path in files:
@@ -131,7 +135,7 @@ def test_contract_outputs_are_the_interpreters(tmp_path):
 @pytest.mark.parametrize(
     "check",
     [
-        lambda checker: simulate._fork_check(checker.argv, checker.script()[1], checker.timeout)[0],
+        fork_check,
         lambda checker: simulate._subprocess_check(checker.argv, checker.timeout),
     ],
     ids=["fork", "subprocess"],
@@ -142,6 +146,87 @@ def test_hanging_checker_is_an_oracle_error_after_the_timeout(tmp_path, check):
     result = check(checker)
     assert time.monotonic() - start < 10
     assert (result.verdict, result.oracle_output) == (Verdict.ORACLE_ERROR, "timeout after 0.5s")
+
+
+AFFINITY = "import os\nprint(sorted(os.sched_getaffinity(0)))\n"
+
+
+@pytest.mark.parametrize("narrow", [False, True], ids=["own-mask", "two-cpus"])
+def test_a_forked_checker_runs_with_crashcheck_s_affinity_mask(tmp_path, narrow):
+    """The fork is made pinned to one CPU; the child restores the mask."""
+    mask = os.sched_getaffinity(0)
+    if narrow and len(mask) < 2:
+        pytest.skip("needs two CPUs")
+    try:
+        if narrow:
+            os.sched_setaffinity(0, sorted(mask)[-2:])
+        own = os.sched_getaffinity(0)
+        assert fork_check(script_checker(tmp_path, AFFINITY)) == (CONSISTENT, f"{sorted(own)}\n")
+        assert os.sched_getaffinity(0) == own
+    finally:
+        os.sched_setaffinity(0, mask)
+
+
+def raise_from_select(*_args):
+    raise RuntimeError("select failed")
+
+
+STAT = "/proc/thread-self/stat"
+
+
+def raise_oserror():
+    raise PermissionError("not permitted")
+
+
+@pytest.mark.parametrize(
+    "source, timeout, select_raises, verdict",
+    [
+        ("print('ok')\n", 30.0, False, CONSISTENT),
+        ("import sys\nsys.exit('bad')\n", 30.0, False, INCONSISTENT),
+        ("import time\ntime.sleep(60)\n", 0.5, False, Verdict.ORACLE_ERROR),
+        ("print('ok')\n", 30.0, True, None),
+    ],
+    ids=["consistent", "inconsistent", "timeout", "select-raises"],
+)
+def test_fork_check_leaves_the_affinity_mask_as_it_found_it(
+    tmp_path, monkeypatch, source, timeout, select_raises, verdict
+):
+    before = os.sched_getaffinity(0)
+    checker = script_checker(tmp_path, source, timeout)
+    if select_raises:
+        monkeypatch.setattr(simulate.select, "select", raise_from_select)
+        with pytest.raises(RuntimeError, match="select failed"):
+            fork_check(checker)
+    else:
+        assert fork_check(checker).verdict is verdict
+    assert os.sched_getaffinity(0) == before
+
+
+def test_the_fork_is_made_on_one_cpu(tmp_path, monkeypatch):
+    before = os.sched_getaffinity(0)
+    if len(before) < 2:
+        pytest.skip("needs two CPUs")
+    masks, fork = [], os.fork
+    monkeypatch.setattr(simulate.os, "fork", lambda: masks.append(os.sched_getaffinity(0)) or fork())
+    assert fork_check(script_checker(tmp_path, AFFINITY)).oracle_output == f"{sorted(before)}\n"
+    assert len(masks) == 1 and len(masks[0]) == 1 and masks[0] <= before
+    assert os.sched_getaffinity(0) == before
+
+
+@pytest.mark.parametrize("failure", ["stat-unreadable", "setaffinity-fails"])
+def test_a_pin_that_cannot_be_made_is_skipped(tmp_path, monkeypatch, failure):
+    """The check runs unpinned, with the mask it had, and gives its result."""
+    before = os.sched_getaffinity(0)
+    masks, fork = [], os.fork
+    monkeypatch.setattr(simulate.os, "fork", lambda: masks.append(os.sched_getaffinity(0)) or fork())
+    if failure == "stat-unreadable":
+        file_io = simulate.io.FileIO
+        opened = lambda path, *args, **kw: raise_oserror() if path == STAT else file_io(path, *args, **kw)
+        monkeypatch.setattr(simulate.io, "FileIO", opened)
+    else:
+        monkeypatch.setattr(simulate.os, "sched_setaffinity", lambda *_args: raise_oserror())
+    assert fork_check(script_checker(tmp_path, AFFINITY)) == (CONSISTENT, f"{sorted(before)}\n")
+    assert masks == [before] and os.sched_getaffinity(0) == before
 
 
 def test_non_utf8_output_through_run_oracle(tmp_path):

@@ -17,7 +17,9 @@ from crashcheck import (
     build_graph,
     group_behaviors,
     mmio_edges,
+    parse_trace,
     posix_edges,
+    serialize_trace,
     synth_workload,
 )
 from crashcheck import simulate
@@ -513,13 +515,14 @@ def test_every_state_explore_reaches_over_derived_behaviors_is_a_whole_trace_sta
 def test_no_state_of_a_trace_with_directories_has_a_path_both_file_and_directory():
     """Path-based replay never sees an impossible state, on random traces
     where files live in directories and a path that was a file becomes a
-    directory: ``posix_edges`` equals the reference pairs, and every state
-    that whole-trace ``exhaustive`` reaches lays out as files and
-    directories (``_View`` raises nothing)."""
+    directory: each parses, ``posix_edges`` equals the reference pairs, and
+    every state that whole-trace ``exhaustive`` reaches lays out as files
+    and directories (``_View`` raises nothing)."""
     rng = random.Random(11)
     states = file_then_dir = 0
     for _ in range(300):
         trace = random_dir_posix_trace(rng, 9)
+        parse_trace(serialize_trace(trace))
         behavior, graph = whole_trace_behavior(trace)
         assert edge_triples(graph) == edge_triples(reference_posix_pairs(trace)), trace.ops
         _, stats, found = simulate.test_groups([behavior], partial(exhaustive_schedules, trace=trace), trace)

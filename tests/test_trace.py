@@ -301,6 +301,47 @@ def test_renaming_a_directory_is_a_parse_error_on_its_line(ops, line):
     assert err.value.line_no == line
 
 
+@pytest.mark.parametrize(
+    "ops, message",
+    [
+        ([("create", {"path": "d"}), ("create", {"path": "d/f"})], "create arg 'path' lies under the file 'd', got 'd/f'"),
+        ([("write", {"path": "a"}), ("fsync", {"path": "a/b/c"})], "fsync arg 'path' lies under the file 'a', got 'a/b/c'"),
+        ([("create", {"path": "x"}), ("create", {"path": "d"}), ("rename", {"path": "x", "dst": "d/y"})],
+         "rename arg 'dst' lies under the file 'd', got 'd/y'"),
+        ([("create", {"path": "d/x"}), ("write", {"path": "d"})], "write arg 'path' names a directory, got 'd'"),
+        ([("mkdir", {"path": "d"}), ("create", {"path": "d"})], "create arg 'path' names a directory, got 'd'"),
+        ([("create", {"path": "x"}), ("mkdir", {"path": "d"}), ("rename", {"path": "x", "dst": "d"})],
+         "rename arg 'dst' names a directory, got 'd'"),
+        ([("create", {"path": "d"}), ("mkdir", {"path": "d"})], "mkdir arg 'path' names a file, got 'd'"),
+        ([("create", {"path": "x"}), ("rename", {"path": "x", "dst": "d"}), ("mkdir", {"path": "d/e"})],
+         "mkdir arg 'path' lies under the file 'd', got 'd/e'"),
+    ],
+    ids=["create-under-file", "under-a-grandparent", "rename-under-file", "write-at-directory",
+         "create-at-mkdir", "rename-onto-directory", "mkdir-at-file", "mkdir-under-renamed-file"],
+)
+def test_a_path_both_file_and_directory_is_a_parse_error_on_its_line(ops, message):
+    """``create d``, ``create d/f`` used to pass ``analyze`` and stop
+    ``test`` and ``replay`` at materialize: "cannot materialize file 'd'"."""
+    records = []
+    for seq, (kind, args) in enumerate(ops, start=1):
+        if kind == "write":
+            args = dict(args, offset=0, length=1, digest="0" * 64)
+        records.append(record(seq, kind, args))
+    with pytest.raises(ParseError) as err:
+        parse_trace("\n".join([HEADER, *records]))
+    assert str(err.value) == f"line {len(ops) + 1}: {message}"
+
+
+def test_a_path_that_stops_being_a_file_may_become_a_directory():
+    stream = "\n".join(
+        [HEADER, record(1, "create", {"path": "d"}), record(2, "unlink", {"path": "d"}),
+         record(3, "mkdir", {"path": "d"}), record(4, "create", {"path": "d/x"}),
+         record(5, "create", {"path": "e"}), record(6, "rename", {"path": "e", "dst": "f"}),
+         record(7, "create", {"path": "e/y"}), record(8, "mkdir", {"path": "d"})]
+    )
+    assert len(parse_trace(stream).ops) == 8
+
+
 def test_renaming_a_file_whose_name_is_later_a_directory_parses():
     stream = "\n".join(
         [HEADER, record(1, "create", {"path": "d"}), record(2, "rename", {"path": "d", "dst": "e"}),
