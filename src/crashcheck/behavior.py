@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from itertools import groupby
 from typing import NamedTuple
@@ -19,21 +20,30 @@ class UpdateBehavior(NamedTuple):
     :func:`make_behavior`.
 
     ``owner_function`` is the function (POSIX) or ``type.instance`` label
-    (MMIO) the behavior was derived under; ``subgraph`` is always the
-    induced subgraph of the full persistence graph on ``node_seqs``, which
-    is never empty.
+    (MMIO) the behavior was derived under; ``subgraph`` is an induced
+    subgraph of the full persistence graph, never empty for a derived
+    behavior, and holds the behavior's only copy of its node set: its
+    window, from which ``node_seqs``, ``span`` and ``size`` are read.
     """
 
     id: str
     owner_function: str
     tid: int
-    node_seqs: tuple[int, ...]
     subgraph: PersistenceGraph
-    span: tuple[int, int]
+
+    @property
+    def node_seqs(self) -> tuple[int, ...]:
+        return self.subgraph.node_seqs
+
+    @property
+    def span(self) -> tuple[float, float]:
+        """The first and last node seq, or ``(inf, inf)`` without nodes: then every op is context."""
+        g = self.subgraph
+        return (g.seqs[g.base], g.seqs[g.base + g.mask.bit_length() - 1]) if g.mask else (math.inf, math.inf)
 
     @property
     def size(self) -> int:
-        return len(self.node_seqs)
+        return len(self.subgraph)
 
 
 def make_behavior(
@@ -43,17 +53,10 @@ def make_behavior(
     node_seqs,
     full_graph: PersistenceGraph,
 ) -> UpdateBehavior:
-    seqs = tuple(sorted(node_seqs))
-    if not seqs:
+    subgraph = full_graph.induced(node_seqs)
+    if not subgraph.mask:
         raise ValueError("update behavior must contain at least one op")
-    return UpdateBehavior(
-        id=behavior_id,
-        owner_function=owner,
-        tid=tid,
-        node_seqs=seqs,
-        subgraph=full_graph.induced(seqs),
-        span=(seqs[0], seqs[-1]),
-    )
+    return UpdateBehavior(behavior_id, owner, tid, subgraph)
 
 
 def dbscan_1d(points: list[int], eps: int, min_pts: int) -> tuple[list[list[int]], list[int]]:

@@ -447,10 +447,7 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
     cfg = build_run_config(args)
     trace = load_input_trace(args, cfg)
     graph = build_graph(trace, model_edges(trace, cfg.model), key_mode=cfg.static_key)
-    nodes = graph.node_seqs
-    # Without nodes every op is context, and the one crash state is the image after them.
-    span = (nodes[0], nodes[-1]) if nodes else (math.inf, math.inf)
-    whole = UpdateBehavior("whole-trace", "*", 0, nodes, graph, span)
+    whole = UpdateBehavior("whole-trace", "*", 0, graph)
 
     out = _create_output(cfg.out)
     bugs, stats, checked = _checked_run(cfg, [whole], exhaustive_schedules, trace)

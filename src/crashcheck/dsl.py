@@ -184,8 +184,6 @@ class _Synth:
         addr = _to_int(at_addr[1:], line_no, "address")
         length = _to_int(len_tok, line_no, "length")
         raw = _unquote(literal, line_no)
-        if len(raw) != length:
-            raise DslError(line_no, f"store payload is {len(raw)} bytes, declared {length}")
         args = {"addr": addr, "length": length, "line": addr // self.cache_line_size}
         args.update(digest=payload_digest(raw), data=raw.hex())
         self.emit(line_no, "store", args, Annotation(parts[0], parts[1], parts[2]))

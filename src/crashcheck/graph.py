@@ -5,13 +5,15 @@ Happens-before is stored once, as the model's per-rule bitsets ORed into
 one Python-int bitset of direct predecessors per node in the vector-clock
 style of FastTrack (Flanagan & Freund, PLDI'09), and every subgraph taken
 with :meth:`PersistenceGraph.induced` (each update behavior's) shares
-it.  A graph is windowed to its span: ``base`` is the trace-wide bit of
-its lowest node and its ``mask`` counts bits from there, so a view's
-predecessors of ``n`` are ``preds[n] >> base & mask`` and a behavior
-costs its span, not the trace.  :func:`export_dot`, which labels each
-edge, draws only the transitive reduction of the graph's pairs (Aho,
-Garey & Ullman, SIAM J. Comput. 1972), found by :func:`reduction`, the
-pass over ancestor bitsets that schedule enumeration also runs.
+it, along with the op map and the static keys.  A graph is only its
+window over them: ``base`` is the trace-wide bit of its lowest node and
+its ``mask`` counts bits from there, so a view's nodes are the mask's
+bits, its predecessors of ``n`` are ``preds[n] >> base & mask``, and a
+behavior costs its span, not the trace.  :func:`export_dot`, which
+labels each edge, draws only the transitive reduction of the graph's
+pairs (Aho, Garey & Ullman, SIAM J. Comput. 1972), found by
+:func:`reduction`, the pass over ancestor bitsets that schedule
+enumeration also runs.
 
 Node identity is the trace seq; equivalence between nodes is a separate
 relation built on :class:`StaticKey` (see :mod:`crashcheck.grouping`), which
@@ -26,7 +28,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import cached_property
 from itertools import compress
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import GraphBuildError, NodeNotFound
 from .models import EdgeReason, HappensBefore
@@ -38,7 +40,7 @@ FULL_KEY = "full"
 INNERMOST_KEY = "innermost"
 
 
-class StaticKey:
+class StaticKey(NamedTuple):
     """Payload-independent identity of an operation's program location.
 
     The default mode keys a node by its kind plus the whole static call
@@ -47,23 +49,8 @@ class StaticKey:
     conflates call contexts.
     """
 
-    __slots__ = ("kind", "static_stack", "_hash")
-
-    def __init__(self, kind: str, static_stack: tuple[tuple[str, str, int], ...]):
-        self.kind, self.static_stack = kind, static_stack
-        # Grouping hashes keys in every set operation; hash the frames once.
-        self._hash = hash((kind, static_stack))
-
-    def __eq__(self, other):
-        if other.__class__ is not StaticKey:
-            return NotImplemented
-        return self.kind == other.kind and self.static_stack == other.static_stack
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"StaticKey(kind={self.kind!r}, static_stack={self.static_stack!r})"
+    kind: str
+    static_stack: tuple[tuple[str, str, int], ...]
 
     @classmethod
     def of(cls, op: Operation, mode: str = FULL_KEY) -> "StaticKey":
@@ -109,17 +96,18 @@ def reduction(preds: list[int]) -> list[int]:
 
 
 class PersistenceGraph:
-    """Nodes ``ops_by_seq`` over one happens-before shared by every graph
-    induced from the same :func:`build_graph` result.
+    """The nodes of one window over the ops, happens-before and keys that
+    every graph induced from the same :func:`build_graph` result shares.
 
+    ``ops_by_seq`` maps the seq of every node of the full graph to its op;
     ``preds`` maps a node seq to the bitset of its direct predecessors, bit
     ``i`` standing for ``seqs[i]``, the seqs of all trace ops as in the
-    model; ``rules`` names each edge; and ``static_keys`` holds one object
-    per distinct key, so comparing keys is mostly an identity check.
-    ``base`` is the bit of the graph's lowest node (0 without nodes) and
-    ``mask`` the bitset of its own nodes from there, bit ``i`` standing for
-    ``seqs[base + i]``, so inducing a subgraph copies nothing but the node
-    map and every bitset it reads is as wide as its span.
+    model; ``rules`` names each edge; and ``static_keys`` holds one key per
+    call chain and kind, so comparing keys is mostly an identity check.  A
+    graph's own state is its window: ``base`` is the bit of its lowest node
+    (0 without nodes) and ``mask`` the bitset of its nodes from there, bit
+    ``i`` standing for ``seqs[base + i]``.  So inducing a subgraph copies
+    nothing, and every bitset it reads is as wide as its span.
     """
 
     def __init__(
@@ -147,18 +135,18 @@ class PersistenceGraph:
 
     @property
     def node_seqs(self) -> tuple[int, ...]:
-        return tuple(sorted(self.ops_by_seq))
+        return tuple(self._seqs_in(self.mask))
 
     @cached_property
     def edge_count(self) -> int:
         return sum(bits.bit_count() for _, bits in self.own_preds())
 
     def __len__(self) -> int:
-        return len(self.ops_by_seq)
+        return self.mask.bit_count()
 
     @cached_property
     def key_set(self) -> frozenset[StaticKey]:
-        return frozenset(map(self.static_keys.__getitem__, self.ops_by_seq))
+        return frozenset(map(self.static_keys.__getitem__, self._seqs_in(self.mask)))
 
     @cached_property
     def key_pairs(self) -> frozenset[tuple[StaticKey, StaticKey]]:
@@ -167,23 +155,24 @@ class PersistenceGraph:
         return frozenset((keys[src], keys[dst]) for dst, bits in self.own_preds() for src in seqs_in(bits))
 
     def induced(self, node_set) -> "PersistenceGraph":
+        """The subgraph on ``node_set``, nodes of this graph, as a new window
+        over the same shared maps; :class:`NodeNotFound` names the others."""
         nodes = sorted(set(node_set))
-        unknown = [seq for seq in nodes if seq not in self.ops_by_seq]
-        if unknown:
-            raise NodeNotFound(f"nodes {unknown} are not in the graph")
-        ops_by_seq = {seq: self.ops_by_seq[seq] for seq in nodes}
-        if not nodes:
-            return PersistenceGraph(ops_by_seq, self.seqs, self.preds, self.rules, self.static_keys, 0, 0)
         # Each node's bit in this graph's window, then its digit in the new
         # window, which starts at the lowest node.
-        lo, hi = self.base, self.base + self.mask.bit_length()
-        bits = [bisect_left(self.seqs, seq, lo, hi) for seq in nodes]
-        digits = bytearray(b"0" * (bits[-1] - bits[0] + 1))
-        for bit in bits:
-            digits[bits[-1] - bit] = 49  # ord("1"), most significant first
-        return PersistenceGraph(
-            ops_by_seq, self.seqs, self.preds, self.rules, self.static_keys, int(digits, 2), bits[0]
-        )
+        seqs, lo, mask = self.seqs, self.base, self.mask
+        hi = lo + mask.bit_length()
+        bits = [bisect_left(seqs, seq, lo, hi) for seq in nodes]
+        unknown = [seq for seq, bit in zip(nodes, bits) if bit == hi or seqs[bit] != seq or not mask >> bit - lo & 1]
+        if unknown:
+            raise NodeNotFound(f"nodes {unknown} are not in the graph")
+        window = 0, 0
+        if bits:
+            digits = bytearray(b"0" * (bits[-1] - bits[0] + 1))
+            for bit in bits:
+                digits[bits[-1] - bit] = 49  # ord("1"), most significant first
+            window = int(digits, 2), bits[0]
+        return PersistenceGraph(self.ops_by_seq, seqs, self.preds, self.rules, self.static_keys, *window)
 
 
 def build_graph(trace: Trace, hb: HappensBefore, key_mode: str = FULL_KEY) -> PersistenceGraph:
@@ -207,16 +196,14 @@ def build_graph(trace: Trace, hb: HappensBefore, key_mode: str = FULL_KEY) -> Pe
         if srcs >> i:
             raise GraphBuildError(f"happens-before into {dst} does not run forward in trace order")
     # Parsing shares one backtrace per call chain, so a key is made once
-    # per (kind, backtrace object) and then interned by value.
+    # per (kind, backtrace object).
     by_chain: dict[tuple[str, int], StaticKey] = {}
-    interned: dict[StaticKey, StaticKey] = {}
     keys = {}
     for seq, op in ops_by_seq.items():
         chain = (op.kind, id(op.backtrace))
         key = by_chain.get(chain)
         if key is None:
-            key = StaticKey.of(op, key_mode)
-            key = by_chain[chain] = interned.setdefault(key, key)
+            key = by_chain[chain] = StaticKey.of(op, key_mode)
         keys[seq] = key
     base = max((mask & -mask).bit_length() - 1, 0)
     return PersistenceGraph(ops_by_seq, seqs, preds, hb.rules, keys, mask >> base, base)

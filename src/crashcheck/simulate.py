@@ -167,8 +167,10 @@ def enumerate_schedules(
 
     Subsets come in lexicographic order of their membership vectors over
     ascending seqs, "absent" before "present".  Bit ``i`` of every bitset is
-    the ``i``-th trace op of the span (the full graph's bitsets, shifted);
-    only the behavior's nodes (``own``) join.  Per subset it yields ``(1,
+    the ``i``-th trace op of the span (the full graph's bitsets, shifted),
+    and ``ops[i]`` its op from the full graph's shared map: a graph node
+    outside the behavior has one too (an open or close has None), but only
+    the behavior's nodes (``own``) join.  Per subset it yields ``(1,
     schedule, image)`` if the image is not in ``cache.seen`` (it is added),
     the schedule applying the subset in seq order, then ``(rest, None,
     None)`` for its other orders; a :class:`ReplayError` is raised at the
@@ -945,10 +947,8 @@ class BugReport:
 
 
 def _behavior_locs(behavior: UpdateBehavior) -> set[tuple[str, int]]:
-    return {
-        (op.backtrace.innermost.file, op.backtrace.innermost.line)
-        for op in behavior.subgraph.ops_by_seq.values()
-    }
+    frames = (behavior.subgraph.ops_by_seq[seq].backtrace.innermost for seq in behavior.node_seqs)
+    return {(frame.file, frame.line) for frame in frames}
 
 
 def test_groups(

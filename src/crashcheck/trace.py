@@ -21,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import posixpath
+import sys
 from typing import NamedTuple
 
 from .errors import ParseError, SequenceOrderError, UnknownOperationKind
@@ -235,6 +236,9 @@ def _validate_args(kind: str, args: dict, line_no: int, error: type = ParseError
             raw = bytes.fromhex(data)
         except (TypeError, ValueError):
             raise error(line_no, "inline payload must be a hex string") from None
+        # Replay writes these bytes and the models read ``length``.
+        if len(raw) != args["length"]:
+            raise error(line_no, f"{kind} payload is {len(raw)} bytes, declared {args['length']}")
         if len(raw) > MAX_INLINE_PAYLOAD:
             raise error(line_no, f"inline payload exceeds {MAX_INLINE_PAYLOAD} bytes")
     return args
@@ -242,12 +246,13 @@ def _validate_args(kind: str, args: dict, line_no: int, error: type = ParseError
 
 def _check_paths(kind: str, args: dict, line_no: int, directories: set[str], files: set[str], error: type = ParseError):
     """Raise ``error(line_no, message)`` when the op would make a path both
-    a file and a directory at that point, or renames a directory (replay
-    moves files only).  A directory is one an earlier ``mkdir`` made or that
-    holds an earlier op's path; a file is live from a write, create or
-    rename to it until it is unlinked or renamed away.  Else record what
-    this op makes of its paths in ``directories`` and ``files``, which the
-    caller keeps across ops."""
+    a file and a directory at that point, renames a directory (replay
+    moves files only), or unlinks or renames a path that is no live file.
+    A directory is one an earlier ``mkdir`` made or that holds an earlier
+    op's path; a file is live from a write, create or rename to it until it
+    is unlinked or renamed away.  Else record what this op makes of its
+    paths in ``directories`` and ``files``, which the caller keeps across
+    ops."""
     path = args.get("path")
     if kind == "rename" and path in directories:
         raise error(line_no, f"rename of directory {path!r} is not modeled, only files")
@@ -268,7 +273,9 @@ def _check_paths(kind: str, args: dict, line_no: int, directories: set[str], fil
             raise error(line_no, f"mkdir arg 'path' names a file, got {path!r}")
         directories.add(path)
     elif kind in ("unlink", "rename"):
-        files.discard(path)
+        if path not in files:
+            raise error(line_no, f"{kind} arg 'path' names no file, got {path!r}")
+        files.remove(path)
     if made is not None:
         files.add(made)
 
@@ -397,12 +404,14 @@ def parse_trace(stream: bytes | str) -> Trace:
             if not all(isinstance(v, str) for v in annotation):
                 raise ParseError(line_no, f"annotation fields must be strings in {raw_ann!r}")
 
+        # ``json.loads`` makes new strings for every record: keep one of each
+        # key and kind.
         ops.append(
             Operation(
                 seq=seq,
                 tid=tid,
-                kind=kind,
-                args=args,
+                kind=sys.intern(kind),
+                args={sys.intern(key): value for key, value in args.items()},
                 backtrace=_parse_backtrace(rec["backtrace"], line_no, chains),
                 annotation=annotation,
             )

@@ -719,7 +719,7 @@ def brute_force_schedules(
     """
     context = tuple(op for op in trace.ops if op.seq < behavior.span[0])
     graph = behavior.subgraph
-    nodes = sorted(graph.ops_by_seq)
+    nodes = graph.node_seqs
     edge_pairs = {(src, dst) for src, dst, _ in edge_triples(graph)}
     count = 0
     for size in range(len(nodes) + 1):

@@ -169,6 +169,55 @@ def test_renaming_a_directory_exits_2_at_parse(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+def _posix_trace_file(tmp_path, records):
+    frames = [{"function": "main", "file": "a.c", "line": 1}]
+    trace_file = tmp_path / "t.jsonl"
+    lines = [json.dumps({"seq": seq, "tid": 0, "kind": kind, "args": args, "backtrace": frames})
+             for seq, (kind, args) in enumerate(records, start=1)]
+    trace_file.write_text("\n".join([_HEADER, *lines]) + "\n")
+    return trace_file
+
+
+@pytest.mark.parametrize("command", ["analyze", "test", "exhaustive"])
+def test_an_inline_payload_of_another_length_exits_2_at_parse(tmp_path, capsys, command):
+    """``analyze`` found no edge among these writes (w2 claims byte 4095
+    only) and ``exhaustive`` reported 16 schedules and 8 states, though the
+    two orders of w2 and w3 left byte 4096 as ``dd`` or ``bb``."""
+    def write(offset, data):
+        return "write", {"path": "a", "offset": offset, "length": 1, "digest": "0" * 64, "data": data}
+
+    trace_file = _posix_trace_file(tmp_path, [write(8192, "01"), write(4095, "aabbcc"), write(4096, "dd")])
+    checker = ["--checker", checker_arg("always_ok.py")] if command == "test" else []
+    assert run(command, "--trace", trace_file, *checker, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == f"error ({command}): line 3: write payload is 3 bytes, declared 1\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "test", "exhaustive"])
+@pytest.mark.parametrize("kind, args", [("unlink", {"path": "a"}), ("rename", {"path": "a", "dst": "c"})])
+def test_unlinking_or_renaming_no_live_file_exits_2_at_parse(tmp_path, capsys, command, kind, args):
+    """``analyze`` exited 0 on these and ``test`` and ``exhaustive`` exited 2
+    only at replay, with "unlink of nonexistent file 'a' (op 2)"."""
+    trace_file = _posix_trace_file(tmp_path, [("create", {"path": "b"}), (kind, args)])
+    checker = ["--checker", checker_arg("always_ok.py")] if command == "test" else []
+    assert run(command, "--trace", trace_file, *checker, "--out", tmp_path / "o") == 2
+    assert capsys.readouterr().err == f"error ({command}): line 3: {kind} arg 'path' names no file, got 'a'\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_replaying_an_unlink_without_its_creator_exits_2(tmp_path, capsys):
+    """A hand-made schedule can still leave out the op that made a file."""
+    trace_file = _posix_trace_file(tmp_path, [("create", {"path": "a"}), ("unlink", {"path": "a"})])
+    schedule_file = tmp_path / "schedule.json"
+    schedule_file.write_text(
+        json.dumps({"behavior_id": "b", "mode": "POSIX", "context_seqs": [], "applied_seqs": [2]})
+    )
+    code = run("replay", "--trace", trace_file, "--schedule", schedule_file, "--out", tmp_path / "ro")
+    assert code == 2
+    assert capsys.readouterr().err == "error (replay): unlink of nonexistent file 'a' (op 2)\n"
+    assert not (tmp_path / "ro" / "replayed").exists()
+
+
 _RECORD = (
     '{"seq": 1, "tid": 0, "kind": "create", "args": {"path": "f"}, '
     '"backtrace": [{"function": "main", "file": "a.c", "line": 1}]}'

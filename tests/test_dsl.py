@@ -105,8 +105,15 @@ def test_unbalanced_braces_are_rejected():
 
 
 def test_store_payload_length_must_match():
-    with pytest.raises(DslError):
+    with pytest.raises(DslError, match=r"^line 1: store payload is 2 bytes, declared 4$"):
         synth_workload('fn main { store T.i.f @0 4 "ab" }', "MMIO")
+
+
+def test_unlinking_or_renaming_no_live_file_is_rejected():
+    for statement in ("unlink a", "rename a c"):
+        with pytest.raises(DslError, match=f"^line 3: {statement.split()[0]} arg 'path' names no file, got 'a'$"):
+            synth_workload(f"fn main {{\n  create b\n  {statement}\n}}", "POSIX")
+    synth_workload("fn main {\n  create a\n  rename a c\n  unlink c\n}", "POSIX")
 
 
 def test_extents_past_their_bound_are_rejected():

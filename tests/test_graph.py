@@ -140,10 +140,49 @@ def test_induced_edges_skip_nonadjacent_pairs():
     assert edge_triples(graph.induced({1, 3})) == set()
 
 
-def test_induced_edges_reject_foreign_nodes():
-    graph = chain_graph()
-    with pytest.raises(NodeNotFound):
-        graph.induced({1, 9})
+def window_graph():
+    """Nodes 1, 3, 4 and 6 with edges 1 -> 3 -> 6; op 2 opens and op 5
+    closes a file, so neither is a node."""
+    trace = posix_trace(
+        [
+            op(1, "create", {"path": "a"}, (("main", 1),)),
+            op(2, "open", {"path": "a"}, (("main", 2),)),
+            op(3, "create", {"path": "b"}, (("main", 3),)),
+            op(4, "create", {"path": "c"}, (("main", 4),)),
+            op(5, "close", {"path": "a"}, (("main", 5),)),
+            op(6, "create", {"path": "d"}, (("main", 6),)),
+        ]
+    )
+    return build_graph(trace, hb_from_pairs(trace, {(1, 3): MO, (3, 6): MO}))
+
+
+@pytest.mark.parametrize(
+    "view_nodes, foreign",
+    [
+        (None, 2),
+        (None, 5),
+        (None, 9),
+        ({1, 4, 6}, 3),
+        ({1, 3}, 4),
+        ({1, 4, 6}, 2),
+        ({1, 4, 6}, 5),
+        ({1, 4, 6}, 9),
+        (set(), 1),
+    ],
+    ids=["open", "close", "missing", "view-node-in-span", "view-node-past-span", "view-open", "view-close",
+         "view-missing", "empty-view"],
+)
+def test_induced_edges_reject_foreign_nodes(view_nodes, foreign):
+    """Inducing from the full graph or from a view names every seq that is
+    no node of it: a node outside the view, an open or close, a seq the
+    trace lacks.  Every view shares the full graph's maps."""
+    graph = window_graph()
+    source = graph if view_nodes is None else graph.induced(view_nodes)
+    assert source.ops_by_seq is graph.ops_by_seq and source.static_keys is graph.static_keys
+    known = set(source.node_seqs)
+    with pytest.raises(NodeNotFound, match=rf"^nodes \[{foreign}\] are not in the graph$"):
+        source.induced(known | {foreign})
+    assert source.induced(known).node_seqs == source.node_seqs
 
 
 def test_induced_edges_monotone_under_union():
@@ -212,7 +251,7 @@ def check_view(view, trace, edges, nodes):
     """A view's edges, counts, keys, predecessors and DOT against the
     reference pairs with both ends in ``nodes``."""
     want = {e for e in edge_triples(edges) if e[0] in nodes and e[1] in nodes}
-    assert view.node_seqs == tuple(sorted(nodes))
+    assert view.node_seqs == tuple(sorted(nodes)) and len(view) == len(nodes)
     assert edge_triples(view) == want
     assert graph_edges(view) == sorted(want)
     assert view.edge_count == len(want)
@@ -257,6 +296,7 @@ def test_induced_views_match_filtering_the_full_edge_set(make):
             s = {n for n in graph.node_seqs if rng.random() < 0.6}
             t = {n for n in s if rng.random() < 0.6}
             view = graph.induced(s)
+            assert view.ops_by_seq is graph.ops_by_seq
             check_view(view, trace, edges, s)
             # Re-inducing a view (as temporal clustering does) equals
             # inducing the full graph directly.
@@ -383,8 +423,8 @@ def test_static_key_ignores_payload():
     b = synth_workload('fn main {\n  write f "zz" @0\n}\n', "POSIX")
     key = StaticKey.of(a.ops[0])
     assert key == StaticKey.of(b.ops[0])
-    # The hash is computed once per key, from the fields equality compares;
-    # bug dedup keys are ``str(key)``, which must not show it.
+    # The hash is that of the fields equality compares; bug dedup keys are
+    # ``str(key)``, which must show nothing else.
     assert hash(key) == hash((key.kind, key.static_stack))
     assert "_hash" not in repr(key)
 

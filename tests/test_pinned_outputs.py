@@ -13,7 +13,9 @@ schedule that reaches it, so it pins the enumeration order too.
 ``test`` with each program's benchmark checker must write pinned
 ``bugs.json`` and ``stats.json``, and ``exhaustive`` with it a pinned
 ``states.json`` with verdicts, so the report writer and the oracle path
-are held to the same bytes.  Every pinned file is independent of the input and output paths.  The update
+are held to the same bytes; so are the outputs of ``analyze`` and
+``test`` on the benchmark's two ``scale`` traces at seed 7.  Every pinned file is
+independent of the input and output paths.  The update
 behaviors derived from 300 small random traces of each kind, with nested
 backtraces (POSIX) and annotated stores (MMIO), are pinned the same way,
 so a rewrite of either derivation cannot change them.  On a chain of
@@ -38,7 +40,7 @@ from crashcheck.mmio_behaviors import derive_mmio_behaviors
 from crashcheck.posix_behaviors import derive_posix_behaviors
 from crashcheck.trace import serialize_trace
 
-from conftest import WORKLOADS, checker_cmd
+from conftest import WORKLOADS, bench_module, checker_cmd
 from helpers import (
     log_then_tables_trace,
     random_annotated_mmio_trace,
@@ -228,6 +230,40 @@ def test_analyze_outputs_on_random_traces_match_the_pinned_digests(tmp_path, nam
     out = tmp_path / "out"
     assert main(["analyze", "--trace", str(path), "--out", str(out)]) == 0
     got = {file: hashlib.sha256((out / file).read_bytes()).hexdigest() for file in pinned}
+    assert got == pinned
+
+
+# generator -> (checker, {output file: sha256}) of ``analyze`` and of
+# ``test`` with the checker on the benchmark's ``scale`` traces at seed 7:
+# hundreds of behaviors over a few call sites, so these pin the views,
+# behaviors and grouping at the size the benchmark runs them.
+PINNED_SCALE = {
+    "pointer_update_trace": ("current_pointer.py", {
+        "analyze/groups.json": "76db465085ff4efb199749d4bf114af9f46c4d381b61899d7fb98695ac5270c8",
+        "analyze/dot/full.dot": "5d4e0c00bee206cb7daba7e149b0bf990da8bfcf96392c0dd2bf7acc26e760bb",
+        "analyze/dot/behaviors.dot": "5b74457d344b9c27e5f988ef643e7b39a8c8a61f7b00ceb1012e0513db31bfd1",
+        "test/bugs.json": "c3bb47027d477bec909a612ac6d44176955148d8b8bb5e2508c8b15023f62c82",
+        "test/stats.json": "58b06c79f10204e1a98f107cf7aa76c354e99db63a1e50d33d48de5a7c1ff2e8",
+    }),
+    "entry_insert_trace": ("entry_valid.py", {
+        "analyze/groups.json": "d265a611eaf237ffc882f179a5b22b4472b1f93c2a81b1e63c98a7d4ff651647",
+        "analyze/dot/full.dot": "db24ddb987f68c65f2cf38b21c55edeabb7e8a1b0b5526292f76cd27020505f4",
+        "analyze/dot/behaviors.dot": "a4be896ca8da5f8b90cc85851451de8b59162822718c6a6b3b6b95afa6aac68f",
+        "test/bugs.json": "fc80e97def6fef155a59b5ae1ecc93878f7fd142113be5f1a263d522ea5db090",
+        "test/stats.json": "98080d9bc96c80c2be09f6c1a6f8732ab12dc21dd7866a5f671b4d5623eb6690",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SCALE))
+def test_scale_outputs_match_the_pinned_digests(tmp_path, name):
+    checker, pinned = PINNED_SCALE[name]
+    path = tmp_path / "trace.jsonl"
+    path.write_text(getattr(bench_module("gen"), name)(7))
+    trace = ["--trace", str(path)]
+    assert main(["analyze", *trace, "--out", str(tmp_path / "analyze")]) == 0
+    assert main(["test", *trace, "--checker", shlex.join(checker_cmd(checker)), "--out", str(tmp_path / "test")]) == 1
+    got = {file: hashlib.sha256((tmp_path / file).read_bytes()).hexdigest() for file in pinned}
     assert got == pinned
 
 

@@ -261,8 +261,8 @@ def test_rerun_on_payload_mutated_trace_preserves_structure(fig3_trace):
     shape1 = [(b.owner_function, b.node_seqs) for b in b1]
     shape2 = [(b.owner_function, b.node_seqs) for b in b2]
     assert shape1 == shape2
-    keys1 = [sorted(str(StaticKey.of(o)) for o in g1.ops_by_seq.values())]
-    keys2 = [sorted(str(StaticKey.of(o)) for o in g2.ops_by_seq.values())]
+    keys1 = [sorted(str(StaticKey.of(g1.ops_by_seq[s])) for s in g1.node_seqs)]
+    keys2 = [sorted(str(StaticKey.of(g2.ops_by_seq[s])) for s in g2.node_seqs)]
     assert keys1 == keys2
 
 

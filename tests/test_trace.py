@@ -342,6 +342,58 @@ def test_a_path_that_stops_being_a_file_may_become_a_directory():
     assert len(parse_trace(stream).ops) == 8
 
 
+@pytest.mark.parametrize(
+    "ops, message",
+    [
+        ([("create", {"path": "b"}), ("unlink", {"path": "a"})], "unlink arg 'path' names no file, got 'a'"),
+        ([("create", {"path": "b"}), ("rename", {"path": "a", "dst": "c"})], "rename arg 'path' names no file, got 'a'"),
+        ([("create", {"path": "a"}), ("unlink", {"path": "a"}), ("unlink", {"path": "a"})],
+         "unlink arg 'path' names no file, got 'a'"),
+        ([("create", {"path": "a"}), ("rename", {"path": "a", "dst": "b"}), ("rename", {"path": "a", "dst": "c"})],
+         "rename arg 'path' names no file, got 'a'"),
+        ([("mkdir", {"path": "d"}), ("unlink", {"path": "d"})], "unlink arg 'path' names no file, got 'd'"),
+        ([("open", {"path": "a"}), ("unlink", {"path": "./a"})], "unlink arg 'path' names no file, got 'a'"),
+    ],
+    ids=["unlink-never-made", "rename-never-made", "unlink-twice", "rename-away-twice", "unlink-directory", "opened-only"],
+)
+def test_unlinking_or_renaming_no_live_file_is_a_parse_error_on_its_line(ops, message):
+    """``create b``, ``unlink a`` used to pass ``analyze`` and stop ``test``
+    and ``exhaustive`` at replay: "unlink of nonexistent file 'a' (op 2)"."""
+    records = [record(seq, kind, args) for seq, (kind, args) in enumerate(ops, start=1)]
+    with pytest.raises(ParseError) as err:
+        parse_trace("\n".join([HEADER, *records]))
+    assert str(err.value) == f"line {len(ops) + 1}: {message}"
+
+
+def _payload_args(kind, length, data):
+    extent = {"addr": 0} if kind == "store" else {"path": "a", "offset": 0}
+    return {**extent, "length": length, "digest": "0" * 64, "data": data}
+
+
+@pytest.mark.parametrize("kind", ["write", "pwrite", "store"])
+@pytest.mark.parametrize("length, data", [(1, "aabbcc"), (3, "aa"), (0, "aa"), (2, "")])
+def test_inline_payload_of_another_length_is_a_parse_error_on_its_line(kind, length, data):
+    """The models read ``length`` and replay writes the inline bytes, so a
+    one-byte write of ``aabbcc`` at 4095 and one of ``dd`` at 4096 shared
+    no block, and their two orders replayed to different images."""
+    header = MMIO_HEADER if kind == "store" else HEADER
+    stream = "\n".join([header, record(1, kind, _payload_args(kind, length, data))])
+    with pytest.raises(ParseError) as err:
+        parse_trace(stream)
+    assert str(err.value) == f"line 2: {kind} payload is {len(data) // 2} bytes, declared {length}"
+    exact = "\n".join([header, record(1, kind, _payload_args(kind, len(data) // 2, data))])
+    assert parse_trace(exact).ops[0].payload() == bytes.fromhex(data)
+
+
+def test_args_keys_and_kinds_are_one_string_each():
+    """``json.loads`` makes new key strings for every record; a parsed
+    trace holds one string per key and per kind."""
+    trace = parse_trace(bench_module("gen").pointer_update_trace(7))
+    keys = {id(key) for o in trace.ops for key in o.args}
+    assert len(keys) == len({key for o in trace.ops for key in o.args})
+    assert len({id(o.kind) for o in trace.ops}) == len({o.kind for o in trace.ops})
+
+
 def test_renaming_a_file_whose_name_is_later_a_directory_parses():
     stream = "\n".join(
         [HEADER, record(1, "create", {"path": "d"}), record(2, "rename", {"path": "d", "dst": "e"}),
