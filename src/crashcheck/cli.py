@@ -497,40 +497,46 @@ def cmd_replay(args: argparse.Namespace) -> int:
     return 0
 
 
-def make_parser() -> argparse.ArgumentParser:
+# Each subcommand: its handler, its help line, and the options it takes
+# after ``--config`` and the settings' flags.
+_INPUT = ((("--trace",), {"help": "trace file input"}), (("--dsl",), {"help": "workload program input"}))
+_SYNTH = ((("--dsl",), {"required": True}), (("-o", "--output"), {"help": "trace file to write (default stdout)"}))
+_REPLAY = (*_INPUT, (("--schedule",), {"required": True, "help": "schedule JSON file"}))
+_COMMANDS = {
+    "synth": (cmd_synth, "compile a workload program to a trace", _SYNTH),
+    "analyze": (cmd_analyze, "derive and group update behaviors", _INPUT),
+    "test": (cmd_test, "model-check representative behaviors", _INPUT),
+    "exhaustive": (cmd_exhaustive, "brute-force all crash states", _INPUT),
+    "replay": (cmd_replay, "re-run a stored crash schedule", _REPLAY),
+}
+
+
+def make_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand or, given one's name, of that one
+    alone, which ``main`` builds when argv names it.  Its usage still lists
+    every subcommand, so its error text is the full parser's."""
     parser = argparse.ArgumentParser(
         prog="crashcheck",
         description="Crash-consistency testing over persistence graphs",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", help="flat key=value config file")
-    for _, flag, options, _ in _SETTINGS:
-        shared.add_argument(flag, **options)
-    with_input = argparse.ArgumentParser(add_help=False, parents=[shared])
-    with_input.add_argument("--trace", help="trace file input")
-    with_input.add_argument("--dsl", help="workload program input")
-
-    p_synth = sub.add_parser("synth", help="compile a workload program to a trace", parents=[shared])
-    p_synth.add_argument("--dsl", required=True)
-    p_synth.add_argument("-o", "--output", help="trace file to write (default stdout)")
-    p_synth.set_defaults(func=cmd_synth)
-
-    for name, func, summary in (
-        ("analyze", cmd_analyze, "derive and group update behaviors"),
-        ("test", cmd_test, "model-check representative behaviors"),
-        ("exhaustive", cmd_exhaustive, "brute-force all crash states"),
-        ("replay", cmd_replay, "re-run a stored crash schedule"),
-    ):
-        sub.add_parser(name, help=summary, parents=[with_input]).set_defaults(func=func)
-    sub.choices["replay"].add_argument("--schedule", required=True, help="schedule JSON file")
+    # A metavar would rename the full parser's ``command`` in its errors.
+    choices = "{" + ",".join(_COMMANDS) + "}" if command else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=choices)
+    for name in (command,) if command else _COMMANDS:
+        func, summary, options = _COMMANDS[name]
+        p_command = sub.add_parser(name, help=summary)
+        p_command.add_argument("--config", help="flat key=value config file")
+        for _, flag, settings, _ in _SETTINGS:
+            p_command.add_argument(flag, **settings)
+        for flags, settings in options:
+            p_command.add_argument(*flags, **settings)
+        p_command.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = make_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except CrashCheckError as exc:

@@ -88,6 +88,7 @@ class _Synth:
         self.ops: list[Operation] = []
         # One Backtrace per distinct call chain, shared by its ops.
         self.chains: dict[Chain, Backtrace] = {}
+        self.paths: dict[str, str] = {}  # each path's one spelling
         self.directories: set[str] = set()
         self.files: set[str] = set()
 
@@ -104,7 +105,7 @@ class _Synth:
     def emit(self, line_no: int, kind: str, args: dict, annotation: Annotation | None = None):
         if not self.fn_stack:
             raise DslError(line_no, f"{kind} statement outside any fn block")
-        _validate_args(kind, args, line_no, DslError)
+        _validate_args(kind, args, line_no, self.paths, DslError)
         _check_paths(kind, args, line_no, self.directories, self.files, DslError)
         self.ops.append(
             Operation(

@@ -13,7 +13,9 @@ replay stays reproducible.
 Parsing shares one immutable :class:`Backtrace`, with its frames, among all
 ops of one call chain (hash-consing: Filliâtre & Conchon, ML Workshop
 2006), so a trace holds one per distinct chain rather than one per op.
-Every frame is validated before it is looked up.
+Every frame is validated before it is looked up.  Each distinct path is
+normalized once per parse, into one string, and each record decoded in one
+JSON decoder call unless whitespace surrounds it or it does not decode.
 """
 
 from __future__ import annotations
@@ -49,8 +51,11 @@ MAX_INLINE_PAYLOAD = 256
 MAX_WRITE_END = 1 << 26  # offset + length of a write or pwrite
 MAX_RANGE_LENGTH = 1 << 20  # length of a store, flush or msync
 
-# Each kind's required args, then the args it may also carry.
-_ARG_KEYS = {
+_KIND_MODE = {**dict.fromkeys(POSIX_KINDS, POSIX_MODE), **dict.fromkeys(MMIO_KINDS, MMIO_MODE)}
+_RECORD_KEYS = {"seq", "tid", "kind", "args", "backtrace"}
+
+# Each kind's required args, then every arg it may carry.
+_ARG_KEYS = {kind: (required, required | optional) for kind, (required, optional) in {
     "write": ({"path", "offset", "length", "digest"}, {"data"}),
     "pwrite": ({"path", "offset", "length", "digest"}, {"data"}),
     "rename": ({"path", "dst"}, set()),
@@ -66,7 +71,7 @@ _ARG_KEYS = {
     "flush": ({"addr", "length"}, set()),
     "msync": ({"addr", "length"}, set()),
     "fence": (set(), set()),
-}
+}.items()}
 
 
 def payload_digest(data: bytes) -> str:
@@ -179,50 +184,58 @@ class Trace:
         return {op.seq: op for op in self.ops}
 
 
-def escapes_root(path: str) -> bool:
-    """True when ``path`` is absolute or climbs out of the image root."""
-    rel = posixpath.normpath(path)
-    return rel.startswith("..") or posixpath.isabs(rel)
+def _normalized(path: str, memo: dict[str, str]) -> str:
+    """``path``'s one spelling (``./a``, ``a/`` and ``d/../a`` are all ``a``),
+    one string each, made once per distinct path of the parse ``memo`` serves."""
+    rel = memo.get(path)
+    if rel is None:
+        rel = memo[path] = sys.intern(posixpath.normpath(path))
+    return rel
 
 
-def _kind_mode(kind: str, line_no: int) -> str:
-    if kind in POSIX_KINDS:
-        return POSIX_MODE
-    if kind in MMIO_KINDS:
-        return MMIO_MODE
-    raise UnknownOperationKind(f"line {line_no}: unknown operation kind {kind!r}")
+def escapes_root(path: str, memo: dict[str, str] | None = None) -> bool:
+    """True when ``path`` is absolute or climbs out of the image root, read
+    through a parse's ``memo`` of :func:`_normalized` spellings; a name at
+    the root may start with ``..``."""
+    rel = _normalized(path, {} if memo is None else memo)
+    return rel == ".." or rel.startswith(("../", "/"))
 
 
-def _validate_args(kind: str, args: dict, line_no: int, error: type = ParseError) -> dict:
+def _validate_args(kind: str, args: dict, line_no: int, paths: dict[str, str], error: type = ParseError) -> dict:
     """Check an op's arguments and bound the extents and payload it names,
-    raising ``error(line_no, message)``: a trace's or a workload's."""
-    required, optional = _ARG_KEYS[kind]
-    missing = required - args.keys()
-    if missing:
-        raise error(line_no, f"{kind} args missing {sorted(missing)}")
-    extra = args.keys() - required - optional
-    if extra:
-        raise error(line_no, f"{kind} args have unknown keys {sorted(extra)}")
+    raising ``error(line_no, message)``: a trace's or a workload's.  Each
+    path is stored as :func:`_normalized` through ``paths``."""
+    required, allowed = _ARG_KEYS[kind]
+    if not required <= args.keys():
+        raise error(line_no, f"{kind} args missing {sorted(required - args.keys())}")
+    if not args.keys() <= allowed:
+        raise error(line_no, f"{kind} args have unknown keys {sorted(args.keys() - allowed)}")
+    # A missing arg reads as a valid default here; a JSON null does not.
     for key in ("path", "dst", "digest"):
-        if key in args and not isinstance(args[key], str):
+        if not isinstance(args.get(key, ""), str):
             raise error(line_no, f"{kind} arg {key!r} must be a string")
     for key in ("path", "dst"):
-        if key in args:
-            if "\0" in args[key]:
-                raise error(line_no, f"{kind} arg {key!r} must not hold a NUL byte, got {args[key]!r}")
-            if escapes_root(args[key]):
-                raise error(line_no, f"{kind} arg {key!r} must stay inside the image, got {args[key]!r}")
-            # One spelling per file: ``./a``, ``a/`` and ``d/../a`` are all ``a``.
-            path = posixpath.normpath(args[key])
-            # Replay would turn the root into a file, so only the ops it skips may name it.
-            if path == "." and kind in PERSISTING_KINDS:
-                raise error(line_no, f"{kind} arg {key!r} names the image root, got {args[key]!r}")
-            args[key] = path
-    if "digest" in args and not args["digest"].isascii():
+        raw = args.get(key)
+        if raw is None:
+            continue
+        # A spelling in ``paths`` passed these checks earlier in the parse.
+        path = paths.get(raw)
+        if path is None:
+            if "\0" in raw:
+                raise error(line_no, f"{kind} arg {key!r} must not hold a NUL byte, got {raw!r}")
+            if escapes_root(raw, paths):
+                raise error(line_no, f"{kind} arg {key!r} must stay inside the image, got {raw!r}")
+            path = paths[raw]
+        # Replay would turn the root into a file, so only the ops it skips may name it.
+        if path == "." and kind in PERSISTING_KINDS:
+            raise error(line_no, f"{kind} arg {key!r} names the image root, got {raw!r}")
+        args[key] = path
+    if not args.get("digest", "").isascii():
         raise error(line_no, f"{kind} arg 'digest' must be ASCII")
     for key in ("offset", "length", "addr", "line"):
         # ``type`` and not ``isinstance``: JSON's true and false are bools.
-        if key in args and (type(args[key]) is not int or args[key] < 0):
+        value = args.get(key, 0)
+        if type(value) is not int or value < 0:
             raise error(line_no, f"{kind} arg {key!r} must be a non-negative integer")
     if not isinstance(args.get("dir", False), bool):
         raise error(line_no, f"{kind} arg 'dir' must be true or false")
@@ -326,10 +339,10 @@ def _json_line(line: str, line_no: int, what: str):
 
 
 def parse_trace(stream: bytes | str) -> Trace:
-    """Parse a trace file into a validated :class:`Trace`.
-
-    Raises :class:`ParseError` for malformed records or invariant
-    violations, :class:`UnknownOperationKind` for unknown kinds and
+    """Parse a trace file into a validated :class:`Trace`, with one decoder
+    call per record and one normalization per distinct path.  Raises
+    :class:`ParseError` for malformed records or invariant violations,
+    :class:`UnknownOperationKind` for unknown kinds and
     :class:`SequenceOrderError` when seq values do not strictly increase.
     """
     text = stream.decode("utf-8") if isinstance(stream, bytes) else stream
@@ -352,24 +365,34 @@ def parse_trace(stream: bytes | str) -> Trace:
     ops: list[Operation] = []
     prev_seq = 0
     chains: dict[Chain, Backtrace] = {}
+    paths: dict[str, str] = {}
     directories: set[str] = set()
     files: set[str] = set()
+    scan, intern = json.JSONDecoder().scan_once, sys.intern
     for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        rec = _json_line(line, line_no, "record")
+        # One decoder call when the object fills the line; whitespace around
+        # it, a blank line and every error take ``json.loads``' path.
+        try:
+            rec, end = scan(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end != len(line):
+            if not line.strip():
+                continue
+            rec = _json_line(line, line_no, "record")
         if not isinstance(rec, dict):
             raise ParseError(line_no, "record must be a JSON object")
-        missing = {"seq", "tid", "kind", "args", "backtrace"} - rec.keys()
-        if missing:
-            raise ParseError(line_no, f"record missing keys {sorted(missing)}")
+        if not rec.keys() >= _RECORD_KEYS:
+            raise ParseError(line_no, f"record missing keys {sorted(_RECORD_KEYS - rec.keys())}")
 
         kind = rec["kind"]
         if not isinstance(kind, str):
             raise ParseError(line_no, "kind must be a string")
-        kind_mode = _kind_mode(kind, line_no)
-        if kind_mode != meta.mode:
-            raise ParseError(line_no, f"{kind} is a {kind_mode} kind in a {meta.mode} trace")
+        kind_mode = _KIND_MODE.get(kind)
+        if kind_mode is None:
+            raise UnknownOperationKind(f"line {line_no}: unknown operation kind {kind!r}")
+        if kind_mode != mode:
+            raise ParseError(line_no, f"{kind} is a {kind_mode} kind in a {mode} trace")
 
         seq = rec["seq"]
         if type(seq) is not int or seq <= 0:
@@ -387,8 +410,9 @@ def parse_trace(stream: bytes | str) -> Trace:
         args = rec["args"]
         if not isinstance(args, dict):
             raise ParseError(line_no, "args must be a JSON object")
-        args = _validate_args(kind, args, line_no)
-        _check_paths(kind, args, line_no, directories, files)
+        args = _validate_args(kind, args, line_no, paths)
+        if mode == POSIX_MODE:  # MMIO ops name no paths
+            _check_paths(kind, args, line_no, directories, files)
 
         annotation = None
         raw_ann = rec.get("annotation")
@@ -401,21 +425,14 @@ def parse_trace(stream: bytes | str) -> Trace:
                 )
             except (TypeError, KeyError):
                 raise ParseError(line_no, f"malformed annotation {raw_ann!r}") from None
-            if not all(isinstance(v, str) for v in annotation):
+            if not all(map(isinstance, annotation, (str, str, str))):
                 raise ParseError(line_no, f"annotation fields must be strings in {raw_ann!r}")
 
-        # ``json.loads`` makes new strings for every record: keep one of each
+        backtrace = _parse_backtrace(rec["backtrace"], line_no, chains)
+        # The decoder makes new strings for every record: keep one of each
         # key and kind.
-        ops.append(
-            Operation(
-                seq=seq,
-                tid=tid,
-                kind=sys.intern(kind),
-                args={sys.intern(key): value for key, value in args.items()},
-                backtrace=_parse_backtrace(rec["backtrace"], line_no, chains),
-                annotation=annotation,
-            )
-        )
+        args = {intern(key): value for key, value in args.items()}
+        ops.append(Operation(seq, tid, intern(kind), args, backtrace, annotation))
     return Trace(meta=meta, ops=ops)
 
 

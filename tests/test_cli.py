@@ -1076,6 +1076,36 @@ def test_path_outside_the_image_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x").exists()
 
 
+def test_a_name_at_the_image_root_may_start_with_two_dots(tmp_path, capsys):
+    """``..cfg`` is a file in the image root, not above it: the checker
+    finds it there, alone, in every state it is written in, and replay
+    writes it there."""
+    program = ["--mode", "POSIX", "--dsl", tmp_path / "w.dsl"]
+    (tmp_path / "w.dsl").write_text('fn main {\n  write ..cfg "ab" @0\n  fsync ..cfg\n}\n')
+    checker = tmp_path / "only_cfg.py"
+    checker.write_text(
+        "import os, sys\n"
+        "names = os.listdir(sys.argv[1])\n"
+        "sys.exit(names != ['..cfg'] or open(os.path.join(sys.argv[1], '..cfg'), 'rb').read() != b'ab')\n"
+    )
+    checked = ["--checker", f"{sys.executable} {checker}"]
+    assert run("analyze", *program, "--out", tmp_path / "a") == 0
+    # The one bug is the state before the write.
+    assert run("test", *program, *checked, "--out", tmp_path / "t") == 1
+    assert [b["schedule"]["applied_seqs"] for b in json.loads((tmp_path / "t" / "bugs.json").read_text())["bugs"]] == [[]]
+    assert run("exhaustive", *program, *checked, "--out", tmp_path / "e") == 1
+    states = json.loads((tmp_path / "e" / "states.json").read_text())["states"]
+    assert sorted((s["applied_seqs"], s["verdict"]) for s in states.values()) == [([], "Inconsistent"), ([1], "Consistent")]
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text(json.dumps({"behavior_id": "b", "mode": "POSIX", "context_seqs": [], "applied_seqs": [1]}))
+    capsys.readouterr()
+    assert run("replay", *program, "--schedule", schedule, *checked, "--out", tmp_path / "r") == 0
+    assert capsys.readouterr().out == "replay: Consistent\n"
+    assert run("replay", *program, "--schedule", schedule, "--out", tmp_path / "m") == 0
+    assert os.listdir(tmp_path / "m" / "replayed") == ["..cfg"]
+    assert (tmp_path / "m" / "replayed" / "..cfg").read_bytes() == b"ab"
+
+
 @pytest.mark.parametrize(
     "paths, message",
     [(["."], "line 2: create arg 'path' names the image root"), (["d", "d/f"], "line 3: create arg 'path' lies under the file 'd'")],
@@ -1226,3 +1256,65 @@ def test_each_subcommand_keeps_its_options():
         "replay": [*_INPUT_OPTIONS, (("--schedule",), "schedule", True, None, None)],
     }
     assert list(got) == ["synth", "analyze", "test", "exhaustive", "replay"]
+
+
+_COMMAND_NAMES = ["synth", "analyze", "test", "exhaustive", "replay"]
+# What each subcommand needs before an unrecognized argument is reported.
+_REQUIRED = {"synth": ["--dsl", "p.dsl"], "replay": ["--schedule", "s.json"]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [], ["-h"], ["--help"], ["-h", "test"], ["bogus"], ["--mode", "x"],
+        *([name, "-h"] for name in _COMMAND_NAMES),
+        *([name, *_REQUIRED.get(name, []), "--bogus", "extra"] for name in _COMMAND_NAMES),
+        ["test", "--mode", "x"], ["replay", "--trace", "t.jsonl"], ["synth", "--mode", "POSIX"],
+    ],
+    ids=" ".join,
+)
+def test_the_command_line_text_is_the_full_parser_s(capsys, argv):
+    """Help, usage and argument errors read as the parser with every
+    subcommand gives them, byte for byte, though ``main`` builds only the
+    subcommand its argv names."""
+    with pytest.raises(SystemExit) as full:
+        make_parser().parse_args(argv)
+    expected = capsys.readouterr()
+    with pytest.raises(SystemExit) as dispatched:
+        main(argv)
+    assert (capsys.readouterr(), dispatched.value.code) == (expected, full.value.code)
+    assert full.value.code in (0, 2)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [([], "the following arguments are required: command"), (["bogus"], "argument command: invalid choice: 'bogus'")],
+)
+def test_the_full_parser_names_its_command_argument(capsys, argv, message):
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert f"crashcheck: error: {message}" in capsys.readouterr().err
+
+
+def _subcommands(parser):
+    return parser._subparsers._group_actions[0].choices
+
+
+def _options(subparser):
+    return [(a.option_strings, a.dest, a.required, a.choices, a.type, a.help) for a in subparser._actions]
+
+
+def test_dispatching_a_subcommand_builds_its_parser_alone(tmp_path, monkeypatch):
+    built = []
+
+    def recording(command=None):
+        built.append(make_parser(command))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "make_parser", recording)
+    program = ["--mode", "POSIX", "--dsl", WORKLOADS / "two_writes.dsl", "--out", tmp_path / "o"]
+    assert run("test", *program, "--checker", checker_arg("always_ok.py")) == 0
+    assert [list(_subcommands(parser)) for parser in built] == [["test"]]
+    full = _subcommands(make_parser())
+    for name, subparser in full.items():
+        assert _options(_subcommands(make_parser(name))[name]) == _options(subparser), name

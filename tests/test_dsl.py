@@ -137,6 +137,12 @@ def test_paths_outside_the_image_are_rejected():
         assert err.value.line_no == 2, statement
 
 
+def test_names_at_the_image_root_may_start_with_two_dots():
+    trace = synth_workload('fn main {\n  create ..cfg\n  write ./..cfg "a" @0\n  rename ..cfg ...\n  fsyncdir ..d\n}', "POSIX")
+    assert [o.args["path"] for o in trace.ops] == ["..cfg", "..cfg", "..cfg", "..d"]
+    assert trace.ops[2].args["dst"] == "..."
+
+
 def test_ops_that_would_replace_the_image_root_are_rejected():
     for statement in ('write . "a" @0', "create d/..", "rename f .", "rename ./ f", "unlink ."):
         with pytest.raises(DslError) as err:

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -173,6 +174,10 @@ def test_header_version_other_than_the_integer_1_is_a_parse_error(version):
         ("store", {"addr": False, "length": 8, "digest": "0" * 64}, "addr"),
         ("store", {"addr": 0, "length": 8, "digest": "0" * 64, "line": False}, "line"),
         ("flush", {"addr": 0, "length": True}, "length"),
+        # Nor is JSON null an integer.
+        ("write", {"path": "f", "offset": None, "length": 1, "digest": "0" * 64}, "offset"),
+        ("store", {"addr": 0, "length": None, "digest": "0" * 64}, "length"),
+        ("store", {"addr": 0, "length": 8, "digest": "0" * 64, "line": None}, "line"),
     ],
 )
 def test_boolean_extent_is_a_parse_error(kind, args, key):
@@ -209,7 +214,11 @@ def test_path_outside_the_image_is_a_parse_error(path):
 
 def test_paths_inside_the_image_parse():
     # Each path is stored in its one canonical spelling.
-    for path, stored in (("f", "f"), ("dir/f", "dir/f"), ("a/../f", "f"), ("./f", "f"), ("a/", "a"), ("a//b", "a/b")):
+    for path, stored in (
+        ("f", "f"), ("dir/f", "dir/f"), ("a/../f", "f"), ("./f", "f"), ("a/", "a"), ("a//b", "a/b"),
+        # A name at the root may start with "..": only ".." itself climbs out.
+        ("..cfg", "..cfg"), ("./..cfg", "..cfg"), ("...", "..."), ("..d/f", "..d/f"), ("d/../..cfg", "..cfg"),
+    ):
         trace = parse_trace("\n".join([HEADER, record(1, "create", {"path": path})]))
         assert trace.ops[0].args["path"] == stored
     # A sync may name the image root.
@@ -392,6 +401,79 @@ def test_args_keys_and_kinds_are_one_string_each():
     keys = {id(key) for o in trace.ops for key in o.args}
     assert len(keys) == len({key for o in trace.ops for key in o.args})
     assert len({id(o.kind) for o in trace.ops}) == len({o.kind for o in trace.ops})
+
+
+def test_each_distinct_path_is_one_string():
+    """``posixpath.normpath`` makes a new string at every call; a parsed
+    trace holds one string per distinct path, however it is spelled."""
+    trace = parse_trace(bench_module("gen").pointer_update_trace(7))
+    paths = [o.args[key] for o in trace.ops for key in ("path", "dst") if key in o.args]
+    assert len({id(path) for path in paths}) == len(set(paths)) < len(paths)
+    # Not one-letter names: CPython keeps one string per Latin-1 character.
+    spellings = parse_trace("\n".join(
+        [HEADER, record(1, "create", {"path": "cfg"}), record(2, "unlink", {"path": "./cfg"}),
+         record(3, "create", {"path": "d/../cfg/"})]
+    ))
+    assert len({id(o.args["path"]) for o in spellings.ops}) == 1
+
+
+_PLAIN = record(1, "write", {"path": "f", "offset": 0, "length": 1, "digest": "0" * 64})
+_BAD_FIELDS = (
+    ('"seq": 1,', "seq", "line 2: seq must be a positive integer"),
+    ('"offset": 0,', "offset", "line 2: write arg 'offset' must be a non-negative integer"),
+    ('"line": 1}', "frame-line", "line 2: malformed frame {'function': 'main', 'file': 'a.c', 'line': %s}"),
+)
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        pytest.param([HEADER, "   " + _PLAIN], None, id="leading-spaces"),
+        pytest.param([HEADER, "\t" + _PLAIN], None, id="leading-tab"),
+        pytest.param([HEADER, _PLAIN + "   "], None, id="trailing-spaces"),
+        pytest.param([HEADER, _PLAIN, " \t ", record(2, "create", {"path": "g"})], None, id="whitespace-line"),
+        pytest.param([HEADER, _PLAIN + " 1"], "line 2: record is not valid JSON", id="number-after"),
+        pytest.param([HEADER, _PLAIN + "{}"], "line 2: record is not valid JSON", id="object-after"),
+        *(
+            pytest.param(
+                [HEADER, _PLAIN.replace(old, old.replace(old.split()[1].strip(",}"), text))],
+                message.replace("%s", repr(float(text))), id=f"{text}-{name}",
+            )
+            for old, name, message in _BAD_FIELDS
+            for text in ("NaN", "Infinity", "-Infinity")
+        ),
+        pytest.param(
+            [HEADER, _PLAIN.replace('"seq": 1,', f'"seq": {"9" * 5000},')],
+            "line 2: record holds an integer too long or nesting too deep to read", id="5000-digit-int",
+        ),
+        pytest.param(
+            [HEADER, '{"seq": ' + "[" * 100_000 + "]" * 100_000 + "}"],
+            "line 2: record holds an integer too long or nesting too deep to read", id="deep-nesting",
+        ),
+        pytest.param(["\ufeff" + HEADER, _PLAIN], "line 1: header is not valid JSON", id="bom-header"),
+        pytest.param([HEADER, "\ufeff" + _PLAIN], "line 2: record is not valid JSON", id="bom-record"),
+        # ``splitlines`` splits a record at a raw line separator.
+        pytest.param(
+            [HEADER, record(1, "create", {"path": "a\u2028b"}).replace("\\u2028", "\u2028")],
+            "line 2: record is not valid JSON", id="raw-u2028",
+        ),
+    ],
+)
+def test_a_record_line_decodes_as_json_loads_reads_it(lines, message):
+    """Whitespace around a record, text after it, constants JSON does not
+    define, values past the int-digit or recursion limit, a BOM and a raw
+    line separator: each line parses to the trace of its stripped records
+    or fails with the error it gave when every line went through
+    ``json.loads``."""
+    text = "\n".join(lines)
+    if message is None:
+        stripped = [line.strip() for line in lines if line.strip()]
+        assert parse_trace(text).ops == parse_trace("\n".join(stripped)).ops
+        assert len(parse_trace(text).ops) == len(stripped) - 1
+    else:
+        with pytest.raises(ParseError) as err:
+            parse_trace(text)
+        assert str(err.value) == message
 
 
 def test_renaming_a_file_whose_name_is_later_a_directory_parses():
