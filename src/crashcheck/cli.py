@@ -242,17 +242,15 @@ def derive_behaviors(trace: Trace, cfg: RunConfig):
     return graph, behaviors
 
 
-def report_json(value, write=None) -> str | None:
-    """``json.dumps(value, indent=2)``, byte for byte, for report values:
-    dicts with string keys, lists, tuples, strings, ints, bools and None.
-    ``json.dumps`` takes its pure-Python path whenever ``indent`` is set;
-    here each string goes through the C quoting function, and a list of
-    ints or of strings is one join.  Each call renders each distinct int
-    of its lists of more than 8 ints once.  With ``write``, the text goes
-    to it chunk by chunk as it is made, and None is returned."""
-    chunks: list[str] = []
-    _write_json(value, "\n", chunks.append if write is None else write, _IntTexts())
-    return "".join(chunks) if write is None else None
+def report_json(value, write) -> None:
+    """Write ``json.dumps(value, indent=2)``, byte for byte, to ``write``
+    chunk by chunk as it is made, for report values: dicts with string
+    keys, lists, tuples, strings, ints, bools and None.  ``json.dumps``
+    takes its pure-Python path whenever ``indent`` is set; here each string
+    goes through the C quoting function, and a list of ints or of strings
+    is one join.  Each call renders each distinct int of its lists of more
+    than 8 ints once."""
+    _write_json(value, "\n", write, _IntTexts())
 
 
 class _IntTexts(dict):
@@ -334,7 +332,7 @@ def _create_output(path: Path, mode: str = ""):
 
 def _write_report(path: Path, value) -> None:
     with _create_output(path, "w") as report:
-        report_json(value, write=report.write)
+        report_json(value, report.write)
 
 
 def _safe_name(name: str) -> str:

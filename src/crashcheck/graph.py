@@ -1,15 +1,15 @@
 """Persistence graph: operations as nodes, happens-before edges, and the
 static keys used for node equivalence.
 
-Happens-before is stored once, as the model's per-rule bitsets ORed into
-one Python-int bitset of direct predecessors per node in the vector-clock
-style of FastTrack (Flanagan & Freund, PLDI'09), and every subgraph taken
-with :meth:`PersistenceGraph.induced` (each update behavior's) shares
-it, along with the op map and the static keys.  A graph is only its
-window over them: ``base`` is the trace-wide bit of its lowest node and
-its ``mask`` counts bits from there, so a view's nodes are the mask's
-bits, its predecessors of ``n`` are ``preds[n] >> base & mask``, and a
-behavior costs its span, not the trace.  :func:`export_dot`, which
+Happens-before is stored once, as the model's per-rule Python-int bitsets
+of direct predecessors in the vector-clock style of FastTrack (Flanagan &
+Freund, PLDI'09), shared with the op map and the static keys by every
+subgraph taken with :meth:`PersistenceGraph.induced` (each update
+behavior's).  A graph is only its window over them: ``base`` is the
+trace-wide bit of its lowest node and its ``mask`` counts bits from there,
+so a view's nodes are the mask's bits, its predecessors of ``n`` are
+the union of ``n``'s rule sources ``>> base & mask``, and a behavior
+costs its span, not the trace.  :func:`export_dot`, which
 labels each edge, draws only the transitive reduction of the graph's
 pairs (Aho, Garey & Ullman, SIAM J. Comput. 1972), found by
 :func:`reduction`, the pass over ancestor bitsets that schedule
@@ -31,7 +31,7 @@ from itertools import compress
 from typing import Iterator, NamedTuple
 
 from .errors import GraphBuildError, NodeNotFound
-from .models import EdgeReason, HappensBefore
+from .models import EdgeReason, HappensBefore, sources_of
 from .trace import METADATA_ONLY_KINDS, Operation, Trace
 
 _DIGIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
@@ -100,27 +100,26 @@ class PersistenceGraph:
     every graph induced from the same :func:`build_graph` result shares.
 
     ``ops_by_seq`` maps the seq of every node of the full graph to its op;
-    ``preds`` maps a node seq to the bitset of its direct predecessors, bit
-    ``i`` standing for ``seqs[i]``, the seqs of all trace ops as in the
-    model; ``rules`` names each edge; and ``static_keys`` holds one key per
-    call chain and kind, so comparing keys is mostly an identity check.  A
-    graph's own state is its window: ``base`` is the bit of its lowest node
-    (0 without nodes) and ``mask`` the bitset of its nodes from there, bit
-    ``i`` standing for ``seqs[base + i]``.  So inducing a subgraph copies
-    nothing, and every bitset it reads is as wide as its span.
+    ``rules`` is the model's :attr:`HappensBefore.rules`, the only store of
+    happens-before: per rule, each node seq's direct predecessors, bit ``i``
+    for trace seq ``seqs[i]``; ``static_keys`` holds one key per call chain
+    and kind, so comparing keys is mostly an identity check.  A graph's own
+    state is its window: ``base`` is the bit of its lowest node (0 without
+    nodes) and ``mask`` the bitset of its nodes from there, bit ``i``
+    standing for ``seqs[base + i]``.  So inducing a subgraph copies nothing,
+    and every bitset it reads is as wide as its span.
     """
 
     def __init__(
         self,
         ops_by_seq: dict[int, Operation],
         seqs: tuple[int, ...],
-        preds: dict[int, int],
         rules: dict[EdgeReason, dict[int, int]],
         static_keys: dict[int, StaticKey],
         mask: int,
         base: int,
     ):
-        self.ops_by_seq, self.seqs, self.preds, self.rules = ops_by_seq, seqs, preds, rules
+        self.ops_by_seq, self.seqs, self.rules = ops_by_seq, seqs, rules
         self.static_keys, self.mask, self.base = static_keys, mask, base
 
     def _seqs_in(self, bitset: int) -> Iterator[int]:
@@ -130,8 +129,7 @@ class PersistenceGraph:
     def own_preds(self) -> Iterator[tuple[int, int]]:
         """Each node's seq, lowest first, with its predecessors in this graph
         as a window bitset."""
-        preds, base, mask = self.preds, self.base, self.mask
-        return ((dst, preds.get(dst, 0) >> base & mask) for dst in self._seqs_in(mask))
+        return sources_of(self.rules, self._seqs_in(self.mask), self.base, self.mask)
 
     @property
     def node_seqs(self) -> tuple[int, ...]:
@@ -172,7 +170,7 @@ class PersistenceGraph:
             for bit in bits:
                 digits[bits[-1] - bit] = 49  # ord("1"), most significant first
             window = int(digits, 2), bits[0]
-        return PersistenceGraph(self.ops_by_seq, seqs, self.preds, self.rules, self.static_keys, *window)
+        return PersistenceGraph(self.ops_by_seq, seqs, self.rules, self.static_keys, *window)
 
 
 def build_graph(trace: Trace, hb: HappensBefore, key_mode: str = FULL_KEY) -> PersistenceGraph:
@@ -187,14 +185,11 @@ def build_graph(trace: Trace, hb: HappensBefore, key_mode: str = FULL_KEY) -> Pe
         raise GraphBuildError("trace seqs do not increase")
     ops_by_seq = {op.seq: op for op in trace.ops if op.kind not in METADATA_ONLY_KINDS}
     mask = int("".join("0" if op.kind in METADATA_ONLY_KINDS else "1" for op in reversed(trace.ops)) or "0", 2)
-    index = {seq: i for i, seq in enumerate(seqs)}
-    preds = hb.preds()
-    for dst, srcs in preds.items():
-        i = index.get(dst, -1)
-        if i < 0 or not mask >> i & 1 or srcs & ~mask:
-            raise GraphBuildError(f"happens-before into {dst} names an op outside the graph")
-        if srcs >> i:
-            raise GraphBuildError(f"happens-before into {dst} does not run forward in trace order")
+    outside = mask ^ (1 << len(seqs)) - 1  # the open/close ops' bits
+    for by_dst in hb.rules.values():
+        for dst, srcs in by_dst.items():
+            if dst not in ops_by_seq or srcs & outside or srcs >> bisect_left(seqs, dst):
+                raise GraphBuildError(f"happens-before into {dst} names an op that is no earlier node of the graph")
     # Parsing shares one backtrace per call chain, so a key is made once
     # per (kind, backtrace object).
     by_chain: dict[tuple[str, int], StaticKey] = {}
@@ -206,7 +201,7 @@ def build_graph(trace: Trace, hb: HappensBefore, key_mode: str = FULL_KEY) -> Pe
             key = by_chain[chain] = StaticKey.of(op, key_mode)
         keys[seq] = key
     base = max((mask & -mask).bit_length() - 1, 0)
-    return PersistenceGraph(ops_by_seq, seqs, preds, hb.rules, keys, mask >> base, base)
+    return PersistenceGraph(ops_by_seq, seqs, hb.rules, keys, mask >> base, base)
 
 
 def export_dot(graph: PersistenceGraph, write=None) -> str | None:
@@ -234,7 +229,8 @@ def export_dot(graph: PersistenceGraph, write=None) -> str | None:
     for bit, (seq, bits) in zip(_select(range(len(window)), mask), graph.own_preds()):
         op = graph.ops_by_seq[seq]
         frame = op.backtrace.innermost
-        write(f'  n{seq} [label="{op.kind}@{frame.file}:{frame.line}"];\n')
+        file = frame.file.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")  # for a quoted label
+        write(f'  n{seq} [label="{op.kind}@{file}:{frame.line}"];\n')
         tails[seq] = []
         window[bit] = bits
         nodes.append((bit, seq))

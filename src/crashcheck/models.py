@@ -6,9 +6,10 @@ cross-thread ordering is added.  All edges point from a lower seq to a
 higher seq, which keeps every graph acyclic by construction.
 
 Each model returns a :class:`HappensBefore`, per-rule predecessor bitsets
-filled from one running bitset per path, block, directory or line, so no
-``(src, dst)`` pair is built.  When several rules order a pair, the first
-in naming priority names it: ``SameBlock`` > ``MetadataOrder`` >
+(the relation's only store, read through :func:`sources_of`) filled from
+one running bitset per path, block, directory or line, so no ``(src, dst)``
+pair is built.  When several rules order a pair, the first in naming
+priority names it: ``SameBlock`` > ``MetadataOrder`` >
 ``SyncBarrier``, and ``SameCacheLine`` > ``FlushFence`` > ``Msync``.
 In both models every two persisting ops whose replays do not commute are
 ordered by a direct edge, so every order of a downward-closed set of ops
@@ -60,7 +61,7 @@ import math
 import posixpath
 from collections import defaultdict
 from enum import Enum
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import CrashCheckError, ModeMismatch
 from .trace import MMIO_KINDS, MMIO_MODE, POSIX_KINDS, POSIX_MODE, Operation, Trace
@@ -79,23 +80,27 @@ class EdgeReason(str, Enum):
 class HappensBefore(NamedTuple):
     """Happens-before of one trace as per-rule predecessor bitsets.
 
-    ``rules`` maps each rule, in naming priority, to a map from a
-    destination seq to the bitset of its sources, bit ``i`` standing for
-    ``trace.ops[i]``.  A pair's reason is the first rule that holds it."""
+    ``rules``, the relation's only store, maps each rule in naming priority
+    to a map from a destination seq to the bitset of its sources, bit ``i``
+    for ``trace.ops[i]``; a pair's reason is the first rule that holds it."""
 
     rules: dict[EdgeReason, dict[int, int]]
 
-    def preds(self) -> dict[int, int]:
-        """Each destination's sources under any rule."""
-        out: dict[int, int] = {}
-        for by_dst in self.rules.values():
-            for dst, srcs in by_dst.items():
-                out[dst] = out[dst] | srcs if dst in out else srcs
-        return out
-
     def __len__(self) -> int:
         """The number of ordered (src, dst) pairs."""
-        return sum(srcs.bit_count() for srcs in self.preds().values())
+        return sum(bits.bit_count() for _, bits in sources_of(self.rules, set().union(*self.rules.values())))
+
+
+def sources_of(rules: dict, dsts: Iterable[int], base: int = 0, mask: int = -1) -> Iterator[tuple[int, int]]:
+    """Each of ``dsts`` with its sources under any of :attr:`HappensBefore.rules`
+    (0 where none names it) as a bitset of the window from trace bit
+    ``base``, cut to ``mask``."""
+    gets = [by_dst.get for by_dst in rules.values()]
+    for dst in dsts:
+        bits = 0
+        for get in gets:
+            bits |= get(dst, 0)
+        yield dst, bits >> base & mask
 
 
 class ModelConfig(NamedTuple):

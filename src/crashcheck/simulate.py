@@ -92,7 +92,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, NoReturn
 from .behavior import UpdateBehavior
 from .errors import CheckerError, ExplosionLimit, ReplayError
 from .graph import bits_of, export_dot, reduction
-from .models import entry_name, parent_dir
+from .models import entry_name, parent_dir, sources_of
 from .trace import MMIO_MODE, POSIX_MODE, Operation, Trace, escapes_root
 
 
@@ -167,17 +167,17 @@ def enumerate_schedules(
 
     Subsets come in lexicographic order of their membership vectors over
     ascending seqs, "absent" before "present".  Bit ``i`` of every bitset is
-    the ``i``-th trace op of the span (the full graph's bitsets, shifted),
-    and ``ops[i]`` its op from the full graph's shared map: a graph node
-    outside the behavior has one too (an open or close has None), but only
-    the behavior's nodes (``own``) join.  Per subset it yields ``(1,
-    schedule, image)`` if the image is not in ``cache.seen`` (it is added),
-    the schedule applying the subset in seq order, then ``(rest, None,
-    None)`` for its other orders; a :class:`ReplayError` is raised at the
-    first subset whose image cannot be replayed.  ``budget`` counts subsets:
-    after the ``budget``-th, if any remain, it raises
-    :class:`ExplosionLimit`, so the weights it yielded are the exact order
-    count of the subsets it completed.
+    the ``i``-th trace op of the span (the full graph's rules, unioned by
+    :func:`sources_of` and shifted), and ``ops[i]`` its op from the full
+    graph's shared map: a graph node outside the behavior has one too (an
+    open or close has None), but only the behavior's nodes (``own``) join.
+    Per subset it yields ``(1, schedule, image)`` if the image is not in
+    ``cache.seen`` (it is added), the schedule applying the subset in seq
+    order, then ``(rest, None, None)`` for its other orders; a
+    :class:`ReplayError` is raised at the first subset whose image cannot
+    be replayed.  ``budget`` counts subsets: after the ``budget``-th, if any
+    remain, it raises :class:`ExplosionLimit`, so the weights it yielded are
+    the exact order count of the subsets it completed.
 
     The model orders every two persisting ops that do not commute, so
     every order of a subset replays to the image of its ops in seq order.
@@ -194,7 +194,7 @@ def enumerate_schedules(
     own, start = graph.mask, graph.base
     span = graph.seqs[start:start + own.bit_length()]
     ops = [graph.ops_by_seq.get(seq) for seq in span]
-    preds = [graph.preds.get(seq, 0) >> start for seq in span]
+    preds = [bits for _, bits in sources_of(graph.rules, span, start)]
     # Edges run forward, so a node's predecessors sit on lower bits.  succs
     # keeps only the edges of the transitive reduction: subsets are always
     # downward closed, so a node becomes addable when the last of its

@@ -100,6 +100,21 @@ def test_analyze_draws_fewer_than_2_edges_per_node_on_a_long_trace(tmp_path):
     assert dot.count(" -> ") < 2 * counts["graph_nodes"]
 
 
+def test_analyze_escapes_file_names_in_dot_labels(tmp_path):
+    """A frame file holding a quote, a backslash and a newline reaches
+    ``dot/full.dot`` and ``dot/behaviors.dot`` escaped, so each node's
+    label is one quoted DOT string on one line."""
+    trace_file = tmp_path / "t.jsonl"
+    ops = [op(seq, "write", write_args("f", b"a"), (("main", seq),), file='we"ird\\x\n') for seq in (1, 2)]
+    trace_file.write_bytes(serialize_trace(posix_trace(ops)))
+    out = tmp_path / "out"
+    assert run("analyze", "--trace", trace_file, "--out", out) == 0
+    labels = ['  n1 [label="write@we\\"ird\\\\x\\n:1"];', '  n2 [label="write@we\\"ird\\\\x\\n:2"];']
+    assert (out / "dot" / "full.dot").read_text().splitlines()[1:3] == labels
+    for line in (out / "dot" / "behaviors.dot").read_text().splitlines():
+        assert not line.startswith("  n") or line in labels or " -> " in line
+
+
 def test_non_string_kind_exits_2(tmp_path, capsys):
     trace_file = tmp_path / "t.jsonl"
     record = {"seq": 1, "tid": 0, "kind": [], "args": {"path": "f"},
@@ -438,11 +453,18 @@ def _random_text(rng):
     return "".join(rng.choice(_TEXT) for _ in range(rng.randint(0, 5)))
 
 
+def rendered(value) -> str:
+    """The report text of ``value``: the chunks ``report_json`` writes, joined."""
+    chunks: list[str] = []
+    report_json(value, write=chunks.append)
+    return "".join(chunks)
+
+
 def test_report_writer_matches_json_dumps_indent_2():
     rng = random.Random(11)
     for _ in range(2000):
         value = _random_value(rng)
-        assert report_json(value) == json.dumps(value, indent=2)
+        assert rendered(value) == json.dumps(value, indent=2)
 
 
 def test_report_writer_renders_each_int_of_its_long_lists_once_per_call(monkeypatch):
@@ -468,10 +490,10 @@ def test_report_writer_renders_each_int_of_its_long_lists_once_per_call(monkeypa
             return super().__missing__(value)
 
     monkeypatch.setattr(cli, "_IntTexts", Counting)
-    assert report_json(first) == json.dumps(first, indent=2)
+    assert rendered(first) == json.dumps(first, indent=2)
     assert sorted(misses) == sorted({*seqs, 0, 1})
     misses.clear()
-    assert report_json(second) == json.dumps(second, indent=2)
+    assert rendered(second) == json.dumps(second, indent=2)
     assert sorted(misses) == [0, 1]
     assert len(memos) == 2 and all(memo() is None for memo in memos)
 

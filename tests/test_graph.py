@@ -179,6 +179,7 @@ def test_induced_edges_reject_foreign_nodes(view_nodes, foreign):
     graph = window_graph()
     source = graph if view_nodes is None else graph.induced(view_nodes)
     assert source.ops_by_seq is graph.ops_by_seq and source.static_keys is graph.static_keys
+    assert source.rules is graph.rules
     known = set(source.node_seqs)
     with pytest.raises(NodeNotFound, match=rf"^nodes \[{foreign}\] are not in the graph$"):
         source.induced(known | {foreign})
@@ -240,7 +241,8 @@ def reference_dot(trace, edges, nodes) -> str:
     lines = ["digraph pg {"]
     for seq in sorted(nodes):
         frame = ops[seq].backtrace.innermost
-        lines.append(f'  n{seq} [label="{ops[seq].kind}@{frame.file}:{frame.line}"];')
+        file = frame.file.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+        lines.append(f'  n{seq} [label="{ops[seq].kind}@{file}:{frame.line}"];')
     drawn = reduction_pairs({pair for pair in edges if pair[0] in nodes and pair[1] in nodes})
     for src, dst in sorted(drawn):
         lines.append(f'  n{src} -> n{dst} [label="{edges[src, dst].value}"];')
@@ -290,7 +292,9 @@ def test_induced_views_match_filtering_the_full_edge_set(make):
     for _ in range(30):
         trace = make(rng, max_ops=12)
         edges = reference_model_pairs(trace)
-        graph = build_graph(trace, model_edges(trace))
+        hb = model_edges(trace)
+        graph = build_graph(trace, hb)
+        assert graph.rules is hb.rules and len(hb) == graph.edge_count
         check_view(graph, trace, edges, set(graph.node_seqs))
         for _ in range(5):
             s = {n for n in graph.node_seqs if rng.random() < 0.6}
@@ -306,6 +310,29 @@ def test_induced_views_match_filtering_the_full_edge_set(make):
                 whole = make_behavior("whole", "main", 0, s, graph)
                 for piece in cluster_temporal(whole, eps=1 + len(s) % 3):
                     check_view(piece.subgraph, trace, edges, set(piece.node_seqs))
+
+
+def test_dot_labels_escape_the_file_name():
+    """A file name holding a quote, a backslash and a newline is written
+    into a DOT label as ``\\"``, ``\\\\`` and ``\\n``, in the full graph and
+    in a view, so every label stays one quoted DOT string."""
+    name = 'we"ird\\x\n'
+    trace = posix_trace(
+        [
+            op(1, "write", write_args("f", b"a"), (("main", 1),), file=name),
+            op(2, "write", write_args("f", b"b"), (("main", 2),), file=name),
+            op(3, "write", write_args("g", b"c"), (("main", 3),)),
+        ]
+    )
+    edges = reference_model_pairs(trace)
+    graph = build_graph(trace, model_edges(trace))
+    check_view(graph, trace, edges, {1, 2, 3})
+    check_view(graph.induced({2, 3}), trace, edges, {2, 3})
+    assert export_dot(graph).splitlines()[1:4] == [
+        '  n1 [label="write@we\\"ird\\\\x\\n:1"];',
+        '  n2 [label="write@we\\"ird\\\\x\\n:2"];',
+        '  n3 [label="write@app.c:3"];',
+    ]
 
 
 def assert_dot_is_the_reduction(graph):
